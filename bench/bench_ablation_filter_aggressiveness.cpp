@@ -6,7 +6,7 @@
 // latency grows). The paper argues scale 1.0 with a small-probability
 // false positive is the right operating point.
 #include "bench_common.hpp"
-#include "stats/summary.hpp"
+#include "stats/rtt_recorder.hpp"
 
 using namespace pmsb;
 using namespace pmsb::experiments;
@@ -34,20 +34,16 @@ int main() {
     cfg.buffer_bytes = 4096ull * 1500ull;
     DumbbellScenario sc(cfg);
     sc.add_flow({.sender = 0, .service = 0, .bytes = 0, .start = 0});
-    stats::Summary rtt;
+    stats::RttRecorder rtt(sim::milliseconds(10));
     for (std::size_t i = 1; i <= 8; ++i) {
       const auto idx = sc.add_flow({.sender = i, .service = 1, .bytes = 0, .start = 0});
-      sc.flow(idx).sender().set_rtt_observer([&rtt, &sc](sim::TimeNs t) {
-        if (sc.simulator().now() > sim::milliseconds(10)) {
-          rtt.add(sim::to_microseconds(t));
-        }
-      });
+      sc.flow(idx).sender().add_observer(&rtt);
     }
     const auto rates = bench::measure_queue_rates(sc, 2, sim::milliseconds(10), end);
     table.add_row({stats::Table::num(scale, 2),
                    stats::Table::num(rates.gbps[0] / rates.total * 100.0, 1),
-                   stats::Table::num(rtt.mean(), 1),
-                   stats::Table::num(rtt.percentile(99), 1),
+                   stats::Table::num(rtt.us().mean(), 1),
+                   stats::Table::num(rtt.us().percentile(99), 1),
                    stats::Table::num(rates.total)});
   }
   table.print();

@@ -6,7 +6,7 @@
 // drain time). Too low -> victims still back off (unfair); too high -> even
 // genuinely congested flows ignore marks and latency grows.
 #include "bench_common.hpp"
-#include "stats/summary.hpp"
+#include "stats/rtt_recorder.hpp"
 
 using namespace pmsb;
 using namespace pmsb::experiments;
@@ -40,15 +40,11 @@ int main() {
         factor * static_cast<double>(pmsbe_rtt_threshold(params, sc.base_rtt())));
     sc.add_flow({.sender = 0, .service = 0, .bytes = 0, .start = 0,
                  .pmsbe = true, .pmsbe_rtt_threshold = thr});
-    stats::Summary rtt;
+    stats::RttRecorder rtt(sim::milliseconds(10));
     for (std::size_t i = 1; i <= 8; ++i) {
       const auto idx = sc.add_flow({.sender = i, .service = 1, .bytes = 0, .start = 0,
                                     .pmsbe = true, .pmsbe_rtt_threshold = thr});
-      sc.flow(idx).sender().set_rtt_observer([&rtt, &sc](sim::TimeNs t) {
-        if (sc.simulator().now() > sim::milliseconds(10)) {
-          rtt.add(sim::to_microseconds(t));
-        }
-      });
+      sc.flow(idx).sender().add_observer(&rtt);
     }
     const auto rates = bench::measure_queue_rates(sc, 2, sim::milliseconds(10), end);
     std::uint64_t ece = 0, ign = 0;
@@ -59,7 +55,7 @@ int main() {
     table.add_row({stats::Table::num(factor, 2),
                    stats::Table::num(sim::to_microseconds(thr), 1),
                    stats::Table::num(rates.gbps[0] / rates.total * 100.0, 1),
-                   stats::Table::num(rtt.percentile(99), 1),
+                   stats::Table::num(rtt.us().percentile(99), 1),
                    stats::Table::num(rates.total),
                    stats::Table::num(ece ? 100.0 * ign / ece : 0.0, 1)});
   }

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "experiments/dumbbell.hpp"
@@ -16,6 +17,7 @@
 #include "sim/units.hpp"
 #include "stats/table.hpp"
 #include "telemetry/run_report.hpp"
+#include "telemetry/sampler.hpp"
 
 namespace pmsb::bench {
 
@@ -72,6 +74,18 @@ class BenchManifest {
   std::string dir_;
   telemetry::RunManifest manifest_;
 };
+
+/// A one-column sampler of the bottleneck port's occupancy in bytes: its
+/// first row is taken now, then one every `period` (Figs. 4, 5, 11, 12).
+inline std::unique_ptr<telemetry::TimeSeriesSampler> sample_bottleneck(
+    experiments::DumbbellScenario& sc, sim::TimeNs period) {
+  auto sampler = std::make_unique<telemetry::TimeSeriesSampler>(sc.simulator(), period);
+  sampler->add_probe("bottleneck_bytes", [&sc] {
+    return static_cast<double>(sc.bottleneck().buffered_bytes());
+  });
+  sampler->start();
+  return sampler;
+}
 
 /// Measures per-queue service rates over [warmup, end] on a dumbbell.
 struct QueueRates {

@@ -5,7 +5,7 @@
 // spread evenly over 1..8 queues. With q active queues the port holds about
 // q*K, so RTT grows roughly linearly in q.
 #include "bench_common.hpp"
-#include "stats/summary.hpp"
+#include "stats/rtt_recorder.hpp"
 
 using namespace pmsb;
 using namespace pmsb::experiments;
@@ -31,23 +31,19 @@ int main() {
     cfg.marking.weights = cfg.scheduler.weights;
     DumbbellScenario sc(cfg);
 
-    stats::Summary rtt;
+    stats::RttRecorder rtt(sim::milliseconds(5));
     for (std::size_t i = 0; i < 8; ++i) {
       const auto idx = sc.add_flow({.sender = i,
                                     .service = static_cast<net::ServiceId>(i % queues),
                                     .bytes = 0,
                                     .start = 0});
-      sc.flow(idx).sender().set_rtt_observer([&rtt, &sc](sim::TimeNs t) {
-        if (sc.simulator().now() > sim::milliseconds(5)) {
-          rtt.add(sim::to_microseconds(t));
-        }
-      });
+      sc.flow(idx).sender().add_observer(&rtt);
     }
     const auto rates = bench::measure_queue_rates(sc, queues, sim::milliseconds(5), end);
-    table.add_row({std::to_string(queues), stats::Table::num(rtt.mean()),
-                   stats::Table::num(rtt.percentile(50)),
-                   stats::Table::num(rtt.percentile(95)),
-                   stats::Table::num(rtt.percentile(99)),
+    table.add_row({std::to_string(queues), stats::Table::num(rtt.us().mean()),
+                   stats::Table::num(rtt.us().percentile(50)),
+                   stats::Table::num(rtt.us().percentile(95)),
+                   stats::Table::num(rtt.us().percentile(99)),
                    stats::Table::num(rates.total)});
   }
   table.print();

@@ -3,8 +3,10 @@
 // 4 flows into one queue at 1 Gbps, K = 16 packets. Marking at dequeue
 // delivers the congestion signal before the marked packet's queueing delay,
 // so the slow-start peak drops (paper: 87 pkts -> ~25% lower).
+#include <algorithm>
+#include <numeric>
+
 #include "bench_common.hpp"
-#include "stats/queue_trace.hpp"
 
 using namespace pmsb;
 using namespace pmsb::experiments;
@@ -25,15 +27,19 @@ TraceResult run_trace(ecn::MarkPoint point) {
   cfg.marking.threshold_bytes = 16 * 1500;
   cfg.marking.point = point;
   DumbbellScenario sc(cfg);
-  stats::QueueTracer tracer(
-      sc.simulator(), [&sc] { return sc.bottleneck().buffered_bytes(); },
-      sim::microseconds(2));
+  const auto occupancy = bench::sample_bottleneck(sc, sim::microseconds(2));
   for (std::size_t i = 0; i < 4; ++i) {
     sc.add_flow({.sender = i, .service = 0, .bytes = 0, .start = 0});
   }
   sc.run(sim::milliseconds(bench::scaled(30, 100)));
-  return {tracer.peak_bytes() / 1500.0,
-          tracer.mean_bytes(sim::milliseconds(10), sim::kTimeNever) / 1500.0};
+  // Steady-state mean: the rows from 10 ms on.
+  const std::vector<double>& t_us = occupancy->times_us();
+  const std::vector<double>& bytes = occupancy->column(0);
+  const auto from = std::ranges::lower_bound(t_us, sim::to_microseconds(sim::milliseconds(10))) -
+                    t_us.begin();
+  const double steady = std::accumulate(bytes.begin() + from, bytes.end(), 0.0) /
+                        static_cast<double>(bytes.end() - bytes.begin() - from);
+  return {std::ranges::max(bytes) / 1500.0, steady / 1500.0};
 }
 }  // namespace
 

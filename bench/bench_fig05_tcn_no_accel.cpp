@@ -4,8 +4,9 @@
 // drain time of 16 packets). Because a packet must EXPERIENCE the sojourn
 // before it can be marked, TCN's buffer peak matches DCTCP's enqueue
 // marking — it cannot exploit dequeue marking the way PMSB does.
+#include <algorithm>
+
 #include "bench_common.hpp"
-#include "stats/queue_trace.hpp"
 
 using namespace pmsb;
 using namespace pmsb::experiments;
@@ -19,14 +20,12 @@ double run_peak(ecn::MarkingConfig marking) {
   cfg.scheduler.num_queues = 1;
   cfg.marking = std::move(marking);
   DumbbellScenario sc(cfg);
-  stats::QueueTracer tracer(
-      sc.simulator(), [&sc] { return sc.bottleneck().buffered_bytes(); },
-      sim::microseconds(2));
+  const auto occupancy = bench::sample_bottleneck(sc, sim::microseconds(2));
   for (std::size_t i = 0; i < 4; ++i) {
     sc.add_flow({.sender = i, .service = 0, .bytes = 0, .start = 0});
   }
   sc.run(sim::milliseconds(bench::scaled(30, 100)));
-  return tracer.peak_bytes() / 1500.0;
+  return std::ranges::max(occupancy->column(0)) / 1500.0;
 }
 }  // namespace
 

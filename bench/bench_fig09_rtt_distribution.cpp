@@ -4,7 +4,7 @@
 // Paper: PMSB achieves ~63% lower average/99th RTT than per-queue standard;
 // PMSB(e) ~56% lower.
 #include "bench_common.hpp"
-#include "stats/summary.hpp"
+#include "stats/rtt_recorder.hpp"
 
 using namespace pmsb;
 using namespace pmsb::experiments;
@@ -29,18 +29,14 @@ stats::Summary run_scheme(Scheme scheme, sim::TimeNs end) {
   const sim::TimeNs thr = cfg.transport.pmsbe_rtt_threshold;
   sc.add_flow({.sender = 0, .service = 0, .bytes = 0, .start = 0,
                .pmsbe = pmsbe, .pmsbe_rtt_threshold = thr});
-  stats::Summary rtt;
+  stats::RttRecorder rtt(sim::milliseconds(5));
   for (std::size_t i = 1; i <= 4; ++i) {
     const auto idx = sc.add_flow({.sender = i, .service = 1, .bytes = 0, .start = 0,
                                   .pmsbe = pmsbe, .pmsbe_rtt_threshold = thr});
-    sc.flow(idx).sender().set_rtt_observer([&rtt, &sc](sim::TimeNs t) {
-      if (sc.simulator().now() > sim::milliseconds(5)) {
-        rtt.add(sim::to_microseconds(t));
-      }
-    });
+    sc.flow(idx).sender().add_observer(&rtt);
   }
   sc.run(end);
-  return rtt;
+  return rtt.us();
 }
 
 }  // namespace

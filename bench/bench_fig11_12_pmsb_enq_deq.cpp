@@ -4,8 +4,9 @@
 // dequeue reduces the slow-start buffer peak by ~20% versus enqueue marking
 // (paper: 82 pkts -> ~20% lower), for both the switch (PMSB) and end-host
 // (PMSB(e)) variants.
+#include <algorithm>
+
 #include "bench_common.hpp"
-#include "stats/queue_trace.hpp"
 
 using namespace pmsb;
 using namespace pmsb::experiments;
@@ -36,16 +37,14 @@ double run_peak(Scheme scheme, ecn::MarkPoint point) {
     cfg.transport.pmsbe_rtt_threshold =
         sim::serialization_delay(12 * 1500, cfg.link_rate);
   }
-  stats::QueueTracer tracer(
-      sc.simulator(), [&sc] { return sc.bottleneck().buffered_bytes(); },
-      sim::microseconds(1));
+  const auto occupancy = bench::sample_bottleneck(sc, sim::microseconds(1));
   for (std::size_t i = 0; i < 4; ++i) {
     sc.add_flow({.sender = i, .service = 0, .bytes = 0, .start = 0,
                  .pmsbe = cfg.transport.pmsbe_enabled,
                  .pmsbe_rtt_threshold = cfg.transport.pmsbe_rtt_threshold});
   }
   sc.run(sim::milliseconds(bench::scaled(20, 100)));
-  return tracer.peak_bytes() / 1500.0;
+  return std::ranges::max(occupancy->column(0)) / 1500.0;
 }
 }  // namespace
 

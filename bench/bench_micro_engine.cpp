@@ -1,6 +1,6 @@
-// Microbenchmarks for the simulation substrate: event-queue throughput and
-// scheduler enqueue/dequeue cost — the knobs that bound how large a paper
-// reproduction run can be.
+// Microbenchmarks for the simulation substrate: event-queue throughput,
+// scheduler enqueue/dequeue cost and per-packet marking decisions — the
+// knobs that bound how large a paper reproduction run can be.
 //
 // Timing is hand-rolled (warmup + timed reps, median/MAD) rather than a
 // benchmark framework so the numbers land in the same pmsb.bench/1 JSON the
@@ -11,10 +11,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/pmsb_algorithm.hpp"
+#include "ecn/mq_ecn.hpp"
+#include "ecn/per_port.hpp"
+#include "ecn/per_queue.hpp"
+#include "ecn/pmsb_marking.hpp"
+#include "ecn/tcn.hpp"
 #include "regress/bench_json.hpp"
 #include "sched/dwrr.hpp"
 #include "sched/wfq.hpp"
@@ -179,6 +186,32 @@ void scheduler_churn(std::int64_t ops) {
   g_sink = touched;
 }
 
+ecn::PortSnapshot marking_snapshot(std::uint64_t i) {
+  ecn::PortSnapshot s;
+  s.port_bytes = (i * 37) % 120'000;
+  s.queue_bytes = (i * 17) % 60'000;
+  s.queue = i % 2;
+  s.weight = 1.0;
+  s.weight_sum = 2.0;
+  s.num_queues = 2;
+  return s;
+}
+
+/// `ops` decisions of `scheme` over a sweep of two-queue port snapshots,
+/// through the MarkingScheme interface as Port calls it. Packets carry a
+/// moving enqueue stamp so TCN's sojourn check sees varied input.
+void marking_churn(ecn::MarkingScheme& scheme, ecn::MarkPoint point, std::int64_t ops) {
+  net::Packet pkt;
+  std::uint64_t marks = 0;
+  for (std::int64_t i = 1; i <= ops; ++i) {
+    const auto u = static_cast<std::uint64_t>(i);
+    pkt.enqueue_time = static_cast<sim::TimeNs>(u * 11 % 1'000'000);
+    marks += scheme.should_mark(marking_snapshot(u), pkt, point,
+                                static_cast<sim::TimeNs>(u * 13));
+  }
+  g_sink = marks;
+}
+
 }  // namespace
 
 int main() {
@@ -244,6 +277,43 @@ int main() {
         time_bench(p.name, static_cast<std::uint64_t>(sched_ops),
                    [&] { buffer_admission_churn(p.cfg, sched_ops); }));
   }
+  // Per-packet marking decision of each scheme (§IV.C): PMSB needs two
+  // comparisons, like RED/ECN, while MQ-ECN keeps a round-time average and
+  // TCN handles timestamps. pmsb_pure is core::pmsb_should_mark alone.
+  ecn::MqEcnConfig mq_cfg;
+  mq_cfg.quantum_bytes = {1500.0, 1500.0};
+  auto mqecn = std::make_unique<ecn::MqEcnMarking>(std::move(mq_cfg));
+  // A live round estimate, so the dynamic-threshold path is exercised.
+  for (int r = 0; r < 16; ++r) mqecn->on_round_complete(r * 3000);
+  const struct {
+    const char* name;
+    std::unique_ptr<ecn::MarkingScheme> scheme;
+    ecn::MarkPoint point;
+  } kSchemes[] = {
+      {"marking/perport", std::make_unique<ecn::PerPortMarking>(97'500),
+       ecn::MarkPoint::kEnqueue},
+      {"marking/perqueue",
+       std::make_unique<ecn::PerQueueMarking>(std::vector<std::uint64_t>{48'750, 48'750}),
+       ecn::MarkPoint::kEnqueue},
+      {"marking/pmsb", std::make_unique<ecn::PmsbMarking>(18'000), ecn::MarkPoint::kEnqueue},
+      {"marking/mqecn", std::move(mqecn), ecn::MarkPoint::kEnqueue},
+      {"marking/tcn", std::make_unique<ecn::TcnMarking>(sim::microseconds(78)),
+       ecn::MarkPoint::kDequeue},
+  };
+  for (const auto& m : kSchemes) {
+    report.benchmarks.push_back(
+        time_bench(m.name, static_cast<std::uint64_t>(sched_ops),
+                   [&] { marking_churn(*m.scheme, m.point, sched_ops); }));
+  }
+  report.benchmarks.push_back(
+      time_bench("marking/pmsb_pure", static_cast<std::uint64_t>(sched_ops), [&] {
+        std::uint64_t marks = 0;
+        for (std::uint64_t i = 1; i <= static_cast<std::uint64_t>(sched_ops); ++i) {
+          marks += core::pmsb_should_mark((i * 37) % 120'000, 18'000, (i * 17) % 60'000,
+                                          1.0, 2.0);
+        }
+        g_sink = marks;
+      }));
 
   regress::maybe_write_bench_json(report);
   if (g_profiler != nullptr && telemetry::maybe_write_profile_json(*g_profiler)) {

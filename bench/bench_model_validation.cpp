@@ -8,9 +8,10 @@
 // We trace the real queue and report predicted vs measured peak/trough for
 // several (n, k) points. The model's worst case (Eq. 10/11) is what Theorem
 // IV.1's bound is derived from, so agreement here grounds the theorem.
+#include <algorithm>
+
 #include "bench_common.hpp"
 #include "core/thresholds.hpp"
-#include "stats/queue_trace.hpp"
 
 using namespace pmsb;
 using namespace pmsb::experiments;
@@ -39,16 +40,9 @@ int main() {
     }
     // Steady state only: start tracing after convergence.
     sc.run(sim::milliseconds(20));
-    stats::QueueTracer tracer(
-        sc.simulator(), [&sc] { return sc.bottleneck().buffered_bytes(); },
-        sim::microseconds(1));
+    const auto occupancy = bench::sample_bottleneck(sc, sim::microseconds(1));
     sc.run(sim::milliseconds(bench::scaled(60, 200)));
-
-    std::uint64_t peak = 0, trough = UINT64_MAX;
-    for (const auto& s : tracer.samples()) {
-      peak = std::max(peak, s.bytes);
-      trough = std::min(trough, s.bytes);
-    }
+    const auto [trough, peak] = std::ranges::minmax(occupancy->column(0));
     const sim::TimeNs rtt = sc.base_rtt();
     const double cxrtt = static_cast<double>(sim::bdp_bytes(cfg.link_rate, rtt));
     const double k_bytes = k_pkts * mss;
@@ -57,9 +51,9 @@ int main() {
                                                cxrtt, mss);
     table.add_row({std::to_string(n), stats::Table::num(k_pkts, 0),
                    stats::Table::num(qmax_pred / mss, 1),
-                   stats::Table::num(static_cast<double>(peak) / mss, 1),
+                   stats::Table::num(peak / mss, 1),
                    stats::Table::num(std::max(qmin_pred, 0.0) / mss, 1),
-                   stats::Table::num(static_cast<double>(trough) / mss, 1)});
+                   stats::Table::num(trough / mss, 1)});
   }
   table.print();
   std::printf("(predictions use the unloaded base RTT; the real operating RTT"

@@ -11,7 +11,7 @@
 
 #include "experiments/dumbbell.hpp"
 #include "experiments/presets.hpp"
-#include "stats/summary.hpp"
+#include "stats/rtt_recorder.hpp"
 #include "stats/table.hpp"
 
 using namespace pmsb;
@@ -45,15 +45,11 @@ Outcome run(Scheme scheme) {
   const sim::TimeNs thr = cfg.transport.pmsbe_rtt_threshold;
   sc.add_flow({.sender = 0, .service = 0, .bytes = 0, .start = 0,
                .pmsbe = pmsbe, .pmsbe_rtt_threshold = thr});
-  stats::Summary rtt;
+  stats::RttRecorder rtt(sim::milliseconds(10));
   for (std::size_t i = 1; i <= 8; ++i) {
     const auto idx = sc.add_flow({.sender = i, .service = 1, .bytes = 0, .start = 0,
                                   .pmsbe = pmsbe, .pmsbe_rtt_threshold = thr});
-    sc.flow(idx).sender().set_rtt_observer([&rtt, &sc](sim::TimeNs t) {
-      if (sc.simulator().now() > sim::milliseconds(10)) {
-        rtt.add(sim::to_microseconds(t));
-      }
-    });
+    sc.flow(idx).sender().add_observer(&rtt);
   }
 
   sc.run(sim::milliseconds(10));
@@ -63,7 +59,7 @@ Outcome run(Scheme scheme) {
   const double d0 = static_cast<double>(sc.served_bytes(0) - s0);
   const double d1 = static_cast<double>(sc.served_bytes(1) - s1);
   return {d0 / (d0 + d1) * 100.0,
-          (d0 + d1) * 8.0 / static_cast<double>(sim::milliseconds(50)), rtt.mean()};
+          (d0 + d1) * 8.0 / static_cast<double>(sim::milliseconds(50)), rtt.us().mean()};
 }
 
 }  // namespace

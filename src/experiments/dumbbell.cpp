@@ -137,22 +137,22 @@ void DumbbellScenario::add_sampler_columns(telemetry::TimeSeriesSampler& sampler
 }
 
 void DumbbellScenario::install_digest(regress::RunDigest& digest) {
-  digest_ = &digest;
+  digest_ = std::make_unique<regress::DigestObserver>(digest);
   digest_port_ = digest.register_entity("port/bottleneck");
-  switch_->port(bottleneck_port_).set_digest(&digest, digest_port_);
+  switch_->port(bottleneck_port_).add_observer(digest_.get(), digest_port_);
   digest_link_ = digest.register_entity("link/switch->receiver");
-  switch_->port(bottleneck_port_).link()->set_digest(&digest, digest_link_);
+  switch_->port(bottleneck_port_).link()->add_observer(digest_.get(), digest_link_);
   digest_flows_.clear();
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     const auto id = digest.register_entity("flow/" + std::to_string(i));
     digest_flows_.push_back(id);
-    flows_[i]->sender().set_digest(&digest, id);
+    flows_[i]->sender().add_observer(digest_.get(), id);
   }
 }
 
 void DumbbellScenario::finalize_digest() {
-  if (digest_ == nullptr) return;
-  regress::RunDigest& d = *digest_;
+  if (!digest_) return;
+  regress::RunDigest& d = digest_->digest();
   const switchlib::PortStats& ps = switch_->port(bottleneck_port_).stats();
   d.stat(digest_port_, "enqueued_packets", ps.enqueued_packets);
   d.stat(digest_port_, "dequeued_packets", ps.dequeued_packets);
@@ -192,34 +192,16 @@ void DumbbellScenario::install_profiler(telemetry::Profiler& profiler) {
 }
 
 void DumbbellScenario::install_span_tracer(trace::SpanTracer& spans) {
-  switch_->port(bottleneck_port_).set_span_tracer(&spans, switch_->name());
+  switch_->port(bottleneck_port_).add_observer(&spans,
+                                               spans.intern_node(switch_->name()));
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     // Watched flows only record; unwatched ones pay a hash lookup at most.
-    flows_[i]->sender().set_span_tracer(
-        &spans, senders_[flow_sender_idx_.at(i)]->name());
+    flows_[i]->sender().add_observer(
+        &spans, spans.intern_node(senders_[flow_sender_idx_.at(i)]->name()));
   }
-  // The bottleneck link reports when a packet's last bit left the wire
-  // (kLinkTx) and when it reached the receiver (kRx). The link sits below
-  // trace/ in the library stack, so the adaptation happens here.
-  const trace::NodeId link_node = spans.intern_node("switch->receiver");
-  switch_->port(bottleneck_port_).link()->set_delivery_observer(
-      [sp = &spans, link_node](const net::Packet& pkt, sim::TimeNs tx_done,
-                               sim::TimeNs rx_time) {
-        if (!sp->wants(pkt.flow_id)) return;
-        trace::SpanRecord span;
-        span.packet = pkt.id;
-        span.flow = pkt.flow_id;
-        span.node = link_node;
-        span.seq = pkt.seq;
-        span.size_bytes = pkt.size_bytes;
-        span.marked = pkt.ce;
-        span.time = tx_done;
-        span.phase = trace::SpanPhase::kLinkTx;
-        sp->record(span);
-        span.time = rx_time;
-        span.phase = trace::SpanPhase::kRx;
-        sp->record(span);
-      });
+  // The bottleneck link's deliveries yield kLinkTx and kRx.
+  switch_->port(bottleneck_port_).link()->add_observer(
+      &spans, spans.intern_node("switch->receiver"));
 }
 
 void DumbbellScenario::install_faults(faults::FaultPlan& plan, std::uint64_t seed) {

@@ -18,7 +18,7 @@
 #include "faults/standard_checks.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
-#include "regress/digest.hpp"
+#include "regress/digest_observer.hpp"
 #include "sched/factory.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
@@ -130,8 +130,8 @@ class DumbbellScenario {
   // --- Regression plane ---
   /// Wires the bottleneck port, its link, and every flow's sender into
   /// `digest` (entities "port/bottleneck", "link/switch->receiver",
-  /// "flow/<idx>"). Call after add_flow(); the digest must outlive the
-  /// scenario. finalize_digest() folds the final per-entity stats — call it
+  /// "flow/<idx>"). Call once, after add_flow(); the digest must outlive
+  /// the scenario. finalize_digest() folds the final per-entity stats — call it
   /// once, after the run.
   void install_digest(regress::RunDigest& digest);
   void finalize_digest();
@@ -170,7 +170,7 @@ class DumbbellScenario {
   std::vector<std::size_t> flow_sender_idx_;  ///< flow idx -> sender host idx
   std::size_t bottleneck_port_ = 0;
   net::FlowId next_flow_id_ = 1;
-  regress::RunDigest* digest_ = nullptr;
+  std::unique_ptr<regress::DigestObserver> digest_;
   regress::EntityId digest_port_ = 0;
   regress::EntityId digest_link_ = 0;
   std::vector<regress::EntityId> digest_flows_;

@@ -281,13 +281,13 @@ std::uint64_t LeafSpineScenario::total_drops() const {
 }
 
 void LeafSpineScenario::install_digest(regress::RunDigest& digest) {
-  digest_ = &digest;
+  digest_ = std::make_unique<regress::DigestObserver>(digest);
   digest_ports_.clear();
   auto wire_switch = [this, &digest](switchlib::Switch& sw) {
     for (std::size_t p = 0; p < sw.num_ports(); ++p) {
       const auto id =
           digest.register_entity("port/" + sw.name() + "/" + std::to_string(p));
-      sw.port(p).set_digest(&digest, id);
+      sw.port(p).add_observer(digest_.get(), id);
       digest_ports_.emplace_back(&sw.port(p), id);
     }
   };
@@ -297,13 +297,13 @@ void LeafSpineScenario::install_digest(regress::RunDigest& digest) {
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     const auto id = digest.register_entity("flow/" + std::to_string(i));
     digest_flows_.push_back(id);
-    flows_[i]->sender().set_digest(&digest, id);
+    flows_[i]->sender().add_observer(digest_.get(), id);
   }
 }
 
 void LeafSpineScenario::finalize_digest() {
-  if (digest_ == nullptr) return;
-  regress::RunDigest& d = *digest_;
+  if (!digest_) return;
+  regress::RunDigest& d = digest_->digest();
   for (const auto& [port, id] : digest_ports_) {
     const switchlib::PortStats& ps = port->stats();
     d.stat(id, "enqueued_packets", ps.enqueued_packets);
@@ -342,14 +342,15 @@ void LeafSpineScenario::install_profiler(telemetry::Profiler& profiler) {
 void LeafSpineScenario::install_span_tracer(trace::SpanTracer& spans) {
   auto wire_switch = [&spans](switchlib::Switch& sw) {
     for (std::size_t p = 0; p < sw.num_ports(); ++p) {
-      sw.port(p).set_span_tracer(&spans, sw.name() + "/p" + std::to_string(p));
+      sw.port(p).add_observer(&spans,
+                              spans.intern_node(sw.name() + "/p" + std::to_string(p)));
     }
   };
   for (auto& l : leaves_) wire_switch(*l);
   for (auto& s : spines_) wire_switch(*s);
   for (std::size_t i = 0; i < flows_.size(); ++i) {
-    flows_[i]->sender().set_span_tracer(&spans,
-                                        hosts_[flow_src_idx_.at(i)]->name());
+    flows_[i]->sender().add_observer(
+        &spans, spans.intern_node(hosts_[flow_src_idx_.at(i)]->name()));
   }
   // kLinkTx/kRx on the last hop only (leaf -> destination host), so kRx
   // always means arrival at the receiver and the FCT decomposition stays
@@ -357,25 +358,7 @@ void LeafSpineScenario::install_span_tracer(trace::SpanTracer& spans) {
   // The constructor wires host links first, two per host, downlink second.
   for (std::size_t h = 0; h < num_hosts(); ++h) {
     const faults::LinkRef& ref = link_refs_.at(2 * h + 1);
-    const trace::NodeId link_node = spans.intern_node(ref.src + "->" + ref.dst);
-    ref.link->set_delivery_observer(
-        [sp = &spans, link_node](const net::Packet& pkt, sim::TimeNs tx_done,
-                                 sim::TimeNs rx_time) {
-          if (!sp->wants(pkt.flow_id)) return;
-          trace::SpanRecord span;
-          span.packet = pkt.id;
-          span.flow = pkt.flow_id;
-          span.node = link_node;
-          span.seq = pkt.seq;
-          span.size_bytes = pkt.size_bytes;
-          span.marked = pkt.ce;
-          span.time = tx_done;
-          span.phase = trace::SpanPhase::kLinkTx;
-          sp->record(span);
-          span.time = rx_time;
-          span.phase = trace::SpanPhase::kRx;
-          sp->record(span);
-        });
+    ref.link->add_observer(&spans, spans.intern_node(ref.src + "->" + ref.dst));
   }
 }
 

@@ -19,7 +19,7 @@
 #include "faults/standard_checks.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
-#include "regress/digest.hpp"
+#include "regress/digest_observer.hpp"
 #include "sched/factory.hpp"
 #include "sim/simulator.hpp"
 #include "stats/fct.hpp"
@@ -151,8 +151,8 @@ class LeafSpineScenario {
 
   // --- Regression plane ---
   /// Wires every switch port ("port/<switch>/<idx>") and every flow's
-  /// sender ("flow/<idx>") into `digest`. Call after add_workload(); the
-  /// digest must outlive the scenario. finalize_digest() folds the final
+  /// sender ("flow/<idx>") into `digest`. Call once, after add_workload();
+  /// the digest must outlive the scenario. finalize_digest() folds the final
   /// per-entity stats — call once, after the run.
   void install_digest(regress::RunDigest& digest);
   void finalize_digest();
@@ -162,10 +162,10 @@ class LeafSpineScenario {
   /// sender. Call after add_workload(); the profiler must outlive the
   /// scenario's last event.
   void install_profiler(telemetry::Profiler& profiler);
-  /// Wires span capture for watched flows: kSend/kAck at the source hosts
-  /// and kEnqueue/kDequeue/kMark/kDrop at every switch port (labelled
-  /// "<switch>/p<idx>"). Call after add_workload(); `spans` must outlive
-  /// the scenario.
+  /// Wires span capture for watched flows: kSend/kAck at the source hosts,
+  /// kEnqueue/kDequeue/kMark/kDrop at every switch port (labelled
+  /// "<switch>/p<idx>") and kLinkTx/kRx on each leaf->host link. Call
+  /// after add_workload(); `spans` must outlive the scenario.
   void install_span_tracer(trace::SpanTracer& spans);
   /// The port whose Tracer capture `trace_ndjson=` exports: the first
   /// spine's first downlink — a core port every leaf's traffic crosses.
@@ -200,7 +200,7 @@ class LeafSpineScenario {
   stats::FctCollector fct_;
   std::size_t completed_ = 0;
   net::FlowId next_flow_id_ = 1;
-  regress::RunDigest* digest_ = nullptr;
+  std::unique_ptr<regress::DigestObserver> digest_;
   std::vector<std::pair<switchlib::Port*, regress::EntityId>> digest_ports_;
   std::vector<regress::EntityId> digest_flows_;
 };

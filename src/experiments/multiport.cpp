@@ -41,7 +41,6 @@ MultiPortScenario::MultiPortScenario(const MultiPortConfig& config)
   bottleneck.scheduler = cfg_.scheduler;
   bottleneck.marking = cfg_.marking;
   bottleneck.buffer_bytes = cfg_.buffer_bytes;
-  bottleneck.dt_alpha = cfg_.dt_alpha;
   bottleneck.buffer_policy = cfg_.buffer_policy;
 
   auto name_link = [this](const std::string& src, const std::string& dst) {

@@ -33,11 +33,7 @@ struct MultiPortConfig {
   /// When non-zero, all receiver ports share one buffer pool of this size
   /// (enables per-service-pool marking semantics).
   std::uint64_t shared_pool_bytes = 0;
-  /// Dynamic Threshold alpha for the pooled ports (0 = static budgets).
-  /// Legacy sugar for `buffer_policy = {kDynamicThresholds, dt_alpha}`.
-  double dt_alpha = 0.0;
-  /// Shared-buffer admission policy for the receiver ports. Takes
-  /// precedence over dt_alpha when set to a non-static kind.
+  /// Shared-buffer admission policy for the receiver ports.
   switchlib::BufferPolicyConfig buffer_policy;
   transport::DctcpConfig transport;
   /// Event-queue backend for the kernel (`sched_queue=` at the CLI). Either

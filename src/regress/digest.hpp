@@ -16,9 +16,9 @@
 // the divergence finder then re-runs the cell with a windowed journal armed
 // and reports the first event inside that window (time, entity, kind).
 //
-// Cost contract: components hold a RunDigest* that defaults to null — the
-// hot path pays exactly one predictable branch when digests are off (the
-// same idiom as Port::set_tracer).
+// Events arrive through regress::DigestObserver (digest_observer.hpp), a
+// net::PacketObserver on the components' tap lists; with no digest attached
+// the packet path pays one empty-list check per event.
 #pragma once
 
 #include <cstdint>

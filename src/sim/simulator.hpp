@@ -51,7 +51,7 @@ inline constexpr EventId kInvalidEventId = 0;
 /// begin_dispatch()/end_dispatch() around every event callback and
 /// on_schedule()/on_cancel() per queue operation — but ONLY while a hook is
 /// attached, so the un-instrumented cost is one null check per call site
-/// (the same contract as Port::set_tracer). Declared here (not in
+/// (as with the packet path's empty observer tap lists). Declared here (not in
 /// telemetry/) so the kernel stays free of upward dependencies; the concrete
 /// implementation lives in telemetry::Profiler.
 class DispatchHook {

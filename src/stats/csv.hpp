@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "stats/fct.hpp"
-#include "stats/queue_trace.hpp"
 #include "stats/throughput.hpp"
 
 namespace pmsb::stats {
@@ -60,15 +59,6 @@ inline void write_fct_csv(const std::string& path, const FctCollector& fct) {
              r.deadline == 0 ? "" : (r.deadline_met ? "1" : "0"),
              r.group == kNoGroupId ? "" : std::to_string(r.group),
              r.group == kNoGroupId ? "" : std::to_string(r.stage)});
-  }
-}
-
-/// One row per occupancy sample: time_us, bytes.
-inline void write_trace_csv(const std::string& path, const QueueTracer& tracer) {
-  CsvWriter csv(path);
-  csv.row({"time_us", "bytes"});
-  for (const auto& s : tracer.samples()) {
-    csv.row({std::to_string(sim::to_microseconds(s.time)), std::to_string(s.bytes)});
   }
 }
 

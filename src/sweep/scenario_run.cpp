@@ -19,6 +19,7 @@
 #include "regress/digest.hpp"
 #include "sim/rng.hpp"
 #include "stats/csv.hpp"
+#include "stats/rtt_recorder.hpp"
 #include "sweep/crash_inject.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
@@ -119,7 +120,7 @@ struct RunTelemetry {
       // Post-mortems want the tail of the event stream, so ring mode.
       tracer = std::make_unique<trace::Tracer>(1'000'000,
                                                trace::OverflowPolicy::kRingBuffer);
-      sc.trace_port().set_tracer(tracer.get());
+      sc.trace_port().add_observer(tracer.get());
     }
     if (!ts_path.empty()) {
       sampler = std::make_unique<telemetry::TimeSeriesSampler>(sc.simulator(), period);
@@ -439,7 +440,7 @@ void run_dumbbell(const Options& opts, bool quiet, regress::RunDigest* digest,
   DumbbellScenario sc(cfg);
   apply_scheme_transport(scheme, params, sc.base_rtt(), cfg.transport);
 
-  stats::Summary rtt;
+  stats::RttRecorder rtt(sim::milliseconds(5));
   std::size_t sender = 0;
   for (std::size_t q = 0; q < queues; ++q) {
     for (std::size_t f = 0; f < static_cast<std::size_t>(flows_per_queue[q]); ++f) {
@@ -448,11 +449,7 @@ void run_dumbbell(const Options& opts, bool quiet, regress::RunDigest* digest,
            .bytes = 0, .start = 0,
            .pmsbe = cfg.transport.pmsbe_enabled,
            .pmsbe_rtt_threshold = cfg.transport.pmsbe_rtt_threshold});
-      sc.flow(idx).sender().set_rtt_observer([&rtt, &sc](sim::TimeNs t) {
-        if (sc.simulator().now() > sim::milliseconds(5)) {
-          rtt.add(sim::to_microseconds(t));
-        }
-      });
+      sc.flow(idx).sender().add_observer(&rtt);
     }
   }
   if (digest != nullptr) sc.install_digest(*digest);
@@ -503,13 +500,14 @@ void run_dumbbell(const Options& opts, bool quiet, regress::RunDigest* digest,
   }
   if (!quiet) {
     table.print();
-    std::printf("rtt avg/p99: %.1f / %.1f us; marks: %llu; drops: %llu\n", rtt.mean(),
-                rtt.percentile(99), static_cast<unsigned long long>(marks),
+    std::printf("rtt avg/p99: %.1f / %.1f us; marks: %llu; drops: %llu\n",
+                rtt.us().mean(), rtt.us().percentile(99),
+                static_cast<unsigned long long>(marks),
                 static_cast<unsigned long long>(drops));
   }
 
-  rec.results["rtt_us.mean"] = rtt.mean();
-  rec.results["rtt_us.p99"] = rtt.percentile(99);
+  rec.results["rtt_us.mean"] = rtt.us().mean();
+  rec.results["rtt_us.p99"] = rtt.us().percentile(99);
   rec.results["marks"] = static_cast<double>(marks);
   rec.results["drops"] = static_cast<double>(drops);
   record_drop_reasons(sc.bottleneck().stats(), rec);

@@ -11,15 +11,8 @@ Port::Port(sim::Simulator& simulator, net::Link* link, const PortConfig& config)
       sched_(sched::make_scheduler(config.scheduler)),
       marking_(ecn::make_marking(config.marking)),
       mark_point_(ecn::effective_mark_point(config.marking)),
-      buffer_bytes_(config.buffer_bytes) {
-  BufferPolicyConfig policy_cfg = config.buffer_policy;
-  if (config.dt_alpha > 0.0 &&
-      policy_cfg.kind == BufferPolicyKind::kStaticPerPort) {
-    // Legacy sugar: dt_alpha alone selects Dynamic Thresholds.
-    policy_cfg.kind = BufferPolicyKind::kDynamicThresholds;
-    policy_cfg.dt_alpha = config.dt_alpha;
-  }
-  policy_ = make_buffer_policy(policy_cfg);
+      buffer_bytes_(config.buffer_bytes),
+      policy_(make_buffer_policy(config.buffer_policy)) {
   stats_.marked_per_queue.assign(sched_->num_queues(), 0);
   if (config.average_occupancy) {
     const sim::RateBps rate = link_->rate();
@@ -130,65 +123,11 @@ void Port::set_profiler(telemetry::Profiler* profiler) {
   kind_should_mark_ = profiler_->intern("ecn." + marking_->name() + ".should_mark");
 }
 
-void Port::set_span_tracer(trace::SpanTracer* spans, const std::string& node) {
-  spans_ = spans;
-  span_node_ = spans != nullptr ? spans->intern_node(node) : trace::kNoNode;
-}
-
-namespace {
-
-regress::EventKind to_digest_kind(trace::EventKind kind) {
-  switch (kind) {
-    case trace::EventKind::kEnqueue: return regress::EventKind::kEnqueue;
-    case trace::EventKind::kDequeue: return regress::EventKind::kDequeue;
-    case trace::EventKind::kMark: return regress::EventKind::kMark;
-    case trace::EventKind::kDrop: return regress::EventKind::kDrop;
-  }
-  return regress::EventKind::kEnqueue;
-}
-
-trace::SpanPhase to_span_phase(trace::EventKind kind) {
-  switch (kind) {
-    case trace::EventKind::kEnqueue: return trace::SpanPhase::kEnqueue;
-    case trace::EventKind::kDequeue: return trace::SpanPhase::kDequeue;
-    case trace::EventKind::kMark: return trace::SpanPhase::kMark;
-    case trace::EventKind::kDrop: return trace::SpanPhase::kDrop;
-  }
-  return trace::SpanPhase::kEnqueue;
-}
-
-}  // namespace
-
-void Port::trace_event(trace::EventKind kind, const Packet& pkt, std::size_t queue) {
-  if (digest_ != nullptr) {
-    digest_->event(digest_entity_, to_digest_kind(kind),
-                   static_cast<std::int64_t>(sim_.now()), pkt.id,
-                   (static_cast<std::uint64_t>(queue) << 48) | sched_->total_bytes());
-  }
-  if (tracer_ != nullptr) {
-    tracer_->record({sim_.now(), kind, pkt.id, pkt.flow_id, queue,
-                     sched_->total_bytes()});
-  }
-  if (spans_ != nullptr && spans_->wants(pkt.flow_id)) {
-    trace::SpanRecord span;
-    span.time = sim_.now();
-    span.phase = to_span_phase(kind);
-    span.packet = pkt.id;
-    span.flow = pkt.flow_id;
-    span.node = span_node_;
-    span.queue = queue;
-    span.seq = pkt.seq;
-    span.size_bytes = pkt.size_bytes;
-    span.marked = pkt.ce;
-    spans_->record(span);
-  }
-}
-
 void Port::drop(const Packet& pkt, std::size_t queue, DropReason reason) {
   ++stats_.dropped_packets;
   stats_.dropped_bytes += pkt.size_bytes;
   ++stats_.dropped_by_reason[static_cast<std::size_t>(reason)];
-  trace_event(trace::EventKind::kDrop, pkt, queue);
+  notify(&net::PacketObserver::on_drop, pkt, queue);
 }
 
 void Port::handle(Packet pkt) {
@@ -216,10 +155,10 @@ void Port::handle(Packet pkt) {
       pkt.ce = true;
       ++stats_.marked_enqueue;
       ++stats_.marked_per_queue[q];
-      trace_event(trace::EventKind::kMark, pkt, q);
+      notify(&net::PacketObserver::on_mark, pkt, q);
     }
   }
-  trace_event(trace::EventKind::kEnqueue, pkt, q);
+  notify(&net::PacketObserver::on_enqueue, pkt, q);
   {
     telemetry::ProfileScope sched_scope(profiler_, kind_sched_enqueue_);
     sched_->enqueue(q, std::move(pkt));
@@ -253,10 +192,10 @@ void Port::try_transmit() {
       pkt.ce = true;
       ++stats_.marked_dequeue;
       ++stats_.marked_per_queue[out->queue];
-      trace_event(trace::EventKind::kMark, pkt, out->queue);
+      notify(&net::PacketObserver::on_mark, pkt, out->queue);
     }
   }
-  trace_event(trace::EventKind::kDequeue, pkt, out->queue);
+  notify(&net::PacketObserver::on_dequeue, pkt, out->queue);
   if (pool_ != nullptr) pool_->release(pool_slot_, pkt.size_bytes);
   transmitting_ = true;
   const TimeNs tx_done = link_->transmit(std::move(pkt));

@@ -13,7 +13,7 @@
 #include "ecn/marking.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
-#include "regress/digest.hpp"
+#include "net/packet_observer.hpp"
 #include "sched/factory.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
@@ -22,8 +22,6 @@
 #include "switchlib/occupancy.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
-#include "trace/spans.hpp"
-#include "trace/tracer.hpp"
 
 namespace pmsb::switchlib {
 
@@ -44,12 +42,6 @@ struct PortConfig {
   /// decisions route through this; the default is digest-identical to the
   /// historical inline drop-tail.
   BufferPolicyConfig buffer_policy;
-  /// Legacy Dynamic-Threshold knob (Choudhury & Hahne), kept as sugar: a
-  /// non-zero value selects buffer_policy.kind = kDynamicThresholds with
-  /// this alpha (unless buffer_policy already picked a non-static policy).
-  /// 0 leaves the configured buffer_policy in charge. This is the scheme
-  /// the micro-burst works the paper cites ([13], [14]) build on.
-  double dt_alpha = 0.0;
 };
 
 /// Per-port counters exposed for tests and benches. These cells double as
@@ -95,9 +87,11 @@ class Port {
     return policy_->threshold_bytes(admission_request(0));
   }
 
-  /// Attaches a structured event tracer (nullptr to detach). The tracer
-  /// must outlive the port.
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
+  /// Reports this port's enqueue/dequeue/mark/drop events to `observer` as
+  /// `site`.
+  void add_observer(net::PacketObserver* observer, net::SiteId site = 0) {
+    taps_.add(observer, site);
+  }
 
   /// Attaches a profiler (nullptr to detach): handle() and the transmit
   /// loop become "port.handle"/"port.transmit" scopes, with nested
@@ -105,20 +99,6 @@ class Port {
   /// so scheduler and marking cost is attributed separately. Kind names are
   /// interned here; the packet path stays string-free.
   void set_profiler(telemetry::Profiler* profiler);
-
-  /// Attaches a span tracer recording this port's lifecycle events
-  /// (enqueue/dequeue/mark/drop) for watched flows as `node` (nullptr to
-  /// detach). Same cost contract as set_tracer.
-  void set_span_tracer(trace::SpanTracer* spans, const std::string& node);
-
-  /// Feeds this port's canonical events (enqueue/dequeue/mark/drop) into a
-  /// run digest as `entity` (nullptr to detach). Same cost contract as
-  /// set_tracer: one null check on the packet path when off. The digest
-  /// must outlive the port.
-  void set_digest(regress::RunDigest* digest, regress::EntityId entity) {
-    digest_ = digest;
-    digest_entity_ = entity;
-  }
 
   /// Registers this port's instruments in `registry` under `labels`
   /// (e.g. {{"switch","leaf0"},{"port","2"}}): every PortStats cell as a
@@ -164,19 +144,20 @@ class Port {
   Classifier classifier_;
   BufferPool* pool_ = nullptr;
   BufferPool::SlotId pool_slot_ = 0;
-  trace::Tracer* tracer_ = nullptr;
-  trace::SpanTracer* spans_ = nullptr;
-  trace::NodeId span_node_ = trace::kNoNode;
+  net::TapList taps_;
   telemetry::Profiler* profiler_ = nullptr;
   telemetry::Profiler::KindId kind_handle_ = 0;
   telemetry::Profiler::KindId kind_transmit_ = 0;
   telemetry::Profiler::KindId kind_sched_enqueue_ = 0;
   telemetry::Profiler::KindId kind_sched_dequeue_ = 0;
   telemetry::Profiler::KindId kind_should_mark_ = 0;
-  regress::RunDigest* digest_ = nullptr;
-  regress::EntityId digest_entity_ = 0;
   bool transmitting_ = false;
-  void trace_event(trace::EventKind kind, const Packet& pkt, std::size_t queue);
+  using PortHook = void (net::PacketObserver::*)(net::SiteId, TimeNs, const Packet&,
+                                                 std::size_t, std::uint64_t);
+  void notify(PortHook hook, const Packet& pkt, std::size_t queue) {
+    if (taps_.empty()) return;  // skip the occupancy lookup when nobody listens
+    taps_.notify(hook, sim_.now(), pkt, queue, sched_->total_bytes());
+  }
   PortStats stats_;
   // EWMA estimators (populated only when config.average_occupancy is set).
   std::vector<OccupancyEwma> queue_ewma_;

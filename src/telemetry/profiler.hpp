@@ -7,8 +7,9 @@
 // (ProfileScope) whose self-time excludes nested scopes, so "port.handle"
 // and the "sched.*.dequeue" it calls are attributed separately.
 //
-// Cost contract (same as Port::set_tracer / set_digest): everything is OFF
-// by default and costs exactly one null check per instrumented call site.
+// Cost contract: everything is OFF by default and costs exactly one null
+// check per instrumented call site (packet observers pay the same through
+// an empty tap list).
 // A component holds a `Profiler*` (nullptr when off) plus KindIds interned
 // once at set_profiler() time — the hot path never touches a string.
 //

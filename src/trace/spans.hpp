@@ -10,11 +10,12 @@
 // loss-recovery time — the per-packet evidence trail behind the paper's
 // marking-decision claims (see trace/analysis.hpp for the arithmetic).
 //
-// Capture is opt-in per flow (`trace_flows=` in pmsbsim → watch_flow()):
-// components hold a SpanTracer* that is null when tracing is off, so the
-// packet path pays one null check — the same zero-cost-when-off contract
-// as Tracer/RunDigest/Profiler. Node names are interned once at wiring
-// time; the hot path records integer ids only.
+// Capture is opt-in per flow (`trace_flows=` in pmsbsim → watch_flow()).
+// The SpanTracer is a net::PacketObserver: scenario wiring attaches it to
+// each component it should hear from, with an interned node id as the site,
+// so a run without spans pays only the components' empty-tap-list check.
+// Node names are interned once at wiring time; the hot path records
+// integer ids only.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_observer.hpp"
 #include "sim/time.hpp"
 
 namespace pmsb::trace {
@@ -76,8 +78,9 @@ struct SpanRecord {
 /// Bounded collector of SpanRecords with the Tracer's overflow semantics:
 /// kDropNewest keeps the head and counts the rest, kRingBuffer keeps the
 /// tail. Default capacity is generous because spans are per-sampled-flow,
-/// not per-port.
-class SpanTracer {
+/// not per-port. As an observer, the site id is the NodeId of the
+/// component (intern_node); a link's on_link_rx yields kLinkTx + kRx.
+class SpanTracer final : public net::PacketObserver {
  public:
   /// What to do with a new span once `capacity` is reached.
   enum class OverflowPolicy : std::uint8_t { kDropNewest, kRingBuffer };
@@ -105,19 +108,32 @@ class SpanTracer {
   [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
 
   void record(const SpanRecord& span) {
-    if (!wants(span.flow)) return;
-    if (records_.size() < capacity_) {
-      records_.push_back(span);
-      return;
-    }
-    if (policy_ == OverflowPolicy::kDropNewest || capacity_ == 0) {
-      ++overflow_;
-      return;
-    }
-    ++overflow_;
-    records_[write_] = span;
-    write_ = (write_ + 1) % capacity_;
+    if (wants(span.flow)) store(span);
   }
+
+  // --- net::PacketObserver (site = NodeId) ---
+  void on_enqueue(net::SiteId site, sim::TimeNs now, const net::Packet& pkt,
+                  std::size_t queue, std::uint64_t /*port_bytes*/) override {
+    port_span(SpanPhase::kEnqueue, site, now, pkt, queue);
+  }
+  void on_dequeue(net::SiteId site, sim::TimeNs now, const net::Packet& pkt,
+                  std::size_t queue, std::uint64_t /*port_bytes*/) override {
+    port_span(SpanPhase::kDequeue, site, now, pkt, queue);
+  }
+  void on_mark(net::SiteId site, sim::TimeNs now, const net::Packet& pkt,
+               std::size_t queue, std::uint64_t /*port_bytes*/) override {
+    port_span(SpanPhase::kMark, site, now, pkt, queue);
+  }
+  void on_drop(net::SiteId site, sim::TimeNs now, const net::Packet& pkt,
+               std::size_t queue, std::uint64_t /*port_bytes*/) override {
+    port_span(SpanPhase::kDrop, site, now, pkt, queue);
+  }
+  void on_link_rx(net::SiteId site, sim::TimeNs rx_time, const net::Packet& pkt,
+                  sim::TimeNs tx_done) override;
+  void on_send(net::SiteId site, sim::TimeNs now, const net::Packet& pkt,
+               bool retransmit) override;
+  void on_ack(net::SiteId site, sim::TimeNs now, const net::Packet& ack,
+              bool mark_accepted, sim::TimeNs rtt_sample) override;
 
   /// Raw storage; NOT chronological after a ring wrap. Use
   /// for_each_chronological() or write_ndjson() for ordered access.
@@ -138,6 +154,24 @@ class SpanTracer {
   void write_ndjson(const std::string& path) const;
 
  private:
+  /// Appends a span already known to be wanted.
+  void store(const SpanRecord& span) {
+    if (records_.size() < capacity_) {
+      records_.push_back(span);
+      return;
+    }
+    if (policy_ == OverflowPolicy::kDropNewest || capacity_ == 0) {
+      ++overflow_;
+      return;
+    }
+    ++overflow_;
+    records_[write_] = span;
+    write_ = (write_ + 1) % capacity_;
+  }
+  /// A switch-port span (queue and CE bit from the packet).
+  void port_span(SpanPhase phase, net::SiteId node, sim::TimeNs now,
+                 const net::Packet& pkt, std::size_t queue);
+
   std::size_t capacity_;
   OverflowPolicy policy_;
   bool watch_all_ = false;

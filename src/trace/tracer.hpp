@@ -1,7 +1,8 @@
 // Structured per-packet event tracing for switch ports.
 //
-// Attach a Tracer to a Port to capture enqueue / dequeue / mark / drop
-// events with timestamps and buffer state. Intended for debugging marking
+// A Tracer is a net::PacketObserver: attach it to a Port (add_observer) to
+// capture enqueue / dequeue / mark / drop events with timestamps and buffer
+// state. Intended for debugging marking
 // behaviour and for fine-grained analysis (e.g. "which queue's packets were
 // marked while the port was over threshold" — the victim question at the
 // heart of the paper). Bounded capacity so a forgotten tracer cannot eat
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_observer.hpp"
 #include "sim/time.hpp"
 
 namespace pmsb::trace {
@@ -53,11 +55,29 @@ enum class OverflowPolicy : std::uint8_t {
   kRingBuffer,  ///< keep the LAST N records, overwriting the oldest
 };
 
-class Tracer {
+class Tracer final : public net::PacketObserver {
  public:
   explicit Tracer(std::size_t capacity = 1'000'000,
                   OverflowPolicy policy = OverflowPolicy::kDropNewest)
       : capacity_(capacity), policy_(policy) {}
+
+  // --- net::PacketObserver: port events (the site id is not recorded) ---
+  void on_enqueue(net::SiteId /*site*/, sim::TimeNs now, const net::Packet& pkt,
+                  std::size_t queue, std::uint64_t port_bytes) override {
+    record({now, EventKind::kEnqueue, pkt.id, pkt.flow_id, queue, port_bytes});
+  }
+  void on_dequeue(net::SiteId /*site*/, sim::TimeNs now, const net::Packet& pkt,
+                  std::size_t queue, std::uint64_t port_bytes) override {
+    record({now, EventKind::kDequeue, pkt.id, pkt.flow_id, queue, port_bytes});
+  }
+  void on_mark(net::SiteId /*site*/, sim::TimeNs now, const net::Packet& pkt,
+               std::size_t queue, std::uint64_t port_bytes) override {
+    record({now, EventKind::kMark, pkt.id, pkt.flow_id, queue, port_bytes});
+  }
+  void on_drop(net::SiteId /*site*/, sim::TimeNs now, const net::Packet& pkt,
+               std::size_t queue, std::uint64_t port_bytes) override {
+    record({now, EventKind::kDrop, pkt.id, pkt.flow_id, queue, port_bytes});
+  }
 
   /// Restrict capture to one flow (0 = capture everything).
   void set_flow_filter(net::FlowId flow) { flow_filter_ = flow; }

@@ -58,11 +58,6 @@ void DctcpSender::set_profiler(telemetry::Profiler* profiler) {
   kind_ack_ = profiler_->intern("transport.ack");
 }
 
-void DctcpSender::set_span_tracer(trace::SpanTracer* spans, const std::string& node) {
-  spans_ = spans;
-  span_node_ = spans != nullptr ? spans->intern_node(node) : trace::kNoNode;
-}
-
 void DctcpSender::start(TimeNs at) {
   if (started_) return;
   started_ = true;
@@ -93,28 +88,14 @@ void DctcpSender::send_segment(std::uint64_t seq, bool is_retransmit) {
   pkt.seq = seq;
   pkt.fin = !infinite() && seq + payload >= flow_bytes_;
   pkt.ect = cfg_.ecn_enabled;
-  if (digest_ != nullptr) {
-    digest_->event(digest_entity_, regress::EventKind::kSend,
-                   static_cast<std::int64_t>(sim_.now()), pkt.id, seq);
-  }
-  if (spans_ != nullptr && spans_->wants(flow_)) {
-    trace::SpanRecord span;
-    span.time = sim_.now();
-    span.phase = trace::SpanPhase::kSend;
-    span.packet = pkt.id;
-    span.flow = flow_;
-    span.node = span_node_;
-    span.seq = seq;
-    span.size_bytes = pkt.size_bytes;
-    span.retransmit = is_retransmit || seq < snd_max_;
-    spans_->record(span);
-  }
-  local_.send(std::move(pkt));
-  ++stats_.segments_sent;
   // Go-back-N resends after an RTO arrive here through the normal send path
   // with is_retransmit=false; anything starting below snd_max_ has been on
   // the wire before, so count it too.
-  if (is_retransmit || seq < snd_max_) ++stats_.retransmits;
+  const bool retransmit = is_retransmit || seq < snd_max_;
+  taps_.notify(&net::PacketObserver::on_send, sim_.now(), pkt, retransmit);
+  local_.send(std::move(pkt));
+  ++stats_.segments_sent;
+  if (retransmit) ++stats_.retransmits;
   if (seq + payload > snd_max_) snd_max_ = seq + payload;
   last_progress_ = sim_.now();
 }
@@ -191,25 +172,10 @@ void DctcpSender::maybe_cut_on_mark() {
 void DctcpSender::on_ack(const Packet& ack) {
   if (completed_) return;
   telemetry::ProfileScope profile(profiler_, kind_ack_);
-  if (spans_ != nullptr && spans_->wants(flow_)) {
-    trace::SpanRecord span;
-    span.time = sim_.now();
-    span.phase = trace::SpanPhase::kAck;
-    span.packet = ack.id;
-    span.flow = flow_;
-    span.node = span_node_;
-    span.seq = ack.ack;
-    span.size_bytes = ack.size_bytes;
-    span.marked = ack.ece;
-    spans_->record(span);
-  }
   ++stats_.acks_received;
-  {
-    // Receivers echo the data packet's send timestamp in every ACK.
-    const TimeNs sample = sim_.now() - ack.echo_time;
-    rtt_.add_sample(sample);
-    if (rtt_observer_) rtt_observer_(sample);
-  }
+  // Receivers echo the data packet's send timestamp in every ACK.
+  const TimeNs rtt_sample = sim_.now() - ack.echo_time;
+  rtt_.add_sample(rtt_sample);
 
   bool marked = ack.ece;
   if (marked) ++stats_.ece_acks;
@@ -220,11 +186,7 @@ void DctcpSender::on_ack(const Packet& ack) {
     marked = false;
     ++stats_.ece_ignored;
   }
-  if (digest_ != nullptr) {
-    digest_->event(digest_entity_, regress::EventKind::kAck,
-                   static_cast<std::int64_t>(sim_.now()), ack.ack,
-                   (ack.ece ? 1u : 0u) | (marked ? 2u : 0u));
-  }
+  taps_.notify(&net::PacketObserver::on_ack, sim_.now(), ack, marked, rtt_sample);
 
   if (ack.ack > snd_una_) {
     const std::uint64_t delta = ack.ack - snd_una_;

@@ -22,13 +22,12 @@
 
 #include "net/host.hpp"
 #include "net/packet.hpp"
-#include "regress/digest.hpp"
+#include "net/packet_observer.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
-#include "trace/spans.hpp"
 #include "transport/rtt_estimator.hpp"
 
 namespace pmsb::transport {
@@ -121,14 +120,11 @@ class DctcpSender {
   [[nodiscard]] double last_cut_exponent() const { return last_cut_exponent_; }
 
   void set_completion_callback(CompletionCallback cb) { on_complete_ = std::move(cb); }
-  /// Observer invoked per RTT sample (for the paper's RTT CDFs).
-  void set_rtt_observer(std::function<void(TimeNs)> obs) { rtt_observer_ = std::move(obs); }
 
-  /// Feeds kSend (per segment) and kAck (per processed ACK) digest events as
-  /// `entity` (nullptr to detach). The digest must outlive the sender.
-  void set_digest(regress::RunDigest* digest, regress::EntityId entity) {
-    digest_ = digest;
-    digest_entity_ = entity;
+  /// Reports on_send per segment and on_ack per processed ACK (with the
+  /// PMSB(e) verdict and the RTT sample) to `observer` as `site`.
+  void add_observer(net::PacketObserver* observer, net::SiteId site = 0) {
+    taps_.add(observer, site);
   }
 
   /// Registers this sender's instruments under `labels`: every SenderStats
@@ -139,11 +135,6 @@ class DctcpSender {
   /// Attaches a profiler (nullptr to detach): segment transmission and ACK
   /// processing become "transport.send" / "transport.ack" scopes.
   void set_profiler(telemetry::Profiler* profiler);
-
-  /// Attaches a span tracer recording kSend (with the retransmit flag) per
-  /// segment and kAck per processed ACK as `node` when this flow is watched
-  /// (nullptr to detach). Same cost contract as set_digest.
-  void set_span_tracer(trace::SpanTracer* spans, const std::string& node);
 
   // --- Introspection ---
   [[nodiscard]] double cwnd_bytes() const { return cwnd_; }
@@ -225,11 +216,7 @@ class DctcpSender {
   bool completed_ = false;
   SenderStats stats_;
   CompletionCallback on_complete_;
-  std::function<void(TimeNs)> rtt_observer_;
-  regress::RunDigest* digest_ = nullptr;
-  regress::EntityId digest_entity_ = 0;
-  trace::SpanTracer* spans_ = nullptr;
-  trace::NodeId span_node_ = trace::kNoNode;
+  net::TapList taps_;
   telemetry::Profiler* profiler_ = nullptr;
   telemetry::Profiler::KindId kind_send_ = 0;
   telemetry::Profiler::KindId kind_ack_ = 0;

@@ -2,8 +2,10 @@
 // and its contrast with DCTCP's proportional cut.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "experiments/dumbbell.hpp"
-#include "stats/queue_trace.hpp"
+#include "telemetry/sampler.hpp"
 
 using namespace pmsb;
 using namespace pmsb::experiments;
@@ -44,16 +46,14 @@ TEST(ClassicEcn, OscillatesMoreThanDctcp) {
       sc.add_flow({.sender = i, .service = 0, .bytes = 0, .start = 0});
     }
     sc.run(sim::milliseconds(20));  // converge first
-    stats::QueueTracer tracer(
-        sc.simulator(), [&sc] { return sc.bottleneck().buffered_bytes(); },
-        sim::microseconds(2));
+    telemetry::TimeSeriesSampler occupancy(sc.simulator(), sim::microseconds(2));
+    occupancy.add_probe("bytes", [&sc] {
+      return static_cast<double>(sc.bottleneck().buffered_bytes());
+    });
+    occupancy.start();
     sc.run(sim::milliseconds(60));
-    std::uint64_t peak = 0, trough = UINT64_MAX;
-    for (const auto& sample : tracer.samples()) {
-      peak = std::max(peak, sample.bytes);
-      trough = std::min(trough, sample.bytes);
-    }
-    return static_cast<double>(peak - trough);
+    const auto [trough, peak] = std::ranges::minmax(occupancy.column(0));
+    return peak - trough;
   };
   const double dctcp_amp = amplitude(transport::EcnReaction::kDctcp);
   const double classic_amp = amplitude(transport::EcnReaction::kClassicEcn);

@@ -7,6 +7,7 @@
 
 #include "sim/simulator.hpp"
 #include "stats/csv.hpp"
+#include "telemetry/sampler.hpp"
 
 using namespace pmsb;
 using namespace pmsb::stats;
@@ -60,10 +61,12 @@ TEST(Csv, TraceExport) {
   sim::Simulator sim;
   std::uint64_t occ = 0;
   sim.schedule_at(sim::microseconds(25), [&] { occ = 4'500; });
-  QueueTracer tracer(sim, [&] { return occ; }, sim::microseconds(10));
+  telemetry::TimeSeriesSampler sampler(sim, sim::microseconds(10));
+  sampler.add_probe("bytes", [&] { return static_cast<double>(occ); });
+  sampler.start();
   sim.run(sim::microseconds(100));
   const auto path = temp_path("trace.csv");
-  write_trace_csv(path, tracer);
+  sampler.write_csv(path);
   const auto text = read_all(path);
   EXPECT_NE(text.find("time_us,bytes"), std::string::npos);
   EXPECT_NE(text.find("4500"), std::string::npos);

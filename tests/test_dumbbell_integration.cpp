@@ -6,9 +6,12 @@
 //  - dequeue marking lowers the slow-start buffer peak (Figs. 4/11)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "experiments/dumbbell.hpp"
 #include "experiments/presets.hpp"
-#include "stats/queue_trace.hpp"
+#include "stats/rtt_recorder.hpp"
+#include "telemetry/sampler.hpp"
 
 using namespace pmsb;
 using namespace pmsb::experiments;
@@ -102,14 +105,10 @@ TEST(DumbbellIntegration, PerQueueStandardInflatesRtt) {
     DumbbellScenario sc(cfg);
     sc.add_flow({.sender = 0, .service = 0, .bytes = 0, .start = 0});
     sc.add_flow({.sender = 1, .service = 1, .bytes = 0, .start = 0});
-    stats::Summary rtt;
-    sc.flow(1).sender().set_rtt_observer([&](sim::TimeNs t) {
-      if (sc.simulator().now() > sim::milliseconds(5)) {
-        rtt.add(sim::to_microseconds(t));
-      }
-    });
+    stats::RttRecorder rtt(sim::milliseconds(5));
+    sc.flow(1).sender().add_observer(&rtt);
     sc.run(sim::milliseconds(40));
-    return rtt.mean();
+    return rtt.us().mean();
   };
 
   const double rtt_perqueue = mk_run(ecn::MarkingKind::kPerQueueStandard);
@@ -131,14 +130,16 @@ TEST(DumbbellIntegration, DequeueMarkingCutsSlowStartPeak) {
     cfg.marking.threshold_bytes = 16 * 1500;
     cfg.marking.point = point;
     DumbbellScenario sc(cfg);
-    stats::QueueTracer tracer(
-        sc.simulator(), [&] { return sc.bottleneck().buffered_bytes(); },
-        sim::microseconds(2));
+    telemetry::TimeSeriesSampler occupancy(sc.simulator(), sim::microseconds(2));
+    occupancy.add_probe("bytes", [&] {
+      return static_cast<double>(sc.bottleneck().buffered_bytes());
+    });
+    occupancy.start();
     for (std::size_t i = 0; i < 4; ++i) {
       sc.add_flow({.sender = i, .service = 0, .bytes = 0, .start = 0});
     }
     sc.run(sim::milliseconds(30));
-    return static_cast<double>(tracer.peak_bytes());
+    return std::ranges::max(occupancy.column(0));
   };
   const double peak_enqueue = run_peak(ecn::MarkPoint::kEnqueue);
   const double peak_dequeue = run_peak(ecn::MarkPoint::kDequeue);
@@ -178,9 +179,9 @@ TEST(DumbbellIntegration, BaseRttMatchesMeasured) {
   cfg.marking.kind = ecn::MarkingKind::kNone;
   DumbbellScenario sc(cfg);
   sc.add_flow({.sender = 0, .service = 0, .bytes = 1460, .start = 0});
-  sim::TimeNs sample = 0;
-  sc.flow(0).sender().set_rtt_observer([&](sim::TimeNs t) { sample = t; });
+  stats::RttRecorder rtt;
+  sc.flow(0).sender().add_observer(&rtt);
   sc.run(sim::milliseconds(1));
-  EXPECT_NEAR(static_cast<double>(sample), static_cast<double>(sc.base_rtt()),
-              static_cast<double>(sim::microseconds(2)));
+  ASSERT_EQ(rtt.us().count(), 1u);
+  EXPECT_NEAR(rtt.us().mean(), sim::to_microseconds(sc.base_rtt()), 2.0);
 }

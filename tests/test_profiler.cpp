@@ -22,6 +22,8 @@
 #include "telemetry/process_stats.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/run_report.hpp"
+#include "trace/spans.hpp"
+#include "trace/tracer.hpp"
 
 using namespace pmsb;
 using telemetry::ProfileScope;
@@ -44,7 +46,10 @@ experiments::DumbbellConfig small_config() {
   return cfg;
 }
 
-std::string run_digest_hex(bool with_profiler) {
+/// The small dumbbell's digest, optionally with the profiler and with the
+/// span + port tracers of `trace_flows=all trace_ndjson=`, which share the
+/// digest's tap lists on the bottleneck port, its link and the senders.
+std::string run_digest_hex(bool with_profiler, bool with_tracers = false) {
   experiments::DumbbellScenario sc(small_config());
   sc.add_flow({.sender = 0, .service = 0, .bytes = 200'000});
   sc.add_flow({.sender = 1, .service = 1, .bytes = 200'000});
@@ -52,7 +57,18 @@ std::string run_digest_hex(bool with_profiler) {
   sc.install_digest(digest);
   Profiler profiler;
   if (with_profiler) sc.install_profiler(profiler);
+  trace::SpanTracer spans;
+  trace::Tracer tracer;
+  if (with_tracers) {
+    spans.watch_all();
+    sc.install_span_tracer(spans);
+    sc.trace_port().add_observer(&tracer);
+  }
   sc.run(sim::milliseconds(50));
+  if (with_tracers) {
+    EXPECT_GT(spans.size(), 0u);
+    EXPECT_GT(tracer.records().size(), 0u);
+  }
   sc.finalize_digest();
   return digest.total().hex();
 }
@@ -196,8 +212,12 @@ TEST(Profiler, ReportsQueueBackendAndCompactions) {
 
 TEST(Profiler, AttachingNeverPerturbsTheRunDigest) {
   // The observability plane's prime directive: profile=1 must not change
-  // what the simulation computes, only observe it.
-  EXPECT_EQ(run_digest_hex(false), run_digest_hex(true));
+  // what the simulation computes, only observe it — and neither may the
+  // other observers sharing the digest's tap lists.
+  const std::string plain = run_digest_hex(false);
+  EXPECT_EQ(plain, run_digest_hex(true));
+  EXPECT_EQ(plain, run_digest_hex(false, /*with_tracers=*/true));
+  EXPECT_EQ(plain, run_digest_hex(true, /*with_tracers=*/true));
 }
 
 TEST(Profiler, DumbbellScopesCoverPortSchedulerEcnAndTransport) {

@@ -3,7 +3,6 @@
 
 #include "sim/simulator.hpp"
 #include "stats/fct.hpp"
-#include "stats/queue_trace.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 #include "stats/throughput.hpp"
@@ -121,18 +120,6 @@ TEST(ThroughputMeter, WindowedMeanFilters) {
   // All the traffic landed in the [500us, 600us) sample.
   EXPECT_GT(meter.mean_gbps(sim::microseconds(500), sim::microseconds(700)), 1.0);
   EXPECT_DOUBLE_EQ(meter.mean_gbps(0, sim::microseconds(400)), 0.0);
-}
-
-TEST(QueueTracer, CapturesPeakAndMean) {
-  sim::Simulator sim;
-  std::uint64_t occupancy = 0;
-  sim.schedule_at(sim::microseconds(50), [&] { occupancy = 30'000; });
-  sim.schedule_at(sim::microseconds(250), [&] { occupancy = 10'000; });
-  QueueTracer tracer(sim, [&] { return occupancy; }, sim::microseconds(10));
-  sim.run(sim::milliseconds(1));
-  EXPECT_EQ(tracer.peak_bytes(), 30'000u);
-  EXPECT_GT(tracer.mean_bytes(sim::microseconds(60), sim::microseconds(240)), 25'000.0);
-  EXPECT_LT(tracer.mean_bytes(sim::microseconds(300), sim::milliseconds(1)), 11'000.0);
 }
 
 TEST(Table, FormatsWithoutCrashing) {

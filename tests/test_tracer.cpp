@@ -1,10 +1,14 @@
 // Tests for the packet-event tracer and its Port integration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <tuple>
+#include <vector>
 
 #include "experiments/dumbbell.hpp"
+#include "net/packet_observer.hpp"
 #include "trace/tracer.hpp"
 
 using namespace pmsb;
@@ -112,7 +116,7 @@ TEST(TracerPort, CapturesFullLifecycleInScenario) {
   cfg.marking.threshold_bytes = 8 * 1500;
   experiments::DumbbellScenario sc(cfg);
   Tracer tracer;
-  sc.bottleneck().set_tracer(&tracer);
+  sc.bottleneck().add_observer(&tracer);
   sc.add_flow({.sender = 0, .service = 0, .bytes = 200'000, .start = 0});
   sc.add_flow({.sender = 1, .service = 1, .bytes = 200'000, .start = 0});
   sc.run(sim::milliseconds(20));
@@ -142,7 +146,7 @@ TEST(TracerPort, VictimForensics) {
   cfg.marking.threshold_bytes = 16 * 1500;
   experiments::DumbbellScenario sc(cfg);
   Tracer tracer;
-  sc.bottleneck().set_tracer(&tracer);
+  sc.bottleneck().add_observer(&tracer);
   sc.add_flow({.sender = 0, .service = 0, .bytes = 0, .start = 0});
   for (std::size_t i = 1; i <= 8; ++i) {
     sc.add_flow({.sender = i, .service = 1, .bytes = 0, .start = 0});
@@ -150,4 +154,65 @@ TEST(TracerPort, VictimForensics) {
   sc.run(sim::milliseconds(10));
   EXPECT_GT(tracer.count_queue(EventKind::kMark, 0), 0u)
       << "victim queue should be getting (faulty) marks under per-port marking";
+}
+
+namespace {
+
+/// Logs every port hook as (kind, site, time, packet, queue, port bytes).
+class PortEventLog final : public net::PacketObserver {
+ public:
+  using Event =
+      std::tuple<char, net::SiteId, sim::TimeNs, std::uint64_t, std::size_t, std::uint64_t>;
+
+  void on_enqueue(net::SiteId site, sim::TimeNs now, const net::Packet& pkt,
+                  std::size_t queue, std::uint64_t port_bytes) override {
+    events.emplace_back('e', site, now, pkt.id, queue, port_bytes);
+  }
+  void on_dequeue(net::SiteId site, sim::TimeNs now, const net::Packet& pkt,
+                  std::size_t queue, std::uint64_t port_bytes) override {
+    events.emplace_back('d', site, now, pkt.id, queue, port_bytes);
+  }
+  void on_mark(net::SiteId site, sim::TimeNs now, const net::Packet& pkt,
+               std::size_t queue, std::uint64_t port_bytes) override {
+    events.emplace_back('m', site, now, pkt.id, queue, port_bytes);
+  }
+  void on_drop(net::SiteId site, sim::TimeNs now, const net::Packet& pkt,
+               std::size_t queue, std::uint64_t port_bytes) override {
+    events.emplace_back('x', site, now, pkt.id, queue, port_bytes);
+  }
+
+  std::vector<Event> events;
+};
+
+}  // namespace
+
+TEST(PacketObserver, TwoObserversOnOnePortSeeIdenticalSequences) {
+  experiments::DumbbellConfig cfg;
+  cfg.num_senders = 2;
+  cfg.scheduler.num_queues = 2;
+  cfg.scheduler.weights = {1.0, 1.0};
+  cfg.marking.kind = ecn::MarkingKind::kPerPort;
+  cfg.marking.threshold_bytes = 8 * 1500;
+  experiments::DumbbellScenario sc(cfg);
+  PortEventLog first;
+  PortEventLog second;
+  sc.bottleneck().add_observer(&first, 7);
+  sc.bottleneck().add_observer(&second, 7);
+  sc.add_flow({.sender = 0, .service = 0, .bytes = 200'000, .start = 0});
+  sc.add_flow({.sender = 1, .service = 1, .bytes = 200'000, .start = 0});
+  sc.run(sim::milliseconds(20));
+  ASSERT_FALSE(first.events.empty());
+  EXPECT_EQ(first.events, second.events);
+  EXPECT_EQ(std::get<1>(first.events.front()), 7u);
+  // Every port event reached the observers: enqueues and marks match the
+  // port's own counters.
+  const auto count = [&first](char kind) {
+    return static_cast<std::uint64_t>(std::count_if(
+        first.events.begin(), first.events.end(),
+        [kind](const PortEventLog::Event& e) { return std::get<0>(e) == kind; }));
+  };
+  EXPECT_EQ(count('e'), sc.bottleneck().stats().enqueued_packets);
+  EXPECT_EQ(count('m'), sc.bottleneck().stats().marked_enqueue +
+                            sc.bottleneck().stats().marked_dequeue);
+  EXPECT_GT(count('m'), 0u);
 }
