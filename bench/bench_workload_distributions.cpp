@@ -26,11 +26,8 @@ bench::FctResult run_dist(Scheme scheme, const workload::FlowSizeDistribution& d
   params.weights = cfg.scheduler.weights;
   cfg.marking = make_scheme_marking(scheme, params);
   cfg.transport.init_cwnd_segments = 16;
-  const sim::TimeNs base_rtt =
-      4 * sim::serialization_delay(sim::kDefaultMtuBytes, cfg.link_rate) +
-      4 * sim::serialization_delay(net::kAckBytes, cfg.link_rate) +
-      8 * cfg.link_delay;
-  apply_scheme_transport(scheme, params, base_rtt, cfg.transport);
+  apply_scheme_transport(scheme, params, LeafSpineScenario::base_rtt_interrack(cfg),
+                         cfg.transport);
 
   LeafSpineScenario sc(cfg);
   workload::TrafficConfig tc;

@@ -86,11 +86,9 @@ inline FctResult run_fct_experiment(const FctRunConfig& rc) {
   cfg.transport.max_cwnd_bytes = 2'000'000;
   // PMSB(e)'s RTT threshold is derived from the unloaded inter-rack RTT
   // (4 store-and-forward legs each way).
-  const sim::TimeNs base_rtt =
-      4 * sim::serialization_delay(sim::kDefaultMtuBytes, cfg.link_rate) +
-      4 * sim::serialization_delay(net::kAckBytes, cfg.link_rate) +
-      8 * cfg.link_delay;
-  experiments::apply_scheme_transport(rc.scheme, params, base_rtt, cfg.transport);
+  experiments::apply_scheme_transport(
+      rc.scheme, params, experiments::LeafSpineScenario::base_rtt_interrack(cfg),
+      cfg.transport);
 
   experiments::LeafSpineScenario scenario(cfg);
   workload::TrafficConfig tc;

@@ -3,13 +3,15 @@
 //
 // Usage:
 //   leaf_spine_fct [scheme] [scheduler] [load] [flows] [seed]
-//     scheme     pmsb | pmsbe | mq-ecn | tcn | perport | perqueue (default pmsb)
+//     scheme     pmsb | pmsbe | mq-ecn | tcn | perport | perqueue-std |
+//                perqueue-frac | none (default pmsb)
 //     scheduler  dwrr | wfq | wrr | sp (default dwrr)
 //     load       offered load fraction (default 0.5)
 //     flows      number of Poisson flows (default 200)
 //     seed       workload RNG seed (default 1)
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "experiments/leafspine.hpp"
@@ -22,21 +24,14 @@
 using namespace pmsb;
 using namespace pmsb::experiments;
 
-namespace {
-Scheme parse_scheme(const std::string& s) {
-  if (s == "pmsb") return Scheme::kPmsb;
-  if (s == "pmsbe") return Scheme::kPmsbE;
-  if (s == "mq-ecn" || s == "mqecn") return Scheme::kMqEcn;
-  if (s == "tcn") return Scheme::kTcn;
-  if (s == "perport") return Scheme::kPerPort;
-  if (s == "perqueue") return Scheme::kPerQueueStd;
-  std::fprintf(stderr, "unknown scheme '%s'\n", s.c_str());
-  std::exit(2);
-}
-}  // namespace
-
 int main(int argc, char** argv) {
-  const Scheme scheme = argc > 1 ? parse_scheme(argv[1]) : Scheme::kPmsb;
+  Scheme scheme = Scheme::kPmsb;
+  try {
+    if (argc > 1) scheme = parse_scheme(argv[1]);
+  } catch (const std::invalid_argument&) {
+    std::fprintf(stderr, "unknown scheme '%s'\n", argv[1]);
+    return 2;
+  }
   const auto sched_kind =
       argc > 2 ? sched::parse_scheduler_kind(argv[2]) : sched::SchedulerKind::kDwrr;
   const double load = argc > 3 ? std::atof(argv[3]) : 0.5;
@@ -57,11 +52,8 @@ int main(int argc, char** argv) {
   cfg.marking = make_scheme_marking(scheme, params);
   cfg.transport.init_cwnd_segments = 16;
 
-  const sim::TimeNs base_rtt =
-      4 * sim::serialization_delay(sim::kDefaultMtuBytes, cfg.link_rate) +
-      4 * sim::serialization_delay(net::kAckBytes, cfg.link_rate) +
-      8 * cfg.link_delay;
-  apply_scheme_transport(scheme, params, base_rtt, cfg.transport);
+  apply_scheme_transport(scheme, params, LeafSpineScenario::base_rtt_interrack(cfg),
+                         cfg.transport);
 
   LeafSpineScenario sc(cfg);
   workload::TrafficConfig tc;

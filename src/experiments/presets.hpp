@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,20 @@ enum class Scheme {
     case Scheme::kPmsbE: return "PMSB(e)";
   }
   return "?";
+}
+
+/// Parses a scheme as the CLI spells it; throws std::invalid_argument on an
+/// unknown name.
+[[nodiscard]] inline Scheme parse_scheme(const std::string& s) {
+  if (s == "pmsb") return Scheme::kPmsb;
+  if (s == "pmsbe" || s == "pmsb(e)") return Scheme::kPmsbE;
+  if (s == "mq-ecn" || s == "mqecn") return Scheme::kMqEcn;
+  if (s == "tcn") return Scheme::kTcn;
+  if (s == "perport") return Scheme::kPerPort;
+  if (s == "perqueue-std" || s == "perqueue") return Scheme::kPerQueueStd;
+  if (s == "perqueue-frac") return Scheme::kPerQueueFrac;
+  if (s == "none") return Scheme::kNone;
+  throw std::invalid_argument("unknown scheme: " + s);
 }
 
 struct SchemeParams {

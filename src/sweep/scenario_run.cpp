@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -41,18 +40,6 @@ namespace pmsb::sweep {
 namespace {
 
 using namespace pmsb::experiments;
-
-Scheme parse_scheme(const std::string& s) {
-  if (s == "pmsb") return Scheme::kPmsb;
-  if (s == "pmsbe" || s == "pmsb(e)") return Scheme::kPmsbE;
-  if (s == "mq-ecn" || s == "mqecn") return Scheme::kMqEcn;
-  if (s == "tcn") return Scheme::kTcn;
-  if (s == "perport") return Scheme::kPerPort;
-  if (s == "perqueue-std" || s == "perqueue") return Scheme::kPerQueueStd;
-  if (s == "perqueue-frac") return Scheme::kPerQueueFrac;
-  if (s == "none") return Scheme::kNone;
-  throw std::invalid_argument("unknown scheme: " + s);
-}
 
 std::vector<std::string> split_csv(const std::string& text) {
   std::vector<std::string> out;
@@ -105,26 +92,25 @@ struct RunTelemetry {
 
   /// Binds the scenario's instruments and starts the sampler. Call once the
   /// scenario has its flows (per-flow instruments bind at call time).
-  template <typename Scenario>
-  void attach(Scenario& sc) {
+  void attach(Fabric& fab) {
     if (!metrics_path.empty()) {
-      telemetry::bind_simulator_metrics(registry, sc.simulator());
+      telemetry::bind_simulator_metrics(registry, fab.simulator());
       registry.gauge_fn("process.peak_rss_bytes", {}, [] {
         return static_cast<double>(telemetry::peak_rss_bytes());
       }, "bytes");
-      sc.bind_metrics(registry);
+      fab.bind_metrics(registry);
     }
-    if (profiler) sc.install_profiler(*profiler);
-    if (spans) sc.install_span_tracer(*spans);
+    if (profiler) fab.install_profiler(*profiler);
+    if (spans) fab.install_span_tracer(*spans);
     if (!trace_path.empty()) {
       // Post-mortems want the tail of the event stream, so ring mode.
       tracer = std::make_unique<trace::Tracer>(1'000'000,
                                                trace::OverflowPolicy::kRingBuffer);
-      sc.trace_port().add_observer(tracer.get());
+      fab.trace_port().add_observer(tracer.get());
     }
     if (!ts_path.empty()) {
-      sampler = std::make_unique<telemetry::TimeSeriesSampler>(sc.simulator(), period);
-      sc.add_sampler_columns(*sampler);
+      sampler = std::make_unique<telemetry::TimeSeriesSampler>(fab.simulator(), period);
+      fab.add_sampler_columns(*sampler);
       sampler->add_probe("process.peak_rss_bytes", [] {
         return static_cast<double>(telemetry::peak_rss_bytes());
       });
@@ -223,11 +209,8 @@ struct Robustness {
   std::unique_ptr<faults::Watchdog> watchdog;
   std::unique_ptr<faults::Deadline> deadline;
 
-  template <typename Scenario>
-  void install(Scenario& sc, const Options& opts,
-               const std::vector<std::string>& default_bleach_nodes,
-               std::function<std::uint64_t()> progress, std::function<bool()> done,
-               std::function<std::string()> forensics) {
+  void install(Fabric& fab, const Options& opts,
+               const std::vector<std::string>& default_bleach_nodes) {
     std::string spec = opts.get("faults");
     if (opts.get_double("bleach", 0.0) > 0.0) {
       std::vector<std::string> nodes = opts.has("bleach_at")
@@ -241,17 +224,17 @@ struct Robustness {
     if (!spec.empty()) {
       plan.add_spec_string(spec);
       // Decorrelate fault randomness from the workload stream.
-      sc.install_faults(plan,
-                        static_cast<std::uint64_t>(opts.get_int("seed", 1)) ^ 0xfa17);
+      fab.install_faults(plan,
+                         static_cast<std::uint64_t>(opts.get_int("seed", 1)) ^ 0xfa17);
     }
 
     if (opts.get_bool("invariants", true)) {
-      checker = std::make_unique<faults::InvariantChecker>(sc.simulator());
-      sc.install_invariants(*checker);
+      checker = std::make_unique<faults::InvariantChecker>(fab.simulator());
+      fab.install_invariants(*checker);
       if (opts.get("fault_test") == "break_invariant") {
         // Deliberately unbalance the conservation ledger so tests can prove
         // a violation is caught and reported, not silently absorbed.
-        sc.ledger().skew_injected_for_test(1);
+        fab.ledger().skew_injected_for_test(1);
       }
       checker->start_periodic(
           sim::microseconds_f(opts.get_double("invariant_period_us", 100.0)));
@@ -262,9 +245,10 @@ struct Robustness {
       wcfg.stall_horizon = sim::milliseconds(opts.get_int("watchdog_horizon_ms", 0));
       wcfg.max_events = static_cast<std::uint64_t>(opts.get_int("watchdog_events", 0));
       wcfg.period = sim::microseconds_f(opts.get_double("watchdog_period_us", 100.0));
-      watchdog = std::make_unique<faults::Watchdog>(sc.simulator(), wcfg,
-                                                    std::move(progress), std::move(done),
-                                                    std::move(forensics));
+      watchdog = std::make_unique<faults::Watchdog>(
+          fab.simulator(), wcfg, [&fab] { return fab.total_bytes_acked(); },
+          [&fab] { return fab.all_complete(); },
+          [&fab] { return fab.progress_line(); });
       watchdog->start();
     }
 
@@ -274,7 +258,7 @@ struct Robustness {
     const double cell_timeout_s = opts.get_double("cell_timeout_s", 0.0);
     if (cell_timeout_s > 0.0) {
       deadline = std::make_unique<faults::Deadline>(
-          sc.simulator(), cell_timeout_s,
+          fab.simulator(), cell_timeout_s,
           sim::microseconds_f(opts.get_double("cell_timeout_period_us", 500.0)));
       deadline->start();
     }
@@ -285,7 +269,7 @@ struct Robustness {
       // event loop and the deadline can never fire (see
       // faults::Deadline::blind_spot_note()). Only the isolate=1
       // supervisor's parent-side hard kill recovers from this shape.
-      sc.simulator().schedule_in(sim::milliseconds(1), [] {
+      fab.simulator().schedule_in(sim::milliseconds(1), [] {
         volatile std::uint64_t spin = 0;
         for (;;) ++spin;
       });
@@ -330,8 +314,7 @@ struct StabilityPlane {
   telemetry::TimeSeriesSampler* sampler = nullptr;
   std::unique_ptr<telemetry::TimeSeriesSampler> own;
 
-  template <typename Scenario>
-  void attach(Scenario& sc, RunTelemetry& telemetry, const Options& opts) {
+  void attach(Fabric& fab, RunTelemetry& telemetry, const Options& opts) {
     enabled = opts.get_bool("stability", false);
     if (!enabled) return;
     if (telemetry.sampler != nullptr) {
@@ -339,8 +322,8 @@ struct StabilityPlane {
       return;
     }
     own = std::make_unique<telemetry::TimeSeriesSampler>(
-        sc.simulator(), sim::microseconds_f(opts.get_double("sample_period_us", 100.0)));
-    sc.add_sampler_columns(*own);
+        fab.simulator(), sim::microseconds_f(opts.get_double("sample_period_us", 100.0)));
+    fab.add_sampler_columns(*own);
     own->start();
     sampler = own.get();
   }
@@ -364,382 +347,326 @@ struct StabilityPlane {
   }
 };
 
-/// Parses the shared-buffer keys: `buffer_policy=` (static | equal | dt),
-/// `dt_alpha=` (DT allowance factor), `buffer_bytes=` (shared pool size in
-/// bytes; 0 = scenario default). Returns the policy config; the pool size
-/// lands in *pool_bytes.
-switchlib::BufferPolicyConfig parse_buffer_policy(const Options& opts,
-                                                  std::uint64_t* pool_bytes) {
-  switchlib::BufferPolicyConfig bp;
-  bp.kind = switchlib::parse_buffer_policy_kind(opts.get("buffer_policy", "static"));
-  bp.dt_alpha = opts.get_double("dt_alpha", 1.0);
-  *pool_bytes = static_cast<std::uint64_t>(opts.get_int("buffer_bytes", 0));
-  return bp;
-}
+/// One topology's build/report pair. The constructor builds the fabric and
+/// its flows; run() drives it to the topology's horizon, prints its table
+/// unless quiet, and records what only this topology measures.
+class TopologyRun {
+ public:
+  TopologyRun() = default;
+  virtual ~TopologyRun() = default;
+  TopologyRun(const TopologyRun&) = delete;
+  TopologyRun& operator=(const TopologyRun&) = delete;
+  [[nodiscard]] virtual Fabric& fabric() = 0;
+  virtual void run(const Options& opts, bool quiet, RunRecord& rec) = 0;
+};
 
-/// Per-reason drop counters for one port into the record, prefixed
-/// `drops.<reason>` — the sweep report's view of WHY a policy refused.
-void record_drop_reasons(const switchlib::PortStats& stats, RunRecord& rec) {
-  for (std::size_t r = 0; r < switchlib::kNumDropReasons; ++r) {
-    rec.results[std::string("drops.") +
-                switchlib::drop_reason_name(static_cast<switchlib::DropReason>(r))] =
-        static_cast<double>(stats.dropped_by_reason[r]);
-  }
-}
+/// A topology's defaults for the shared keys, the keys only it reads, and
+/// its build/report pair.
+struct Topology {
+  const char* name;
+  std::int64_t queues;
+  double rtt_us;
+  double link_delay_us;
+  std::uint64_t port_buffer_bytes;
+  std::uint32_t init_cwnd_segments;       ///< 0 keeps the transport default
+  std::vector<std::string> bleach_nodes;  ///< where `bleach=` lands by default
+  std::vector<std::string> own_keys;
+  std::unique_ptr<TopologyRun> (*build)(const Options& opts, const Topology& topo,
+                                        RunRecord& rec);
+};
 
-/// Folds the digest results into the record + manifest. Call after the
-/// scenario's finalize_digest(), before the results mirror loop.
-void report_digest(const regress::RunDigest* digest, RunRecord& rec,
-                   RunTelemetry& telemetry) {
-  if (digest == nullptr) return;
-  const std::string hex = digest->total().hex();
-  rec.info["digest"] = hex;
-  rec.results["digest.events"] = static_cast<double>(digest->count());
-  telemetry.manifest.set_info("digest", hex);
-}
-
-void run_dumbbell(const Options& opts, bool quiet, regress::RunDigest* digest,
-                  RunRecord& rec) {
-  for (const char* key : {"trace_file", "trace_export", "pattern"}) {
-    if (opts.has(key)) {
-      throw std::invalid_argument(std::string(key) +
-                                  "= requires topology=leafspine");
-    }
-  }
-  DumbbellConfig cfg;
+/// Parses the shared keys into `cfg` with `topo`'s defaults, and records the
+/// run's topology, scheme, scheduler and buffer policy in rec.info. PMSB(e)'s
+/// sender knobs land on cfg.transport, so every flow inherits them;
+/// `base_rtt` is the topology's unloaded RTT they are derived from.
+void parse_shared_keys(const Options& opts, const Topology& topo,
+                       sim::TimeNs (*base_rtt)(const FabricConfig&), FabricConfig& cfg,
+                       RunRecord& rec) {
   cfg.queue = sim::parse_queue_backend(opts.get("sched_queue", "heap"));
-  const auto queues = static_cast<std::size_t>(opts.get_int("queues", 2));
+  const auto queues = static_cast<std::size_t>(opts.get_int("queues", topo.queues));
   cfg.scheduler.kind = sched::parse_scheduler_kind(opts.get("scheduler", "dwrr"));
   cfg.scheduler.num_queues = queues;
   cfg.scheduler.weights = opts.get_double_list("weights");
   if (cfg.scheduler.weights.empty()) cfg.scheduler.weights.assign(queues, 1.0);
-  cfg.link_rate = sim::gbps(static_cast<std::uint64_t>(opts.get_int("link_gbps", 10)));
-  cfg.link_delay = sim::microseconds_f(opts.get_double("link_delay_us", 2.0));
-  cfg.buffer_policy = parse_buffer_policy(opts, &cfg.shared_pool_bytes);
-
-  auto flows_per_queue = opts.get_double_list("flows_per_queue");
-  if (flows_per_queue.empty()) flows_per_queue.assign(queues, 1.0);
-  if (flows_per_queue.size() != queues) {
-    throw std::invalid_argument("flows_per_queue must have one entry per queue");
-  }
-  std::size_t total_flows = 0;
-  for (double f : flows_per_queue) total_flows += static_cast<std::size_t>(f);
-  cfg.num_senders = total_flows;
+  cfg.link_delay =
+      sim::microseconds_f(opts.get_double("link_delay_us", topo.link_delay_us));
+  cfg.buffer_bytes = topo.port_buffer_bytes;
+  cfg.buffer_policy.kind =
+      switchlib::parse_buffer_policy_kind(opts.get("buffer_policy", "static"));
+  cfg.buffer_policy.dt_alpha = opts.get_double("dt_alpha", 1.0);
+  cfg.shared_pool_bytes = static_cast<std::uint64_t>(opts.get_int("buffer_bytes", 0));
 
   const Scheme scheme = parse_scheme(opts.get("scheme", "pmsb"));
   SchemeParams params;
   params.capacity = cfg.link_rate;
-  params.rtt = sim::microseconds_f(opts.get_double("rtt_us", 18.0));
+  params.rtt = sim::microseconds_f(opts.get_double("rtt_us", topo.rtt_us));
   params.weights = cfg.scheduler.weights;
   params.point = opts.get("mark_point", "enqueue") == "dequeue"
                      ? ecn::MarkPoint::kDequeue
                      : ecn::MarkPoint::kEnqueue;
   cfg.marking = make_scheme_marking(scheme, params);
-
+  if (topo.init_cwnd_segments != 0) {
+    cfg.transport.init_cwnd_segments = topo.init_cwnd_segments;
+  }
   cfg.transport.d2tcp_enabled = opts.get_bool("d2tcp", false);
-  DumbbellScenario sc(cfg);
-  apply_scheme_transport(scheme, params, sc.base_rtt(), cfg.transport);
+  apply_scheme_transport(scheme, params, base_rtt(cfg), cfg.transport);
 
-  stats::RttRecorder rtt(sim::milliseconds(5));
-  std::size_t sender = 0;
-  for (std::size_t q = 0; q < queues; ++q) {
-    for (std::size_t f = 0; f < static_cast<std::size_t>(flows_per_queue[q]); ++f) {
-      const auto idx = sc.add_flow(
-          {.sender = sender++, .service = static_cast<net::ServiceId>(q),
-           .bytes = 0, .start = 0,
-           .pmsbe = cfg.transport.pmsbe_enabled,
-           .pmsbe_rtt_threshold = cfg.transport.pmsbe_rtt_threshold});
-      sc.flow(idx).sender().add_observer(&rtt);
-    }
-  }
-  if (digest != nullptr) sc.install_digest(*digest);
-
-  Robustness robust;
-  robust.install(
-      sc, opts, {"switch"}, [&sc] { return sc.total_bytes_acked(); },
-      [&sc] { return sc.all_complete(); },
-      [&sc] {
-        return "bytes_acked=" + std::to_string(sc.total_bytes_acked()) +
-               " bottleneck_backlog=" + std::to_string(sc.bottleneck().buffered_bytes()) +
-               "B";
-      });
-
-  RunTelemetry telemetry(opts, quiet);
-  telemetry.attach(sc);
-  StabilityPlane stability;
-  stability.attach(sc, telemetry, opts);
-  if (!telemetry.metrics_path.empty()) robust.bind(telemetry.registry);
-  telemetry.manifest.set_seed(static_cast<std::uint64_t>(opts.get_int("seed", 0)));
-  telemetry.manifest.set_info("topology", "dumbbell");
-  telemetry.manifest.set_info("scheme", scheme_name(scheme));
-  telemetry.manifest.set_info("scheduler", sc.bottleneck().scheduler().name());
-  telemetry.manifest.set_info(
-      "buffer_policy", switchlib::buffer_policy_kind_name(cfg.buffer_policy.kind));
-
-  const auto duration = sim::milliseconds(opts.get_int("duration_ms", 50));
-  sc.run(sim::milliseconds(10));
-  std::vector<std::uint64_t> start(queues);
-  for (std::size_t q = 0; q < queues; ++q) start[q] = sc.served_bytes(q);
-  sc.run(sim::milliseconds(10) + duration);
-
-  const auto marks = sc.bottleneck().stats().marked_enqueue +
-                     sc.bottleneck().stats().marked_dequeue;
-  const auto drops = sc.bottleneck().stats().dropped_packets;
-  if (!quiet) {
-    std::printf("dumbbell: %s + %s, %zu queues, %zu flows\n",
-                scheme_name(scheme).c_str(),
-                sc.bottleneck().scheduler().name().c_str(), queues, total_flows);
-  }
-  stats::Table table({"queue", "flows", "tput(Gbps)"});
-  for (std::size_t q = 0; q < queues; ++q) {
-    const double gbps = static_cast<double>(sc.served_bytes(q) - start[q]) * 8.0 /
-                        static_cast<double>(duration);
-    table.add_row({std::to_string(q), stats::Table::num(flows_per_queue[q], 0),
-                   stats::Table::num(gbps)});
-    rec.results["throughput_gbps.q" + std::to_string(q)] = gbps;
-  }
-  if (!quiet) {
-    table.print();
-    std::printf("rtt avg/p99: %.1f / %.1f us; marks: %llu; drops: %llu\n",
-                rtt.us().mean(), rtt.us().percentile(99),
-                static_cast<unsigned long long>(marks),
-                static_cast<unsigned long long>(drops));
-  }
-
-  rec.results["rtt_us.mean"] = rtt.us().mean();
-  rec.results["rtt_us.p99"] = rtt.us().percentile(99);
-  rec.results["marks"] = static_cast<double>(marks);
-  rec.results["drops"] = static_cast<double>(drops);
-  record_drop_reasons(sc.bottleneck().stats(), rec);
-  if (sc.pool() != nullptr) {
-    rec.results["buffer.pool_limit_bytes"] =
-        static_cast<double>(sc.pool()->limit());
-    rec.results["buffer.free_pool_bytes_final"] =
-        static_cast<double>(sc.pool()->free_bytes());
-  }
-  rec.results["sim.events_executed"] =
-      static_cast<double>(sc.simulator().executed_events());
-  stability.finalize(opts, rec);
-  robust.finalize(rec);
-  sc.finalize_digest();
-  report_digest(digest, rec, telemetry);
-  rec.info["topology"] = "dumbbell";
-  rec.info["scheme"] = scheme_name(scheme);
-  rec.info["scheduler"] = sc.bottleneck().scheduler().name();
-  rec.info["buffer_policy"] =
-      switchlib::buffer_policy_kind_name(cfg.buffer_policy.kind);
-  telemetry.finalize_observability(rec);
-  rec.sim_time_us = sim::to_microseconds(sc.simulator().now());
-  // Mirror every record result into the manifest so a resumed sweep can
-  // rehydrate a bit-identical RunRecord from the file alone.
-  for (const auto& [k, v] : rec.results) telemetry.manifest.set_result(k, v);
-  telemetry.finish(rec.sim_time_us);
-  rec.manifest_path = telemetry.metrics_path;
-}
-
-void run_leafspine(const Options& opts, bool quiet, regress::RunDigest* digest,
-                   RunRecord& rec) {
-  LeafSpineConfig cfg;
-  cfg.queue = sim::parse_queue_backend(opts.get("sched_queue", "heap"));
-  cfg.link_delay = sim::microseconds_f(opts.get_double("link_delay_us", 9.0));
-  cfg.scheduler.kind = sched::parse_scheduler_kind(opts.get("scheduler", "dwrr"));
-  const auto queues = static_cast<std::size_t>(opts.get_int("queues", 8));
-  cfg.scheduler.num_queues = queues;
-  cfg.scheduler.weights.assign(queues, 1.0);
-  cfg.buffer_bytes = 2048ull * 1500ull;
-  cfg.buffer_policy = parse_buffer_policy(opts, &cfg.shared_pool_bytes);
-
-  const Scheme scheme = parse_scheme(opts.get("scheme", "pmsb"));
-  SchemeParams params;
-  params.capacity = cfg.link_rate;
-  params.rtt = sim::microseconds_f(opts.get_double("rtt_us", 85.2));
-  params.weights = cfg.scheduler.weights;
-  cfg.marking = make_scheme_marking(scheme, params);
-  cfg.transport.init_cwnd_segments = 16;
-  cfg.transport.d2tcp_enabled = opts.get_bool("d2tcp", false);
-  const sim::TimeNs base_rtt =
-      4 * sim::serialization_delay(sim::kDefaultMtuBytes, cfg.link_rate) +
-      4 * sim::serialization_delay(net::kAckBytes, cfg.link_rate) +
-      8 * cfg.link_delay;
-  apply_scheme_transport(scheme, params, base_rtt, cfg.transport);
-
-  LeafSpineScenario sc(cfg);
-  workload::TrafficConfig tc;
-  tc.num_hosts = sc.num_hosts();
-  tc.load = opts.get_double("load", 0.5);
-  tc.num_flows = static_cast<std::size_t>(opts.get_int("flows", 300));
-  tc.num_services = static_cast<std::uint8_t>(queues);
-  const auto dist =
-      workload::FlowSizeDistribution::by_name(opts.get("workload", "paper-mix"));
-  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  sim::Rng rng(seed);
-  const std::string pattern = opts.get("pattern", "poisson");
-  workload::Workload wl;
-  if (opts.has("trace_file")) {
-    // Replay mode: the trace IS the workload; generator keys are ignored.
-    workload::FlowTrace trace = workload::read_flow_trace(opts.get("trace_file"));
-    if (trace.num_hosts != sc.num_hosts()) {
-      throw std::invalid_argument(
-          "trace_file: trace has " + std::to_string(trace.num_hosts) +
-          " hosts but the fabric has " + std::to_string(sc.num_hosts()));
-    }
-    wl.flows = std::move(trace.flows);
-  } else if (pattern == "poisson") {
-    wl.flows = workload::generate_poisson_traffic(tc, dist, rng);
-  } else if (pattern == "coflow") {
-    workload::CoflowConfig cc;
-    cc.num_hosts = sc.num_hosts();
-    cc.num_coflows = static_cast<std::size_t>(opts.get_int("coflows", 20));
-    cc.num_mappers = static_cast<std::size_t>(opts.get_int("mappers", 4));
-    cc.num_reducers = static_cast<std::size_t>(opts.get_int("reducers", 4));
-    cc.num_stages = static_cast<std::uint16_t>(opts.get_int("stages", 1));
-    cc.mean_interarrival_us = opts.get_double("coflow_gap_us", 1000.0);
-    cc.num_services = static_cast<std::uint8_t>(queues);
-    wl = workload::generate_coflows(cc, dist, rng);
-  } else if (pattern == "rpc") {
-    workload::RpcConfig rc;
-    rc.num_hosts = sc.num_hosts();
-    rc.num_rpcs = static_cast<std::size_t>(opts.get_int("rpcs", 50));
-    rc.fanout = static_cast<std::size_t>(opts.get_int("fanout", 8));
-    rc.response_bytes = static_cast<std::uint64_t>(opts.get_int("rpc_bytes", 20'000));
-    rc.deadline = sim::microseconds_f(opts.get_double("rpc_deadline_us", 2000.0));
-    rc.mean_interarrival_us = opts.get_double("rpc_gap_us", 500.0);
-    rc.num_services = static_cast<std::uint8_t>(queues);
-    wl = workload::generate_rpc_fanout(rc, rng);
-  } else {
-    throw std::invalid_argument("unknown pattern '" + pattern + "'");
-  }
-  sc.add_workload(wl);
-  if (digest != nullptr) sc.install_digest(*digest);
-
-  // Default bleach location: every spine — the classic "broken middlebox in
-  // the core" failure the headline experiment studies.
-  std::vector<std::string> spine_names;
-  for (std::size_t s = 0; s < cfg.num_spines; ++s) {
-    spine_names.push_back("spine" + std::to_string(s));
-  }
-  Robustness robust;
-  robust.install(
-      sc, opts, spine_names, [&sc] { return sc.total_bytes_acked(); },
-      [&sc] { return sc.all_complete(); },
-      [&sc] {
-        return "flows_completed=" + std::to_string(sc.completed_flows()) + "/" +
-               std::to_string(sc.total_flows()) +
-               " bytes_acked=" + std::to_string(sc.total_bytes_acked());
-      });
-
-  RunTelemetry telemetry(opts, quiet);
-  telemetry.attach(sc);
-  StabilityPlane stability;
-  stability.attach(sc, telemetry, opts);
-  if (!telemetry.metrics_path.empty()) robust.bind(telemetry.registry);
-  telemetry.manifest.set_seed(seed);
-  telemetry.manifest.set_info("topology", "leafspine");
-  telemetry.manifest.set_info("pattern",
-                              opts.has("trace_file") ? "trace" : pattern);
-  telemetry.manifest.set_info("scheme", scheme_name(scheme));
-  telemetry.manifest.set_info("scheduler",
-                              sched::scheduler_kind_name(cfg.scheduler.kind));
-  telemetry.manifest.set_info("workload", opts.get("workload", "paper-mix"));
-  telemetry.manifest.set_info(
-      "buffer_policy", switchlib::buffer_policy_kind_name(cfg.buffer_policy.kind));
-
-  const bool done = sc.run_until_complete(sim::seconds(opts.get_int("max_sim_s", 60)));
-  if (!quiet) {
-    std::printf("leafspine: %s + %s, load %.2f, %zu/%zu flows done%s\n",
-                scheme_name(scheme).c_str(),
-                sched::scheduler_kind_name(cfg.scheduler.kind).c_str(), tc.load,
-                sc.completed_flows(), sc.total_flows(), done ? "" : " (TIME CAP HIT)");
-
-    stats::Table table({"bin", "count", "avg(us)", "p95(us)", "p99(us)"});
-    auto add = [&](const char* name, const stats::Summary& s) {
-      table.add_row({name, std::to_string(s.count()), stats::Table::num(s.mean(), 0),
-                     stats::Table::num(s.percentile(95), 0),
-                     stats::Table::num(s.percentile(99), 0)});
-    };
-    add("small", sc.fct().fct_us(stats::SizeBin::kSmall));
-    add("medium", sc.fct().fct_us(stats::SizeBin::kMedium));
-    add("large", sc.fct().fct_us(stats::SizeBin::kLarge));
-    add("overall", sc.fct().overall_fct_us());
-    table.print();
-  }
-
-  if (opts.has("fct_csv")) {
-    stats::write_fct_csv(opts.get("fct_csv"), sc.fct());
-    if (!quiet) std::printf("wrote %s\n", opts.get("fct_csv").c_str());
-  }
-
-  if (opts.has("trace_export")) {
-    // Realized starts (post-barrier), so a replay is timing-faithful — and
-    // for static workloads, bit-identical by digest.
-    workload::write_flow_trace(opts.get("trace_export"), sc.num_hosts(),
-                               sc.realized_workload());
-    if (!quiet) std::printf("wrote %s\n", opts.get("trace_export").c_str());
-  }
-
-  telemetry.manifest.set_info("all_flows_completed", done ? "true" : "false");
-  rec.info["topology"] = "leafspine";
-  rec.info["pattern"] = opts.has("trace_file") ? "trace" : pattern;
+  rec.info["topology"] = topo.name;
   rec.info["scheme"] = scheme_name(scheme);
   rec.info["scheduler"] = sched::scheduler_kind_name(cfg.scheduler.kind);
-  rec.info["workload"] = opts.get("workload", "paper-mix");
-  rec.info["all_flows_completed"] = done ? "true" : "false";
-  rec.info["buffer_policy"] =
-      switchlib::buffer_policy_kind_name(cfg.buffer_policy.kind);
-  rec.results["flows_completed"] = static_cast<double>(sc.completed_flows());
-  rec.results["flows_total"] = static_cast<double>(sc.total_flows());
-  rec.results["drops"] = static_cast<double>(sc.total_drops());
-  rec.results["marks"] = static_cast<double>(sc.total_marks());
-  const auto by_reason = sc.total_drops_by_reason();
-  for (std::size_t r = 0; r < by_reason.size(); ++r) {
-    rec.results[std::string("drops.") +
-                switchlib::drop_reason_name(static_cast<switchlib::DropReason>(r))] =
-        static_cast<double>(by_reason[r]);
+  rec.info["buffer_policy"] = switchlib::buffer_policy_kind_name(cfg.buffer_policy.kind);
+}
+
+/// Dumbbell: `flows_per_queue` long-lived flows per queue, a 10 ms warm-up,
+/// then per-queue throughput and the RTT over `duration_ms`.
+class DumbbellRun final : public TopologyRun {
+ public:
+  static std::unique_ptr<TopologyRun> build(const Options& opts, const Topology& topo,
+                                            RunRecord& rec) {
+    DumbbellConfig cfg;
+    cfg.link_rate = sim::gbps(static_cast<std::uint64_t>(opts.get_int("link_gbps", 10)));
+    parse_shared_keys(opts, topo, &DumbbellScenario::base_rtt, cfg, rec);
+    std::vector<double> flows_per_queue = opts.get_double_list("flows_per_queue");
+    if (flows_per_queue.empty()) flows_per_queue.assign(cfg.scheduler.num_queues, 1.0);
+    if (flows_per_queue.size() != cfg.scheduler.num_queues) {
+      throw std::invalid_argument("flows_per_queue must have one entry per queue");
+    }
+    cfg.num_senders = 0;
+    for (double f : flows_per_queue) cfg.num_senders += static_cast<std::size_t>(f);
+    return std::make_unique<DumbbellRun>(cfg, std::move(flows_per_queue));
   }
-  auto record_fct = [&](const std::string& bin, const stats::Summary& s) {
-    rec.results["fct_us." + bin + ".mean"] = s.mean();
-    rec.results["fct_us." + bin + ".p95"] = s.percentile(95);
-    rec.results["fct_us." + bin + ".p99"] = s.percentile(99);
-  };
-  record_fct("small", sc.fct().fct_us(stats::SizeBin::kSmall));
-  record_fct("medium", sc.fct().fct_us(stats::SizeBin::kMedium));
-  record_fct("large", sc.fct().fct_us(stats::SizeBin::kLarge));
-  record_fct("overall", sc.fct().overall_fct_us());
-  // Grouped-workload results: coflow completion time as a first-class
-  // metric next to FCT, and the deadline outcome for the RPC/D2TCP path.
-  // Only emitted when the workload carries groups/deadlines so plain
-  // Poisson cells keep their historical column set.
-  const stats::Summary cct = sc.fct().group_ct_us();
-  if (cct.count() > 0) {
-    rec.results["coflow.cct_us.mean"] = cct.mean();
-    rec.results["coflow.cct_us.p95"] = cct.percentile(95);
-    rec.results["coflow.cct_us.p99"] = cct.percentile(99);
+
+  DumbbellRun(const DumbbellConfig& cfg, std::vector<double> flows_per_queue)
+      : sc_(cfg), flows_per_queue_(std::move(flows_per_queue)) {
+    std::size_t sender = 0;
+    for (std::size_t q = 0; q < flows_per_queue_.size(); ++q) {
+      for (std::size_t f = 0; f < static_cast<std::size_t>(flows_per_queue_[q]); ++f) {
+        const auto idx =
+            sc_.add_flow({.sender = sender++, .service = static_cast<net::ServiceId>(q)});
+        sc_.flow(idx).sender().add_observer(&rtt_);
+      }
+    }
   }
-  if (sc.group_tracker() != nullptr) {
-    rec.results["coflow.groups"] =
-        static_cast<double>(sc.group_tracker()->groups().size());
-    rec.results["coflow.groups_completed"] =
-        static_cast<double>(sc.group_tracker()->groups_completed());
+
+  Fabric& fabric() override { return sc_; }
+
+  void run(const Options& opts, bool quiet, RunRecord& rec) override {
+    const std::size_t queues = flows_per_queue_.size();
+    const auto duration = sim::milliseconds(opts.get_int("duration_ms", 50));
+    sc_.run(sim::milliseconds(10));
+    std::vector<std::uint64_t> start(queues);
+    for (std::size_t q = 0; q < queues; ++q) start[q] = sc_.served_bytes(q);
+    sc_.run(sim::milliseconds(10) + duration);
+
+    if (!quiet) {
+      std::printf("dumbbell: %s + %s, %zu queues, %zu flows\n",
+                  rec.info.at("scheme").c_str(), rec.info.at("scheduler").c_str(), queues,
+                  sc_.num_flows());
+    }
+    stats::Table table({"queue", "flows", "tput(Gbps)"});
+    for (std::size_t q = 0; q < queues; ++q) {
+      const double gbps = static_cast<double>(sc_.served_bytes(q) - start[q]) * 8.0 /
+                          static_cast<double>(duration);
+      table.add_row({std::to_string(q), stats::Table::num(flows_per_queue_[q], 0),
+                     stats::Table::num(gbps)});
+      rec.results["throughput_gbps.q" + std::to_string(q)] = gbps;
+    }
+    if (!quiet) {
+      table.print();
+      std::printf("rtt avg/p99: %.1f / %.1f us; marks: %llu; drops: %llu\n",
+                  rtt_.us().mean(), rtt_.us().percentile(99),
+                  static_cast<unsigned long long>(sc_.total_marks()),
+                  static_cast<unsigned long long>(sc_.total_drops()));
+    }
+    rec.results["rtt_us.mean"] = rtt_.us().mean();
+    rec.results["rtt_us.p99"] = rtt_.us().percentile(99);
+    if (sc_.pool() != nullptr) {
+      rec.results["buffer.pool_limit_bytes"] = static_cast<double>(sc_.pool()->limit());
+      rec.results["buffer.free_pool_bytes_final"] =
+          static_cast<double>(sc_.pool()->free_bytes());
+    }
   }
-  const stats::DeadlineStats deadlines = sc.fct().deadline_stats();
-  if (deadlines.total > 0) {
-    rec.results["deadline.total"] = static_cast<double>(deadlines.total);
-    rec.results["deadline.misses"] = static_cast<double>(deadlines.missed);
-    rec.results["deadline.miss_fraction"] = deadlines.miss_fraction();
+
+ private:
+  DumbbellScenario sc_;
+  std::vector<double> flows_per_queue_;
+  stats::RttRecorder rtt_{sim::milliseconds(5)};
+};
+
+/// Leaf-spine: a generated (poisson | coflow | rpc) or replayed workload run
+/// to completion, then FCT, coflow and deadline results; writes `fct_csv=`
+/// and `trace_export=`.
+class LeafSpineRun final : public TopologyRun {
+ public:
+  static std::unique_ptr<TopologyRun> build(const Options& opts, const Topology& topo,
+                                            RunRecord& rec) {
+    LeafSpineConfig cfg;
+    parse_shared_keys(opts, topo, &LeafSpineScenario::base_rtt_interrack, cfg, rec);
+    return std::make_unique<LeafSpineRun>(opts, cfg);
   }
-  rec.results["sim.events_executed"] =
-      static_cast<double>(sc.simulator().executed_events());
-  stability.finalize(opts, rec);
-  robust.finalize(rec);
-  sc.finalize_digest();
-  report_digest(digest, rec, telemetry);
-  telemetry.finalize_observability(rec);
-  for (const auto& [k, v] : rec.results) telemetry.manifest.set_result(k, v);
-  telemetry.manifest.set_result("flows_completed",
-                                static_cast<double>(sc.completed_flows()));
-  rec.sim_time_us = sim::to_microseconds(sc.simulator().now());
-  telemetry.finish(rec.sim_time_us);
-  rec.manifest_path = telemetry.metrics_path;
+
+  LeafSpineRun(const Options& opts, const LeafSpineConfig& cfg) : sc_(cfg) {
+    const auto services = static_cast<std::uint8_t>(cfg.scheduler.num_queues);
+    const auto dist =
+        workload::FlowSizeDistribution::by_name(opts.get("workload", "paper-mix"));
+    sim::Rng rng(static_cast<std::uint64_t>(opts.get_int("seed", 1)));
+    const std::string pattern = opts.get("pattern", "poisson");
+    workload::Workload wl;
+    if (opts.has("trace_file")) {
+      // Replay mode: the trace IS the workload; generator keys are ignored.
+      workload::FlowTrace trace = workload::read_flow_trace(opts.get("trace_file"));
+      if (trace.num_hosts != sc_.num_hosts()) {
+        throw std::invalid_argument(
+            "trace_file: trace has " + std::to_string(trace.num_hosts) +
+            " hosts but the fabric has " + std::to_string(sc_.num_hosts()));
+      }
+      wl.flows = std::move(trace.flows);
+    } else if (pattern == "poisson") {
+      workload::TrafficConfig tc;
+      tc.num_hosts = sc_.num_hosts();
+      tc.load = opts.get_double("load", 0.5);
+      tc.num_flows = static_cast<std::size_t>(opts.get_int("flows", 300));
+      tc.num_services = services;
+      wl.flows = workload::generate_poisson_traffic(tc, dist, rng);
+    } else if (pattern == "coflow") {
+      workload::CoflowConfig cc;
+      cc.num_hosts = sc_.num_hosts();
+      cc.num_coflows = static_cast<std::size_t>(opts.get_int("coflows", 20));
+      cc.num_mappers = static_cast<std::size_t>(opts.get_int("mappers", 4));
+      cc.num_reducers = static_cast<std::size_t>(opts.get_int("reducers", 4));
+      cc.num_stages = static_cast<std::uint16_t>(opts.get_int("stages", 1));
+      cc.mean_interarrival_us = opts.get_double("coflow_gap_us", 1000.0);
+      cc.num_services = services;
+      wl = workload::generate_coflows(cc, dist, rng);
+    } else if (pattern == "rpc") {
+      workload::RpcConfig rc;
+      rc.num_hosts = sc_.num_hosts();
+      rc.num_rpcs = static_cast<std::size_t>(opts.get_int("rpcs", 50));
+      rc.fanout = static_cast<std::size_t>(opts.get_int("fanout", 8));
+      rc.response_bytes = static_cast<std::uint64_t>(opts.get_int("rpc_bytes", 20'000));
+      rc.deadline = sim::microseconds_f(opts.get_double("rpc_deadline_us", 2000.0));
+      rc.mean_interarrival_us = opts.get_double("rpc_gap_us", 500.0);
+      rc.num_services = services;
+      wl = workload::generate_rpc_fanout(rc, rng);
+    } else {
+      throw std::invalid_argument("unknown pattern '" + pattern + "'");
+    }
+    sc_.add_workload(wl);
+  }
+
+  Fabric& fabric() override { return sc_; }
+
+  void run(const Options& opts, bool quiet, RunRecord& rec) override {
+    const bool done = sc_.run_until_complete(sim::seconds(opts.get_int("max_sim_s", 60)));
+    const stats::FctCollector& fct = sc_.fct();
+    if (!quiet) {
+      std::printf("leafspine: %s + %s, load %.2f, %zu/%zu flows done%s\n",
+                  rec.info.at("scheme").c_str(), rec.info.at("scheduler").c_str(),
+                  opts.get_double("load", 0.5), sc_.completed_flows(), sc_.total_flows(),
+                  done ? "" : " (TIME CAP HIT)");
+      stats::Table table({"bin", "count", "avg(us)", "p95(us)", "p99(us)"});
+      auto add = [&](const char* name, const stats::Summary& s) {
+        table.add_row({name, std::to_string(s.count()), stats::Table::num(s.mean(), 0),
+                       stats::Table::num(s.percentile(95), 0),
+                       stats::Table::num(s.percentile(99), 0)});
+      };
+      add("small", fct.fct_us(stats::SizeBin::kSmall));
+      add("medium", fct.fct_us(stats::SizeBin::kMedium));
+      add("large", fct.fct_us(stats::SizeBin::kLarge));
+      add("overall", fct.overall_fct_us());
+      table.print();
+    }
+    if (opts.has("fct_csv")) {
+      stats::write_fct_csv(opts.get("fct_csv"), fct);
+      if (!quiet) std::printf("wrote %s\n", opts.get("fct_csv").c_str());
+    }
+    if (opts.has("trace_export")) {
+      // Realized starts (post-barrier), so a replay is timing-faithful — and
+      // for static workloads, bit-identical by digest.
+      workload::write_flow_trace(opts.get("trace_export"), sc_.num_hosts(),
+                                 sc_.realized_workload());
+      if (!quiet) std::printf("wrote %s\n", opts.get("trace_export").c_str());
+    }
+
+    rec.info["pattern"] =
+        opts.has("trace_file") ? "trace" : opts.get("pattern", "poisson");
+    rec.info["workload"] = opts.get("workload", "paper-mix");
+    rec.info["all_flows_completed"] = done ? "true" : "false";
+    rec.results["flows_completed"] = static_cast<double>(sc_.completed_flows());
+    rec.results["flows_total"] = static_cast<double>(sc_.total_flows());
+    auto record_fct = [&](const std::string& bin, const stats::Summary& s) {
+      rec.results["fct_us." + bin + ".mean"] = s.mean();
+      rec.results["fct_us." + bin + ".p95"] = s.percentile(95);
+      rec.results["fct_us." + bin + ".p99"] = s.percentile(99);
+    };
+    record_fct("small", fct.fct_us(stats::SizeBin::kSmall));
+    record_fct("medium", fct.fct_us(stats::SizeBin::kMedium));
+    record_fct("large", fct.fct_us(stats::SizeBin::kLarge));
+    record_fct("overall", fct.overall_fct_us());
+    // Grouped-workload results: coflow completion time as a first-class
+    // metric next to FCT, and the deadline outcome for the RPC/D2TCP path.
+    // Only emitted when the workload carries groups/deadlines so plain
+    // Poisson cells keep their historical column set.
+    const stats::Summary cct = fct.group_ct_us();
+    if (cct.count() > 0) {
+      rec.results["coflow.cct_us.mean"] = cct.mean();
+      rec.results["coflow.cct_us.p95"] = cct.percentile(95);
+      rec.results["coflow.cct_us.p99"] = cct.percentile(99);
+    }
+    if (sc_.group_tracker() != nullptr) {
+      rec.results["coflow.groups"] =
+          static_cast<double>(sc_.group_tracker()->groups().size());
+      rec.results["coflow.groups_completed"] =
+          static_cast<double>(sc_.group_tracker()->groups_completed());
+    }
+    const stats::DeadlineStats deadlines = fct.deadline_stats();
+    if (deadlines.total > 0) {
+      rec.results["deadline.total"] = static_cast<double>(deadlines.total);
+      rec.results["deadline.misses"] = static_cast<double>(deadlines.missed);
+      rec.results["deadline.miss_fraction"] = deadlines.miss_fraction();
+    }
+  }
+
+ private:
+  LeafSpineScenario sc_;
+};
+
+const Topology kTopologies[] = {
+    {.name = "dumbbell", .queues = 2, .rtt_us = 18.0, .link_delay_us = 2.0,
+     .port_buffer_bytes = 1024ull * 1500ull, .init_cwnd_segments = 0,
+     .bleach_nodes = {"switch"},
+     .own_keys = {"flows_per_queue", "duration_ms", "link_gbps"},
+     .build = &DumbbellRun::build},
+    // Bleaching defaults to every spine of the 4x4 fabric: the classic
+    // "broken middlebox in the core" failure the headline experiment studies.
+    {.name = "leafspine", .queues = 8, .rtt_us = 85.2, .link_delay_us = 9.0,
+     .port_buffer_bytes = 2048ull * 1500ull, .init_cwnd_segments = 16,
+     .bleach_nodes = {"spine0", "spine1", "spine2", "spine3"},
+     .own_keys = {"load", "flows", "workload", "max_sim_s", "fct_csv", "pattern",
+                  "trace_file", "trace_export", "coflows", "mappers", "reducers",
+                  "stages", "coflow_gap_us", "rpcs", "fanout", "rpc_bytes",
+                  "rpc_deadline_us", "rpc_gap_us"},
+     .build = &LeafSpineRun::build},
+};
+
+/// The topology `opts` names. Throws on an unknown one, and on a key owned
+/// by the other topology.
+const Topology& select_topology(const Options& opts) {
+  const std::string name = opts.get("topology", "dumbbell");
+  const Topology* chosen = nullptr;
+  for (const Topology& t : kTopologies) {
+    if (t.name == name) chosen = &t;
+  }
+  if (chosen == nullptr) throw std::invalid_argument("unknown topology '" + name + "'");
+  for (const Topology& t : kTopologies) {
+    if (&t == chosen) continue;
+    for (const std::string& key : t.own_keys) {
+      if (opts.has(key)) {
+        throw std::invalid_argument(key + "= requires topology=" + t.name);
+      }
+    }
+  }
+  return *chosen;
 }
 
 }  // namespace
@@ -764,14 +691,54 @@ RunRecord run_scenario(const SweepPoint& point, bool quiet,
     owned = std::make_unique<regress::RunDigest>();
     digest = owned.get();
   }
-  const std::string topology = point.opts.get("topology", "dumbbell");
-  if (topology == "dumbbell") {
-    run_dumbbell(point.opts, quiet, digest, rec);
-  } else if (topology == "leafspine") {
-    run_leafspine(point.opts, quiet, digest, rec);
-  } else {
-    throw std::invalid_argument("unknown topology '" + topology + "'");
+
+  // Build, attach the planes once, run, and report from one info/results
+  // table.
+  const Options& opts = point.opts;
+  const Topology& topo = select_topology(opts);
+  // Declared first so it is destroyed last: the planes below hold its
+  // simulator.
+  const std::unique_ptr<TopologyRun> built = topo.build(opts, topo, rec);
+  Fabric& fab = built->fabric();
+  if (digest != nullptr) fab.install_digest(*digest);
+  Robustness robust;
+  robust.install(fab, opts, topo.bleach_nodes);
+  RunTelemetry telemetry(opts, quiet);
+  telemetry.attach(fab);
+  StabilityPlane stability;
+  stability.attach(fab, telemetry, opts);
+  if (!telemetry.metrics_path.empty()) robust.bind(telemetry.registry);
+  telemetry.manifest.set_seed(static_cast<std::uint64_t>(opts.get_int("seed", 1)));
+
+  built->run(opts, quiet, rec);
+
+  rec.results["marks"] = static_cast<double>(fab.total_marks());
+  rec.results["drops"] = static_cast<double>(fab.total_drops());
+  // Per-reason drop counters: the sweep report's view of WHY a policy
+  // refused.
+  const auto by_reason = fab.total_drops_by_reason();
+  for (std::size_t r = 0; r < by_reason.size(); ++r) {
+    rec.results[std::string("drops.") +
+                switchlib::drop_reason_name(static_cast<switchlib::DropReason>(r))] =
+        static_cast<double>(by_reason[r]);
   }
+  rec.results["sim.events_executed"] =
+      static_cast<double>(fab.simulator().executed_events());
+  stability.finalize(opts, rec);
+  robust.finalize(rec);
+  fab.finalize_digest();
+  if (digest != nullptr) {
+    rec.info["digest"] = digest->total().hex();
+    rec.results["digest.events"] = static_cast<double>(digest->count());
+  }
+  telemetry.finalize_observability(rec);
+  rec.sim_time_us = sim::to_microseconds(fab.simulator().now());
+  // Mirror the record into the manifest so a resumed sweep can rehydrate a
+  // bit-identical RunRecord from the file alone.
+  for (const auto& [k, v] : rec.info) telemetry.manifest.set_info(k, v);
+  for (const auto& [k, v] : rec.results) telemetry.manifest.set_result(k, v);
+  telemetry.finish(rec.sim_time_us);
+  rec.manifest_path = telemetry.metrics_path;
   rec.ok = true;
   return rec;
 }

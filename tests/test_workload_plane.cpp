@@ -1,11 +1,16 @@
 // End-to-end tests for workload plane v2 through the sweep runner: trace
 // export/replay bit-identity, coflow CCT results, the D2TCP deadline-pressure
-// path on the RPC pattern, and the FCT CSV's pattern/deadline columns.
+// path on the RPC pattern, and the FCT CSV's pattern/deadline columns; plus
+// run_scenario's contract: topology-only keys, shared port keys, and the
+// exact report columns per cell kind.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sweep/scenario_run.hpp"
 #include "sweep/sweep.hpp"
@@ -93,6 +98,115 @@ TEST(WorkloadPlane, WorkloadKeysRequireLeafSpine) {
   sweep::SweepPoint pt;  // default topology: dumbbell
   pt.opts.set("pattern", "coflow");
   EXPECT_THROW(sweep::run_scenario(pt, /*quiet=*/true), std::invalid_argument);
+
+  // Every key one topology owns is rejected on the other, naming the owner.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> owned = {
+      {"leafspine",
+       {"load", "flows", "workload", "max_sim_s", "fct_csv", "pattern", "trace_file",
+        "trace_export", "coflows", "mappers", "reducers", "stages", "coflow_gap_us",
+        "rpcs", "fanout", "rpc_bytes", "rpc_deadline_us", "rpc_gap_us"}},
+      {"dumbbell", {"flows_per_queue", "duration_ms", "link_gbps"}},
+  };
+  for (const auto& [owner, keys] : owned) {
+    for (const std::string& key : keys) {
+      sweep::SweepPoint other;
+      other.opts.set("topology", owner == "dumbbell" ? "leafspine" : "dumbbell");
+      other.opts.set(key, "1");
+      try {
+        (void)sweep::run_scenario(other, /*quiet=*/true);
+        ADD_FAILURE() << key << "= was accepted without topology=" << owner;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), key + "= requires topology=" + owner);
+      }
+    }
+  }
+}
+
+TEST(WorkloadPlane, SharedPortKeysReachLeafSpinePorts) {
+  // weights= and mark_point= configure the studied ports on every topology,
+  // so each must move the leaf-spine digest.
+  sweep::SweepPoint base = leafspine_point();
+  base.opts.set("flows", "10");
+  base.opts.set("load", "0.6");
+  base.opts.set("seed", "7");
+  const auto plain = sweep::run_scenario(base, /*quiet=*/true);
+  ASSERT_TRUE(plain.ok) << plain.error;
+  for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
+           {"weights", "1,2,3,4,5,6,7,8"}, {"mark_point", "dequeue"}}) {
+    sweep::SweepPoint pt = base;
+    pt.opts.set(key, value);
+    const auto rec = sweep::run_scenario(pt, /*quiet=*/true);
+    ASSERT_TRUE(rec.ok) << rec.error;
+    EXPECT_NE(rec.info.at("digest"), plain.info.at("digest")) << key << " was ignored";
+  }
+}
+
+TEST(WorkloadPlane, ReportColumnsArePinned) {
+  // The exact pmsb.sweep_report/1 info and result columns per cell kind:
+  // resume and salvage compare records by signature, and reports feed
+  // offline analysis.
+  const std::vector<std::string> info_dumbbell = {"buffer_policy", "scheduler",
+                                                  "scheme", "topology"};
+  const std::vector<std::string> info_leafspine = {
+      "all_flows_completed", "buffer_policy", "pattern", "scheduler",
+      "scheme", "topology", "workload"};
+  const std::vector<std::string> common = {
+      "drops", "drops.dynamic_threshold", "drops.equal_share", "drops.pool_exhausted",
+      "drops.port_budget", "faults.bleached", "faults.dropped", "faults.forwarded",
+      "invariants.evaluations", "invariants.violations", "marks",
+      "sim.events_executed"};
+  const std::vector<std::string> dumbbell = {"rtt_us.mean", "rtt_us.p99",
+                                             "throughput_gbps.q0", "throughput_gbps.q1"};
+  const std::vector<std::string> pool = {"buffer.free_pool_bytes_final",
+                                         "buffer.pool_limit_bytes"};
+  std::vector<std::string> fct = {"flows_completed", "flows_total"};
+  for (const char* bin : {"small", "medium", "large", "overall"}) {
+    for (const char* stat : {"mean", "p95", "p99"}) {
+      fct.push_back(std::string("fct_us.") + bin + "." + stat);
+    }
+  }
+  const std::vector<std::string> coflow = {"coflow.cct_us.mean", "coflow.cct_us.p95",
+                                           "coflow.cct_us.p99", "coflow.groups",
+                                           "coflow.groups_completed"};
+  const std::vector<std::string> deadline = {"deadline.miss_fraction",
+                                             "deadline.misses", "deadline.total"};
+
+  const std::string trace = tmp_path("pinned_columns.ndjson");
+  struct Cell {
+    std::vector<std::pair<std::string, std::string>> opts;
+    std::vector<std::string> info;
+    std::vector<std::vector<std::string>> results;
+  };
+  const std::vector<Cell> cells = {
+      {{{"topology", "dumbbell"}, {"duration_ms", "5"}, {"buffer_policy", "static"}},
+       info_dumbbell, {common, dumbbell}},
+      {{{"topology", "dumbbell"}, {"duration_ms", "5"}, {"buffer_policy", "dt"}},
+       info_dumbbell, {common, dumbbell, pool}},
+      {{{"topology", "leafspine"}, {"flows", "20"}, {"load", "0.3"},
+        {"trace_export", trace}},
+       info_leafspine, {common, fct}},
+      {{{"topology", "leafspine"}, {"pattern", "coflow"}, {"coflows", "2"},
+        {"mappers", "2"}, {"reducers", "2"}},
+       info_leafspine, {common, fct, coflow}},
+      {{{"topology", "leafspine"}, {"pattern", "rpc"}, {"rpcs", "4"}, {"fanout", "4"}},
+       info_leafspine, {common, fct, coflow, deadline}},
+      {{{"topology", "leafspine"}, {"trace_file", trace}}, info_leafspine, {common, fct}},
+  };
+  for (const Cell& cell : cells) {
+    sweep::SweepPoint pt;
+    pt.opts.set("seed", "5");
+    for (const auto& [k, v] : cell.opts) pt.opts.set(k, v);
+    const auto rec = sweep::run_scenario(pt, /*quiet=*/true);
+    ASSERT_TRUE(rec.ok) << rec.error;
+    std::set<std::string> info, want_info(cell.info.begin(), cell.info.end());
+    for (const auto& entry : rec.info) info.insert(entry.first);
+    std::set<std::string> results, want_results;
+    for (const auto& entry : rec.results) results.insert(entry.first);
+    for (const auto& group : cell.results) want_results.insert(group.begin(), group.end());
+    const std::string label = pt.opts.get("topology") + " " + cell.opts.back().first;
+    EXPECT_EQ(info, want_info) << label;
+    EXPECT_EQ(results, want_results) << label;
+  }
 }
 
 TEST(WorkloadPlane, UnknownPatternThrows) {

@@ -15,6 +15,8 @@
 // key is rejected with a "did you mean" suggestion instead of being
 // silently ignored. Behavioural details that don't fit a one-liner:
 //
+// - A key only the other topology reads exits 2 with "X= requires
+//   topology=Y" (load= on the dumbbell, flows_per_queue= on the leaf-spine).
 // - digest=1 digests are what tools/pmsbregress compares against baselines.
 // - Sweeps fan the grid across a worker pool; each run is an isolated
 //   single-threaded simulator, so per-run results are bit-identical to a
@@ -55,7 +57,8 @@ struct KeyHelp {
 
 constexpr KeyHelp kKeys[] = {
     // Scenario shape.
-    {"topology", "dumbbell | leafspine (default dumbbell)"},
+    {"topology", "dumbbell | leafspine (default dumbbell); the other "
+                 "topology's keys are rejected"},
     {"scheme", "pmsb | pmsbe | mq-ecn | tcn | perport | perqueue-std | "
                "perqueue-frac | none (default pmsb)"},
     {"scheduler", "fifo | sp | wrr | dwrr | wfq | sp+wfq (default dwrr)"},
@@ -63,6 +66,7 @@ constexpr KeyHelp kKeys[] = {
     {"weights", "comma list, one per queue (default all 1)"},
     {"rtt_us", "RTT used in the threshold formulas (default 18 / 85.2)"},
     {"mark_point", "enqueue | dequeue (default enqueue)"},
+    {"link_delay_us", "one-way per-link delay (default 2 / 9)"},
     {"sched_queue", "event queue backend: heap | calendar (default heap)"},
     {"seed", "workload / fault RNG seed (default 1)"},
     // Shared-buffer management (docs/DESIGN.md "Buffer management").
@@ -72,12 +76,12 @@ constexpr KeyHelp kKeys[] = {
                      "per-port budget x ports of the switch)"},
     {"dt_alpha", "dt: allowance factor alpha in threshold = alpha * free "
                  "pool (default 1.0)"},
-    // Dumbbell-only.
+    // Dumbbell-only: rejected with topology=leafspine.
     {"flows_per_queue", "dumbbell: comma list, e.g. 1,8"},
     {"duration_ms", "dumbbell: measured run length (default 50)"},
     {"link_gbps", "dumbbell: link rate (default 10)"},
-    {"link_delay_us", "one-way per-link delay (default 2 / 9)"},
-    // Leaf-spine-only.
+    // Leaf-spine-only, like the workload-plane keys below except d2tcp:
+    // rejected with topology=dumbbell.
     {"load", "leafspine: offered load fraction (default 0.5)"},
     {"flows", "leafspine: number of flows (default 300)"},
     {"workload", "leafspine: paper-mix | web-search | data-mining"},
