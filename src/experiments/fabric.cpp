@@ -1,6 +1,27 @@
 #include "experiments/fabric.hpp"
 
+#include <algorithm>
+
 namespace pmsb::experiments {
+
+void ActiveFlows::on_send(net::SiteId flow, sim::TimeNs /*now*/,
+                          const net::Packet& /*pkt*/, bool /*retransmit*/) {
+  if (sent_[flow]) return;
+  sent_[flow] = true;
+  ++num_sent_;
+  // Flows mostly send first in index order, so this is nearly always an append.
+  active_.insert(std::upper_bound(active_.begin(), active_.end(), flow), flow);
+}
+
+const std::vector<net::SiteId>& ActiveFlows::walk(const Flows& flows) {
+  std::erase_if(active_, [&](net::SiteId idx) {
+    const transport::DctcpSender& sender = flows[idx]->sender();
+    if (!sender.complete()) return false;
+    retired_bytes_ += sender.bytes_acked();  // final: a completed flow ignores ACKs
+    return true;
+  });
+  return active_;
+}
 
 sim::TimeNs unloaded_rtt(const FabricConfig& cfg, std::size_t hops) {
   const sim::TimeNs data_ser =
@@ -53,6 +74,7 @@ transport::Flow& Fabric::add_dctcp_flow(std::size_t src, std::size_t dst,
   flows_.push_back(std::make_unique<transport::Flow>(
       sim_, *hosts_.at(src), *hosts_.at(dst), next_flow_id_++, service, bytes, tc));
   flow_src_.push_back(src);
+  active_.track(flows_.back()->sender());
   return *flows_.back();
 }
 
@@ -106,28 +128,26 @@ void Fabric::install_invariants(faults::InvariantChecker& checker) {
   for (const auto& link : links_) ledger_.add_link(link.get());
   ledger_.set_fault_plan(plan_);
   ledger_.register_check(checker);
-  faults::add_flow_liveness_check(checker, [this] {
-    std::vector<const transport::DctcpSender*> senders;
-    senders.reserve(flows_.size());
-    for (const auto& f : flows_) senders.push_back(&f->sender());
-    return senders;
+  checker.add_check("flow_liveness", [this](faults::InvariantChecker::Context& ctx) {
+    for (const net::SiteId idx : active_.walk(flows_)) {
+      faults::check_flow_liveness(ctx, flows_[idx]->sender());
+    }
   });
 }
 
-std::uint64_t Fabric::total_bytes_acked() const {
+std::uint64_t Fabric::total_bytes_acked() {
   std::uint64_t total = 0;
-  for (const auto& f : flows_) total += f->sender().bytes_acked();
-  return total;
-}
-
-bool Fabric::all_complete() const {
-  for (const auto& f : flows_) {
-    if (!f->sender().complete()) return false;
+  for (const net::SiteId idx : active_.walk(flows_)) {
+    total += flows_[idx]->sender().bytes_acked();
   }
-  return true;
+  return active_.retired_bytes() + total;
 }
 
-std::string Fabric::progress_line() const {
+bool Fabric::all_complete() {
+  return active_.num_sent() == flows_.size() && active_.walk(flows_).empty();
+}
+
+std::string Fabric::progress_line() {
   std::size_t completed = 0;
   for (const auto& f : flows_) completed += f->sender().complete() ? 1 : 0;
   std::uint64_t backlog = 0;

@@ -23,6 +23,7 @@
 #include "faults/standard_checks.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
+#include "net/packet_observer.hpp"
 #include "regress/digest_observer.hpp"
 #include "sched/factory.hpp"
 #include "sim/simulator.hpp"
@@ -74,6 +75,47 @@ struct StudiedPort {
 /// kDetailed adds dropped_bytes, marked.q<q> and window_cuts.
 enum class DigestStats : std::uint8_t { kCore, kDetailed };
 
+/// The fabric's active flows: those that have sent a segment and were not
+/// complete at the last walk, in ascending flow index. A flow has bytes in
+/// flight only between its first send and its completion, so this is every
+/// flow the liveness check can fail, and the per-tick walks cost
+/// O(active flows) rather than O(flows ever added). Tapped onto every
+/// sender with the flow's index as its site, it admits a flow at its first
+/// on_send; walk() retires completed flows, keeping the bytes they acked.
+/// Senders hold its address, so it must outlive them.
+class ActiveFlows final : public net::PacketObserver {
+ public:
+  using Flows = std::vector<std::unique_ptr<transport::Flow>>;
+
+  /// Taps the sender of the next flow index; call once per flow, in index
+  /// order.
+  void track(transport::DctcpSender& sender) {
+    sender.add_observer(this, static_cast<net::SiteId>(sent_.size()));
+    sent_.push_back(false);
+  }
+
+  void on_send(net::SiteId flow, sim::TimeNs now, const net::Packet& pkt,
+               bool retransmit) override;
+
+  /// Retires the flows of `flows` that completed since the last walk and
+  /// returns the rest: every flow that has sent and is still incomplete.
+  const std::vector<net::SiteId>& walk(const Flows& flows);
+
+  /// The set as of the last walk or send; it may still hold flows that
+  /// completed since the last walk.
+  [[nodiscard]] const std::vector<net::SiteId>& flows() const { return active_; }
+  /// How many flows have sent at least one segment.
+  [[nodiscard]] std::size_t num_sent() const { return num_sent_; }
+  /// Bytes acked by the retired flows, final since each one completed.
+  [[nodiscard]] std::uint64_t retired_bytes() const { return retired_bytes_; }
+
+ private:
+  std::vector<bool> sent_;          ///< flow idx -> has sent a segment
+  std::vector<net::SiteId> active_;  ///< ascending flow indices
+  std::size_t num_sent_ = 0;
+  std::uint64_t retired_bytes_ = 0;
+};
+
 class Fabric {
  public:
   virtual ~Fabric();
@@ -104,21 +146,30 @@ class Fabric {
   void install_faults(faults::FaultPlan& plan, std::uint64_t seed);
   /// Registers the standard fabric invariants (port accounting, packet
   /// conservation, flow liveness) on `checker`. Call at most once, after
-  /// install_faults if a plan is in play and after the flows are added so
-  /// the liveness check sees every flow.
+  /// install_faults if a plan is in play and after the hosts, switches and
+  /// links are built. The liveness check tests every active flow, so flows
+  /// added later are covered too.
   void install_invariants(faults::InvariantChecker& checker);
   /// Test hook for the deliberate-violation fixture.
   [[nodiscard]] faults::ConservationLedger& ledger() { return ledger_; }
   /// Total bytes cumulatively acked across all flows — the watchdog's
-  /// progress measure.
-  [[nodiscard]] std::uint64_t total_bytes_acked() const;
-  /// True when every flow has completed. A long-lived flow never completes,
-  /// so with one present this stays false — flat progress then counts as a
-  /// stall, which is what the watchdog wants for a duration-based run.
-  [[nodiscard]] bool all_complete() const;
+  /// progress measure. Exact at O(active flows): the retired flows' bytes
+  /// plus the active flows' (a flow that never sent has acked none).
+  [[nodiscard]] std::uint64_t total_bytes_acked();
+  /// True when every flow has completed: every flow has sent and no active
+  /// flow is incomplete (a finite flow completes only through an ACK, so
+  /// only after a send). A long-lived flow never completes, so with one
+  /// present this stays false — flat progress then counts as a stall,
+  /// which is what the watchdog wants for a duration-based run.
+  [[nodiscard]] bool all_complete();
   /// The watchdog's forensic line: flows completed, bytes acked, and the
   /// bytes queued at the studied ports.
-  [[nodiscard]] std::string progress_line() const;
+  [[nodiscard]] std::string progress_line();
+  /// The active flows' indices, ascending (see ActiveFlows); it may still
+  /// list flows that completed since the last walk. Read-only, for tests.
+  [[nodiscard]] const std::vector<net::SiteId>& active_flows() const {
+    return active_.flows();
+  }
 
   // --- Regression plane ---
   /// Wires the studied ports ("port/<name>"), the digest links
@@ -163,7 +214,8 @@ class Fabric {
   /// buffer_bytes per port. Call after every add_port so each member gets
   /// a ledger slot.
   void pool_ports(const std::vector<switchlib::Port*>& ports, const FabricConfig& cfg);
-  /// Creates a DCTCP flow from host `src` to host `dst`; the caller starts it.
+  /// Creates a DCTCP flow from host `src` to host `dst`, tapped by the
+  /// active-flow set; the caller starts it.
   transport::Flow& add_dctcp_flow(std::size_t src, std::size_t dst,
                                   net::ServiceId service, std::uint64_t bytes,
                                   const transport::DctcpConfig& tc);
@@ -171,14 +223,20 @@ class Fabric {
   void trace_flow_senders(trace::SpanTracer& spans);
   [[nodiscard]] static std::vector<switchlib::Port*> all_ports(switchlib::Switch& sw);
 
-  // Destroyed in reverse order: flows first, then links, pools, switches
-  // and hosts, and last the simulator they all schedule on.
+  // Destroyed in reverse order: flows first, then the active-flow set their
+  // senders tap, links, pools, switches and hosts, and last the simulator
+  // they all schedule on.
   sim::Simulator sim_;
   std::vector<std::unique_ptr<net::Host>> hosts_;
   std::vector<std::unique_ptr<switchlib::Switch>> switches_;
   std::vector<std::unique_ptr<switchlib::BufferPool>> pools_;
   std::vector<std::unique_ptr<net::Link>> links_;
   std::vector<faults::LinkRef> link_refs_;  ///< one per link, in wiring order
+
+ private:
+  ActiveFlows active_;
+
+ protected:
   std::vector<std::unique_ptr<transport::Flow>> flows_;
   std::vector<StudiedPort> studied_;            ///< in digest order
   std::vector<faults::LinkRef> digest_links_;  ///< digested after the ports

@@ -40,14 +40,15 @@ class InvariantChecker {
   /// Handed to each check; call violate() for every failure found.
   class Context {
    public:
-    Context(InvariantChecker& owner, std::string check)
-        : owner_(owner), check_(std::move(check)) {}
+    /// `check` is the check's registered name; it must outlive the context.
+    Context(InvariantChecker& owner, const std::string& check)
+        : owner_(owner), check_(check) {}
 
     void violate(const std::string& entity, const std::string& detail);
 
    private:
     InvariantChecker& owner_;
-    std::string check_;
+    const std::string& check_;
   };
 
   using Check = std::function<void(Context&)>;

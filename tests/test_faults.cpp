@@ -4,21 +4,31 @@
 // structured diagnostic).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "experiments/dumbbell.hpp"
+#include "experiments/leafspine.hpp"
+#include "experiments/presets.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/invariants.hpp"
 #include "faults/watchdog.hpp"
 #include "net/fault_injector.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 #include "sweep/scenario_run.hpp"
 #include "sweep/sweep.hpp"
 #include "telemetry/metrics.hpp"
+#include "workload/coflow.hpp"
+#include "workload/size_dist.hpp"
 
 using namespace pmsb;
 using namespace pmsb::net;
@@ -453,6 +463,176 @@ TEST(ScenarioRobustness, FaultedSweepIsDeterministic) {
   const auto r2 = sweep::run_scenario(point, /*quiet=*/true);
   EXPECT_EQ(sweep::deterministic_signature(r1), sweep::deterministic_signature(r2));
   EXPECT_GT(r1.results.at("faults.dropped"), 0.0);
+}
+
+namespace {
+
+/// Every 10 us while other events are pending, brute-forces over every flow
+/// of `fab`: each started, incomplete flow with bytes in flight must be in
+/// the active set, and the watchdog probes, which walk only that set, must
+/// equal their sums over all flows.
+struct ActiveFlowAudit {
+  experiments::Fabric& fab;
+  std::size_t late_flow = std::numeric_limits<std::size_t>::max();
+  std::uint64_t in_flight_seen = 0;  ///< (tick, flow) pairs with bytes out
+  std::uint64_t late_seen = 0;       ///< of those, for late_flow
+
+  void start() { fab.simulator().schedule_in(sim::microseconds(10), [this] { tick(); }); }
+
+  void tick() {
+    const std::vector<net::SiteId>& active = fab.active_flows();
+    ASSERT_TRUE(std::adjacent_find(active.begin(), active.end(),
+                                   std::greater_equal<>()) == active.end())
+        << "active set not strictly ascending";
+    std::uint64_t acked = 0;
+    bool all_done = true;
+    for (std::size_t i = 0; i < fab.num_flows(); ++i) {
+      const transport::DctcpSender& s = fab.flow(i).sender();
+      acked += s.bytes_acked();
+      all_done = all_done && s.complete();
+      if (s.started() && !s.complete() && s.bytes_inflight() > 0) {
+        ++in_flight_seen;
+        if (i == late_flow) ++late_seen;
+        EXPECT_TRUE(std::binary_search(active.begin(), active.end(), i))
+            << "flow " << i << " has " << s.bytes_inflight()
+            << "B in flight but is not active at t=" << fab.simulator().now();
+      }
+    }
+    EXPECT_EQ(fab.total_bytes_acked(), acked);
+    EXPECT_EQ(fab.all_complete(), all_done);
+    if (fab.simulator().pending_events() > 0) start();
+  }
+};
+
+experiments::LeafSpineConfig audit_fabric() {
+  experiments::LeafSpineConfig cfg;  // the paper's 4x4, 48 hosts
+  cfg.scheduler.kind = sched::SchedulerKind::kDwrr;
+  cfg.scheduler.num_queues = 8;
+  cfg.scheduler.weights.assign(8, 1.0);
+  experiments::SchemeParams params;
+  params.rtt = experiments::LeafSpineScenario::base_rtt_interrack(cfg);
+  params.weights = cfg.scheduler.weights;
+  cfg.marking = experiments::make_scheme_marking(experiments::Scheme::kPmsb, params);
+  return cfg;
+}
+
+/// Runs `wl` on the leaf-spine with the checker and the audit installed
+/// BEFORE the flows are added, so every flow is a late one.
+void audit_leafspine(const workload::Workload& wl) {
+  experiments::LeafSpineScenario sc(audit_fabric());
+  InvariantChecker checker(sc.simulator());
+  sc.install_invariants(checker);
+  checker.start_periodic(sim::microseconds(100));
+  ActiveFlowAudit audit{sc};
+  audit.start();
+  sc.add_workload(wl);
+  ASSERT_TRUE(sc.run_until_complete(sim::seconds(1)));
+  EXPECT_GT(audit.in_flight_seen, 0u);
+  EXPECT_GT(checker.evaluations(), 0u);
+  EXPECT_TRUE(checker.clean()) << checker.summary();
+  EXPECT_TRUE(sc.all_complete());
+  EXPECT_TRUE(sc.active_flows().empty());  // all_complete() walked: none left
+  std::uint64_t bytes = 0;
+  for (const workload::FlowSpec& f : wl.flows) bytes += f.bytes;
+  EXPECT_EQ(sc.total_bytes_acked(), bytes);
+}
+
+}  // namespace
+
+TEST(ScenarioRobustness, ActiveFlowsCoverEveryFlowInFlight) {
+  {
+    SCOPED_TRACE("leaf-spine pattern=rpc");
+    workload::RpcConfig rc;
+    rc.num_rpcs = 100;
+    rc.mean_interarrival_us = 100.0;
+    sim::Rng rng(5);
+    audit_leafspine(workload::generate_rpc_fanout(rc, rng));
+  }
+  {
+    SCOPED_TRACE("leaf-spine 2-stage coflow");
+    workload::CoflowConfig cc;
+    cc.num_coflows = 6;
+    cc.num_mappers = 3;
+    cc.num_reducers = 3;
+    cc.num_stages = 2;  // stage-1 flows start mid-run, at their barrier
+    cc.mean_interarrival_us = 300.0;
+    sim::Rng rng(5);
+    const workload::Workload wl = workload::generate_coflows(
+        cc, workload::FlowSizeDistribution::fixed(30'000), rng);
+    ASSERT_TRUE(std::any_of(wl.flows.begin(), wl.flows.end(),
+                            [](const workload::FlowSpec& f) { return f.stage > 0; }));
+    audit_leafspine(wl);
+  }
+  {
+    SCOPED_TRACE("dumbbell");
+    experiments::DumbbellConfig cfg;
+    cfg.num_senders = 4;
+    experiments::SchemeParams params;
+    params.rtt = experiments::DumbbellScenario::base_rtt(cfg);
+    cfg.marking = experiments::make_scheme_marking(experiments::Scheme::kPmsb, params);
+    experiments::DumbbellScenario sc(cfg);
+    sc.add_flow({.sender = 0, .service = 0, .bytes = 0});  // long-lived
+    sc.add_flow({.sender = 1, .service = 1, .bytes = 400'000});
+    // Paced far below the RTT's pace: between segments it has nothing in
+    // flight yet is incomplete, so it must stay active.
+    sc.add_flow({.sender = 3, .service = 0, .bytes = 30'000, .max_rate = sim::mbps(100)});
+    InvariantChecker checker(sc.simulator());
+    sc.install_invariants(checker);
+    checker.start_periodic(sim::microseconds(100));
+    ActiveFlowAudit audit{sc};
+    // Added after install_invariants: the liveness check must still cover it.
+    audit.late_flow = sc.add_flow(
+        {.sender = 2, .service = 1, .bytes = 300'000, .start = sim::milliseconds(1)});
+    audit.start();
+    sc.run(sim::milliseconds(5));
+    EXPECT_GT(audit.late_seen, 0u);
+    EXPECT_TRUE(sc.flow(2).sender().complete());
+    EXPECT_TRUE(sc.flow(audit.late_flow).sender().complete());
+    EXPECT_FALSE(sc.all_complete());  // the long-lived flow never completes
+    EXPECT_EQ(sc.active_flows(), std::vector<net::SiteId>{0});
+    EXPECT_TRUE(checker.clean()) << checker.summary();
+  }
+}
+
+TEST(ScenarioRobustness, InvariantsAreResultNeutral) {
+  // The checker only reads: turning it off leaves the digest and every
+  // result unchanged except its own counters and the executed-event count
+  // (its ticks are events). A benchmark pass with invariants=0 relies on it.
+  std::vector<experiments::Options> cells(2);
+  cells[0] = dumbbell_opts();
+  cells[0].set("duration_ms", "10");
+  cells[1].set("topology", "leafspine");
+  cells[1].set("pattern", "rpc");
+  cells[1].set("rpcs", "60");
+  cells[1].set("seed", "3");
+  auto neutral = [](std::map<std::string, double> results) {
+    std::erase_if(results, [](const auto& kv) {
+      return kv.first.starts_with("invariants.") || kv.first == "sim.events_executed";
+    });
+    return results;
+  };
+  for (experiments::Options& opts : cells) {
+    SCOPED_TRACE(opts.get("topology"));
+    opts.set("digest", "1");
+    opts.set("watchdog_horizon_ms", "50");
+    sweep::SweepPoint on;
+    on.opts = opts;
+    on.opts.set("invariants", "1");
+    sweep::SweepPoint off;
+    off.opts = opts;
+    off.opts.set("invariants", "0");
+    const auto with = sweep::run_scenario(on, /*quiet=*/true);
+    const auto without = sweep::run_scenario(off, /*quiet=*/true);
+    ASSERT_TRUE(with.ok && without.ok);
+    EXPECT_GT(with.results.at("invariants.evaluations"), 0.0);
+    EXPECT_DOUBLE_EQ(with.results.at("invariants.violations"), 0.0);
+    EXPECT_EQ(without.results.count("invariants.evaluations"), 0u);
+    EXPECT_FALSE(with.info.at("digest").empty());
+    EXPECT_EQ(with.info, without.info);  // digest included
+    EXPECT_EQ(neutral(with.results), neutral(without.results));
+    EXPECT_GT(with.results.at("sim.events_executed"),
+              without.results.at("sim.events_executed"));
+  }
 }
 
 // ------------------------------------------- injector lifetime regression
