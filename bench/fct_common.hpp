@@ -176,11 +176,9 @@ inline double bench_cell_timeout_s() {
 /// alters a completed run's results, so checkpoints stay valid when the
 /// budget changes between invocations.
 inline std::map<std::string, std::string> fct_cell_config(const FctRunConfig& rc) {
-  char load[40];
-  std::snprintf(load, sizeof(load), "%.17g", rc.load);
   return {{"scheme", experiments::scheme_name(rc.scheme)},
           {"scheduler", sched::scheduler_kind_name(rc.scheduler)},
-          {"load", load},
+          {"load", telemetry::format_double(rc.load)},
           {"flows", std::to_string(rc.num_flows)},
           {"seed", std::to_string(rc.seed)}};
 }

@@ -1,7 +1,6 @@
 #include "ecn/factory.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <stdexcept>
 
 #include "ecn/codel.hpp"
@@ -14,39 +13,6 @@
 #include "ecn/tcn.hpp"
 
 namespace pmsb::ecn {
-
-std::string marking_kind_name(MarkingKind kind) {
-  switch (kind) {
-    case MarkingKind::kNone: return "None";
-    case MarkingKind::kPerQueueStandard: return "PerQueue-Std";
-    case MarkingKind::kPerQueueFractional: return "PerQueue-Frac";
-    case MarkingKind::kPerPort: return "PerPort";
-    case MarkingKind::kMqEcn: return "MQ-ECN";
-    case MarkingKind::kTcn: return "TCN";
-    case MarkingKind::kPmsb: return "PMSB";
-    case MarkingKind::kRed: return "RED";
-    case MarkingKind::kPerPool: return "PerPool";
-    case MarkingKind::kCodel: return "CoDel";
-  }
-  return "?";
-}
-
-MarkingKind parse_marking_kind(const std::string& name) {
-  std::string up(name.size(), '\0');
-  std::transform(name.begin(), name.end(), up.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-  if (up == "NONE") return MarkingKind::kNone;
-  if (up == "PERQUEUE-STD" || up == "PERQUEUE") return MarkingKind::kPerQueueStandard;
-  if (up == "PERQUEUE-FRAC") return MarkingKind::kPerQueueFractional;
-  if (up == "PERPORT") return MarkingKind::kPerPort;
-  if (up == "MQ-ECN" || up == "MQECN") return MarkingKind::kMqEcn;
-  if (up == "TCN") return MarkingKind::kTcn;
-  if (up == "PMSB") return MarkingKind::kPmsb;
-  if (up == "RED") return MarkingKind::kRed;
-  if (up == "PERPOOL") return MarkingKind::kPerPool;
-  if (up == "CODEL") return MarkingKind::kCodel;
-  throw std::invalid_argument("unknown marking scheme: " + name);
-}
 
 MarkPoint effective_mark_point(const MarkingConfig& config) {
   // Duration-based schemes can only judge a packet once its sojourn is

@@ -53,8 +53,6 @@ struct MarkingConfig {
   sim::TimeNs codel_interval = 0;  ///< 0 = 10x target
 };
 
-std::string marking_kind_name(MarkingKind kind);
-MarkingKind parse_marking_kind(const std::string& name);
 std::unique_ptr<MarkingScheme> make_marking(const MarkingConfig& config);
 
 /// The mark point a config effectively uses (TCN forces dequeue).

@@ -16,6 +16,35 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
+/// Parses all of `text` with `parse` (std::stoll / std::stod). A value
+/// that is not a number, carries trailing junk, or is out of range throws
+/// std::invalid_argument naming `key`.
+template <typename Parse>
+auto parse_number(const std::string& key, const std::string& text, const char* what,
+                  Parse parse) {
+  std::size_t pos = 0;
+  try {
+    const auto v = parse(text, &pos);
+    if (pos == text.size()) return v;
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("Options: '" + key + "' is out of range: '" + text + "'");
+  } catch (const std::invalid_argument&) {
+    // Not a number at all: reported below like trailing junk.
+  }
+  throw std::invalid_argument("Options: '" + key + "' is not " + what + ": '" + text +
+                              "'");
+}
+
+std::int64_t parse_int(const std::string& key, const std::string& text) {
+  return parse_number(key, text, "an integer",
+                      [](const std::string& t, std::size_t* pos) { return std::stoll(t, pos); });
+}
+
+double parse_double(const std::string& key, const std::string& text) {
+  return parse_number(key, text, "a number",
+                      [](const std::string& t, std::size_t* pos) { return std::stod(t, pos); });
+}
+
 void parse_line(Options& opts, const std::string& raw, const std::string& where) {
   std::string line = raw;
   if (const auto hash = line.find('#'); hash != std::string::npos) {
@@ -67,24 +96,12 @@ std::string Options::get(const std::string& key, const std::string& fallback) co
 
 std::int64_t Options::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  std::size_t pos = 0;
-  const std::int64_t v = std::stoll(it->second, &pos);
-  if (pos != it->second.size()) {
-    throw std::invalid_argument("Options: '" + key + "' is not an integer");
-  }
-  return v;
+  return it == values_.end() ? fallback : parse_int(key, it->second);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  std::size_t pos = 0;
-  const double v = std::stod(it->second, &pos);
-  if (pos != it->second.size()) {
-    throw std::invalid_argument("Options: '" + key + "' is not a number");
-  }
-  return v;
+  return it == values_.end() ? fallback : parse_double(key, it->second);
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {
@@ -149,7 +166,7 @@ std::vector<double> Options::get_double_list(const std::string& key) const {
   std::stringstream ss(it->second);
   std::string cell;
   while (std::getline(ss, cell, ',')) {
-    if (!trim(cell).empty()) out.push_back(std::stod(trim(cell)));
+    if (!trim(cell).empty()) out.push_back(parse_double(key, trim(cell)));
   }
   return out;
 }

@@ -32,11 +32,14 @@ class Options {
 
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback = {}) const;
+  /// The numeric getters throw std::invalid_argument naming the key when
+  /// the value is not a number, has trailing junk, or is out of range.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
-  /// Comma-separated list of doubles ("1,2.5,4").
+  /// Comma-separated list of doubles ("1,2.5,4"); every non-empty entry
+  /// must parse as get_double would.
   [[nodiscard]] std::vector<double> get_double_list(const std::string& key) const;
 
   [[nodiscard]] const std::map<std::string, std::string>& values() const {

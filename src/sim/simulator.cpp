@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#ifdef PMSB_PROFILE_DISPATCH
-#include <chrono>
-#endif
-
 namespace pmsb::sim {
 
 namespace {
@@ -24,28 +20,6 @@ class EndDispatchGuard {
  private:
   DispatchHook* hook_;
 };
-
-#ifdef PMSB_PROFILE_DISPATCH
-// Accumulates callback wall time on scope exit, including exceptional exit,
-// so dispatch_wall_ns stays meaningful when a deadline aborts a run.
-class DispatchTimer {
- public:
-  explicit DispatchTimer(std::uint64_t& acc)
-      : acc_(acc), t0_(std::chrono::steady_clock::now()) {}
-  DispatchTimer(const DispatchTimer&) = delete;
-  DispatchTimer& operator=(const DispatchTimer&) = delete;
-  ~DispatchTimer() {
-    acc_ += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0_)
-            .count());
-  }
-
- private:
-  std::uint64_t& acc_;
-  std::chrono::steady_clock::time_point t0_;
-};
-#endif
 
 }  // namespace
 
@@ -89,14 +63,7 @@ bool Simulator::step(TimeNs until) {
       fn();
       return true;
     }
-#ifdef PMSB_PROFILE_DISPATCH
-    {
-      DispatchTimer timer{dispatch_wall_ns_};
-      fn();
-    }
-#else
     fn();
-#endif
     return true;
   }
 }

@@ -168,20 +168,6 @@ class Simulator {
     return queue_compactions_;
   }
 
-  /// True when the build carries per-event wall-clock dispatch profiling
-  /// (configure with -DPMSB_PROFILE_DISPATCH=ON; off by default because the
-  /// clock reads dominate small callbacks).
-  [[nodiscard]] static constexpr bool dispatch_profiling_enabled() {
-#ifdef PMSB_PROFILE_DISPATCH
-    return true;
-#else
-    return false;
-#endif
-  }
-  /// Total wall-clock nanoseconds spent inside event callbacks; 0 unless
-  /// dispatch_profiling_enabled().
-  [[nodiscard]] std::uint64_t dispatch_wall_ns() const { return dispatch_wall_ns_; }
-
   /// Attaches a dispatch hook (nullptr to detach). The hook must outlive
   /// its attachment; telemetry::Profiler detaches itself on destruction.
   void set_dispatch_hook(DispatchHook* hook) { hook_ = hook; }
@@ -218,7 +204,6 @@ class Simulator {
   std::uint64_t executed_events_ = 0;
   std::uint64_t cancelled_events_ = 0;
   std::uint64_t queue_compactions_ = 0;
-  std::uint64_t dispatch_wall_ns_ = 0;
   DispatchHook* hook_ = nullptr;
   bool stop_requested_ = false;
 };

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "stats/fct.hpp"
-#include "stats/throughput.hpp"
 
 namespace pmsb::stats {
 
@@ -59,15 +58,6 @@ inline void write_fct_csv(const std::string& path, const FctCollector& fct) {
              r.deadline == 0 ? "" : (r.deadline_met ? "1" : "0"),
              r.group == kNoGroupId ? "" : std::to_string(r.group),
              r.group == kNoGroupId ? "" : std::to_string(r.stage)});
-  }
-}
-
-/// One row per throughput sample: time_us, gbps.
-inline void write_throughput_csv(const std::string& path, const ThroughputMeter& meter) {
-  CsvWriter csv(path);
-  csv.row({"time_us", "gbps"});
-  for (const auto& s : meter.samples()) {
-    csv.row({std::to_string(sim::to_microseconds(s.time)), std::to_string(s.gbps)});
   }
 }
 

@@ -280,8 +280,7 @@ std::string repro_bundle_json(const SweepPoint& point, const RunRecord& rec) {
   w.key("exit_code").value(static_cast<std::int64_t>(rec.exit_code));
   w.key("attempts").value(static_cast<std::uint64_t>(rec.attempts));
   w.key("error").value(rec.error);
-  w.key("seed").value(
-      static_cast<std::uint64_t>(point.opts.get_int("seed", 0)));
+  w.key("seed").value(run_seed(point.opts));
   // The exact Options echo — the faults timeline, the seed, the per-cell
   // caps — everything needed to re-run this cell byte-for-byte.
   w.key("config").begin_object();

@@ -195,6 +195,10 @@ struct RunTelemetry {
   std::unique_ptr<trace::Tracer> tracer;
 };
 
+/// Sim-time cadences of the invariant checker and the watchdog.
+constexpr sim::TimeNs kInvariantPeriod = sim::microseconds(100);
+constexpr sim::TimeNs kWatchdogPeriod = sim::microseconds(100);
+
 /// Robustness wiring shared by both topologies: a FaultPlan built from the
 /// `faults=` grammar plus the sweep-friendly `bleach=` sugar (grid values
 /// cannot contain ':' or ',', so the headline bleach sweep gets its own
@@ -224,8 +228,7 @@ struct Robustness {
     if (!spec.empty()) {
       plan.add_spec_string(spec);
       // Decorrelate fault randomness from the workload stream.
-      fab.install_faults(plan,
-                         static_cast<std::uint64_t>(opts.get_int("seed", 1)) ^ 0xfa17);
+      fab.install_faults(plan, run_seed(opts) ^ 0xfa17);
     }
 
     if (opts.get_bool("invariants", true)) {
@@ -236,15 +239,14 @@ struct Robustness {
         // a violation is caught and reported, not silently absorbed.
         fab.ledger().skew_injected_for_test(1);
       }
-      checker->start_periodic(
-          sim::microseconds_f(opts.get_double("invariant_period_us", 100.0)));
+      checker->start_periodic(kInvariantPeriod);
     }
 
     if (opts.has("watchdog_horizon_ms") || opts.has("watchdog_events")) {
       faults::WatchdogConfig wcfg;
       wcfg.stall_horizon = sim::milliseconds(opts.get_int("watchdog_horizon_ms", 0));
       wcfg.max_events = static_cast<std::uint64_t>(opts.get_int("watchdog_events", 0));
-      wcfg.period = sim::microseconds_f(opts.get_double("watchdog_period_us", 100.0));
+      wcfg.period = kWatchdogPeriod;
       watchdog = std::make_unique<faults::Watchdog>(
           fab.simulator(), wcfg, [&fab] { return fab.total_bytes_acked(); },
           [&fab] { return fab.all_complete(); },
@@ -257,9 +259,8 @@ struct Robustness {
     // fails this cell alone.
     const double cell_timeout_s = opts.get_double("cell_timeout_s", 0.0);
     if (cell_timeout_s > 0.0) {
-      deadline = std::make_unique<faults::Deadline>(
-          fab.simulator(), cell_timeout_s,
-          sim::microseconds_f(opts.get_double("cell_timeout_period_us", 500.0)));
+      // Checked every 500 us of sim time (the Deadline default).
+      deadline = std::make_unique<faults::Deadline>(fab.simulator(), cell_timeout_s);
       deadline->start();
     }
 
@@ -509,7 +510,7 @@ class LeafSpineRun final : public TopologyRun {
     const auto services = static_cast<std::uint8_t>(cfg.scheduler.num_queues);
     const auto dist =
         workload::FlowSizeDistribution::by_name(opts.get("workload", "paper-mix"));
-    sim::Rng rng(static_cast<std::uint64_t>(opts.get_int("seed", 1)));
+    sim::Rng rng(run_seed(opts));
     const std::string pattern = opts.get("pattern", "poisson");
     workload::Workload wl;
     if (opts.has("trace_file")) {
@@ -708,7 +709,7 @@ RunRecord run_scenario(const SweepPoint& point, bool quiet,
   StabilityPlane stability;
   stability.attach(fab, telemetry, opts);
   if (!telemetry.metrics_path.empty()) robust.bind(telemetry.registry);
-  telemetry.manifest.set_seed(static_cast<std::uint64_t>(opts.get_int("seed", 1)));
+  telemetry.manifest.set_seed(run_seed(opts));
 
   built->run(opts, quiet, rec);
 

@@ -39,13 +39,9 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
 }
 
-/// Full-precision double formatting: round-trips exactly, so signatures are
-/// bit-faithful to the computed values.
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+// Full-precision double formatting: round-trips exactly, so signatures are
+// bit-faithful to the computed values.
+using telemetry::format_double;
 
 }  // namespace
 
@@ -179,7 +175,7 @@ void write_failure_manifest(const std::string& path, const SweepPoint& point,
                             const RunRecord& rec) {
   telemetry::RunManifest manifest("pmsbsim-sweep");
   manifest.set_config(point.opts.values());
-  manifest.set_seed(static_cast<std::uint64_t>(point.opts.get_int("seed", 0)));
+  manifest.set_seed(run_seed(point.opts));
   manifest.set_info("status", "failed");
   manifest.set_info("error", rec.error);
   manifest.set_info("attempts", std::to_string(rec.attempts));

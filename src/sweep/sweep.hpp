@@ -33,6 +33,13 @@ struct SweepPoint {
   experiments::Options opts;
 };
 
+/// The seed a run with these options uses: `seed=`, default 1. Every
+/// reader of the seed goes through here, so the stub manifest and repro
+/// bundle of a failed cell name the seed it actually ran with.
+[[nodiscard]] inline std::uint64_t run_seed(const experiments::Options& opts) {
+  return static_cast<std::uint64_t>(opts.get_int("seed", 1));
+}
+
 /// Expands `spec` against `base` into the cartesian product of its
 /// dimensions. Spec grammar (CLI-friendly: no '=' or spaces needed):
 ///

@@ -12,7 +12,8 @@ Port::Port(sim::Simulator& simulator, net::Link* link, const PortConfig& config)
       marking_(ecn::make_marking(config.marking)),
       mark_point_(ecn::effective_mark_point(config.marking)),
       buffer_bytes_(config.buffer_bytes),
-      policy_(make_buffer_policy(config.buffer_policy)) {
+      policy_(make_buffer_policy(config.buffer_policy)),
+      num_queues_(sched_->num_queues()) {
   stats_.marked_per_queue.assign(sched_->num_queues(), 0);
   if (config.average_occupancy) {
     const sim::RateBps rate = link_->rate();
@@ -21,9 +22,6 @@ Port::Port(sim::Simulator& simulator, net::Link* link, const PortConfig& config)
     }
     port_ewma_.emplace_back(config.ewma_weight, rate);
   }
-  classifier_ = [n = sched_->num_queues()](const Packet& pkt) {
-    return static_cast<std::size_t>(pkt.service) % n;
-  };
   // Round-based schedulers feed the marking scheme's T_round estimator.
   sched_->set_round_observer(
       [this](TimeNs now) { marking_->on_round_complete(now); });
@@ -132,7 +130,7 @@ void Port::drop(const Packet& pkt, std::size_t queue, DropReason reason) {
 
 void Port::handle(Packet pkt) {
   telemetry::ProfileScope profile(profiler_, kind_handle_);
-  const std::size_t q = classifier_(pkt);
+  const std::size_t q = static_cast<std::size_t>(pkt.service) % num_queues_;
   if (const auto refusal = policy_->admit(admission_request(pkt.size_bytes))) {
     drop(pkt, q, *refusal);
     return;

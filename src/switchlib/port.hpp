@@ -5,7 +5,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -61,17 +60,11 @@ struct PortStats {
 
 class Port {
  public:
-  /// `service_to_queue` maps a packet's service tag to a queue index; the
-  /// default is `service % num_queues`.
-  using Classifier = std::function<std::size_t(const Packet&)>;
-
   Port(sim::Simulator& simulator, net::Link* link, const PortConfig& config);
 
-  /// Admits a packet: classify -> drop-tail check -> (enqueue marking) ->
-  /// store -> kick the transmit loop.
+  /// Admits a packet: classify (queue = service % num_queues) -> admission
+  /// check -> (enqueue marking) -> store -> kick the transmit loop.
   void handle(Packet pkt);
-
-  void set_classifier(Classifier classifier) { classifier_ = std::move(classifier); }
 
   /// Joins a shared buffer pool: the port takes a ledger slot, admission
   /// charges it, and marking schemes see the pool occupancy in their
@@ -141,7 +134,7 @@ class Port {
   ecn::MarkPoint mark_point_;
   std::uint64_t buffer_bytes_;
   std::unique_ptr<BufferPolicy> policy_;
-  Classifier classifier_;
+  std::size_t num_queues_;
   BufferPool* pool_ = nullptr;
   BufferPool::SlotId pool_slot_ = 0;
   net::TapList taps_;

@@ -1,7 +1,8 @@
 #include "telemetry/json_reader.hpp"
 
-#include <cstdio>
 #include <cstdlib>
+
+#include "telemetry/run_report.hpp"
 
 namespace pmsb::telemetry::json {
 
@@ -254,81 +255,46 @@ Value parse(const std::string& text) { return Parser(text).parse_document(); }
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_value(std::string& out, const Value& v) {
+void write_value(JsonWriter& w, const Value& v) {
   switch (v.kind) {
     case Value::Kind::kNull:
-      out += "null";
+      w.raw_value("null");
       break;
     case Value::Kind::kBool:
-      out += v.boolean ? "true" : "false";
+      w.value(v.boolean);
       break;
     case Value::Kind::kNumber:
-      if (!v.raw_number.empty()) {
-        out += v.raw_number;
+      if (v.raw_number.empty()) {
+        w.value(v.number);
       } else {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", v.number);
-        out += buf;
+        w.raw_value(v.raw_number);
       }
       break;
     case Value::Kind::kString:
-      append_escaped(out, v.string);
+      w.value(v.string);
       break;
-    case Value::Kind::kArray: {
-      out += '[';
-      bool first = true;
-      for (const Value& e : v.array) {
-        if (!first) out += ',';
-        first = false;
-        append_value(out, e);
-      }
-      out += ']';
+    case Value::Kind::kArray:
+      w.begin_array();
+      for (const Value& e : v.array) write_value(w, e);
+      w.end_array();
       break;
-    }
-    case Value::Kind::kObject: {
-      out += '{';
-      bool first = true;
+    case Value::Kind::kObject:
+      w.begin_object();
       for (const auto& [k, e] : v.object) {
-        if (!first) out += ',';
-        first = false;
-        append_escaped(out, k);
-        out += ':';
-        append_value(out, e);
+        w.key(k);
+        write_value(w, e);
       }
-      out += '}';
+      w.end_object();
       break;
-    }
   }
 }
 
 }  // namespace
 
 std::string to_json(const Value& value) {
-  std::string out;
-  append_value(out, value);
-  return out;
+  JsonWriter w;
+  write_value(w, value);
+  return w.str();
 }
 
 }  // namespace pmsb::telemetry::json

@@ -53,8 +53,8 @@ class Value {
 /// garbage is an error). Throws ParseError on malformed or truncated input.
 [[nodiscard]] Value parse(const std::string& text);
 
-/// Serializes a Value back to JSON text with JsonWriter's escape set, keys
-/// in sorted-map order, and numbers re-emitted from their raw token. A
+/// Serializes a Value back to JSON text through JsonWriter, keys in
+/// sorted-map order, and numbers re-emitted from their raw token. A
 /// document written with sorted keys (pmsb.profile/1) satisfies
 /// to_json(parse(text)) == text — the byte-stability the regression tests
 /// rely on for profile round-trips.

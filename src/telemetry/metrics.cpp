@@ -49,8 +49,6 @@ double Histogram::upper_bound(std::size_t i) const {
 }
 
 double MetricsRegistry::Entry::current_value() const {
-  if (counter) return static_cast<double>(counter->value());
-  if (gauge) return gauge->value();
   if (bound_u64 != nullptr) return static_cast<double>(*bound_u64);
   if (fn_u64) return static_cast<double>(fn_u64());
   if (fn_f64) return fn_f64();
@@ -81,34 +79,6 @@ const MetricsRegistry::Entry* MetricsRegistry::find(const std::string& name,
   const auto it = index_.find(instrument_key(name, labels));
   if (it == index_.end()) return nullptr;
   return &entries_[it->second];
-}
-
-Counter& MetricsRegistry::counter(const std::string& name, const Labels& labels,
-                                  const std::string& unit) {
-  if (const Entry* e = find(name, labels)) {
-    if (e->kind != InstrumentKind::kCounter || !e->counter) {
-      throw std::invalid_argument("MetricsRegistry: " + instrument_key(name, labels) +
-                                  " exists with a different kind");
-    }
-    return *e->counter;
-  }
-  Entry& e = emplace(name, labels, unit, InstrumentKind::kCounter);
-  e.counter = std::make_unique<Counter>();
-  return *e.counter;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels,
-                              const std::string& unit) {
-  if (const Entry* e = find(name, labels)) {
-    if (e->kind != InstrumentKind::kGauge || !e->gauge) {
-      throw std::invalid_argument("MetricsRegistry: " + instrument_key(name, labels) +
-                                  " exists with a different kind");
-    }
-    return *e->gauge;
-  }
-  Entry& e = emplace(name, labels, unit, InstrumentKind::kGauge);
-  e.gauge = std::make_unique<Gauge>();
-  return *e.gauge;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
@@ -209,8 +179,6 @@ void bind_simulator_metrics(MetricsRegistry& registry, const sim::Simulator& sim
                     [s] { return static_cast<double>(s->pending_events()); }, "events");
   registry.gauge_fn("sim.max_heap_depth", {},
                     [s] { return static_cast<double>(s->max_heap_depth()); }, "events");
-  registry.counter_fn("sim.dispatch_wall_ns", {}, [s] { return s->dispatch_wall_ns(); },
-                      "ns");
 }
 
 }  // namespace pmsb::telemetry

@@ -1,21 +1,17 @@
-// Unified metrics layer for dcnsim: named Counter / Gauge / Histogram
+// Unified metrics layer for dcnsim: named counter / gauge / histogram
 // instruments with labels, collected by a MetricsRegistry.
 //
-// Design rules (same discipline as sim/logging.hpp):
-//  - the steady-state path of an owned Counter is a single integer add —
-//    no strings, no locks, no formatting, no branches. The kernel is
-//    single-threaded, so a plain (relaxed) add is exactly as strong as the
-//    hardware needs;
-//  - all naming/label work happens once at registration time; the handle a
-//    component holds is a stable pointer into the registry;
-//  - components that already keep their own cheap counters (PortStats,
-//    SenderStats) are exposed through *bound* instruments: the registry
-//    reads the existing cell at collection time, so the hot path pays
-//    nothing at all and the exported value can never drift from the legacy
-//    struct;
+// Design rules:
+//  - components keep their own cheap counters (PortStats, SenderStats) and
+//    expose them through *bound* instruments: the registry reads the
+//    existing cell at collection time, so the hot path pays nothing at all
+//    and the exported value can never drift from the component's struct;
 //  - values that are a pure function of live state (queue backlog, cwnd,
 //    heap depth) are *probe* instruments: a callback evaluated only when a
-//    sampler or manifest writer collects.
+//    sampler or manifest writer collects;
+//  - distributions (the TCN / CoDel sojourn times) are histograms the
+//    registry owns; the holder observes through a stable reference;
+//  - all naming/label work happens once at registration time.
 #pragma once
 
 #include <cstdint>
@@ -39,27 +35,6 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Canonical identity string: `name{k1=v1,k2=v2}` with keys sorted.
 [[nodiscard]] std::string instrument_key(const std::string& name, const Labels& labels);
-
-/// Monotone event count. Owned by the registry; the holder increments.
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) { value_ += n; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Last-written value (set/add), e.g. an occupancy or a rate.
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  void add(double d) { value_ += d; }
-  [[nodiscard]] double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
 
 /// Fixed-bucket histogram. `upper_bounds` must be strictly increasing; an
 /// implicit +inf bucket is appended. A value lands in the FIRST bucket whose
@@ -102,13 +77,9 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // --- Owned instruments (registry holds the cell) ---
-  /// Registers (or looks up) a counter. Re-registering the same
-  /// (name, labels) returns the SAME instrument; a kind clash throws.
-  Counter& counter(const std::string& name, const Labels& labels = {},
-                   const std::string& unit = "");
-  Gauge& gauge(const std::string& name, const Labels& labels = {},
-               const std::string& unit = "");
+  // --- Owned histogram (registry holds the cell) ---
+  /// Registers (or looks up) a histogram. Re-registering the same
+  /// (name, labels) returns the SAME histogram; a kind clash throws.
   Histogram& histogram(const std::string& name, std::vector<double> upper_bounds,
                        const Labels& labels = {}, const std::string& unit = "");
 
@@ -160,8 +131,6 @@ class MetricsRegistry {
     std::string unit;
     InstrumentKind kind = InstrumentKind::kCounter;
     // Exactly one of the following value sources is active.
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> hist;
     const std::uint64_t* bound_u64 = nullptr;
     std::function<std::uint64_t()> fn_u64;
@@ -179,9 +148,8 @@ class MetricsRegistry {
 };
 
 /// Publishes the simulation kernel's own counters (events executed /
-/// cancelled, max heap depth, pending events, and — when the build enables
-/// PMSB_PROFILE_DISPATCH — wall-clock nanoseconds spent in event callbacks)
-/// as probe instruments. The simulator must outlive the registry.
+/// cancelled, max heap depth, pending events) as probe instruments. The
+/// simulator must outlive the registry.
 void bind_simulator_metrics(MetricsRegistry& registry, const sim::Simulator& simulator);
 
 }  // namespace pmsb::telemetry

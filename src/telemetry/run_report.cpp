@@ -20,6 +20,12 @@ std::int64_t wall_now_ns() {
 
 }  // namespace
 
+std::string format_double(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
 const char* build_git_describe() {
 #ifdef PMSB_GIT_DESCRIBE
   return PMSB_GIT_DESCRIBE;
@@ -108,13 +114,7 @@ JsonWriter& JsonWriter::value(const char* v) { return value(std::string(v)); }
 
 JsonWriter& JsonWriter::value(double v) {
   before_value();
-  if (!std::isfinite(v)) {
-    out_ += "null";
-    return *this;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out_ += buf;
+  out_ += std::isfinite(v) ? format_double(v) : "null";
   return *this;
 }
 

@@ -36,8 +36,14 @@
 
 namespace pmsb::telemetry {
 
+/// The one text form of a double in the repo's exports: "%.17g", which
+/// parses back to the identical double. JsonWriter numbers, the CSV time
+/// columns and sweep signatures all use it.
+[[nodiscard]] std::string format_double(double v);
+
 /// Minimal streaming JSON writer (objects, arrays, strings, numbers) with
-/// correct escaping. Non-finite numbers are emitted as null.
+/// correct escaping: the repo's one JSON string escaper. Non-finite numbers
+/// are emitted as null.
 class JsonWriter {
  public:
   JsonWriter& begin_object();

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "telemetry/run_report.hpp"
+
 namespace pmsb::telemetry {
 
 TimeSeriesSampler::TimeSeriesSampler(sim::Simulator& simulator, sim::TimeNs period)
@@ -24,22 +26,12 @@ void TimeSeriesSampler::add_probe(std::string name, std::function<double()> fn) 
   cols_.push_back(std::move(c));
 }
 
-void TimeSeriesSampler::add_gauge(std::string name, const Gauge& gauge) {
-  const Gauge* g = &gauge;
-  add_probe(std::move(name), [g] { return g->value(); });
-}
-
 void TimeSeriesSampler::add_rate(std::string name, std::function<std::uint64_t()> fn) {
   if (running_) throw std::logic_error("TimeSeriesSampler: add column after start()");
   Column c;
   c.name = std::move(name);
   c.rate_source = std::move(fn);
   cols_.push_back(std::move(c));
-}
-
-void TimeSeriesSampler::add_counter_rate(std::string name, const Counter& counter) {
-  const Counter* c = &counter;
-  add_rate(std::move(name), [c] { return c->value(); });
 }
 
 void TimeSeriesSampler::start() {
@@ -87,16 +79,13 @@ void TimeSeriesSampler::sample() {
   }
   if (stream_) {
     if (!stream_header_written_) {
-      *stream_ << "time_us";
-      for (const Column& c : cols_) *stream_ << ',' << c.name;
-      *stream_ << '\n';
+      write_header(*stream_);
       stream_header_written_ = true;
     }
-    *stream_ << times_us_.back();
-    for (const Column& c : cols_) *stream_ << ',' << c.data.back();
+    write_row(*stream_, times_us_.size() - 1);
     // Flush each row: a watchdog abort unwinds through the event loop and
     // must not take the tail of the series with it.
-    *stream_ << '\n' << std::flush;
+    stream_->flush();
   }
   pending_ = sim_.schedule_in(period_, [this] { sample(); });
 }
@@ -106,14 +95,20 @@ void TimeSeriesSampler::write_csv(const std::string& path) const {
   if (!out) {
     throw std::runtime_error("TimeSeriesSampler::write_csv: cannot open " + path);
   }
+  write_header(out);
+  for (std::size_t row = 0; row < times_us_.size(); ++row) write_row(out, row);
+}
+
+void TimeSeriesSampler::write_header(std::ostream& out) const {
   out << "time_us";
   for (const Column& c : cols_) out << ',' << c.name;
   out << '\n';
-  for (std::size_t row = 0; row < times_us_.size(); ++row) {
-    out << times_us_[row];
-    for (const Column& c : cols_) out << ',' << c.data[row];
-    out << '\n';
-  }
+}
+
+void TimeSeriesSampler::write_row(std::ostream& out, std::size_t row) const {
+  out << format_double(times_us_[row]);
+  for (const Column& c : cols_) out << ',' << c.data[row];
+  out << '\n';
 }
 
 }  // namespace pmsb::telemetry

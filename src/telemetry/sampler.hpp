@@ -26,7 +26,6 @@
 
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace pmsb::telemetry {
 
@@ -39,13 +38,9 @@ class TimeSeriesSampler {
 
   /// Adds a gauge-style column sampled as fn() each period.
   void add_probe(std::string name, std::function<double()> fn);
-  /// Adds a gauge instrument as a column.
-  void add_gauge(std::string name, const Gauge& gauge);
   /// Adds a counter-style column exported as events/second since the
   /// previous sample (first row reports the rate since start()).
   void add_rate(std::string name, std::function<std::uint64_t()> fn);
-  /// Adds a counter instrument as a rate column.
-  void add_counter_rate(std::string name, const Counter& counter);
 
   /// Takes the first sample at the current simulation time, then one every
   /// period until stop(). Columns must all be added before start().
@@ -64,7 +59,9 @@ class TimeSeriesSampler {
     return cols_.at(i).data;
   }
 
-  /// Columnar CSV: `time_us,<col0>,<col1>,...` one row per sample.
+  /// Columnar CSV: `time_us,<col0>,<col1>,...` one row per sample. The
+  /// time column is written with format_double, so it round-trips to the
+  /// nanosecond.
   void write_csv(const std::string& path) const;
 
   /// Streams rows to `path` as they are sampled: the header goes out with
@@ -86,6 +83,8 @@ class TimeSeriesSampler {
   };
 
   void sample();
+  void write_header(std::ostream& out) const;
+  void write_row(std::ostream& out, std::size_t row) const;
 
   sim::Simulator& sim_;
   sim::TimeNs period_;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "telemetry/json_reader.hpp"
+#include "telemetry/run_report.hpp"
 
 namespace pmsb::trace {
 
@@ -278,7 +279,7 @@ std::string port_heatmap_csv(const std::vector<PortEvent>& events,
   for (std::size_t q = 0; q < num_queues; ++q) out << ",q" << q;
   out << '\n';
   for (const auto& [bucket, row] : grid) {
-    out << (t0 + static_cast<double>(bucket) * bucket_us);
+    out << telemetry::format_double(t0 + static_cast<double>(bucket) * bucket_us);
     for (std::size_t q = 0; q < num_queues; ++q) {
       out << ',' << (q < row.size() ? row[q] : 0);
     }

@@ -103,7 +103,8 @@ struct PortReport {
 
 /// Occupancy heatmap: one row per time bucket of `bucket_us`, one column
 /// per queue, cell = enqueued bytes-events count in that bucket (enqueue
-/// events charged to their queue). CSV header: time_us,q0,q1,...
+/// events charged to their queue). CSV header: time_us,q0,q1,...; the
+/// bucket start times are written with telemetry::format_double.
 [[nodiscard]] std::string port_heatmap_csv(const std::vector<PortEvent>& events,
                                            double bucket_us);
 

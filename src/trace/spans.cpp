@@ -3,7 +3,7 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "trace/json_escape.hpp"
+#include "telemetry/run_report.hpp"
 
 namespace pmsb::trace {
 
@@ -61,14 +61,20 @@ void SpanTracer::write_ndjson(const std::string& path) const {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("SpanTracer::write_ndjson: cannot open " + path);
   for_each_chronological([&](const SpanRecord& s) {
-    out << "{\"t_ns\":" << s.time << ",\"phase\":\"" << span_phase_name(s.phase)
-        << "\",\"packet\":" << s.packet << ",\"flow\":" << s.flow
-        << ",\"node\":\""
-        << (s.node == kNoNode ? std::string() : json_escape(nodes_.at(s.node)))
-        << "\",\"queue\":" << s.queue << ",\"seq\":" << s.seq
-        << ",\"size_bytes\":" << s.size_bytes << ",\"marked\":"
-        << (s.marked ? "true" : "false") << ",\"retransmit\":"
-        << (s.retransmit ? "true" : "false") << "}\n";
+    telemetry::JsonWriter w;
+    w.begin_object();
+    w.key("t_ns").value(s.time);
+    w.key("phase").value(span_phase_name(s.phase));
+    w.key("packet").value(s.packet);
+    w.key("flow").value(static_cast<std::uint64_t>(s.flow));
+    w.key("node").value(s.node == kNoNode ? std::string() : nodes_.at(s.node));
+    w.key("queue").value(static_cast<std::uint64_t>(s.queue));
+    w.key("seq").value(s.seq);
+    w.key("size_bytes").value(static_cast<std::uint64_t>(s.size_bytes));
+    w.key("marked").value(s.marked);
+    w.key("retransmit").value(s.retransmit);
+    w.end_object();
+    out << w.str() << '\n';
   });
 }
 

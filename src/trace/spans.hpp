@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "net/packet.hpp"
 #include "net/packet_observer.hpp"
 #include "sim/time.hpp"
+#include "trace/bounded_log.hpp"
 
 namespace pmsb::trace {
 
@@ -75,19 +75,16 @@ struct SpanRecord {
   bool retransmit = false;    ///< kSend only: this is a retransmission
 };
 
-/// Bounded collector of SpanRecords with the Tracer's overflow semantics:
-/// kDropNewest keeps the head and counts the rest, kRingBuffer keeps the
-/// tail. Default capacity is generous because spans are per-sampled-flow,
-/// not per-port. As an observer, the site id is the NodeId of the
-/// component (intern_node); a link's on_link_rx yields kLinkTx + kRx.
-class SpanTracer final : public net::PacketObserver {
+/// Bounded collector of SpanRecords (bounded_log.hpp, as the port
+/// Tracer). Default capacity is generous because spans are
+/// per-sampled-flow, not per-port. As an observer, the site id is the
+/// NodeId of the component (intern_node); a link's on_link_rx yields
+/// kLinkTx + kRx.
+class SpanTracer final : public net::PacketObserver, private BoundedLog<SpanRecord> {
  public:
-  /// What to do with a new span once `capacity` is reached.
-  enum class OverflowPolicy : std::uint8_t { kDropNewest, kRingBuffer };
-
   explicit SpanTracer(std::size_t capacity = 1'000'000,
                       OverflowPolicy policy = OverflowPolicy::kDropNewest)
-      : capacity_(capacity), policy_(policy) {}
+      : BoundedLog(capacity, policy) {}
 
   /// Adds `flow` to the sampled set. Only watched flows are recorded.
   void watch_flow(net::FlowId flow) { watched_.insert(flow); }
@@ -135,51 +132,22 @@ class SpanTracer final : public net::PacketObserver {
   void on_ack(net::SiteId site, sim::TimeNs now, const net::Packet& ack,
               bool mark_accepted, sim::TimeNs rtt_sample) override;
 
-  /// Raw storage; NOT chronological after a ring wrap. Use
-  /// for_each_chronological() or write_ndjson() for ordered access.
-  [[nodiscard]] const std::vector<SpanRecord>& records() const { return records_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-
-  void for_each_chronological(
-      const std::function<void(const SpanRecord&)>& fn) const {
-    for (std::size_t i = write_; i < records_.size(); ++i) fn(records_[i]);
-    for (std::size_t i = 0; i < write_; ++i) fn(records_[i]);
-  }
+  using BoundedLog::for_each_chronological, BoundedLog::overflow, BoundedLog::records,
+      BoundedLog::size;
 
   /// NDJSON dump (chronological), one object per span with keys
-  /// t_ns, phase, packet, flow, node (escaped name or ""), queue, seq,
-  /// size_bytes, marked, retransmit. Read back by
-  /// trace::read_spans_ndjson().
+  /// t_ns, phase, packet, flow, node (name or ""), queue, seq, size_bytes,
+  /// marked, retransmit. Read back by trace::read_spans_ndjson().
   void write_ndjson(const std::string& path) const;
 
  private:
-  /// Appends a span already known to be wanted.
-  void store(const SpanRecord& span) {
-    if (records_.size() < capacity_) {
-      records_.push_back(span);
-      return;
-    }
-    if (policy_ == OverflowPolicy::kDropNewest || capacity_ == 0) {
-      ++overflow_;
-      return;
-    }
-    ++overflow_;
-    records_[write_] = span;
-    write_ = (write_ + 1) % capacity_;
-  }
   /// A switch-port span (queue and CE bit from the packet).
   void port_span(SpanPhase phase, net::SiteId node, sim::TimeNs now,
                  const net::Packet& pkt, std::size_t queue);
 
-  std::size_t capacity_;
-  OverflowPolicy policy_;
   bool watch_all_ = false;
   std::unordered_set<net::FlowId> watched_;
   std::vector<std::string> nodes_;
-  std::vector<SpanRecord> records_;
-  std::size_t write_ = 0;  ///< ring mode: index of the oldest span
-  std::uint64_t overflow_ = 0;
 };
 
 }  // namespace pmsb::trace

@@ -3,26 +3,24 @@
 #include <fstream>
 #include <stdexcept>
 
-namespace pmsb::trace {
+#include "telemetry/run_report.hpp"
 
-void Tracer::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("Tracer::write_csv: cannot open " + path);
-  out << "time_us,event,packet,flow,queue,port_bytes\n";
-  for_each_chronological([&out](const Record& r) {
-    out << sim::to_microseconds(r.time) << ',' << event_kind_name(r.kind) << ','
-        << r.packet << ',' << r.flow << ',' << r.queue << ',' << r.port_bytes << '\n';
-  });
-}
+namespace pmsb::trace {
 
 void Tracer::write_ndjson(const std::string& path) const {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("Tracer::write_ndjson: cannot open " + path);
   for_each_chronological([&out](const Record& r) {
-    out << "{\"t_us\":" << sim::to_microseconds(r.time) << ",\"event\":\""
-        << event_kind_name(r.kind) << "\",\"packet\":" << r.packet
-        << ",\"flow\":" << r.flow << ",\"queue\":" << r.queue
-        << ",\"port_bytes\":" << r.port_bytes << "}\n";
+    telemetry::JsonWriter w;
+    w.begin_object();
+    w.key("t_us").value(sim::to_microseconds(r.time));
+    w.key("event").value(event_kind_name(r.kind));
+    w.key("packet").value(r.packet);
+    w.key("flow").value(static_cast<std::uint64_t>(r.flow));
+    w.key("queue").value(static_cast<std::uint64_t>(r.queue));
+    w.key("port_bytes").value(r.port_bytes);
+    w.end_object();
+    out << w.str() << '\n';
   });
 }
 

@@ -2,33 +2,23 @@
 //
 // A Tracer is a net::PacketObserver: attach it to a Port (add_observer) to
 // capture enqueue / dequeue / mark / drop events with timestamps and buffer
-// state. Intended for debugging marking
-// behaviour and for fine-grained analysis (e.g. "which queue's packets were
-// marked while the port was over threshold" — the victim question at the
-// heart of the paper). Bounded capacity so a forgotten tracer cannot eat
-// the heap; on overflow the tracer either drops new records (kDropNewest,
-// the default) or overwrites the oldest (kRingBuffer — post-mortems want
-// the tail, not the head). Either way `overflow()` counts what was lost.
-//
-// Event counts are maintained incrementally on record, so `count()` /
-// `count_queue()` are O(1) regardless of capture size.
+// state. Intended for debugging marking behaviour and for fine-grained
+// analysis (e.g. "which queue's packets were marked while the port was over
+// threshold" — the victim question at the heart of the paper). Capture is
+// bounded (see bounded_log.hpp); count events by walking records().
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "net/packet.hpp"
 #include "net/packet_observer.hpp"
 #include "sim/time.hpp"
+#include "trace/bounded_log.hpp"
 
 namespace pmsb::trace {
 
 enum class EventKind : std::uint8_t { kEnqueue, kDequeue, kMark, kDrop };
-
-inline constexpr std::size_t kNumEventKinds = 4;
 
 [[nodiscard]] inline const char* event_kind_name(EventKind kind) {
   switch (kind) {
@@ -49,17 +39,11 @@ struct Record {
   std::uint64_t port_bytes = 0;  ///< port occupancy at the event
 };
 
-/// What to do with a new record once `capacity` is reached.
-enum class OverflowPolicy : std::uint8_t {
-  kDropNewest,  ///< keep the first N records, count the rest as overflow
-  kRingBuffer,  ///< keep the LAST N records, overwriting the oldest
-};
-
-class Tracer final : public net::PacketObserver {
+class Tracer final : public net::PacketObserver, private BoundedLog<Record> {
  public:
   explicit Tracer(std::size_t capacity = 1'000'000,
                   OverflowPolicy policy = OverflowPolicy::kDropNewest)
-      : capacity_(capacity), policy_(policy) {}
+      : BoundedLog(capacity, policy) {}
 
   // --- net::PacketObserver: port events (the site id is not recorded) ---
   void on_enqueue(net::SiteId /*site*/, sim::TimeNs now, const net::Packet& pkt,
@@ -79,83 +63,14 @@ class Tracer final : public net::PacketObserver {
     record({now, EventKind::kDrop, pkt.id, pkt.flow_id, queue, port_bytes});
   }
 
-  /// Restrict capture to one flow (0 = capture everything).
-  void set_flow_filter(net::FlowId flow) { flow_filter_ = flow; }
+  void record(const Record& rec) { store(rec); }
 
-  void record(const Record& rec) {
-    if (flow_filter_ != 0 && rec.flow != flow_filter_) return;
-    if (records_.size() < capacity_) {
-      records_.push_back(rec);
-      bump(rec, +1);
-      return;
-    }
-    if (policy_ == OverflowPolicy::kDropNewest || capacity_ == 0) {
-      ++overflow_;
-      return;
-    }
-    // Ring mode: evict the oldest record in place.
-    bump(records_[write_], -1);
-    ++overflow_;
-    records_[write_] = rec;
-    bump(rec, +1);
-    write_ = (write_ + 1) % capacity_;
-  }
-
-  /// Raw storage. In ring mode after wrap-around this is NOT chronological;
-  /// use for_each_chronological() or the exporters for ordered access.
-  [[nodiscard]] const std::vector<Record>& records() const { return records_; }
-  /// Records lost (kDropNewest) or evicted (kRingBuffer).
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] OverflowPolicy policy() const { return policy_; }
-
-  /// Visits the retained records oldest-first.
-  void for_each_chronological(const std::function<void(const Record&)>& fn) const {
-    for (std::size_t i = write_; i < records_.size(); ++i) fn(records_[i]);
-    for (std::size_t i = 0; i < write_; ++i) fn(records_[i]);
-  }
-
-  /// O(1): retained events of `kind` (maintained incrementally).
-  [[nodiscard]] std::size_t count(EventKind kind) const {
-    return counts_[static_cast<std::size_t>(kind)];
-  }
-
-  /// O(1): retained events of `kind` charged to queue `q`.
-  [[nodiscard]] std::size_t count_queue(EventKind kind, std::size_t q) const {
-    if (q >= queue_counts_.size()) return 0;
-    return queue_counts_[q][static_cast<std::size_t>(kind)];
-  }
-
-  void clear() {
-    records_.clear();
-    overflow_ = 0;
-    write_ = 0;
-    counts_.fill(0);
-    queue_counts_.clear();
-  }
-
-  /// CSV dump (chronological): time_us, event, packet, flow, queue, port_bytes.
-  void write_csv(const std::string& path) const;
+  using BoundedLog::clear, BoundedLog::for_each_chronological, BoundedLog::overflow,
+      BoundedLog::records;
 
   /// NDJSON dump (chronological): one JSON object per line with keys
   /// t_us, event, packet, flow, queue, port_bytes.
   void write_ndjson(const std::string& path) const;
-
- private:
-  void bump(const Record& rec, int delta) {
-    const auto k = static_cast<std::size_t>(rec.kind);
-    counts_[k] += static_cast<std::size_t>(delta);
-    if (rec.queue >= queue_counts_.size()) queue_counts_.resize(rec.queue + 1);
-    queue_counts_[rec.queue][k] += static_cast<std::size_t>(delta);
-  }
-
-  std::size_t capacity_;
-  OverflowPolicy policy_;
-  net::FlowId flow_filter_ = 0;
-  std::vector<Record> records_;
-  std::size_t write_ = 0;  ///< ring mode: index of the oldest record
-  std::uint64_t overflow_ = 0;
-  std::array<std::size_t, kNumEventKinds> counts_{};
-  std::vector<std::array<std::size_t, kNumEventKinds>> queue_counts_;
 };
 
 }  // namespace pmsb::trace

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "telemetry/json_reader.hpp"
+#include "telemetry/run_report.hpp"
 
 namespace pmsb::workload {
 
@@ -57,19 +58,28 @@ void write_flow_trace(const std::string& path, std::size_t num_hosts,
   if (!out) throw std::runtime_error("flow_trace: cannot open " + path);
   // Keys in sorted order, matching the JSON writers elsewhere, so a trace
   // round-trips byte-stably through telemetry::json.
-  out << "{\"flows\":" << flows.size() << ",\"hosts\":" << num_hosts
-      << ",\"schema\":\"" << kFlowTraceSchema << "\"}\n";
+  telemetry::JsonWriter header;
+  header.begin_object();
+  header.key("flows").value(static_cast<std::uint64_t>(flows.size()));
+  header.key("hosts").value(static_cast<std::uint64_t>(num_hosts));
+  header.key("schema").value(kFlowTraceSchema);
+  header.end_object();
+  out << header.str() << '\n';
   for (const FlowSpec& f : flows) {
-    out << '{';
-    if (f.deadline > 0) out << "\"deadline_ns\":" << f.deadline << ',';
-    out << "\"dst\":" << static_cast<std::uint64_t>(f.dst) << ',';
-    if (f.group != stats::kNoGroupId) out << "\"group\":" << f.group << ',';
-    out << "\"pattern\":\"" << stats::pattern_tag_name(f.pattern) << "\","
-        << "\"service\":" << static_cast<unsigned>(f.service) << ','
-        << "\"size_bytes\":" << f.bytes << ','
-        << "\"src\":" << static_cast<std::uint64_t>(f.src) << ',';
-    if (f.group != stats::kNoGroupId) out << "\"stage\":" << f.stage << ',';
-    out << "\"start_time_ns\":" << f.start << "}\n";
+    const bool grouped = f.group != stats::kNoGroupId;
+    telemetry::JsonWriter w;
+    w.begin_object();
+    if (f.deadline > 0) w.key("deadline_ns").value(f.deadline);
+    w.key("dst").value(static_cast<std::uint64_t>(f.dst));
+    if (grouped) w.key("group").value(static_cast<std::uint64_t>(f.group));
+    w.key("pattern").value(stats::pattern_tag_name(f.pattern));
+    w.key("service").value(static_cast<std::uint64_t>(f.service));
+    w.key("size_bytes").value(f.bytes);
+    w.key("src").value(static_cast<std::uint64_t>(f.src));
+    if (grouped) w.key("stage").value(static_cast<std::uint64_t>(f.stage));
+    w.key("start_time_ns").value(f.start);
+    w.end_object();
+    out << w.str() << '\n';
   }
   if (!out) throw std::runtime_error("flow_trace: write failed for " + path);
 }

@@ -12,6 +12,8 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "experiments/options.hpp"
 #include "sweep/cell_supervisor.hpp"
 #include "sweep/sweep.hpp"
+#include "telemetry/json_reader.hpp"
 #include "telemetry/manifest_reader.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -313,6 +316,28 @@ TEST(IsolatedSweep, ReproBundleReRunsTheExactCell) {
   point.opts.erase("metrics_json");
   const auto outcome = sweep::run_cell_in_child(point, {}, 1);
   EXPECT_EQ(outcome.exit_class, sweep::ExitClass::kOk) << outcome.error;
+}
+
+TEST(IsolatedSweep, ReproBundleNamesTheSeedTheCellRanWith) {
+  // No seed= anywhere: the quarantined cell ran with the default seed, and
+  // its pmsb.repro/1 bundle must say so.
+  Options base;
+  base.set("topology", "dumbbell");
+  base.set("duration_ms", "5");
+  base.set("fault_test", "break_invariant");
+  const auto pts = sweep::expand_grid(base, "scheme:pmsb");
+  const std::string dir = fresh_dir("iso_repro_seed");
+  const auto recs = sweep::run_sweep(pts, isolated_config(dir));
+  ASSERT_FALSE(recs[0].ok);
+  EXPECT_TRUE(recs[0].quarantined);
+  ASSERT_FALSE(recs[0].repro_path.empty());
+  std::ifstream in(recs[0].repro_path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const auto bundle = telemetry::json::parse(text);
+  ASSERT_NE(bundle.find("seed"), nullptr) << text;
+  EXPECT_EQ(bundle.at("seed").raw_number, "1") << text;
+  EXPECT_EQ(telemetry::read_run_manifest(recs[0].manifest_path).seed, 1u);
 }
 
 TEST(IsolatedSweep, WedgedCallbackIsTheDeadlineBlindSpotAndGetsHardKilled) {

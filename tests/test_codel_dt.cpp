@@ -101,7 +101,6 @@ TEST(Codel, FactoryForcesDequeueAndBuilds) {
   auto scheme = make_marking(cfg);
   EXPECT_EQ(scheme->name(), "CoDel");
   EXPECT_FALSE(scheme->early_notification());
-  EXPECT_EQ(parse_marking_kind("codel"), MarkingKind::kCodel);
 }
 
 TEST(Codel, KeepsLinkSaturatedEndToEnd) {

@@ -1,6 +1,7 @@
 // Tests for CSV export.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -72,19 +73,31 @@ TEST(Csv, TraceExport) {
   EXPECT_NE(text.find("4500"), std::string::npos);
 }
 
-TEST(Csv, ThroughputExport) {
+TEST(Csv, SamplerTimeColumnRoundTripsToTheNanosecond) {
+  // Rows at 1000.003 us + k * 1.001 us need seven or more significant
+  // digits; both the buffered and the streamed CSV must keep them.
   sim::Simulator sim;
-  std::uint64_t bytes = 0;
-  std::function<void()> feed = [&] {
-    bytes += 1250;
-    sim.schedule_in(sim::microseconds(1), feed);
-  };
-  sim.schedule_at(0, feed);
-  ThroughputMeter meter(sim, [&] { return bytes; }, sim::microseconds(50));
-  sim.run(sim::microseconds(500));
-  const auto path = temp_path("tput.csv");
-  write_throughput_csv(path, meter);
-  const auto text = read_all(path);
-  EXPECT_NE(text.find("time_us,gbps"), std::string::npos);
-  EXPECT_GE(std::count(text.begin(), text.end(), '\n'), 5);
+  telemetry::TimeSeriesSampler sampler(sim, 1'001);
+  sampler.add_probe("zero", [] { return 0.0; });
+  const auto streamed = temp_path("exact_stream.csv");
+  sampler.stream_to(streamed);
+  sim.schedule_at(1'000'003, [&] { sampler.start(); });
+  sim.run(1'000'003 + 20 * 1'001);
+  const auto buffered = temp_path("exact.csv");
+  sampler.write_csv(buffered);
+  for (const auto& path : {buffered, streamed}) {
+    std::istringstream in(read_all(path));
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, "time_us,zero");
+    sim::TimeNs expected = 1'000'003;
+    std::size_t rows = 0;
+    while (std::getline(in, line)) {
+      const double t_us = std::stod(line.substr(0, line.find(',')));
+      EXPECT_EQ(std::llround(t_us * 1000.0), expected) << path << ": " << line;
+      expected += 1'001;
+      ++rows;
+    }
+    EXPECT_EQ(rows, 21u) << path;
+  }
 }

@@ -138,13 +138,6 @@ TEST(MarkingFactory, TcnForcesDequeuePoint) {
   EXPECT_EQ(effective_mark_point(cfg), MarkPoint::kEnqueue);
 }
 
-TEST(MarkingFactory, ParsesNames) {
-  EXPECT_EQ(parse_marking_kind("pmsb"), MarkingKind::kPmsb);
-  EXPECT_EQ(parse_marking_kind("MQ-ECN"), MarkingKind::kMqEcn);
-  EXPECT_EQ(parse_marking_kind("tcn"), MarkingKind::kTcn);
-  EXPECT_THROW(parse_marking_kind("bogus"), std::invalid_argument);
-}
-
 TEST(MarkingFactory, MqEcnRequiresWeights) {
   MarkingConfig cfg;
   cfg.kind = MarkingKind::kMqEcn;

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
+#include <string>
 
 #include "experiments/options.hpp"
 
@@ -61,12 +63,36 @@ TEST(Options, DoubleList) {
   EXPECT_DOUBLE_EQ(v[1], 2.5);
   EXPECT_DOUBLE_EQ(v[2], 4.0);
   EXPECT_TRUE(o.get_double_list("missing").empty());
+  // A malformed entry fails instead of truncating to its numeric prefix.
+  EXPECT_THROW(parse({"weights=1,2x"}).get_double_list("weights"), std::invalid_argument);
+  EXPECT_THROW(parse({"flows_per_queue=1,1x"}).get_double_list("flows_per_queue"),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"weights=1,abc"}).get_double_list("weights"), std::invalid_argument);
 }
 
 TEST(Options, MalformedTokensThrow) {
   EXPECT_THROW(parse({"novalue"}), std::invalid_argument);
   EXPECT_THROW(parse({"=x"}), std::invalid_argument);
   EXPECT_THROW(parse({"n=12x"}).get_int("n", 0), std::invalid_argument);
+  // Every numeric error names its key: not a number, trailing junk, or out
+  // of range.
+  const auto o = parse({"flows=abc", "duration_ms=xyz", "load=0.5x",
+                        "seed=99999999999999999999", "rate=1e999", "weights=1,2x"});
+  const auto expect_key_named = [](const std::string& key,
+                                   const std::function<void()>& read) {
+    try {
+      read();
+      ADD_FAILURE() << key << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos) << e.what();
+    }
+  };
+  expect_key_named("flows", [&] { (void)o.get_int("flows", 0); });
+  expect_key_named("duration_ms", [&] { (void)o.get_int("duration_ms", 0); });
+  expect_key_named("load", [&] { (void)o.get_double("load", 0); });
+  expect_key_named("seed", [&] { (void)o.get_int("seed", 1); });
+  expect_key_named("rate", [&] { (void)o.get_double("rate", 0); });
+  expect_key_named("weights", [&] { (void)o.get_double_list("weights"); });
 }
 
 TEST(Options, ConfigFileWithCommentsAndOverride) {

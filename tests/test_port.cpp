@@ -182,21 +182,6 @@ TEST(Port, EnqueueTimestampStamped) {
   EXPECT_EQ(sink.arrivals[0].enqueue_time, 4242);
 }
 
-TEST(Port, CustomClassifier) {
-  sim::Simulator sim;
-  SinkNode sink;
-  net::Link link(sim, sim::gbps(10), 0, &sink);
-  Port port(sim, &link, two_queue_config());
-  port.set_classifier([](const net::Packet&) { return std::size_t{1}; });
-  sim.schedule_at(0, [&] {
-    port.handle(data_pkt(0));
-    port.handle(data_pkt(0));
-    EXPECT_EQ(port.queue_bytes(1), 1500u);
-    EXPECT_EQ(port.queue_bytes(0), 0u);
-  });
-  sim.run();
-}
-
 TEST(Port, MarkedPerQueueCountsByQueue) {
   sim::Simulator sim;
   SinkNode sink;

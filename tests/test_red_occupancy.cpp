@@ -71,7 +71,6 @@ TEST(Red, FactoryBuildsIt) {
   cfg.red_max_probability = 0.1;
   auto scheme = make_marking(cfg);
   EXPECT_EQ(scheme->name(), "RED");
-  EXPECT_EQ(parse_marking_kind("red"), MarkingKind::kRed);
 }
 
 TEST(OccupancyEwma, ConvergesToConstantInput) {

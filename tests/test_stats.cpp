@@ -1,11 +1,10 @@
-// Tests for the statistics utilities: Summary, FctCollector, meters, table.
+// Tests for the statistics utilities: Summary, FctCollector, table.
 #include <gtest/gtest.h>
 
-#include "sim/simulator.hpp"
+#include "sim/units.hpp"
 #include "stats/fct.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
-#include "stats/throughput.hpp"
 
 using namespace pmsb;
 using namespace pmsb::stats;
@@ -94,32 +93,6 @@ TEST(FctCollector, SlowdownNormalises) {
   EXPECT_NEAR(s.min(), 1.0, 1e-9);
   EXPECT_NEAR(s.max(), 3.0, 1e-9);
   EXPECT_NEAR(s.mean(), 2.0, 1e-9);
-}
-
-TEST(ThroughputMeter, MeasuresCounterRate) {
-  sim::Simulator sim;
-  std::uint64_t bytes = 0;
-  // Feed 1250 bytes per microsecond = 10 Gbps.
-  std::function<void()> feeder = [&] {
-    bytes += 1250;
-    sim.schedule_in(sim::microseconds(1), feeder);
-  };
-  sim.schedule_at(0, feeder);
-  ThroughputMeter meter(sim, [&] { return bytes; }, sim::microseconds(100));
-  sim.run(sim::milliseconds(2));
-  ASSERT_GE(meter.samples().size(), 10u);
-  EXPECT_NEAR(meter.mean_gbps(sim::microseconds(200), sim::milliseconds(2)), 10.0, 0.3);
-}
-
-TEST(ThroughputMeter, WindowedMeanFilters) {
-  sim::Simulator sim;
-  std::uint64_t bytes = 0;
-  sim.schedule_at(sim::microseconds(500), [&] { bytes += 125'000; });
-  ThroughputMeter meter(sim, [&] { return bytes; }, sim::microseconds(100));
-  sim.run(sim::milliseconds(1));
-  // All the traffic landed in the [500us, 600us) sample.
-  EXPECT_GT(meter.mean_gbps(sim::microseconds(500), sim::microseconds(700)), 1.0);
-  EXPECT_DOUBLE_EQ(meter.mean_gbps(0, sim::microseconds(400)), 0.0);
 }
 
 TEST(Table, FormatsWithoutCrashing) {

@@ -183,6 +183,24 @@ TEST(ResumeSweep, FailedCellStubIsRerunNotSalvaged) {
   EXPECT_EQ(resumed[1].error, first[1].error);
 }
 
+TEST(ResumeSweep, FailedCellStubNamesTheSeedTheCellRanWith) {
+  // No seed= anywhere: the cell runs with the default seed, and its stub
+  // manifest must say so.
+  Options base;
+  base.set("topology", "dumbbell");
+  base.set("duration_ms", "5");
+  base.set("fault_test", "break_invariant");
+  const auto pts = sweep::expand_grid(base, "scheme:pmsb");
+  sweep::SweepConfig cfg;
+  cfg.manifest_dir = fresh_dir("failed_stub_seed");
+  const auto recs = sweep::run_sweep(pts, cfg);
+  ASSERT_FALSE(recs[0].ok);
+  EXPECT_NE(recs[0].error.find("packet_conservation"), std::string::npos) << recs[0].error;
+  const auto stub = telemetry::read_run_manifest(recs[0].manifest_path);
+  EXPECT_EQ(stub.info.at("status"), "failed");
+  EXPECT_EQ(stub.seed, 1u);
+}
+
 // --- try_salvage_cell validation ---------------------------------------
 
 namespace {

@@ -195,35 +195,25 @@ TEST(InstrumentKey, SortsLabelsAndFormats) {
             "port.marks{port=0,queue=3}");
 }
 
-TEST(MetricsRegistry, OwnedCounterReRegistrationReturnsSameCell) {
-  MetricsRegistry reg;
-  Counter& a = reg.counter("x.count", {}, "events");
-  a.inc(3);
-  Counter& b = reg.counter("x.count");
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_DOUBLE_EQ(reg.value("x.count"), 3.0);
-}
-
 TEST(MetricsRegistry, LabelsDistinguishInstruments) {
   MetricsRegistry reg;
-  Counter& q0 = reg.counter("port.marks", {{"queue", "0"}});
-  Counter& q1 = reg.counter("port.marks", {{"queue", "1"}});
-  EXPECT_NE(&q0, &q1);
-  q0.inc(5);
-  q1.inc(7);
-  EXPECT_DOUBLE_EQ(reg.value("port.marks", {{"queue", "0"}}), 5.0);
-  EXPECT_DOUBLE_EQ(reg.value("port.marks", {{"queue", "1"}}), 7.0);
+  std::uint64_t q0 = 5;
+  std::uint64_t q1 = 7;
+  reg.bind_counter("port.marks", {{"queue", "0"}, {"port", "a"}}, &q0);
+  reg.bind_counter("port.marks", {{"queue", "1"}, {"port", "a"}}, &q1);
+  EXPECT_EQ(reg.size(), 2u);
+  EXPECT_DOUBLE_EQ(reg.value("port.marks", {{"port", "a"}, {"queue", "0"}}), 5.0);
+  EXPECT_DOUBLE_EQ(reg.value("port.marks", {{"port", "a"}, {"queue", "1"}}), 7.0);
   // Label order must not matter for identity.
-  EXPECT_TRUE(reg.has("port.marks", {{"queue", "0"}}));
-  Counter& again = reg.counter("port.marks", {{"queue", "0"}});
-  EXPECT_EQ(&again, &q0);
+  EXPECT_TRUE(reg.has("port.marks", {{"port", "a"}, {"queue", "0"}}));
+  EXPECT_THROW(reg.bind_counter("port.marks", {{"port", "a"}, {"queue", "0"}}, &q1),
+               std::invalid_argument);
 }
 
 TEST(MetricsRegistry, KindClashThrows) {
   MetricsRegistry reg;
-  reg.counter("thing");
-  EXPECT_THROW(reg.gauge("thing"), std::invalid_argument);
+  reg.counter_fn("thing", {}, [] { return std::uint64_t{0}; });
+  EXPECT_THROW(reg.gauge_fn("thing", {}, [] { return 0.0; }), std::invalid_argument);
   EXPECT_THROW(reg.histogram("thing", {1.0}), std::invalid_argument);
 }
 
@@ -255,11 +245,13 @@ TEST(MetricsRegistry, ProbeInstrumentsEvaluateAtCollect) {
 
 TEST(MetricsRegistry, CollectSortedOrdersByInstrumentKey) {
   MetricsRegistry reg;
+  const auto zero = [] { return std::uint64_t{0}; };
+  const auto empty = [] { return 0.0; };
   // Register deliberately out of key order.
-  reg.counter("zeta.total");
-  reg.gauge("alpha.depth", {{"port", "b"}});
-  reg.gauge("alpha.depth", {{"port", "a"}});
-  reg.counter("mid.count");
+  reg.counter_fn("zeta.total", {}, zero);
+  reg.gauge_fn("alpha.depth", {{"port", "b"}}, empty);
+  reg.gauge_fn("alpha.depth", {{"port", "a"}}, empty);
+  reg.counter_fn("mid.count", {}, zero);
 
   // collect() preserves registration order (samplers and tests rely on it).
   const auto raw = reg.collect();
@@ -278,8 +270,8 @@ TEST(MetricsRegistry, CollectSortedOrdersByInstrumentKey) {
 
 TEST(RunManifest, MetricsSectionIsSortedByInstrumentKey) {
   MetricsRegistry reg;
-  reg.counter("z.last").inc(1);
-  reg.counter("a.first").inc(2);
+  reg.counter_fn("z.last", {}, [] { return std::uint64_t{1}; });
+  reg.counter_fn("a.first", {}, [] { return std::uint64_t{2}; });
   RunManifest manifest("t");
   const JsonValue root = JsonParser(manifest.to_json(&reg)).parse();
   const auto& metrics = root.at("metrics").array;
@@ -387,8 +379,10 @@ TEST(TimeSeriesSampler, StopCancelsFutureSamples) {
 
 TEST(RunManifest, JsonRoundTripsThroughParser) {
   MetricsRegistry reg;
-  reg.counter("events.total", {}, "events").inc(41);
-  reg.counter("port.marks", {{"queue", "0"}, {"port", "a\"b"}}, "packets").inc(7);
+  const std::uint64_t events = 41;
+  const std::uint64_t marks = 7;
+  reg.bind_counter("events.total", {}, &events, "events");
+  reg.bind_counter("port.marks", {{"queue", "0"}, {"port", "a\"b"}}, &marks, "packets");
   Histogram& h = reg.histogram("sojourn_us", {1.0, 10.0}, {}, "us");
   h.observe(0.5);
   h.observe(100.0);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
@@ -64,7 +65,7 @@ TEST(SpanTracer, OnlyWatchedFlowsAreRecorded) {
 }
 
 TEST(SpanTracer, RingWrapKeepsTheTailChronologically) {
-  SpanTracer spans(3, SpanTracer::OverflowPolicy::kRingBuffer);
+  SpanTracer spans(3, trace::OverflowPolicy::kRingBuffer);
   spans.watch_all();
   for (sim::TimeNs t = 1; t <= 5; ++t) {
     spans.record(make_span(t, SpanPhase::kSend, 1, static_cast<std::uint64_t>(t)));
@@ -83,7 +84,7 @@ TEST(SpanTracer, RingWrapKeepsTheTailChronologically) {
 }
 
 TEST(SpanTracer, DropNewestKeepsTheHead) {
-  SpanTracer spans(2, SpanTracer::OverflowPolicy::kDropNewest);
+  SpanTracer spans(2, trace::OverflowPolicy::kDropNewest);
   spans.watch_all();
   for (sim::TimeNs t = 1; t <= 4; ++t) {
     spans.record(make_span(t, SpanPhase::kSend, 1));
@@ -250,6 +251,25 @@ TEST(Analysis, HeatmapBucketsEnqueuesPerQueue) {
   EXPECT_EQ(line.substr(line.find(',') + 1), "1,1");
   std::getline(ss, line);
   EXPECT_EQ(line.substr(line.find(',') + 1), "0,1");
+}
+
+TEST(Analysis, HeatmapTimeColumnRoundTripsToTheNanosecond) {
+  // Events from 1000.003 us on: bucket starts need seven or more digits.
+  const std::string text =
+      "{\"t_us\": 1000.003, \"event\": \"enqueue\", \"packet\": 1, \"flow\": 1, "
+      "\"queue\": 0, \"port_bytes\": 0}\n"
+      "{\"t_us\": 1250.5, \"event\": \"enqueue\", \"packet\": 2, \"flow\": 1, "
+      "\"queue\": 0, \"port_bytes\": 0}\n";
+  const auto events = trace::parse_trace_ndjson(text, "heatmap-exact");
+  std::stringstream ss(trace::port_heatmap_csv(events, 100.0));
+  std::string line;
+  std::getline(ss, line);
+  EXPECT_EQ(line, "time_us,q0");
+  std::vector<long long> starts_ns;
+  while (std::getline(ss, line)) {
+    starts_ns.push_back(std::llround(std::stod(line.substr(0, line.find(','))) * 1000.0));
+  }
+  EXPECT_EQ(starts_ns, (std::vector<long long>{1'000'003, 1'200'003}));
 }
 
 TEST(Analysis, ProfileHotspotsRankBySelfTimeAndDiffsCompare) {

@@ -140,13 +140,10 @@ constexpr KeyHelp kKeys[] = {
     {"bleach_at", "comma list of node names overriding bleach locations"},
     {"fault_test", "break_invariant: deliberately trip the ledger (tests)"},
     {"invariants", "0 disables runtime invariant checking (default 1)"},
-    {"invariant_period_us", "invariant checking cadence (default 100)"},
     {"watchdog_horizon_ms", "abort when no flow progress for this long"},
     {"watchdog_events", "abort when executed events exceed this budget"},
-    {"watchdog_period_us", "watchdog sampling cadence (default 100)"},
     {"cell_timeout_s", "> 0: per-run wall-clock budget (in-process this is "
                        "best-effort; see isolate=)"},
-    {"cell_timeout_period_us", "deadline check cadence (default 500)"},
     // Sweeps.
     {"sweep", "grid spec \"key:v1,v2[;key2:w1,w2]\" — cartesian product"},
     {"jobs", "sweep worker threads (default 1)"},
