@@ -11,7 +11,6 @@
 #include <map>
 
 #include "fct_common.hpp"
-#include "regress/bench_json.hpp"
 
 using namespace pmsb;
 using namespace pmsb::experiments;
@@ -55,9 +54,6 @@ int main() {
                       "small_avg", "small_p95", "small_p99"},
                      12);
   std::map<std::pair<double, Scheme>, bench::FctResult> results;
-  regress::BenchReport bench_report;
-  bench_report.tool = "bench_fig16_21_dwrr_fct";
-  bench_report.scale = bench::full_scale() ? "full" : "quick";
   std::size_t next = 0;
   for (double load : loads) {
     for (Scheme scheme : schemes) {
@@ -66,22 +62,6 @@ int main() {
       next += seeds.size();
       const auto r = bench::aggregate_fct_cell(cell);
       results[{load, scheme}] = r;
-      // One pmsb.bench/1 record per (load, scheme) cell: the seed runs are
-      // the timed reps, events is the per-rep mean (seeds only perturb it
-      // slightly).
-      {
-        std::vector<double> wall;
-        std::uint64_t events_sum = 0;
-        for (const auto& run : cell) {
-          wall.push_back(run.wall_s);
-          events_sum += run.events;
-        }
-        char name[64];
-        std::snprintf(name, sizeof(name), "fct_dwrr/%s/load=%.1f",
-                      scheme_name(scheme).c_str(), load);
-        bench_report.benchmarks.push_back(regress::make_bench_record(
-            name, wall, events_sum / cell.size()));
-      }
       table.add_row({stats::Table::num(load, 1), scheme_name(scheme),
                      stats::Table::num(r.overall_avg, 0),
                      stats::Table::num(r.large_avg, 0),
@@ -116,6 +96,5 @@ int main() {
               reduction(Scheme::kPmsbE, Scheme::kMqEcn, &bench::FctResult::small_p99));
   std::printf("  (paper: PMSB vs MQ-ECN 40.0%%/41.2%%; PMSB(e) vs MQ-ECN"
               " 25.0%%/25.8%%)\n");
-  regress::maybe_write_bench_json(bench_report);
   return 0;
 }

@@ -1,101 +1,46 @@
-// Microbenchmarks for the simulation substrate: event-queue throughput,
-// scheduler enqueue/dequeue cost and per-packet marking decisions — the
-// knobs that bound how large a paper reproduction run can be.
+// Microbenchmarks for the two substrate paths perf/probe.cpp does not cover:
+// timer churn (schedule, then cancel most timers before they fire) on both
+// event-queue backends, and the per-packet buffer-admission decision of each
+// shared-buffer policy. The kernel hold model, scheduler and per-scheme
+// marking costs are pmsb_probe's `sim.*`, `sched` and `ecn.<scheme>` rows
+// (perf/README.md).
 //
-// Timing is hand-rolled (warmup + timed reps, median/MAD) rather than a
-// benchmark framework so the numbers land in the same pmsb.bench/1 JSON the
-// regression plane trends: set PMSB_BENCH_JSON=BENCH_engine.json to get the
-// machine-readable report next to the printed table.
+// Timing is hand-rolled (one warm-up, then timed reps) and printed as a
+// table: median wall time per rep and median ns per operation.
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/pmsb_algorithm.hpp"
-#include "ecn/mq_ecn.hpp"
-#include "ecn/per_port.hpp"
-#include "ecn/per_queue.hpp"
-#include "ecn/pmsb_marking.hpp"
-#include "ecn/tcn.hpp"
-#include "regress/bench_json.hpp"
-#include "sched/dwrr.hpp"
-#include "sched/wfq.hpp"
 #include "sim/simulator.hpp"
+#include "stats/summary.hpp"
 #include "switchlib/buffer_policy.hpp"
 #include "switchlib/buffer_pool.hpp"
-#include "telemetry/profiler.hpp"
 
 using namespace pmsb;
 
 namespace {
 
-// Attached to every benched simulator ONLY when PMSB_PROFILE_JSON is set:
-// the dispatch hook's two clock reads per event would skew the throughput
-// numbers the regression plane trends, so baseline runs stay unhooked.
-telemetry::Profiler* g_profiler = nullptr;
-
-/// Runs `fn` (one rep = `events` work units) warmup + reps times and returns
-/// the timed sample as a BenchRecord, printing one table row.
-regress::BenchRecord time_bench(const std::string& name, std::uint64_t events,
-                                const std::function<void()>& fn) {
-  const int warmup = 1;
-  const int reps = bench::full_scale() ? 9 : 5;
-  // One profiler scope per bench kind (profiled runs only), so `pmsbtrace
-  // profile` can rank the benches by count and self wall time.
-  const telemetry::Profiler::KindId kind =
-      g_profiler != nullptr ? g_profiler->intern("bench." + name) : 0;
-  auto run_rep = [&] {
-    telemetry::ProfileScope scope(g_profiler, kind);
-    fn();
-  };
-  for (int i = 0; i < warmup; ++i) run_rep();
-  std::vector<double> wall;
-  wall.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run_rep();
-    wall.push_back(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
-  }
-  const auto rec = regress::make_bench_record(name, wall, events);
-  std::printf("  %-28s %9.3f ms median  %11.4g ev/s (mad %.2g, %d reps)\n",
-              name.c_str(), rec.wall_s_median * 1e3, rec.events_per_s_median,
-              rec.events_per_s_mad, rec.reps);
-  return rec;
-}
-
 volatile std::uint64_t g_sink = 0;  // keeps the measured loops observable
 
-void event_schedule_and_run(sim::QueueBackend backend, std::int64_t batch) {
-  sim::Simulator sim(backend);
-  if (g_profiler != nullptr) g_profiler->attach(sim);
-  std::int64_t fired = 0;
-  for (std::int64_t i = 0; i < batch; ++i) {
-    sim.schedule_at((i * 7919) % 100000, [&fired] { ++fired; });
+/// Runs `fn` (one rep = `ops` operations) once untimed, then timed reps, and
+/// adds one row to `table`.
+void time_bench(stats::Table& table, const std::string& name, std::uint64_t ops,
+                const std::function<void()>& fn) {
+  const int reps = bench::full_scale() ? 9 : 5;
+  fn();
+  stats::Summary wall;
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    wall.add(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
   }
-  sim.run();
-  g_sink = static_cast<std::uint64_t>(fired);
-  if (g_profiler != nullptr) g_profiler->detach();
-}
-
-void event_cascade(sim::QueueBackend backend, std::int64_t depth_target) {
-  // Self-rescheduling chain — the transport timer pattern.
-  sim::Simulator sim(backend);
-  if (g_profiler != nullptr) g_profiler->attach(sim);
-  std::int64_t depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < depth_target) sim.schedule_in(1, chain);
-  };
-  sim.schedule_at(0, chain);
-  sim.run();
-  g_sink = static_cast<std::uint64_t>(depth);
-  if (g_profiler != nullptr) g_profiler->detach();
+  const double median = wall.percentile(50);
+  table.add_row({name, stats::Table::num(median * 1e3, 3),
+                 stats::Table::num(median * 1e9 / static_cast<double>(ops), 1),
+                 std::to_string(reps)});
 }
 
 void timer_churn(sim::QueueBackend backend, std::int64_t batch) {
@@ -103,7 +48,6 @@ void timer_churn(sim::QueueBackend backend, std::int64_t batch) {
   // fire. Exercises the O(1) generation-validated cancel and the tombstone
   // compactor (g_sink folds in queue_compactions so it can't be elided).
   sim::Simulator sim(backend);
-  if (g_profiler != nullptr) g_profiler->attach(sim);
   std::vector<sim::EventId> ids;
   ids.reserve(static_cast<std::size_t>(batch));
   std::int64_t fired = 0;
@@ -115,7 +59,6 @@ void timer_churn(sim::QueueBackend backend, std::int64_t batch) {
   }
   sim.run();
   g_sink = static_cast<std::uint64_t>(fired) + sim.queue_compactions();
-  if (g_profiler != nullptr) g_profiler->detach();
 }
 
 void buffer_admission_churn(const switchlib::BufferPolicyConfig& policy_cfg,
@@ -164,104 +107,33 @@ void buffer_admission_churn(const switchlib::BufferPolicyConfig& policy_cfg,
   g_sink = refused + pool.bytes();
 }
 
-sched::Packet make_pkt() {
-  sched::Packet p;
-  p.size_bytes = 1500;
-  return p;
-}
-
-template <typename Scheduler>
-void scheduler_churn(std::int64_t ops) {
-  Scheduler s(8, std::vector<double>(8, 1.0));
-  // Pre-fill so the scheduler stays busy.
-  for (int q = 0; q < 8; ++q) {
-    for (int i = 0; i < 16; ++i) s.enqueue(static_cast<std::size_t>(q), make_pkt());
-  }
-  std::uint64_t touched = 0;
-  for (std::int64_t i = 0; i < ops; ++i) {
-    auto out = s.dequeue(static_cast<sim::TimeNs>(i));
-    touched += out->queue;
-    s.enqueue(out->queue, make_pkt());
-  }
-  g_sink = touched;
-}
-
-ecn::PortSnapshot marking_snapshot(std::uint64_t i) {
-  ecn::PortSnapshot s;
-  s.port_bytes = (i * 37) % 120'000;
-  s.queue_bytes = (i * 17) % 60'000;
-  s.queue = i % 2;
-  s.weight = 1.0;
-  s.weight_sum = 2.0;
-  s.num_queues = 2;
-  return s;
-}
-
-/// `ops` decisions of `scheme` over a sweep of two-queue port snapshots,
-/// through the MarkingScheme interface as Port calls it. Packets carry a
-/// moving enqueue stamp so TCN's sojourn check sees varied input.
-void marking_churn(ecn::MarkingScheme& scheme, ecn::MarkPoint point, std::int64_t ops) {
-  net::Packet pkt;
-  std::uint64_t marks = 0;
-  for (std::int64_t i = 1; i <= ops; ++i) {
-    const auto u = static_cast<std::uint64_t>(i);
-    pkt.enqueue_time = static_cast<sim::TimeNs>(u * 11 % 1'000'000);
-    marks += scheme.should_mark(marking_snapshot(u), pkt, point,
-                                static_cast<sim::TimeNs>(u * 13));
-  }
-  g_sink = marks;
-}
-
 }  // namespace
 
 int main() {
   bench::print_header(
-      "Engine microbenchmarks — event queue and scheduler hot paths",
-      "isolated simulator / scheduler loops, no network model",
+      "Engine microbenchmarks — timer churn and buffer admission",
+      "isolated simulator / buffer-pool loops, no network model",
       "throughput here bounds the reachable scale of every figure bench");
 
-  const std::int64_t cascade_depth = 10000;
-  const std::int64_t sched_ops =
+  const std::int64_t timers = 100000;
+  const std::int64_t admit_ops =
       static_cast<std::int64_t>(bench::scaled(200000, 2000000));
 
-  telemetry::Profiler profiler;
-  const char* profile_path = std::getenv("PMSB_PROFILE_JSON");
-  if (profile_path != nullptr && profile_path[0] != '\0') g_profiler = &profiler;
-
-  regress::BenchReport report;
-  report.tool = "bench_micro_engine";
-  report.scale = bench::full_scale() ? "full" : "quick";
-  // Event-kernel benches run once per queue backend. The unsuffixed names
-  // are the binary heap (they predate the knob, so baselines keep trending);
-  // "@cal" is the calendar queue on the identical workload.
+  stats::Table table({"bench", "median_ms", "ns_per_op", "reps"}, 20);
+  // Timer churn runs once per queue backend: the unsuffixed name is the
+  // heap, "@cal" the calendar queue on the identical workload.
   const struct {
     sim::QueueBackend backend;
     const char* suffix;
   } kBackends[] = {{sim::QueueBackend::kHeap, ""},
                    {sim::QueueBackend::kCalendar, "@cal"}};
   for (const auto& b : kBackends) {
-    report.benchmarks.push_back(
-        time_bench(std::string("event_schedule_and_run/1e3") + b.suffix, 1000,
-                   [&] { event_schedule_and_run(b.backend, 1000); }));
-    report.benchmarks.push_back(
-        time_bench(std::string("event_schedule_and_run/1e5") + b.suffix,
-                   100000, [&] { event_schedule_and_run(b.backend, 100000); }));
-    report.benchmarks.push_back(time_bench(
-        std::string("event_cascade/10k") + b.suffix,
-        static_cast<std::uint64_t>(cascade_depth),
-        [&] { event_cascade(b.backend, cascade_depth); }));
-    report.benchmarks.push_back(
-        time_bench(std::string("timer_churn/1e5") + b.suffix, 100000,
-                   [&] { timer_churn(b.backend, 100000); }));
+    time_bench(table, std::string("timer_churn/1e5") + b.suffix,
+               static_cast<std::uint64_t>(timers),
+               [&] { timer_churn(b.backend, timers); });
   }
-  report.benchmarks.push_back(
-      time_bench("dwrr_enqueue_dequeue", static_cast<std::uint64_t>(sched_ops),
-                 [&] { scheduler_churn<sched::DwrrScheduler>(sched_ops); }));
-  report.benchmarks.push_back(
-      time_bench("wfq_enqueue_dequeue", static_cast<std::uint64_t>(sched_ops),
-                 [&] { scheduler_churn<sched::WfqScheduler>(sched_ops); }));
   // Per-packet admission cost of each shared-buffer policy (admit + ledger
-  // charge/release), the new branch on the Port::handle hot path.
+  // charge/release), a branch on the Port::handle hot path.
   const struct {
     const char* name;
     switchlib::BufferPolicyConfig cfg;
@@ -273,52 +145,9 @@ int main() {
        {.kind = switchlib::BufferPolicyKind::kDynamicThresholds, .dt_alpha = 1.0}},
   };
   for (const auto& p : kPolicies) {
-    report.benchmarks.push_back(
-        time_bench(p.name, static_cast<std::uint64_t>(sched_ops),
-                   [&] { buffer_admission_churn(p.cfg, sched_ops); }));
+    time_bench(table, p.name, static_cast<std::uint64_t>(admit_ops),
+               [&] { buffer_admission_churn(p.cfg, admit_ops); });
   }
-  // Per-packet marking decision of each scheme (§IV.C): PMSB needs two
-  // comparisons, like RED/ECN, while MQ-ECN keeps a round-time average and
-  // TCN handles timestamps. pmsb_pure is core::pmsb_should_mark alone.
-  ecn::MqEcnConfig mq_cfg;
-  mq_cfg.quantum_bytes = {1500.0, 1500.0};
-  auto mqecn = std::make_unique<ecn::MqEcnMarking>(std::move(mq_cfg));
-  // A live round estimate, so the dynamic-threshold path is exercised.
-  for (int r = 0; r < 16; ++r) mqecn->on_round_complete(r * 3000);
-  const struct {
-    const char* name;
-    std::unique_ptr<ecn::MarkingScheme> scheme;
-    ecn::MarkPoint point;
-  } kSchemes[] = {
-      {"marking/perport", std::make_unique<ecn::PerPortMarking>(97'500),
-       ecn::MarkPoint::kEnqueue},
-      {"marking/perqueue",
-       std::make_unique<ecn::PerQueueMarking>(std::vector<std::uint64_t>{48'750, 48'750}),
-       ecn::MarkPoint::kEnqueue},
-      {"marking/pmsb", std::make_unique<ecn::PmsbMarking>(18'000), ecn::MarkPoint::kEnqueue},
-      {"marking/mqecn", std::move(mqecn), ecn::MarkPoint::kEnqueue},
-      {"marking/tcn", std::make_unique<ecn::TcnMarking>(sim::microseconds(78)),
-       ecn::MarkPoint::kDequeue},
-  };
-  for (const auto& m : kSchemes) {
-    report.benchmarks.push_back(
-        time_bench(m.name, static_cast<std::uint64_t>(sched_ops),
-                   [&] { marking_churn(*m.scheme, m.point, sched_ops); }));
-  }
-  report.benchmarks.push_back(
-      time_bench("marking/pmsb_pure", static_cast<std::uint64_t>(sched_ops), [&] {
-        std::uint64_t marks = 0;
-        for (std::uint64_t i = 1; i <= static_cast<std::uint64_t>(sched_ops); ++i) {
-          marks += core::pmsb_should_mark((i * 37) % 120'000, 18'000, (i * 17) % 60'000,
-                                          1.0, 2.0);
-        }
-        g_sink = marks;
-      }));
-
-  regress::maybe_write_bench_json(report);
-  if (g_profiler != nullptr && telemetry::maybe_write_profile_json(*g_profiler)) {
-    std::printf("wrote %s (pmsb.profile/1, %zu scopes)\n", profile_path,
-                g_profiler->num_kinds());
-  }
+  table.print();
   return 0;
 }

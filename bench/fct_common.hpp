@@ -10,7 +10,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -41,11 +40,6 @@ struct FctResult {
   std::size_t flows = 0;
   std::uint64_t drops = 0;
   bool completed = false;
-  // Perf facts for pmsb.bench/1 reports: wall-clock of the event loop and
-  // kernel events it executed. A salvaged cell reports the original run's
-  // timing.
-  double wall_s = 0;
-  std::uint64_t events = 0;
 };
 
 struct FctRunConfig {
@@ -106,16 +100,10 @@ inline FctResult run_fct_experiment(const FctRunConfig& rc) {
                                                   rc.cell_timeout_s);
     deadline->start();
   }
-  const auto wall_start = std::chrono::steady_clock::now();
   const bool done = scenario.run_until_complete(sim::seconds(30));
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
-          .count();
 
   FctResult out;
   out.completed = done;
-  out.wall_s = wall_s;
-  out.events = scenario.simulator().executed_events();
   out.flows = scenario.fct().count();
   out.drops = scenario.total_drops();
   out.overall_avg = scenario.fct().overall_fct_us().mean();
@@ -200,8 +188,6 @@ inline void save_fct_checkpoint(const std::string& path, const FctRunConfig& rc,
   m.set_result("flows", static_cast<double>(r.flows));
   m.set_result("drops", static_cast<double>(r.drops));
   m.set_result("completed", r.completed ? 1.0 : 0.0);
-  m.set_result("wall_s", r.wall_s);
-  m.set_result("events", static_cast<double>(r.events));
   try {
     m.write(path, nullptr);
   } catch (const std::exception& e) {
@@ -226,9 +212,9 @@ inline std::optional<FctResult> load_fct_checkpoint(const std::string& path,
   const auto status = m.info.find("status");
   if (status == m.info.end() || status->second != "ok") return std::nullopt;
   if (m.config != fct_cell_config(rc)) return std::nullopt;
-  const char* keys[] = {"overall_avg", "large_avg", "large_p99", "small_avg",
-                        "small_p95",   "small_p99", "flows",     "drops",
-                        "completed",   "wall_s",    "events"};
+  const char* keys[] = {"overall_avg", "large_avg", "large_p99",
+                        "small_avg",   "small_p95", "small_p99",
+                        "flows",       "drops",     "completed"};
   for (const char* k : keys) {
     if (m.results.find(k) == m.results.end()) return std::nullopt;
   }
@@ -242,8 +228,6 @@ inline std::optional<FctResult> load_fct_checkpoint(const std::string& path,
   r.flows = static_cast<std::size_t>(m.results.at("flows"));
   r.drops = static_cast<std::uint64_t>(m.results.at("drops"));
   r.completed = m.results.at("completed") != 0.0;
-  r.wall_s = m.results.at("wall_s");
-  r.events = static_cast<std::uint64_t>(m.results.at("events"));
   return r;
 }
 
@@ -324,8 +308,6 @@ inline FctResult aggregate_fct_cell(const std::vector<FctResult>& runs) {
     acc.flows += r.flows;
     acc.drops += r.drops;
     acc.completed = acc.completed || r.completed;
-    acc.wall_s += r.wall_s;  // wall_s / events stay SUMS over the seed runs
-    acc.events += r.events;
   }
   const double n = static_cast<double>(runs.size());
   acc.overall_avg /= n;

@@ -22,11 +22,6 @@ std::uint64_t as_u64(const Value& v, const std::string& what) {
   return std::strtoull(v.raw_number.c_str(), nullptr, 10);
 }
 
-double as_f64(const Value& v, const std::string& what) {
-  if (!v.is_number()) throw std::runtime_error("baseline: " + what + " not a number");
-  return v.number;
-}
-
 std::string as_str(const Value& v, const std::string& what) {
   if (!v.is_string()) throw std::runtime_error("baseline: " + what + " not a string");
   return v.string;
@@ -52,8 +47,6 @@ std::string baseline_json(const Baseline& baseline) {
   w.begin_object();
   w.key("schema").value("pmsb.baseline/1");
   w.key("git").value(baseline.git);
-  w.key("warmup").value(static_cast<std::int64_t>(baseline.warmup));
-  w.key("reps").value(static_cast<std::int64_t>(baseline.reps));
   w.key("cells").begin_array();
   for (const CellBaseline* c : cells) {
     w.begin_object();
@@ -75,15 +68,6 @@ std::string baseline_json(const Baseline& baseline) {
       w.end_object();
     }
     w.end_array();
-    w.key("perf").begin_object();
-    w.key("wall_s_median").value(c->perf.wall_s_median);
-    w.key("wall_s_mad").value(c->perf.wall_s_mad);
-    w.key("events_per_s_median").value(c->perf.events_per_s_median);
-    w.key("events_per_s_mad").value(c->perf.events_per_s_mad);
-    w.key("peak_rss_bytes").value(c->perf.peak_rss_bytes);
-    w.key("events").value(c->perf.events);
-    w.key("reps").value(static_cast<std::int64_t>(c->perf.reps));
-    w.end_object();
     w.end_object();
   }
   w.end_array();
@@ -112,8 +96,6 @@ Baseline parse_baseline(const std::string& text, const std::string& origin) {
   }
   Baseline b;
   b.git = as_str(doc.at("git"), "git");
-  b.warmup = static_cast<int>(as_u64(doc.at("warmup"), "warmup"));
-  b.reps = static_cast<int>(as_u64(doc.at("reps"), "reps"));
   const Value& cells = doc.at("cells");
   if (!cells.is_array()) throw std::runtime_error("baseline " + origin + ": cells");
   for (const Value& cv : cells.array) {
@@ -132,15 +114,6 @@ Baseline parse_baseline(const std::string& text, const std::string& origin) {
       c.checkpoints.emplace_back(as_u64(ck.at("i"), "checkpoint index"),
                                  as_str(ck.at("h"), "checkpoint hash"));
     }
-    const Value& p = cv.at("perf");
-    c.perf.wall_s_median = as_f64(p.at("wall_s_median"), "perf.wall_s_median");
-    c.perf.wall_s_mad = as_f64(p.at("wall_s_mad"), "perf.wall_s_mad");
-    c.perf.events_per_s_median =
-        as_f64(p.at("events_per_s_median"), "perf.events_per_s_median");
-    c.perf.events_per_s_mad = as_f64(p.at("events_per_s_mad"), "perf.events_per_s_mad");
-    c.perf.peak_rss_bytes = as_f64(p.at("peak_rss_bytes"), "perf.peak_rss_bytes");
-    c.perf.events = as_u64(p.at("events"), "perf.events");
-    c.perf.reps = static_cast<int>(as_u64(p.at("reps"), "perf.reps"));
     b.cells.push_back(std::move(c));
   }
   return b;

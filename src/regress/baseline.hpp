@@ -1,24 +1,24 @@
 // Baseline store for the regression plane, schema `pmsb.baseline/1`.
 //
-// A baseline pins, for every cell of the regression matrix, the run digest
-// (total + per-entity sub-digests + stream checkpoints) and a perf sample
-// (median/MAD wall-clock and events/sec over N reps, peak RSS). Written via
-// telemetry::JsonWriter, read back through the strict telemetry/json_reader
-// — the same round-trip discipline as run manifests.
+// A baseline pins, for every cell of the regression matrix, the run digest:
+// the total, the per-entity sub-digests and the stream checkpoints. Written
+// via telemetry::JsonWriter, read back through the strict
+// telemetry/json_reader — the same round-trip discipline as run manifests.
 //
 //   {
-//     "schema": "pmsb.baseline/1", "git": "...", "warmup": N, "reps": M,
+//     "schema": "pmsb.baseline/1", "git": "...",
 //     "cells": [
 //       {"name": "...", "config": {"key": "value", ...},
 //        "digest": "<32 hex>", "event_count": N,
 //        "sub_digests": {"entity": "<32 hex>", ...},
 //        "checkpoint_interval": I,
-//        "checkpoints": [{"i": N, "h": "<32 hex>"}, ...],
-//        "perf": {"wall_s_median": W, "wall_s_mad": D,
-//                 "events_per_s_median": E, "events_per_s_mad": F,
-//                 "peak_rss_bytes": R, "events": N, "reps": M}}
+//        "checkpoints": [{"i": N, "h": "<32 hex>"}, ...]}
 //     ]
 //   }
+//
+// The reader looks up only these keys, so a baseline that still carries the
+// top-level "warmup"/"reps" and per-cell "perf" blocks older builds wrote
+// parses to the same cells.
 #pragma once
 
 #include <cstdint>
@@ -29,18 +29,6 @@
 
 namespace pmsb::regress {
 
-/// Perf sample for one cell. reps == 0 means perf was not recorded (digest
-/// only) and perf comparison is skipped for the cell.
-struct CellPerf {
-  double wall_s_median = 0.0;
-  double wall_s_mad = 0.0;
-  double events_per_s_median = 0.0;
-  double events_per_s_mad = 0.0;
-  double peak_rss_bytes = 0.0;
-  std::uint64_t events = 0;  ///< kernel events executed by one run
-  int reps = 0;
-};
-
 struct CellBaseline {
   std::string name;
   std::map<std::string, std::string> config;
@@ -49,13 +37,10 @@ struct CellBaseline {
   std::map<std::string, std::string> sub_digests;  ///< entity -> hex
   std::uint64_t checkpoint_interval = 0;           ///< final (post-compaction)
   std::vector<std::pair<std::uint64_t, std::string>> checkpoints;  ///< (index, hex)
-  CellPerf perf;
 };
 
 struct Baseline {
   std::string git;
-  int warmup = 0;
-  int reps = 0;
   std::vector<CellBaseline> cells;  ///< serialized sorted by name
 
   [[nodiscard]] const CellBaseline* find(const std::string& name) const;

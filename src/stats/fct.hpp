@@ -25,9 +25,6 @@ enum class PatternTag : std::uint8_t {
   kTrace,
   kCoflow,
   kRpc,
-  kPermutation,
-  kIncast,
-  kAllToAll,
 };
 
 [[nodiscard]] inline const char* pattern_tag_name(PatternTag tag) {
@@ -36,9 +33,6 @@ enum class PatternTag : std::uint8_t {
     case PatternTag::kTrace: return "trace";
     case PatternTag::kCoflow: return "coflow";
     case PatternTag::kRpc: return "rpc";
-    case PatternTag::kPermutation: return "permutation";
-    case PatternTag::kIncast: return "incast";
-    case PatternTag::kAllToAll: return "all_to_all";
   }
   return "?";
 }
@@ -46,8 +40,7 @@ enum class PatternTag : std::uint8_t {
 /// Inverse of pattern_tag_name(); returns false on an unknown name.
 [[nodiscard]] inline bool parse_pattern_tag(const std::string& name, PatternTag* out) {
   for (PatternTag tag :
-       {PatternTag::kPoisson, PatternTag::kTrace, PatternTag::kCoflow, PatternTag::kRpc,
-        PatternTag::kPermutation, PatternTag::kIncast, PatternTag::kAllToAll}) {
+       {PatternTag::kPoisson, PatternTag::kTrace, PatternTag::kCoflow, PatternTag::kRpc}) {
     if (name == pattern_tag_name(tag)) {
       *out = tag;
       return true;

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 
@@ -138,17 +136,6 @@ std::string Profiler::to_json() const {
   w.end_array();
   w.end_object();
   return w.str();
-}
-
-bool maybe_write_profile_json(const Profiler& profiler) {
-  const char* path = std::getenv("PMSB_PROFILE_JSON");
-  if (path == nullptr || path[0] == '\0') return false;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error(std::string("cannot write profile JSON: ") + path);
-  }
-  out << profiler.to_json() << "\n";
-  return true;
 }
 
 }  // namespace pmsb::telemetry

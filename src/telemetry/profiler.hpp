@@ -1,7 +1,7 @@
 // Per-event-kind kernel profiler with scoped component timers.
 //
-// A Profiler answers the question the regress plane's bench numbers cannot:
-// WHERE do the events/second go? It plugs into the kernel as a
+// A Profiler answers the question end-to-end timings cannot: WHERE do the
+// events/second go? It plugs into the kernel as a
 // sim::DispatchHook (wall-clock + sim-time-delta histogram per dispatch,
 // schedule/cancel churn) and into components as named RAII scopes
 // (ProfileScope) whose self-time excludes nested scopes, so "port.handle"
@@ -15,10 +15,9 @@
 //
 // Output is a `pmsb.profile/1` JSON document (to_json), spliced verbatim
 // into run manifests (`RunManifest::set_profile_json`) and written
-// standalone by `profile_json=` / PMSB_PROFILE_JSON. Keys are emitted in
-// sorted order at every nesting level, so the document byte-stably
-// round-trips through telemetry::json — the property the regression tests
-// pin down.
+// standalone by `profile_json=`. Keys are emitted in sorted order at every
+// nesting level, so the document byte-stably round-trips through
+// telemetry::json — the property the regression tests pin down.
 //
 // Schema (`pmsb.profile/1`):
 //   {
@@ -138,10 +137,5 @@ class ProfileScope {
  private:
   Profiler* profiler_;
 };
-
-/// When the PMSB_PROFILE_JSON environment variable names a path, writes
-/// profiler.to_json() there and returns true (the bench counterpart of
-/// regress::maybe_write_bench_json). Returns false when unset or empty.
-bool maybe_write_profile_json(const Profiler& profiler);
 
 }  // namespace pmsb::telemetry

@@ -1,15 +1,12 @@
-// Tests for the analysis metrics and the synthetic traffic patterns.
+// Tests for the analysis metrics: Jain fairness, convergence time and link
+// utilization.
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "analysis/metrics.hpp"
-#include "sim/rng.hpp"
-#include "workload/patterns.hpp"
+#include "sim/units.hpp"
 
 using namespace pmsb;
 using namespace pmsb::analysis;
-using namespace pmsb::workload;
 
 TEST(JainIndex, PerfectlyFairIsOne) {
   EXPECT_DOUBLE_EQ(jain_index({5.0, 5.0, 5.0, 5.0}), 1.0);
@@ -62,46 +59,4 @@ TEST(Utilization, FullLinkIsOne) {
   EXPECT_NEAR(utilization(1'250'000, 0, sim::milliseconds(1), sim::gbps(10)), 1.0,
               1e-9);
   EXPECT_THROW(utilization(1, 10, 10, sim::gbps(10)), std::invalid_argument);
-}
-
-TEST(Permutation, IsDerangementCoveringAllHosts) {
-  sim::Rng rng(5);
-  const auto flows = permutation_pattern(16, 1000, 0, 4, rng);
-  ASSERT_EQ(flows.size(), 16u);
-  std::set<net::HostId> dsts;
-  for (const auto& f : flows) {
-    EXPECT_NE(f.src, f.dst);
-    dsts.insert(f.dst);
-  }
-  EXPECT_EQ(dsts.size(), 16u);  // every host receives exactly once
-}
-
-TEST(Incast, TargetsAggregatorOnly) {
-  const auto flows = incast_pattern(12, 3, 8, 64'000, sim::microseconds(5), 4);
-  ASSERT_EQ(flows.size(), 8u);
-  for (const auto& f : flows) {
-    EXPECT_EQ(f.dst, 3);
-    EXPECT_NE(f.src, 3);
-    EXPECT_EQ(f.bytes, 64'000u);
-    EXPECT_EQ(f.start, sim::microseconds(5));
-  }
-}
-
-TEST(Incast, FanInLargerThanHostsWraps) {
-  const auto flows = incast_pattern(4, 0, 9, 1000, 0, 2);
-  EXPECT_EQ(flows.size(), 9u);
-  for (const auto& f : flows) EXPECT_NE(f.src, 0);
-}
-
-TEST(AllToAll, CoversEveryOrderedPair) {
-  sim::Rng rng(6);
-  const auto flows = all_to_all_pattern(6, 500, 0, sim::microseconds(10), 3, rng);
-  EXPECT_EQ(flows.size(), 30u);
-  std::set<std::pair<net::HostId, net::HostId>> pairs;
-  for (const auto& f : flows) {
-    EXPECT_NE(f.src, f.dst);
-    EXPECT_LT(f.start, sim::microseconds(10));
-    pairs.insert({f.src, f.dst});
-  }
-  EXPECT_EQ(pairs.size(), 30u);
 }

@@ -131,6 +131,12 @@ TEST(FlowTrace, RejectsMalformedTraces) {
        "{\"src\":0,\"dst\":1,\"size_bytes\":5,\"start_time_ns\":0,"
        "\"pattern\":\"mystery\"}\n",
        "unknown pattern"},
+      // The reader accepts only poisson, trace, coflow and rpc.
+      {"retired_pattern",
+       "{\"flows\":1,\"hosts\":4,\"schema\":\"pmsb.flow_trace/1\"}\n"
+       "{\"src\":0,\"dst\":1,\"size_bytes\":5,\"start_time_ns\":0,"
+       "\"pattern\":\"incast\"}\n",
+       "unknown pattern"},
   };
   for (const Case& c : cases) {
     const std::string path = tmp_path((std::string("trace_") + c.name + ".ndjson").c_str());

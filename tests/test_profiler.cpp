@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -287,21 +286,5 @@ TEST(ProcessStats, ManifestCarriesUsageAndReaderParsesIt) {
   EXPECT_GE(data.utime_s, 0.0);
   EXPECT_GE(data.stime_s, 0.0);
   EXPECT_GE(data.major_page_faults, 0.0);
-  std::remove(path.c_str());
-}
-
-TEST(Profiler, MaybeWriteProfileJsonHonorsEnv) {
-  Profiler p;
-  ::unsetenv("PMSB_PROFILE_JSON");
-  EXPECT_FALSE(telemetry::maybe_write_profile_json(p));
-  const std::string path = ::testing::TempDir() + "/profile_env.json";
-  ::setenv("PMSB_PROFILE_JSON", path.c_str(), 1);
-  EXPECT_TRUE(telemetry::maybe_write_profile_json(p));
-  ::unsetenv("PMSB_PROFILE_JSON");
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(telemetry::json::parse(ss.str()).at("schema").string,
-            "pmsb.profile/1");
   std::remove(path.c_str());
 }

@@ -325,6 +325,6 @@ TEST(Analysis, ParseProfileUnwrapsRunManifests) {
 }
 
 TEST(Analysis, RejectsNonProfileDocuments) {
-  EXPECT_THROW(trace::parse_profile("{\"schema\": \"pmsb.bench/1\"}", "wrong"),
+  EXPECT_THROW(trace::parse_profile("{\"schema\": \"pmsb.baseline/1\"}", "wrong"),
                std::runtime_error);
 }

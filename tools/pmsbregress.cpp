@@ -1,25 +1,25 @@
 // pmsbregress — the regression gate for the PMSB simulator.
 //
-//   pmsbregress record baseline=FILE [cells=a,b] [warmup=1] [reps=3] [perf=1]
-//   pmsbregress check  baseline=FILE [cells=a,b] [warmup=1] [reps=3] [perf=1]
-//                      [tolerance=0.25] [mad_mult=4.0] [perturb=key=value]
+//   pmsbregress record baseline=FILE [cells=a,b]
+//   pmsbregress check  baseline=FILE [cells=a,b] [perturb=key=value]
 //   pmsbregress diff   a=FILE b=FILE
 //
 // record  runs every cell of the pinned matrix (src/regress/matrix.cpp) with
-//         the run digest armed, optionally times perf reps (digest OFF so the
-//         hash cost never pollutes the sample), and writes a pmsb.baseline/1
-//         JSON.
+//         the run digest armed and writes a pmsb.baseline/1 JSON.
 // check   re-runs the same cells against a recorded baseline. A digest
 //         mismatch triggers the divergence finder: the cell is re-run once
 //         with a windowed journal armed over the checkpoint bracket, and the
-//         report names the first diverging event (time, entity, kind). A perf
-//         regression beyond the noise-aware tolerance also fails the gate.
+//         report names the first diverging event (time, entity, kind).
 //         perturb= injects an extra option into every cell (e.g.
 //         perturb=bleach=0.5) — used by CI to prove the gate actually trips.
 // diff    compares two baseline files cell by cell without running anything.
 //
-// Exit codes: 0 ok, 1 digest mismatch / perf regression / baselines differ,
-// 2 usage or I/O error.
+// The gate is digest-only; timing is perf/run.py's job (perf/README.md).
+// Each subcommand rejects keys it does not take, so a misspelled cells= or
+// a stale perf= fails instead of being ignored.
+//
+// Exit codes: 0 ok, 1 digest mismatch / baselines differ, 2 usage or I/O
+// error.
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -30,7 +30,6 @@
 
 #include "experiments/options.hpp"
 #include "regress/baseline.hpp"
-#include "regress/bench_runner.hpp"
 #include "regress/digest.hpp"
 #include "regress/divergence.hpp"
 #include "regress/matrix.hpp"
@@ -44,11 +43,8 @@ namespace {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: pmsbregress record baseline=FILE [cells=a,b] [warmup=N] "
-               "[reps=M] [perf=0|1]\n"
-               "       pmsbregress check  baseline=FILE [cells=a,b] [warmup=N] "
-               "[reps=M] [perf=0|1]\n"
-               "                          [tolerance=0.25] [mad_mult=4.0] "
+               "usage: pmsbregress record baseline=FILE [cells=a,b]\n"
+               "       pmsbregress check  baseline=FILE [cells=a,b] "
                "[perturb=key=value]\n"
                "       pmsbregress diff   a=FILE b=FILE\n");
   return 2;
@@ -78,7 +74,7 @@ void run_cell(const regress::RegressCell& cell, const std::string& perturb,
   }
 }
 
-/// The digest-derived part of a CellBaseline (name/config/perf left to the
+/// The digest-derived part of a CellBaseline (name/config left to the
 /// caller).
 void fill_from_digest(regress::CellBaseline& cb, const regress::RunDigest& d) {
   cb.digest = d.total().hex();
@@ -92,21 +88,16 @@ void fill_from_digest(regress::CellBaseline& cb, const regress::RunDigest& d) {
 }
 
 int cmd_record(const Options& opts) {
+  opts.validate_keys({"baseline", "cells"});
   const std::string path = opts.get("baseline");
   if (path.empty()) {
     std::fprintf(stderr, "pmsbregress record: baseline= is required\n");
     return usage();
   }
   const auto cells = regress::select_cells(opts.get("cells"));
-  const bool perf = opts.get_bool("perf", true);
-  regress::BenchConfig bench;
-  bench.warmup = static_cast<int>(opts.get_int("warmup", bench.warmup));
-  bench.reps = static_cast<int>(opts.get_int("reps", bench.reps));
 
   regress::Baseline baseline;
   baseline.git = telemetry::build_git_describe();
-  baseline.warmup = perf ? bench.warmup : 0;
-  baseline.reps = perf ? bench.reps : 0;
 
   for (const auto& cell : cells) {
     regress::RunDigest digest;
@@ -115,18 +106,8 @@ int cmd_record(const Options& opts) {
     cb.name = cell.name;
     cb.config = cell.opts.values();
     fill_from_digest(cb, digest);
-    if (perf) {
-      const auto m = regress::measure_scenario(cell.opts, bench);
-      cb.perf = m.to_cell_perf();
-      std::printf("recorded %-26s digest=%s events=%llu  %.3g ev/s\n",
-                  cell.name.c_str(), cb.digest.c_str(),
-                  static_cast<unsigned long long>(cb.event_count),
-                  cb.perf.events_per_s_median);
-    } else {
-      std::printf("recorded %-26s digest=%s events=%llu\n", cell.name.c_str(),
-                  cb.digest.c_str(),
-                  static_cast<unsigned long long>(cb.event_count));
-    }
+    std::printf("recorded %-26s digest=%s events=%llu\n", cell.name.c_str(),
+                cb.digest.c_str(), static_cast<unsigned long long>(cb.event_count));
     baseline.cells.push_back(std::move(cb));
   }
 
@@ -136,6 +117,7 @@ int cmd_record(const Options& opts) {
 }
 
 int cmd_check(const Options& opts) {
+  opts.validate_keys({"baseline", "cells", "perturb"});
   const std::string path = opts.get("baseline");
   if (path.empty()) {
     std::fprintf(stderr, "pmsbregress check: baseline= is required\n");
@@ -144,12 +126,6 @@ int cmd_check(const Options& opts) {
   const auto baseline = regress::read_baseline(path);
   const auto cells = regress::select_cells(opts.get("cells"));
   const std::string perturb = opts.get("perturb");
-  const bool perf = opts.get_bool("perf", true);
-  const double tolerance = opts.get_double("tolerance", 0.25);
-  const double mad_mult = opts.get_double("mad_mult", 4.0);
-  regress::BenchConfig bench;
-  bench.warmup = static_cast<int>(opts.get_int("warmup", bench.warmup));
-  bench.reps = static_cast<int>(opts.get_int("reps", bench.reps));
 
   int failures = 0;
   std::size_t checked = 0;
@@ -175,23 +151,8 @@ int cmd_check(const Options& opts) {
                   report.summary().c_str());
       continue;
     }
-
-    if (perf && base->perf.reps > 0) {
-      const auto m = regress::measure_scenario(cell.opts, bench);
-      const auto verdict =
-          regress::compare_perf(base->perf, m, tolerance, mad_mult);
-      if (!verdict.ok) {
-        ++failures;
-        std::printf("FAIL %-26s perf: %s\n", cell.name.c_str(),
-                    verdict.detail.c_str());
-        continue;
-      }
-      std::printf("ok   %-26s digest match, perf %s\n", cell.name.c_str(),
-                  verdict.detail.c_str());
-    } else {
-      std::printf("ok   %-26s digest match (%llu events)\n", cell.name.c_str(),
-                  static_cast<unsigned long long>(digest.count()));
-    }
+    std::printf("ok   %-26s digest match (%llu events)\n", cell.name.c_str(),
+                static_cast<unsigned long long>(digest.count()));
   }
 
   std::printf("check: %zu cells, %d failure%s (baseline git %s)\n", checked,
@@ -200,6 +161,7 @@ int cmd_check(const Options& opts) {
 }
 
 int cmd_diff(const Options& opts) {
+  opts.validate_keys({"a", "b"});
   const std::string path_a = opts.get("a");
   const std::string path_b = opts.get("b");
   if (path_a.empty() || path_b.empty()) {
@@ -224,13 +186,7 @@ int cmd_diff(const Options& opts) {
       continue;
     }
     if (ca->digest == cb->digest) {
-      double ratio = 1.0;
-      if (ca->perf.reps > 0 && cb->perf.reps > 0 &&
-          ca->perf.events_per_s_median > 0.0) {
-        ratio = cb->perf.events_per_s_median / ca->perf.events_per_s_median;
-      }
-      std::printf("same %-26s digest %s (perf ratio %.3f)\n", name.c_str(),
-                  ca->digest.c_str(), ratio);
+      std::printf("same %-26s digest %s\n", name.c_str(), ca->digest.c_str());
       continue;
     }
     ++differing;
