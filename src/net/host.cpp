@@ -1,6 +1,5 @@
 #include "net/host.hpp"
 
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -14,20 +13,14 @@ void Host::send(Packet pkt) {
   ++sent_;
   nic_bytes_ += pkt.size_bytes;
   nic_queue_.push_back(std::move(pkt));
-  try_transmit();
+  uplink_->kick();
 }
 
-void Host::try_transmit() {
-  if (transmitting_ || nic_queue_.empty()) return;
-  transmitting_ = true;
+Packet Host::pull() {
   Packet pkt = std::move(nic_queue_.front());
   nic_queue_.pop_front();
   nic_bytes_ -= pkt.size_bytes;
-  const TimeNs tx_done = uplink_->transmit(std::move(pkt));
-  sim_.schedule_at(tx_done, [this] {
-    transmitting_ = false;
-    try_transmit();
-  });
+  return pkt;
 }
 
 void Host::receive(Packet pkt) {

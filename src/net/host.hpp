@@ -3,6 +3,8 @@
 //
 // The NIC egress queue is effectively unbounded — end-host memory is not the
 // bottleneck the paper studies — but its backlog is observable for tests.
+// The uplink runs the transmit loop, pulling from the queue as the host's
+// PacketSource.
 #pragma once
 
 #include <cstdint>
@@ -17,20 +19,25 @@
 
 namespace pmsb::net {
 
-class Host : public Node {
+class Host : public Node, private PacketSource {
  public:
   using PacketHandler = std::function<void(Packet)>;
 
   Host(sim::Simulator& simulator, HostId id, std::string name)
       : Node(std::move(name)), sim_(simulator), id_(id) {}
 
-  /// Connects the host's single uplink (host -> ToR direction).
-  void attach_uplink(Link* link) { uplink_ = link; }
+  /// Connects the host's single uplink (host -> ToR direction) and makes the
+  /// NIC queue its packet source.
+  void attach_uplink(Link* link) {
+    uplink_ = link;
+    uplink_->attach_source(this);
+  }
 
   [[nodiscard]] HostId id() const { return id_; }
   [[nodiscard]] Link* uplink() const { return uplink_; }
 
-  /// Queues a packet on the NIC for transmission, stamping `sent_time`.
+  /// Queues a packet on the NIC for transmission, stamping `sent_time`, and
+  /// kicks the uplink.
   void send(Packet pkt);
 
   /// Registers the transport endpoint that consumes packets of `flow_id`
@@ -53,14 +60,14 @@ class Host : public Node {
   [[nodiscard]] std::uint64_t dropped_no_handler() const { return no_handler_; }
 
  private:
-  void try_transmit();
+  Packet pull() override;
+  [[nodiscard]] bool has_packet() const override { return !nic_queue_.empty(); }
 
   sim::Simulator& sim_;
   HostId id_;
   Link* uplink_ = nullptr;
   std::deque<Packet> nic_queue_;
   std::uint64_t nic_bytes_ = 0;
-  bool transmitting_ = false;
   std::unordered_map<FlowId, PacketHandler> handlers_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;

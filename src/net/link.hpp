@@ -1,13 +1,30 @@
 // Unidirectional point-to-point link.
 //
-// The link models serialization (rate) and propagation (delay). The owning
-// device drives transmission: it calls `transmit` only when the link is
-// idle, and is told when serialization completes so it can dequeue the next
-// packet. Store-and-forward: the destination sees the packet only after the
-// last bit has been serialized and propagated.
+// The link models serialization (rate) and propagation (delay) and runs the
+// transmit loop of the device that feeds it. A device (a switch Port or a
+// Host NIC) attaches as the link's PacketSource and kicks the link after
+// every enqueue; the link pulls one packet at a time, serializes it, and
+// pulls the next when serialization completes. Store-and-forward: the
+// destination sees the packet only after the last bit has been serialized
+// and propagated.
+//
+// Kernel cost per packet hop is one delivery event, plus one transmit-done
+// wake-up only when a packet is waiting for it:
+//  - At transmit the link reserves the wake-up's insertion sequence number
+//    (Simulator::reserve_seq) and queues the wake-up only if the source still
+//    has a packet. A kick that arrives while the reserved position is still
+//    ahead of dispatch (Simulator::current_before) queues it then; a later
+//    kick finds the link idle and transmits at once — the state an eagerly
+//    queued wake-up that found nothing to send would have left. Dispatch
+//    order is therefore exactly that of a loop that always queued the
+//    wake-up.
+//  - A link is FIFO (tx_done only grows, the delay is fixed), so in-flight
+//    packets wait in the link's own list with their reserved (arrival, seq)
+//    and only the head delivery sits in the event queue.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -17,17 +34,39 @@
 
 namespace pmsb::net {
 
+/// The device whose egress queue feeds a link's transmit loop.
+class PacketSource {
+ public:
+  /// Removes and returns the next packet to send. Called only when
+  /// has_packet() is true.
+  virtual Packet pull() = 0;
+  [[nodiscard]] virtual bool has_packet() const = 0;
+
+ protected:
+  ~PacketSource() = default;
+};
+
 class Link {
  public:
   Link(sim::Simulator& simulator, sim::RateBps rate, TimeNs propagation_delay,
        Node* destination)
       : sim_(simulator), rate_(rate), delay_(propagation_delay), dst_(destination) {}
+  ~Link();
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
+  /// Makes `source` the device this link pulls packets from.
+  void attach_source(PacketSource* source) { source_ = source; }
+
+  /// Tells the link its source has a packet waiting: it transmits at once if
+  /// idle, and otherwise makes sure the transmit-done wake-up will pull it.
+  /// Devices call this after every enqueue.
+  void kick();
+
   /// Starts serializing `pkt` now. Precondition: !busy(). Returns the time at
-  /// which serialization completes (when the device may transmit again).
+  /// which serialization completes. The transmit loop calls this; so can a
+  /// test driving a link that has no source.
   TimeNs transmit(Packet pkt);
 
   /// Re-points the link at a different receiving node. The fault plane uses
@@ -56,14 +95,32 @@ class Link {
   }
 
  private:
-  void deliver(Packet pkt);
+  /// One packet on the wire, due at `arrival` under the reserved `seq`.
+  struct InFlight {
+    TimeNs arrival;
+    std::uint64_t seq;
+    Packet pkt;
+    std::unique_ptr<InFlight> next;
+  };
+
+  void send_next();
+  void queue_wake();
+  void queue_head_delivery();
+  void deliver_head();
 
   sim::Simulator& sim_;
   sim::RateBps rate_;
   TimeNs delay_;
   Node* dst_;
+  PacketSource* source_ = nullptr;
   TapList taps_;
   TimeNs busy_until_ = 0;
+  /// Reserved seq of the last transmit's wake-up, due at busy_until_. The
+  /// initial (0, 0) is never ahead of dispatch, so a new link is idle.
+  std::uint64_t wake_seq_ = 0;
+  bool wake_queued_ = false;
+  std::unique_ptr<InFlight> head_;  ///< next delivery; its event is queued
+  InFlight* tail_ = nullptr;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_delivered_ = 0;

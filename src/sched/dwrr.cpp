@@ -11,6 +11,10 @@ DwrrScheduler::DwrrScheduler(std::size_t num_queues, std::vector<double> weights
       quantum_base_(quantum_base),
       deficit_(num_queues, 0) {
   if (quantum_base_ == 0) throw std::invalid_argument("DWRR: quantum_base must be > 0");
+  quantum_bytes_.reserve(num_queues);
+  for (std::size_t q = 0; q < num_queues; ++q) {
+    quantum_bytes_.push_back(static_cast<std::int64_t>(std::llround(quantum(q))));
+  }
 }
 
 std::size_t DwrrScheduler::select_queue(TimeNs now) {
@@ -20,18 +24,21 @@ std::size_t DwrrScheduler::select_queue(TimeNs now) {
   bool round_reported = false;
   for (std::size_t visits = 0; visits < max_visits; ++visits) {
     const std::size_t q = cursor_;
-    if (!quantum_added_this_visit_ && backlogged(q)) {
-      deficit_[q] += static_cast<std::int64_t>(std::llround(quantum(q)));
-      quantum_added_this_visit_ = true;
+    if (backlogged(q)) {
+      if (!quantum_added_this_visit_) {
+        deficit_[q] += quantum_bytes_[q];
+        quantum_added_this_visit_ = true;
+      }
+      const auto size = static_cast<std::int64_t>(head(q).size_bytes);
+      if (size <= deficit_[q]) {
+        deficit_[q] -= size;
+        return q;
+      }
+    } else {
+      deficit_[q] = 0;  // forfeit on going idle
     }
-    if (backlogged(q) &&
-        static_cast<std::int64_t>(head(q).size_bytes) <= deficit_[q]) {
-      deficit_[q] -= head(q).size_bytes;
-      return q;
-    }
-    if (!backlogged(q)) deficit_[q] = 0;  // forfeit on going idle
     quantum_added_this_visit_ = false;
-    cursor_ = (cursor_ + 1) % num_queues();
+    if (++cursor_ == num_queues()) cursor_ = 0;
     // A round in MQ-ECN's sense (Eq. 3) is the interval between consecutive
     // scheduling opportunities of a queue — it is observable only through
     // packet service. Extra cursor wraps inside one selection are deficit

@@ -34,6 +34,7 @@ class DwrrScheduler final : public Scheduler {
 
  private:
   std::uint32_t quantum_base_;
+  std::vector<std::int64_t> quantum_bytes_;  ///< llround(quantum(q))
   std::vector<std::int64_t> deficit_;
   std::size_t cursor_ = 0;
   bool quantum_added_this_visit_ = false;

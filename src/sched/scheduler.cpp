@@ -29,15 +29,17 @@ void Scheduler::enqueue(std::size_t q, Packet pkt) {
   total_bytes_ += pkt.size_bytes;
   ++total_packets_;
   on_enqueue(q, pkt);
-  queues_[q].push_back(std::move(pkt));
+  auto& queue = queues_[q];
+  if (!queue) queue.emplace();
+  queue->push_back(std::move(pkt));
 }
 
 std::optional<Dequeued> Scheduler::dequeue(TimeNs now) {
   if (total_packets_ == 0) return std::nullopt;
   const std::size_t q = select_queue(now);
-  assert(q < queues_.size() && !queues_[q].empty());
-  Packet pkt = std::move(queues_[q].front());
-  queues_[q].pop_front();
+  assert(q < queues_.size() && backlogged(q));
+  Packet pkt = std::move(queues_[q]->front());
+  queues_[q]->pop_front();
   qbytes_[q] -= pkt.size_bytes;
   total_bytes_ -= pkt.size_bytes;
   --total_packets_;

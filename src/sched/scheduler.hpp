@@ -58,7 +58,10 @@ class Scheduler {
   // --- Introspection used by ECN marking schemes and tests ---
   [[nodiscard]] std::size_t num_queues() const { return queues_.size(); }
   [[nodiscard]] std::uint64_t queue_bytes(std::size_t q) const { return qbytes_.at(q); }
-  [[nodiscard]] std::size_t queue_packets(std::size_t q) const { return queues_.at(q).size(); }
+  [[nodiscard]] std::size_t queue_packets(std::size_t q) const {
+    const auto& queue = queues_.at(q);
+    return queue ? queue->size() : 0;
+  }
   [[nodiscard]] std::uint64_t total_bytes() const { return total_bytes_; }
   [[nodiscard]] std::size_t total_packets() const { return total_packets_; }
   [[nodiscard]] bool empty() const { return total_packets_ == 0; }
@@ -92,15 +95,20 @@ class Scheduler {
     (void)pkt;
   }
 
-  [[nodiscard]] bool backlogged(std::size_t q) const { return !queues_[q].empty(); }
-  [[nodiscard]] const Packet& head(std::size_t q) const { return queues_[q].front(); }
+  [[nodiscard]] bool backlogged(std::size_t q) const {
+    return queues_[q] && !queues_[q]->empty();
+  }
+  [[nodiscard]] const Packet& head(std::size_t q) const { return queues_[q]->front(); }
 
   void notify_round_complete(TimeNs now) {
     if (round_observer_) round_observer_(now);
   }
 
  private:
-  std::vector<std::deque<Packet>> queues_;
+  /// Per-queue packet storage, constructed on the queue's first enqueue: an
+  /// empty std::deque already allocates about 600 B, and most of a fabric's
+  /// queues never hold a packet.
+  std::vector<std::optional<std::deque<Packet>>> queues_;
   std::vector<std::uint64_t> qbytes_;
   std::vector<std::uint64_t> served_;
   std::vector<std::uint64_t> served_packets_;

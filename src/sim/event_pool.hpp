@@ -8,7 +8,9 @@
 //
 //  - acquire() stamps the slot with the event's insertion sequence number
 //    (`seq`, globally monotone, never 0 while live);
-//  - release() destroys the callback, zeroes `seq`, and bumps `generation`.
+//  - release() destroys the callback, zeroes `seq`, and bumps `generation`
+//    (retire() then recycle(), which the kernel splits around an in-place
+//    dispatch).
 //
 // A handle packs (generation, slot); a queue entry packs (time, seq, slot).
 // `cancel` validates its handle against the slot's current generation, and
@@ -68,10 +70,23 @@ class EventPool {
   /// invalidates outstanding handles and queue entries for it, and returns
   /// it to the free list.
   void release(std::uint32_t idx) {
+    retire(idx);
+    recycle(idx);
+  }
+
+  /// First half of release(): invalidates outstanding handles and queue
+  /// entries for the slot but keeps its callback and keeps it off the free
+  /// list. The kernel retires a slot before invoking its callback in place.
+  void retire(std::uint32_t idx) {
     EventSlot& s = slot(idx);
-    s.fn.reset();
     s.seq = 0;
     ++s.generation;
+  }
+
+  /// Second half of release(): destroys a retired slot's callback and
+  /// returns the slot to the free list.
+  void recycle(std::uint32_t idx) {
+    slot(idx).fn.reset();
     free_.push_back(idx);
   }
 

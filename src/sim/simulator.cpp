@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace pmsb::sim {
@@ -21,6 +20,20 @@ class EndDispatchGuard {
   DispatchHook* hook_;
 };
 
+// Destroys the dispatched callback and frees its retired slot once the
+// callback returns or throws.
+class RecycleGuard {
+ public:
+  RecycleGuard(EventPool& pool, std::uint32_t idx) : pool_(pool), idx_(idx) {}
+  RecycleGuard(const RecycleGuard&) = delete;
+  RecycleGuard& operator=(const RecycleGuard&) = delete;
+  ~RecycleGuard() { pool_.recycle(idx_); }
+
+ private:
+  EventPool& pool_;
+  std::uint32_t idx_;
+};
+
 }  // namespace
 
 bool Simulator::step(TimeNs until) {
@@ -28,7 +41,10 @@ bool Simulator::step(TimeNs until) {
     const QueueEntry* top = backend_ == QueueBackend::kHeap
                                 ? heap_.peek()
                                 : calendar_.peek();
-    if (top == nullptr) return false;
+    if (top == nullptr) {
+      settle_at(now_);
+      return false;
+    }
     if (pool_.slot(top->slot).seq != top->seq) {
       // Tombstone: the event was cancelled (or its slot reused after a
       // purge race — impossible here, but the check subsumes it). Discard.
@@ -42,20 +58,24 @@ bool Simulator::step(TimeNs until) {
       continue;
     }
     if (top->time > until) {
-      now_ = std::max(now_, until);
+      if (until >= now_) settle_at(until);
       return false;
     }
     const QueueEntry e =
         backend_ == QueueBackend::kHeap ? heap_.pop() : calendar_.pop();
-    // Move the callback out and release the slot BEFORE invoking, so
-    // re-entrant schedules (which may reuse this very slot) and cancels of
-    // this event's own handle from inside the callback are both safe.
-    EventCallback fn = std::move(pool_.slot(e.slot).fn);
-    pool_.release(e.slot);
+    // Run the callback where it lies. Retiring the slot first makes a cancel
+    // of this event's own handle a no-op, and the slot stays off the free
+    // list until the guard recycles it, so a re-entrant schedule can never
+    // be handed it. Chunks never move, so `fn` stays valid while the
+    // callback schedules.
+    pool_.retire(e.slot);
+    const RecycleGuard recycle{pool_, e.slot};
+    EventCallback& fn = pool_.slot(e.slot).fn;
     assert(live_events_ > 0);
     --live_events_;
     const TimeNs delta = e.time - now_;
     now_ = e.time;
+    dispatch_seq_ = e.seq;
     ++executed_events_;
     if (hook_ != nullptr) {
       hook_->begin_dispatch(now_, delta);
@@ -78,7 +98,7 @@ void Simulator::run(TimeNs until) {
   // at the event that requested the stop.
   if (!stop_requested_ && until != kTimeNever && live_events_ == 0 &&
       now_ < until) {
-    now_ = until;
+    settle_at(until);
   }
 }
 

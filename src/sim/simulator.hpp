@@ -6,7 +6,7 @@
 // condition fires. Ties at the same timestamp execute in the order they
 // were scheduled, which makes runs bit-for-bit reproducible.
 //
-// Hot-path design (ROADMAP item 1):
+// Hot-path design:
 //  - a scheduled callback lives in a generation-tagged slot of a per-
 //    Simulator EventPool (slab chunks, LIFO free list, no per-event malloc);
 //    the callback type is a 48-byte small-buffer EventCallback, not
@@ -15,7 +15,16 @@
 //    move three words and never touch the closure;
 //  - schedule/cancel/fire are O(1) bookkeeping (plus the queue op): handle
 //    validation is a generation compare against the slot, entry validation a
-//    sequence compare — the old pending_/cancelled_ hash sets are gone;
+//    sequence compare;
+//  - dispatch runs the callback in its pool slot: the slot is retired (its
+//    handle and entry stop matching) before the call and recycled after it,
+//    even when the callback throws;
+//  - an event that may never be needed can take its place in the order
+//    without being queued: `reserve_seq()` hands out the insertion sequence
+//    now, and `schedule_reserved(t, seq, fn)` queues it later, while
+//    `current_before(t, seq)` still holds. The entry then runs exactly where
+//    a `schedule_at` issued at reservation time would have run. net::Link
+//    uses this for its transmit wake-ups and its one queued delivery;
 //  - two queue backends are selectable at construction (`sched_queue=` at
 //    the CLI): the default binary heap and a calendar queue. Both order
 //    entries identically and discard a cancelled entry exactly when it
@@ -27,6 +36,7 @@
 // more than parallelism for reproducing paper figures.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -88,25 +98,41 @@ class Simulator {
       throw std::invalid_argument(
           "Simulator::schedule_at: time is in the past");
     }
-    const std::uint64_t seq = next_seq_++;
-    const std::uint32_t idx = pool_.acquire(seq, std::forward<F>(fn));
-    const QueueEntry entry{t, seq, idx};
-    if (backend_ == QueueBackend::kHeap) {
-      heap_.push(entry);
-    } else {
-      calendar_.push(entry);
-    }
-    ++live_events_;
-    max_heap_depth_ = std::max(max_heap_depth_, queue_depth());
-    if (hook_ != nullptr) hook_->on_schedule();
-    return (static_cast<EventId>(pool_.generation(idx)) << 32) |
-           (static_cast<EventId>(idx) + 1);
+    return enqueue(t, next_seq_++, std::forward<F>(fn));
   }
 
   /// Schedules `fn` to run `delay` nanoseconds from now.
   template <typename F>
   EventId schedule_in(TimeNs delay, F&& fn) {
     return schedule_at(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Takes the next insertion sequence number and queues nothing. An event
+  /// later queued with it by schedule_reserved() runs where a schedule_at()
+  /// issued now would have run among same-timestamp events.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Queues `fn` at time `t` under a sequence number from reserve_seq().
+  /// Precondition: current_before(t, seq) — the reserved position has not
+  /// been passed yet. Each reserved number may be used at most once.
+  template <typename F>
+  EventId schedule_reserved(TimeNs t, std::uint64_t seq, F&& fn) {
+    assert(current_before(t, seq) &&
+           "Simulator::schedule_reserved: reserved position already passed");
+    return enqueue(t, seq, std::forward<F>(fn));
+  }
+
+  /// True while (t, seq) is still ahead of the dispatch position. Inside a
+  /// callback the position is the running event's (time, seq). Outside a
+  /// dispatch it is:
+  ///  - (0, 0) at set-up;
+  ///  - (now(), +inf) once run()/step() has moved now() to its horizon or
+  ///    drained the queue, since everything up to that instant has run.
+  ///    The +inf covers the numbers handed out so far: one reserved later is
+  ///    still ahead, as a schedule_at(now()) issued then would be;
+  ///  - the last dispatched event after a stop().
+  [[nodiscard]] bool current_before(TimeNs t, std::uint64_t seq) const {
+    return t > now_ || (t == now_ && seq > dispatch_seq_);
   }
 
   /// Cancels a pending event. Cancelling an already-fired, already-cancelled,
@@ -186,6 +212,28 @@ class Simulator {
   /// Don't bother purging tombstones out of a tiny queue.
   static constexpr std::size_t kCompactMinDepth = 64;
 
+  template <typename F>
+  EventId enqueue(TimeNs t, std::uint64_t seq, F&& fn) {
+    const std::uint32_t idx = pool_.acquire(seq, std::forward<F>(fn));
+    const QueueEntry entry{t, seq, idx};
+    if (backend_ == QueueBackend::kHeap) {
+      heap_.push(entry);
+    } else {
+      calendar_.push(entry);
+    }
+    ++live_events_;
+    max_heap_depth_ = std::max(max_heap_depth_, queue_depth());
+    if (hook_ != nullptr) hook_->on_schedule();
+    return (static_cast<EventId>(pool_.generation(idx)) << 32) |
+           (static_cast<EventId>(idx) + 1);
+  }
+
+  /// Moves the dispatch position to (t, +inf): everything up to `t` has run.
+  void settle_at(TimeNs t) {
+    now_ = t;
+    dispatch_seq_ = next_seq_ - 1;
+  }
+
   /// Purges cancelled tombstones when they exceed half the queue. Cold path;
   /// the trigger depends only on the schedule/cancel trace, so both backends
   /// compact at identical points and depth metrics stay comparable.
@@ -197,6 +245,9 @@ class Simulator {
   const QueueBackend backend_;
   TimeNs now_ = 0;
   std::uint64_t next_seq_ = 1;  // 0 is the pool's "slot free" sentinel
+  /// Sequence half of the dispatch position (its time half is now_); see
+  /// current_before().
+  std::uint64_t dispatch_seq_ = 0;
   std::uint64_t last_packet_id_ = 0;
   std::size_t live_events_ = 0;
   std::size_t stale_entries_ = 0;  ///< cancelled entries still in the queue

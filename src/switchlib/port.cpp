@@ -25,6 +25,7 @@ Port::Port(sim::Simulator& simulator, net::Link* link, const PortConfig& config)
   // Round-based schedulers feed the marking scheme's T_round estimator.
   sched_->set_round_observer(
       [this](TimeNs now) { marking_->on_round_complete(now); });
+  link_->attach_source(this);
 }
 
 void Port::update_ewma(std::size_t queue, std::uint64_t in_flight_bytes) {
@@ -162,18 +163,16 @@ void Port::handle(Packet pkt) {
     sched_->enqueue(q, std::move(pkt));
   }
   ++stats_.enqueued_packets;
-  try_transmit();
+  link_->kick();
 }
 
-void Port::try_transmit() {
-  if (transmitting_ || sched_->empty()) return;
+Packet Port::pull() {
   telemetry::ProfileScope profile(profiler_, kind_transmit_);
   std::optional<sched::Dequeued> out;
   {
     telemetry::ProfileScope sched_scope(profiler_, kind_sched_dequeue_);
     out = sched_->dequeue(sim_.now());
   }
-  if (!out) return;
   ++stats_.dequeued_packets;
   Packet pkt = std::move(out->pkt);
   update_ewma(out->queue, pkt.size_bytes);
@@ -195,12 +194,7 @@ void Port::try_transmit() {
   }
   notify(&net::PacketObserver::on_dequeue, pkt, out->queue);
   if (pool_ != nullptr) pool_->release(pool_slot_, pkt.size_bytes);
-  transmitting_ = true;
-  const TimeNs tx_done = link_->transmit(std::move(pkt));
-  sim_.schedule_at(tx_done, [this] {
-    transmitting_ = false;
-    try_transmit();
-  });
+  return pkt;
 }
 
 }  // namespace pmsb::switchlib

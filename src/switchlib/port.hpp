@@ -1,6 +1,7 @@
 // Output port of a switch: classification, shared buffer admission, ECN
-// marking (enqueue and/or dequeue side), a packet scheduler, and the
-// transmit loop that drives the attached link.
+// marking (enqueue and/or dequeue side) and a packet scheduler. The attached
+// link runs the transmit loop and pulls from the port as its PacketSource;
+// the pull is where dequeue-side marking happens.
 #pragma once
 
 #include <array>
@@ -58,12 +59,12 @@ struct PortStats {
   std::array<std::uint64_t, kNumDropReasons> dropped_by_reason{};
 };
 
-class Port {
+class Port : private net::PacketSource {
  public:
   Port(sim::Simulator& simulator, net::Link* link, const PortConfig& config);
 
   /// Admits a packet: classify (queue = service % num_queues) -> admission
-  /// check -> (enqueue marking) -> store -> kick the transmit loop.
+  /// check -> (enqueue marking) -> store -> kick the link.
   void handle(Packet pkt);
 
   /// Joins a shared buffer pool: the port takes a ledger slot, admission
@@ -86,8 +87,8 @@ class Port {
     taps_.add(observer, site);
   }
 
-  /// Attaches a profiler (nullptr to detach): handle() and the transmit
-  /// loop become "port.handle"/"port.transmit" scopes, with nested
+  /// Attaches a profiler (nullptr to detach): handle() and the link's pull
+  /// become "port.handle"/"port.transmit" scopes, with nested
   /// "sched.<name>.enqueue/.dequeue" and "ecn.<scheme>.should_mark" scopes
   /// so scheduler and marking cost is attributed separately. Kind names are
   /// interned here; the packet path stays string-free.
@@ -114,7 +115,10 @@ class Port {
   [[nodiscard]] ecn::MarkPoint mark_point() const { return mark_point_; }
 
  private:
-  void try_transmit();
+  /// Dequeue for the link: scheduler selection, dequeue-side marking, the
+  /// observer taps and the pool release.
+  Packet pull() override;
+  [[nodiscard]] bool has_packet() const override { return !sched_->empty(); }
   void drop(const Packet& pkt, std::size_t queue, DropReason reason);
   [[nodiscard]] AdmissionRequest admission_request(std::uint64_t packet_bytes) const {
     return {.packet_bytes = packet_bytes,
@@ -144,7 +148,6 @@ class Port {
   telemetry::Profiler::KindId kind_sched_enqueue_ = 0;
   telemetry::Profiler::KindId kind_sched_dequeue_ = 0;
   telemetry::Profiler::KindId kind_should_mark_ = 0;
-  bool transmitting_ = false;
   using PortHook = void (net::PacketObserver::*)(net::SiteId, TimeNs, const Packet&,
                                                  std::size_t, std::uint64_t);
   void notify(PortHook hook, const Packet& pkt, std::size_t queue) {

@@ -1,6 +1,7 @@
 // Tests for Link (serialization + propagation) and Host (NIC FIFO, demux).
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/host.hpp"
@@ -16,18 +17,25 @@ namespace {
 class SinkNode : public Node {
  public:
   explicit SinkNode(std::string name) : Node(std::move(name)) {}
-  void receive(Packet pkt) override {
-    arrivals.push_back(pkt);
-    times.push_back(last_now ? *last_now : -1);
-  }
+  void receive(Packet pkt) override { arrivals.push_back(pkt); }
   std::vector<Packet> arrivals;
-  std::vector<sim::TimeNs> times;
-  const sim::TimeNs* last_now = nullptr;
 };
 
-Packet make_packet(std::uint32_t size = 1500) {
+/// Records (arrival time, packet id) per delivery.
+class ClockedSink : public Node {
+ public:
+  explicit ClockedSink(const sim::Simulator& sim) : Node("clocked"), sim_(sim) {}
+  void receive(Packet pkt) override { arrivals.emplace_back(sim_.now(), pkt.id); }
+  std::vector<std::pair<sim::TimeNs, std::uint64_t>> arrivals;
+
+ private:
+  const sim::Simulator& sim_;
+};
+
+Packet make_packet(std::uint32_t size = 1500, std::uint64_t id = 0) {
   Packet p;
   p.size_bytes = size;
+  p.id = id;
   return p;
 }
 
@@ -78,8 +86,6 @@ TEST(Host, SendSerializesBackToBack) {
   Link up(sim, sim::gbps(10), 0, &sink);
   Host host(sim, 0, "h0");
   host.attach_uplink(&up);
-  std::vector<sim::TimeNs> arrival_times;
-  // Wrap sink arrivals with timestamps by sampling in an event after run.
   sim.schedule_at(0, [&] {
     host.send(make_packet(1500));
     host.send(make_packet(1500));
@@ -91,6 +97,10 @@ TEST(Host, SendSerializesBackToBack) {
   // Three packets serialized back to back: last bit at 3 * 1200 ns.
   EXPECT_EQ(sim.now(), 3600);
   EXPECT_EQ(host.nic_backlog_bytes(), 0u);
+  // The send event, three deliveries, and the two transmit-done wake-ups
+  // that found a packet waiting. The third packet's wake-up would find the
+  // queue empty, so it is never queued.
+  EXPECT_EQ(sim.executed_events(), 6u);
 }
 
 TEST(Host, StampsSentTime) {
@@ -152,4 +162,63 @@ TEST(Host, HandlerMayUnregisterItself) {
   host.receive(p);
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(host.dropped_no_handler(), 1u);
+}
+
+// Host::send from outside any dispatch: at set-up, after run(until) stopped
+// mid-serialization, and after run(until) passed the tx-done instant.
+TEST(Host, SendFromOutsideDispatchAfterRunUntil) {
+  sim::Simulator sim;
+  ClockedSink sink(sim);
+  Link up(sim, sim::gbps(10), 0, &sink);
+  Host host(sim, 0, "h0");
+  host.attach_uplink(&up);
+  host.send(make_packet(1500, 1));  // set-up: straight onto the wire
+  EXPECT_TRUE(up.busy());
+  sim.run(500);  // horizon inside packet 1's serialization
+  host.send(make_packet(1500, 2));  // waits for the tx-done wake-up at 1200
+  EXPECT_EQ(host.nic_backlog_packets(), 1u);
+  sim.run(2400);  // packet 2 finished at 2400; the link is idle there
+  ASSERT_EQ(sim.now(), 2400);
+  EXPECT_FALSE(up.busy());
+  host.send(make_packet(1500, 3));  // idle link: transmits at once
+  EXPECT_TRUE(up.busy());
+  EXPECT_EQ(host.nic_backlog_packets(), 0u);
+  host.send(make_packet(500, 4));  // queued behind packet 3
+  sim.run();
+  using Arrival = std::pair<sim::TimeNs, std::uint64_t>;
+  EXPECT_EQ(sink.arrivals, (std::vector<Arrival>{
+                               {1200, 1}, {2400, 2}, {3600, 3}, {4000, 4}}));
+  EXPECT_EQ(up.packets_in_flight(), 0u);
+}
+
+// A link delivers in FIFO order with one queued delivery event at a time;
+// packets_in_flight() counts the list exactly, and re-pointing the link
+// mid-flight sends every packet still on the wire to the new node.
+TEST(Link, DeliveriesStayFifoAndFollowSetDestination) {
+  sim::Simulator sim;
+  ClockedSink first(sim);
+  ClockedSink second(sim);
+  Link up(sim, sim::gbps(10), sim::microseconds(5), &first);
+  Host host(sim, 0, "h0");
+  host.attach_uplink(&up);
+  sim.schedule_at(0, [&] {
+    for (std::uint64_t id = 1; id <= 5; ++id) host.send(make_packet(1500, id));
+  });
+  // Packet k finishes serializing at 1200k and arrives 5 us later.
+  std::vector<std::uint64_t> in_flight;
+  for (const sim::TimeNs t : {1000, 3000, 6100, 6300, 7000, 10000, 12000}) {
+    sim.schedule_at(t, [&] { in_flight.push_back(up.packets_in_flight()); });
+  }
+  sim.schedule_at(7000, [&] {
+    EXPECT_EQ(sim.pending_events(), 3u)
+        << "one delivery, one in-flight sampler at 10000 and one at 12000";
+    up.set_destination(&second);
+  });
+  sim.run();
+  using Arrival = std::pair<sim::TimeNs, std::uint64_t>;
+  EXPECT_EQ(first.arrivals, (std::vector<Arrival>{{6200, 1}}));
+  EXPECT_EQ(second.arrivals, (std::vector<Arrival>{
+                                 {7400, 2}, {8600, 3}, {9800, 4}, {11000, 5}}));
+  EXPECT_EQ(in_flight, (std::vector<std::uint64_t>{1, 3, 5, 4, 4, 1, 0}));
+  EXPECT_EQ(up.packets_delivered(), 5u);
 }

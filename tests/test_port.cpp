@@ -2,6 +2,7 @@
 // enqueue vs dequeue, transmit loop pacing.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/node.hpp"
@@ -197,4 +198,60 @@ TEST(Port, MarkedPerQueueCountsByQueue) {
   const auto& st = port.stats();
   EXPECT_EQ(st.marked_per_queue.size(), 2u);
   EXPECT_EQ(st.marked_per_queue[0] + st.marked_per_queue[1], st.marked_enqueue);
+}
+
+namespace {
+
+struct DequeueLog final : net::PacketObserver {
+  void on_dequeue(net::SiteId, sim::TimeNs now, const net::Packet& pkt, std::size_t,
+                  std::uint64_t) override {
+    log.emplace_back(now, pkt.id);
+  }
+  std::vector<std::pair<sim::TimeNs, std::uint64_t>> log;
+};
+
+/// Packet A (queue 1) goes to the wire at 0 and finishes at 1200. At exactly
+/// 1200 one event hands the port C (queue 1) and then B (queue 0); it is
+/// ordered before A's tx-done wake-up when scheduled at set-up, and after it
+/// when scheduled from inside the t=0 event, after A's transmit.
+std::vector<std::pair<sim::TimeNs, std::uint64_t>> dequeues_with_arrivals_at_tx_done(
+    bool before_wakeup) {
+  sim::Simulator sim;
+  SinkNode sink;
+  net::Link link(sim, sim::gbps(10), 0, &sink);
+  Port port(sim, &link, two_queue_config());
+  DequeueLog log;
+  port.add_observer(&log);
+  const auto packet = [](net::ServiceId service, std::uint64_t id) {
+    auto p = data_pkt(service);
+    p.id = id;
+    return p;
+  };
+  const auto arrivals = [&] {
+    port.handle(packet(1, 3));  // C
+    port.handle(packet(0, 2));  // B
+  };
+  if (before_wakeup) sim.schedule_at(1200, arrivals);
+  sim.schedule_at(0, [&] {
+    port.handle(packet(1, 1));  // A
+    if (!before_wakeup) sim.schedule_at(1200, arrivals);
+  });
+  sim.run();
+  EXPECT_EQ(sink.arrivals.size(), 3u);
+  return log.log;
+}
+
+}  // namespace
+
+// A packet enqueued exactly at tx_done must leave as under a loop that
+// always queues its tx-done wake-up. Before the wake-up, both arrivals are
+// queued when it dequeues; DWRR's cursor sits on queue 1 with A's quantum
+// spent, so B (queue 0) goes first. After the wake-up, which found nothing
+// to send, the port is idle: C goes out the moment it arrives.
+TEST(Port, EnqueueAtTxDoneMatchesEagerWakeupOrder) {
+  using Dequeue = std::pair<sim::TimeNs, std::uint64_t>;
+  EXPECT_EQ(dequeues_with_arrivals_at_tx_done(true),
+            (std::vector<Dequeue>{{0, 1}, {1200, 2}, {2400, 3}}));
+  EXPECT_EQ(dequeues_with_arrivals_at_tx_done(false),
+            (std::vector<Dequeue>{{0, 1}, {1200, 3}, {2400, 2}}));
 }

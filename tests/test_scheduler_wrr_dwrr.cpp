@@ -1,7 +1,9 @@
 // Unit tests for WRR and DWRR, including round-completion reporting.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "sched/dwrr.hpp"
@@ -160,4 +162,123 @@ TEST(Dwrr, QuantumAccessor) {
   DwrrScheduler s(2, {1.0, 2.0}, 1500);
   EXPECT_DOUBLE_EQ(s.quantum(0), 1500.0);
   EXPECT_DOUBLE_EQ(s.quantum(1), 3000.0);
+}
+
+// ===================== DWRR differential test =====================
+
+namespace {
+
+/// The DWRR selection DwrrScheduler used before it cached the rounded quanta
+/// and stopped wrapping the cursor with a modulo: the reference the current
+/// loop must match decision for decision.
+class ReferenceDwrr final : public Scheduler {
+ public:
+  explicit ReferenceDwrr(std::vector<double> weights)
+      : Scheduler(weights.size(), weights), deficit_(weights.size(), 0) {}
+
+  [[nodiscard]] std::string name() const override { return "DWRR-ref"; }
+  [[nodiscard]] bool round_based() const override { return true; }
+  [[nodiscard]] std::int64_t deficit(std::size_t q) const { return deficit_.at(q); }
+
+ protected:
+  std::size_t select_queue(TimeNs now) override {
+    const std::size_t max_visits = 64 * num_queues() + 64;
+    bool round_reported = false;
+    for (std::size_t visits = 0; visits < max_visits; ++visits) {
+      const std::size_t q = cursor_;
+      if (!quantum_added_this_visit_ && backlogged(q)) {
+        deficit_[q] += static_cast<std::int64_t>(
+            std::llround(weight(q) * sim::kDefaultMtuBytes));
+        quantum_added_this_visit_ = true;
+      }
+      if (backlogged(q) &&
+          static_cast<std::int64_t>(head(q).size_bytes) <= deficit_[q]) {
+        deficit_[q] -= head(q).size_bytes;
+        return q;
+      }
+      if (!backlogged(q)) deficit_[q] = 0;
+      quantum_added_this_visit_ = false;
+      cursor_ = (cursor_ + 1) % num_queues();
+      if (cursor_ == 0 && !round_reported) {
+        notify_round_complete(now);
+        round_reported = true;
+      }
+    }
+    throw std::logic_error("ReferenceDwrr: no eligible queue");
+  }
+
+ private:
+  std::vector<std::int64_t> deficit_;
+  std::size_t cursor_ = 0;
+  bool quantum_added_this_visit_ = false;
+};
+
+/// Drives DwrrScheduler and the reference through one seeded trace of bursts
+/// into random subsets of queues, partial drains and full drains (idle gaps),
+/// with mixed packet sizes, comparing every decision. Returns how many
+/// dequeues it compared.
+int run_dwrr_differential(const std::vector<double>& weights, std::uint64_t seed) {
+  DwrrScheduler fast(weights.size(), weights);
+  ReferenceDwrr ref(weights);
+  std::vector<sim::TimeNs> fast_rounds;
+  std::vector<sim::TimeNs> ref_rounds;
+  fast.set_round_observer([&](sim::TimeNs t) { fast_rounds.push_back(t); });
+  ref.set_round_observer([&](sim::TimeNs t) { ref_rounds.push_back(t); });
+  std::uint64_t rng = seed;
+  const auto next = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(rng >> 33);
+  };
+  const std::uint32_t sizes[] = {64, 576, 1000, 1500, 9000};
+  const std::size_t n = weights.size();
+  sim::TimeNs now = 0;
+  int dequeues = 0;
+  for (int phase = 0; phase < 200; ++phase) {
+    // A burst into a few queues; the rest stay idle this phase.
+    const std::size_t active = 1 + next() % std::min<std::size_t>(n, 4);
+    for (std::size_t a = 0; a < active; ++a) {
+      const std::size_t q = next() % n;
+      const int burst = 1 + static_cast<int>(next() % 6);
+      for (int b = 0; b < burst; ++b) {
+        Packet p = pkt(sizes[next() % 5]);
+        p.id = static_cast<std::uint64_t>(phase * 1000 + a * 10 + b);
+        fast.enqueue(q, p);
+        ref.enqueue(q, p);
+      }
+    }
+    // Drain part of the backlog, or all of it (an idle gap follows).
+    const bool full = next() % 3 == 0;
+    std::size_t budget = full ? fast.total_packets() : 1 + next() % 8;
+    while (budget-- > 0 && !fast.empty()) {
+      now += 100;
+      const auto got = fast.dequeue(now);
+      const auto want = ref.dequeue(now);
+      EXPECT_EQ(got->queue, want->queue) << "dequeue " << dequeues;
+      EXPECT_EQ(got->pkt.id, want->pkt.id) << "dequeue " << dequeues;
+      for (std::size_t q = 0; q < n; ++q) {
+        EXPECT_EQ(fast.deficit(q), ref.deficit(q))
+            << "queue " << q << " after dequeue " << dequeues;
+      }
+      ++dequeues;
+      if (::testing::Test::HasFailure()) return dequeues;
+    }
+    EXPECT_EQ(fast_rounds, ref_rounds) << "phase " << phase;
+    now += 10'000;  // idle gap
+  }
+  EXPECT_FALSE(fast_rounds.empty());
+  return dequeues;
+}
+
+}  // namespace
+
+// The cached quanta and increment-and-wrap must serve the same queue, leave
+// the same deficits and report the same rounds as the reference, with
+// fractional weights, idle gaps and mixed sizes, on 3, 8 and 65 queues.
+TEST(Dwrr, MatchesStepByStepReference) {
+  EXPECT_GT(run_dwrr_differential({0.3, 1.7, 2.5}, 1), 1000);
+  EXPECT_GT(run_dwrr_differential({0.3, 1.7, 2.5}, 2), 1000);
+  EXPECT_GT(run_dwrr_differential({1.0, 0.5, 0.25, 2.0, 1.0, 0.3, 4.0, 1.5}, 3), 1000);
+  std::vector<double> wide(65);
+  for (std::size_t q = 0; q < wide.size(); ++q) wide[q] = 0.3 + 0.2 * (q % 7);
+  EXPECT_GT(run_dwrr_differential(wide, 5), 1000);
 }

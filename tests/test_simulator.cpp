@@ -1,9 +1,12 @@
 // Unit tests for the discrete-event kernel: ordering, ties, cancellation,
-// re-entrancy, run-until semantics, and the queue-backend conformance suite
-// (heap and calendar must be observably indistinguishable).
+// re-entrancy, run-until semantics, reserved sequence numbers, in-place
+// dispatch, and the queue-backend conformance suite (heap and calendar must
+// be observably indistinguishable).
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdlib>
+#include <deque>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -413,6 +416,300 @@ TEST_P(BackendConformance, OversizedCapturesTakeTheBoxedPath) {
   sim.cancel(doomed);  // boxed captures must also free on cancel
   sim.run();
   EXPECT_EQ(sum, 49);
+}
+
+// ===================== reserved sequence numbers =====================
+
+namespace {
+
+/// A toy transmit loop over `kDevices` devices in a ring, driven one of two
+/// ways. Eager: every transmit schedules its tx-done wake-up, which may find
+/// nothing to send. Reserved: the wake-up's seq is reserved at transmit and
+/// the wake-up is queued only once a packet waits for it — net::Link's loop.
+/// Everything that does work is recorded; no-op wake-ups record nothing, so
+/// the two traces must be identical.
+class ToyRing {
+ public:
+  struct Record {
+    TimeNs now;
+    char kind;  ///< 'a' arrival, 't' transmit, 's' sink
+    int device;
+    int packet;
+    bool operator==(const Record&) const = default;
+  };
+
+  ToyRing(QueueBackend backend, bool reserved) : sim_(backend), reserved_(reserved) {}
+
+  std::vector<Record> run(std::uint64_t seed) {
+    std::uint64_t rng = seed;
+    const auto next = [&rng] {
+      rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+      return static_cast<std::uint32_t>(rng >> 33);
+    };
+    // Arrivals on a 100 ns grid, so they tie with tx-done instants (also
+    // multiples of 100 ns) in both orders: scheduled before the transmit
+    // that reserved the wake-up, and from inside dispatch after it.
+    for (int i = 0; i < 400; ++i) {
+      const TimeNs t = 100 * static_cast<TimeNs>(next() % 60);
+      const int device = static_cast<int>(next() % kDevices);
+      const int burst = 1 + static_cast<int>(next() % 3);
+      sim_.schedule_at(t, [this, device, burst, i] {
+        for (int b = 0; b < burst; ++b) arrive(device, 1000 * i + b);
+      });
+    }
+    // Two packets enqueued at set-up, outside any dispatch.
+    arrive(0, -1);
+    arrive(1, -2);
+    sim_.run();
+    return trace_;
+  }
+
+  [[nodiscard]] const Simulator& sim() const { return sim_; }
+  [[nodiscard]] int noop_wakeups() const { return noop_wakeups_; }
+
+ private:
+  static constexpr int kDevices = 4;
+  struct Device {
+    std::deque<int> queue;
+    bool transmitting = false;  // eager loop
+    bool wake_queued = false;   // reserved loop
+    TimeNs busy_until = 0;
+    std::uint64_t wake_seq = 0;
+  };
+
+  void arrive(int d, int packet) {
+    trace_.push_back({sim_.now(), 'a', d, packet});
+    devices_[d].queue.push_back(packet);
+    kick(d);
+  }
+
+  void kick(int d) {
+    Device& dev = devices_[d];
+    if (!reserved_) {
+      if (!dev.transmitting) transmit(d);
+      return;
+    }
+    if (dev.wake_queued) return;
+    if (sim_.current_before(dev.busy_until, dev.wake_seq)) {
+      queue_wake(d);
+      return;
+    }
+    transmit(d);
+  }
+
+  void transmit(int d) {
+    Device& dev = devices_[d];
+    const int packet = dev.queue.front();
+    dev.queue.pop_front();
+    trace_.push_back({sim_.now(), 't', d, packet});
+    const TimeNs tx_done = sim_.now() + 100 * (1 + std::abs(packet) % 3);
+    dev.busy_until = tx_done;
+    // Hop to the next device after a delay of 0, 100 or 200 ns; a packet
+    // leaves the ring on reaching device |packet| mod kDevices.
+    const int hop = (d + 1) % kDevices;
+    const TimeNs arrival = tx_done + 100 * (std::abs(packet) % 3);
+    sim_.schedule_at(arrival, [this, hop, packet] {
+      if (std::abs(packet) % kDevices == hop) {
+        trace_.push_back({sim_.now(), 's', hop, packet});
+      } else {
+        arrive(hop, packet);
+      }
+    });
+    if (!reserved_) {
+      dev.transmitting = true;
+      sim_.schedule_at(tx_done, [this, d] {
+        Device& dv = devices_[d];
+        dv.transmitting = false;
+        if (dv.queue.empty()) {
+          ++noop_wakeups_;
+          return;
+        }
+        transmit(d);
+      });
+      return;
+    }
+    dev.wake_seq = sim_.reserve_seq();
+    if (!dev.queue.empty()) queue_wake(d);
+  }
+
+  void queue_wake(int d) {
+    Device& dev = devices_[d];
+    dev.wake_queued = true;
+    sim_.schedule_reserved(dev.busy_until, dev.wake_seq, [this, d] {
+      devices_[d].wake_queued = false;
+      transmit(d);
+    });
+  }
+
+  Simulator sim_;
+  bool reserved_;
+  std::array<Device, kDevices> devices_{};
+  std::vector<Record> trace_;
+  int noop_wakeups_ = 0;
+};
+
+}  // namespace
+
+// The reserved-seq contract at unit scale: a wake-up queued late at its
+// reserved seq runs exactly where an eagerly scheduled one would have, so
+// skipping the wake-ups that find nothing to send changes no dispatch.
+TEST_P(BackendConformance, ReservedWakeupsDispatchLikeEagerOnes) {
+  for (const std::uint64_t seed : {1ull, 7ull, 0x9e3779b97f4a7c15ull}) {
+    ToyRing eager(GetParam(), false);
+    ToyRing reserved(GetParam(), true);
+    const auto want = eager.run(seed);
+    const auto got = reserved.run(seed);
+    ASSERT_GT(want.size(), 1000u);
+    ASSERT_GT(eager.noop_wakeups(), 0) << "the trace must exercise idle wake-ups";
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(reserved.sim().executed_events() + eager.noop_wakeups(),
+              eager.sim().executed_events())
+        << "exactly the no-op wake-ups are gone";
+    EXPECT_TRUE(reserved.sim().empty());
+  }
+}
+
+TEST_P(BackendConformance, CurrentBeforeAtSetUpIsTheOrigin) {
+  Simulator sim(GetParam());
+  EXPECT_FALSE(sim.current_before(0, 0));
+  const std::uint64_t s = sim.reserve_seq();
+  EXPECT_TRUE(sim.current_before(0, s));
+  EXPECT_EQ(sim.pending_events(), 0u) << "reserving queues nothing";
+  bool ran = false;
+  sim.schedule_reserved(0, s, [&] { ran = true; });
+  sim.run();
+  EXPECT_TRUE(ran);
+}
+
+TEST_P(BackendConformance, CurrentBeforeInsideDispatchIsTheRunningEvent) {
+  Simulator sim(GetParam());
+  const std::uint64_t before = sim.reserve_seq();
+  std::uint64_t after = 0;
+  sim.schedule_at(10, [&] {
+    EXPECT_FALSE(sim.current_before(10, before));
+    EXPECT_TRUE(sim.current_before(10, after));
+    EXPECT_TRUE(sim.current_before(11, before));
+    EXPECT_FALSE(sim.current_before(9, after));
+  });
+  after = sim.reserve_seq();
+  sim.run();
+}
+
+TEST_P(BackendConformance, CurrentBeforeAfterRunUntilWithEventsPastHorizon) {
+  Simulator sim(GetParam());
+  const std::uint64_t early = sim.reserve_seq();
+  sim.schedule_at(100, [] {});
+  sim.run(60);
+  ASSERT_EQ(sim.now(), 60);
+  ASSERT_EQ(sim.pending_events(), 1u);
+  // Everything up to the horizon has run, the reserved slot at it included.
+  EXPECT_FALSE(sim.current_before(50, early));
+  EXPECT_FALSE(sim.current_before(60, early));
+  EXPECT_TRUE(sim.current_before(61, early));
+  // A seq reserved now is still ahead, as a schedule_at(now()) would be.
+  const std::uint64_t fresh = sim.reserve_seq();
+  EXPECT_TRUE(sim.current_before(60, fresh));
+  std::vector<int> order;
+  sim.schedule_reserved(60, fresh, [&] { order.push_back(60); });
+  sim.schedule_reserved(61, early, [&] { order.push_back(61); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{60, 61}));
+}
+
+TEST_P(BackendConformance, CurrentBeforeAfterQueueDrainsBeforeHorizon) {
+  Simulator sim(GetParam());
+  const std::uint64_t s = sim.reserve_seq();
+  sim.schedule_at(10, [] {});
+  sim.run(100);
+  ASSERT_EQ(sim.now(), 100);
+  EXPECT_FALSE(sim.current_before(100, s));
+  EXPECT_TRUE(sim.current_before(100, sim.reserve_seq()));
+  // Without a horizon the drain settles at the last event's instant.
+  Simulator open(GetParam());
+  const std::uint64_t t = open.reserve_seq();
+  open.schedule_at(10, [] {});
+  open.run();
+  ASSERT_EQ(open.now(), 10);
+  EXPECT_FALSE(open.current_before(10, t));
+  EXPECT_TRUE(open.current_before(10, open.reserve_seq()));
+}
+
+TEST_P(BackendConformance, CurrentBeforeAfterStopIsTheLastDispatchedEvent) {
+  Simulator sim(GetParam());
+  std::vector<char> order;
+  sim.schedule_at(10, [&] {
+    order.push_back('a');
+    sim.stop();
+  });
+  const std::uint64_t reserved = sim.reserve_seq();
+  sim.schedule_at(10, [&] { order.push_back('b'); });
+  sim.run(100);
+  ASSERT_EQ(sim.now(), 10);
+  // The stop left the position at 'a', so the slot reserved between 'a'
+  // and 'b' is still ahead and, queued now, runs before 'b'.
+  EXPECT_TRUE(sim.current_before(10, reserved));
+  sim.schedule_reserved(10, reserved, [&] { order.push_back('r'); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'r', 'b'}));
+}
+
+// ===================== in-place dispatch =====================
+
+TEST_P(BackendConformance, CancellingTheRunningEventIsANoop) {
+  Simulator sim(GetParam());
+  EventId self = kInvalidEventId;
+  bool other_fired = false;
+  self = sim.schedule_at(10, [&] { sim.cancel(self); });
+  sim.schedule_at(20, [&] { other_fired = true; });
+  sim.run();
+  EXPECT_TRUE(other_fired);
+  EXPECT_EQ(sim.cancelled_events(), 0u);
+  EXPECT_EQ(sim.executed_events(), 2u);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST_P(BackendConformance, ReentrantScheduleNeverGetsTheRunningSlot) {
+  Simulator sim(GetParam());
+  const auto slot_of = [](EventId id) { return static_cast<std::uint32_t>(id); };
+  // Free a few slots first so the free list is not empty at dispatch.
+  std::vector<EventId> spare;
+  for (int i = 0; i < 4; ++i) spare.push_back(sim.schedule_at(5, [] {}));
+  for (const EventId id : spare) sim.cancel(id);
+  EventId running = kInvalidEventId;
+  int seen = 0;
+  int fired = 0;
+  const int token = 12345;  // lives in the running slot's inline buffer
+  running = sim.schedule_at(10, [&sim, &running, &seen, &fired, slot_of, token] {
+    // Enough schedules to carve new pool chunks under the running closure.
+    for (int i = 0; i < 2000; ++i) {
+      const EventId id = sim.schedule_in(1, [&fired] { ++fired; });
+      EXPECT_NE(slot_of(id), slot_of(running));
+    }
+    seen = token;
+  });
+  sim.run();
+  EXPECT_EQ(seen, token);
+  EXPECT_EQ(fired, 2000);
+}
+
+TEST_P(BackendConformance, ThrowingCallbackStillFreesItsSlot) {
+  Simulator sim(GetParam());
+  const auto slot_of = [](EventId id) { return static_cast<std::uint32_t>(id); };
+  const EventId thrower = sim.schedule_at(10, [] { throw std::runtime_error("x"); });
+  sim.schedule_at(20, [] {});
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.executed_events(), 1u);
+  // LIFO free list: the next schedule reuses the thrower's slot, under a
+  // new generation.
+  const EventId reuse = sim.schedule_at(30, [] {});
+  EXPECT_EQ(slot_of(reuse), slot_of(thrower));
+  EXPECT_NE(reuse, thrower);
+  sim.cancel(thrower);  // stale handle: no-op
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.executed_events(), 3u);
 }
 
 namespace {
