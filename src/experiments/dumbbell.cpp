@@ -6,7 +6,7 @@
 namespace pmsb::experiments {
 
 DumbbellScenario::DumbbellScenario(const DumbbellConfig& config)
-    : Fabric(config.queue, DigestStats::kDetailed), cfg_(config) {
+    : Fabric(config.queue), cfg_(config) {
   if (cfg_.num_senders == 0) throw std::invalid_argument("dumbbell: need senders");
 
   // Hosts: senders are 0..N-1, the receiver is host N.

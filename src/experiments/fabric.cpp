@@ -31,8 +31,7 @@ sim::TimeNs unloaded_rtt(const FabricConfig& cfg, std::size_t hops) {
   return h * data_ser + h * ack_ser + 2 * h * cfg.link_delay;
 }
 
-Fabric::Fabric(sim::QueueBackend queue, DigestStats digest_stats)
-    : sim_(queue), digest_stats_(digest_stats) {}
+Fabric::Fabric(sim::QueueBackend queue) : sim_(queue) {}
 
 Fabric::~Fabric() = default;
 
@@ -178,7 +177,6 @@ void Fabric::install_digest(regress::RunDigest& digest) {
 void Fabric::finalize_digest() {
   if (!digest_) return;
   regress::RunDigest& d = digest_->digest();
-  const bool detailed = digest_stats_ == DigestStats::kDetailed;
   std::size_t k = 0;  // digest_ids_ is in install order
   for (const StudiedPort& sp : studied_) {
     const regress::EntityId id = digest_ids_.at(k++);
@@ -186,10 +184,10 @@ void Fabric::finalize_digest() {
     d.stat(id, "enqueued_packets", ps.enqueued_packets);
     d.stat(id, "dequeued_packets", ps.dequeued_packets);
     d.stat(id, "dropped_packets", ps.dropped_packets);
-    if (detailed) d.stat(id, "dropped_bytes", ps.dropped_bytes);
+    d.stat(id, "dropped_bytes", ps.dropped_bytes);
     d.stat(id, "marked_enqueue", ps.marked_enqueue);
     d.stat(id, "marked_dequeue", ps.marked_dequeue);
-    for (std::size_t q = 0; detailed && q < ps.marked_per_queue.size(); ++q) {
+    for (std::size_t q = 0; q < ps.marked_per_queue.size(); ++q) {
       d.stat(id, "marked.q" + std::to_string(q), ps.marked_per_queue[q]);
     }
   }
@@ -209,7 +207,7 @@ void Fabric::finalize_digest() {
     d.stat(id, "acks_received", st.acks_received);
     d.stat(id, "ece_acks", st.ece_acks);
     d.stat(id, "ece_ignored", st.ece_ignored);
-    if (detailed) d.stat(id, "window_cuts", st.window_cuts);
+    d.stat(id, "window_cuts", st.window_cuts);
     d.stat(id, "bytes_acked", s.bytes_acked());
     d.stat(id, "complete", s.complete() ? 1 : 0);
     d.stat(id, "completion_time",

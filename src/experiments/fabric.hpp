@@ -70,11 +70,6 @@ struct StudiedPort {
   std::string name;
 };
 
-/// Which per-entity stats finalize_digest() folds. Recorded baselines pin
-/// both lists: the dumbbell uses kDetailed, the leaf-spine kCore.
-/// kDetailed adds dropped_bytes, marked.q<q> and window_cuts.
-enum class DigestStats : std::uint8_t { kCore, kDetailed };
-
 /// The fabric's active flows: those that have sent a segment and were not
 /// complete at the last walk, in ascending flow index. A flow has bytes in
 /// flight only between its first send and its completion, so this is every
@@ -176,8 +171,8 @@ class Fabric {
   /// ("link/<src>-><dst>") and every flow's sender ("flow/<idx>") into
   /// `digest`, in that order: entity ids feed the stream hash. Call once,
   /// after the flows are added; the digest must outlive the fabric.
-  /// finalize_digest() folds the final per-entity stats — call it once,
-  /// after the run.
+  /// finalize_digest() folds the final per-entity stats, the same list on
+  /// every fabric — call it once, after the run.
   void install_digest(regress::RunDigest& digest);
   void finalize_digest();
 
@@ -201,7 +196,7 @@ class Fabric {
   [[nodiscard]] virtual switchlib::Port& trace_port() = 0;
 
  protected:
-  Fabric(sim::QueueBackend queue, DigestStats digest_stats);
+  explicit Fabric(sim::QueueBackend queue);
 
   /// Adds a host whose id is its index in hosts_.
   net::Host& add_host(std::string name);
@@ -243,7 +238,6 @@ class Fabric {
 
  private:
   std::vector<std::size_t> flow_src_;  ///< flow idx -> source host idx
-  DigestStats digest_stats_;
   faults::ConservationLedger ledger_;
   faults::FaultPlan* plan_ = nullptr;
   net::FlowId next_flow_id_ = 1;

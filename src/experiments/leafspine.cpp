@@ -6,7 +6,7 @@
 namespace pmsb::experiments {
 
 LeafSpineScenario::LeafSpineScenario(const LeafSpineConfig& config)
-    : Fabric(config.queue, DigestStats::kCore), cfg_(config) {
+    : Fabric(config.queue), cfg_(config) {
   const std::size_t n_hosts = num_hosts();
   if (n_hosts < 2) throw std::invalid_argument("leafspine: need >= 2 hosts");
 

@@ -6,7 +6,7 @@
 namespace pmsb::experiments {
 
 MultiPortScenario::MultiPortScenario(const MultiPortConfig& config)
-    : Fabric(config.queue, DigestStats::kDetailed), cfg_(config) {
+    : Fabric(config.queue), cfg_(config) {
   if (cfg_.num_senders == 0 || cfg_.num_receivers == 0) {
     throw std::invalid_argument("multiport: need senders and receivers");
   }

@@ -6,45 +6,23 @@
 
 namespace pmsb::regress {
 
-namespace {
-
-// FNV 128-bit prime: 2^88 + 2^8 + 0x3b.
-constexpr std::uint64_t kPrimeHi = 0x0000000001000000ull;
-constexpr std::uint64_t kPrimeLo = 0x000000000000013bull;
-
-/// 64x64 -> high 64 bits, via 32-bit halves (portable).
-std::uint64_t mul_hi64(std::uint64_t x, std::uint64_t y) {
-  const std::uint64_t a = x >> 32, b = x & 0xffffffffull;
-  const std::uint64_t c = y >> 32, d = y & 0xffffffffull;
-  const std::uint64_t bd = b * d;
-  const std::uint64_t ad = a * d;
-  const std::uint64_t bc = b * c;
-  const std::uint64_t mid = (bd >> 32) + (ad & 0xffffffffull) + (bc & 0xffffffffull);
-  return a * c + (ad >> 32) + (bc >> 32) + (mid >> 32);
-}
-
-}  // namespace
-
-void Hash128::multiply_prime() {
-  // (hi:lo) * (kPrimeHi:kPrimeLo) mod 2^128:
-  //   low limb  = lo * kPrimeLo
-  //   high limb = hi * kPrimeLo + lo * kPrimeHi + carry(lo * kPrimeLo)
-  const std::uint64_t new_hi =
-      hi_ * kPrimeLo + lo_ * kPrimeHi + mul_hi64(lo_, kPrimeLo);
-  lo_ = lo_ * kPrimeLo;
-  hi_ = new_hi;
-}
-
 void Hash128::update_bytes(const void* data, std::size_t n) {
   const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) update_byte(p[i]);
+  for (std::size_t i = 0; i < n; i += 8) {
+    std::uint64_t w = 0;
+    for (std::size_t j = 0; j < 8 && i + j < n; ++j) {
+      w |= static_cast<std::uint64_t>(p[i + j]) << (8 * j);
+    }
+    update_u64(w);
+  }
+  update_u64(n);
 }
 
 std::string Hash128::hex() const {
   char buf[33];
   std::snprintf(buf, sizeof(buf), "%016llx%016llx",
-                static_cast<unsigned long long>(hi_),
-                static_cast<unsigned long long>(lo_));
+                static_cast<unsigned long long>(hi()),
+                static_cast<unsigned long long>(lo()));
   return buf;
 }
 
@@ -74,13 +52,13 @@ RunDigest::RunDigest(std::uint64_t checkpoint_interval)
     : interval_(checkpoint_interval == 0 ? kDefaultInterval : checkpoint_interval) {}
 
 EntityId RunDigest::register_entity(const std::string& name) {
-  for (const Entity& e : entities_) {
-    if (e.name == name) {
-      throw std::invalid_argument("RunDigest: duplicate entity '" + name + "'");
-    }
+  if (name_set_.contains(name)) {
+    throw std::invalid_argument("RunDigest: duplicate entity '" + name + "'");
   }
-  entities_.push_back({name, Hash128{}});
-  return static_cast<EntityId>(entities_.size() - 1);
+  names_.push_back(name);
+  name_set_.insert(names_.back());
+  subs_.emplace_back();
+  return static_cast<EntityId>(subs_.size() - 1);
 }
 
 void RunDigest::stat_f(EntityId entity, const std::string& key, double value) {
@@ -130,7 +108,7 @@ Hash128 RunDigest::total() const {
 
 std::map<std::string, std::string> RunDigest::sub_digest_hex() const {
   std::map<std::string, std::string> out;
-  for (const Entity& e : entities_) out[e.name] = e.hash.hex();
+  for (std::size_t i = 0; i < subs_.size(); ++i) out[names_[i]] = subs_[i].hex();
   return out;
 }
 

@@ -3,10 +3,10 @@
 // A RunDigest consumes the canonical event stream of one simulation run —
 // enqueue/dequeue/mark/drop at switch ports, send on links and transports,
 // ack at senders, plus final per-entity stats — and folds it into an
-// order-sensitive streaming 128-bit hash (FNV-1a with the 128-bit prime,
-// implemented in-repo on 64-bit limbs; no dependencies). Two runs of the
-// same scenario + seed must produce byte-identical digests; any behavioral
-// divergence, however small, flips the hash.
+// order-sensitive streaming 128-bit hash, one 64-bit word at a time (see
+// Hash128; no dependencies). Two runs of the same scenario + seed must
+// produce byte-identical digests; any behavioral divergence, however small,
+// flips the hash.
 //
 // Localization: every event also folds into a per-entity sub-digest (one
 // per port, per link, per flow), so a mismatch names the entity that
@@ -22,28 +22,32 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 namespace pmsb::regress {
 
-/// Streaming FNV-1a 128-bit hash on two 64-bit limbs (portable: no
-/// __int128). hash = (hash XOR byte) * kPrime per byte, mod 2^128.
+/// Streaming 128-bit word hash on two 64-bit limbs, multiplied in native
+/// unsigned __int128 arithmetic (GCC or Clang). Each 64-bit word w folds as
+///   lo ^= w;  (hi:lo) *= kMul (mod 2^128);  lo ^= hi
+/// Each step is a bijection of the state for a fixed word, and the XOR is
+/// injective in the word for a fixed state, so changing any single word of
+/// a stream always changes the hash. The final XOR feeds the high limb,
+/// which the multiply mixes from every lower bit, back into the low one.
 class Hash128 {
  public:
-  void update_byte(std::uint8_t b) {
-    lo_ ^= b;
-    multiply_prime();
+  void update_u64(std::uint64_t w) {
+    const U128 s = ((static_cast<U128>(hi_) << 64) | (lo_ ^ w)) * kMul;
+    hi_ = static_cast<std::uint64_t>(s >> 64);
+    lo_ = static_cast<std::uint64_t>(s) ^ hi_;
   }
 
-  /// Folds a 64-bit word in little-endian byte order.
-  void update_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      update_byte(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-
+  /// Folds the bytes 8 to a word, little-endian, the tail zero-padded,
+  /// then the byte count as one more word (so "a" and "a\0" differ).
   void update_bytes(const void* data, std::size_t n);
   void update_string(const std::string& s) { update_bytes(s.data(), s.size()); }
 
@@ -58,8 +62,14 @@ class Hash128 {
   friend bool operator!=(const Hash128& a, const Hash128& b) { return !(a == b); }
 
  private:
-  void multiply_prime();
+  using U128 = unsigned __int128;
 
+  /// Any dense odd constant will do; the high word is the 64-bit golden ratio.
+  static constexpr U128 kMul =
+      (static_cast<U128>(0x9e3779b97f4a7c15ull) << 64) | 0xd6e8feb86659fd93ull;
+
+  // Two 64-bit limbs, not one U128 member: the state then needs only 8-byte
+  // alignment, and a Checkpoint stays 24 bytes. The initial state is the
   // FNV-1a 128 offset basis.
   std::uint64_t hi_ = 0x6c62272e07bb0142ull;
   std::uint64_t lo_ = 0x62b821756295c58dull;
@@ -109,7 +119,14 @@ class RunDigest {
   /// dropped and the interval doubles — deterministic for a given stream.
   explicit RunDigest(std::uint64_t checkpoint_interval = kDefaultInterval);
 
-  /// Interns `name` and returns its id. Names must be unique per digest.
+  // Neither copyable nor movable: the duplicate check holds views of this
+  // digest's own names, and observers hold its address.
+  RunDigest(const RunDigest&) = delete;
+  RunDigest& operator=(const RunDigest&) = delete;
+
+  /// Interns `name` and returns its id, the next in registration order.
+  /// Names must be unique per digest: a duplicate throws
+  /// std::invalid_argument and leaves the digest unchanged.
   EntityId register_entity(const std::string& name);
 
   /// Folds one event. Hot path: inlined, no allocation outside checkpoint /
@@ -119,7 +136,7 @@ class RunDigest {
     const std::uint64_t words[4] = {
         static_cast<std::uint64_t>(kind), static_cast<std::uint64_t>(time), a, b};
     stream_.update_u64(entity);
-    Hash128& sub = entities_[entity].hash;
+    Hash128& sub = subs_[entity];
     for (const std::uint64_t w : words) {
       stream_.update_u64(w);
       sub.update_u64(w);
@@ -159,29 +176,24 @@ class RunDigest {
   }
   [[nodiscard]] const std::vector<JournalRecord>& journal() const { return journal_; }
 
-  [[nodiscard]] std::size_t num_entities() const { return entities_.size(); }
-  [[nodiscard]] const std::string& entity_name(EntityId id) const {
-    return entities_.at(id).name;
-  }
-  [[nodiscard]] const Hash128& sub_digest(EntityId id) const {
-    return entities_.at(id).hash;
-  }
+  [[nodiscard]] std::size_t num_entities() const { return subs_.size(); }
+  [[nodiscard]] const std::string& entity_name(EntityId id) const { return names_.at(id); }
+  [[nodiscard]] const Hash128& sub_digest(EntityId id) const { return subs_.at(id); }
   /// Entity name -> sub-digest hex, for baselines and mismatch reports.
   [[nodiscard]] std::map<std::string, std::string> sub_digest_hex() const;
 
   static constexpr std::uint64_t kDefaultInterval = 1024;
 
  private:
-  struct Entity {
-    std::string name;
-    Hash128 hash;
-  };
-
   void take_checkpoint();
 
   Hash128 stream_;
   std::uint64_t count_ = 0;
-  std::vector<Entity> entities_;
+  // Per entity id: its sub-digest (the hot path) and its name. A deque never
+  // moves its elements, so the duplicate check can hold views of the names.
+  std::vector<Hash128> subs_;
+  std::deque<std::string> names_;
+  std::unordered_set<std::string_view> name_set_;
 
   std::uint64_t interval_;
   std::uint64_t since_checkpoint_ = 0;

@@ -51,6 +51,31 @@ TEST(Hash128, IsOrderSensitive) {
   EXPECT_NE(ab, ba);
 }
 
+// Known answers pin the word fold itself: editing it fails here instead of
+// only moving every recorded baseline. Independently computed with
+// arbitrary-precision integers from the definition in digest.hpp.
+TEST(Hash128, WordFoldMatchesKnownAnswers) {
+  Hash128 word;
+  word.update_u64(0x0123456789abcdefull);
+  EXPECT_EQ(word.hex(), "4b7da704cda4c6b9755b4cb5955d6cff");
+
+  Hash128 one_word;
+  one_word.update_string("pmsb");
+  EXPECT_EQ(one_word.hex(), "b6a0b4268219f238fe644349317669bb");
+
+  // Ten bytes: one full word, then a zero-padded tail word, then the length.
+  Hash128 two_words;
+  two_words.update_string("0123456789");
+  EXPECT_EQ(two_words.hex(), "5fd7baeb4558b91b14b716b9a4b8e169");
+}
+
+TEST(Hash128, StringsFoldTheirLength) {
+  Hash128 a, a_nul;
+  a.update_string("a");
+  a_nul.update_bytes("a\0", 2);
+  EXPECT_NE(a, a_nul);
+}
+
 TEST(Fnv1a64, MatchesKnownVectors) {
   // Standard FNV-1a 64 test vectors.
   EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
@@ -117,7 +142,70 @@ TEST(RunDigest, SubDigestsLocalizeThePerturbedEntity) {
 TEST(RunDigest, DuplicateEntityRegistrationThrows) {
   RunDigest d;
   d.register_entity("port/x");
+  d.register_entity("port/y");
+  const std::string before = d.total().hex();
   EXPECT_THROW(d.register_entity("port/x"), std::invalid_argument);
+  // The rejected name leaves no trace: same entities, same digest, and the
+  // next registration takes the next id.
+  EXPECT_EQ(d.num_entities(), 2u);
+  EXPECT_EQ(d.total().hex(), before);
+  EXPECT_EQ(d.register_entity("flow/0"), 2u);
+  EXPECT_EQ(d.entity_name(2), "flow/0");
+  EXPECT_EQ(d.entity_name(0), "port/x");
+}
+
+TEST(RunDigest, OneEventTotalMatchesKnownAnswer) {
+  RunDigest d;
+  d.register_entity("port/x");
+  d.event(0, EventKind::kEnqueue, 1000, 7, 8);
+  EXPECT_EQ(d.stream().hex(), "d862eab223e444d2bce74cdbd2833ccd");
+  EXPECT_EQ(d.sub_digest(0).hex(), "f2cfc4d7b526ac341abcfdd83c603e3e");
+  EXPECT_EQ(d.total().hex(), "09b6a572f0cb98a3fbb8e6d72404a76e");
+}
+
+TEST(RunDigest, AnySingleBitFlipMovesStreamTotalAndOnlyThatEntity) {
+  struct Ev {
+    EntityId entity;
+    std::uint64_t kind, time, a, b;
+  };
+  const std::vector<Ev> stream = {
+      {0, 0, 100, 1, 2}, {1, 4, 100, 3, 0}, {2, 5, 250, 4, 1},
+      {0, 1, 300, 1, 2}, {1, 6, 0, 0xcbf29ce484222325ull, 7}};
+  const std::vector<std::string> names = {"port/p", "link/a->b", "flow/0"};
+  const auto run = [&](const std::vector<Ev>& evs, RunDigest& d) {
+    for (const std::string& n : names) d.register_entity(n);
+    for (const Ev& e : evs) {
+      d.event(e.entity, static_cast<EventKind>(e.kind),
+              static_cast<std::int64_t>(e.time), e.a, e.b);
+    }
+  };
+  RunDigest base;
+  run(stream, base);
+  std::size_t cases = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    // Every word an event folds into its entity's sub-digest: the kind's
+    // eight bits, then time, a and b.
+    for (int word = 0; word < 4; ++word) {
+      for (int bit = 0; bit < (word == 0 ? 8 : 64); ++bit) {
+        std::vector<Ev> flipped = stream;
+        Ev& e = flipped[i];
+        std::uint64_t* w[] = {&e.kind, &e.time, &e.a, &e.b};
+        *w[word] ^= 1ull << bit;
+        RunDigest d;
+        run(flipped, d);
+        const std::string where = "event " + std::to_string(i) + " word " +
+                                  std::to_string(word) + " bit " + std::to_string(bit);
+        EXPECT_NE(d.stream(), base.stream()) << where;
+        EXPECT_NE(d.total(), base.total()) << where;
+        for (EntityId id = 0; id < names.size(); ++id) {
+          EXPECT_EQ(d.sub_digest(id) == base.sub_digest(id), id != e.entity)
+              << where << " entity " << names[id];
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, stream.size() * (8 + 3 * 64));
 }
 
 TEST(RunDigest, CheckpointCompactionIsBoundedAndDeterministic) {
