@@ -54,8 +54,10 @@ struct FabricConfig {
   std::uint64_t shared_pool_bytes = 0;
   transport::DctcpConfig transport;  ///< default per-flow config
   /// Event-queue backend for the kernel (`sched_queue=` at the CLI). Either
-  /// choice produces bit-identical runs; calendar is faster at scale.
-  sim::QueueBackend queue = sim::QueueBackend::kHeap;
+  /// choice produces bit-identical runs; the calendar's near-future ring
+  /// takes most packet-path events off the heap, and the heap alone is the
+  /// oracle.
+  sim::QueueBackend queue = sim::QueueBackend::kCalendar;
 };
 
 /// The unloaded RTT over `hops` links each way: store-and-forward

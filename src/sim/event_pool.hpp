@@ -39,7 +39,9 @@ struct EventSlot {
 
 class EventPool {
  public:
-  static constexpr std::size_t kChunkShift = 9;  // 512 slots per chunk
+  // 128 slots (10 KiB) per chunk: a small run's ~100 live events touch one
+  // chunk, which leaves room in its peak RSS for the calendar's 24 KiB ring.
+  static constexpr std::size_t kChunkShift = 7;
   static constexpr std::size_t kChunkSlots = std::size_t{1} << kChunkShift;
 
   EventPool() = default;

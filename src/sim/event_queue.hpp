@@ -1,14 +1,14 @@
 // Queue-backend vocabulary for the event kernel: the entry type both
-// backends order, the (time, insertion-sequence) comparator that defines the
-// kernel's deterministic tie order, the binary-heap backend, and the
-// runtime-selection enum (`sched_queue=heap|calendar`).
+// backends order, the (time, insertion-sequence) order that defines the
+// kernel's deterministic tie order, the 4-ary heap, and the runtime-selection
+// enum (`sched_queue=heap|calendar`).
 //
 // A QueueEntry is 24 bytes — timestamp, insertion sequence, and the index of
 // the event's pool slot — so heap sifts move three words instead of the old
 // 48+-byte Event carrying a std::function. The callback itself never moves
 // after scheduling; it lives in the slot until dispatch.
 //
-// Both backends order entries identically (strict weak order on (time, seq))
+// Both backends order entries identically (strict total order on (time, seq))
 // and both discard a cancelled entry at exactly the moment it would have
 // been popped, so the dispatch sequence — and every digest derived from it —
 // is bit-identical whichever backend runs a scenario.
@@ -26,9 +26,9 @@ namespace pmsb::sim {
 
 /// Which priority-queue implementation orders the event kernel.
 enum class QueueBackend {
-  kHeap,      ///< binary heap — O(log n), distribution-agnostic (default)
-  kCalendar,  ///< calendar queue — near-O(1) for dense, mostly-near-future
-              ///< timestamp distributions (Brown 1988)
+  kHeap,      ///< 4-ary heap alone — O(log n); the conformance oracle
+  kCalendar,  ///< near-future bucket ring in front of the heap (default;
+              ///< calendar_queue.hpp)
 };
 
 inline QueueBackend parse_queue_backend(const std::string& name) {
@@ -50,18 +50,16 @@ struct QueueEntry {
   std::uint32_t slot = 0;  ///< pool slot holding the callback
 };
 
-/// Min-order on (time, seq): earliest first, FIFO among equal timestamps.
-/// Written as "later than" so it plugs into std::push_heap/pop_heap (which
-/// build max-heaps) and yields the minimum at the top.
-struct EntryLater {
-  bool operator()(const QueueEntry& a, const QueueEntry& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
+/// The dispatch order on (time, seq): earliest first, FIFO among equal
+/// timestamps.
+inline bool earlier(const QueueEntry& a, const QueueEntry& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.seq < b.seq;
+}
 
-/// Heap backend: a flat 4-ary min-heap. 4-ary over binary because sifts on
-/// a deep queue are cache-miss bound: half the levels, and a node's four
+/// The heap backend, and the calendar's store for everything its ring does
+/// not hold: a flat 4-ary min-heap. 4-ary over binary because sifts on a
+/// deep queue are cache-miss bound: half the levels, and a node's four
 /// children sit in ~one cache line (4 x 24 bytes), so a sift-down touches
 /// roughly half the lines a binary heap does. Pop order is identical to any
 /// correct priority queue — (time, seq) is a total order, so the structure
@@ -103,11 +101,6 @@ class HeapEventQueue {
   }
 
  private:
-  static bool earlier(const QueueEntry& a, const QueueEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-
   void sift_up(std::size_t i) {
     const QueueEntry e = v_[i];
     while (i != 0) {

@@ -38,9 +38,7 @@ class RecycleGuard {
 
 bool Simulator::step(TimeNs until) {
   for (;;) {
-    const QueueEntry* top = backend_ == QueueBackend::kHeap
-                                ? heap_.peek()
-                                : calendar_.peek();
+    const QueueEntry* top = queue_.peek();
     if (top == nullptr) {
       settle_at(now_);
       return false;
@@ -48,11 +46,7 @@ bool Simulator::step(TimeNs until) {
     if (pool_.slot(top->slot).seq != top->seq) {
       // Tombstone: the event was cancelled (or its slot reused after a
       // purge race — impossible here, but the check subsumes it). Discard.
-      if (backend_ == QueueBackend::kHeap) {
-        heap_.pop();
-      } else {
-        calendar_.pop();
-      }
+      queue_.pop();
       assert(stale_entries_ > 0);
       --stale_entries_;
       continue;
@@ -61,8 +55,7 @@ bool Simulator::step(TimeNs until) {
       if (until >= now_) settle_at(until);
       return false;
     }
-    const QueueEntry e =
-        backend_ == QueueBackend::kHeap ? heap_.pop() : calendar_.pop();
+    const QueueEntry e = queue_.pop();
     // Run the callback where it lies. Retiring the slot first makes a cancel
     // of this event's own handle a no-op, and the slot stays off the free
     // list until the guard recycles it, so a re-entrant schedule can never
@@ -108,11 +101,7 @@ void Simulator::maybe_compact() {
   const auto keep = [this](const QueueEntry& e) {
     return pool_.slot(e.slot).seq == e.seq;
   };
-  if (backend_ == QueueBackend::kHeap) {
-    heap_.compact(keep);
-  } else {
-    calendar_.compact(keep);
-  }
+  queue_.compact(keep);
   stale_entries_ = 0;
   ++queue_compactions_;
 }

@@ -12,7 +12,7 @@
 //    the callback type is a 48-byte small-buffer EventCallback, not
 //    std::function (see event_callback.hpp);
 //  - the queue orders 24-byte QueueEntry{time, seq, slot} records, so sifts
-//    move three words and never touch the closure;
+//    and bucket inserts move three words and never touch the closure;
 //  - schedule/cancel/fire are O(1) bookkeeping (plus the queue op): handle
 //    validation is a generation compare against the slot, entry validation a
 //    sequence compare;
@@ -22,21 +22,22 @@
 //  - an event that may never be needed can take its place in the order
 //    without being queued: `reserve_seq()` hands out the insertion sequence
 //    now, and `schedule_reserved(t, seq, fn)` queues it later, while
-//    `current_before(t, seq)` still holds. The entry then runs exactly where
-//    a `schedule_at` issued at reservation time would have run. net::Link
-//    uses this for its transmit wake-ups and its one queued delivery;
+//    `current_before(t, seq)` still holds (it throws otherwise). The entry
+//    then runs exactly where a `schedule_at` issued at reservation time
+//    would have run. net::Link uses this for its transmit wake-ups and its
+//    one queued delivery;
 //  - two queue backends are selectable at construction (`sched_queue=` at
-//    the CLI): the default binary heap and a calendar queue. Both order
-//    entries identically and discard a cancelled entry exactly when it
-//    would have been popped, so runs are bit-identical across backends
-//    (pmsbregress digests verify this).
+//    the CLI): the default calendar, a ring of near-future time buckets in
+//    front of a 4-ary heap (calendar_queue.hpp), and the heap alone, kept
+//    as the oracle. Both order entries identically and discard a cancelled
+//    entry exactly when it would have been popped, so runs are bit-identical
+//    across backends (pmsbregress digests verify this).
 //
 // The kernel is deliberately single-threaded: datacenter-scale packet
 // simulations are dominated by event dispatch, and determinism is worth
 // more than parallelism for reproducing paper figures.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -81,8 +82,8 @@ class Simulator {
  public:
   using Callback = EventCallback;
 
-  explicit Simulator(QueueBackend backend = QueueBackend::kHeap)
-      : backend_(backend) {}
+  explicit Simulator(QueueBackend backend = QueueBackend::kCalendar)
+      : queue_(backend == QueueBackend::kCalendar), backend_(backend) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -113,12 +114,15 @@ class Simulator {
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Queues `fn` at time `t` under a sequence number from reserve_seq().
-  /// Precondition: current_before(t, seq) — the reserved position has not
-  /// been passed yet. Each reserved number may be used at most once.
+  /// Throws std::logic_error unless current_before(t, seq): the reserved
+  /// position must not have been passed yet. Each reserved number may be
+  /// used at most once.
   template <typename F>
   EventId schedule_reserved(TimeNs t, std::uint64_t seq, F&& fn) {
-    assert(current_before(t, seq) &&
-           "Simulator::schedule_reserved: reserved position already passed");
+    if (!current_before(t, seq)) {
+      throw std::logic_error(
+          "Simulator::schedule_reserved: reserved position already passed");
+    }
     return enqueue(t, seq, std::forward<F>(fn));
   }
 
@@ -182,9 +186,7 @@ class Simulator {
   /// tombstones) — the kernel's memory pressure signal.
   [[nodiscard]] std::size_t max_heap_depth() const { return max_heap_depth_; }
   /// Current queue depth, live events plus pending tombstones.
-  [[nodiscard]] std::size_t queue_depth() const {
-    return backend_ == QueueBackend::kHeap ? heap_.size() : calendar_.size();
-  }
+  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
   /// Which queue backend this simulator was constructed with.
   [[nodiscard]] QueueBackend queue_backend() const { return backend_; }
@@ -215,12 +217,7 @@ class Simulator {
   template <typename F>
   EventId enqueue(TimeNs t, std::uint64_t seq, F&& fn) {
     const std::uint32_t idx = pool_.acquire(seq, std::forward<F>(fn));
-    const QueueEntry entry{t, seq, idx};
-    if (backend_ == QueueBackend::kHeap) {
-      heap_.push(entry);
-    } else {
-      calendar_.push(entry);
-    }
+    queue_.push(QueueEntry{t, seq, idx});
     ++live_events_;
     max_heap_depth_ = std::max(max_heap_depth_, queue_depth());
     if (hook_ != nullptr) hook_->on_schedule();
@@ -240,8 +237,7 @@ class Simulator {
   void maybe_compact();
 
   EventPool pool_;
-  HeapEventQueue heap_;
-  CalendarQueue calendar_;
+  CalendarQueue queue_;  ///< with its ring off on the heap backend
   const QueueBackend backend_;
   TimeNs now_ = 0;
   std::uint64_t next_seq_ = 1;  // 0 is the pool's "slot free" sentinel

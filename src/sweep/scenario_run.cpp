@@ -383,7 +383,7 @@ struct Topology {
 void parse_shared_keys(const Options& opts, const Topology& topo,
                        sim::TimeNs (*base_rtt)(const FabricConfig&), FabricConfig& cfg,
                        RunRecord& rec) {
-  cfg.queue = sim::parse_queue_backend(opts.get("sched_queue", "heap"));
+  cfg.queue = sim::parse_queue_backend(opts.get("sched_queue", "calendar"));
   const auto queues = static_cast<std::size_t>(opts.get_int("queues", topo.queues));
   cfg.scheduler.kind = sched::parse_scheduler_kind(opts.get("scheduler", "dwrr"));
   cfg.scheduler.num_queues = queues;

@@ -356,20 +356,31 @@ TEST(RegressEndToEnd, QueueBackendsProduceIdenticalDigests) {
   // The tentpole guarantee at scenario scale: `sched_queue=` is a pure
   // performance knob. A full dumbbell run — packet events, timer churn,
   // cancellations, tombstone compactions — must digest identically whether
-  // the kernel orders events with the heap or the calendar backend.
-  sweep::SweepPoint point;
-  point.opts = small_dumbbell();
-  RunDigest heap, calendar;
-  point.opts.set("sched_queue", "heap");
-  const auto r1 = sweep::run_scenario(point, true, &heap);
-  point.opts.set("sched_queue", "calendar");
-  const auto r2 = sweep::run_scenario(point, true, &calendar);
-  ASSERT_TRUE(r1.ok) << r1.error;
-  ASSERT_TRUE(r2.ok) << r2.error;
-  EXPECT_GT(heap.count(), 0u);
-  EXPECT_EQ(heap.count(), calendar.count());
-  EXPECT_EQ(heap.total().hex(), calendar.total().hex());
-  EXPECT_EQ(heap.sub_digest_hex(), calendar.sub_digest_hex());
+  // the kernel orders events with the heap or the calendar backend. So must
+  // a leaf-spine RPC run, whose far-future flow starts sit in the calendar's
+  // heap and interleave with the packet traffic in its ring.
+  Options rpc;
+  rpc.set("topology", "leafspine");
+  rpc.set("pattern", "rpc");
+  rpc.set("rpcs", "40");
+  rpc.set("seed", "3");
+  for (const Options& cell : {small_dumbbell(), rpc}) {
+    SCOPED_TRACE(cell.get("topology", ""));
+    sweep::SweepPoint point;
+    point.opts = cell;
+    RunDigest heap, calendar;
+    point.opts.set("sched_queue", "heap");
+    const auto r1 = sweep::run_scenario(point, true, &heap);
+    point.opts.set("sched_queue", "calendar");
+    const auto r2 = sweep::run_scenario(point, true, &calendar);
+    ASSERT_TRUE(r1.ok) << r1.error;
+    ASSERT_TRUE(r2.ok) << r2.error;
+    EXPECT_GT(heap.count(), 0u);
+    EXPECT_EQ(heap.count(), calendar.count());
+    EXPECT_EQ(heap.total().hex(), calendar.total().hex());
+    EXPECT_EQ(heap.sub_digest_hex(), calendar.sub_digest_hex());
+    EXPECT_EQ(r1.results, r2.results);
+  }
 }
 
 TEST(RegressEndToEnd, DigestIsOffByDefault) {

@@ -653,6 +653,37 @@ TEST_P(BackendConformance, CurrentBeforeAfterStopIsTheLastDispatchedEvent) {
   EXPECT_EQ(order, (std::vector<char>{'a', 'r', 'b'}));
 }
 
+// schedule_reserved checks its precondition in every build. A passed
+// position queued anyway would run out of (time, seq) order on either
+// backend, and with a past time it would move now() backwards.
+TEST_P(BackendConformance, ScheduleReservedRejectsAPassedPosition) {
+  Simulator sim(GetParam());
+  const std::uint64_t before = sim.reserve_seq();
+  std::uint64_t after = 0;
+  bool fired = false;
+  sim.schedule_at(10, [&] {
+    // Seqs are handed out one by one, so the running event holds before + 1.
+    const std::uint64_t running = before + 1;
+    EXPECT_THROW(sim.schedule_reserved(5, after, [] {}), std::logic_error)
+        << "a time in the past";
+    EXPECT_THROW(sim.schedule_reserved(10, before, [] {}), std::logic_error)
+        << "now() with a seq below the running event's";
+    EXPECT_THROW(sim.schedule_reserved(10, running, [] {}), std::logic_error)
+        << "now() with the running event's own seq";
+    EXPECT_EQ(sim.pending_events(), 0u) << "a rejected schedule queues nothing";
+    sim.schedule_reserved(10, after, [&] { fired = true; });
+  });
+  after = sim.reserve_seq();
+  ASSERT_EQ(after, before + 2);
+  sim.run(100);
+  EXPECT_TRUE(fired);
+  // Settled at the horizon, every seq handed out so far has been passed.
+  EXPECT_THROW(sim.schedule_reserved(100, after, [] {}), std::logic_error);
+  EXPECT_THROW(sim.schedule_reserved(99, sim.reserve_seq(), [] {}), std::logic_error);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.executed_events(), 2u);
+}
+
 // ===================== in-place dispatch =====================
 
 TEST_P(BackendConformance, CancellingTheRunningEventIsANoop) {
@@ -740,17 +771,37 @@ KernelTrace run_workload(QueueBackend backend) {
   };
   int tag = 0;
   std::vector<EventId> open;
-  // Schedule-phase churn: random times (with ties), random cancels.
+  const auto leaf = [&] {
+    return [&tr, &sim, leaf_tag = tag++] {
+      tr.dispatched.emplace_back(sim.now(), leaf_tag);
+    };
+  };
+  // Schedule-phase churn: random times (with ties; one in eight far beyond
+  // the calendar's ring window), random cancels.
   for (int i = 0; i < 2000; ++i) {
-    const TimeNs t = next() % 5000;
+    const TimeNs t = next() % 8 == 0 ? 5000 + next() % 50'000'000 : next() % 5000;
     const int my_tag = tag++;
     const EventId id = sim.schedule_at(t, [&, my_tag] {
       tr.dispatched.emplace_back(sim.now(), my_tag);
       if (next() % 4 == 0) {  // re-entrant schedule from dispatch
-        const int re_tag = tag++;
-        open.push_back(sim.schedule_in(1 + next() % 64, [&, re_tag] {
-          tr.dispatched.emplace_back(sim.now(), re_tag);
-        }));
+        open.push_back(sim.schedule_in(1 + next() % 64, leaf()));
+      }
+      if (next() % 16 == 0) {  // ... and one far beyond the window
+        open.push_back(sim.schedule_in(20'000 + next() % 2'000'000, leaf()));
+      }
+      if (next() % 16 == 0) {
+        // A seq reserved now and queued late at now(): it must run ahead of
+        // the same-time event scheduled in between.
+        const std::uint64_t reserved = sim.reserve_seq();
+        open.push_back(sim.schedule_in(0, leaf()));
+        open.push_back(sim.schedule_reserved(sim.now(), reserved, leaf()));
+      }
+      if (next() % 32 == 0) {
+        // A burst inside one 64 ns span: more events than a bucket holds.
+        const TimeNs base = sim.now() + 200 + next() % 1000;
+        for (int k = 0; k < 24; ++k) {
+          open.push_back(sim.schedule_at(base + next() % 64, leaf()));
+        }
       }
       if (next() % 8 == 0 && !open.empty()) {  // cancel from dispatch —
         sim.cancel(open[next() % open.size()]);  // may be stale: no-op path
@@ -774,11 +825,12 @@ KernelTrace run_workload(QueueBackend backend) {
 }  // namespace
 
 // The conformance suite's capstone: a randomized workload of schedules,
-// cancels (live, stale, from inside callbacks), ties, and re-entrant
-// scheduling must produce the SAME dispatch sequence, the SAME EventIds,
-// and the SAME kernel counters — including max_heap_depth and compaction
-// count — on both backends. This is the unit-scale version of the
-// pmsbregress digest-equivalence guarantee.
+// cancels (live, stale, from inside callbacks), ties, re-entrant and
+// far-future scheduling, late-queued reserved seqs and same-bucket bursts
+// must produce the SAME dispatch sequence, the SAME EventIds, and the SAME
+// kernel counters — including max_heap_depth and compaction count — on both
+// backends. This is the unit-scale version of the pmsbregress
+// digest-equivalence guarantee.
 TEST(QueueBackendEquivalence, RandomizedWorkloadTracesAreBitIdentical) {
   const KernelTrace heap = run_workload(QueueBackend::kHeap);
   const KernelTrace calendar = run_workload(QueueBackend::kCalendar);
@@ -802,27 +854,155 @@ TEST(QueueBackendEquivalence, ParseAndNameRoundTrip) {
   EXPECT_THROW(parse_queue_backend("wheel"), std::invalid_argument);
 }
 
-// Calendar-specific cold paths: a population far sparser than the calendar
-// year (global-min fallback + cursor re-anchor), then an insert behind the
-// advanced cursor (cursor reset), then a same-bucket tie storm.
-TEST(CalendarQueueColdPaths, SparseFarFutureAndBehindCursorInserts) {
-  Simulator sim(QueueBackend::kCalendar);
-  std::vector<TimeNs> fired;
-  sim.schedule_at(10, [&] { fired.push_back(sim.now()); });
-  sim.schedule_at(1'000'000'000, [&] { fired.push_back(sim.now()); });
-  sim.schedule_at(1'000'000'000'000, [&] { fired.push_back(sim.now()); });
-  // Peeking past the horizon anchors the cursor at the far event...
-  sim.run(500);
-  EXPECT_EQ(sim.now(), 500);
-  ASSERT_EQ(fired.size(), 1u);
-  // ...and a later insert far behind that cursor must still fire first.
-  sim.schedule_at(1000, [&] { fired.push_back(sim.now()); });
-  for (int i = 0; i < 100; ++i) {
-    sim.schedule_at(2000, [&, i] {
-      if (i == 0 || i == 99) fired.push_back(sim.now());
-    });
-  }
+// Calendar cold paths. Each script runs on both backends and must dispatch
+// the same (time, tag) sequence with the same kernel counters; the heap is
+// the oracle. The ring holds 256 ns buckets of 16 entries over a 16.4 us
+// window (calendar_queue.hpp); the scripts reach past each of those edges.
+namespace {
+
+/// Runs `script(sim, fire)` on `backend`, where fire(tag) is a callback that
+/// records (now, tag) when dispatched, then drains the queue.
+template <typename Script>
+KernelTrace run_cold(QueueBackend backend, Script script) {
+  Simulator sim(backend);
+  KernelTrace tr;
+  const auto fire = [&](int tag) {
+    return [&tr, &sim, tag] { tr.dispatched.emplace_back(sim.now(), tag); };
+  };
+  script(sim, fire);
   sim.run();
-  EXPECT_EQ(fired, (std::vector<TimeNs>{10, 1000, 2000, 2000, 1'000'000'000,
-                                        1'000'000'000'000}));
+  tr.executed = sim.executed_events();
+  tr.cancelled = sim.cancelled_events();
+  tr.compactions = sim.queue_compactions();
+  tr.max_depth = sim.max_heap_depth();
+  tr.end_time = sim.now();
+  return tr;
+}
+
+template <typename Script>
+KernelTrace expect_backends_agree(Script script) {
+  const KernelTrace heap = run_cold(QueueBackend::kHeap, script);
+  const KernelTrace calendar = run_cold(QueueBackend::kCalendar, script);
+  EXPECT_EQ(calendar.dispatched, heap.dispatched);
+  EXPECT_TRUE(calendar == heap);
+  return heap;
+}
+
+std::vector<int> tags_of(const KernelTrace& tr) {
+  std::vector<int> tags;
+  for (const auto& [t, tag] : tr.dispatched) tags.push_back(tag);
+  return tags;
+}
+
+}  // namespace
+
+// Only the heap holds anything, far beyond the window: the window start
+// jumps to the heap's entry, and what that entry schedules near itself
+// lands in the ring at the new window and interleaves with the heap.
+TEST(CalendarQueueColdPaths, WindowJumpsWhenTheHeapSuppliesTheNextEvent) {
+  const KernelTrace tr = expect_backends_agree([](Simulator& sim, auto fire) {
+    sim.schedule_at(5, fire(0));
+    sim.schedule_at(50'000'000, [&sim, fire] {
+      fire(1)();
+      sim.schedule_in(100, fire(3));         // ring, new window
+      sim.schedule_in(20'000'000, fire(5));  // heap again
+      sim.schedule_in(40, fire(2));          // ring, ahead of tag 3
+    });
+    sim.schedule_at(50'000'120, fire(4));  // queued early: heap
+  });
+  EXPECT_EQ(tags_of(tr), (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(tr.end_time, 70'000'000);
+}
+
+// run(until) discards a cancelled entry past the horizon, so the window
+// start runs ahead of now(). An insert below the start must still come
+// first, and popping it must not pull the start back under ring entries
+// near the far end of the window.
+TEST(CalendarQueueColdPaths, InsertAfterRunUntilSettlesPastTheLastPop) {
+  const KernelTrace tr = expect_backends_agree([](Simulator& sim, auto fire) {
+    sim.schedule_at(10, fire(0));
+    sim.cancel(sim.schedule_at(10'000, fire(-1)));
+    sim.schedule_at(10'050, fire(3));
+    sim.run(500);
+    EXPECT_EQ(sim.now(), 500);
+    sim.schedule_at(25'000, fire(4));  // near the far end of the window
+    sim.schedule_at(600, fire(1));     // below the start, above now()
+    sim.schedule_at(10'020, fire(2));  // in the start's bucket
+    // The same after a drain: now() settles past the last pop.
+    sim.run(30'000);
+    EXPECT_EQ(sim.now(), 30'000);
+    sim.schedule_at(30'000, fire(5));
+    sim.schedule_at(30'001, fire(6));
+  });
+  EXPECT_EQ(tags_of(tr), (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+// 100 events at one instant, and 30 more spread over one bucket: far more
+// than a bucket holds, so the runs overflow to the heap, and FIFO order by
+// seq must hold across both parts. A seq reserved in the middle of the
+// storm and queued after it lands in its place.
+TEST(CalendarQueueColdPaths, TieStormLargerThanABucket) {
+  const KernelTrace tr = expect_backends_agree([](Simulator& sim, auto fire) {
+    std::uint64_t reserved = 0;
+    for (int i = 0; i < 100; ++i) {
+      if (i == 50) reserved = sim.reserve_seq();
+      sim.schedule_at(2000, fire(i));
+    }
+    sim.schedule_reserved(2000, reserved, fire(1000));
+    for (int i = 0; i < 30; ++i) sim.schedule_at(2048 + (i * 37) % 64, fire(200 + i));
+  });
+  ASSERT_EQ(tr.dispatched.size(), 131u);
+  EXPECT_EQ(tr.dispatched[50], (std::pair<TimeNs, int>{2000, 1000}));
+  EXPECT_EQ(tr.dispatched[51], (std::pair<TimeNs, int>{2000, 50}));
+}
+
+// Every power of two from 1 ns to 2^40 ns: whatever the ring's geometry,
+// one entry falls on the first bucket past the window, whose ring index is
+// the window's first bucket's. It must wait for the buckets in between.
+TEST(CalendarQueueColdPaths, PowersOfTwoStraddleTheWindowEdge) {
+  const KernelTrace tr = expect_backends_agree([](Simulator& sim, auto fire) {
+    for (int k = 40; k >= 0; --k) sim.schedule_at(TimeNs{1} << k, fire(k));
+    sim.schedule_at(0, fire(-1));
+  });
+  std::vector<int> want;
+  for (int k = -1; k <= 40; ++k) want.push_back(k);
+  EXPECT_EQ(tags_of(tr), want);
+}
+
+// Bucket numbers near kTimeNever: the window arithmetic must not overflow.
+TEST(CalendarQueueColdPaths, TimesNearTimeNever) {
+  const KernelTrace tr = expect_backends_agree([](Simulator& sim, auto fire) {
+    sim.schedule_at(kTimeNever, fire(4));
+    sim.schedule_at(kTimeNever - 1, fire(3));
+    sim.schedule_at(kTimeNever - 300, [&sim, fire] {
+      fire(0)();
+      sim.schedule_at(kTimeNever, fire(5));  // ring: same bucket as tag 4
+      sim.schedule_at(kTimeNever - 150, fire(2));
+      sim.schedule_at(kTimeNever - 299, fire(1));
+    });
+  });
+  EXPECT_EQ(tags_of(tr), (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(tr.end_time, kTimeNever);
+}
+
+// Tombstones in both parts, one bucket half drained, then the purge: the
+// compaction point, depth high-water mark and survivors' order must match.
+TEST(CalendarQueueColdPaths, CompactionWithTombstonesInBothParts) {
+  const KernelTrace tr = expect_backends_agree([](Simulator& sim, auto fire) {
+    std::vector<EventId> ring, heap;
+    for (int i = 0; i < 8; ++i) ring.push_back(sim.schedule_at(1000 + i, fire(i)));
+    for (int i = 0; i < 40; ++i) ring.push_back(sim.schedule_at(2000 + 150 * i, fire(100 + i)));
+    for (int i = 0; i < 60; ++i) heap.push_back(sim.schedule_at(1'000'000 + 1000 * i, fire(200 + i)));
+    sim.run(1003);  // drains half of the first bucket
+    EXPECT_EQ(sim.queue_compactions(), 0u);
+    for (std::size_t i = 5; i < ring.size(); i += 2) sim.cancel(ring[i]);
+    for (std::size_t i = 0; i < heap.size(); i += 2) sim.cancel(heap[i]);
+    for (std::size_t i = 1; sim.queue_compactions() == 0; i += 2) sim.cancel(heap[i]);
+    EXPECT_EQ(sim.queue_depth(), sim.pending_events()) << "no tombstone survives";
+    // Refill the compacted buckets, including the half-drained one.
+    sim.schedule_at(1005, fire(50));
+    sim.schedule_at(2000, fire(51));
+  });
+  EXPECT_EQ(tr.compactions, 1u);
+  EXPECT_GT(tr.dispatched.size(), 30u);
 }

@@ -67,7 +67,7 @@ constexpr KeyHelp kKeys[] = {
     {"rtt_us", "RTT used in the threshold formulas (default 18 / 85.2)"},
     {"mark_point", "enqueue | dequeue (default enqueue)"},
     {"link_delay_us", "one-way per-link delay (default 2 / 9)"},
-    {"sched_queue", "event queue backend: heap | calendar (default heap)"},
+    {"sched_queue", "event queue backend: heap | calendar (default calendar)"},
     {"seed", "workload / fault RNG seed (default 1)"},
     // Shared-buffer management (docs/DESIGN.md "Buffer management").
     {"buffer_policy", "static | equal | dt: shared-buffer admission policy "
