@@ -9,7 +9,6 @@
 #include "ecn/per_port.hpp"
 #include "ecn/per_queue.hpp"
 #include "ecn/pmsb_marking.hpp"
-#include "ecn/red.hpp"
 #include "ecn/tcn.hpp"
 
 namespace pmsb::ecn {
@@ -59,15 +58,6 @@ std::unique_ptr<MarkingScheme> make_marking(const MarkingConfig& config) {
       return std::make_unique<TcnMarking>(config.sojourn_threshold);
     case MarkingKind::kPmsb:
       return std::make_unique<PmsbMarking>(config.threshold_bytes, config.filter_scale);
-    case MarkingKind::kRed: {
-      RedConfig rc;
-      rc.min_threshold_bytes = config.threshold_bytes;
-      rc.max_threshold_bytes = config.red_max_threshold_bytes != 0
-                                   ? config.red_max_threshold_bytes
-                                   : config.threshold_bytes;
-      rc.max_probability = config.red_max_probability;
-      return std::make_unique<RedMarking>(rc);
-    }
     case MarkingKind::kPerPool:
       return std::make_unique<PerPoolMarking>(config.threshold_bytes);
     case MarkingKind::kCodel: {

@@ -19,7 +19,6 @@ enum class MarkingKind {
   kMqEcn,
   kTcn,
   kPmsb,
-  kRed,
   kPerPool,
   kCodel,
 };
@@ -43,10 +42,6 @@ struct MarkingConfig {
 
   // PMSB specific
   double filter_scale = 1.0;
-
-  // RED specific (threshold_bytes doubles as min_threshold)
-  std::uint64_t red_max_threshold_bytes = 0;
-  double red_max_probability = 1.0;
 
   // CoDel specific
   sim::TimeNs codel_target = 0;    ///< 0 = sojourn_threshold / 4

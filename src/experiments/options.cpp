@@ -152,7 +152,10 @@ void Options::validate_keys(const std::vector<std::string>& allowed) const {
   for (const auto& [key, value] : values_) {
     if (std::find(allowed.begin(), allowed.end(), key) != allowed.end()) continue;
     std::string msg = "unknown option '" + key + "'";
-    const std::string suggestion = closest_key(key, allowed);
+    // Long keys earn a quarter of their length in edits, so a long key
+    // that gained or lost a word still finds its match.
+    const std::string suggestion =
+        closest_key(key, allowed, std::max<std::size_t>(3, key.size() / 4));
     if (!suggestion.empty()) msg += " (did you mean '" + suggestion + "'?)";
     msg += "; run with --help for the key list";
     throw std::invalid_argument(msg);

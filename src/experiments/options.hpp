@@ -47,7 +47,8 @@ class Options {
   }
 
   /// Throws std::invalid_argument naming the first key not in `allowed`,
-  /// with a "did you mean" suggestion when a near-miss exists. Tools call
+  /// with a "did you mean" suggestion when a near-miss exists (within 3
+  /// edits, or a quarter of the key's length if that is more). Tools call
   /// this after parsing so a typo (`trace_flow=3`) fails loudly instead of
   /// being silently ignored.
   void validate_keys(const std::vector<std::string>& allowed) const;

@@ -334,9 +334,6 @@ struct StabilityPlane {
     analysis::OscillationConfig cfg;
     cfg.window = static_cast<std::size_t>(opts.get_int("stability_window", 64));
     cfg.hop = std::max<std::size_t>(cfg.window / 2, 1);
-    cfg.min_autocorr = opts.get_double("stability_min_autocorr", 0.5);
-    cfg.min_amplitude = opts.get_double("stability_min_amp_bytes", 18000.0);
-    cfg.min_windows = static_cast<std::size_t>(opts.get_int("stability_min_windows", 3));
     const analysis::StabilityReport report = analysis::analyze_sampler(*sampler, cfg);
     rec.results["stability.ports_analyzed"] =
         static_cast<double>(report.ports_analyzed);

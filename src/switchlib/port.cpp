@@ -15,45 +15,18 @@ Port::Port(sim::Simulator& simulator, net::Link* link, const PortConfig& config)
       policy_(make_buffer_policy(config.buffer_policy)),
       num_queues_(sched_->num_queues()) {
   stats_.marked_per_queue.assign(sched_->num_queues(), 0);
-  if (config.average_occupancy) {
-    const sim::RateBps rate = link_->rate();
-    for (std::size_t q = 0; q < sched_->num_queues(); ++q) {
-      queue_ewma_.emplace_back(config.ewma_weight, rate);
-    }
-    port_ewma_.emplace_back(config.ewma_weight, rate);
-  }
   // Round-based schedulers feed the marking scheme's T_round estimator.
   sched_->set_round_observer(
       [this](TimeNs now) { marking_->on_round_complete(now); });
   link_->attach_source(this);
 }
 
-void Port::update_ewma(std::size_t queue, std::uint64_t in_flight_bytes) {
-  if (port_ewma_.empty()) return;
-  const TimeNs now = sim_.now();
-  // Classic RED idle correction: a sample of zero decays the average by the
-  // packets that could have drained since the last observation.
-  if (sched_->total_bytes() == 0) port_ewma_[0].observe(0, now);
-  if (sched_->queue_bytes(queue) == 0) queue_ewma_[queue].observe(0, now);
-  port_ewma_[0].observe(sched_->total_bytes() + in_flight_bytes, now);
-  queue_ewma_[queue].observe(sched_->queue_bytes(queue) + in_flight_bytes, now);
-}
-
-ecn::PortSnapshot Port::snapshot(std::size_t queue, std::uint64_t extra_port_bytes,
-                                 std::uint64_t extra_queue_bytes,
-                                 std::size_t extra_packets) const {
+ecn::PortSnapshot Port::snapshot(std::size_t queue, std::uint64_t packet_bytes) const {
   ecn::PortSnapshot snap;
-  if (!port_ewma_.empty()) {
-    // Averaged mode: the EWMA already folds the packet under judgement in
-    // (update_ewma runs after enqueue / before dequeue-removal).
-    snap.port_bytes = static_cast<std::uint64_t>(port_ewma_[0].average_bytes());
-    snap.queue_bytes = static_cast<std::uint64_t>(queue_ewma_[queue].average_bytes());
-  } else {
-    snap.port_bytes = sched_->total_bytes() + extra_port_bytes;
-    snap.queue_bytes = sched_->queue_bytes(queue) + extra_queue_bytes;
-  }
-  snap.port_packets = sched_->total_packets() + extra_packets;
-  snap.queue_packets = sched_->queue_packets(queue) + extra_packets;
+  snap.port_bytes = sched_->total_bytes() + packet_bytes;
+  snap.queue_bytes = sched_->queue_bytes(queue) + packet_bytes;
+  snap.port_packets = sched_->total_packets() + 1;
+  snap.queue_packets = sched_->queue_packets(queue) + 1;
   if (pool_ != nullptr) {
     snap.has_pool = true;
     // The pool charge for the packet under judgement is already reserved at
@@ -141,14 +114,13 @@ void Port::handle(Packet pkt) {
   marking_->on_port_activity(sim_.now(), was_empty);
 
   pkt.enqueue_time = sim_.now();
-  update_ewma(q, pkt.size_bytes);
   if (mark_point_ == ecn::MarkPoint::kEnqueue && pkt.ect && !pkt.ce) {
     // Snapshot includes the arriving packet (see marking.hpp convention).
     bool mark;
     {
       telemetry::ProfileScope ecn_scope(profiler_, kind_should_mark_);
-      mark = marking_->should_mark(snapshot(q, pkt.size_bytes, pkt.size_bytes, 1),
-                                   pkt, ecn::MarkPoint::kEnqueue, sim_.now());
+      mark = marking_->should_mark(snapshot(q, pkt.size_bytes), pkt,
+                                   ecn::MarkPoint::kEnqueue, sim_.now());
     }
     if (mark) {
       pkt.ce = true;
@@ -175,15 +147,13 @@ Packet Port::pull() {
   }
   ++stats_.dequeued_packets;
   Packet pkt = std::move(out->pkt);
-  update_ewma(out->queue, pkt.size_bytes);
   if (mark_point_ == ecn::MarkPoint::kDequeue && pkt.ect && !pkt.ce) {
     // Snapshot includes the departing packet (state before removal).
     bool mark;
     {
       telemetry::ProfileScope ecn_scope(profiler_, kind_should_mark_);
-      mark = marking_->should_mark(
-          snapshot(out->queue, pkt.size_bytes, pkt.size_bytes, 1), pkt,
-          ecn::MarkPoint::kDequeue, sim_.now());
+      mark = marking_->should_mark(snapshot(out->queue, pkt.size_bytes), pkt,
+                                   ecn::MarkPoint::kDequeue, sim_.now());
     }
     if (mark) {
       pkt.ce = true;

@@ -19,7 +19,6 @@
 #include "sim/simulator.hpp"
 #include "switchlib/buffer_policy.hpp"
 #include "switchlib/buffer_pool.hpp"
-#include "switchlib/occupancy.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
 
@@ -33,10 +32,6 @@ struct PortConfig {
   ecn::MarkingConfig marking;
   /// Shared per-port buffer (drop-tail beyond this), in bytes.
   std::uint64_t buffer_bytes = 512ull * 1500ull;
-  /// Feed marking schemes EWMA-averaged occupancies (classic RED averaging)
-  /// instead of instantaneous ones (paper §IV.C supports either).
-  bool average_occupancy = false;
-  double ewma_weight = 0.002;  ///< RED w_q when average_occupancy is set
   /// Shared-buffer admission policy (static per-port budgets, equal
   /// division, or Dynamic Thresholds — see buffer_policy.hpp). Drop
   /// decisions route through this; the default is digest-identical to the
@@ -126,10 +121,11 @@ class Port : private net::PacketSource {
             .port_budget = buffer_bytes_,
             .pool = pool_};
   }
+  /// The state marking judges: the live occupancies plus the packet under
+  /// judgement, which is not yet stored at enqueue and already removed from
+  /// the scheduler at dequeue (see marking.hpp).
   [[nodiscard]] ecn::PortSnapshot snapshot(std::size_t queue,
-                                           std::uint64_t extra_port_bytes,
-                                           std::uint64_t extra_queue_bytes,
-                                           std::size_t extra_packets) const;
+                                           std::uint64_t packet_bytes) const;
 
   sim::Simulator& sim_;
   net::Link* link_;
@@ -155,10 +151,6 @@ class Port : private net::PacketSource {
     taps_.notify(hook, sim_.now(), pkt, queue, sched_->total_bytes());
   }
   PortStats stats_;
-  // EWMA estimators (populated only when config.average_occupancy is set).
-  std::vector<OccupancyEwma> queue_ewma_;
-  std::vector<OccupancyEwma> port_ewma_;  ///< 0 or 1 element
-  void update_ewma(std::size_t queue, std::uint64_t in_flight_bytes);
 };
 
 }  // namespace pmsb::switchlib

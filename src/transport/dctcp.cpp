@@ -8,6 +8,16 @@
 
 namespace pmsb::transport {
 
+namespace {
+constexpr double kAlphaGain = 1.0 / 16.0;  ///< DCTCP's g
+/// Standard implementations (Linux, NS-2/NS-3) start alpha at 1 so the
+/// first congestion signal halves the window; starting at 0 makes DCTCP
+/// nearly blind during slow start.
+constexpr double kInitialAlpha = 1.0;
+constexpr TimeNs kMinRto = sim::milliseconds(1);
+constexpr TimeNs kInitialRto = sim::milliseconds(10);
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // DctcpSender
 // ---------------------------------------------------------------------------
@@ -22,9 +32,9 @@ DctcpSender::DctcpSender(sim::Simulator& simulator, Host& local, HostId remote,
       service_(service),
       flow_bytes_(flow_bytes),
       cfg_(config),
-      rtt_(config.min_rto, config.initial_rto) {
+      rtt_(kMinRto, kInitialRto) {
   cwnd_ = static_cast<double>(cfg_.init_cwnd_segments) * cfg_.mss;
-  alpha_ = cfg_.alpha_init;
+  alpha_ = kInitialAlpha;
 }
 
 DctcpSender::~DctcpSender() {
@@ -135,7 +145,7 @@ void DctcpSender::enter_window_boundary() {
   if (window_acked_bytes_ > 0) {
     const double f = static_cast<double>(window_marked_bytes_) /
                      static_cast<double>(window_acked_bytes_);
-    alpha_ = (1.0 - cfg_.g) * alpha_ + cfg_.g * f;
+    alpha_ = (1.0 - kAlphaGain) * alpha_ + kAlphaGain * f;
   }
   window_acked_bytes_ = 0;
   window_marked_bytes_ = 0;
@@ -268,14 +278,8 @@ void DctcpSender::finish() {
 // ---------------------------------------------------------------------------
 
 DctcpReceiver::DctcpReceiver(sim::Simulator& simulator, Host& local, HostId remote,
-                             FlowId flow, ServiceId service, const DctcpConfig& config)
-    : sim_(simulator),
-      local_(local),
-      remote_(remote),
-      flow_(flow),
-      service_(service),
-      delack_count_(std::max<std::uint32_t>(1, config.delayed_ack_count)),
-      delack_timeout_(config.delayed_ack_timeout) {}
+                             FlowId flow, ServiceId service)
+    : sim_(simulator), local_(local), remote_(remote), flow_(flow), service_(service) {}
 
 void DctcpReceiver::send_ack(bool ece, TimeNs echo_time) {
   Packet ack;
@@ -292,19 +296,6 @@ void DctcpReceiver::send_ack(bool ece, TimeNs echo_time) {
   ack.echo_time = echo_time;
   local_.send(std::move(ack));
   ++acks_sent_;
-  pending_ = 0;
-  ++delack_generation_;
-}
-
-void DctcpReceiver::flush_pending() {
-  if (pending_ > 0) send_ack(run_ce_, pending_echo_time_);
-}
-
-void DctcpReceiver::arm_delack_timer() {
-  const std::uint64_t gen = delack_generation_;
-  sim_.schedule_in(delack_timeout_, [this, gen] {
-    if (gen == delack_generation_) flush_pending();
-  });
 }
 
 void DctcpReceiver::on_data(const Packet& pkt) {
@@ -324,25 +315,7 @@ void DctcpReceiver::on_data(const Packet& pkt) {
     auto [it, inserted] = out_of_order_.try_emplace(pkt.seq, seg_end);
     if (!inserted) it->second = std::max(it->second, seg_end);
   }
-
-  if (delack_count_ == 1) {
-    // Per-packet ACK with exact echo.
-    send_ack(pkt.ce, pkt.sent_time);
-    return;
-  }
-  // DCTCP delayed-ACK ECE machine: close the previous run on a CE flip so
-  // the echoed bit always describes every packet the ACK covers.
-  if (pending_ > 0 && pkt.ce != run_ce_) flush_pending();
-  run_ce_ = pkt.ce;
-  pending_echo_time_ = pkt.sent_time;
-  ++pending_;
-  // Out-of-order and FIN segments demand immediate feedback (dup-ACKs for
-  // fast retransmit; no dangling final ACK).
-  if (pending_ >= delack_count_ || !in_order || pkt.fin) {
-    send_ack(run_ce_, pending_echo_time_);
-  } else if (pending_ == 1) {
-    arm_delack_timer();
-  }
+  send_ack(pkt.ce, pkt.sent_time);
 }
 
 // ---------------------------------------------------------------------------
@@ -354,8 +327,7 @@ Flow::Flow(sim::Simulator& simulator, Host& src, Host& dst, FlowId flow,
     : src_(src), dst_(dst), flow_(flow) {
   sender_ = std::make_unique<DctcpSender>(simulator, src, dst.id(), flow, service,
                                           flow_bytes, config);
-  receiver_ = std::make_unique<DctcpReceiver>(simulator, dst, src.id(), flow, service,
-                                              config);
+  receiver_ = std::make_unique<DctcpReceiver>(simulator, dst, src.id(), flow, service);
   src_.register_flow(flow_, [s = sender_.get()](Packet pkt) {
     if (pkt.is_ack()) s->on_ack(pkt);
   });

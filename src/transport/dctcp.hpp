@@ -54,14 +54,7 @@ struct DctcpConfig {
   /// Default: 256 segments (~374 kB), several times a 10G*100us BDP.
   std::uint64_t max_cwnd_bytes = 256ull * sim::kDefaultMssBytes;
   std::uint32_t init_cwnd_segments = 10;
-  double g = 1.0 / 16.0;                      ///< DCTCP alpha gain
-  /// Initial alpha. Standard implementations (Linux, NS-2/NS-3) start at 1
-  /// so the first congestion signal halves the window; starting at 0 makes
-  /// DCTCP nearly blind during slow start.
-  double alpha_init = 1.0;
   bool ecn_enabled = true;                    ///< ECT on data packets
-  TimeNs min_rto = sim::milliseconds(1);
-  TimeNs initial_rto = sim::milliseconds(10);
   sim::RateBps max_rate = 0;                  ///< 0 = unlimited (no pacing cap)
 
   // --- PMSB(e), Algorithm 2 ---
@@ -73,14 +66,6 @@ struct DctcpConfig {
   /// deadline-aware penalty p = alpha^d with d = Tc/D clamped to [0.5, 2]:
   /// near-deadline flows back off less, far-deadline flows more.
   bool d2tcp_enabled = false;
-
-  // --- Receiver-side ACK policy ---
-  /// 1 = one ACK per data packet (default). m > 1 = delayed ACKs with the
-  /// DCTCP two-state ECE machine: an ACK goes out every m packets OR
-  /// immediately when the arriving packet's CE differs from the run it
-  /// closes, so the sender's marked-byte accounting stays exact.
-  std::uint32_t delayed_ack_count = 1;
-  TimeNs delayed_ack_timeout = sim::microseconds(200);
 };
 
 /// Sender-side statistics, exposed for tests / benches.
@@ -222,15 +207,12 @@ class DctcpSender {
   telemetry::Profiler::KindId kind_ack_ = 0;
 };
 
-/// Receiver: cumulative ACKs with out-of-order reassembly and exact ECN
-/// echo. With delayed_ack_count > 1 it runs DCTCP's two-state ECE machine:
-/// an ACK closes a run of same-CE packets either when the run reaches m
-/// packets, when the CE state flips, when a FIN or out-of-order segment
-/// arrives, or when the delayed-ACK timer fires.
+/// Receiver: cumulative ACKs with out-of-order reassembly. Every data
+/// packet gets its own ACK, which echoes that packet's CE bit exactly.
 class DctcpReceiver {
  public:
   DctcpReceiver(sim::Simulator& simulator, Host& local, HostId remote, FlowId flow,
-                ServiceId service, const DctcpConfig& config);
+                ServiceId service);
   DctcpReceiver(const DctcpReceiver&) = delete;
   DctcpReceiver& operator=(const DctcpReceiver&) = delete;
 
@@ -243,26 +225,17 @@ class DctcpReceiver {
 
  private:
   void send_ack(bool ece, TimeNs echo_time);
-  void flush_pending();
-  void arm_delack_timer();
 
   sim::Simulator& sim_;
   Host& local_;
   HostId remote_;
   FlowId flow_;
   ServiceId service_;
-  std::uint32_t delack_count_;
-  TimeNs delack_timeout_;
   std::uint64_t rcv_nxt_ = 0;
   std::map<std::uint64_t, std::uint64_t> out_of_order_;  ///< seq -> end
   std::uint64_t ce_packets_ = 0;
   std::uint64_t data_packets_ = 0;
   std::uint64_t acks_sent_ = 0;
-  // Delayed-ACK run state.
-  std::uint32_t pending_ = 0;
-  bool run_ce_ = false;
-  TimeNs pending_echo_time_ = 0;
-  std::uint64_t delack_generation_ = 0;
 };
 
 /// A unidirectional DCTCP flow: sender at `src`, receiver at `dst`, with the

@@ -197,6 +197,39 @@ TEST(Dctcp, CwndNeverExceedsSocketBufferCap) {
   EXPECT_GT(gbps, 9.0);
 }
 
+TEST(DctcpReceiver, AcksEveryDataPacketOfAnUnmarkedFlow) {
+  DumbbellScenario sc(base_config(2));
+  const auto idx = sc.add_flow({.sender = 0, .service = 0, .bytes = 146'000, .start = 0});
+  sc.run(sim::milliseconds(50));
+  ASSERT_TRUE(sc.flow(idx).sender().complete());
+  EXPECT_EQ(sc.flow(idx).receiver().acks_sent(),
+            sc.flow(idx).receiver().data_packets());
+}
+
+TEST(DctcpReceiver, AcksEveryDataPacketAndEchoesItsCeExactly) {
+  // Loss-free marked run: every data packet gets one ACK carrying its own
+  // CE bit, so the sender sees exactly as many ECE ACKs as the receiver
+  // saw CE packets.
+  auto cfg = base_config(2);
+  cfg.marking.kind = ecn::MarkingKind::kPerPort;
+  cfg.marking.threshold_bytes = 12 * 1500;
+  DumbbellScenario sc(cfg);
+  sc.add_flow({.sender = 0, .service = 0, .bytes = 2'000'000, .start = 0});
+  sc.add_flow({.sender = 1, .service = 0, .bytes = 2'000'000, .start = 0});
+  sc.run(sim::milliseconds(50));
+  EXPECT_EQ(sc.bottleneck().stats().dropped_packets, 0u);
+  for (std::size_t f = 0; f < 2; ++f) {
+    const auto& sender = sc.flow(f).sender();
+    const auto& receiver = sc.flow(f).receiver();
+    ASSERT_TRUE(sender.complete()) << "flow " << f;
+    EXPECT_EQ(sender.stats().retransmits, 0u) << "flow " << f;
+    EXPECT_EQ(receiver.acks_sent(), receiver.data_packets()) << "flow " << f;
+    EXPECT_EQ(sender.stats().acks_received, receiver.acks_sent()) << "flow " << f;
+    EXPECT_GT(receiver.ce_packets(), 0u) << "flow " << f;
+    EXPECT_EQ(sender.stats().ece_acks, receiver.ce_packets()) << "flow " << f;
+  }
+}
+
 TEST(RttEstimatorUnit, FirstSampleInitialises) {
   transport::RttEstimator est;
   EXPECT_FALSE(est.valid());

@@ -11,7 +11,6 @@
 #include "ecn/per_port.hpp"
 #include "ecn/per_queue.hpp"
 #include "ecn/pmsb_marking.hpp"
-#include "ecn/red.hpp"
 #include "experiments/multiport.hpp"
 #include "sim/rng.hpp"
 #include "switchlib/buffer_policy.hpp"
@@ -74,17 +73,6 @@ TEST(Differential, MqEcnWithoutRoundsEqualsPerQueueStandard) {
   for (int i = 0; i < 20'000; ++i) {
     const auto snap = random_snapshot(rng, 2);
     EXPECT_EQ(mqecn.should_mark(snap, {}, MarkPoint::kEnqueue, i),
-              perqueue.should_mark(snap, {}, MarkPoint::kEnqueue, i));
-  }
-}
-
-TEST(Differential, RedDegenerateEqualsPerQueueStandard) {
-  sim::Rng rng(104);
-  RedMarking red({.min_threshold_bytes = 30'000, .max_threshold_bytes = 30'000});
-  PerQueueMarking perqueue(PerQueueMarking::standard_thresholds(4, 30'000));
-  for (int i = 0; i < 20'000; ++i) {
-    const auto snap = random_snapshot(rng, 4);
-    EXPECT_EQ(red.should_mark(snap, {}, MarkPoint::kEnqueue, i),
               perqueue.should_mark(snap, {}, MarkPoint::kEnqueue, i));
   }
 }

@@ -133,6 +133,19 @@ TEST(Options, ValidateKeysSuggestsNearMiss) {
   }
 }
 
+TEST(Options, ValidateKeysGivesLongKeysALongerBudget) {
+  // Four edits from `stability_window`: past the flat budget of 3, inside a
+  // quarter of the unknown key's 20 characters.
+  const auto o = parse({"stability_max_window=64"});
+  try {
+    o.validate_keys({"stability", "stability_window"});
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("did you mean 'stability_window'?"), std::string::npos) << msg;
+  }
+}
+
 TEST(Options, ValidateKeysOmitsSuggestionWhenNothingIsClose) {
   const auto o = parse({"zzzzqqqq=1"});
   try {

@@ -131,7 +131,7 @@ TEST(Oscillation, SteadyDumbbellReportsZeroOscillatingPorts) {
 TEST(Oscillation, ThresholdKnobsFlowThroughOptions) {
   // A stability_window larger than the whole sampled series leaves no
   // windows to analyze, so max_autocorr collapses to 0 — proof the
-  // stability_* keys actually reach the detector config.
+  // stability_window key actually reaches the detector config.
   sweep::SweepPoint base;
   base.opts.set("seed", "1");
   base.opts.set("stability", "1");

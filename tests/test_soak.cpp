@@ -39,8 +39,8 @@ RandomScenario draw(std::uint64_t seed) {
   const ecn::MarkingKind marks[] = {
       ecn::MarkingKind::kNone, ecn::MarkingKind::kPerQueueStandard,
       ecn::MarkingKind::kPerPort, ecn::MarkingKind::kPmsb,
-      ecn::MarkingKind::kMqEcn, ecn::MarkingKind::kTcn, ecn::MarkingKind::kRed};
-  cfg.marking.kind = marks[rng.uniform_int(0, 6)];
+      ecn::MarkingKind::kMqEcn, ecn::MarkingKind::kTcn};
+  cfg.marking.kind = marks[rng.uniform_int(0, 5)];
   if (cfg.marking.kind == ecn::MarkingKind::kMqEcn &&
       cfg.scheduler.kind != sched::SchedulerKind::kDwrr &&
       cfg.scheduler.kind != sched::SchedulerKind::kWrr) {
@@ -48,13 +48,11 @@ RandomScenario draw(std::uint64_t seed) {
   }
   cfg.marking.threshold_bytes =
       static_cast<std::uint64_t>(rng.uniform_int(4, 40)) * 1500;
-  cfg.marking.red_max_threshold_bytes = cfg.marking.threshold_bytes * 3;
   cfg.marking.weights = cfg.scheduler.weights;
   cfg.marking.sojourn_threshold = sim::microseconds(rng.uniform_int(5, 60));
   cfg.marking.point =
       rng.uniform() < 0.5 ? ecn::MarkPoint::kEnqueue : ecn::MarkPoint::kDequeue;
   cfg.buffer_bytes = static_cast<std::uint64_t>(rng.uniform_int(64, 512)) * 1500;
-  cfg.transport.delayed_ack_count = rng.uniform() < 0.3 ? 2 : 1;
 
   const int flows = static_cast<int>(rng.uniform_int(1, 12));
   for (int f = 0; f < flows; ++f) {

@@ -112,15 +112,12 @@ constexpr KeyHelp kKeys[] = {
     {"timeseries_csv", "path: stream per-port occupancy / mark-rate CSV"},
     {"sample_period_us", "timeseries sampling period (default 100)"},
     {"digest", "1: report the run's 128-bit event digest"},
-    // Stability analysis (docs/DESIGN.md "Stability analysis").
+    // Stability analysis (DESIGN.md "Stability analysis").
     {"stability", "1: post-run oscillation detection over sampled queue "
-                  "columns; emits stability.* results"},
+                  "columns (ACF peak >= 0.5, swing >= 18000 B and >= the "
+                  "window mean, 3 windows in a row); emits stability.* "
+                  "results"},
     {"stability_window", "analysis window in samples (default 64)"},
-    {"stability_min_autocorr", "required ACF peak strength (default 0.5)"},
-    {"stability_min_amp_bytes", "peak-to-trough amplitude floor "
-                                "(default 18000 = 12 MTU)"},
-    {"stability_min_windows", "consecutive oscillating windows required "
-                              "(default 3)"},
     // Observability (docs/OBSERVABILITY.md).
     {"profile", "1: per-event-kind kernel + component profiler; the "
                 "pmsb.profile/1 JSON lands in the run manifest"},
