@@ -46,12 +46,15 @@ std::unique_ptr<MarkingScheme> make_marking(const MarkingConfig& config) {
       }
       MqEcnConfig mc;
       mc.quantum_bytes.reserve(config.weights.size());
-      for (double w : config.weights) mc.quantum_bytes.push_back(w * config.quantum_base);
+      // DWRR's quantum per unit weight is one MTU.
+      for (double w : config.weights) {
+        mc.quantum_bytes.push_back(w * sim::kDefaultMtuBytes);
+      }
       mc.capacity = config.capacity;
       mc.rtt = config.rtt;
       mc.lambda = config.lambda;
       mc.beta = config.beta;
-      mc.t_idle = sim::serialization_delay(config.quantum_base, config.capacity);
+      mc.t_idle = sim::serialization_delay(sim::kDefaultMtuBytes, config.capacity);
       return std::make_unique<MqEcnMarking>(std::move(mc));
     }
     case MarkingKind::kTcn:

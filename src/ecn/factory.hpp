@@ -35,7 +35,6 @@ struct MarkingConfig {
   sim::TimeNs rtt = sim::microseconds(100);
   double lambda = 1.0;
   double beta = 0.75;
-  std::uint32_t quantum_base = sim::kDefaultMtuBytes;
 
   // TCN specific
   sim::TimeNs sojourn_threshold = 0;

@@ -10,7 +10,9 @@ LeafSpineScenario::LeafSpineScenario(const LeafSpineConfig& config)
   const std::size_t n_hosts = num_hosts();
   if (n_hosts < 2) throw std::invalid_argument("leafspine: need >= 2 hosts");
 
-  for (std::size_t h = 0; h < n_hosts; ++h) add_host("h" + std::to_string(h));
+  for (std::size_t h = 0; h < n_hosts; ++h) {
+    add_host(std::string("h").append(std::to_string(h)));
+  }
   // switches_ holds the leaves, then the spines.
   for (std::size_t l = 0; l < cfg_.num_leaves; ++l) {
     add_switch("leaf" + std::to_string(l), /*ecmp_salt=*/0x1000 + l);

@@ -49,8 +49,8 @@ void parse_endpoints(const std::string& clause, const std::string& text,
   }
   out.a = text.substr(0, pos);
   out.b = text.substr(pos + sep.size());
-  if (out.a.empty()) out.a = "*";
-  if (out.b.empty()) out.b = "*";
+  if (out.a.empty()) out.a.assign(1, '*');
+  if (out.b.empty()) out.b.assign(1, '*');
 }
 
 bool matches(const std::string& pattern, const std::string& name) {
@@ -114,7 +114,7 @@ std::vector<FaultSpec> parse_fault_spec(const std::string& spec) {
     } else if (kind == "bleach") {
       fs.kind = FaultSpec::Kind::kBleach;
       fs.a = fields[1].empty() ? "*" : fields[1];
-      fs.b = "*";
+      fs.b.assign(1, '*');
       fs.probability = parse_probability(clause, fields[2]);
     } else {
       bad_clause(clause, "unknown kind '" + kind + "'");

@@ -76,7 +76,7 @@ class FaultInjector : public Node {
   /// before the injector's.
   void detach() { inner_ = nullptr; }
 
-  void receive(Packet pkt) override {
+  void receive(const Packet& arriving) override {
     if (down_ || inner_ == nullptr) {
       ++counters_.dropped_down;
       return;
@@ -90,12 +90,15 @@ class FaultInjector : public Node {
       ++counters_.dropped_loss;
       return;
     }
+    // A copy: bleaching clears its CE bit, and the delay stage keeps it past
+    // this call.
+    Packet pkt = arriving;
     if (pkt.ce && bleach_rate_ > 0.0 && rng_.uniform() < bleach_rate_) {
       pkt.ce = false;
       ++counters_.bleached;
     }
     if (delay_fixed_ == 0 && delay_jitter_ == 0) {
-      deliver(std::move(pkt));
+      deliver(pkt);
       return;
     }
     sim::TimeNs delay = delay_fixed_;
@@ -105,14 +108,14 @@ class FaultInjector : public Node {
     // liveness token: if the injector is destroyed before the delay stage
     // drains, the event fires as a no-op instead of dereferencing inner_.
     sim_.schedule_in(delay, [w = std::weak_ptr<char>(alive_), this,
-                             p = std::move(pkt)]() mutable {
+                             p = pkt] {
       if (w.expired()) return;
       --counters_.delayed_in_flight;
       if (down_ || inner_ == nullptr) {
         ++counters_.dropped_down;
         return;
       }
-      deliver(std::move(p));
+      deliver(p);
     });
   }
 
@@ -156,9 +159,9 @@ class FaultInjector : public Node {
   }
 
  private:
-  void deliver(Packet pkt) {
+  void deliver(const Packet& pkt) {
     ++counters_.forwarded;
-    inner_->receive(std::move(pkt));
+    inner_->receive(pkt);
   }
 
   sim::Simulator& sim_;

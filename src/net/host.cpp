@@ -1,7 +1,6 @@
 #include "net/host.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 namespace pmsb::net {
 
@@ -12,18 +11,17 @@ void Host::send(Packet pkt) {
   pkt.sent_time = sim_.now();
   ++sent_;
   nic_bytes_ += pkt.size_bytes;
-  nic_queue_.push_back(std::move(pkt));
+  nic_queue_.push(pkt);
   uplink_->kick();
 }
 
 Packet Host::pull() {
-  Packet pkt = std::move(nic_queue_.front());
-  nic_queue_.pop_front();
+  Packet pkt = nic_queue_.pop();
   nic_bytes_ -= pkt.size_bytes;
   return pkt;
 }
 
-void Host::receive(Packet pkt) {
+void Host::receive(const Packet& pkt) {
   auto it = handlers_.find(pkt.flow_id);
   if (it == handlers_.end()) {
     ++no_handler_;
@@ -33,7 +31,7 @@ void Host::receive(Packet pkt) {
   // Copy the handler: the callback may unregister the flow (e.g. on FIN),
   // which would invalidate the iterator mid-call.
   PacketHandler handler = it->second;
-  handler(std::move(pkt));
+  handler(pkt);
 }
 
 }  // namespace pmsb::net

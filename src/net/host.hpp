@@ -3,25 +3,26 @@
 //
 // The NIC egress queue is effectively unbounded — end-host memory is not the
 // bottleneck the paper studies — but its backlog is observable for tests.
-// The uplink runs the transmit loop, pulling from the queue as the host's
-// PacketSource.
+// It is a PacketFifo in the thread's PacketStore. The uplink runs the
+// transmit loop, pulling from the queue as the host's PacketSource.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "net/packet_store.hpp"
 #include "sim/simulator.hpp"
 
 namespace pmsb::net {
 
 class Host : public Node, private PacketSource {
  public:
-  using PacketHandler = std::function<void(Packet)>;
+  /// Consumes an arriving packet, valid only for the call (see Node).
+  using PacketHandler = std::function<void(const Packet&)>;
 
   Host(sim::Simulator& simulator, HostId id, std::string name)
       : Node(std::move(name)), sim_(simulator), id_(id) {}
@@ -49,7 +50,7 @@ class Host : public Node, private PacketSource {
   void unregister_flow(FlowId flow_id) { handlers_.erase(flow_id); }
 
   /// Called by the attached link when a packet arrives from the network.
-  void receive(Packet pkt) override;
+  void receive(const Packet& pkt) override;
 
   [[nodiscard]] std::size_t nic_backlog_packets() const { return nic_queue_.size(); }
   [[nodiscard]] std::uint64_t nic_backlog_bytes() const { return nic_bytes_; }
@@ -66,7 +67,7 @@ class Host : public Node, private PacketSource {
   sim::Simulator& sim_;
   HostId id_;
   Link* uplink_ = nullptr;
-  std::deque<Packet> nic_queue_;
+  PacketFifo nic_queue_;
   std::uint64_t nic_bytes_ = 0;
   std::unordered_map<FlowId, PacketHandler> handlers_;
   std::uint64_t sent_ = 0;

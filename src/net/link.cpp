@@ -1,15 +1,8 @@
 #include "net/link.hpp"
 
 #include <cassert>
-#include <utility>
 
 namespace pmsb::net {
-
-Link::~Link() {
-  // Free the in-flight list iteratively; the default would recurse once per
-  // packet on the wire.
-  while (head_ != nullptr) head_ = std::move(head_->next);
-}
 
 void Link::kick() {
   if (wake_queued_) return;  // the wake-up will pull the packet
@@ -38,7 +31,7 @@ void Link::queue_wake() {
   });
 }
 
-TimeNs Link::transmit(Packet pkt) {
+TimeNs Link::transmit(const Packet& pkt) {
   assert(!busy() && "Link::transmit called while a packet is serializing");
   const TimeNs now = sim_.now();
   const TimeNs tx_done = now + sim::serialization_delay(pkt.size_bytes, rate_);
@@ -46,40 +39,32 @@ TimeNs Link::transmit(Packet pkt) {
   bytes_sent_ += pkt.size_bytes;
   ++packets_sent_;
   taps_.notify(&PacketObserver::on_link_tx, now, pkt, tx_done);
+  const bool was_idle = in_flight_.empty();
+  PacketNode& node = in_flight_.push(pkt);
+  node.arrival = tx_done + delay_;
   // The delivery's seq is reserved before the wake-up's, the order in which
   // an eager loop would have scheduled the two.
-  std::unique_ptr<InFlight> node(
-      new InFlight{tx_done + delay_, sim_.reserve_seq(), std::move(pkt), nullptr});
-  InFlight* const last = node.get();
-  if (tail_ == nullptr) {
-    head_ = std::move(node);
-    queue_head_delivery();
-  } else {
-    tail_->next = std::move(node);
-  }
-  tail_ = last;
+  node.seq = sim_.reserve_seq();
+  if (was_idle) queue_head_delivery();
   return tx_done;
 }
 
 void Link::queue_head_delivery() {
-  sim_.schedule_reserved(head_->arrival, head_->seq, [this] { deliver_head(); });
+  const PacketNode& head = in_flight_.front_node();
+  sim_.schedule_reserved(head.arrival, head.seq, [this] { deliver_head(); });
 }
 
 void Link::deliver_head() {
-  const std::unique_ptr<InFlight> node = std::move(head_);
-  // Queue the next delivery before handing this packet over, so a receiver
-  // that throws leaves the link consistent.
-  head_ = std::move(node->next);
-  if (head_ != nullptr) {
-    queue_head_delivery();
-  } else {
-    tail_ = nullptr;
-  }
+  // Unlink the head and queue the next delivery before handing this packet
+  // over, so a receiver that throws leaves the link consistent. The node
+  // goes back to the store when this returns, or when receive() throws.
+  const PacketNodePtr node = in_flight_.take_front();
+  if (!in_flight_.empty()) queue_head_delivery();
   ++packets_delivered_;
   // now == tx_done + delay_, so the serialization-complete instant is
   // recoverable without storing it alongside the packet.
   taps_.notify(&PacketObserver::on_link_rx, sim_.now(), node->pkt, sim_.now() - delay_);
-  dst_->receive(std::move(node->pkt));
+  dst_->receive(node->pkt);
 }
 
 }  // namespace pmsb::net

@@ -19,16 +19,20 @@
 //    order is therefore exactly that of a loop that always queued the
 //    wake-up.
 //  - A link is FIFO (tx_done only grows, the delay is fixed), so in-flight
-//    packets wait in the link's own list with their reserved (arrival, seq)
-//    and only the head delivery sits in the event queue.
+//    packets wait in the link's own PacketFifo, each node holding its
+//    reserved (arrival, seq), and only the head delivery sits in the event
+//    queue. The nodes come from the thread's PacketStore, so a hop allocates
+//    nothing once the run has reached its peak of stored packets.
+//  - Delivery is in place: the receiver gets a reference to the packet in
+//    its node, and the node goes back to the store when receive() returns.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "net/packet_observer.hpp"
+#include "net/packet_store.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 
@@ -51,7 +55,6 @@ class Link {
   Link(sim::Simulator& simulator, sim::RateBps rate, TimeNs propagation_delay,
        Node* destination)
       : sim_(simulator), rate_(rate), delay_(propagation_delay), dst_(destination) {}
-  ~Link();
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -67,7 +70,7 @@ class Link {
   /// Starts serializing `pkt` now. Precondition: !busy(). Returns the time at
   /// which serialization completes. The transmit loop calls this; so can a
   /// test driving a link that has no source.
-  TimeNs transmit(Packet pkt);
+  TimeNs transmit(const Packet& pkt);
 
   /// Re-points the link at a different receiving node. The fault plane uses
   /// this to interpose an owned FaultInjector between the wire and the real
@@ -95,14 +98,6 @@ class Link {
   }
 
  private:
-  /// One packet on the wire, due at `arrival` under the reserved `seq`.
-  struct InFlight {
-    TimeNs arrival;
-    std::uint64_t seq;
-    Packet pkt;
-    std::unique_ptr<InFlight> next;
-  };
-
   void send_next();
   void queue_wake();
   void queue_head_delivery();
@@ -119,8 +114,9 @@ class Link {
   /// initial (0, 0) is never ahead of dispatch, so a new link is idle.
   std::uint64_t wake_seq_ = 0;
   bool wake_queued_ = false;
-  std::unique_ptr<InFlight> head_;  ///< next delivery; its event is queued
-  InFlight* tail_ = nullptr;
+  /// Packets on the wire, each due at its node's (arrival, seq); the head's
+  /// delivery event is queued.
+  PacketFifo in_flight_;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_delivered_ = 0;

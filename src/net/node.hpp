@@ -1,5 +1,7 @@
 // Abstract network device. Hosts and switches implement `receive`, which a
-// Link invokes when a packet finishes propagation.
+// Link invokes when a packet finishes propagation. The link passes the
+// packet where it lies in its store node and reclaims the node once
+// `receive` returns, so a device copies whatever it keeps.
 #pragma once
 
 #include <string>
@@ -15,8 +17,9 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  /// Delivers a packet that has fully arrived at this device.
-  virtual void receive(Packet pkt) = 0;
+  /// Delivers a packet that has fully arrived at this device. `pkt` is valid
+  /// only until this returns.
+  virtual void receive(const Packet& pkt) = 0;
 
   [[nodiscard]] const std::string& name() const { return name_; }
 

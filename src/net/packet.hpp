@@ -1,8 +1,9 @@
 // Packet model.
 //
-// One struct covers data segments and ACKs; packets are passed by value
-// (they are small and trivially copyable) which keeps queue implementations
-// simple and avoids per-packet heap allocation on the hot path.
+// One struct covers data segments and ACKs. Packets are small and trivially
+// copyable: devices copy them, and every queue and wire stores them in
+// pooled nodes (net/packet_store.hpp), so the hot path allocates nothing
+// per packet.
 #pragma once
 
 #include <cstdint>

@@ -47,8 +47,7 @@ std::unique_ptr<Scheduler> make_scheduler(const SchedulerConfig& config) {
     case SchedulerKind::kWrr:
       return std::make_unique<WrrScheduler>(config.num_queues, config.weights);
     case SchedulerKind::kDwrr:
-      return std::make_unique<DwrrScheduler>(config.num_queues, config.weights,
-                                             config.dwrr_quantum_base);
+      return std::make_unique<DwrrScheduler>(config.num_queues, config.weights);
     case SchedulerKind::kWfq:
       return std::make_unique<WfqScheduler>(config.num_queues, config.weights);
     case SchedulerKind::kSpWfq: {

@@ -17,7 +17,6 @@ struct SchedulerConfig {
   std::size_t num_queues = 1;
   std::vector<double> weights;             ///< empty = all 1.0
   std::vector<std::size_t> priority_group; ///< SP+WFQ only; empty = all group 0
-  std::uint32_t dwrr_quantum_base = 1500;  ///< DWRR quantum per unit weight
 };
 
 /// Parses "FIFO" / "SP" / "WRR" / "DWRR" / "WFQ" / "SP+WFQ" (case-insensitive).

@@ -23,23 +23,20 @@ Scheduler::Scheduler(std::size_t num_queues, std::vector<double> weights)
   weight_sum_ = std::accumulate(weights_.begin(), weights_.end(), 0.0);
 }
 
-void Scheduler::enqueue(std::size_t q, Packet pkt) {
+void Scheduler::enqueue(std::size_t q, const Packet& pkt) {
   if (q >= queues_.size()) throw std::out_of_range("Scheduler::enqueue: bad queue");
   qbytes_[q] += pkt.size_bytes;
   total_bytes_ += pkt.size_bytes;
   ++total_packets_;
   on_enqueue(q, pkt);
-  auto& queue = queues_[q];
-  if (!queue) queue.emplace();
-  queue->push_back(std::move(pkt));
+  queues_[q].push(pkt);
 }
 
 std::optional<Dequeued> Scheduler::dequeue(TimeNs now) {
   if (total_packets_ == 0) return std::nullopt;
   const std::size_t q = select_queue(now);
   assert(q < queues_.size() && backlogged(q));
-  Packet pkt = std::move(queues_[q]->front());
-  queues_[q]->pop_front();
+  Packet pkt = queues_[q].pop();
   qbytes_[q] -= pkt.size_bytes;
   total_bytes_ -= pkt.size_bytes;
   --total_packets_;

@@ -2,7 +2,9 @@
 //
 // A Scheduler owns the per-queue packet storage of one output port and
 // decides dequeue order. The owning Port drives it: `enqueue(q, pkt)` on
-// classification, `dequeue(now)` whenever the link goes idle.
+// classification, `dequeue(now)` whenever the link goes idle. Each queue is
+// a net::PacketFifo in the thread's PacketStore: an enqueue takes a pooled
+// node, a dequeue gives it back, and an empty queue holds no memory.
 //
 // Round-based schedulers (WRR, DWRR) additionally report when a full
 // scheduling round — one pass over all backlogged queues — completes; the
@@ -12,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <stdexcept>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_store.hpp"
 #include "sim/time.hpp"
 
 namespace pmsb::sched {
@@ -43,8 +45,8 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Stores `pkt` in queue `q`.
-  void enqueue(std::size_t q, Packet pkt);
+  /// Stores a copy of `pkt` in queue `q`.
+  void enqueue(std::size_t q, const Packet& pkt);
 
   /// Removes and returns the next packet to transmit, or nullopt if idle.
   [[nodiscard]] std::optional<Dequeued> dequeue(TimeNs now);
@@ -59,8 +61,7 @@ class Scheduler {
   [[nodiscard]] std::size_t num_queues() const { return queues_.size(); }
   [[nodiscard]] std::uint64_t queue_bytes(std::size_t q) const { return qbytes_.at(q); }
   [[nodiscard]] std::size_t queue_packets(std::size_t q) const {
-    const auto& queue = queues_.at(q);
-    return queue ? queue->size() : 0;
+    return queues_.at(q).size();
   }
   [[nodiscard]] std::uint64_t total_bytes() const { return total_bytes_; }
   [[nodiscard]] std::size_t total_packets() const { return total_packets_; }
@@ -95,20 +96,15 @@ class Scheduler {
     (void)pkt;
   }
 
-  [[nodiscard]] bool backlogged(std::size_t q) const {
-    return queues_[q] && !queues_[q]->empty();
-  }
-  [[nodiscard]] const Packet& head(std::size_t q) const { return queues_[q]->front(); }
+  [[nodiscard]] bool backlogged(std::size_t q) const { return !queues_[q].empty(); }
+  [[nodiscard]] const Packet& head(std::size_t q) const { return queues_[q].front(); }
 
   void notify_round_complete(TimeNs now) {
     if (round_observer_) round_observer_(now);
   }
 
  private:
-  /// Per-queue packet storage, constructed on the queue's first enqueue: an
-  /// empty std::deque already allocates about 600 B, and most of a fabric's
-  /// queues never hold a packet.
-  std::vector<std::optional<std::deque<Packet>>> queues_;
+  std::vector<net::PacketFifo> queues_;
   std::vector<std::uint64_t> qbytes_;
   std::vector<std::uint64_t> served_;
   std::vector<std::uint64_t> served_packets_;

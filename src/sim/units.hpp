@@ -39,12 +39,6 @@ inline constexpr TimeNs serialization_delay(std::uint64_t bytes, RateBps rate) {
   return static_cast<TimeNs>((bits * 1'000'000'000ull + rate - 1) / rate);
 }
 
-/// Bytes a link of rate `rate` drains in `t` nanoseconds (rounded down).
-inline constexpr std::uint64_t bytes_drained(TimeNs t, RateBps rate) {
-  if (t <= 0) return 0;
-  return static_cast<std::uint64_t>(t) * rate / 8ull / 1'000'000'000ull;
-}
-
 /// The bandwidth-delay product C * RTT expressed in bytes.
 inline constexpr std::uint64_t bdp_bytes(RateBps rate, TimeNs rtt) {
   return static_cast<std::uint64_t>(rtt) * rate / 8ull / 1'000'000'000ull;

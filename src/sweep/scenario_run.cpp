@@ -272,7 +272,7 @@ struct Robustness {
       // supervisor's parent-side hard kill recovers from this shape.
       fab.simulator().schedule_in(sim::milliseconds(1), [] {
         volatile std::uint64_t spin = 0;
-        for (;;) ++spin;
+        for (;;) spin = spin + 1;
       });
     }
   }

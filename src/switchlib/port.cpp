@@ -132,7 +132,7 @@ void Port::handle(Packet pkt) {
   notify(&net::PacketObserver::on_enqueue, pkt, q);
   {
     telemetry::ProfileScope sched_scope(profiler_, kind_sched_enqueue_);
-    sched_->enqueue(q, std::move(pkt));
+    sched_->enqueue(q, pkt);
   }
   ++stats_.enqueued_packets;
   link_->kick();

@@ -31,9 +31,9 @@ class Switch : public net::Node {
   [[nodiscard]] const Port& port(std::size_t idx) const { return *ports_.at(idx); }
   [[nodiscard]] std::size_t num_ports() const { return ports_.size(); }
 
-  void receive(net::Packet pkt) override {
+  void receive(const net::Packet& pkt) override {
     const std::size_t egress = routing_.select_port(pkt, ecmp_salt_);
-    ports_[egress]->handle(std::move(pkt));
+    ports_[egress]->handle(pkt);
   }
 
  private:

@@ -118,27 +118,36 @@ void MetricsRegistry::gauge_fn(const std::string& name, const Labels& labels,
   e.fn_f64 = std::move(fn);
 }
 
+MetricsRegistry::Snapshot MetricsRegistry::Entry::snapshot() const {
+  Snapshot s;
+  s.name = name;
+  s.labels = labels;
+  s.unit = unit;
+  s.kind = kind;
+  s.value = current_value();
+  s.histogram = hist.get();
+  return s;
+}
+
 std::vector<MetricsRegistry::Snapshot> MetricsRegistry::collect() const {
   std::vector<Snapshot> out;
   out.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    Snapshot s;
-    s.name = e.name;
-    s.labels = e.labels;
-    s.unit = e.unit;
-    s.kind = e.kind;
-    s.value = e.current_value();
-    s.histogram = e.hist.get();
-    out.push_back(std::move(s));
-  }
+  for (const Entry& e : entries_) out.push_back(e.snapshot());
   return out;
 }
 
 std::vector<MetricsRegistry::Snapshot> MetricsRegistry::collect_sorted() const {
-  auto out = collect();
-  std::sort(out.begin(), out.end(), [](const Snapshot& a, const Snapshot& b) {
-    return instrument_key(a.name, a.labels) < instrument_key(b.name, b.labels);
-  });
+  // Sort the keys index_ built once at registration. Keys are unique, so the
+  // order is total.
+  using IndexItem = std::pair<const std::string, std::size_t>;
+  std::vector<const IndexItem*> order;
+  order.reserve(index_.size());
+  for (const IndexItem& item : index_) order.push_back(&item);
+  std::sort(order.begin(), order.end(),
+            [](const IndexItem* a, const IndexItem* b) { return a->first < b->first; });
+  std::vector<Snapshot> out;
+  out.reserve(order.size());
+  for (const IndexItem* item : order) out.push_back(entries_[item->second].snapshot());
   return out;
 }
 

@@ -137,6 +137,7 @@ class MetricsRegistry {
     std::function<double()> fn_f64;
 
     [[nodiscard]] double current_value() const;
+    [[nodiscard]] Snapshot snapshot() const;
   };
 
   Entry& emplace(const std::string& name, const Labels& labels,

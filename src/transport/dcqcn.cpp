@@ -158,10 +158,10 @@ DcqcnFlow::DcqcnFlow(sim::Simulator& simulator, net::Host& src, net::Host& dst,
                                           message_bytes, config);
   receiver_ = std::make_unique<DcqcnReceiver>(simulator, dst, src.id(), flow, service,
                                               message_bytes, config);
-  src_.register_flow(flow_, [s = sender_.get()](net::Packet pkt) {
+  src_.register_flow(flow_, [s = sender_.get()](const net::Packet& pkt) {
     if (pkt.type == net::PacketType::kCnp) s->on_cnp();
   });
-  dst_.register_flow(flow_, [r = receiver_.get()](net::Packet pkt) {
+  dst_.register_flow(flow_, [r = receiver_.get()](const net::Packet& pkt) {
     if (pkt.is_data()) r->on_data(pkt);
   });
 }

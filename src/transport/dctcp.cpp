@@ -9,6 +9,7 @@
 namespace pmsb::transport {
 
 namespace {
+constexpr std::uint32_t kMss = sim::kDefaultMssBytes;  ///< payload bytes per segment
 constexpr double kAlphaGain = 1.0 / 16.0;  ///< DCTCP's g
 /// Standard implementations (Linux, NS-2/NS-3) start alpha at 1 so the
 /// first congestion signal halves the window; starting at 0 makes DCTCP
@@ -33,7 +34,7 @@ DctcpSender::DctcpSender(sim::Simulator& simulator, Host& local, HostId remote,
       flow_bytes_(flow_bytes),
       cfg_(config),
       rtt_(kMinRto, kInitialRto) {
-  cwnd_ = static_cast<double>(cfg_.init_cwnd_segments) * cfg_.mss;
+  cwnd_ = static_cast<double>(cfg_.init_cwnd_segments) * kMss;
   alpha_ = kInitialAlpha;
 }
 
@@ -79,13 +80,13 @@ void DctcpSender::start(TimeNs at) {
 }
 
 std::uint64_t DctcpSender::remaining_at(std::uint64_t seq) const {
-  return infinite() ? cfg_.mss : flow_bytes_ - std::min(flow_bytes_, seq);
+  return infinite() ? kMss : flow_bytes_ - std::min(flow_bytes_, seq);
 }
 
 void DctcpSender::send_segment(std::uint64_t seq, bool is_retransmit) {
   telemetry::ProfileScope profile(profiler_, kind_send_);
   const std::uint32_t payload =
-      static_cast<std::uint32_t>(std::min<std::uint64_t>(cfg_.mss, remaining_at(seq)));
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(kMss, remaining_at(seq)));
   assert(payload > 0);
   Packet pkt;
   pkt.id = sim_.allocate_packet_id();
@@ -115,7 +116,7 @@ void DctcpSender::send_available() {
   while (true) {
     if (!infinite() && snd_nxt_ >= flow_bytes_) break;
     if (in_recovery_) break;  // conservative: no new data during recovery
-    const std::uint64_t payload = std::min<std::uint64_t>(cfg_.mss, remaining_at(snd_nxt_));
+    const std::uint64_t payload = std::min<std::uint64_t>(kMss, remaining_at(snd_nxt_));
     if (static_cast<double>(inflight() + payload) > cwnd_) break;
     if (cfg_.max_rate > 0) {
       const TimeNs now = sim_.now();
@@ -173,8 +174,8 @@ void DctcpSender::maybe_cut_on_mark() {
     last_cut_exponent_ = d;
     penalty = d == 1.0 ? alpha_ : std::pow(alpha_, d);
   }
-  cwnd_ = std::max(cwnd_ * (1.0 - penalty / 2.0), static_cast<double>(cfg_.mss));
-  ssthresh_ = std::max(cwnd_, 2.0 * cfg_.mss);  // marks end slow start
+  cwnd_ = std::max(cwnd_ * (1.0 - penalty / 2.0), static_cast<double>(kMss));
+  ssthresh_ = std::max(cwnd_, 2.0 * kMss);  // marks end slow start
   cut_end_seq_ = snd_nxt_;
   ++stats_.window_cuts;
 }
@@ -211,7 +212,7 @@ void DctcpSender::on_ack(const Packet& ack) {
       if (cwnd_ < ssthresh_) {
         cwnd_ += static_cast<double>(delta);  // slow start
       } else {
-        cwnd_ += static_cast<double>(cfg_.mss) * static_cast<double>(delta) / cwnd_;
+        cwnd_ += static_cast<double>(kMss) * static_cast<double>(delta) / cwnd_;
       }
       if (cfg_.max_cwnd_bytes > 0) {
         cwnd_ = std::min(cwnd_, static_cast<double>(cfg_.max_cwnd_bytes));
@@ -229,7 +230,7 @@ void DctcpSender::on_ack(const Packet& ack) {
     if (dup_acks_ == 3 && !in_recovery_) {
       in_recovery_ = true;
       recover_seq_ = snd_nxt_;
-      ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * cfg_.mss);
+      ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * kMss);
       cwnd_ = ssthresh_;
       send_segment(snd_una_, /*is_retransmit=*/true);
       arm_rto();
@@ -254,8 +255,8 @@ void DctcpSender::on_rto() {
     return;
   }
   ++stats_.timeouts;
-  ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * cfg_.mss);
-  cwnd_ = cfg_.mss;
+  ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * kMss);
+  cwnd_ = kMss;
   snd_nxt_ = snd_una_;  // go-back-N
   in_recovery_ = false;
   dup_acks_ = 0;
@@ -328,10 +329,10 @@ Flow::Flow(sim::Simulator& simulator, Host& src, Host& dst, FlowId flow,
   sender_ = std::make_unique<DctcpSender>(simulator, src, dst.id(), flow, service,
                                           flow_bytes, config);
   receiver_ = std::make_unique<DctcpReceiver>(simulator, dst, src.id(), flow, service);
-  src_.register_flow(flow_, [s = sender_.get()](Packet pkt) {
+  src_.register_flow(flow_, [s = sender_.get()](const Packet& pkt) {
     if (pkt.is_ack()) s->on_ack(pkt);
   });
-  dst_.register_flow(flow_, [r = receiver_.get()](Packet pkt) {
+  dst_.register_flow(flow_, [r = receiver_.get()](const Packet& pkt) {
     if (pkt.is_data()) r->on_data(pkt);
   });
 }

@@ -46,7 +46,6 @@ enum class EcnReaction : std::uint8_t {
 };
 
 struct DctcpConfig {
-  std::uint32_t mss = sim::kDefaultMssBytes;  ///< payload bytes per segment
   EcnReaction reaction = EcnReaction::kDctcp;
   /// Send-buffer / receive-window cap on cwnd. Without it a flow on an
   /// un-congested path (no marks, no drops) would grow its window without

@@ -24,7 +24,7 @@ TEST(JainIndex, KnownIntermediateValue) {
 }
 
 TEST(JainIndex, EmptyThrows) {
-  EXPECT_THROW(jain_index({}), std::invalid_argument);
+  EXPECT_THROW((void)jain_index({}), std::invalid_argument);
 }
 
 TEST(WeightedJain, WeightedFairShareScoresOne) {
@@ -34,8 +34,8 @@ TEST(WeightedJain, WeightedFairShareScoresOne) {
 
 TEST(WeightedJain, UnweightedViolationScoresBelowOne) {
   EXPECT_LT(weighted_jain_index({3.0, 3.0}, {1.0, 2.0}), 1.0);
-  EXPECT_THROW(weighted_jain_index({1.0}, {1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW(weighted_jain_index({1.0}, {0.0}), std::invalid_argument);
+  EXPECT_THROW((void)weighted_jain_index({1.0}, {1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW((void)weighted_jain_index({1.0}, {0.0}), std::invalid_argument);
 }
 
 TEST(Convergence, FindsSettlingPoint) {
@@ -58,5 +58,5 @@ TEST(Utilization, FullLinkIsOne) {
   // 10G for 1 ms = 1.25 MB.
   EXPECT_NEAR(utilization(1'250'000, 0, sim::milliseconds(1), sim::gbps(10)), 1.0,
               1e-9);
-  EXPECT_THROW(utilization(1, 10, 10, sim::gbps(10)), std::invalid_argument);
+  EXPECT_THROW((void)utilization(1, 10, 10, sim::gbps(10)), std::invalid_argument);
 }

@@ -210,7 +210,7 @@ TEST(BufferPolicy, ParseNames) {
   EXPECT_EQ(parse_buffer_policy_kind("equal"),
             BufferPolicyKind::kStaticEqualDivision);
   EXPECT_EQ(parse_buffer_policy_kind("dt"), BufferPolicyKind::kDynamicThresholds);
-  EXPECT_THROW(parse_buffer_policy_kind("bogus"), std::invalid_argument);
+  EXPECT_THROW((void)parse_buffer_policy_kind("bogus"), std::invalid_argument);
 }
 
 TEST(PerPoolMarking, UsesPoolOccupancy) {

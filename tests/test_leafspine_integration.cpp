@@ -1,9 +1,11 @@
 // Integration tests on the 48-host leaf-spine fabric: connectivity, ECMP
-// utilisation, FCT collection, and a small scheme sanity comparison.
+// utilisation, FCT collection, a small scheme sanity comparison, and packet
+// storage released by a fabric destroyed mid-run.
 #include <gtest/gtest.h>
 
 #include "experiments/leafspine.hpp"
 #include "experiments/presets.hpp"
+#include "net/packet_store.hpp"
 #include "sim/rng.hpp"
 #include "workload/size_dist.hpp"
 
@@ -191,4 +193,36 @@ TEST(LeafSpine, BaseRttFormulaSane) {
   // 8 propagation legs of 2 us + 4 data serialisations of 1.2 us + ACKs.
   EXPECT_GT(sc.base_rtt_interrack(), sim::microseconds(20));
   EXPECT_LT(sc.base_rtt_interrack(), sim::microseconds(25));
+}
+
+// A run stopped by its horizon leaves packets in switch queues, NIC queues
+// and on the wire; destroying the fabric hands every one of their nodes back
+// to the thread's PacketStore.
+TEST(LeafSpine, FabricDestroyedMidRunReturnsEveryStoredPacket) {
+  net::PacketStore& store = net::PacketStore::local();
+  const std::size_t before = store.live();
+  {
+    auto cfg = small_fabric(Scheme::kPmsb);
+    LeafSpineScenario sc(cfg);
+    std::vector<workload::FlowSpec> specs;
+    for (int i = 0; i < 6; ++i) {  // incast onto host 0, half across the spines
+      specs.push_back({.src = static_cast<net::HostId>(i + 1),
+                       .dst = 0,
+                       .service = static_cast<net::ServiceId>(i % 4),
+                       .bytes = 2'000'000,
+                       .start = 0});
+    }
+    sc.add_workload(specs);
+    EXPECT_FALSE(sc.run_until_complete(sim::microseconds(300)));
+    std::size_t queued = 0;
+    for (std::size_t l = 0; l < 2; ++l) {
+      for (std::size_t p = 0; p < sc.leaf(l).num_ports(); ++p) {
+        queued += sc.leaf(l).port(p).buffered_packets();
+      }
+    }
+    EXPECT_GT(queued, 0u);
+    // The rest of the stored packets are on the wire or in NIC queues.
+    EXPECT_GT(store.live(), before + queued);
+  }
+  EXPECT_EQ(store.live(), before);
 }

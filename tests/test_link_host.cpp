@@ -1,12 +1,15 @@
-// Tests for Link (serialization + propagation) and Host (NIC FIFO, demux).
+// Tests for Link (serialization + propagation, in-place delivery) and Host
+// (NIC FIFO, demux).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "net/host.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
+#include "net/packet_store.hpp"
 #include "sim/simulator.hpp"
 
 using namespace pmsb;
@@ -17,7 +20,7 @@ namespace {
 class SinkNode : public Node {
  public:
   explicit SinkNode(std::string name) : Node(std::move(name)) {}
-  void receive(Packet pkt) override { arrivals.push_back(pkt); }
+  void receive(const Packet& pkt) override { arrivals.push_back(pkt); }
   std::vector<Packet> arrivals;
 };
 
@@ -25,7 +28,7 @@ class SinkNode : public Node {
 class ClockedSink : public Node {
  public:
   explicit ClockedSink(const sim::Simulator& sim) : Node("clocked"), sim_(sim) {}
-  void receive(Packet pkt) override { arrivals.emplace_back(sim_.now(), pkt.id); }
+  void receive(const Packet& pkt) override { arrivals.emplace_back(sim_.now(), pkt.id); }
   std::vector<std::pair<sim::TimeNs, std::uint64_t>> arrivals;
 
  private:
@@ -221,4 +224,66 @@ TEST(Link, DeliveriesStayFifoAndFollowSetDestination) {
                                  {7400, 2}, {8600, 3}, {9800, 4}, {11000, 5}}));
   EXPECT_EQ(in_flight, (std::vector<std::uint64_t>{1, 3, 5, 4, 4, 1, 0}));
   EXPECT_EQ(up.packets_delivered(), 5u);
+}
+
+// A link, host or both destroyed with packets still on the wire and in the
+// NIC queue hand every node back to the thread's store.
+TEST(Link, DestroyedWithPacketsInFlightReturnsTheirNodes) {
+  PacketStore& store = PacketStore::local();
+  const std::size_t before = store.live();
+  {
+    sim::Simulator sim;
+    SinkNode sink("sink");
+    Link up(sim, sim::gbps(10), sim::microseconds(5), &sink);
+    Host host(sim, 0, "h0");
+    host.attach_uplink(&up);
+    for (std::uint64_t id = 1; id <= 8; ++id) host.send(make_packet(1500, id));
+    sim.run(4000);  // three on the wire, one serializing, four in the NIC
+    EXPECT_EQ(sink.arrivals.size(), 0u);
+    EXPECT_EQ(up.packets_in_flight(), 4u);
+    EXPECT_EQ(host.nic_backlog_packets(), 4u);
+    EXPECT_EQ(store.live(), before + 8);
+  }
+  EXPECT_EQ(store.live(), before);
+}
+
+/// Throws on the first delivery it sees, then records like SinkNode.
+class ThrowOnceNode : public Node {
+ public:
+  ThrowOnceNode() : Node("throw-once") {}
+  void receive(const Packet& pkt) override {
+    if (!thrown_) {
+      thrown_ = true;
+      throw std::runtime_error("receiver failed");
+    }
+    arrivals.push_back(pkt.id);
+  }
+  std::vector<std::uint64_t> arrivals;
+
+ private:
+  bool thrown_ = false;
+};
+
+// The link unlinks the head and queues the next delivery before receive();
+// a receiver that throws loses its own packet but not the ones behind it,
+// and the thrown packet's node still goes back to the store.
+TEST(Link, ReceiverThatThrowsLeavesTheLinkDeliveringTheRest) {
+  PacketStore& store = PacketStore::local();
+  const std::size_t before = store.live();
+  sim::Simulator sim;
+  ThrowOnceNode node;
+  Link link(sim, sim::gbps(10), sim::microseconds(5), &node);
+  sim.schedule_at(0, [&] { link.transmit(make_packet(1500, 1)); });
+  sim.schedule_at(1200, [&] { link.transmit(make_packet(1500, 2)); });
+  sim.run(1200);
+  EXPECT_EQ(store.live(), before + 2);
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(sim.now(), 6200);
+  EXPECT_EQ(link.packets_delivered(), 1u);
+  EXPECT_EQ(store.live(), before + 1);
+  sim.run();
+  EXPECT_EQ(node.arrivals, (std::vector<std::uint64_t>{2}));
+  EXPECT_EQ(sim.now(), 7400);
+  EXPECT_EQ(link.packets_in_flight(), 0u);
+  EXPECT_EQ(store.live(), before);
 }

@@ -52,7 +52,7 @@ TEST(Options, BooleanForms) {
   EXPECT_TRUE(o.get_bool("t3", false));
   EXPECT_FALSE(o.get_bool("f1", true));
   EXPECT_FALSE(o.get_bool("f2", true));
-  EXPECT_THROW(parse({"b=maybe"}).get_bool("b", false), std::invalid_argument);
+  EXPECT_THROW((void)parse({"b=maybe"}).get_bool("b", false), std::invalid_argument);
 }
 
 TEST(Options, DoubleList) {
@@ -73,7 +73,7 @@ TEST(Options, DoubleList) {
 TEST(Options, MalformedTokensThrow) {
   EXPECT_THROW(parse({"novalue"}), std::invalid_argument);
   EXPECT_THROW(parse({"=x"}), std::invalid_argument);
-  EXPECT_THROW(parse({"n=12x"}).get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)parse({"n=12x"}).get_int("n", 0), std::invalid_argument);
   // Every numeric error names its key: not a number, trailing junk, or out
   // of range.
   const auto o = parse({"flows=abc", "duration_ms=xyz", "load=0.5x",

@@ -16,7 +16,7 @@ namespace {
 class SinkNode : public net::Node {
  public:
   explicit SinkNode() : Node("sink") {}
-  void receive(net::Packet pkt) override { arrivals.push_back(pkt); }
+  void receive(const net::Packet& pkt) override { arrivals.push_back(pkt); }
   std::vector<net::Packet> arrivals;
 };
 

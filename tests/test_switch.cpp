@@ -14,7 +14,7 @@ namespace {
 class SinkNode : public net::Node {
  public:
   explicit SinkNode(std::string name) : Node(std::move(name)) {}
-  void receive(net::Packet pkt) override { arrivals.push_back(pkt); }
+  void receive(const net::Packet& pkt) override { arrivals.push_back(pkt); }
   std::vector<net::Packet> arrivals;
 };
 

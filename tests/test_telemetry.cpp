@@ -252,20 +252,26 @@ TEST(MetricsRegistry, CollectSortedOrdersByInstrumentKey) {
   reg.gauge_fn("alpha.depth", {{"port", "b"}}, empty);
   reg.gauge_fn("alpha.depth", {{"port", "a"}}, empty);
   reg.counter_fn("mid.count", {}, zero);
+  // Labels given out of key order: the key sorts them, and ',' sorts before
+  // '}', so this instrument comes first.
+  reg.gauge_fn("alpha.depth", {{"queue", "3"}, {"port", "a"}}, empty);
 
   // collect() preserves registration order (samplers and tests rely on it).
   const auto raw = reg.collect();
-  ASSERT_EQ(raw.size(), 4u);
+  ASSERT_EQ(raw.size(), 5u);
   EXPECT_EQ(raw[0].name, "zeta.total");
 
   // collect_sorted() orders by canonical key regardless of registration.
   const auto sorted = reg.collect_sorted();
-  ASSERT_EQ(sorted.size(), 4u);
+  ASSERT_EQ(sorted.size(), 5u);
   std::vector<std::string> keys;
   for (const auto& s : sorted) keys.push_back(instrument_key(s.name, s.labels));
-  for (std::size_t i = 1; i < keys.size(); ++i) EXPECT_LT(keys[i - 1], keys[i]);
-  EXPECT_EQ(keys.front(), "alpha.depth{port=a}");
-  EXPECT_EQ(keys.back(), "zeta.total");
+  EXPECT_EQ(keys, (std::vector<std::string>{"alpha.depth{port=a,queue=3}",
+                                            "alpha.depth{port=a}",
+                                            "alpha.depth{port=b}", "mid.count",
+                                            "zeta.total"}));
+  // The snapshot carries its labels in key order.
+  EXPECT_EQ(sorted[0].labels, (Labels{{"port", "a"}, {"queue", "3"}}));
 }
 
 TEST(RunManifest, MetricsSectionIsSortedByInstrumentKey) {
@@ -283,9 +289,9 @@ TEST(RunManifest, MetricsSectionIsSortedByInstrumentKey) {
 TEST(MetricsRegistry, ValueOnHistogramThrows) {
   MetricsRegistry reg;
   reg.histogram("h", {1.0, 2.0});
-  EXPECT_THROW(reg.value("h"), std::invalid_argument);
-  EXPECT_THROW(reg.value("missing"), std::out_of_range);
-  EXPECT_NO_THROW(reg.histogram_at("h"));
+  EXPECT_THROW((void)reg.value("h"), std::invalid_argument);
+  EXPECT_THROW((void)reg.value("missing"), std::out_of_range);
+  EXPECT_NO_THROW((void)reg.histogram_at("h"));
 }
 
 // ---------------------------------------------------------------------------
@@ -545,7 +551,7 @@ TEST(JsonReader, FindIsNullSafeAtThrows) {
   const auto v = pmsb::telemetry::json::parse("{\"a\":1}");
   EXPECT_NE(v.find("a"), nullptr);
   EXPECT_EQ(v.find("missing"), nullptr);
-  EXPECT_THROW(v.at("missing"), pmsb::telemetry::json::ParseError);
+  EXPECT_THROW((void)v.at("missing"), pmsb::telemetry::json::ParseError);
   // find on a non-object is a nullptr, not a crash.
   EXPECT_EQ(v.at("a").find("x"), nullptr);
 }

@@ -47,12 +47,6 @@ TEST(Units, BdpBytes) {
   EXPECT_EQ(bdp_bytes(gbps(10), microseconds(80)), 100'000u);
 }
 
-TEST(Units, BytesDrained) {
-  EXPECT_EQ(bytes_drained(microseconds(1), gbps(10)), 1250u);
-  EXPECT_EQ(bytes_drained(0, gbps(10)), 0u);
-  EXPECT_EQ(bytes_drained(-5, gbps(10)), 0u);
-}
-
 TEST(Units, PacketsToBytes) {
   EXPECT_EQ(packets_to_bytes(16), 24000u);
   EXPECT_EQ(packets_to_bytes(1.5), 2250u);
