@@ -11,15 +11,20 @@
 //    sampler or manifest writer collects;
 //  - distributions (the TCN / CoDel sojourn times) are histograms the
 //    registry owns; the holder observes through a stable reference;
-//  - all naming/label work happens once at registration time.
+//  - all naming/label work happens once at registration time, and each
+//    distinct name, unit and label set is stored once per registry: an
+//    instrument is three ids plus the slot of its one value source;
+//  - export visits the instruments in canonical-key order through views
+//    into that storage; nothing is copied per instrument.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -30,10 +35,12 @@ class Simulator;
 namespace pmsb::telemetry {
 
 /// Label set attached to an instrument, e.g. {{"switch","leaf0"},{"port","2"}}.
-/// Stored sorted by key; (name, labels) identifies an instrument uniquely.
+/// Order does not matter: (name, labels) identifies an instrument, and the
+/// registry keeps the pairs sorted.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Canonical identity string: `name{k1=v1,k2=v2}` with keys sorted.
+/// Canonical identity string: `name{k1=v1,k2=v2}` with keys sorted, or just
+/// `name` without labels. Exports are ordered by the bytes of this string.
 [[nodiscard]] std::string instrument_key(const std::string& name, const Labels& labels);
 
 /// Fixed-bucket histogram. `upper_bounds` must be strictly increasing; an
@@ -96,24 +103,38 @@ class MetricsRegistry {
   void gauge_fn(const std::string& name, const Labels& labels,
                 std::function<double()> fn, const std::string& unit = "");
 
-  // --- Collection ---
-  struct Snapshot {
-    std::string name;
-    Labels labels;
-    std::string unit;
-    InstrumentKind kind = InstrumentKind::kCounter;
-    double value = 0.0;                  ///< counter/gauge value
-    const Histogram* histogram = nullptr;  ///< non-null for histograms
+  // --- Export ---
+  /// What export sees of one instrument: views into the registry, valid
+  /// while the registry lives and registers nothing new.
+  class Instrument {
+   public:
+    [[nodiscard]] std::string_view name() const;
+    /// Empty when the instrument was registered without a unit.
+    [[nodiscard]] std::string_view unit() const;
+    [[nodiscard]] InstrumentKind kind() const;
+    /// Calls fn(key, value) for each label, in (key, value) order.
+    void for_each_label(
+        const std::function<void(std::string_view, std::string_view)>& fn) const;
+    /// Counter or gauge value, read now; 0 for a histogram.
+    [[nodiscard]] double value() const;
+    /// The histogram; null unless kind() is kHistogram.
+    [[nodiscard]] const Histogram* histogram() const;
+    /// The canonical key, `name{k=v,...}` (builds a string).
+    [[nodiscard]] std::string key() const;
+
+   private:
+    friend class MetricsRegistry;
+    Instrument(const MetricsRegistry& registry, std::uint32_t entry)
+        : registry_(&registry), entry_(entry) {}
+    const MetricsRegistry* registry_;
+    std::uint32_t entry_;
   };
 
-  /// Evaluates every instrument (including probes) in registration order.
-  [[nodiscard]] std::vector<Snapshot> collect() const;
-
-  /// collect(), sorted by canonical instrument key. Exports (manifest JSON,
-  /// CSV) use this so two runs that register instruments in a different
-  /// order still serialize identically — a requirement for the regression
-  /// plane's byte-stable artifacts.
-  [[nodiscard]] std::vector<Snapshot> collect_sorted() const;
+  /// Calls `fn` on every instrument in canonical-key byte order, evaluating
+  /// probes as it goes. Exports (manifest JSON) use this so two runs that
+  /// register instruments in a different order still serialize identically
+  /// — a requirement for the regression plane's byte-stable artifacts.
+  void visit(const std::function<void(const Instrument&)>& fn) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool has(const std::string& name, const Labels& labels = {}) const;
@@ -125,27 +146,112 @@ class MetricsRegistry {
                                               const Labels& labels = {}) const;
 
  private:
-  struct Entry {
-    std::string name;
-    Labels labels;
-    std::string unit;
-    InstrumentKind kind = InstrumentKind::kCounter;
-    // Exactly one of the following value sources is active.
-    std::unique_ptr<Histogram> hist;
-    const std::uint64_t* bound_u64 = nullptr;
-    std::function<std::uint64_t()> fn_u64;
-    std::function<double()> fn_f64;
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
 
-    [[nodiscard]] double current_value() const;
-    [[nodiscard]] Snapshot snapshot() const;
+  /// Open-addressing table of dense ids: linear probing over a power-of-two
+  /// array kept at most half full. The caller hashes keys and says whether
+  /// an id holds a key; growth re-hashes every id through `hash_of`.
+  class IdTable {
+   public:
+    template <class Holds>
+    [[nodiscard]] std::uint32_t find(std::size_t hash, Holds&& holds) const {
+      if (slots_.empty()) return kAbsent;
+      const std::size_t mask = slots_.size() - 1;
+      for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+        if (slots_[i] == kAbsent || holds(slots_[i])) return slots_[i];
+      }
+    }
+    /// Adds `id`, which find() must not hold yet.
+    template <class HashOf>
+    void insert(std::size_t hash, std::uint32_t id, HashOf&& hash_of) {
+      if (2 * (count_ + 1) > slots_.size()) {
+        std::vector<std::uint32_t> old(std::max<std::size_t>(16, 2 * slots_.size()),
+                                       kAbsent);
+        old.swap(slots_);
+        for (const std::uint32_t o : old) {
+          if (o != kAbsent) place(hash_of(o), o);
+        }
+      }
+      place(hash, id);
+      ++count_;
+    }
+
+   private:
+    void place(std::size_t hash, std::uint32_t id) {
+      const std::size_t mask = slots_.size() - 1;
+      std::size_t i = hash & mask;
+      while (slots_[i] != kAbsent) i = (i + 1) & mask;
+      slots_[i] = id;
+    }
+    std::vector<std::uint32_t> slots_;
+    std::size_t count_ = 0;
   };
 
-  Entry& emplace(const std::string& name, const Labels& labels,
-                 const std::string& unit, InstrumentKind kind);
-  [[nodiscard]] const Entry* find(const std::string& name, const Labels& labels) const;
+  /// One stored copy of each distinct string, packed into fixed chunks so
+  /// the views handed out stay valid; ids are dense from 0. (A deque of
+  /// std::string, one allocation per string, peaked 0.16 MB higher on the
+  /// leaf-spine.)
+  class Interner {
+   public:
+    std::uint32_t intern(std::string_view s);
+    /// The id of `s`, or kAbsent.
+    [[nodiscard]] std::uint32_t find(std::string_view s) const;
+    [[nodiscard]] std::string_view operator[](std::uint32_t id) const {
+      return views_[id];
+    }
 
-  std::deque<Entry> entries_;  // deque: stable addresses for returned handles
-  std::unordered_map<std::string, std::size_t> index_;
+   private:
+    static constexpr std::size_t kChunkBytes = 4096;
+    std::vector<std::unique_ptr<char[]>> chunks_;
+    char* next_ = nullptr;  // free space in the last chunk
+    std::size_t free_ = 0;
+    std::vector<std::string_view> views_;  // by id, into chunks_
+    IdTable ids_;
+  };
+
+  /// A label set's labels: the (key size, value size) of each label, in
+  /// order, at label_sizes_[first, first + count); the text holds the bytes.
+  struct LabelSet {
+    std::uint32_t first;
+    std::uint32_t count;
+  };
+
+  /// Where an instrument's value comes from; `slot` indexes that store.
+  enum class Source : std::uint8_t { kCell, kCounterFn, kGaugeFn, kHistogram };
+  struct Entry {
+    std::uint32_t name;
+    std::uint32_t labels;  // label-set id
+    std::uint32_t unit;    // id in names_
+    Source source;
+    std::uint32_t slot;
+  };
+
+  [[nodiscard]] static std::size_t entry_hash(std::uint32_t name, std::uint32_t labels);
+  [[nodiscard]] static InstrumentKind kind_of(const Entry& e);
+  [[nodiscard]] double value_of(const Entry& e) const;
+  std::uint32_t intern_labels(const Labels& labels);
+  /// Adds the entry, whose value source the caller then appends to its store
+  /// at index `slot`; throws on a duplicate.
+  void emplace(const std::string& name, const Labels& labels, const std::string& unit,
+               Source source, std::size_t slot);
+  /// The index in entries_ of (name id, label-set id), or kAbsent.
+  [[nodiscard]] std::uint32_t entry_index(std::uint32_t name, std::uint32_t labels) const;
+  /// The entry registered as (name, labels), or null.
+  [[nodiscard]] const Entry* find(const std::string& name, const Labels& labels) const;
+  /// Entry indices sorted by canonical key.
+  [[nodiscard]] std::vector<std::uint32_t> export_order() const;
+
+  Interner names_;        // instrument names and units
+  Interner label_texts_;  // canonical `{k=v,...}` texts; id == label-set id
+  std::vector<LabelSet> label_sets_;  // by label-set id
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> label_sizes_;
+  std::deque<Entry> entries_;  // deque: no copy of every entry on growth
+  IdTable index_;              // entries_ by (name id, label-set id)
+  // Value sources; deques keep each histogram's address stable.
+  std::deque<const std::uint64_t*> cells_;
+  std::deque<std::function<std::uint64_t()>> counter_fns_;
+  std::deque<std::function<double()>> gauge_fns_;
+  std::deque<Histogram> histograms_;
 };
 
 /// Publishes the simulation kernel's own counters (events executed /

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <stdexcept>
 
 #include "telemetry/process_stats.hpp"
@@ -45,7 +46,7 @@ void JsonWriter::before_value() {
   }
 }
 
-void JsonWriter::raw_string(const std::string& s) {
+void JsonWriter::raw_string(std::string_view s) {
   out_ += '"';
   for (const char c : s) {
     switch (c) {
@@ -67,6 +68,12 @@ void JsonWriter::raw_string(const std::string& s) {
   out_ += '"';
 }
 
+void JsonWriter::flush() {
+  if (sink_ == nullptr || out_.empty()) return;
+  sink_->write(out_.data(), static_cast<std::streamsize>(out_.size()));
+  out_.clear();
+}
+
 JsonWriter& JsonWriter::begin_object() {
   before_value();
   out_ += '{';
@@ -77,6 +84,7 @@ JsonWriter& JsonWriter::begin_object() {
 JsonWriter& JsonWriter::end_object() {
   out_ += '}';
   items_.pop_back();
+  spill();
   return *this;
 }
 
@@ -90,10 +98,11 @@ JsonWriter& JsonWriter::begin_array() {
 JsonWriter& JsonWriter::end_array() {
   out_ += ']';
   items_.pop_back();
+  spill();
   return *this;
 }
 
-JsonWriter& JsonWriter::key(const std::string& k) {
+JsonWriter& JsonWriter::key(std::string_view k) {
   if (!items_.empty()) {
     if (items_.back() > 0) out_ += ',';
     ++items_.back();
@@ -104,49 +113,52 @@ JsonWriter& JsonWriter::key(const std::string& k) {
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const std::string& v) {
+JsonWriter& JsonWriter::value(std::string_view v) {
   before_value();
   raw_string(v);
+  spill();
   return *this;
 }
-
-JsonWriter& JsonWriter::value(const char* v) { return value(std::string(v)); }
 
 JsonWriter& JsonWriter::value(double v) {
   before_value();
   out_ += std::isfinite(v) ? format_double(v) : "null";
+  spill();
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   before_value();
   out_ += std::to_string(v);
+  spill();
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   before_value();
   out_ += std::to_string(v);
+  spill();
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool v) {
   before_value();
   out_ += v ? "true" : "false";
+  spill();
   return *this;
 }
 
-JsonWriter& JsonWriter::raw_value(const std::string& json) {
+JsonWriter& JsonWriter::raw_value(std::string_view json) {
   before_value();
   out_ += json;
+  spill();
   return *this;
 }
 
 RunManifest::RunManifest(std::string tool)
     : tool_(std::move(tool)), wall_start_ns_(wall_now_ns()) {}
 
-std::string RunManifest::to_json(const MetricsRegistry* registry) const {
-  JsonWriter w;
+void RunManifest::write_json(JsonWriter& w, const MetricsRegistry* registry) const {
   w.begin_object();
   w.key("schema").value("pmsb.run_manifest/1");
   w.key("tool").value(tool_);
@@ -180,47 +192,56 @@ std::string RunManifest::to_json(const MetricsRegistry* registry) const {
 
   w.key("metrics").begin_array();
   if (registry != nullptr) {
-    for (const auto& snap : registry->collect_sorted()) {
+    registry->visit([&w](const MetricsRegistry::Instrument& m) {
       w.begin_object();
-      w.key("name").value(snap.name);
-      w.key("kind").value(instrument_kind_name(snap.kind));
-      if (!snap.unit.empty()) w.key("unit").value(snap.unit);
+      w.key("name").value(m.name());
+      w.key("kind").value(instrument_kind_name(m.kind()));
+      if (!m.unit().empty()) w.key("unit").value(m.unit());
       w.key("labels").begin_object();
-      for (const auto& [k, v] : snap.labels) w.key(k).value(v);
+      m.for_each_label([&w](std::string_view k, std::string_view v) { w.key(k).value(v); });
       w.end_object();
-      if (snap.kind == InstrumentKind::kHistogram && snap.histogram != nullptr) {
-        const Histogram& h = *snap.histogram;
-        w.key("count").value(h.count());
-        w.key("sum").value(h.sum());
+      if (const Histogram* h = m.histogram()) {
+        w.key("count").value(h->count());
+        w.key("sum").value(h->sum());
         w.key("buckets").begin_array();
-        for (std::size_t i = 0; i < h.num_buckets(); ++i) {
+        for (std::size_t i = 0; i < h->num_buckets(); ++i) {
           w.begin_object();
           w.key("le");
-          if (i + 1 == h.num_buckets()) {
+          if (i + 1 == h->num_buckets()) {
             w.value("inf");
           } else {
-            w.value(h.upper_bound(i));
+            w.value(h->upper_bound(i));
           }
-          w.key("count").value(h.bucket_count(i));
+          w.key("count").value(h->bucket_count(i));
           w.end_object();
         }
         w.end_array();
       } else {
-        w.key("value").value(snap.value);
+        w.key("value").value(m.value());
       }
       w.end_object();
-    }
+    });
   }
   w.end_array();
 
   w.end_object();
+}
+
+std::string RunManifest::to_json(const MetricsRegistry* registry) const {
+  JsonWriter w;
+  write_json(w, registry);
   return w.str();
 }
 
 void RunManifest::write(const std::string& path, const MetricsRegistry* registry) const {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("RunManifest::write: cannot open " + path);
-  out << to_json(registry) << '\n';
+  {
+    JsonWriter w(out);
+    write_json(w, registry);
+  }
+  out << '\n';
+  if (!out) throw std::runtime_error("RunManifest::write: cannot write " + path);
 }
 
 }  // namespace pmsb::telemetry

@@ -28,8 +28,10 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/metrics.hpp"
@@ -43,16 +45,26 @@ namespace pmsb::telemetry {
 
 /// Minimal streaming JSON writer (objects, arrays, strings, numbers) with
 /// correct escaping: the repo's one JSON string escaper. Non-finite numbers
-/// are emitted as null.
+/// are emitted as null. A default-constructed writer builds the document in
+/// str(); one constructed on a stream writes it there in small chunks, so
+/// a large document is never held whole. Both produce the same bytes.
 class JsonWriter {
  public:
+  JsonWriter() = default;
+  /// Streams to `sink`; call flush() (or destroy the writer) to push the
+  /// last chunk. str() is not available in this mode.
+  explicit JsonWriter(std::ostream& sink) : sink_(&sink) {}
+  ~JsonWriter() { flush(); }
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
   JsonWriter& begin_object();
   JsonWriter& end_object();
   JsonWriter& begin_array();
   JsonWriter& end_array();
-  JsonWriter& key(const std::string& k);
-  JsonWriter& value(const std::string& v);
-  JsonWriter& value(const char* v);
+  JsonWriter& key(std::string_view k);
+  JsonWriter& value(std::string_view v);
+  JsonWriter& value(const char* v) { return value(std::string_view(v)); }
   JsonWriter& value(double v);
   JsonWriter& value(std::uint64_t v);
   JsonWriter& value(std::int64_t v);
@@ -60,14 +72,23 @@ class JsonWriter {
   /// Splices a pre-serialized JSON document in value position, verbatim.
   /// The caller vouches that `json` is well-formed (used to embed a
   /// pmsb.profile/1 document inside a manifest without re-parsing it).
-  JsonWriter& raw_value(const std::string& json);
+  JsonWriter& raw_value(std::string_view json);
+
+  /// Writes what is buffered to the sink (no-op without one).
+  void flush();
 
   [[nodiscard]] const std::string& str() const { return out_; }
 
  private:
   void before_value();
-  void raw_string(const std::string& s);
+  void raw_string(std::string_view s);
+  /// Hands a full chunk to the sink.
+  void spill() {
+    if (sink_ != nullptr && out_.size() >= kChunkBytes) flush();
+  }
 
+  static constexpr std::size_t kChunkBytes = 4096;
+  std::ostream* sink_ = nullptr;
   std::string out_;
   // One frame per open container: counts emitted items for comma placement.
   std::vector<std::size_t> items_;
@@ -102,10 +123,13 @@ class RunManifest {
   /// Serializes the manifest; `registry` may be null (no metrics section).
   [[nodiscard]] std::string to_json(const MetricsRegistry* registry) const;
 
-  /// Writes to_json() to `path`; throws on I/O failure.
+  /// Streams the to_json() document plus a newline to `path`; throws on
+  /// I/O failure.
   void write(const std::string& path, const MetricsRegistry* registry) const;
 
  private:
+  void write_json(JsonWriter& w, const MetricsRegistry* registry) const;
+
   std::string tool_;
   std::uint64_t seed_ = 0;
   double sim_time_us_ = 0.0;

@@ -1,10 +1,18 @@
-// Tests for the statistics utilities: Summary, FctCollector, table.
+// Tests for the statistics utilities: Summary (against a plain sorted
+// vector, and through a dumbbell run), FctCollector, table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
+#include "sim/rng.hpp"
 #include "sim/units.hpp"
 #include "stats/fct.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
+#include "sweep/scenario_run.hpp"
+#include "sweep/sweep.hpp"
 
 using namespace pmsb;
 using namespace pmsb::stats;
@@ -47,6 +55,115 @@ TEST(Summary, AddAfterPercentileResorts) {
   EXPECT_DOUBLE_EQ(s.percentile(50), 10.0);
   s.add(0.0);
   EXPECT_DOUBLE_EQ(s.min(), 0.0);
+}
+
+namespace {
+
+/// The plain-vector Summary of old: every sample kept, the mean summed in
+/// insertion order, order statistics from a sorted copy.
+class ReferenceSummary {
+ public:
+  void add(double v) { samples_.push_back(v); }
+  [[nodiscard]] double mean() const {
+    return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
+           static_cast<double>(samples_.size());
+  }
+  [[nodiscard]] double percentile(double p) const {
+    std::vector<double> sorted = samples_;
+    std::sort(sorted.begin(), sorted.end());
+    if (sorted.size() == 1) return sorted[0];
+    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const auto hi = std::min(lo + 1, sorted.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  }
+
+ private:
+  std::vector<double> samples_;
+};
+
+/// Every statistic of `s` equals the reference's, bit for bit.
+void expect_matches(const Summary& s, const ReferenceSummary& ref, std::size_t n) {
+  ASSERT_EQ(s.count(), n);
+  EXPECT_EQ(s.mean(), ref.mean());
+  for (const double p : {0.0, 1.0, 50.0, 99.0, 100.0}) {
+    EXPECT_EQ(s.percentile(p), ref.percentile(p)) << "p" << p << " after " << n;
+  }
+  EXPECT_EQ(s.min(), ref.percentile(0));
+  EXPECT_EQ(s.max(), ref.percentile(100));
+}
+
+/// Feeds `n` draws of `draw` to a Summary and the reference, checking every
+/// statistic every `query_every` adds (0: only at the end).
+template <class Draw>
+void check_stream(std::size_t n, std::size_t query_every, Draw draw) {
+  Summary s;
+  ReferenceSummary ref;
+  for (std::size_t i = 1; i <= n; ++i) {
+    const double v = draw();
+    s.add(v);
+    ref.add(v);
+    if (query_every != 0 && i % query_every == 0) expect_matches(s, ref, i);
+  }
+  expect_matches(s, ref, n);
+}
+
+}  // namespace
+
+TEST(Summary, FewDistinctValuesMatchTheSortedVector) {
+  // An RTT-like stream: a handful of serialization-quantized values.
+  sim::Rng rng(11);
+  const double values[] = {14.4, 15.6, 16.8, 18.0, 19.2, 20.4, 21.6, 22.8, 24.0};
+  check_stream(50'000, 0, [&] { return values[rng.uniform_int(0, 8)]; });
+}
+
+TEST(Summary, AllDistinctValuesMatchTheSortedVector) {
+  sim::Rng rng(12);
+  check_stream(20'000, 5'000, [&] { return rng.exponential(100.0); });
+}
+
+TEST(Summary, InterleavedQueriesMatchTheSortedVector) {
+  // Starts with few distinct values, then drifts through a pool a third the
+  // size of the stream, with every statistic read along the way.
+  sim::Rng rng(13);
+  std::size_t i = 0;
+  check_stream(9'000, 700, [&] {
+    ++i;
+    if (i < 3'000) return 1.0 + static_cast<double>(rng.uniform_int(0, 30));
+    return static_cast<double>(rng.uniform_int(0, 3'000)) * 0.25;
+  });
+}
+
+TEST(Summary, MeanDoesNotDependOnQueries) {
+  // Magnitudes far apart, so the sum depends on the order of its terms.
+  sim::Rng rng(14);
+  Summary s;
+  for (int i = 0; i < 5'000; ++i) {
+    s.add(rng.uniform(0.0, 1.0) * (i % 3 == 0 ? 1e12 : 1e-3));
+  }
+  const double before = s.mean();
+  EXPECT_GT(s.percentile(99), 0.0);
+  EXPECT_EQ(s.mean(), before);
+  s.add(0.5);
+  const double with_one_more = s.mean();
+  EXPECT_GT(s.min(), -1.0);
+  EXPECT_EQ(s.mean(), with_one_more);
+}
+
+TEST(Summary, DumbbellRttMeanIsTheSameQuietOrPrinted) {
+  // A printed run reads the RTT p99 before the mean; a sweep cell reads
+  // the mean first. Both must report the same mean.
+  sweep::SweepPoint point;
+  point.opts.set("topology", "dumbbell");
+  point.opts.set("duration_ms", "20");
+  const auto quiet = sweep::run_scenario(point, /*quiet=*/true);
+  const auto printed = sweep::run_scenario(point, /*quiet=*/false);
+  ASSERT_TRUE(quiet.ok);
+  ASSERT_TRUE(printed.ok);
+  EXPECT_GT(quiet.results.at("rtt_us.mean"), 0.0);
+  EXPECT_EQ(printed.results.at("rtt_us.mean"), quiet.results.at("rtt_us.mean"));
+  EXPECT_EQ(printed.results.at("rtt_us.p99"), quiet.results.at("rtt_us.p99"));
 }
 
 TEST(SizeBins, PaperBoundaries) {

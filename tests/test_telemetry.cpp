@@ -1,12 +1,17 @@
-// Tests for the telemetry subsystem: registry semantics, histogram bucket
-// edges, sampler period alignment, the run-manifest JSON (round-tripped
-// through a minimal parser defined below), and the PortStats == registry
-// regression on a real dumbbell run.
+// Tests for the telemetry subsystem: registry semantics and export order,
+// histogram bucket edges, sampler period alignment, the run-manifest JSON
+// (round-tripped through a minimal parser defined below, and pinned byte for
+// byte by a golden document), and the PortStats == registry regression on a
+// real dumbbell run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -14,6 +19,9 @@
 #include <vector>
 
 #include "experiments/dumbbell.hpp"
+#include "experiments/leafspine.hpp"
+#include "experiments/presets.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 #include "telemetry/json_reader.hpp"
@@ -235,12 +243,15 @@ TEST(MetricsRegistry, ProbeInstrumentsEvaluateAtCollect) {
   reg.gauge_fn("fn.gauge", {}, [&g] { return g; });
   n = 12;
   g = 2.5;
-  const auto snaps = reg.collect();
-  ASSERT_EQ(snaps.size(), 2u);
-  EXPECT_DOUBLE_EQ(snaps[0].value, 12.0);
-  EXPECT_DOUBLE_EQ(snaps[1].value, 2.5);
-  EXPECT_EQ(snaps[0].kind, InstrumentKind::kCounter);
-  EXPECT_EQ(snaps[1].kind, InstrumentKind::kGauge);
+  std::vector<std::pair<double, InstrumentKind>> seen;
+  reg.visit([&seen](const MetricsRegistry::Instrument& m) {
+    seen.emplace_back(m.value(), m.kind());
+  });
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_DOUBLE_EQ(seen[0].first, 12.0);
+  EXPECT_DOUBLE_EQ(seen[1].first, 2.5);
+  EXPECT_EQ(seen[0].second, InstrumentKind::kCounter);
+  EXPECT_EQ(seen[1].second, InstrumentKind::kGauge);
 }
 
 TEST(MetricsRegistry, CollectSortedOrdersByInstrumentKey) {
@@ -255,35 +266,84 @@ TEST(MetricsRegistry, CollectSortedOrdersByInstrumentKey) {
   // Labels given out of key order: the key sorts them, and ',' sorts before
   // '}', so this instrument comes first.
   reg.gauge_fn("alpha.depth", {{"queue", "3"}, {"port", "a"}}, empty);
+  // '.' sorts before '{': a longer name can precede a shorter one's
+  // labelled instruments.
+  reg.counter_fn("alpha.depth.max", {}, zero);
 
-  // collect() preserves registration order (samplers and tests rely on it).
-  const auto raw = reg.collect();
-  ASSERT_EQ(raw.size(), 5u);
-  EXPECT_EQ(raw[0].name, "zeta.total");
-
-  // collect_sorted() orders by canonical key regardless of registration.
-  const auto sorted = reg.collect_sorted();
-  ASSERT_EQ(sorted.size(), 5u);
+  // The export visitor orders by canonical key regardless of registration.
   std::vector<std::string> keys;
-  for (const auto& s : sorted) keys.push_back(instrument_key(s.name, s.labels));
-  EXPECT_EQ(keys, (std::vector<std::string>{"alpha.depth{port=a,queue=3}",
+  std::vector<std::pair<std::string, std::string>> first_labels;
+  reg.visit([&](const MetricsRegistry::Instrument& m) {
+    keys.push_back(m.key());
+    if (keys.size() == 2) {
+      m.for_each_label([&](std::string_view k, std::string_view v) {
+        first_labels.emplace_back(k, v);
+      });
+    }
+  });
+  EXPECT_EQ(keys, (std::vector<std::string>{"alpha.depth.max",
+                                            "alpha.depth{port=a,queue=3}",
                                             "alpha.depth{port=a}",
                                             "alpha.depth{port=b}", "mid.count",
                                             "zeta.total"}));
-  // The snapshot carries its labels in key order.
-  EXPECT_EQ(sorted[0].labels, (Labels{{"port", "a"}, {"queue", "3"}}));
+  // The view carries its labels in key order.
+  EXPECT_EQ(first_labels, (Labels{{"port", "a"}, {"queue", "3"}}));
+}
+
+TEST(MetricsRegistry, ExportOrderIsTheSortedInstrumentKeys) {
+  // Names that are prefixes of each other, label values that are prefixes
+  // of each other, and bytes on both sides of '.', ',', '=' and '{' / '}'.
+  const std::vector<std::string> names = {"a",  "a.b", "a.b.c", "a_b", "ab",
+                                          "a{", "b",   "A",     "a~",  "a|"};
+  const std::vector<std::string> keys = {"port", "queue", "p", "reason"};
+  const std::vector<std::string> values = {"0", "1", "10", "a", "a.b", "ab", "~", "-"};
+  sim::Rng rng(7);
+  auto pick = [&rng](const std::vector<std::string>& from) -> const std::string& {
+    return from[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+  };
+  MetricsRegistry reg;
+  std::vector<std::string> expected;
+  for (int i = 0; i < 400; ++i) {
+    const std::string& name = pick(names);
+    Labels labels;
+    for (std::int64_t n = rng.uniform_int(0, 2); n > 0; --n) {
+      labels.emplace_back(pick(keys), pick(values));
+    }
+    if (reg.has(name, labels)) continue;
+    reg.gauge_fn(name, labels, [] { return 0.0; });
+    expected.push_back(instrument_key(name, labels));
+  }
+  std::sort(expected.begin(), expected.end());
+  std::vector<std::string> got;
+  reg.visit([&got](const MetricsRegistry::Instrument& m) { got.push_back(m.key()); });
+  EXPECT_EQ(got, expected);
+  EXPECT_GT(got.size(), 100u);
+}
+
+TEST(MetricsRegistry, CollidingLabelTextsThrow) {
+  MetricsRegistry reg;
+  reg.gauge_fn("x", {{"a=b", "c"}}, [] { return 0.0; });
+  // Different pairs, same canonical text `{a=b=c}`.
+  EXPECT_THROW(reg.gauge_fn("y", {{"a", "b=c"}}, [] { return 0.0; }),
+               std::invalid_argument);
+  // The same pairs under another name share the stored set.
+  reg.gauge_fn("y", {{"a=b", "c"}}, [] { return 1.0; });
+  EXPECT_DOUBLE_EQ(reg.value("y", {{"a=b", "c"}}), 1.0);
 }
 
 TEST(RunManifest, MetricsSectionIsSortedByInstrumentKey) {
   MetricsRegistry reg;
   reg.counter_fn("z.last", {}, [] { return std::uint64_t{1}; });
+  reg.counter_fn("a", {{"port", "0"}}, [] { return std::uint64_t{3}; });
   reg.counter_fn("a.first", {}, [] { return std::uint64_t{2}; });
   RunManifest manifest("t");
   const JsonValue root = JsonParser(manifest.to_json(&reg)).parse();
   const auto& metrics = root.at("metrics").array;
-  ASSERT_EQ(metrics.size(), 2u);
-  EXPECT_EQ(metrics[0].at("name").str, "a.first");
-  EXPECT_EQ(metrics[1].at("name").str, "z.last");
+  ASSERT_EQ(metrics.size(), 3u);
+  EXPECT_EQ(metrics[0].at("name").str, "a.first");  // "a.first" < "a{port=0}"
+  EXPECT_EQ(metrics[1].at("name").str, "a");
+  EXPECT_EQ(metrics[2].at("name").str, "z.last");
 }
 
 TEST(MetricsRegistry, ValueOnHistogramThrows) {
@@ -435,6 +495,123 @@ TEST(RunManifest, JsonRoundTripsThroughParser) {
   EXPECT_DOUBLE_EQ(buckets[0].at("count").number, 1.0);
   EXPECT_EQ(buckets[2].at("le").str, "inf");
   EXPECT_DOUBLE_EQ(buckets[2].at("count").number, 1.0);
+}
+
+namespace {
+
+/// Replaces the value of each host-dependent top-level manifest field (the
+/// build, the clocks, the process's usage) with '#'.
+std::string mask_host_fields(std::string json) {
+  for (const char* key :
+       {"git", "wall_clock_s", "peak_rss_bytes", "utime_s", "stime_s", "major_page_faults"}) {
+    const std::string tag = std::string("\"") + key + "\":";
+    const std::size_t at = json.find(tag);
+    if (at == std::string::npos) continue;
+    const std::size_t begin = at + tag.size();
+    json.replace(begin, json.find_first_of(",}", begin) - begin, "#");
+  }
+  return json;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+}  // namespace
+
+// The exact bytes of a manifest, host fields masked: label order, `.`
+// before `{` in the metric order, units only when set, the histogram's "inf"
+// bucket, null for non-finite numbers, string escapes, and the spliced
+// profile, through both to_json() and the streamed write().
+TEST(RunManifest, GoldenDocumentBytes) {
+  static const std::uint64_t events = 41;
+  MetricsRegistry reg;
+  reg.gauge_fn("h.sojourn_us.live", {}, [] { return 3.0; });
+  reg.bind_counter("a.b", {}, &events, "events");
+  reg.gauge_fn("a", {{"queue", "3"}, {"port", "p0"}}, [] { return 2.5; }, "bytes");
+  reg.gauge_fn("a", {{"port", "p0"}}, [] { return 0.125; }, "bytes");
+  reg.counter_fn("a", {}, [] { return std::uint64_t{7}; });
+  reg.gauge_fn("g.nan", {}, [] { return std::nan(""); }, "ratio");
+  reg.gauge_fn("g.inf", {{"port", "p1"}},
+               [] { return -std::numeric_limits<double>::infinity(); });
+  reg.counter_fn("esc", {{"port", "q\"b\\s\t\x01/"}}, [] { return std::uint64_t{9}; },
+                 "packets");
+  Histogram& h = reg.histogram("h.sojourn_us", {1.0, 10.0, 100.5}, {{"port", "p0"}}, "us");
+  h.observe(0.5);
+  h.observe(10.0);
+  h.observe(1e6);
+  RunManifest m("golden");
+  m.set_seed(18446744073709551615ull);
+  m.set_config({{"b", "2"}, {"a", "x=\"1\""}});
+  m.set_info("topology", "none");
+  m.set_result("r.inf", std::numeric_limits<double>::infinity());
+  m.set_result("r.x", 0.1);
+  m.set_result("r.tiny", -1e-300);
+  m.set_sim_time_us(1234.5);
+  m.set_profile_json("{\"schema\":\"pmsb.profile/1\",\"x\":[1,2]}");
+
+  const std::string expected =
+      R"({"schema":"pmsb.run_manifest/1","tool":"golden","git":#,)"
+      R"("seed":18446744073709551615,"wall_clock_s":#,"sim_time_us":1234.5,)"
+      R"("peak_rss_bytes":#,"utime_s":#,"stime_s":#,"major_page_faults":#,)"
+      R"("profile":{"schema":"pmsb.profile/1","x":[1,2]},"config":{"a":"x=\"1\"",)"
+      R"("b":"2"},"info":{"topology":"none"},"results":{"r.inf":null,)"
+      R"("r.tiny":-1e-300,"r.x":0.10000000000000001},"metrics":[{"name":"a",)"
+      R"("kind":"counter","labels":{},"value":7},)"
+      R"({"name":"a.b","kind":"counter","unit":"events","labels":{},"value":41},)"
+      R"({"name":"a","kind":"gauge","unit":"bytes","labels":{"port":"p0",)"
+      R"("queue":"3"},"value":2.5},)"
+      R"({"name":"a","kind":"gauge","unit":"bytes","labels":{"port":"p0"},)"
+      R"("value":0.125},)"
+      R"({"name":"esc","kind":"counter","unit":"packets",)"
+      R"("labels":{"port":"q\"b\\s\t\u0001/"},"value":9},)"
+      R"({"name":"g.inf","kind":"gauge","labels":{"port":"p1"},"value":null},)"
+      R"({"name":"g.nan","kind":"gauge","unit":"ratio","labels":{},"value":null},)"
+      R"({"name":"h.sojourn_us.live","kind":"gauge","labels":{},"value":3},)"
+      R"({"name":"h.sojourn_us","kind":"histogram","unit":"us",)"
+      R"("labels":{"port":"p0"},"count":3,"sum":1000010.5,"buckets":[{"le":1,)"
+      R"("count":1},{"le":10,"count":1},{"le":100.5,"count":0},{"le":"inf",)"
+      R"("count":1}]}]})";
+  EXPECT_EQ(mask_host_fields(m.to_json(&reg)), expected);
+  const std::string path = std::string(::testing::TempDir()) + "/golden_manifest.json";
+  m.write(path, &reg);
+  EXPECT_EQ(mask_host_fields(read_file(path)), expected + "\n");
+  std::remove(path.c_str());
+}
+
+// The full registry of the paper's 4x4 leaf-spine (80 ports of 8 queues
+// under PMSB, plus the kernel's and the transport's instruments): the
+// streamed file and the in-memory document are the same bytes.
+TEST(RunManifest, StreamedWriteEqualsToJsonOnLeafSpineRegistry) {
+  experiments::LeafSpineConfig cfg;
+  cfg.scheduler.kind = sched::SchedulerKind::kDwrr;
+  cfg.scheduler.num_queues = 8;
+  cfg.scheduler.weights.assign(8, 1.0);
+  experiments::SchemeParams params;
+  params.capacity = cfg.link_rate;
+  params.rtt = sim::microseconds_f(85.2);
+  params.weights = cfg.scheduler.weights;
+  cfg.marking = experiments::make_scheme_marking(experiments::Scheme::kPmsb, params);
+  experiments::LeafSpineScenario sc(cfg);
+  sc.add_workload({{.src = 0, .dst = 20, .service = 3, .bytes = 30'000, .start = 0}});
+  MetricsRegistry reg;
+  bind_simulator_metrics(reg, sc.simulator());
+  sc.bind_metrics(reg);
+  EXPECT_GE(reg.size(), 80u * 48u);
+  sc.run_until_complete(sim::milliseconds(5));
+
+  RunManifest m("leafspine");
+  m.set_result("x", 1.0);
+  const std::string path = std::string(::testing::TempDir()) + "/leafspine_manifest.json";
+  m.write(path, &reg);
+  const std::string streamed = read_file(path);
+  const std::string in_memory = m.to_json(&reg);
+  EXPECT_GT(in_memory.size(), 4096u * 16u);  // many writer chunks
+  EXPECT_EQ(mask_host_fields(streamed), mask_host_fields(in_memory) + "\n");
+  const JsonValue root = JsonParser(in_memory).parse();
+  EXPECT_EQ(root.at("metrics").array.size(), reg.size());
+  std::remove(path.c_str());
 }
 
 TEST(RunManifest, NullRegistryMeansEmptyMetrics) {
