@@ -67,16 +67,18 @@ std::size_t DumbbellScenario::add_flow(const DumbbellFlowSpec& spec) {
     tc.pmsbe_enabled = true;
     tc.pmsbe_rtt_threshold = spec.pmsbe_rtt_threshold;
   }
-  add_dctcp_flow(spec.sender, cfg_.num_senders, spec.service, spec.bytes, tc)
-      .start(spec.start);
-  return flows_.size() - 1;
+  const std::size_t idx =
+      add_dctcp_flow(spec.sender, cfg_.num_senders, spec.service, spec.bytes, tc, spec.start);
+  (void)flow(idx);  // pinned: callers read the senders after the run
+  queue_next_start();
+  return idx;
 }
 
 void DumbbellScenario::bind_metrics(telemetry::MetricsRegistry& registry) {
   bottleneck().bind_metrics(registry, {{"port", "bottleneck"}});
   if (pool() != nullptr) pool()->bind_metrics(registry, {});
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    flows_[i]->sender().bind_metrics(registry, {{"flow", std::to_string(i)}});
+  for (std::size_t i = 0; i < num_flows(); ++i) {
+    flow(i).sender().bind_metrics(registry, {{"flow", std::to_string(i)}});
   }
 }
 

@@ -41,7 +41,8 @@ class DumbbellScenario final : public Fabric {
   explicit DumbbellScenario(const DumbbellConfig& config);
   ~DumbbellScenario() override;
 
-  /// Creates a DCTCP flow per the spec; returns its index.
+  /// Creates a DCTCP flow per the spec and pins its endpoints (see
+  /// Fabric::flow); returns its index.
   std::size_t add_flow(const DumbbellFlowSpec& spec);
 
   void run(sim::TimeNs until) { sim_.run(until); }

@@ -72,56 +72,77 @@ struct StudiedPort {
   std::string name;
 };
 
-/// The fabric's active flows: those that have sent a segment and were not
-/// complete at the last walk, in ascending flow index. A flow has bytes in
-/// flight only between its first send and its completion, so this is every
-/// flow the liveness check can fail, and the per-tick walks cost
-/// O(active flows) rather than O(flows ever added). Tapped onto every
-/// sender with the flow's index as its site, it admits a flow at its first
-/// on_send; walk() retires completed flows, keeping the bytes they acked.
-/// Senders hold its address, so it must outlive them.
-class ActiveFlows final : public net::PacketObserver {
- public:
-  using Flows = std::vector<std::unique_ptr<transport::Flow>>;
+/// One flow of a fabric's flow table: what it was added with, its
+/// endpoints while they live, and its outcome once it is done. Slots are
+/// indexed by the dense flow index (transport flow id - 1) and never move
+/// out of the table.
+struct FlowSlot {
+  enum class State : std::uint8_t {
+    kPending,  ///< waiting for its start (or held back, start == kTimeNever)
+    kRunning,  ///< started, not complete: the fabric's live flows
+    kDone,     ///< complete; its outcome below is final
+  };
 
-  /// Taps the sender of the next flow index; call once per flow, in index
-  /// order.
-  void track(transport::DctcpSender& sender) {
-    sender.add_observer(this, static_cast<net::SiteId>(sent_.size()));
-    sent_.push_back(false);
+  /// The endpoints: built at the flow's start (or when pinned) and freed
+  /// once it is done and no timer of its sender is pending, unless pinned.
+  std::unique_ptr<transport::FlowEndpoints> endpoints;
+  transport::SenderStats stats;    ///< outcome: recorded at completion
+  std::uint64_t bytes = 0;         ///< flow size; 0 = long-lived
+  /// When the flow starts, or started: its spec time, or the instant a
+  /// held-back flow was released; kTimeNever while held back.
+  sim::TimeNs start = 0;
+  sim::TimeNs completion = 0;      ///< outcome: recorded at completion
+  sim::TimeNs deadline = 0;        ///< absolute D2TCP deadline; 0 = none
+  net::HostId src = 0;
+  net::HostId dst = 0;
+  net::ServiceId service = 0;
+  State state = State::kPending;
+  bool pinned = false;             ///< endpoints kept until the fabric dies
+  std::uint16_t config = 0;        ///< index into the fabric's transport configs
+
+  /// The sender's counters: live while its endpoints exist, else the
+  /// recorded outcome (all zero for a flow that never started).
+  [[nodiscard]] const transport::SenderStats& sender_stats() const {
+    return endpoints ? endpoints->sender().stats() : stats;
   }
-
-  void on_send(net::SiteId flow, sim::TimeNs now, const net::Packet& pkt,
-               bool retransmit) override;
-
-  /// Retires the flows of `flows` that completed since the last walk and
-  /// returns the rest: every flow that has sent and is still incomplete.
-  const std::vector<net::SiteId>& walk(const Flows& flows);
-
-  /// The set as of the last walk or send; it may still hold flows that
-  /// completed since the last walk.
-  [[nodiscard]] const std::vector<net::SiteId>& flows() const { return active_; }
-  /// How many flows have sent at least one segment.
-  [[nodiscard]] std::size_t num_sent() const { return num_sent_; }
-  /// Bytes acked by the retired flows, final since each one completed.
-  [[nodiscard]] std::uint64_t retired_bytes() const { return retired_bytes_; }
-
- private:
-  std::vector<bool> sent_;          ///< flow idx -> has sent a segment
-  std::vector<net::SiteId> active_;  ///< ascending flow indices
-  std::size_t num_sent_ = 0;
-  std::uint64_t retired_bytes_ = 0;
+  /// Bytes cumulatively acked. A sender completes once the whole flow is
+  /// acked and no receiver acks past the flow's end, so a done flow has
+  /// acked exactly `bytes`.
+  [[nodiscard]] std::uint64_t acked() const {
+    if (endpoints) return endpoints->sender().bytes_acked();
+    return state == State::kDone ? bytes : 0;
+  }
 };
+static_assert(sizeof(FlowSlot) <= 128, "a slot is all a flow costs until it starts");
 
-class Fabric {
+class Fabric : private net::FlowDemux {
  public:
   virtual ~Fabric();
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] transport::Flow& flow(std::size_t idx) { return *flows_.at(idx); }
-  [[nodiscard]] std::size_t num_flows() const { return flows_.size(); }
+
+  // --- Flow table ---
+  /// Flow `idx`'s endpoints, built now if they are not, and pinned: they
+  /// live as long as the fabric, so a caller can read the sender after the
+  /// run. Throws std::logic_error once they have been freed; pin a flow
+  /// before it completes.
+  [[nodiscard]] transport::FlowEndpoints& flow(std::size_t idx);
+  [[nodiscard]] std::size_t num_flows() const { return slots_.size(); }
+  /// Flow `idx`'s slot, read-only.
+  [[nodiscard]] const FlowSlot& slot(std::size_t idx) const { return slots_.at(idx); }
+  /// The live flows: started and not complete, in ascending index. A flow
+  /// has bytes in flight only while it is live, so the liveness check and
+  /// the watchdog probes walk this list, O(live flows) per tick.
+  [[nodiscard]] const std::vector<std::uint32_t>& live_flows() const { return live_; }
+  /// Flows completed so far.
+  [[nodiscard]] std::size_t flows_done() const { return flows_done_; }
+  /// Frees the endpoints of every completed, unpinned flow whose sender has
+  /// no timer pending. The fabric runs this at each flow start and
+  /// completion; once the simulator has drained, one call frees the
+  /// endpoints of the flows that completed last.
+  void free_idle_flows();
 
   /// CE marks applied at the studied ports (both marking points).
   [[nodiscard]] std::uint64_t total_marks() const;
@@ -144,35 +165,30 @@ class Fabric {
   /// Registers the standard fabric invariants (port accounting, packet
   /// conservation, flow liveness) on `checker`. Call at most once, after
   /// install_faults if a plan is in play and after the hosts, switches and
-  /// links are built. The liveness check tests every active flow, so flows
+  /// links are built. The liveness check tests every live flow, so flows
   /// added later are covered too.
   void install_invariants(faults::InvariantChecker& checker);
   /// Test hook for the deliberate-violation fixture.
   [[nodiscard]] faults::ConservationLedger& ledger() { return ledger_; }
   /// Total bytes cumulatively acked across all flows — the watchdog's
-  /// progress measure. Exact at O(active flows): the retired flows' bytes
-  /// plus the active flows' (a flow that never sent has acked none).
-  [[nodiscard]] std::uint64_t total_bytes_acked();
-  /// True when every flow has completed: every flow has sent and no active
-  /// flow is incomplete (a finite flow completes only through an ACK, so
-  /// only after a send). A long-lived flow never completes, so with one
-  /// present this stays false — flat progress then counts as a stall,
-  /// which is what the watchdog wants for a duration-based run.
-  [[nodiscard]] bool all_complete();
+  /// progress measure. Exact at O(live flows): the completed flows' bytes
+  /// plus the live flows' (a flow that has not started has acked none).
+  [[nodiscard]] std::uint64_t total_bytes_acked() const;
+  /// True when every flow has completed. A long-lived flow never completes,
+  /// so with one present this stays false — flat progress then counts as a
+  /// stall, which is what the watchdog wants for a duration-based run.
+  [[nodiscard]] bool all_complete() const { return flows_done_ == slots_.size(); }
   /// The watchdog's forensic line: flows completed, bytes acked, and the
   /// bytes queued at the studied ports.
-  [[nodiscard]] std::string progress_line();
-  /// The active flows' indices, ascending (see ActiveFlows); it may still
-  /// list flows that completed since the last walk. Read-only, for tests.
-  [[nodiscard]] const std::vector<net::SiteId>& active_flows() const {
-    return active_.flows();
-  }
+  [[nodiscard]] std::string progress_line() const;
 
   // --- Regression plane ---
   /// Wires the studied ports ("port/<name>"), the digest links
   /// ("link/<src>-><dst>") and every flow's sender ("flow/<idx>") into
-  /// `digest`, in that order: entity ids feed the stream hash. Call once,
-  /// after the flows are added; the digest must outlive the fabric.
+  /// `digest`, in that order: entity ids feed the stream hash. Every flow's
+  /// entity is registered now; a sender built later is tapped at its start.
+  /// Call once, after the flows are added; the digest must outlive the
+  /// fabric.
   /// finalize_digest() folds the final per-entity stats, the same list on
   /// every fabric — call it once, after the run.
   void install_digest(regress::RunDigest& digest);
@@ -180,8 +196,8 @@ class Fabric {
 
   // --- Observability plane ---
   /// Attaches `profiler` to the kernel, the studied ports and every flow's
-  /// sender. Call after the flows are added; the profiler must outlive the
-  /// fabric's last event (it detaches itself from the kernel on
+  /// sender (a sender built later gets it at its start). The profiler must
+  /// outlive the fabric's last event (it detaches itself from the kernel on
   /// destruction).
   void install_profiler(telemetry::Profiler& profiler);
 
@@ -211,40 +227,87 @@ class Fabric {
   /// buffer_bytes per port. Call after every add_port so each member gets
   /// a ledger slot.
   void pool_ports(const std::vector<switchlib::Port*>& ports, const FabricConfig& cfg);
-  /// Creates a DCTCP flow from host `src` to host `dst`, tapped by the
-  /// active-flow set; the caller starts it.
-  transport::Flow& add_dctcp_flow(std::size_t src, std::size_t dst,
-                                  net::ServiceId service, std::uint64_t bytes,
-                                  const transport::DctcpConfig& tc);
+  /// Adds a DCTCP flow from host `src` to host `dst` to the table and
+  /// returns its index. It starts at `start` (>= now) under a sequence
+  /// number reserved now, so it runs where a start scheduled now would
+  /// have; kTimeNever holds it back until release_flow(). Call
+  /// queue_next_start() once the caller's flows are added.
+  std::size_t add_dctcp_flow(std::size_t src, std::size_t dst, net::ServiceId service,
+                             std::uint64_t bytes, const transport::DctcpConfig& tc,
+                             sim::TimeNs start, sim::TimeNs deadline = 0);
+  /// Room for `n` flows in all, so a bulk add grows the table once.
+  void reserve_flows(std::size_t n);
+  /// Starts held-back flow `idx` now, behind everything already scheduled
+  /// for now. Call queue_next_start() after the last release.
+  void release_flow(std::size_t idx);
+  /// Queues the earliest pending start if it is not queued yet. Only that
+  /// head waits in the event queue; each start queues the next.
+  void queue_next_start();
+  /// Called after flow `idx` completes, once the fabric has recorded its
+  /// outcome, from within the event that delivered its last ACK.
+  virtual void on_flow_complete(std::size_t /*idx*/) {}
   /// Reports every flow's kSend/kAck spans at its source host.
   void trace_flow_senders(trace::SpanTracer& spans);
   [[nodiscard]] static std::vector<switchlib::Port*> all_ports(switchlib::Switch& sw);
 
-  // Destroyed in reverse order: flows first, then the active-flow set their
-  // senders tap, links, pools, switches and hosts, and last the simulator
-  // they all schedule on.
+  // Destroyed in reverse order: the flow table (private, below) first, then
+  // links, pools, switches and hosts, and last the simulator they all
+  // schedule on.
   sim::Simulator sim_;
   std::vector<std::unique_ptr<net::Host>> hosts_;
   std::vector<std::unique_ptr<switchlib::Switch>> switches_;
   std::vector<std::unique_ptr<switchlib::BufferPool>> pools_;
   std::vector<std::unique_ptr<net::Link>> links_;
   std::vector<faults::LinkRef> link_refs_;  ///< one per link, in wiring order
-
- private:
-  ActiveFlows active_;
-
- protected:
-  std::vector<std::unique_ptr<transport::Flow>> flows_;
   std::vector<StudiedPort> studied_;            ///< in digest order
   std::vector<faults::LinkRef> digest_links_;  ///< digested after the ports
 
  private:
-  std::vector<std::size_t> flow_src_;  ///< flow idx -> source host idx
+  /// A pending start: flow `idx` at (time, seq), the position schedule_at
+  /// would have given it when it was added. `queued` once its event is in
+  /// the simulator.
+  struct PendingStart {
+    sim::TimeNs time;
+    std::uint64_t seq;
+    std::uint32_t idx;
+    bool queued;
+  };
+  /// A done, unpinned flow whose endpoints are not freed yet, and the
+  /// instant its sender's last own timer runs.
+  struct IdleFlow {
+    sim::TimeNs quiet_at;
+    std::uint32_t idx;
+  };
+
+  bool deliver(net::Host& host, const net::Packet& pkt) override;
+  /// Adds flow `idx`'s start at `time` under a sequence number reserved now.
+  void push_start(sim::TimeNs time, std::uint32_t idx);
+  /// Runs the earliest pending start: builds the flow's endpoints unless
+  /// pinned ones exist, makes it live and sends its first window.
+  void run_next_start(std::uint64_t seq);
+  /// Builds flow `idx`'s endpoints and applies every plane installed so far.
+  transport::FlowEndpoints& build(std::uint32_t idx);
+  /// Records flow `idx`'s outcome and retires it from the live flows.
+  void complete(std::uint32_t idx);
+
+  std::vector<FlowSlot> slots_;
+  std::vector<transport::DctcpConfig> configs_;  ///< distinct per-flow configs
+  std::vector<PendingStart> starts_;  ///< min-heap on (time, seq)
+  std::vector<std::uint32_t> live_;  ///< running flows, ascending
+  std::vector<IdleFlow> idle_;       ///< min-heap on quiet_at
+  std::vector<IdleFlow> not_yet_;    ///< free_idle_flows' scratch
+  std::size_t flows_done_ = 0;
+  std::uint64_t done_bytes_acked_ = 0;
+
   faults::ConservationLedger ledger_;
   faults::FaultPlan* plan_ = nullptr;
-  net::FlowId next_flow_id_ = 1;
+  // Planes applied to each sender when its endpoints are built.
   std::unique_ptr<regress::DigestObserver> digest_;
-  std::vector<regress::EntityId> digest_ids_;  ///< ports, links, then flows
+  std::vector<regress::EntityId> digest_ids_;  ///< ports, then links
+  regress::EntityId first_flow_entity_ = 0;    ///< "flow/0"; flow i is this + i
+  trace::SpanTracer* spans_ = nullptr;
+  std::vector<trace::NodeId> span_nodes_;      ///< host idx -> span node
+  telemetry::Profiler* profiler_ = nullptr;
 };
 
 }  // namespace pmsb::experiments

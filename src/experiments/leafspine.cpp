@@ -74,70 +74,73 @@ LeafSpineScenario::LeafSpineScenario(const LeafSpineConfig& config)
 
 LeafSpineScenario::~LeafSpineScenario() = default;
 
-void LeafSpineScenario::add_workload(const std::vector<workload::FlowSpec>& specs) {
-  workload::Workload wl;
-  wl.flows = specs;
-  add_workload(wl);
+void LeafSpineScenario::add_workload(std::vector<workload::FlowSpec> specs) {
+  add_workload(workload::Workload{.flows = std::move(specs), .groups = {}});
 }
 
-void LeafSpineScenario::add_workload(const workload::Workload& wl) {
+void LeafSpineScenario::add_workload(workload::Workload wl) {
   if (!wl.groups.empty()) {
-    if (!flows_.empty() || tracker_ != nullptr) {
+    if (num_flows() > 0 || tracker_ != nullptr) {
       throw std::invalid_argument(
           "leafspine: a grouped workload must be the only workload added");
     }
     tracker_ = std::make_unique<workload::GroupTracker>(wl);
     tracked_flows_ = wl.flows.size();
   }
-  for (const workload::FlowSpec& spec : wl.flows) {
-    const std::size_t idx = flows_.size();
-    transport::Flow& flow =
-        add_dctcp_flow(spec.src, spec.dst, spec.service, spec.bytes, cfg_.transport);
-    transport::DctcpSender& sender = flow.sender();
-    if (spec.deadline > 0) sender.set_deadline(spec.deadline);
-    sender.set_completion_callback([this, idx](sim::TimeNs fct) {
-      const transport::DctcpSender& s = flows_[idx]->sender();
-      const workload::FlowSpec& done = specs_[idx];
-      fct_.record({s.flow_id(), done.bytes, s.start_time(), fct, done.service,
-                   done.pattern, done.deadline,
-                   done.deadline == 0 || sim_.now() <= done.deadline, done.group,
-                   done.stage});
-      ++completed_;
-      if (tracker_ != nullptr && idx < tracked_flows_) {
-        for (const std::size_t released : tracker_->on_flow_complete(idx, sim_.now())) {
-          realized_start_[released] = sim_.now();
-          flows_[released]->start(sim_.now());
-        }
-      }
-      if (completed_ == flows_.size()) sim_.stop();
-    });
-    const bool deferred = tracker_ != nullptr && idx < tracked_flows_ &&
-                          tracker_->deferred(idx);
-    if (deferred) {
-      realized_start_.push_back(sim::kTimeNever);
-    } else {
-      flow.start(spec.start);
-      realized_start_.push_back(spec.start);
-    }
-    specs_.push_back(spec);
+  const std::size_t first = num_flows();
+  reserve_flows(first + wl.flows.size());
+  tags_.reserve(first + wl.flows.size());
+  fct_.reserve(first + wl.flows.size());
+  for (std::size_t i = 0; i < wl.flows.size(); ++i) {
+    const workload::FlowSpec& spec = wl.flows[i];
+    const std::size_t idx = first + i;
+    const bool deferred =
+        tracker_ != nullptr && idx < tracked_flows_ && tracker_->deferred(idx);
+    add_dctcp_flow(spec.src, spec.dst, spec.service, spec.bytes, cfg_.transport,
+                   deferred ? sim::kTimeNever : spec.start, spec.deadline);
+    tags_.push_back({spec.group, spec.stage, spec.pattern});
   }
+  queue_next_start();
+}
+
+void LeafSpineScenario::on_flow_complete(std::size_t idx) {
+  const FlowSlot& done = slot(idx);
+  const FlowTag& tag = tags_[idx];
+  fct_.record({static_cast<net::FlowId>(idx + 1), done.bytes, done.start,
+               done.completion - done.start, done.service, tag.pattern, done.deadline,
+               done.deadline == 0 || sim_.now() <= done.deadline, tag.group, tag.stage});
+  if (tracker_ != nullptr && idx < tracked_flows_) {
+    for (const std::size_t released : tracker_->on_flow_complete(idx, sim_.now())) {
+      release_flow(released);
+    }
+    queue_next_start();
+  }
+  if (flows_done() == num_flows()) sim_.stop();
 }
 
 std::vector<workload::FlowSpec> LeafSpineScenario::realized_workload() const {
   std::vector<workload::FlowSpec> out;
-  out.reserve(specs_.size());
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    if (realized_start_.at(i) == sim::kTimeNever) continue;  // never released
-    workload::FlowSpec spec = specs_[i];
-    spec.start = realized_start_[i];
-    out.push_back(spec);
+  out.reserve(num_flows());
+  for (std::size_t i = 0; i < num_flows(); ++i) {
+    const FlowSlot& s = slot(i);
+    if (s.start == sim::kTimeNever) continue;  // never released
+    const FlowTag& tag = tags_[i];
+    out.push_back({.src = s.src,
+                   .dst = s.dst,
+                   .service = s.service,
+                   .bytes = s.bytes,
+                   .start = s.start,
+                   .deadline = s.deadline,
+                   .pattern = tag.pattern,
+                   .group = tag.group,
+                   .stage = tag.stage});
   }
   return out;
 }
 
 bool LeafSpineScenario::run_until_complete(sim::TimeNs max_time) {
   sim_.run(max_time);
-  return completed_ == flows_.size();
+  return all_complete();
 }
 
 void LeafSpineScenario::bind_metrics(telemetry::MetricsRegistry& registry) {
@@ -157,7 +160,7 @@ void LeafSpineScenario::bind_metrics(telemetry::MetricsRegistry& registry) {
   auto sum = [this](std::uint64_t transport::SenderStats::* cell) {
     return [this, cell]() -> std::uint64_t {
       std::uint64_t total = 0;
-      for (const auto& f : flows_) total += f->sender().stats().*cell;
+      for (std::size_t i = 0; i < num_flows(); ++i) total += slot(i).sender_stats().*cell;
       return total;
     };
   };
@@ -175,10 +178,10 @@ void LeafSpineScenario::bind_metrics(telemetry::MetricsRegistry& registry) {
                       sum(&transport::SenderStats::window_cuts), "cuts");
   registry.counter_fn(
       "flows.completed", {},
-      [this]() -> std::uint64_t { return completed_; }, "flows");
+      [this]() -> std::uint64_t { return flows_done(); }, "flows");
   registry.counter_fn(
       "flows.total", {},
-      [this]() -> std::uint64_t { return flows_.size(); }, "flows");
+      [this]() -> std::uint64_t { return num_flows(); }, "flows");
 }
 
 void LeafSpineScenario::add_sampler_columns(telemetry::TimeSeriesSampler& sampler) {

@@ -38,16 +38,19 @@ class LeafSpineScenario final : public Fabric {
     return cfg_.num_leaves * cfg_.hosts_per_leaf;
   }
 
-  /// Instantiates one DCTCP flow per spec; completions land in fct().
-  void add_workload(const std::vector<workload::FlowSpec>& specs);
+  /// Adds one DCTCP flow per spec to the flow table; each is built at its
+  /// start and its completion lands in fct().
+  void add_workload(std::vector<workload::FlowSpec> specs);
 
   /// Workload-v2 entry point: like the vector overload, but when the
   /// workload carries groups a GroupTracker enforces the coflow stage
-  /// barriers (stage > 0 flows are created up front with their start
-  /// deferred to the barrier crossing) and per-spec deadlines land on the
-  /// senders for the D2TCP path. A grouped workload must be the first and
-  /// only workload added.
-  void add_workload(const workload::Workload& wl);
+  /// barriers (stage > 0 flows are added up front and held back until the
+  /// barrier crossing) and per-spec deadlines land on the senders for the
+  /// D2TCP path. A grouped workload must be the first and only workload
+  /// added. The specs are not kept (each flow's slot holds what it was
+  /// added with, a small tag its pattern, group and stage), so pass the
+  /// workload by move and it is freed once its flows are added.
+  void add_workload(workload::Workload wl);
 
   /// Barrier bookkeeping for a grouped workload; nullptr for plain lists.
   [[nodiscard]] const workload::GroupTracker* group_tracker() const {
@@ -69,8 +72,8 @@ class LeafSpineScenario final : public Fabric {
   [[nodiscard]] switchlib::Switch& spine(std::size_t idx) {
     return *switches_.at(cfg_.num_leaves + idx);
   }
-  [[nodiscard]] std::size_t completed_flows() const { return completed_; }
-  [[nodiscard]] std::size_t total_flows() const { return flows_.size(); }
+  [[nodiscard]] std::size_t completed_flows() const { return flows_done(); }
+  [[nodiscard]] std::size_t total_flows() const { return num_flows(); }
 
   /// Registers every switch port's instruments (labels
   /// `switch=<leaf|spine name>, port=<idx>`) plus fabric-wide transport
@@ -104,15 +107,22 @@ class LeafSpineScenario final : public Fabric {
     return host / cfg_.hosts_per_leaf;
   }
 
+  /// Records the flow's FCT, releases the flows its stage barrier held
+  /// back, and stops the run once every flow is done.
+  void on_flow_complete(std::size_t idx) override;
+
+  /// What a flow's FCT record and realized spec carry beyond its slot.
+  struct FlowTag {
+    std::uint32_t group;
+    std::uint16_t stage;
+    stats::PatternTag pattern;
+  };
+
   LeafSpineConfig cfg_;
-  std::vector<workload::FlowSpec> specs_;  ///< flow idx -> originating spec
-  /// Flow idx -> time the flow actually started; kTimeNever = not started
-  /// yet (waiting behind a stage barrier).
-  std::vector<sim::TimeNs> realized_start_;
+  std::vector<FlowTag> tags_;  ///< flow idx -> its spec's group, stage, pattern
   std::unique_ptr<workload::GroupTracker> tracker_;
   std::size_t tracked_flows_ = 0;  ///< flows covered by tracker_'s indexing
   stats::FctCollector fct_;
-  std::size_t completed_ = 0;
 };
 
 }  // namespace pmsb::experiments

@@ -64,10 +64,11 @@ std::size_t MultiPortScenario::add_flow(const MultiPortFlowSpec& spec) {
     tc.pmsbe_enabled = true;
     tc.pmsbe_rtt_threshold = spec.pmsbe_rtt_threshold;
   }
-  add_dctcp_flow(spec.sender, cfg_.num_senders + spec.receiver, spec.service, spec.bytes,
-                 tc)
-      .start(spec.start);
-  return flows_.size() - 1;
+  const std::size_t idx = add_dctcp_flow(spec.sender, cfg_.num_senders + spec.receiver,
+                                         spec.service, spec.bytes, tc, spec.start);
+  (void)flow(idx);  // pinned: callers read the senders after the run
+  queue_next_start();
+  return idx;
 }
 
 }  // namespace pmsb::experiments

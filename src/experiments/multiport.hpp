@@ -35,6 +35,8 @@ class MultiPortScenario final : public Fabric {
   explicit MultiPortScenario(const MultiPortConfig& config);
   ~MultiPortScenario() override;
 
+  /// Creates a DCTCP flow per the spec and pins its endpoints (see
+  /// Fabric::flow); returns its index.
   std::size_t add_flow(const MultiPortFlowSpec& spec);
 
   void run(sim::TimeNs until) { sim_.run(until); }

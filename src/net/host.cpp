@@ -22,16 +22,19 @@ Packet Host::pull() {
 }
 
 void Host::receive(const Packet& pkt) {
-  auto it = handlers_.find(pkt.flow_id);
-  if (it == handlers_.end()) {
-    ++no_handler_;
+  if (auto it = handlers_.find(pkt.flow_id); it != handlers_.end()) {
+    ++delivered_;
+    // Copy the handler: the callback may unregister the flow (e.g. on FIN),
+    // which would invalidate the iterator mid-call.
+    PacketHandler handler = it->second;
+    handler(pkt);
     return;
   }
-  ++delivered_;
-  // Copy the handler: the callback may unregister the flow (e.g. on FIN),
-  // which would invalidate the iterator mid-call.
-  PacketHandler handler = it->second;
-  handler(pkt);
+  if (fallback_ != nullptr && fallback_->deliver(*this, pkt)) {
+    ++delivered_;
+    return;
+  }
+  ++no_handler_;
 }
 
 }  // namespace pmsb::net

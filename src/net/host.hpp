@@ -1,5 +1,7 @@
 // End host: a NIC with a FIFO egress queue plus a demultiplexer that hands
-// arriving packets to the transport endpoint registered for their flow.
+// arriving packets to the transport endpoint registered for their flow, or,
+// for a flow with no registered handler, to the host's fallback demux (the
+// flow table of the fabric that built the host).
 //
 // The NIC egress queue is effectively unbounded — end-host memory is not the
 // bottleneck the paper studies — but its backlog is observable for tests.
@@ -18,6 +20,19 @@
 #include "sim/simulator.hpp"
 
 namespace pmsb::net {
+
+class Host;
+
+/// Takes the packets of flows that have no handler registered on the host
+/// they reach. experiments::Fabric reaches all of its flows' endpoints this
+/// way, through one table instead of a handler per flow and host.
+class FlowDemux {
+ public:
+  virtual ~FlowDemux() = default;
+  /// Consumes `pkt`, which arrived at `host` and is valid only for the call.
+  /// Returns false when no flow of this demux takes it.
+  virtual bool deliver(Host& host, const Packet& pkt) = 0;
+};
 
 class Host : public Node, private PacketSource {
  public:
@@ -49,6 +64,11 @@ class Host : public Node, private PacketSource {
 
   void unregister_flow(FlowId flow_id) { handlers_.erase(flow_id); }
 
+  /// Where packets of flows with no registered handler go (nullptr: they
+  /// are counted in dropped_no_handler()). `demux` must outlive the host's
+  /// last delivery.
+  void set_fallback(FlowDemux* demux) { fallback_ = demux; }
+
   /// Called by the attached link when a packet arrives from the network.
   void receive(const Packet& pkt) override;
 
@@ -70,6 +90,7 @@ class Host : public Node, private PacketSource {
   PacketFifo nic_queue_;
   std::uint64_t nic_bytes_ = 0;
   std::unordered_map<FlowId, PacketHandler> handlers_;
+  FlowDemux* fallback_ = nullptr;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t no_handler_ = 0;

@@ -70,6 +70,29 @@ std::vector<RegressCell> default_matrix() {
                         {"flows", "60"},
                         {"load", "0.5"},
                         {"seed", "3"}}));
+  // Flow-lifetime paths: deadline RPCs under loss and jittered delay make
+  // retransmits, timeouts and late duplicates reach completed flows ...
+  cells.push_back(cell("leafspine-rpc-lossy",
+                       {{"topology", "leafspine"},
+                        {"scheme", "pmsb"},
+                        {"scheduler", "dwrr"},
+                        {"pattern", "rpc"},
+                        {"rpcs", "40"},
+                        {"d2tcp", "1"},
+                        {"faults", "loss:*->*:0.002;delay:spine0->*:30us+20us"},
+                        {"seed", "4"}}));
+  // ... and a stage barrier releases flows to start at the instant of the
+  // completion that crosses it.
+  cells.push_back(cell("leafspine-coflow-2stage",
+                       {{"topology", "leafspine"},
+                        {"scheme", "pmsb"},
+                        {"scheduler", "dwrr"},
+                        {"pattern", "coflow"},
+                        {"stages", "2"},
+                        {"coflows", "4"},
+                        {"mappers", "3"},
+                        {"reducers", "3"},
+                        {"seed", "3"}}));
   return cells;
 }
 

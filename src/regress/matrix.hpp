@@ -3,9 +3,10 @@
 // Cells are chosen to be FAST (the whole matrix runs in seconds) while still
 // crossing the subsystems that matter for determinism: both topologies, DCTCP
 // and the per-queue/TCN marking variants, enqueue vs dequeue marking, an SP
-// scheduler, and a fault-plane (bleach) cell so the digest covers the fault
-// path too. Names are stable identifiers — baselines key cells by name, so
-// renaming a cell orphans its baseline entry.
+// scheduler, fault-plane cells (bleach; loss plus jittered delay) so the
+// digest covers the fault path too, and the flow lifetimes of a deadline RPC
+// workload and a two-stage coflow workload. Names are stable identifiers —
+// baselines key cells by name, so renaming a cell orphans its baseline entry.
 #pragma once
 
 #include <string>

@@ -97,6 +97,8 @@ struct DeadlineStats {
 class FctCollector {
  public:
   void record(const FctRecord& rec) { records_.push_back(rec); }
+  /// Room for `n` records in all, so a run's records fill one buffer.
+  void reserve(std::size_t n) { records_.reserve(n); }
 
   [[nodiscard]] std::size_t count() const { return records_.size(); }
   [[nodiscard]] const std::vector<FctRecord>& records() const { return records_; }

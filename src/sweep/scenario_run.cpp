@@ -549,7 +549,7 @@ class LeafSpineRun final : public TopologyRun {
     } else {
       throw std::invalid_argument("unknown pattern '" + pattern + "'");
     }
-    sc_.add_workload(wl);
+    sc_.add_workload(std::move(wl));
   }
 
   Fabric& fabric() override { return sc_; }

@@ -39,10 +39,9 @@ DctcpSender::DctcpSender(sim::Simulator& simulator, Host& local, HostId remote,
 }
 
 DctcpSender::~DctcpSender() {
-  // Pending simulator events may still reference this sender; marking the
-  // flow complete makes their callbacks no-ops. Scenario code must keep
-  // flows alive until the simulator drains (Flow enforces host handler
-  // deregistration).
+  // A sender's own timers capture it, so an owner frees it only once
+  // timer_pending() is false (experiments::Fabric) or after the simulator
+  // stops dispatching. Marking it complete keeps a stray late call a no-op.
   completed_ = true;
 }
 
@@ -69,14 +68,12 @@ void DctcpSender::set_profiler(telemetry::Profiler* profiler) {
   kind_ack_ = profiler_->intern("transport.ack");
 }
 
-void DctcpSender::start(TimeNs at) {
+void DctcpSender::start_now() {
   if (started_) return;
   started_ = true;
-  sim_.schedule_at(at, [this] {
-    start_time_ = sim_.now();
-    window_end_seq_ = 0;
-    send_available();
-  });
+  start_time_ = sim_.now();
+  window_end_seq_ = 0;
+  send_available();
 }
 
 std::uint64_t DctcpSender::remaining_at(std::uint64_t seq) const {
@@ -241,8 +238,8 @@ void DctcpSender::on_ack(const Packet& ack) {
 void DctcpSender::arm_rto() {
   if (rto_armed_ || completed_) return;
   rto_armed_ = true;
-  const TimeNs deadline = last_progress_ + rtt_.rto() * rto_backoff_;
-  sim_.schedule_at(std::max(deadline, sim_.now()), [this] { on_rto(); });
+  rto_at_ = std::max(last_progress_ + rtt_.rto() * rto_backoff_, sim_.now());
+  sim_.schedule_at(rto_at_, [this] { on_rto(); });
 }
 
 void DctcpSender::on_rto() {
@@ -282,20 +279,27 @@ DctcpReceiver::DctcpReceiver(sim::Simulator& simulator, Host& local, HostId remo
                              FlowId flow, ServiceId service)
     : sim_(simulator), local_(local), remote_(remote), flow_(flow), service_(service) {}
 
+Packet DctcpReceiver::make_ack(sim::Simulator& simulator, HostId local, HostId remote,
+                               FlowId flow, ServiceId service, std::uint64_t ack,
+                               bool ece, TimeNs echo_time) {
+  Packet pkt;
+  pkt.id = simulator.allocate_packet_id();
+  pkt.flow_id = flow;
+  pkt.src = local;
+  pkt.dst = remote;
+  pkt.service = service;
+  pkt.type = net::PacketType::kAck;
+  pkt.size_bytes = net::kAckBytes;
+  pkt.ack = ack;
+  pkt.ect = false;  // pure ACKs are not ECN-capable (RFC 3168)
+  pkt.ece = ece;
+  pkt.echo_time = echo_time;
+  return pkt;
+}
+
 void DctcpReceiver::send_ack(bool ece, TimeNs echo_time) {
-  Packet ack;
-  ack.id = sim_.allocate_packet_id();
-  ack.flow_id = flow_;
-  ack.src = local_.id();
-  ack.dst = remote_;
-  ack.service = service_;
-  ack.type = net::PacketType::kAck;
-  ack.size_bytes = net::kAckBytes;
-  ack.ack = rcv_nxt_;
-  ack.ect = false;  // pure ACKs are not ECN-capable (RFC 3168)
-  ack.ece = ece;
-  ack.echo_time = echo_time;
-  local_.send(std::move(ack));
+  local_.send(make_ack(sim_, local_.id(), remote_, flow_, service_, rcv_nxt_, ece,
+                       echo_time));
   ++acks_sent_;
 }
 
@@ -320,19 +324,26 @@ void DctcpReceiver::on_data(const Packet& pkt) {
 }
 
 // ---------------------------------------------------------------------------
-// Flow
+// FlowEndpoints, Flow
 // ---------------------------------------------------------------------------
+
+FlowEndpoints::FlowEndpoints(sim::Simulator& simulator, Host& src, Host& dst,
+                             FlowId flow, ServiceId service, std::uint64_t flow_bytes,
+                             DctcpConfig config)
+    : sender_(simulator, src, dst.id(), flow, service, flow_bytes, config),
+      receiver_(simulator, dst, src.id(), flow, service) {}
 
 Flow::Flow(sim::Simulator& simulator, Host& src, Host& dst, FlowId flow,
            ServiceId service, std::uint64_t flow_bytes, DctcpConfig config)
-    : src_(src), dst_(dst), flow_(flow) {
-  sender_ = std::make_unique<DctcpSender>(simulator, src, dst.id(), flow, service,
-                                          flow_bytes, config);
-  receiver_ = std::make_unique<DctcpReceiver>(simulator, dst, src.id(), flow, service);
-  src_.register_flow(flow_, [s = sender_.get()](const Packet& pkt) {
+    : sim_(simulator),
+      src_(src),
+      dst_(dst),
+      flow_(flow),
+      endpoints_(simulator, src, dst, flow, service, flow_bytes, config) {
+  src_.register_flow(flow_, [s = &endpoints_.sender()](const Packet& pkt) {
     if (pkt.is_ack()) s->on_ack(pkt);
   });
-  dst_.register_flow(flow_, [r = receiver_.get()](const Packet& pkt) {
+  dst_.register_flow(flow_, [r = &endpoints_.receiver()](const Packet& pkt) {
     if (pkt.is_data()) r->on_data(pkt);
   });
 }

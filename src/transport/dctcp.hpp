@@ -13,11 +13,11 @@
 // core::pmsbe_ignore_mark, Algorithm 2 verbatim.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "net/host.hpp"
@@ -65,6 +65,8 @@ struct DctcpConfig {
   /// deadline-aware penalty p = alpha^d with d = Tc/D clamped to [0.5, 2]:
   /// near-deadline flows back off less, far-deadline flows more.
   bool d2tcp_enabled = false;
+
+  bool operator==(const DctcpConfig&) const = default;
 };
 
 /// Sender-side statistics, exposed for tests / benches.
@@ -80,8 +82,8 @@ struct SenderStats {
 
 class DctcpReceiver;
 
-/// One direction of a DCTCP connection. Create via Flow (below), which wires
-/// both endpoints to their hosts.
+/// One direction of a DCTCP connection. Create via FlowEndpoints or Flow
+/// (below).
 class DctcpSender {
  public:
   using CompletionCallback = std::function<void(TimeNs fct)>;
@@ -92,8 +94,9 @@ class DctcpSender {
   DctcpSender(const DctcpSender&) = delete;
   DctcpSender& operator=(const DctcpSender&) = delete;
 
-  /// Begins transmission at simulation time `at` (>= now).
-  void start(TimeNs at);
+  /// Begins transmission now. The owner queues the event that calls it
+  /// (experiments::Fabric's start list, Flow::start).
+  void start_now();
 
   /// Sets an absolute completion deadline (D2TCP). Only meaningful with
   /// cfg.d2tcp_enabled on a finite flow.
@@ -131,6 +134,18 @@ class DctcpSender {
   /// Whether the retransmission timer is armed. A started, incomplete flow
   /// with bytes in flight must have it armed — the flow-liveness invariant.
   [[nodiscard]] bool rto_armed() const { return rto_armed_; }
+  /// Whether an event of this sender's own (retransmission or pacing timer)
+  /// is still queued: until it has run, the sender must stay alive.
+  [[nodiscard]] bool timer_pending() const {
+    return rto_armed_ || pacing_event_ != sim::kInvalidEventId;
+  }
+  /// When the last of those events runs, while timer_pending(). A completed
+  /// sender arms no timer again, so once the simulation is past this
+  /// instant it holds no queued event.
+  [[nodiscard]] TimeNs timers_end() const {
+    const TimeNs rto = rto_armed_ ? rto_at_ : 0;
+    return pacing_event_ != sim::kInvalidEventId ? std::max(rto, next_send_allowed_) : rto;
+  }
   [[nodiscard]] TimeNs start_time() const { return start_time_; }
   [[nodiscard]] TimeNs completion_time() const { return completion_time_; }
   [[nodiscard]] const SenderStats& stats() const { return stats_; }
@@ -191,6 +206,7 @@ class DctcpSender {
   // --- Timers ---
   RttEstimator rtt_;
   bool rto_armed_ = false;
+  TimeNs rto_at_ = 0;  ///< when the armed retransmission timer runs
   std::int64_t rto_backoff_ = 1;
   TimeNs last_progress_ = 0;
 
@@ -217,6 +233,16 @@ class DctcpReceiver {
 
   void on_data(const Packet& pkt);
 
+  /// The ACK a receiver at `local` sends for a data segment: cumulative
+  /// `ack`, echoing the segment's CE bit as `ece` and its send time as
+  /// `echo_time`. Once its sender has completed, a receiver has acked the
+  /// whole flow and holds nothing out of order, so its reply to a late
+  /// segment is this ACK with ack = flow size, whether or not the receiver
+  /// still exists (experiments::Fabric answers for freed ones).
+  [[nodiscard]] static Packet make_ack(sim::Simulator& simulator, HostId local,
+                                       HostId remote, FlowId flow, ServiceId service,
+                                       std::uint64_t ack, bool ece, TimeNs echo_time);
+
   [[nodiscard]] std::uint64_t rcv_nxt() const { return rcv_nxt_; }
   [[nodiscard]] std::uint64_t ce_packets() const { return ce_packets_; }
   [[nodiscard]] std::uint64_t data_packets() const { return data_packets_; }
@@ -237,9 +263,37 @@ class DctcpReceiver {
   std::uint64_t acks_sent_ = 0;
 };
 
-/// A unidirectional DCTCP flow: sender at `src`, receiver at `dst`, with the
-/// packet handlers registered on both hosts. Keep it alive for the flow's
-/// lifetime.
+/// The two endpoints of a unidirectional DCTCP flow, sender at `src` and
+/// receiver at `dst`, registered on no host: their owner hands them the
+/// flow's arriving packets through deliver(). experiments::Fabric owns its
+/// flows' endpoints this way; Flow registers them on the hosts.
+class FlowEndpoints {
+ public:
+  FlowEndpoints(sim::Simulator& simulator, Host& src, Host& dst, FlowId flow,
+                ServiceId service, std::uint64_t flow_bytes, DctcpConfig config);
+  FlowEndpoints(const FlowEndpoints&) = delete;
+  FlowEndpoints& operator=(const FlowEndpoints&) = delete;
+
+  /// An ACK goes to the sender, a data segment to the receiver.
+  void deliver(const Packet& pkt) {
+    if (pkt.is_ack()) {
+      sender_.on_ack(pkt);
+    } else if (pkt.is_data()) {
+      receiver_.on_data(pkt);
+    }
+  }
+
+  [[nodiscard]] DctcpSender& sender() { return sender_; }
+  [[nodiscard]] const DctcpSender& sender() const { return sender_; }
+  [[nodiscard]] DctcpReceiver& receiver() { return receiver_; }
+
+ private:
+  DctcpSender sender_;
+  DctcpReceiver receiver_;
+};
+
+/// A unidirectional DCTCP flow with its packet handlers registered on both
+/// hosts. Keep it alive for the flow's lifetime.
 class Flow {
  public:
   Flow(sim::Simulator& simulator, Host& src, Host& dst, FlowId flow, ServiceId service,
@@ -248,19 +302,22 @@ class Flow {
   Flow(const Flow&) = delete;
   Flow& operator=(const Flow&) = delete;
 
-  void start(TimeNs at) { sender_->start(at); }
+  /// Begins transmission at simulation time `at` (>= now).
+  void start(TimeNs at) {
+    sim_.schedule_at(at, [s = &endpoints_.sender()] { s->start_now(); });
+  }
 
-  [[nodiscard]] DctcpSender& sender() { return *sender_; }
-  [[nodiscard]] const DctcpSender& sender() const { return *sender_; }
-  [[nodiscard]] DctcpReceiver& receiver() { return *receiver_; }
+  [[nodiscard]] DctcpSender& sender() { return endpoints_.sender(); }
+  [[nodiscard]] const DctcpSender& sender() const { return endpoints_.sender(); }
+  [[nodiscard]] DctcpReceiver& receiver() { return endpoints_.receiver(); }
   [[nodiscard]] FlowId id() const { return flow_; }
 
  private:
+  sim::Simulator& sim_;
   Host& src_;
   Host& dst_;
   FlowId flow_;
-  std::unique_ptr<DctcpSender> sender_;
-  std::unique_ptr<DctcpReceiver> receiver_;
+  FlowEndpoints endpoints_;
 };
 
 }  // namespace pmsb::transport

@@ -468,9 +468,11 @@ TEST(ScenarioRobustness, FaultedSweepIsDeterministic) {
 namespace {
 
 /// Every 10 us while other events are pending, brute-forces over every flow
-/// of `fab`: each started, incomplete flow with bytes in flight must be in
-/// the active set, and the watchdog probes, which walk only that set, must
-/// equal their sums over all flows.
+/// of `fab`: each started, incomplete sender with bytes in flight must be
+/// among the live flows, which are exactly the running slots, and the
+/// watchdog probes, which walk only the live flows, must equal their sums
+/// over all flows. A flow with endpoints is judged by its sender; only a
+/// slot with none (not started, or done and freed) by its table state.
 struct ActiveFlowAudit {
   experiments::Fabric& fab;
   std::size_t late_flow = std::numeric_limits<std::size_t>::max();
@@ -480,22 +482,34 @@ struct ActiveFlowAudit {
   void start() { fab.simulator().schedule_in(sim::microseconds(10), [this] { tick(); }); }
 
   void tick() {
-    const std::vector<net::SiteId>& active = fab.active_flows();
-    ASSERT_TRUE(std::adjacent_find(active.begin(), active.end(),
-                                   std::greater_equal<>()) == active.end())
-        << "active set not strictly ascending";
+    const std::vector<std::uint32_t>& live = fab.live_flows();
+    ASSERT_TRUE(std::adjacent_find(live.begin(), live.end(), std::greater_equal<>()) ==
+                live.end())
+        << "live flows not strictly ascending";
     std::uint64_t acked = 0;
     bool all_done = true;
     for (std::size_t i = 0; i < fab.num_flows(); ++i) {
-      const transport::DctcpSender& s = fab.flow(i).sender();
+      const experiments::FlowSlot& slot = fab.slot(i);
+      const bool running = slot.state == experiments::FlowSlot::State::kRunning;
+      const bool is_live = std::binary_search(live.begin(), live.end(), i);
+      EXPECT_EQ(is_live, running) << "flow " << i << " at t=" << fab.simulator().now();
+      if (slot.endpoints == nullptr) {
+        EXPECT_FALSE(running) << "running flow " << i << " has no endpoints";
+        acked += slot.acked();
+        all_done = all_done && slot.state == experiments::FlowSlot::State::kDone;
+        continue;
+      }
+      const transport::DctcpSender& s = slot.endpoints->sender();
       acked += s.bytes_acked();
       all_done = all_done && s.complete();
+      EXPECT_EQ(s.started() && !s.complete(), running)
+          << "flow " << i << " at t=" << fab.simulator().now();
       if (s.started() && !s.complete() && s.bytes_inflight() > 0) {
         ++in_flight_seen;
         if (i == late_flow) ++late_seen;
-        EXPECT_TRUE(std::binary_search(active.begin(), active.end(), i))
-            << "flow " << i << " has " << s.bytes_inflight()
-            << "B in flight but is not active at t=" << fab.simulator().now();
+        EXPECT_TRUE(is_live) << "flow " << i << " has " << s.bytes_inflight()
+                             << "B in flight but is not live at t="
+                             << fab.simulator().now();
       }
     }
     EXPECT_EQ(fab.total_bytes_acked(), acked);
@@ -531,7 +545,7 @@ void audit_leafspine(const workload::Workload& wl) {
   EXPECT_GT(checker.evaluations(), 0u);
   EXPECT_TRUE(checker.clean()) << checker.summary();
   EXPECT_TRUE(sc.all_complete());
-  EXPECT_TRUE(sc.active_flows().empty());  // all_complete() walked: none left
+  EXPECT_TRUE(sc.live_flows().empty());
   std::uint64_t bytes = 0;
   for (const workload::FlowSpec& f : wl.flows) bytes += f.bytes;
   EXPECT_EQ(sc.total_bytes_acked(), bytes);
@@ -574,7 +588,7 @@ TEST(ScenarioRobustness, ActiveFlowsCoverEveryFlowInFlight) {
     sc.add_flow({.sender = 0, .service = 0, .bytes = 0});  // long-lived
     sc.add_flow({.sender = 1, .service = 1, .bytes = 400'000});
     // Paced far below the RTT's pace: between segments it has nothing in
-    // flight yet is incomplete, so it must stay active.
+    // flight yet is incomplete, so it must stay live.
     sc.add_flow({.sender = 3, .service = 0, .bytes = 30'000, .max_rate = sim::mbps(100)});
     InvariantChecker checker(sc.simulator());
     sc.install_invariants(checker);
@@ -589,7 +603,7 @@ TEST(ScenarioRobustness, ActiveFlowsCoverEveryFlowInFlight) {
     EXPECT_TRUE(sc.flow(2).sender().complete());
     EXPECT_TRUE(sc.flow(audit.late_flow).sender().complete());
     EXPECT_FALSE(sc.all_complete());  // the long-lived flow never completes
-    EXPECT_EQ(sc.active_flows(), std::vector<net::SiteId>{0});
+    EXPECT_EQ(sc.live_flows(), std::vector<std::uint32_t>{0});
     EXPECT_TRUE(checker.clean()) << checker.summary();
   }
 }
