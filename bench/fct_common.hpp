@@ -22,7 +22,7 @@
 #include "bench_common.hpp"
 #include "experiments/leafspine.hpp"
 #include "experiments/presets.hpp"
-#include "faults/deadline.hpp"
+#include "faults/watchdog.hpp"
 #include "sched/factory.hpp"
 #include "sim/rng.hpp"
 #include "sweep/sweep.hpp"
@@ -49,7 +49,7 @@ struct FctRunConfig {
   std::size_t num_flows = 300;
   std::uint64_t seed = 1;
   /// > 0: wall-clock budget for this run, enforced from inside the event
-  /// loop (faults::Deadline); expiry throws faults::DeadlineExceeded.
+  /// loop (faults::Watchdog); running out throws faults::WallBudgetExceeded.
   double cell_timeout_s = 0.0;
 };
 
@@ -94,11 +94,13 @@ inline FctResult run_fct_experiment(const FctRunConfig& rc) {
   auto dist = workload::FlowSizeDistribution::paper_mix();
   sim::Rng rng(rc.seed);
   scenario.add_workload(workload::generate_poisson_traffic(tc, dist, rng));
-  std::unique_ptr<faults::Deadline> deadline;
+  std::unique_ptr<faults::Watchdog> guard;
   if (rc.cell_timeout_s > 0.0) {
-    deadline = std::make_unique<faults::Deadline>(scenario.simulator(),
-                                                  rc.cell_timeout_s);
-    deadline->start();
+    guard = std::make_unique<faults::Watchdog>(
+        scenario.simulator(), faults::WatchdogConfig{.wall_budget_s = rc.cell_timeout_s},
+        [&scenario] { return scenario.total_bytes_acked(); },
+        [&scenario] { return scenario.all_complete(); });
+    guard->start();
   }
   const bool done = scenario.run_until_complete(sim::seconds(30));
 
@@ -149,7 +151,7 @@ inline std::string bench_checkpoint_dir() {
 }
 
 /// Per-cell wall-clock budget for the FCT grid benches:
-/// PMSB_BENCH_CELL_TIMEOUT_S > 0 arms a faults::Deadline in every cell so a
+/// PMSB_BENCH_CELL_TIMEOUT_S > 0 arms a faults::Watchdog in every cell so a
 /// pathological cell fails alone instead of hanging the whole grid. 0 when
 /// unset or unparseable.
 inline double bench_cell_timeout_s() {
@@ -160,7 +162,7 @@ inline double bench_cell_timeout_s() {
 }
 
 /// Config echo written into (and validated against) a cell's checkpoint
-/// manifest. cell_timeout_s is deliberately excluded: the deadline never
+/// manifest. cell_timeout_s is deliberately excluded: the budget never
 /// alters a completed run's results, so checkpoints stay valid when the
 /// budget changes between invocations.
 inline std::map<std::string, std::string> fct_cell_config(const FctRunConfig& rc) {
@@ -278,7 +280,7 @@ inline std::vector<FctResult> run_fct_grid(
     }
     try {
       out[i] = run_fct_experiment(cells[i]);
-    } catch (const faults::DeadlineExceeded& e) {
+    } catch (const faults::WallBudgetExceeded& e) {
       out[i] = FctResult{};  // completed=false marks the cell as failed
       std::fprintf(stderr, "cell %zu timed out after %.2f s: %s\n", i,
                    e.elapsed_s, e.what());
@@ -317,22 +319,6 @@ inline FctResult aggregate_fct_cell(const std::vector<FctResult>& runs) {
   acc.small_p95 /= n;
   acc.small_p99 /= n;
   return acc;
-}
-
-/// Runs one (scheme, scheduler, load) cell once per seed (optionally in
-/// parallel) and averages every metric. Checkpointing is disabled here:
-/// repeated calls would reuse grid indices 0..seeds-1 and collide in the
-/// checkpoint directory — benches that want salvage build one flat grid
-/// and call run_fct_grid directly.
-inline FctResult run_fct_cell(FctRunConfig rc, const std::vector<std::uint64_t>& seeds,
-                              std::size_t jobs = 1) {
-  std::vector<FctRunConfig> cells;
-  cells.reserve(seeds.size());
-  for (std::uint64_t seed : seeds) {
-    rc.seed = seed;
-    cells.push_back(rc);
-  }
-  return aggregate_fct_cell(run_fct_grid(cells, jobs, std::string()));
 }
 
 }  // namespace pmsb::bench

@@ -60,7 +60,6 @@ class InvariantChecker {
   void add_check(std::string name, Check check) {
     checks_.push_back({std::move(name), std::move(check)});
   }
-  [[nodiscard]] std::size_t num_checks() const { return checks_.size(); }
 
   /// Runs every check once at the current simulation time.
   void check_now();

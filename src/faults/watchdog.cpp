@@ -1,7 +1,6 @@
 #include "faults/watchdog.hpp"
 
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 namespace pmsb::faults {
@@ -25,11 +24,11 @@ void Watchdog::start() {
   started_ = true;
   last_progress_ = progress_();
   last_advance_ = sim_.now();
+  start_wall_ = std::chrono::steady_clock::now();
   sim_.schedule_in(config_.period, [this] { tick(); });
 }
 
 void Watchdog::tick() {
-  if (tripped_) return;
   ++samples_;
 
   if (config_.max_events > 0 && sim_.executed_events() > config_.max_events) {
@@ -37,29 +36,44 @@ void Watchdog::tick() {
     why << "event budget exceeded: executed=" << sim_.executed_events()
         << " budget=" << config_.max_events;
     trip(why.str());
-    return;
   }
 
-  const std::uint64_t now_progress = progress_();
-  if (now_progress != last_progress_) {
-    last_progress_ = now_progress;
-    last_advance_ = sim_.now();
-  } else if (config_.stall_horizon > 0 && !done_() &&
-             sim_.now() - last_advance_ >= config_.stall_horizon) {
-    std::ostringstream why;
-    why << "no progress for " << (sim_.now() - last_advance_)
-        << "ns (horizon=" << config_.stall_horizon
-        << "ns, progress=" << now_progress << ")";
-    trip(why.str());
-    return;
+  if (config_.stall_horizon > 0) {
+    const std::uint64_t now_progress = progress_();
+    if (now_progress != last_progress_) {
+      last_progress_ = now_progress;
+      last_advance_ = sim_.now();
+    } else if (!done_() && sim_.now() - last_advance_ >= config_.stall_horizon) {
+      std::ostringstream why;
+      why << "no progress for " << (sim_.now() - last_advance_)
+          << "ns (horizon=" << config_.stall_horizon
+          << "ns, progress=" << now_progress << ")";
+      trip(why.str());
+    }
+  }
+
+  if (config_.wall_budget_s > 0.0) {
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_wall_)
+            .count();
+    if (elapsed >= config_.wall_budget_s) {
+      std::ostringstream why;
+      // The limit, not the measured elapsed time, goes into what(): the
+      // message lands in sweep-report `error` fields that should stay as
+      // reproducible as a wall-clock failure can be. wall_ms in the record
+      // carries the measurement.
+      why << "[cell_timeout] wall-clock limit " << config_.wall_budget_s
+          << "s exceeded (phase=run, sim_time=" << sim::to_microseconds(sim_.now())
+          << "us, executed_events=" << sim_.executed_events() << ")";
+      throw WallBudgetExceeded(why.str(), elapsed);
+    }
   }
 
   if (sim_.pending_events() == 0) return;
   sim_.schedule_in(config_.period, [this] { tick(); });
 }
 
-void Watchdog::trip(const std::string& reason) {
-  tripped_ = true;
+void Watchdog::trip(const std::string& reason) const {
   std::ostringstream out;
   out << "[watchdog] entity=simulation t=" << sim_.now() << "ns: " << reason
       << "; executed_events=" << sim_.executed_events()
@@ -69,16 +83,12 @@ void Watchdog::trip(const std::string& reason) {
     const std::string extra = forensics_();
     if (!extra.empty()) out << "\n" << extra;
   }
-  diagnostic_ = out.str();
-  // Stop the run so the caller regains control; the diagnostic tells it why.
-  sim_.stop();
+  throw std::runtime_error(out.str());
 }
 
 void Watchdog::bind_metrics(telemetry::MetricsRegistry& registry) {
   registry.counter_fn("watchdog.samples", {}, [this] { return samples_; },
                       "samples");
-  registry.gauge_fn("watchdog.tripped", {},
-                    [this] { return tripped_ ? 1.0 : 0.0; }, "bool");
 }
 
 }  // namespace pmsb::faults

@@ -1,7 +1,6 @@
 #include "regress/digest.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 namespace pmsb::regress {
@@ -59,13 +58,6 @@ EntityId RunDigest::register_entity(const std::string& name) {
   name_set_.insert(names_.back());
   subs_.emplace_back();
   return static_cast<EntityId>(subs_.size() - 1);
-}
-
-void RunDigest::stat_f(EntityId entity, const std::string& key, double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  event(entity, EventKind::kStat, 0, fnv1a64(key), bits);
 }
 
 void RunDigest::arm_journal(std::uint64_t lo, std::uint64_t hi, std::size_t cap) {

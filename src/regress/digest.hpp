@@ -158,7 +158,6 @@ class RunDigest {
   void stat(EntityId entity, const std::string& key, std::uint64_t value) {
     event(entity, EventKind::kStat, 0, fnv1a64(key), value);
   }
-  void stat_f(EntityId entity, const std::string& key, double value);
 
   /// Records raw events with stream index in [lo, hi) — at most `cap` of
   /// them — for divergence localization. Arm before the run starts.

@@ -7,8 +7,8 @@ namespace pmsb::sim {
 namespace {
 
 // Balances hook_->begin_dispatch() even when the event callback throws —
-// faults::Deadline legitimately throws DeadlineExceeded through dispatch,
-// and an attached Profiler must not be left with an open scope.
+// every faults::Watchdog trip legitimately throws through dispatch, and an
+// attached Profiler must not be left with an open scope.
 class EndDispatchGuard {
  public:
   explicit EndDispatchGuard(DispatchHook* hook) : hook_(hook) {}

@@ -15,7 +15,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "faults/deadline.hpp"
+#include "faults/watchdog.hpp"
 #include "sweep/scenario_run.hpp"
 #include "telemetry/json_reader.hpp"
 #include "telemetry/run_report.hpp"
@@ -88,7 +88,7 @@ std::string read_pipe(int fd) {
   std::string error;
   try {
     (void)run_scenario(point, /*quiet=*/true);
-  } catch (const faults::DeadlineExceeded& e) {
+  } catch (const faults::WallBudgetExceeded& e) {
     code = kChildTimeout;
     error = e.what();
   } catch (const std::bad_alloc&) {
@@ -169,8 +169,8 @@ CellOutcome run_cell_in_child(const SweepPoint& point, const CellLimits& limits,
   }
   ::close(fds[1]);
 
-  // Hard kill past the wall budget, with headroom so the in-child Deadline
-  // (which produces the nicer, deterministic diagnostic) fires first when
+  // Hard kill past the wall budget, with headroom so the in-child watchdog
+  // (which produces the nicer, deterministic diagnostic) trips first when
   // the child is still dispatching events.
   const double hard_kill_s =
       limits.wall_s > 0.0 ? limits.wall_s * 1.25 + 0.5 : 0.0;

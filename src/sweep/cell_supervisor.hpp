@@ -15,8 +15,8 @@
 //   ok       the child completed and wrote a valid manifest
 //   throw    a C++ exception — deterministic, never retried
 //   signal   the child died on a signal (SIGSEGV, SIGABRT, ...)
-//   timeout  the in-child Deadline fired (exit code 4) or the parent had to
-//            hard-kill past the wall budget
+//   timeout  the in-child watchdog's wall budget ran out (exit code 4) or
+//            the parent had to hard-kill past it
 //   oom      std::bad_alloc under the address-space cap (exit code 3), or a
 //            SIGKILL with rusage evidence of hitting the cap
 //
@@ -70,7 +70,7 @@ struct CellOutcome {
 /// `attempt` (1-based) is exported to the child as PMSB_CRASH_ATTEMPT so the
 /// crash-injection hook can build transient faults.
 ///
-/// The hard kill triggers at wall_s * 1.25 + 0.5s: the in-child Deadline
+/// The hard kill triggers at wall_s * 1.25 + 0.5s: the in-child watchdog
 /// gets first shot at a deterministic [cell_timeout] diagnostic, the parent
 /// only steps in when the child is too wedged to run its own tick.
 [[nodiscard]] CellOutcome run_cell_in_child(const SweepPoint& point,

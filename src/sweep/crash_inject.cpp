@@ -37,7 +37,7 @@ namespace {
 
 [[noreturn]] void crash_hang() {
   // Never returns, never schedules, never yields — exactly the wedged-cell
-  // shape the in-process Deadline cannot interrupt.
+  // shape the in-process watchdog cannot interrupt.
   volatile std::uint64_t spin = 0;
   for (;;) spin = spin + 1;
 }

@@ -14,8 +14,8 @@
 //     oom    allocate-and-touch until std::bad_alloc (pair with the
 //            supervisor's cell_mem_mb address-space cap)
 //     hang   spin forever without yielding — the cell_timeout_s blind spot:
-//            no event is ever dispatched again, so the in-process Deadline
-//            tick can never fire; only the supervisor's hard kill helps
+//            no event is ever dispatched again, so the in-process watchdog
+//            tick can never run; only the supervisor's hard kill helps
 //     throw  throw std::runtime_error — the deterministic failure class the
 //            retry policy must NOT retry
 //

@@ -11,7 +11,6 @@
 #include "experiments/dumbbell.hpp"
 #include "experiments/leafspine.hpp"
 #include "experiments/presets.hpp"
-#include "faults/deadline.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/invariants.hpp"
 #include "faults/watchdog.hpp"
@@ -114,8 +113,8 @@ struct RunTelemetry {
       sampler->add_probe("process.peak_rss_bytes", [] {
         return static_cast<double>(telemetry::peak_rss_bytes());
       });
-      // Stream rows as they are sampled so a watchdog / deadline abort
-      // leaves a usable CSV behind instead of an empty file.
+      // Stream rows as they are sampled so a watchdog trip leaves a usable
+      // CSV behind instead of an empty file.
       sampler->stream_to(ts_path);
       sampler->start();
     }
@@ -203,7 +202,9 @@ constexpr sim::TimeNs kWatchdogPeriod = sim::microseconds(100);
 /// `faults=` grammar plus the sweep-friendly `bleach=` sugar (grid values
 /// cannot contain ':' or ',', so the headline bleach sweep gets its own
 /// scalar key), an InvariantChecker (on by default; `invariants=0` opts
-/// out), and a Watchdog when a horizon or event budget is configured.
+/// out), and a Watchdog when a stall horizon, an event budget or a
+/// wall-clock budget (`cell_timeout_s=`) is configured. A watchdog trip
+/// throws out of the event loop and fails this cell alone.
 ///
 /// Declare AFTER the scenario so it is destroyed first: the checker and
 /// watchdog hold the scenario's simulator by reference.
@@ -211,7 +212,10 @@ struct Robustness {
   faults::FaultPlan plan;
   std::unique_ptr<faults::InvariantChecker> checker;
   std::unique_ptr<faults::Watchdog> watchdog;
-  std::unique_ptr<faults::Deadline> deadline;
+  /// Set by the `watchdog_*` keys. A run guarded by `cell_timeout_s=` alone
+  /// binds no instrument, so its manifest lists the same ones as an
+  /// unguarded run's.
+  bool watchdog_metrics = false;
 
   void install(Fabric& fab, const Options& opts,
                const std::vector<std::string>& default_bleach_nodes) {
@@ -242,11 +246,13 @@ struct Robustness {
       checker->start_periodic(kInvariantPeriod);
     }
 
-    if (opts.has("watchdog_horizon_ms") || opts.has("watchdog_events")) {
-      faults::WatchdogConfig wcfg;
-      wcfg.stall_horizon = sim::milliseconds(opts.get_int("watchdog_horizon_ms", 0));
-      wcfg.max_events = static_cast<std::uint64_t>(opts.get_int("watchdog_events", 0));
-      wcfg.period = kWatchdogPeriod;
+    watchdog_metrics = opts.has("watchdog_horizon_ms") || opts.has("watchdog_events");
+    const faults::WatchdogConfig wcfg{
+        .stall_horizon = sim::milliseconds(opts.get_int("watchdog_horizon_ms", 0)),
+        .max_events = static_cast<std::uint64_t>(opts.get_int("watchdog_events", 0)),
+        .wall_budget_s = opts.get_double("cell_timeout_s", 0.0),
+        .period = kWatchdogPeriod};
+    if (watchdog_metrics || wcfg.wall_budget_s > 0.0) {
       watchdog = std::make_unique<faults::Watchdog>(
           fab.simulator(), wcfg, [&fab] { return fab.total_bytes_acked(); },
           [&fab] { return fab.all_complete(); },
@@ -254,21 +260,10 @@ struct Robustness {
       watchdog->start();
     }
 
-    // Wall-clock budget: the watchdog bounds simulated time and events; the
-    // deadline bounds host time. Expiry throws out of the event loop and
-    // fails this cell alone.
-    const double cell_timeout_s = opts.get_double("cell_timeout_s", 0.0);
-    if (cell_timeout_s > 0.0) {
-      // Checked every 500 us of sim time (the Deadline default).
-      deadline = std::make_unique<faults::Deadline>(fab.simulator(), cell_timeout_s);
-      deadline->start();
-    }
-
     if (opts.get("fault_test") == "wedge_callback") {
-      // The cell_timeout_s blind spot made reproducible: the Deadline tick
+      // The cell_timeout_s blind spot made reproducible: the watchdog tick
       // is itself a sim event, so a callback that never returns starves the
-      // event loop and the deadline can never fire (see
-      // faults::Deadline::blind_spot_note()). Only the isolate=1
+      // event loop and the wall budget can never trip. Only the isolate=1
       // supervisor's parent-side hard kill recovers from this shape.
       fab.simulator().schedule_in(sim::milliseconds(1), [] {
         volatile std::uint64_t spin = 0;
@@ -280,13 +275,12 @@ struct Robustness {
   void bind(telemetry::MetricsRegistry& registry) {
     plan.bind_metrics(registry);
     if (checker) checker->bind_metrics(registry);
-    if (watchdog) watchdog->bind_metrics(registry);
-    if (deadline) deadline->bind_metrics(registry);
+    if (watchdog_metrics) watchdog->bind_metrics(registry);
   }
 
   /// Final validation after the run: one last invariant pass, per-cell
   /// fault/invariant counters into the record, and a throw (failing this
-  /// cell in isolation) if the watchdog tripped or any invariant broke.
+  /// cell in isolation) if any invariant broke.
   void finalize(RunRecord& rec) {
     rec.results["faults.dropped"] = static_cast<double>(plan.dropped());
     rec.results["faults.bleached"] = static_cast<double>(plan.bleached());
@@ -296,10 +290,6 @@ struct Robustness {
       rec.results["invariants.evaluations"] = static_cast<double>(checker->evaluations());
       rec.results["invariants.violations"] =
           static_cast<double>(checker->total_violations());
-    }
-    if (watchdog) {
-      rec.results["watchdog.tripped"] = watchdog->tripped() ? 1.0 : 0.0;
-      if (watchdog->tripped()) throw std::runtime_error(watchdog->diagnostic());
     }
     if (checker && !checker->clean()) throw std::runtime_error(checker->summary());
   }

@@ -20,8 +20,9 @@ namespace pmsb::sweep {
 /// Runs the scenario `point.opts` describes and returns its record. With
 /// quiet=false the run also prints the human-readable tables pmsbsim shows.
 /// Honors `metrics_json=` (pmsb.run_manifest/1) and, when quiet, ignores
-/// console-only keys. `cell_timeout_s=` arms a wall-clock faults::Deadline
-/// on the run's simulator; expiry throws faults::DeadlineExceeded. Throws
+/// console-only keys. `cell_timeout_s=` gives the run's faults::Watchdog a
+/// wall-clock budget; running out throws faults::WallBudgetExceeded, and any
+/// other watchdog trip throws std::runtime_error. Throws
 /// std::invalid_argument on unknown topology / scheme / malformed options.
 ///
 /// `digest=1` in the options computes a run digest internally and reports

@@ -15,7 +15,7 @@
 
 #include <filesystem>
 
-#include "faults/deadline.hpp"
+#include "faults/watchdog.hpp"
 #include "sweep/cell_supervisor.hpp"
 #include "sweep/scenario_run.hpp"
 #include "telemetry/manifest_reader.hpp"
@@ -292,7 +292,7 @@ RunRecord run_cell_in_process(const SweepPoint& point,
     rec.error = e.what();
     rec.config = point.opts.values();
     rec.exit_class = "throw";
-    if (dynamic_cast<const faults::DeadlineExceeded*>(&e) != nullptr) {
+    if (dynamic_cast<const faults::WallBudgetExceeded*>(&e) != nullptr) {
       rec.info["failed_phase"] = "run";
       rec.exit_class = "timeout";
     }

@@ -106,12 +106,12 @@ struct SweepConfig {
   /// salvaged; missing, corrupt, config-drifted, or failed ones are re-run.
   bool resume = false;
   /// > 0: per-cell wall-clock budget in host seconds, enforced from inside
-  /// each cell's event loop (faults::Deadline). An over-budget cell fails
-  /// alone with a [cell_timeout] diagnostic; the rest of the grid proceeds.
-  /// In-process (isolate=false) this is BEST-EFFORT: the deadline tick is a
-  /// sim event, so a callback that never returns is never interrupted (see
-  /// faults::Deadline::blind_spot_note()). With isolate=true the supervisor
-  /// additionally hard-kills the child past the budget.
+  /// each cell's event loop (the wall budget of faults::Watchdog). An
+  /// over-budget cell fails alone with a [cell_timeout] diagnostic; the rest
+  /// of the grid proceeds. In-process (isolate=false) this is BEST-EFFORT:
+  /// the watchdog tick is a sim event, so a callback that never returns is
+  /// never interrupted. With isolate=true the supervisor additionally
+  /// hard-kills the child past the budget.
   double cell_timeout_s = 0.0;
   /// Run each cell in a forked child under the CellSupervisor: crashes
   /// (SIGSEGV, OOM kills, wedged callbacks) fail the cell — with a named

@@ -67,8 +67,8 @@ class TimeSeriesSampler {
   /// Streams rows to `path` as they are sampled: the header goes out with
   /// the first row and every row is flushed immediately, so the CSV holds
   /// all completed samples even when the run is killed mid-flight by a
-  /// watchdog/deadline abort (write_csv would lose the whole series to the
-  /// exception unwind). Call before start(); in-memory columns still fill,
+  /// watchdog trip (write_csv would lose the whole series to the exception
+  /// unwind). Call before start(); in-memory columns still fill,
   /// so write_csv() to a different path remains valid.
   void stream_to(const std::string& path);
   [[nodiscard]] bool streaming() const { return stream_ != nullptr; }

@@ -199,6 +199,10 @@ void DctcpSender::on_ack(const Packet& ack) {
   if (ack.ack > snd_una_) {
     const std::uint64_t delta = ack.ack - snd_una_;
     snd_una_ = ack.ack;
+    // After a go-back-N timeout the receiver may ack data buffered beyond
+    // the resend; never send below what is acked (ns-2's newack does the
+    // same).
+    if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;
     dup_acks_ = 0;
     rto_backoff_ = 1;
     last_progress_ = sim_.now();

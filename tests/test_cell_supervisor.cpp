@@ -341,9 +341,9 @@ TEST(IsolatedSweep, ReproBundleNamesTheSeedTheCellRanWith) {
 }
 
 TEST(IsolatedSweep, WedgedCallbackIsTheDeadlineBlindSpotAndGetsHardKilled) {
-  // The satellite regression for the cell_timeout_s blind spot: a callback
-  // that never returns starves the in-child Deadline (its tick is a sim
-  // event), so only the supervisor's parent-side hard kill ends the cell.
+  // The regression for the cell_timeout_s blind spot: a callback that
+  // never returns starves the in-child watchdog (its tick is a sim event),
+  // so only the supervisor's parent-side hard kill ends the cell.
   sweep::SweepPoint point = bare_point();
   point.opts.set("fault_test", "wedge_callback");
   point.opts.set("cell_timeout_s", "0.2");
@@ -351,7 +351,7 @@ TEST(IsolatedSweep, WedgedCallbackIsTheDeadlineBlindSpotAndGetsHardKilled) {
   limits.wall_s = 0.2;
   const auto outcome = sweep::run_cell_in_child(point, limits, 1);
   EXPECT_EQ(outcome.exit_class, sweep::ExitClass::kTimeout);
-  EXPECT_TRUE(outcome.hard_killed) << "Deadline cannot fire in a wedged cell";
+  EXPECT_TRUE(outcome.hard_killed) << "the watchdog cannot trip in a wedged cell";
   EXPECT_NE(outcome.error.find("never ran its deadline tick"), std::string::npos)
       << outcome.error;
 }

@@ -2,6 +2,9 @@
 // loss bursts, and jitter-induced reordering without corrupting delivery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "net/fault_injector.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
@@ -157,6 +160,33 @@ TEST(FaultInjection, SingleCountedDataDropRecoversByFastRetransmit) {
   EXPECT_EQ(net.to_b.counters().dropped_counted, 1u);
   EXPECT_GE(flow.sender().stats().retransmits, 1u);
   EXPECT_EQ(flow.sender().stats().timeouts, 0u);
+}
+
+TEST(FaultInjection, AckPastTheGoBackNResendMovesSendingOn) {
+  LossyPair net;
+  transport::DctcpConfig cfg;
+  cfg.init_cwnd_segments = 3;
+  constexpr std::uint64_t kBytes = 100'000;
+  transport::Flow flow(net.sim, net.a, net.b, 1, 0, kBytes, cfg);
+  // The head of the first window is lost. Two dupacks are too few for fast
+  // retransmit, so the timeout fires and go-back-N resends from snd_una; the
+  // receiver holds the other two segments, so the ACK for that resend
+  // covers all three, beyond the sender's resend point. Sending must go on
+  // from there instead of waiting for a second timeout.
+  net.to_b.drop_next(1);
+  flow.start(0);
+  std::uint64_t max_inflight = 0;
+  std::function<void()> probe = [&] {
+    max_inflight = std::max(max_inflight, flow.sender().bytes_inflight());
+    if (!flow.sender().complete()) net.sim.schedule_in(sim::microseconds(10), probe);
+  };
+  net.sim.schedule_at(0, probe);
+  net.sim.run(sim::seconds(1));
+  ASSERT_TRUE(flow.sender().complete());
+  EXPECT_EQ(flow.receiver().rcv_nxt(), kBytes);
+  EXPECT_EQ(net.to_b.counters().dropped_counted, 1u);
+  EXPECT_LE(max_inflight, kBytes);
+  EXPECT_EQ(flow.sender().stats().timeouts, 1u);
 }
 
 TEST(FaultInjection, AckBlackoutForcesRtoThenGoBackNRecovery) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <map>
@@ -298,6 +300,20 @@ void keep_alive(sim::Simulator& sim, std::uint64_t* counter) {
   });
 }
 
+/// Runs `sim` to `until` and returns what() of the watchdog trip that ended
+/// it, or "" when the run reached `until` untripped. A stall or event-budget
+/// trip is a plain runtime_error, never the wall-budget timeout.
+std::string trip_diagnostic(sim::Simulator& sim, sim::TimeNs until) {
+  try {
+    sim.run(until);
+  } catch (const WallBudgetExceeded& e) {
+    ADD_FAILURE() << "unexpected wall-budget trip: " << e.what();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
 }  // namespace
 
 TEST(Watchdog, TripsOnStalledProgressAndStopsTheRun) {
@@ -310,13 +326,12 @@ TEST(Watchdog, TripsOnStalledProgressAndStopsTheRun) {
       sim, cfg, [] { return std::uint64_t{7}; },  // progress never advances
       [] { return false; }, [] { return std::string("flows=0/3"); });
   dog.start();
-  sim.run(sim::seconds(1));
+  const std::string diagnostic = trip_diagnostic(sim, sim::seconds(1));
 
-  EXPECT_TRUE(dog.tripped());
-  EXPECT_LT(sim.now(), sim::milliseconds(3));  // stopped early, not at 1s
-  EXPECT_NE(dog.diagnostic().find("no progress"), std::string::npos);
-  EXPECT_NE(dog.diagnostic().find("flows=0/3"), std::string::npos);
-  EXPECT_NE(dog.diagnostic().find("t="), std::string::npos);
+  EXPECT_LT(sim.now(), sim::milliseconds(3));  // thrown early, not run to 1s
+  EXPECT_EQ(diagnostic.rfind("[watchdog] entity=simulation t=", 0), 0u) << diagnostic;
+  EXPECT_NE(diagnostic.find("no progress"), std::string::npos);
+  EXPECT_NE(diagnostic.find("flows=0/3"), std::string::npos);
 }
 
 TEST(Watchdog, DoesNotTripWhileProgressAdvances) {
@@ -329,8 +344,8 @@ TEST(Watchdog, DoesNotTripWhileProgressAdvances) {
   Watchdog dog(
       sim, cfg, [&work] { return work; }, [] { return false; });
   dog.start();
-  sim.run(sim::milliseconds(50));
-  EXPECT_FALSE(dog.tripped());
+  EXPECT_EQ(trip_diagnostic(sim, sim::milliseconds(50)), "");
+  EXPECT_EQ(sim.now(), sim::milliseconds(50));
 }
 
 TEST(Watchdog, DoesNotTripWhenDone) {
@@ -342,8 +357,9 @@ TEST(Watchdog, DoesNotTripWhenDone) {
   Watchdog dog(
       sim, cfg, [] { return std::uint64_t{7}; }, [] { return true; });
   dog.start();
-  sim.run(sim::milliseconds(20));
-  EXPECT_FALSE(dog.tripped());  // flat progress after completion is fine
+  // Flat progress after completion is fine.
+  EXPECT_EQ(trip_diagnostic(sim, sim::milliseconds(20)), "");
+  EXPECT_EQ(sim.now(), sim::milliseconds(20));
 }
 
 TEST(Watchdog, TripsOnEventExplosion) {
@@ -355,9 +371,34 @@ TEST(Watchdog, TripsOnEventExplosion) {
   Watchdog dog(
       sim, cfg, [] { return std::uint64_t{0}; }, [] { return false; });
   dog.start();
-  sim.run(sim::seconds(1));
-  EXPECT_TRUE(dog.tripped());
-  EXPECT_NE(dog.diagnostic().find("event budget exceeded"), std::string::npos);
+  const std::string diagnostic = trip_diagnostic(sim, sim::seconds(1));
+  EXPECT_LT(sim.now(), sim::milliseconds(30));
+  EXPECT_NE(diagnostic.find("event budget exceeded: executed="), std::string::npos)
+      << diagnostic;
+  EXPECT_NE(diagnostic.find(" budget=500;"), std::string::npos) << diagnostic;
+}
+
+TEST(Watchdog, WallBudgetThrowsTheTimeoutWithItsDiagnostic) {
+  sim::Simulator sim;
+  keep_alive(sim, nullptr);
+  WatchdogConfig cfg;
+  cfg.wall_budget_s = 1e-9;  // spent before the first tick
+  cfg.period = sim::microseconds(100);
+  Watchdog dog(
+      sim, cfg, [] { return std::uint64_t{0}; }, [] { return false; });
+  dog.start();
+  try {
+    sim.run(sim::seconds(1));
+    FAIL() << "the wall budget never tripped";
+  } catch (const WallBudgetExceeded& e) {
+    // The first tick, at 100 us, is the second event executed: one
+    // keep-alive ran at 50 us.
+    EXPECT_EQ(std::string(e.what()),
+              "[cell_timeout] wall-clock limit 1e-09s exceeded (phase=run, "
+              "sim_time=100us, executed_events=2)");
+    EXPECT_GE(e.elapsed_s, 1e-9);
+  }
+  EXPECT_EQ(sim.now(), sim::microseconds(100));
 }
 
 // -------------------------------------------------- scenario / sweep level
@@ -417,11 +458,11 @@ TEST(ScenarioRobustness, BrokenInvariantFailsCellInIsolationWithDiagnostic) {
 }
 
 TEST(ScenarioRobustness, DeadlineWithProfilerAttachedFailsCleanly) {
-  // Regression: DeadlineExceeded unwinds out of an event callback, and with
-  // profile=1 the kernel used to skip the profiler's end_dispatch on that
-  // path — the next profiled run would then throw on the unbalanced scope
-  // instead of reporting the timeout. The combination must fail with the
-  // deadline diagnostic, nothing else.
+  // Regression: the wall-budget trip unwinds out of an event callback, and
+  // with profile=1 the kernel used to skip the profiler's end_dispatch on
+  // that path — the next profiled run would then throw on the unbalanced
+  // scope instead of reporting the timeout. The combination must fail with
+  // the [cell_timeout] diagnostic, nothing else.
   sweep::SweepPoint point;
   point.opts = dumbbell_opts();
   point.opts.set("profile", "1");
@@ -453,6 +494,61 @@ TEST(ScenarioRobustness, StalledRunTripsWatchdogWithForensics) {
   EXPECT_NE(records[0].error.find("watchdog"), std::string::npos);
   EXPECT_NE(records[0].error.find("no progress"), std::string::npos);
   EXPECT_NE(records[0].error.find("bytes_acked"), std::string::npos);
+}
+
+TEST(ScenarioRobustness, EventBudgetTripEndsTheRunInsideTheDumbbellWarmup) {
+  // The dumbbell runs a 10 ms warm-up, then the measured window, in two
+  // run() calls. A trip inside the warm-up must end the whole run there:
+  // the measured window must never start, guarded or not.
+  const std::string csv = std::string(::testing::TempDir()) + "/warmup_trip.csv";
+  sweep::SweepPoint point;
+  point.opts = dumbbell_opts();
+  point.opts.set("duration_ms", "2000");
+  point.opts.set("watchdog_events", "20000");
+  point.opts.set("timeseries_csv", csv);
+  std::string error;
+  try {
+    (void)sweep::run_scenario(point, /*quiet=*/true);
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  EXPECT_EQ(error.rfind("[watchdog] entity=simulation t=", 0), 0u) << error;
+  EXPECT_NE(error.find("event budget exceeded: executed="), std::string::npos) << error;
+  EXPECT_NE(error.find(" budget=20000;"), std::string::npos) << error;
+
+  std::ifstream in(csv);
+  std::string line;
+  std::string last;
+  while (std::getline(in, line)) last = line;
+  ASSERT_FALSE(last.empty());
+  const double last_us = std::stod(last.substr(0, last.find(',')));
+  EXPECT_LT(last_us, 10'000.0) << last;
+  std::remove(csv.c_str());
+}
+
+TEST(ScenarioRobustness, EventBudgetWithProfilerAttachedFailsCleanly) {
+  // The event-budget trip throws through dispatch like the wall budget:
+  // with profile=1 the cell must fail with the watchdog's diagnostic alone,
+  // the same text as without the profiler, and leave the next profiled
+  // run balanced.
+  std::vector<sweep::SweepPoint> points(3);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points[i].index = i;
+    points[i].opts = dumbbell_opts();
+    points[i].opts.set("watchdog_events", "20000");
+    points[i].opts.set("duration_ms", "20");
+    if (i != 1) points[i].opts.set("profile", "1");
+  }
+  const auto records = sweep::run_sweep(points, {});
+  ASSERT_EQ(records.size(), 3u);
+  for (const sweep::RunRecord& r : records) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.exit_class, "throw");
+    EXPECT_EQ(r.error, records[1].error);
+  }
+  EXPECT_EQ(records[1].error.rfind("[watchdog] entity=simulation t=", 0), 0u)
+      << records[1].error;
+  EXPECT_NE(records[1].error.find("event budget exceeded: executed="), std::string::npos);
 }
 
 TEST(ScenarioRobustness, FaultedSweepIsDeterministic) {

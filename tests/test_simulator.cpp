@@ -370,7 +370,7 @@ TEST_P(BackendConformance, StopExitDoesNotClampToHorizon) {
 namespace {
 
 /// Counts DispatchHook callbacks; begin/end must balance even when an event
-/// callback throws through the dispatch loop (the faults::Deadline path).
+/// callback throws through the dispatch loop (every faults::Watchdog trip).
 struct CountingHook final : DispatchHook {
   int begins = 0;
   int ends = 0;

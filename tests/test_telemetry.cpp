@@ -508,7 +508,8 @@ std::string mask_host_fields(std::string json) {
     const std::size_t at = json.find(tag);
     if (at == std::string::npos) continue;
     const std::size_t begin = at + tag.size();
-    json.replace(begin, json.find_first_of(",}", begin) - begin, "#");
+    const std::size_t end = std::min(json.find_first_of(",}", begin), json.size());
+    json = json.substr(0, begin) + "#" + json.substr(end);
   }
   return json;
 }
@@ -880,8 +881,8 @@ TEST(TimeSeriesSampler, StreamToWritesRowsIncrementally) {
 }
 
 TEST(TimeSeriesSampler, StreamedRowsSurviveAnAbortedRun) {
-  // The watchdog/deadline story: an exception unwinding out of the event
-  // loop must not take the sampled series with it.
+  // The watchdog story: a trip unwinding out of the event loop must not
+  // take the sampled series with it.
   sim::Simulator simulator;
   TimeSeriesSampler sampler(simulator, sim::microseconds(100));
   sampler.add_probe("v", [] { return 42.0; });

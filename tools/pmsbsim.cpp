@@ -26,8 +26,9 @@
 //   each cell's manifest under sweep_manifest_dir.
 // - sweep_resume=1 salvages cells whose manifest already holds a completed,
 //   config-matching run; the final report matches an uninterrupted sweep.
-// - A tripped watchdog or failed invariant makes a single run exit 2 with
-//   the diagnostic on stderr; inside a sweep only that cell fails.
+// - A tripped watchdog (stall, event budget or cell_timeout_s) or a failed
+//   invariant makes a single run exit 2 with the diagnostic on stderr;
+//   inside a sweep only that cell fails.
 // - Observability outputs (profile_json / spans_ndjson / trace_ndjson) are
 //   consumed offline by tools/pmsbtrace; see docs/OBSERVABILITY.md.
 #include <chrono>
@@ -37,7 +38,6 @@
 #include <vector>
 
 #include "experiments/options.hpp"
-#include "faults/deadline.hpp"
 #include "sweep/cell_supervisor.hpp"
 #include "sweep/scenario_run.hpp"
 #include "sweep/sweep.hpp"
@@ -202,7 +202,11 @@ int run_sweep_cli(const Options& opts) {
         "salvage from)");
   }
   if (cfg.cell_timeout_s > 0.0 && !cfg.isolate) {
-    std::printf("note: %s\n", faults::Deadline::blind_spot_note());
+    // The budget is checked by the watchdog tick, itself a sim event.
+    std::printf(
+        "note: cell_timeout_s is enforced from inside the event loop: a "
+        "callback that never returns is never interrupted. Use isolate=1 for "
+        "a hard (out-of-process) kill.\n");
   }
 
   // The base config every point starts from: everything except the keys
