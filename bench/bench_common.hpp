@@ -6,11 +6,14 @@
 // binary in the seconds-to-a-minute range).
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "experiments/dumbbell.hpp"
 #include "experiments/presets.hpp"
@@ -29,6 +32,27 @@ inline bool full_scale() {
 /// Picks a size parameter by scale mode.
 inline std::size_t scaled(std::size_t quick, std::size_t full) {
   return full_scale() ? full : quick;
+}
+
+inline std::vector<double> default_loads() {
+  return full_scale() ? std::vector<double>{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
+                      : std::vector<double>{0.3, 0.5, 0.7, 0.9};
+}
+
+inline std::vector<std::uint64_t> default_seeds() {
+  return full_scale() ? std::vector<std::uint64_t>{42, 43, 44, 45, 46}
+                      : std::vector<std::uint64_t>{42, 43, 44};
+}
+
+/// Worker threads for the grid benches: PMSB_BENCH_JOBS overrides, default
+/// is the hardware concurrency (at least 1).
+inline std::size_t bench_jobs() {
+  if (const char* v = std::getenv("PMSB_BENCH_JOBS")) {
+    const long n = std::atol(v);
+    if (n >= 1) return static_cast<std::size_t>(n);
+  }
+  const unsigned hc = std::thread::hardware_concurrency();
+  return hc == 0 ? 1 : hc;
 }
 
 inline void print_header(const char* figure, const char* setup,

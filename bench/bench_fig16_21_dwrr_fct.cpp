@@ -8,12 +8,9 @@
 //
 // Paper headline (DWRR): PMSB reduces small-flow avg/99th FCT vs MQ-ECN by
 // ~40%/41%; PMSB(e) by ~25%/26%; vs TCN by ~49-50%.
-#include <map>
-
 #include "fct_common.hpp"
 
 using namespace pmsb;
-using namespace pmsb::experiments;
 
 int main() {
   bench::print_header(
@@ -22,78 +19,22 @@ int main() {
       "PMSB/PMSB(e) cut small-flow tail FCT vs MQ-ECN and TCN; overall and"
       " large-flow FCT stay within a few percent");
 
-  const std::vector<Scheme> schemes = {Scheme::kPmsb, Scheme::kPmsbE, Scheme::kMqEcn,
-                                       Scheme::kTcn};
-  const auto loads = bench::default_loads();
-  const std::size_t flows = bench::scaled(300, 2000);
-
-  // Build the full (load, scheme, seed) grid up front and fan it across the
-  // sweep worker pool: each run is an isolated single-threaded simulator, and
-  // results come back in input order, so the aggregated figures are
-  // bit-identical for any PMSB_BENCH_JOBS.
-  const auto seeds = bench::default_seeds();
-  std::vector<bench::FctRunConfig> cells;
-  for (double load : loads) {
-    for (Scheme scheme : schemes) {
-      for (std::uint64_t seed : seeds) {
-        bench::FctRunConfig rc;
-        rc.scheme = scheme;
-        rc.scheduler = sched::SchedulerKind::kDwrr;
-        rc.load = load;
-        rc.num_flows = flows;
-        rc.seed = seed;
-        cells.push_back(rc);
-      }
-    }
-  }
-  const std::size_t jobs = bench::bench_jobs();
-  bench::announce_grid(cells.size(), jobs);
-  const auto runs = bench::run_fct_grid(cells, jobs);
-
-  stats::Table table({"load", "scheme", "overall_avg", "large_avg", "large_p99",
-                      "small_avg", "small_p95", "small_p99"},
-                     12);
-  std::map<std::pair<double, Scheme>, bench::FctResult> results;
-  std::size_t next = 0;
-  for (double load : loads) {
-    for (Scheme scheme : schemes) {
-      const std::vector<bench::FctResult> cell(runs.begin() + next,
-                                               runs.begin() + next + seeds.size());
-      next += seeds.size();
-      const auto r = bench::aggregate_fct_cell(cell);
-      results[{load, scheme}] = r;
-      table.add_row({stats::Table::num(load, 1), scheme_name(scheme),
-                     stats::Table::num(r.overall_avg, 0),
-                     stats::Table::num(r.large_avg, 0),
-                     stats::Table::num(r.large_p99, 0),
-                     stats::Table::num(r.small_avg, 0),
-                     stats::Table::num(r.small_p95, 0),
-                     stats::Table::num(r.small_p99, 0)});
-    }
-  }
-  std::printf("(all FCTs in microseconds)\n");
-  table.print();
+  bench::FctGrid grid = bench::run_fct_figure("dwrr", {"pmsb", "pmsbe", "mq-ecn", "tcn"});
 
   // Headline reductions for small flows, averaged over loads.
-  auto reduction = [&](Scheme ours, Scheme base, double bench::FctResult::*field) {
-    double sum = 0;
-    for (double load : loads) {
-      const double b = results[{load, base}].*field;
-      const double o = results[{load, ours}].*field;
-      sum += (b - o) / b * 100.0;
-    }
-    return sum / static_cast<double>(loads.size());
+  auto reduction = [&grid](const char* ours, const char* base, const char* key) {
+    return bench::mean_reduction_pct(grid, ours, base, key);
   };
   std::printf("\nsmall-flow FCT reductions (mean over loads):\n");
   std::printf("  PMSB    vs TCN   : avg %.1f%%, p99 %.1f%%\n",
-              reduction(Scheme::kPmsb, Scheme::kTcn, &bench::FctResult::small_avg),
-              reduction(Scheme::kPmsb, Scheme::kTcn, &bench::FctResult::small_p99));
+              reduction("pmsb", "tcn", "fct_us.small.mean"),
+              reduction("pmsb", "tcn", "fct_us.small.p99"));
   std::printf("  PMSB    vs MQ-ECN: avg %.1f%%, p99 %.1f%%\n",
-              reduction(Scheme::kPmsb, Scheme::kMqEcn, &bench::FctResult::small_avg),
-              reduction(Scheme::kPmsb, Scheme::kMqEcn, &bench::FctResult::small_p99));
+              reduction("pmsb", "mq-ecn", "fct_us.small.mean"),
+              reduction("pmsb", "mq-ecn", "fct_us.small.p99"));
   std::printf("  PMSB(e) vs MQ-ECN: avg %.1f%%, p99 %.1f%%\n",
-              reduction(Scheme::kPmsbE, Scheme::kMqEcn, &bench::FctResult::small_avg),
-              reduction(Scheme::kPmsbE, Scheme::kMqEcn, &bench::FctResult::small_p99));
+              reduction("pmsbe", "mq-ecn", "fct_us.small.mean"),
+              reduction("pmsbe", "mq-ecn", "fct_us.small.p99"));
   std::printf("  (paper: PMSB vs MQ-ECN 40.0%%/41.2%%; PMSB(e) vs MQ-ECN"
               " 25.0%%/25.8%%)\n");
   return 0;

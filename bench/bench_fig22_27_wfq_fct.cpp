@@ -6,12 +6,9 @@
 //
 // Paper headline (WFQ): PMSB reduces small-flow 95th/99th/avg FCT vs TCN by
 // up to 67.6%/72.9%/64.5%; PMSB(e) by up to ~23-26%.
-#include <map>
-
 #include "fct_common.hpp"
 
 using namespace pmsb;
-using namespace pmsb::experiments;
 
 int main() {
   bench::print_header(
@@ -20,75 +17,20 @@ int main() {
       " MQ-ECN excluded (no rounds on WFQ)",
       "PMSB/PMSB(e) cut small-flow tail FCT vs TCN; overall/large within ~2%");
 
-  const std::vector<Scheme> schemes = {Scheme::kPmsb, Scheme::kPmsbE, Scheme::kTcn};
-  const auto loads = bench::default_loads();
-  const std::size_t flows = bench::scaled(300, 2000);
+  bench::FctGrid grid = bench::run_fct_figure("wfq", {"pmsb", "pmsbe", "tcn"});
 
-  // Same flat (load, scheme, seed) grid shape as Figs. 16-21: one
-  // parallel_for over every run, results in input order, so the aggregated
-  // figures are bit-identical for any PMSB_BENCH_JOBS — and the grid picks
-  // up the shared checkpoint / per-cell timeout wiring.
-  const auto seeds = bench::default_seeds();
-  std::vector<bench::FctRunConfig> cells;
-  for (double load : loads) {
-    for (Scheme scheme : schemes) {
-      for (std::uint64_t seed : seeds) {
-        bench::FctRunConfig rc;
-        rc.scheme = scheme;
-        rc.scheduler = sched::SchedulerKind::kWfq;
-        rc.load = load;
-        rc.num_flows = flows;
-        rc.seed = seed;
-        cells.push_back(rc);
-      }
-    }
-  }
-  const std::size_t jobs = bench::bench_jobs();
-  bench::announce_grid(cells.size(), jobs);
-  const auto runs = bench::run_fct_grid(cells, jobs);
-
-  stats::Table table({"load", "scheme", "overall_avg", "large_avg", "large_p99",
-                      "small_avg", "small_p95", "small_p99"},
-                     12);
-  std::map<std::pair<double, Scheme>, bench::FctResult> results;
-  std::size_t next = 0;
-  for (double load : loads) {
-    for (Scheme scheme : schemes) {
-      const std::vector<bench::FctResult> cell(runs.begin() + next,
-                                               runs.begin() + next + seeds.size());
-      next += seeds.size();
-      const auto r = bench::aggregate_fct_cell(cell);
-      results[{load, scheme}] = r;
-      table.add_row({stats::Table::num(load, 1), scheme_name(scheme),
-                     stats::Table::num(r.overall_avg, 0),
-                     stats::Table::num(r.large_avg, 0),
-                     stats::Table::num(r.large_p99, 0),
-                     stats::Table::num(r.small_avg, 0),
-                     stats::Table::num(r.small_p95, 0),
-                     stats::Table::num(r.small_p99, 0)});
-    }
-  }
-  std::printf("(all FCTs in microseconds)\n");
-  table.print();
-
-  auto reduction = [&](Scheme ours, double bench::FctResult::*field) {
-    double sum = 0;
-    for (double load : loads) {
-      const double b = results[{load, Scheme::kTcn}].*field;
-      const double o = results[{load, ours}].*field;
-      sum += (b - o) / b * 100.0;
-    }
-    return sum / static_cast<double>(loads.size());
+  auto reduction = [&grid](const char* ours, const char* key) {
+    return bench::mean_reduction_pct(grid, ours, "tcn", key);
   };
   std::printf("\nsmall-flow FCT reductions vs TCN (mean over loads):\n");
   std::printf("  PMSB   : avg %.1f%%, p95 %.1f%%, p99 %.1f%%\n",
-              reduction(Scheme::kPmsb, &bench::FctResult::small_avg),
-              reduction(Scheme::kPmsb, &bench::FctResult::small_p95),
-              reduction(Scheme::kPmsb, &bench::FctResult::small_p99));
+              reduction("pmsb", "fct_us.small.mean"),
+              reduction("pmsb", "fct_us.small.p95"),
+              reduction("pmsb", "fct_us.small.p99"));
   std::printf("  PMSB(e): avg %.1f%%, p95 %.1f%%, p99 %.1f%%\n",
-              reduction(Scheme::kPmsbE, &bench::FctResult::small_avg),
-              reduction(Scheme::kPmsbE, &bench::FctResult::small_p95),
-              reduction(Scheme::kPmsbE, &bench::FctResult::small_p99));
+              reduction("pmsbe", "fct_us.small.mean"),
+              reduction("pmsbe", "fct_us.small.p95"),
+              reduction("pmsbe", "fct_us.small.p99"));
   std::printf("  (paper: PMSB up to 67.6%%/72.9%%/64.5%% at best load)\n");
   return 0;
 }

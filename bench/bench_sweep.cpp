@@ -14,7 +14,6 @@
 #include <filesystem>
 
 #include "bench_common.hpp"
-#include "fct_common.hpp"
 #include "sweep/sweep.hpp"
 
 using namespace pmsb;

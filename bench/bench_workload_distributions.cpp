@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "fct_common.hpp"
 #include "sweep/sweep.hpp"
 
 using namespace pmsb;

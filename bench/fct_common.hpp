@@ -1,324 +1,152 @@
 // Shared driver for the large-scale leaf-spine FCT benches (Figs. 16-27).
 //
-// Topology and parameters follow §VI.B: 48 hosts in a 4x4 non-blocking
-// leaf-spine, 10G links, ECMP, DCTCP with IW=16, 8 equal-weight service
-// queues per port. Link propagation is chosen so the unloaded inter-rack
-// RTT lands near the paper's ~78-85 us operating point, which makes the
-// paper's absolute thresholds (K=65 pkts standard, PMSB port K=12 pkts,
-// TCN T_k=78 us, PMSB(e) RTT threshold 85.2 us) drop out of the same
-// formulas the paper uses.
+// Every run is a pmsbsim leaf-spine point on the sweep's worker pool, so it
+// has §VI.B's setup: 48 hosts in a 4x4 non-blocking leaf-spine, 10G links,
+// ECMP, DCTCP with IW=16, 8 equal-weight service queues per port, and link
+// propagation that puts the unloaded inter-rack RTT near the paper's ~78-85
+// us operating point. Two keys add what the figures need beyond pmsbsim's
+// leaf-spine defaults:
+//   - max_cwnd_bytes=2000000: big-buffer hosts, as in the paper's NS-3 setup
+//     (its slow-start peaks imply windows far beyond the default socket
+//     cap). The window a flow reaches on an idle path before congestion
+//     sets the burst small flows must queue behind, so it is part of what
+//     the schemes are judged on.
+//   - rtt_us=78 on MQ-ECN and TCN: the paper's standard K = 65 pkts and TCN
+//     threshold T_k = 78 us. PMSB and PMSB(e) keep the measured ~85.2 us.
+// Each figure cell averages its seeds; tail percentiles over a few hundred
+// flows are noisy otherwise. PMSB_BENCH_CHECKPOINT_DIR (made if missing)
+// keeps every run's manifest there and salvages matching ones on a re-run;
+// PMSB_BENCH_CELL_TIMEOUT_S gives each run a wall-clock budget. A run that
+// fails, for any reason, fails alone and counts as zeros.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "experiments/leafspine.hpp"
 #include "experiments/presets.hpp"
-#include "faults/watchdog.hpp"
-#include "sched/factory.hpp"
-#include "sim/rng.hpp"
 #include "sweep/sweep.hpp"
-#include "telemetry/manifest_reader.hpp"
-#include "telemetry/run_report.hpp"
-#include "workload/size_dist.hpp"
-#include "workload/traffic_gen.hpp"
 
 namespace pmsb::bench {
 
-struct FctResult {
-  double overall_avg = 0;
-  double large_avg = 0, large_p99 = 0;
-  double small_avg = 0, small_p95 = 0, small_p99 = 0;
-  std::size_t flows = 0;
-  std::uint64_t drops = 0;
-  bool completed = false;
-};
+/// One figure cell: each result of its runs, averaged over the seeds.
+using FctCell = std::map<std::string, double>;
 
-struct FctRunConfig {
-  experiments::Scheme scheme = experiments::Scheme::kPmsb;
-  sched::SchedulerKind scheduler = sched::SchedulerKind::kDwrr;
-  double load = 0.5;
-  std::size_t num_flows = 300;
-  std::uint64_t seed = 1;
-  /// > 0: wall-clock budget for this run, enforced from inside the event
-  /// loop (faults::Watchdog); running out throws faults::WallBudgetExceeded.
-  double cell_timeout_s = 0.0;
-};
+/// Figure cells by (load, pmsbsim scheme name).
+using FctGrid = std::map<std::pair<double, std::string>, FctCell>;
 
-inline FctResult run_fct_experiment(const FctRunConfig& rc) {
-  experiments::LeafSpineConfig cfg;  // paper defaults: 4x4, 12 hosts/leaf, 10G
-  cfg.link_delay = sim::microseconds(9);  // unloaded inter-rack RTT ~77 us
-  cfg.scheduler.kind = rc.scheduler;
-  cfg.scheduler.num_queues = 8;
-  cfg.scheduler.weights.assign(8, 1.0);
-  cfg.buffer_bytes = 2048ull * 1500ull;
-
-  experiments::SchemeParams params;
-  params.capacity = cfg.link_rate;
-  params.weights = cfg.scheduler.weights;
-  // Paper §VI.B: standard K = 65 pkts (RTT*lambda = 78 us) for MQ-ECN and
-  // the TCN threshold; the PMSB port threshold uses the measured ~85.2 us.
-  params.rtt = (rc.scheme == experiments::Scheme::kPmsb ||
-                rc.scheme == experiments::Scheme::kPmsbE)
-                   ? sim::microseconds_f(85.2)
-                   : sim::microseconds(78);
-  cfg.marking = experiments::make_scheme_marking(rc.scheme, params);
-
-  cfg.transport.init_cwnd_segments = 16;  // paper: initial window 16 packets
-  // Big-buffer hosts, as in the paper's NS-3 setup (its slow-start peaks
-  // imply windows far beyond the default socket cap). The window a flow
-  // reaches on an idle path before congestion sets the burst small flows
-  // must queue behind — i.e. it is part of what the schemes are judged on.
-  cfg.transport.max_cwnd_bytes = 2'000'000;
-  // PMSB(e)'s RTT threshold is derived from the unloaded inter-rack RTT
-  // (4 store-and-forward legs each way).
-  experiments::apply_scheme_transport(
-      rc.scheme, params, experiments::LeafSpineScenario::base_rtt_interrack(cfg),
-      cfg.transport);
-
-  experiments::LeafSpineScenario scenario(cfg);
-  workload::TrafficConfig tc;
-  tc.num_hosts = scenario.num_hosts();
-  tc.load = rc.load;
-  tc.edge_rate = cfg.link_rate;
-  tc.num_flows = rc.num_flows;
-  tc.num_services = 8;
-  auto dist = workload::FlowSizeDistribution::paper_mix();
-  sim::Rng rng(rc.seed);
-  scenario.add_workload(workload::generate_poisson_traffic(tc, dist, rng));
-  std::unique_ptr<faults::Watchdog> guard;
-  if (rc.cell_timeout_s > 0.0) {
-    guard = std::make_unique<faults::Watchdog>(
-        scenario.simulator(), faults::WatchdogConfig{.wall_budget_s = rc.cell_timeout_s},
-        [&scenario] { return scenario.total_bytes_acked(); },
-        [&scenario] { return scenario.all_complete(); });
-    guard->start();
-  }
-  const bool done = scenario.run_until_complete(sim::seconds(30));
-
-  FctResult out;
-  out.completed = done;
-  out.flows = scenario.fct().count();
-  out.drops = scenario.total_drops();
-  out.overall_avg = scenario.fct().overall_fct_us().mean();
-  const auto large = scenario.fct().fct_us(stats::SizeBin::kLarge);
-  const auto small = scenario.fct().fct_us(stats::SizeBin::kSmall);
-  out.large_avg = large.mean();
-  out.large_p99 = large.percentile(99);
-  out.small_avg = small.mean();
-  out.small_p95 = small.percentile(95);
-  out.small_p99 = small.percentile(99);
-  return out;
-}
-
-inline std::vector<double> default_loads() {
-  return full_scale() ? std::vector<double>{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-                      : std::vector<double>{0.3, 0.5, 0.7, 0.9};
-}
-
-inline std::vector<std::uint64_t> default_seeds() {
-  return full_scale() ? std::vector<std::uint64_t>{42, 43, 44, 45, 46}
-                      : std::vector<std::uint64_t>{42, 43, 44};
-}
-
-/// Worker threads for the grid benches: PMSB_BENCH_JOBS overrides, default
-/// is the hardware concurrency (at least 1).
-inline std::size_t bench_jobs() {
-  if (const char* v = std::getenv("PMSB_BENCH_JOBS")) {
-    const long n = std::atol(v);
-    if (n >= 1) return static_cast<std::size_t>(n);
-  }
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : hc;
-}
-
-/// Checkpoint directory for the FCT grid benches: when
-/// PMSB_BENCH_CHECKPOINT_DIR names an existing directory, every completed
-/// cell writes a pmsb.run_manifest/1 there and a re-run salvages matching
-/// cells instead of re-simulating them (kill the bench, re-run, keep the
-/// finished cells). Empty when unset.
-inline std::string bench_checkpoint_dir() {
-  const char* v = std::getenv("PMSB_BENCH_CHECKPOINT_DIR");
-  return v == nullptr ? std::string() : std::string(v);
-}
-
-/// Per-cell wall-clock budget for the FCT grid benches:
-/// PMSB_BENCH_CELL_TIMEOUT_S > 0 arms a faults::Watchdog in every cell so a
-/// pathological cell fails alone instead of hanging the whole grid. 0 when
-/// unset or unparseable.
-inline double bench_cell_timeout_s() {
-  const char* v = std::getenv("PMSB_BENCH_CELL_TIMEOUT_S");
-  if (v == nullptr) return 0.0;
-  const double s = std::atof(v);
-  return s > 0.0 ? s : 0.0;
-}
-
-/// Config echo written into (and validated against) a cell's checkpoint
-/// manifest. cell_timeout_s is deliberately excluded: the budget never
-/// alters a completed run's results, so checkpoints stay valid when the
-/// budget changes between invocations.
-inline std::map<std::string, std::string> fct_cell_config(const FctRunConfig& rc) {
-  return {{"scheme", experiments::scheme_name(rc.scheme)},
-          {"scheduler", sched::scheduler_kind_name(rc.scheduler)},
-          {"load", telemetry::format_double(rc.load)},
-          {"flows", std::to_string(rc.num_flows)},
-          {"seed", std::to_string(rc.seed)}};
-}
-
-/// Writes one completed cell's checkpoint manifest (best effort: a failed
-/// write only costs the salvage on the next run).
-inline void save_fct_checkpoint(const std::string& path, const FctRunConfig& rc,
-                                const FctResult& r) {
-  telemetry::RunManifest m("bench-fct");
-  m.set_seed(rc.seed);
-  m.set_config(fct_cell_config(rc));
-  m.set_info("status", "ok");
-  m.set_result("overall_avg", r.overall_avg);
-  m.set_result("large_avg", r.large_avg);
-  m.set_result("large_p99", r.large_p99);
-  m.set_result("small_avg", r.small_avg);
-  m.set_result("small_p95", r.small_p95);
-  m.set_result("small_p99", r.small_p99);
-  m.set_result("flows", static_cast<double>(r.flows));
-  m.set_result("drops", static_cast<double>(r.drops));
-  m.set_result("completed", r.completed ? 1.0 : 0.0);
-  try {
-    m.write(path, nullptr);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "checkpoint write failed (%s): %s\n", path.c_str(),
-                 e.what());
-  }
-}
-
-/// Tries to rehydrate one cell from its checkpoint manifest. Refuses —
-/// and the cell re-runs — when the file is missing/corrupt, was written by
-/// a different tool or schema, is not a completed run, or its config echo
-/// does not match `rc` (e.g. the grid or scale mode changed).
-inline std::optional<FctResult> load_fct_checkpoint(const std::string& path,
-                                                    const FctRunConfig& rc) {
-  telemetry::ManifestData m;
-  try {
-    m = telemetry::read_run_manifest(path);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (m.schema != "pmsb.run_manifest/1" || m.tool != "bench-fct") return std::nullopt;
-  const auto status = m.info.find("status");
-  if (status == m.info.end() || status->second != "ok") return std::nullopt;
-  if (m.config != fct_cell_config(rc)) return std::nullopt;
-  const char* keys[] = {"overall_avg", "large_avg", "large_p99",
-                        "small_avg",   "small_p95", "small_p99",
-                        "flows",       "drops",     "completed"};
-  for (const char* k : keys) {
-    if (m.results.find(k) == m.results.end()) return std::nullopt;
-  }
-  FctResult r;
-  r.overall_avg = m.results.at("overall_avg");
-  r.large_avg = m.results.at("large_avg");
-  r.large_p99 = m.results.at("large_p99");
-  r.small_avg = m.results.at("small_avg");
-  r.small_p95 = m.results.at("small_p95");
-  r.small_p99 = m.results.at("small_p99");
-  r.flows = static_cast<std::size_t>(m.results.at("flows"));
-  r.drops = static_cast<std::uint64_t>(m.results.at("drops"));
-  r.completed = m.results.at("completed") != 0.0;
-  return r;
-}
-
-/// Prints the grid banner plus any checkpoint / timeout wiring picked up
-/// from the environment. Call before run_fct_grid.
-inline void announce_grid(std::size_t cells, std::size_t jobs) {
-  std::printf("(%zu runs x jobs=%zu)\n", cells, jobs);
-  const std::string ckpt = bench_checkpoint_dir();
-  if (!ckpt.empty()) {
-    std::printf("(checkpointing to %s — completed cells salvage on re-run)\n",
-                ckpt.c_str());
-  }
-  const double timeout = bench_cell_timeout_s();
-  if (timeout > 0.0) {
-    std::printf("(per-cell wall-clock budget %.3g s)\n", timeout);
-  }
-}
-
-/// Runs every cell as an isolated single-threaded simulator across `jobs`
-/// worker threads. Results land in input order, so any aggregation done on
-/// them is bit-identical regardless of jobs. Honors the
-/// PMSB_BENCH_CHECKPOINT_DIR / PMSB_BENCH_CELL_TIMEOUT_S environment wiring
-/// (see bench_checkpoint_dir / bench_cell_timeout_s): completed cells are
-/// checkpointed and salvaged on re-run; a cell that blows its wall-clock
-/// budget yields a default FctResult (completed=false) with a diagnostic on
-/// stderr while the rest of the grid proceeds, and is not checkpointed so a
-/// re-run retries it.
-inline std::vector<FctResult> run_fct_grid(
-    std::vector<FctRunConfig> cells, std::size_t jobs,
-    const std::string& checkpoint_dir = bench_checkpoint_dir()) {
-  const std::string& ckpt = checkpoint_dir;
-  const double timeout = bench_cell_timeout_s();
-  if (timeout > 0.0) {
-    for (FctRunConfig& c : cells) c.cell_timeout_s = timeout;
-  }
-  std::vector<FctResult> out(cells.size());
-  std::atomic<std::size_t> salvaged{0};
-  sweep::parallel_for(cells.size(), jobs, [&](std::size_t i) {
-    const std::string path =
-        ckpt.empty() ? std::string()
-                     : ckpt + "/" + sweep::manifest_file_name(i, cells.size());
-    if (!path.empty()) {
-      if (auto r = load_fct_checkpoint(path, cells[i])) {
-        out[i] = *r;
-        salvaged.fetch_add(1, std::memory_order_relaxed);
-        return;
+/// Runs the (load x scheme x seed) grid on `scheduler`, prints the FCT table
+/// and returns the cells. Runs come back in grid order, so the cells are
+/// bit-identical for any PMSB_BENCH_JOBS.
+inline FctGrid run_fct_figure(const char* scheduler,
+                              const std::vector<std::string>& schemes) {
+  const auto loads = default_loads();
+  const auto seeds = default_seeds();
+  std::vector<sweep::SweepPoint> points;
+  for (double load : loads) {
+    for (const std::string& scheme : schemes) {
+      for (std::uint64_t seed : seeds) {
+        sweep::SweepPoint p;
+        p.index = points.size();
+        p.label = "load=" + stats::Table::num(load, 1) + " scheme=" + scheme +
+                  " seed=" + std::to_string(seed);
+        p.opts.set("topology", "leafspine");
+        p.opts.set("scheduler", scheduler);
+        p.opts.set("flows", std::to_string(scaled(300, 2000)));
+        p.opts.set("max_sim_s", "30");
+        p.opts.set("max_cwnd_bytes", "2000000");
+        p.opts.set("load", telemetry::format_double(load));
+        p.opts.set("scheme", scheme);
+        p.opts.set("seed", std::to_string(seed));
+        if (scheme == "mq-ecn" || scheme == "tcn") p.opts.set("rtt_us", "78");
+        points.push_back(std::move(p));
       }
     }
-    try {
-      out[i] = run_fct_experiment(cells[i]);
-    } catch (const faults::WallBudgetExceeded& e) {
-      out[i] = FctResult{};  // completed=false marks the cell as failed
-      std::fprintf(stderr, "cell %zu timed out after %.2f s: %s\n", i,
-                   e.elapsed_s, e.what());
-      return;
-    }
-    if (!path.empty()) save_fct_checkpoint(path, cells[i], out[i]);
-  });
-  if (!ckpt.empty()) {
-    std::printf("(salvaged %zu/%zu cells from %s)\n",
-                salvaged.load(std::memory_order_relaxed), cells.size(),
-                ckpt.c_str());
   }
-  return out;
+
+  sweep::SweepConfig cfg;
+  cfg.jobs = bench_jobs();
+  const char* ckpt = std::getenv("PMSB_BENCH_CHECKPOINT_DIR");
+  if (ckpt != nullptr && *ckpt != '\0') {
+    std::error_code ec;  // a directory that cannot be made fails every run loudly
+    std::filesystem::create_directories(ckpt, ec);
+    cfg.manifest_dir = ckpt;
+    cfg.resume = true;
+  }
+  if (const char* v = std::getenv("PMSB_BENCH_CELL_TIMEOUT_S")) {
+    cfg.cell_timeout_s = std::max(0.0, std::atof(v));
+  }
+  std::printf("(%zu runs x jobs=%zu)\n", points.size(), cfg.jobs);
+  if (cfg.resume) {
+    std::printf("(checkpointing to %s — completed cells salvage on re-run)\n", ckpt);
+  }
+  if (cfg.cell_timeout_s > 0.0) {
+    std::printf("(per-cell wall-clock budget %.3g s)\n", cfg.cell_timeout_s);
+  }
+  const auto records = sweep::run_sweep(points, cfg);
+
+  FctGrid grid;
+  std::size_t salvaged = 0;
+  for (const sweep::RunRecord& r : records) {
+    if (r.salvaged) ++salvaged;
+    if (!r.ok) {
+      std::fprintf(stderr, "cell %zu (%s) failed [%s]: %s\n", r.index, r.label.c_str(),
+                   r.exit_class.c_str(), r.error.c_str());
+    }
+    const double load = loads[r.index / (schemes.size() * seeds.size())];
+    FctCell& cell = grid[{load, points[r.index].opts.get("scheme")}];
+    for (const auto& [key, value] : r.results) cell[key] += value;
+    cell["all_flows_completed"] +=
+        r.ok && r.info.at("all_flows_completed") == "true" ? 1.0 : 0.0;
+  }
+  for (auto& [at, cell] : grid) {
+    for (auto& [key, sum] : cell) sum /= static_cast<double>(seeds.size());
+  }
+  if (cfg.resume) {
+    std::printf("(salvaged %zu/%zu cells from %s)\n", salvaged, records.size(), ckpt);
+  }
+
+  stats::Table table({"load", "scheme", "overall_avg", "large_avg", "large_p99",
+                      "small_avg", "small_p95", "small_p99"},
+                     12);
+  for (double load : loads) {
+    for (const std::string& scheme : schemes) {
+      FctCell& cell = grid[{load, scheme}];
+      std::vector<std::string> row = {
+          stats::Table::num(load, 1),
+          experiments::scheme_name(experiments::parse_scheme(scheme))};
+      for (const char* key :
+           {"fct_us.overall.mean", "fct_us.large.mean", "fct_us.large.p99",
+            "fct_us.small.mean", "fct_us.small.p95", "fct_us.small.p99"}) {
+        row.push_back(stats::Table::num(cell[key], 0));
+      }
+      table.add_row(row);
+    }
+  }
+  std::printf("(all FCTs in microseconds)\n");
+  table.print();
+  return grid;
 }
 
-/// Averages per-seed runs of one (scheme, scheduler, load) cell — tail
-/// percentiles over a few hundred flows are noisy otherwise.
-inline FctResult aggregate_fct_cell(const std::vector<FctResult>& runs) {
-  FctResult acc;
-  for (const FctResult& r : runs) {
-    acc.overall_avg += r.overall_avg;
-    acc.large_avg += r.large_avg;
-    acc.large_p99 += r.large_p99;
-    acc.small_avg += r.small_avg;
-    acc.small_p95 += r.small_p95;
-    acc.small_p99 += r.small_p99;
-    acc.flows += r.flows;
-    acc.drops += r.drops;
-    acc.completed = acc.completed || r.completed;
+/// `ours`'s reduction of result `key` against `base`, in percent, averaged
+/// over the loads.
+inline double mean_reduction_pct(FctGrid& grid, const std::string& ours,
+                                 const std::string& base, const std::string& key) {
+  const auto loads = default_loads();
+  double sum = 0;
+  for (double load : loads) {
+    const double b = grid[{load, base}][key];
+    const double o = grid[{load, ours}][key];
+    sum += (b - o) / b * 100.0;
   }
-  const double n = static_cast<double>(runs.size());
-  acc.overall_avg /= n;
-  acc.large_avg /= n;
-  acc.large_p99 /= n;
-  acc.small_avg /= n;
-  acc.small_p95 /= n;
-  acc.small_p99 /= n;
-  return acc;
+  return sum / static_cast<double>(loads.size());
 }
 
 }  // namespace pmsb::bench

@@ -16,6 +16,7 @@
 #include "faults/watchdog.hpp"
 #include "regress/digest.hpp"
 #include "sim/rng.hpp"
+#include "sim/units.hpp"
 #include "stats/csv.hpp"
 #include "stats/rtt_recorder.hpp"
 #include "sweep/crash_inject.hpp"
@@ -158,9 +159,6 @@ struct RunTelemetry {
 
   void finish(double sim_time_us) {
     if (sampler) {
-      // Streaming mode already wrote every row (and survives aborts);
-      // rewriting would only repeat the work.
-      if (!sampler->streaming()) sampler->write_csv(ts_path);
       if (!quiet) {
         std::printf("wrote %s (%zu samples x %zu columns)\n", ts_path.c_str(),
                     sampler->rows(), sampler->num_columns());
@@ -202,7 +200,7 @@ constexpr sim::TimeNs kWatchdogPeriod = sim::microseconds(100);
 /// `faults=` grammar plus the sweep-friendly `bleach=` sugar (grid values
 /// cannot contain ':' or ',', so the headline bleach sweep gets its own
 /// scalar key), an InvariantChecker (on by default; `invariants=0` opts
-/// out), and a Watchdog when a stall horizon, an event budget or a
+/// out), and a Watchdog when a positive stall horizon, event budget or
 /// wall-clock budget (`cell_timeout_s=`) is configured. A watchdog trip
 /// throws out of the event loop and fails this cell alone.
 ///
@@ -212,9 +210,9 @@ struct Robustness {
   faults::FaultPlan plan;
   std::unique_ptr<faults::InvariantChecker> checker;
   std::unique_ptr<faults::Watchdog> watchdog;
-  /// Set by the `watchdog_*` keys. A run guarded by `cell_timeout_s=` alone
-  /// binds no instrument, so its manifest lists the same ones as an
-  /// unguarded run's.
+  /// Set by a positive stall horizon or event budget. A run guarded by
+  /// `cell_timeout_s=` alone binds no instrument, so its manifest lists the
+  /// same ones as an unguarded run's; a zero budget arms nothing.
   bool watchdog_metrics = false;
 
   void install(Fabric& fab, const Options& opts,
@@ -246,12 +244,12 @@ struct Robustness {
       checker->start_periodic(kInvariantPeriod);
     }
 
-    watchdog_metrics = opts.has("watchdog_horizon_ms") || opts.has("watchdog_events");
     const faults::WatchdogConfig wcfg{
         .stall_horizon = sim::milliseconds(opts.get_int("watchdog_horizon_ms", 0)),
         .max_events = static_cast<std::uint64_t>(opts.get_int("watchdog_events", 0)),
         .wall_budget_s = opts.get_double("cell_timeout_s", 0.0),
         .period = kWatchdogPeriod};
+    watchdog_metrics = wcfg.stall_horizon > 0 || wcfg.max_events > 0;
     if (watchdog_metrics || wcfg.wall_budget_s > 0.0) {
       watchdog = std::make_unique<faults::Watchdog>(
           fab.simulator(), wcfg, [&fab] { return fab.total_bytes_acked(); },
@@ -310,6 +308,7 @@ struct StabilityPlane {
     if (!enabled) return;
     if (telemetry.sampler != nullptr) {
       sampler = telemetry.sampler.get();
+      sampler->keep_rows();  // finalize() reads them after the run
       return;
     }
     own = std::make_unique<telemetry::TimeSeriesSampler>(
@@ -376,8 +375,7 @@ void parse_shared_keys(const Options& opts, const Topology& topo,
   cfg.scheduler.num_queues = queues;
   cfg.scheduler.weights = opts.get_double_list("weights");
   if (cfg.scheduler.weights.empty()) cfg.scheduler.weights.assign(queues, 1.0);
-  cfg.link_delay =
-      sim::microseconds_f(opts.get_double("link_delay_us", topo.link_delay_us));
+  cfg.link_delay = sim::microseconds_f(topo.link_delay_us);
   cfg.buffer_bytes = topo.port_buffer_bytes;
   cfg.buffer_policy.kind =
       switchlib::parse_buffer_policy_kind(opts.get("buffer_policy", "static"));
@@ -395,6 +393,14 @@ void parse_shared_keys(const Options& opts, const Topology& topo,
   cfg.marking = make_scheme_marking(scheme, params);
   if (topo.init_cwnd_segments != 0) {
     cfg.transport.init_cwnd_segments = topo.init_cwnd_segments;
+  }
+  if (opts.has("max_cwnd_bytes")) {
+    const std::int64_t cap = opts.get_int("max_cwnd_bytes", 0);
+    if (cap < sim::kDefaultMssBytes) {
+      throw std::invalid_argument("max_cwnd_bytes= must be at least one MSS (" +
+                                  std::to_string(sim::kDefaultMssBytes) + " bytes)");
+    }
+    cfg.transport.max_cwnd_bytes = static_cast<std::uint64_t>(cap);
   }
   cfg.transport.d2tcp_enabled = opts.get_bool("d2tcp", false);
   apply_scheme_transport(scheme, params, base_rtt(cfg), cfg.transport);

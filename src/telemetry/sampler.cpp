@@ -59,13 +59,19 @@ void TimeSeriesSampler::stream_to(const std::string& path) {
     throw std::runtime_error("TimeSeriesSampler::stream_to: cannot open " + path);
   }
   stream_ = std::move(out);
-  stream_header_written_ = false;
+  keep_rows_ = false;
+}
+
+void TimeSeriesSampler::keep_rows() {
+  if (rows_ > 0) throw std::logic_error("TimeSeriesSampler: keep_rows after a sample");
+  keep_rows_ = true;
 }
 
 void TimeSeriesSampler::sample() {
   if (!running_) return;
-  times_us_.push_back(sim::to_microseconds(sim_.now()));
+  const double time_us = sim::to_microseconds(sim_.now());
   const double period_s = static_cast<double>(period_) * 1e-9;
+  row_.clear();
   for (Column& c : cols_) {
     double v = 0.0;
     if (c.probe) {
@@ -75,39 +81,28 @@ void TimeSeriesSampler::sample() {
       v = static_cast<double>(cur - c.prev) / period_s;
       c.prev = cur;
     }
-    c.data.push_back(v);
+    row_.push_back(v);
+  }
+  if (keep_rows_) {
+    times_us_.push_back(time_us);
+    for (std::size_t i = 0; i < cols_.size(); ++i) cols_[i].data.push_back(row_[i]);
   }
   if (stream_) {
-    if (!stream_header_written_) {
-      write_header(*stream_);
-      stream_header_written_ = true;
-    }
-    write_row(*stream_, times_us_.size() - 1);
+    if (rows_ == 0) write_header(*stream_);
+    *stream_ << format_double(time_us);
+    for (double v : row_) *stream_ << ',' << v;
+    *stream_ << '\n';
     // Flush each row: a watchdog abort unwinds through the event loop and
     // must not take the tail of the series with it.
     stream_->flush();
   }
+  ++rows_;
   pending_ = sim_.schedule_in(period_, [this] { sample(); });
-}
-
-void TimeSeriesSampler::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("TimeSeriesSampler::write_csv: cannot open " + path);
-  }
-  write_header(out);
-  for (std::size_t row = 0; row < times_us_.size(); ++row) write_row(out, row);
 }
 
 void TimeSeriesSampler::write_header(std::ostream& out) const {
   out << "time_us";
   for (const Column& c : cols_) out << ',' << c.name;
-  out << '\n';
-}
-
-void TimeSeriesSampler::write_row(std::ostream& out, std::size_t row) const {
-  out << format_double(times_us_[row]);
-  for (const Column& c : cols_) out << ',' << c.data[row];
   out << '\n';
 }
 

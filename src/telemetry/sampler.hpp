@@ -4,7 +4,7 @@
 // every period, evaluates its probe columns into columnar storage. This is
 // what reproduces the paper's occupancy/marking-over-time figures (Figs.
 // 4-12) natively: attach a probe per port occupancy and a rate column per
-// mark counter, run, write_csv.
+// mark counter, run, then read the columns or the streamed CSV.
 //
 // Column kinds:
 //  - probe:   any `double()` callback, sampled verbatim (gauges);
@@ -49,8 +49,11 @@ class TimeSeriesSampler {
   [[nodiscard]] bool running() const { return running_; }
 
   [[nodiscard]] sim::TimeNs period() const { return period_; }
-  [[nodiscard]] std::size_t rows() const { return times_us_.size(); }
+  /// Rows sampled so far, kept in memory or not.
+  [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t num_columns() const { return cols_.size(); }
+  /// The rows kept in memory: all of them, unless the sampler streams
+  /// without keep_rows(), in which case these stay empty.
   [[nodiscard]] const std::vector<double>& times_us() const { return times_us_; }
   [[nodiscard]] const std::string& column_name(std::size_t i) const {
     return cols_.at(i).name;
@@ -59,19 +62,19 @@ class TimeSeriesSampler {
     return cols_.at(i).data;
   }
 
-  /// Columnar CSV: `time_us,<col0>,<col1>,...` one row per sample. The
-  /// time column is written with format_double, so it round-trips to the
-  /// nanosecond.
-  void write_csv(const std::string& path) const;
-
-  /// Streams rows to `path` as they are sampled: the header goes out with
-  /// the first row and every row is flushed immediately, so the CSV holds
-  /// all completed samples even when the run is killed mid-flight by a
-  /// watchdog trip (write_csv would lose the whole series to the exception
-  /// unwind). Call before start(); in-memory columns still fill,
-  /// so write_csv() to a different path remains valid.
+  /// Streams rows to `path` as they are sampled, as a columnar CSV
+  /// (`time_us,<col0>,<col1>,...`, the time written with format_double so
+  /// it round-trips to the nanosecond): the header goes out with the first
+  /// row and every row is flushed immediately, so the CSV holds all
+  /// completed samples even when the run is killed mid-flight by a
+  /// watchdog trip. Call before start(). From then on the rows go to the
+  /// file only, so a long series costs no memory, unless keep_rows() asks
+  /// for them in memory too.
   void stream_to(const std::string& path);
   [[nodiscard]] bool streaming() const { return stream_ != nullptr; }
+  /// Keeps a streaming sampler's rows in memory as well, for a reader of
+  /// times_us() and column(). Call before the first row is sampled.
+  void keep_rows();
 
  private:
   struct Column {
@@ -84,16 +87,17 @@ class TimeSeriesSampler {
 
   void sample();
   void write_header(std::ostream& out) const;
-  void write_row(std::ostream& out, std::size_t row) const;
 
   sim::Simulator& sim_;
   sim::TimeNs period_;
   bool running_ = false;
   sim::EventId pending_ = sim::kInvalidEventId;
+  std::size_t rows_ = 0;
+  bool keep_rows_ = true;  // false once streaming, until keep_rows()
   std::vector<double> times_us_;
   std::vector<Column> cols_;
+  std::vector<double> row_;  // the row being sampled
   std::unique_ptr<std::ofstream> stream_;  // non-null once stream_to() is set
-  bool stream_header_written_ = false;
 };
 
 }  // namespace pmsb::telemetry

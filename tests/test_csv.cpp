@@ -64,10 +64,10 @@ TEST(Csv, TraceExport) {
   sim.schedule_at(sim::microseconds(25), [&] { occ = 4'500; });
   telemetry::TimeSeriesSampler sampler(sim, sim::microseconds(10));
   sampler.add_probe("bytes", [&] { return static_cast<double>(occ); });
+  const auto path = temp_path("trace.csv");
+  sampler.stream_to(path);
   sampler.start();
   sim.run(sim::microseconds(100));
-  const auto path = temp_path("trace.csv");
-  sampler.write_csv(path);
   const auto text = read_all(path);
   EXPECT_NE(text.find("time_us,bytes"), std::string::npos);
   EXPECT_NE(text.find("4500"), std::string::npos);
@@ -75,29 +75,25 @@ TEST(Csv, TraceExport) {
 
 TEST(Csv, SamplerTimeColumnRoundTripsToTheNanosecond) {
   // Rows at 1000.003 us + k * 1.001 us need seven or more significant
-  // digits; both the buffered and the streamed CSV must keep them.
+  // digits; the streamed CSV must keep them.
   sim::Simulator sim;
   telemetry::TimeSeriesSampler sampler(sim, 1'001);
   sampler.add_probe("zero", [] { return 0.0; });
-  const auto streamed = temp_path("exact_stream.csv");
-  sampler.stream_to(streamed);
+  const auto path = temp_path("exact_stream.csv");
+  sampler.stream_to(path);
   sim.schedule_at(1'000'003, [&] { sampler.start(); });
   sim.run(1'000'003 + 20 * 1'001);
-  const auto buffered = temp_path("exact.csv");
-  sampler.write_csv(buffered);
-  for (const auto& path : {buffered, streamed}) {
-    std::istringstream in(read_all(path));
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, "time_us,zero");
-    sim::TimeNs expected = 1'000'003;
-    std::size_t rows = 0;
-    while (std::getline(in, line)) {
-      const double t_us = std::stod(line.substr(0, line.find(',')));
-      EXPECT_EQ(std::llround(t_us * 1000.0), expected) << path << ": " << line;
-      expected += 1'001;
-      ++rows;
-    }
-    EXPECT_EQ(rows, 21u) << path;
+  std::istringstream in(read_all(path));
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "time_us,zero");
+  sim::TimeNs expected = 1'000'003;
+  std::size_t rows = 0;
+  while (std::getline(in, line)) {
+    const double t_us = std::stod(line.substr(0, line.find(',')));
+    EXPECT_EQ(std::llround(t_us * 1000.0), expected) << line;
+    expected += 1'001;
+    ++rows;
   }
+  EXPECT_EQ(rows, 21u);
 }

@@ -8,10 +8,12 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments/dumbbell.hpp"
@@ -28,6 +30,7 @@
 #include "sim/units.hpp"
 #include "sweep/scenario_run.hpp"
 #include "sweep/sweep.hpp"
+#include "telemetry/json_reader.hpp"
 #include "telemetry/metrics.hpp"
 #include "workload/coflow.hpp"
 #include "workload/size_dist.hpp"
@@ -549,6 +552,34 @@ TEST(ScenarioRobustness, EventBudgetWithProfilerAttachedFailsCleanly) {
   EXPECT_EQ(records[1].error.rfind("[watchdog] entity=simulation t=", 0), 0u)
       << records[1].error;
   EXPECT_NE(records[1].error.find("event budget exceeded: executed="), std::string::npos);
+}
+
+TEST(ScenarioRobustness, ZeroWatchdogBudgetArmsNothing) {
+  // A watchdog key with no budget behind it leaves the run as an unguarded
+  // one runs: no tick events and no watchdog instrument.
+  const std::string path = std::string(::testing::TempDir()) + "/zero_budget.json";
+  const auto run = [&path](const char* key) {
+    sweep::SweepPoint point;
+    point.opts = dumbbell_opts();
+    point.opts.set("duration_ms", "20");
+    point.opts.set("metrics_json", path);
+    if (key != nullptr) point.opts.set(key, "0");
+    const auto rec = sweep::run_scenario(point, /*quiet=*/true);
+    std::ifstream in(path);
+    const std::string text{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    const telemetry::json::Value manifest = telemetry::json::parse(text);
+    std::vector<std::string> names;
+    for (const auto& m : manifest.at("metrics").array) names.push_back(m.at("name").string);
+    return std::make_pair(rec.results.at("sim.events_executed"), names);
+  };
+  const auto plain = run(nullptr);
+  for (const char* key : {"watchdog_horizon_ms", "watchdog_events"}) {
+    const auto zero = run(key);
+    EXPECT_EQ(zero.first, plain.first) << key;
+    EXPECT_EQ(zero.second, plain.second) << key;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ScenarioRobustness, FaultedSweepIsDeterministic) {

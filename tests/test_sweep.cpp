@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -14,10 +15,15 @@
 #include <vector>
 
 #include "experiments/dumbbell.hpp"
+#include "experiments/leafspine.hpp"
 #include "experiments/options.hpp"
+#include "experiments/presets.hpp"
+#include "sim/rng.hpp"
 #include "sweep/scenario_run.hpp"
 #include "sweep/sweep.hpp"
 #include "trace/tracer.hpp"
+#include "workload/size_dist.hpp"
+#include "workload/traffic_gen.hpp"
 
 using namespace pmsb;
 using pmsb::experiments::Options;
@@ -352,4 +358,90 @@ TEST(Sweep, ManifestsWrittenPerRun) {
     std::fclose(f);
   }
   EXPECT_EQ(paths.size(), recs.size());  // distinct file per run
+}
+
+// --- the max_cwnd_bytes= key -------------------------------------------
+
+namespace {
+
+/// The results of leafspine_base() at load 0.5 (PMSB on DWRR), built by
+/// hand with every flow's window capped at `max_cwnd_bytes`.
+std::map<std::string, double> hand_built_leafspine(std::uint64_t max_cwnd_bytes) {
+  experiments::LeafSpineConfig cfg;
+  cfg.link_delay = sim::microseconds(9);
+  cfg.buffer_bytes = 2048ull * 1500ull;
+  cfg.scheduler.kind = sched::SchedulerKind::kDwrr;
+  cfg.scheduler.num_queues = 8;
+  cfg.scheduler.weights.assign(8, 1.0);
+  experiments::SchemeParams params;
+  params.capacity = cfg.link_rate;
+  params.rtt = sim::microseconds_f(85.2);
+  params.weights = cfg.scheduler.weights;
+  cfg.marking = experiments::make_scheme_marking(experiments::Scheme::kPmsb, params);
+  cfg.transport.init_cwnd_segments = 16;
+  cfg.transport.max_cwnd_bytes = max_cwnd_bytes;
+  experiments::apply_scheme_transport(experiments::Scheme::kPmsb, params,
+                                      experiments::LeafSpineScenario::base_rtt_interrack(cfg),
+                                      cfg.transport);
+  experiments::LeafSpineScenario sc(cfg);
+  workload::TrafficConfig tc;
+  tc.num_hosts = sc.num_hosts();
+  tc.load = 0.5;
+  tc.num_flows = 40;
+  tc.num_services = 8;
+  sim::Rng rng(11);
+  sc.add_workload(workload::generate_poisson_traffic(
+      tc, workload::FlowSizeDistribution::paper_mix(), rng));
+  EXPECT_TRUE(sc.run_until_complete(sim::seconds(60)));
+
+  std::map<std::string, double> out;
+  out["drops"] = static_cast<double>(sc.total_drops());
+  out["flows_completed"] = static_cast<double>(sc.completed_flows());
+  const auto record = [&out](const std::string& bin, const stats::Summary& s) {
+    out["fct_us." + bin + ".mean"] = s.mean();
+    out["fct_us." + bin + ".p95"] = s.percentile(95);
+    out["fct_us." + bin + ".p99"] = s.percentile(99);
+  };
+  record("small", sc.fct().fct_us(stats::SizeBin::kSmall));
+  record("medium", sc.fct().fct_us(stats::SizeBin::kMedium));
+  record("large", sc.fct().fct_us(stats::SizeBin::kLarge));
+  record("overall", sc.fct().overall_fct_us());
+  return out;
+}
+
+}  // namespace
+
+TEST(MaxCwndKey, SetsEveryLeafSpineFlowsWindowCap) {
+  sweep::SweepPoint pt;
+  pt.opts = leafspine_base();
+  pt.opts.set("load", "0.5");
+  const auto uncapped = sweep::run_scenario(pt, /*quiet=*/true);
+  pt.opts.set("max_cwnd_bytes", "2000000");
+  const auto capped = sweep::run_scenario(pt, /*quiet=*/true);
+  ASSERT_TRUE(uncapped.ok && capped.ok);
+
+  const auto by_hand = hand_built_leafspine(2'000'000);
+  const auto by_default = hand_built_leafspine(transport::DctcpConfig{}.max_cwnd_bytes);
+  bool moved = false;
+  for (const auto& [key, value] : by_hand) {
+    EXPECT_EQ(capped.results.at(key), value) << key;
+    EXPECT_EQ(uncapped.results.at(key), by_default.at(key)) << key;
+    moved = moved || value != by_default.at(key);
+  }
+  EXPECT_TRUE(moved) << "the 2 MB window changed no result";
+}
+
+TEST(MaxCwndKey, BelowOneMssIsRejectedNamingTheKey) {
+  for (const char* cap : {"0", "1000"}) {
+    sweep::SweepPoint pt;
+    pt.opts = leafspine_base();
+    pt.opts.set("max_cwnd_bytes", cap);
+    try {
+      (void)sweep::run_scenario(pt, /*quiet=*/true);
+      ADD_FAILURE() << "max_cwnd_bytes=" << cap << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("max_cwnd_bytes="), std::string::npos)
+          << e.what();
+    }
+  }
 }

@@ -869,7 +869,7 @@ TEST(TimeSeriesSampler, StreamToWritesRowsIncrementally) {
   sampler.start();
   simulator.run(sim::microseconds(250));
 
-  // Rows land on disk as they are sampled — no stop()/write_csv() needed.
+  // Rows land on disk as they are sampled — no stop() needed.
   std::ifstream in(path);
   std::string line;
   std::vector<std::string> lines;
@@ -878,6 +878,36 @@ TEST(TimeSeriesSampler, StreamToWritesRowsIncrementally) {
   EXPECT_EQ(lines[0], "time_us,v");
   EXPECT_EQ(lines[1], "0,1");
   std::remove(path.c_str());
+}
+
+TEST(TimeSeriesSampler, StreamingKeepsRowsOnlyWhenAsked) {
+  // A streamed series lives in its file: the sampler counts its rows but
+  // holds none, unless a reader of the columns asks it to keep them.
+  for (const bool keep : {false, true}) {
+    sim::Simulator simulator;
+    TimeSeriesSampler sampler(simulator, sim::microseconds(100));
+    double v = 1.0;
+    sampler.add_probe("v", [&v] { return v++; });
+    const std::string path = std::string(::testing::TempDir()) + "/kept.csv";
+    sampler.stream_to(path);
+    if (keep) sampler.keep_rows();
+    sampler.start();
+    simulator.run(sim::microseconds(250));
+    EXPECT_EQ(sampler.rows(), 3u);
+    if (keep) {
+      EXPECT_EQ(sampler.times_us(), (std::vector<double>{0.0, 100.0, 200.0}));
+      EXPECT_EQ(sampler.column(0), (std::vector<double>{1.0, 2.0, 3.0}));
+      EXPECT_THROW(sampler.keep_rows(), std::logic_error);
+    } else {
+      EXPECT_TRUE(sampler.times_us().empty());
+      EXPECT_TRUE(sampler.column(0).empty());
+    }
+    std::ifstream in(path);
+    const std::string text{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    EXPECT_EQ(text, "time_us,v\n0,1\n100,2\n200,3\n") << keep;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(TimeSeriesSampler, StreamedRowsSurviveAnAbortedRun) {

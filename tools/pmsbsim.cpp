@@ -66,7 +66,8 @@ constexpr KeyHelp kKeys[] = {
     {"weights", "comma list, one per queue (default all 1)"},
     {"rtt_us", "RTT used in the threshold formulas (default 18 / 85.2)"},
     {"mark_point", "enqueue | dequeue (default enqueue)"},
-    {"link_delay_us", "one-way per-link delay (default 2 / 9)"},
+    {"max_cwnd_bytes", "host congestion-window cap in bytes, at least one "
+                       "MSS (default 256 MSS = 373760)"},
     {"sched_queue", "event queue backend: heap | calendar (default calendar)"},
     {"seed", "workload / fault RNG seed (default 1)"},
     // Shared-buffer management (docs/DESIGN.md "Buffer management").
@@ -156,8 +157,6 @@ constexpr KeyHelp kKeys[] = {
     {"cell_mem_mb", "isolate: RLIMIT_AS per child, MiB (0 = unlimited)"},
     {"cell_retries", "isolate: extra attempts for signal/timeout/oom cells "
                      "(throws are deterministic, never retried)"},
-    {"retry_backoff_ms", "isolate: retry k backs off 2^(k-1) * this "
-                         "(default 250)"},
     {"repro", "path to a pmsb.repro/1 bundle: re-run that quarantined cell "
               "solo (other keys override; isolate=0 to debug in-process)"},
 };
@@ -194,7 +193,6 @@ int run_sweep_cli(const Options& opts) {
   cfg.isolate = opts.get_bool("isolate", false);
   cfg.cell_mem_mb = static_cast<std::size_t>(opts.get_int("cell_mem_mb", 0));
   cfg.cell_retries = static_cast<std::size_t>(opts.get_int("cell_retries", 0));
-  cfg.retry_backoff_ms = opts.get_double("retry_backoff_ms", 250.0);
   cfg.progress = true;
   if (cfg.resume && cfg.manifest_dir.empty()) {
     throw std::invalid_argument(
@@ -215,7 +213,7 @@ int run_sweep_cli(const Options& opts) {
   for (const char* key : {"sweep", "jobs", "sweep_json", "sweep_csv",
                           "sweep_manifest_dir", "sweep_resume",
                           "cell_timeout_s", "isolate", "cell_mem_mb",
-                          "cell_retries", "retry_backoff_ms"}) {
+                          "cell_retries"}) {
     base.erase(key);
   }
   const auto points = sweep::expand_grid(base, spec);
