@@ -5,7 +5,7 @@
 // DCTCP: per-port marking starves the single-flow queue; PMSB's selective
 // blindness restores the DWRR weighted share — showing the switch-side
 // algorithm is transport-agnostic.
-#include <memory>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "transport/dcqcn.hpp"
@@ -31,15 +31,15 @@ Shares run(ecn::MarkingKind kind, std::uint64_t threshold_pkts, sim::TimeNs end)
   cfg.marking.weights = cfg.scheduler.weights;
   DumbbellScenario sc(cfg);
   transport::DcqcnConfig dc;
-  std::vector<std::unique_ptr<transport::DcqcnFlow>> flows;
-  flows.push_back(std::make_unique<transport::DcqcnFlow>(
-      sc.simulator(), sc.sender(0), sc.receiver(), 700, 0, 0, dc));
-  for (std::size_t i = 1; i <= 8; ++i) {
-    flows.push_back(std::make_unique<transport::DcqcnFlow>(
-        sc.simulator(), sc.sender(i), sc.receiver(),
-        static_cast<net::FlowId>(700 + i), 1, 0, dc));
+  transport::DcqcnFlowTable table;
+  std::vector<transport::DcqcnFlow*> flows;
+  for (std::size_t i = 0; i <= 8; ++i) {
+    // Flow 700 is alone in service 0; flows 701-708 share service 1.
+    const net::ServiceId service = i == 0 ? 0 : 1;
+    flows.push_back(&table.add(sc.simulator(), sc.sender(i), sc.receiver(),
+                               static_cast<net::FlowId>(700 + i), service, 0, dc));
+    flows.back()->start(0);
   }
-  for (auto& f : flows) f->start(0);
   sc.run(sim::milliseconds(15));
   const auto s0 = sc.served_bytes(0);
   const auto s1 = sc.served_bytes(1);
@@ -47,7 +47,7 @@ Shares run(ecn::MarkingKind kind, std::uint64_t threshold_pkts, sim::TimeNs end)
   const double d0 = static_cast<double>(sc.served_bytes(0) - s0);
   const double d1 = static_cast<double>(sc.served_bytes(1) - s1);
   std::uint64_t cnps = 0;
-  for (auto& f : flows) cnps += f->receiver().cnps_sent();
+  for (transport::DcqcnFlow* f : flows) cnps += f->receiver().cnps_sent();
   return {d0 / (d0 + d1), (d0 + d1) * 8.0 / static_cast<double>(end - sim::milliseconds(15)),
           cnps};
 }

@@ -19,11 +19,12 @@ int main() {
       "PMSB/PMSB(e) cut small-flow tail FCT vs MQ-ECN and TCN; overall and"
       " large-flow FCT stay within a few percent");
 
-  bench::FctGrid grid = bench::run_fct_figure("dwrr", {"pmsb", "pmsbe", "mq-ecn", "tcn"});
+  bench::FctFigure fig =
+      bench::run_fct_figure("dwrr", {"pmsb", "pmsbe", "mq-ecn", "tcn"});
 
   // Headline reductions for small flows, averaged over loads.
-  auto reduction = [&grid](const char* ours, const char* base, const char* key) {
-    return bench::mean_reduction_pct(grid, ours, base, key);
+  auto reduction = [&fig](const char* ours, const char* base, const char* key) {
+    return bench::mean_reduction_pct(fig.grid, ours, base, key);
   };
   std::printf("\nsmall-flow FCT reductions (mean over loads):\n");
   std::printf("  PMSB    vs TCN   : avg %.1f%%, p99 %.1f%%\n",
@@ -37,5 +38,5 @@ int main() {
               reduction("pmsbe", "mq-ecn", "fct_us.small.p99"));
   std::printf("  (paper: PMSB vs MQ-ECN 40.0%%/41.2%%; PMSB(e) vs MQ-ECN"
               " 25.0%%/25.8%%)\n");
-  return 0;
+  return fig.failed_runs == 0 ? 0 : 1;
 }

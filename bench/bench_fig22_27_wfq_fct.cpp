@@ -17,10 +17,10 @@ int main() {
       " MQ-ECN excluded (no rounds on WFQ)",
       "PMSB/PMSB(e) cut small-flow tail FCT vs TCN; overall/large within ~2%");
 
-  bench::FctGrid grid = bench::run_fct_figure("wfq", {"pmsb", "pmsbe", "tcn"});
+  bench::FctFigure fig = bench::run_fct_figure("wfq", {"pmsb", "pmsbe", "tcn"});
 
-  auto reduction = [&grid](const char* ours, const char* key) {
-    return bench::mean_reduction_pct(grid, ours, "tcn", key);
+  auto reduction = [&fig](const char* ours, const char* key) {
+    return bench::mean_reduction_pct(fig.grid, ours, "tcn", key);
   };
   std::printf("\nsmall-flow FCT reductions vs TCN (mean over loads):\n");
   std::printf("  PMSB   : avg %.1f%%, p95 %.1f%%, p99 %.1f%%\n",
@@ -32,5 +32,5 @@ int main() {
               reduction("pmsbe", "fct_us.small.p95"),
               reduction("pmsbe", "fct_us.small.p99"));
   std::printf("  (paper: PMSB up to 67.6%%/72.9%%/64.5%% at best load)\n");
-  return 0;
+  return fig.failed_runs == 0 ? 0 : 1;
 }

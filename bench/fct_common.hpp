@@ -17,7 +17,8 @@
 // flows are noisy otherwise. PMSB_BENCH_CHECKPOINT_DIR (made if missing)
 // keeps every run's manifest there and salvages matching ones on a re-run;
 // PMSB_BENCH_CELL_TIMEOUT_S gives each run a wall-clock budget. A run that
-// fails, for any reason, fails alone and counts as zeros.
+// fails, for any reason, fails alone and counts as zeros; the bench prints
+// its table and exits 1.
 #pragma once
 
 #include <algorithm>
@@ -42,11 +43,17 @@ using FctCell = std::map<std::string, double>;
 /// Figure cells by (load, pmsbsim scheme name).
 using FctGrid = std::map<std::pair<double, std::string>, FctCell>;
 
+/// A figure's cells, and how many of its runs failed.
+struct FctFigure {
+  FctGrid grid;
+  std::size_t failed_runs = 0;
+};
+
 /// Runs the (load x scheme x seed) grid on `scheduler`, prints the FCT table
 /// and returns the cells. Runs come back in grid order, so the cells are
 /// bit-identical for any PMSB_BENCH_JOBS.
-inline FctGrid run_fct_figure(const char* scheduler,
-                              const std::vector<std::string>& schemes) {
+inline FctFigure run_fct_figure(const char* scheduler,
+                                const std::vector<std::string>& schemes) {
   const auto loads = default_loads();
   const auto seeds = default_seeds();
   std::vector<sweep::SweepPoint> points;
@@ -92,11 +99,13 @@ inline FctGrid run_fct_figure(const char* scheduler,
   }
   const auto records = sweep::run_sweep(points, cfg);
 
-  FctGrid grid;
+  FctFigure fig;
+  FctGrid& grid = fig.grid;
   std::size_t salvaged = 0;
   for (const sweep::RunRecord& r : records) {
     if (r.salvaged) ++salvaged;
     if (!r.ok) {
+      ++fig.failed_runs;
       std::fprintf(stderr, "cell %zu (%s) failed [%s]: %s\n", r.index, r.label.c_str(),
                    r.exit_class.c_str(), r.error.c_str());
     }
@@ -132,7 +141,11 @@ inline FctGrid run_fct_figure(const char* scheduler,
   }
   std::printf("(all FCTs in microseconds)\n");
   table.print();
-  return grid;
+  if (fig.failed_runs > 0) {
+    std::fprintf(stderr, "%zu/%zu runs failed; their cells count them as zeros\n",
+                 fig.failed_runs, records.size());
+  }
+  return fig;
 }
 
 /// `ours`'s reduction of result `key` against `base`, in percent, averaged

@@ -21,7 +21,7 @@ Fabric::~Fabric() = default;
 net::Host& Fabric::add_host(std::string name) {
   hosts_.push_back(std::make_unique<net::Host>(
       sim_, static_cast<net::HostId>(hosts_.size()), std::move(name)));
-  hosts_.back()->set_fallback(this);
+  hosts_.back()->set_demux(this);
   return *hosts_.back();
 }
 

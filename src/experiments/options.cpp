@@ -99,6 +99,18 @@ std::int64_t Options::get_int(const std::string& key, std::int64_t fallback) con
   return it == values_.end() ? fallback : parse_int(key, it->second);
 }
 
+std::uint64_t Options::get_uint(const std::string& key, std::uint64_t fallback,
+                                std::uint64_t min) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  const std::int64_t v = parse_int(key, it->second);
+  if (v < 0 || static_cast<std::uint64_t>(v) < min) {
+    throw std::invalid_argument("Options: " + key + "=" + it->second +
+                                " is below its minimum, " + std::to_string(min));
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   return it == values_.end() ? fallback : parse_double(key, it->second);

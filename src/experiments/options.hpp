@@ -36,6 +36,11 @@ class Options {
   /// the value is not a number, has trailing junk, or is out of range.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
+  /// get_int for a value that cannot be negative (a count, size, rate, id
+  /// or seed): also throws std::invalid_argument naming the key when the
+  /// value is below `min`.
+  [[nodiscard]] std::uint64_t get_uint(const std::string& key, std::uint64_t fallback,
+                                       std::uint64_t min = 0) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
   /// Comma-separated list of doubles ("1,2.5,4"); every non-empty entry

@@ -22,19 +22,11 @@ Packet Host::pull() {
 }
 
 void Host::receive(const Packet& pkt) {
-  if (auto it = handlers_.find(pkt.flow_id); it != handlers_.end()) {
+  if (demux_ != nullptr && demux_->deliver(*this, pkt)) {
     ++delivered_;
-    // Copy the handler: the callback may unregister the flow (e.g. on FIN),
-    // which would invalidate the iterator mid-call.
-    PacketHandler handler = it->second;
-    handler(pkt);
-    return;
+  } else {
+    ++no_handler_;
   }
-  if (fallback_ != nullptr && fallback_->deliver(*this, pkt)) {
-    ++delivered_;
-    return;
-  }
-  ++no_handler_;
 }
 
 }  // namespace pmsb::net

@@ -1,7 +1,7 @@
-// End host: a NIC with a FIFO egress queue plus a demultiplexer that hands
-// arriving packets to the transport endpoint registered for their flow, or,
-// for a flow with no registered handler, to the host's fallback demux (the
-// flow table of the fabric that built the host).
+// End host: a NIC with a FIFO egress queue plus one flow demux that hands
+// every arriving packet to the transport endpoints of its flow: the flow
+// table of the fabric that built the host, or whichever table a scenario
+// makes the host's demux (transport::DcqcnFlowTable).
 //
 // The NIC egress queue is effectively unbounded — end-host memory is not the
 // bottleneck the paper studies — but its backlog is observable for tests.
@@ -10,8 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 
 #include "net/link.hpp"
 #include "net/node.hpp"
@@ -23,9 +21,9 @@ namespace pmsb::net {
 
 class Host;
 
-/// Takes the packets of flows that have no handler registered on the host
-/// they reach. experiments::Fabric reaches all of its flows' endpoints this
-/// way, through one table instead of a handler per flow and host.
+/// Hands the packets arriving at its hosts to the endpoints of their flows.
+/// experiments::Fabric's flow table and transport::DcqcnFlowTable are the
+/// two: each finds a packet's flow by its id.
 class FlowDemux {
  public:
   virtual ~FlowDemux() = default;
@@ -36,9 +34,6 @@ class FlowDemux {
 
 class Host : public Node, private PacketSource {
  public:
-  /// Consumes an arriving packet, valid only for the call (see Node).
-  using PacketHandler = std::function<void(const Packet&)>;
-
   Host(sim::Simulator& simulator, HostId id, std::string name)
       : Node(std::move(name)), sim_(simulator), id_(id) {}
 
@@ -56,20 +51,12 @@ class Host : public Node, private PacketSource {
   /// kicks the uplink.
   void send(Packet pkt);
 
-  /// Registers the transport endpoint that consumes packets of `flow_id`
-  /// arriving at this host. Overwrites any previous registration.
-  void register_flow(FlowId flow_id, PacketHandler handler) {
-    handlers_[flow_id] = std::move(handler);
-  }
+  /// Where arriving packets go (nullptr: they are counted in
+  /// dropped_no_handler()). `demux` must outlive the host's last delivery.
+  void set_demux(FlowDemux* demux) { demux_ = demux; }
 
-  void unregister_flow(FlowId flow_id) { handlers_.erase(flow_id); }
-
-  /// Where packets of flows with no registered handler go (nullptr: they
-  /// are counted in dropped_no_handler()). `demux` must outlive the host's
-  /// last delivery.
-  void set_fallback(FlowDemux* demux) { fallback_ = demux; }
-
-  /// Called by the attached link when a packet arrives from the network.
+  /// Called by the attached link when a packet arrives from the network:
+  /// delivered if the demux takes it, else counted in dropped_no_handler().
   void receive(const Packet& pkt) override;
 
   [[nodiscard]] std::size_t nic_backlog_packets() const { return nic_queue_.size(); }
@@ -89,8 +76,7 @@ class Host : public Node, private PacketSource {
   Link* uplink_ = nullptr;
   PacketFifo nic_queue_;
   std::uint64_t nic_bytes_ = 0;
-  std::unordered_map<FlowId, PacketHandler> handlers_;
-  FlowDemux* fallback_ = nullptr;
+  FlowDemux* demux_ = nullptr;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t no_handler_ = 0;

@@ -246,7 +246,7 @@ struct Robustness {
 
     const faults::WatchdogConfig wcfg{
         .stall_horizon = sim::milliseconds(opts.get_int("watchdog_horizon_ms", 0)),
-        .max_events = static_cast<std::uint64_t>(opts.get_int("watchdog_events", 0)),
+        .max_events = opts.get_uint("watchdog_events", 0),
         .wall_budget_s = opts.get_double("cell_timeout_s", 0.0),
         .period = kWatchdogPeriod};
     watchdog_metrics = wcfg.stall_horizon > 0 || wcfg.max_events > 0;
@@ -300,12 +300,14 @@ struct Robustness {
 /// before the run, finalize after — results land in `stability.*` columns.
 struct StabilityPlane {
   bool enabled = false;
+  std::size_t window = 0;  ///< `stability_window`, read before the run
   telemetry::TimeSeriesSampler* sampler = nullptr;
   std::unique_ptr<telemetry::TimeSeriesSampler> own;
 
   void attach(Fabric& fab, RunTelemetry& telemetry, const Options& opts) {
     enabled = opts.get_bool("stability", false);
     if (!enabled) return;
+    window = opts.get_uint("stability_window", 64);
     if (telemetry.sampler != nullptr) {
       sampler = telemetry.sampler.get();
       sampler->keep_rows();  // finalize() reads them after the run
@@ -318,10 +320,10 @@ struct StabilityPlane {
     sampler = own.get();
   }
 
-  void finalize(const Options& opts, RunRecord& rec) const {
+  void finalize(RunRecord& rec) const {
     if (!enabled) return;
     analysis::OscillationConfig cfg;
-    cfg.window = static_cast<std::size_t>(opts.get_int("stability_window", 64));
+    cfg.window = window;
     cfg.hop = std::max<std::size_t>(cfg.window / 2, 1);
     const analysis::StabilityReport report = analysis::analyze_sampler(*sampler, cfg);
     rec.results["stability.ports_analyzed"] =
@@ -370,7 +372,7 @@ void parse_shared_keys(const Options& opts, const Topology& topo,
                        sim::TimeNs (*base_rtt)(const FabricConfig&), FabricConfig& cfg,
                        RunRecord& rec) {
   cfg.queue = sim::parse_queue_backend(opts.get("sched_queue", "calendar"));
-  const auto queues = static_cast<std::size_t>(opts.get_int("queues", topo.queues));
+  const std::size_t queues = opts.get_uint("queues", topo.queues, 1);
   cfg.scheduler.kind = sched::parse_scheduler_kind(opts.get("scheduler", "dwrr"));
   cfg.scheduler.num_queues = queues;
   cfg.scheduler.weights = opts.get_double_list("weights");
@@ -380,7 +382,7 @@ void parse_shared_keys(const Options& opts, const Topology& topo,
   cfg.buffer_policy.kind =
       switchlib::parse_buffer_policy_kind(opts.get("buffer_policy", "static"));
   cfg.buffer_policy.dt_alpha = opts.get_double("dt_alpha", 1.0);
-  cfg.shared_pool_bytes = static_cast<std::uint64_t>(opts.get_int("buffer_bytes", 0));
+  cfg.shared_pool_bytes = opts.get_uint("buffer_bytes", 0);
 
   const Scheme scheme = parse_scheme(opts.get("scheme", "pmsb"));
   SchemeParams params;
@@ -394,14 +396,8 @@ void parse_shared_keys(const Options& opts, const Topology& topo,
   if (topo.init_cwnd_segments != 0) {
     cfg.transport.init_cwnd_segments = topo.init_cwnd_segments;
   }
-  if (opts.has("max_cwnd_bytes")) {
-    const std::int64_t cap = opts.get_int("max_cwnd_bytes", 0);
-    if (cap < sim::kDefaultMssBytes) {
-      throw std::invalid_argument("max_cwnd_bytes= must be at least one MSS (" +
-                                  std::to_string(sim::kDefaultMssBytes) + " bytes)");
-    }
-    cfg.transport.max_cwnd_bytes = static_cast<std::uint64_t>(cap);
-  }
+  cfg.transport.max_cwnd_bytes = opts.get_uint(
+      "max_cwnd_bytes", cfg.transport.max_cwnd_bytes, sim::kDefaultMssBytes);
   cfg.transport.d2tcp_enabled = opts.get_bool("d2tcp", false);
   apply_scheme_transport(scheme, params, base_rtt(cfg), cfg.transport);
 
@@ -418,7 +414,7 @@ class DumbbellRun final : public TopologyRun {
   static std::unique_ptr<TopologyRun> build(const Options& opts, const Topology& topo,
                                             RunRecord& rec) {
     DumbbellConfig cfg;
-    cfg.link_rate = sim::gbps(static_cast<std::uint64_t>(opts.get_int("link_gbps", 10)));
+    cfg.link_rate = sim::gbps(opts.get_uint("link_gbps", 10, 1));
     parse_shared_keys(opts, topo, &DumbbellScenario::base_rtt, cfg, rec);
     std::vector<double> flows_per_queue = opts.get_double_list("flows_per_queue");
     if (flows_per_queue.empty()) flows_per_queue.assign(cfg.scheduler.num_queues, 1.0);
@@ -519,25 +515,25 @@ class LeafSpineRun final : public TopologyRun {
       workload::TrafficConfig tc;
       tc.num_hosts = sc_.num_hosts();
       tc.load = opts.get_double("load", 0.5);
-      tc.num_flows = static_cast<std::size_t>(opts.get_int("flows", 300));
+      tc.num_flows = opts.get_uint("flows", 300);
       tc.num_services = services;
       wl.flows = workload::generate_poisson_traffic(tc, dist, rng);
     } else if (pattern == "coflow") {
       workload::CoflowConfig cc;
       cc.num_hosts = sc_.num_hosts();
-      cc.num_coflows = static_cast<std::size_t>(opts.get_int("coflows", 20));
-      cc.num_mappers = static_cast<std::size_t>(opts.get_int("mappers", 4));
-      cc.num_reducers = static_cast<std::size_t>(opts.get_int("reducers", 4));
-      cc.num_stages = static_cast<std::uint16_t>(opts.get_int("stages", 1));
+      cc.num_coflows = opts.get_uint("coflows", 20);
+      cc.num_mappers = opts.get_uint("mappers", 4);
+      cc.num_reducers = opts.get_uint("reducers", 4);
+      cc.num_stages = static_cast<std::uint16_t>(opts.get_uint("stages", 1));
       cc.mean_interarrival_us = opts.get_double("coflow_gap_us", 1000.0);
       cc.num_services = services;
       wl = workload::generate_coflows(cc, dist, rng);
     } else if (pattern == "rpc") {
       workload::RpcConfig rc;
       rc.num_hosts = sc_.num_hosts();
-      rc.num_rpcs = static_cast<std::size_t>(opts.get_int("rpcs", 50));
-      rc.fanout = static_cast<std::size_t>(opts.get_int("fanout", 8));
-      rc.response_bytes = static_cast<std::uint64_t>(opts.get_int("rpc_bytes", 20'000));
+      rc.num_rpcs = opts.get_uint("rpcs", 50);
+      rc.fanout = opts.get_uint("fanout", 8);
+      rc.response_bytes = opts.get_uint("rpc_bytes", 20'000, 1);
       rc.deadline = sim::microseconds_f(opts.get_double("rpc_deadline_us", 2000.0));
       rc.mean_interarrival_us = opts.get_double("rpc_gap_us", 500.0);
       rc.num_services = services;
@@ -718,7 +714,7 @@ RunRecord run_scenario(const SweepPoint& point, bool quiet,
   }
   rec.results["sim.events_executed"] =
       static_cast<double>(fab.simulator().executed_events());
-  stability.finalize(opts, rec);
+  stability.finalize(rec);
   robust.finalize(rec);
   fab.finalize_digest();
   if (digest != nullptr) {

@@ -175,7 +175,6 @@ void write_failure_manifest(const std::string& path, const SweepPoint& point,
                             const RunRecord& rec) {
   telemetry::RunManifest manifest("pmsbsim-sweep");
   manifest.set_config(point.opts.values());
-  manifest.set_seed(run_seed(point.opts));
   manifest.set_info("status", "failed");
   manifest.set_info("error", rec.error);
   manifest.set_info("attempts", std::to_string(rec.attempts));
@@ -190,6 +189,8 @@ void write_failure_manifest(const std::string& path, const SweepPoint& point,
     manifest.set_info("peak_rss_bytes", format_double(rec.peak_rss_bytes));
   }
   try {
+    // Throws when the seed is what the cell failed on.
+    manifest.set_seed(run_seed(point.opts));
     manifest.write(path, nullptr);
   } catch (...) {
     // The failed record already carries the error; a missing stub only

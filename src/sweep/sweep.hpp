@@ -37,7 +37,7 @@ struct SweepPoint {
 /// reader of the seed goes through here, so the stub manifest and repro
 /// bundle of a failed cell name the seed it actually ran with.
 [[nodiscard]] inline std::uint64_t run_seed(const experiments::Options& opts) {
-  return static_cast<std::uint64_t>(opts.get_int("seed", 1));
+  return opts.get_uint("seed", 1);
 }
 
 /// Expands `spec` against `base` into the cartesian product of its

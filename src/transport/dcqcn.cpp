@@ -1,6 +1,8 @@
 #include "transport/dcqcn.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace pmsb::transport {
 
@@ -123,7 +125,6 @@ DcqcnReceiver::DcqcnReceiver(sim::Simulator& simulator, net::Host& local,
 void DcqcnReceiver::on_data(const net::Packet& pkt) {
   bytes_received_ += pkt.payload_bytes();
   if (pkt.ce) {
-    ++marked_packets_;
     // Notification point: at most one CNP per interval.
     if (last_cnp_ < 0 || sim_.now() - last_cnp_ >= cfg_.cnp_interval) {
       last_cnp_ = sim_.now();
@@ -147,28 +148,34 @@ void DcqcnReceiver::on_data(const net::Packet& pkt) {
 }
 
 // ---------------------------------------------------------------------------
-// DcqcnFlow
+// DcqcnFlow, DcqcnFlowTable
 // ---------------------------------------------------------------------------
 
 DcqcnFlow::DcqcnFlow(sim::Simulator& simulator, net::Host& src, net::Host& dst,
                      net::FlowId flow, net::ServiceId service,
                      std::uint64_t message_bytes, DcqcnConfig config)
-    : src_(src), dst_(dst), flow_(flow) {
-  sender_ = std::make_unique<DcqcnSender>(simulator, src, dst.id(), flow, service,
-                                          message_bytes, config);
-  receiver_ = std::make_unique<DcqcnReceiver>(simulator, dst, src.id(), flow, service,
+    : sender_(simulator, src, dst.id(), flow, service, message_bytes, config),
+      receiver_(simulator, dst, src.id(), flow, service, message_bytes, config) {}
+
+DcqcnFlow& DcqcnFlowTable::add(sim::Simulator& simulator, net::Host& src,
+                               net::Host& dst, net::FlowId flow, net::ServiceId service,
+                               std::uint64_t message_bytes, DcqcnConfig config) {
+  const auto [it, added] = flows_.try_emplace(flow, simulator, src, dst, flow, service,
                                               message_bytes, config);
-  src_.register_flow(flow_, [s = sender_.get()](const net::Packet& pkt) {
-    if (pkt.type == net::PacketType::kCnp) s->on_cnp();
-  });
-  dst_.register_flow(flow_, [r = receiver_.get()](const net::Packet& pkt) {
-    if (pkt.is_data()) r->on_data(pkt);
-  });
+  if (!added) {
+    throw std::invalid_argument("DcqcnFlowTable: flow " + std::to_string(flow) +
+                                " is already in the table");
+  }
+  src.set_demux(this);
+  dst.set_demux(this);
+  return it->second;
 }
 
-DcqcnFlow::~DcqcnFlow() {
-  src_.unregister_flow(flow_);
-  dst_.unregister_flow(flow_);
+bool DcqcnFlowTable::deliver(net::Host& /*host*/, const net::Packet& pkt) {
+  const auto it = flows_.find(pkt.flow_id);
+  if (it == flows_.end()) return false;
+  it->second.deliver(pkt);
+  return true;
 }
 
 }  // namespace pmsb::transport

@@ -20,13 +20,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <map>
 
 #include "net/host.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace pmsb::transport {
 
@@ -63,33 +62,13 @@ class DcqcnSender {
   void on_cnp();
 
   [[nodiscard]] double current_rate_bps() const { return rc_; }
-  [[nodiscard]] double target_rate_bps() const { return rt_; }
   [[nodiscard]] double alpha() const { return alpha_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
+  [[nodiscard]] const DcqcnSenderStats& stats() const { return stats_; }
+
+ private:
   [[nodiscard]] bool done_sending() const {
     return message_bytes_ > 0 && bytes_sent_ >= message_bytes_;
   }
-  [[nodiscard]] const DcqcnSenderStats& stats() const { return stats_; }
-  [[nodiscard]] net::FlowId flow_id() const { return flow_; }
-
-  /// Registers this reaction point's instruments under `labels`: the
-  /// DcqcnSenderStats cells as bound counters plus live Rc / Rt / alpha
-  /// probe gauges.
-  void bind_metrics(telemetry::MetricsRegistry& registry,
-                    const telemetry::Labels& labels) {
-    registry.bind_counter("dcqcn.packets_sent", labels, &stats_.packets_sent,
-                          "packets");
-    registry.bind_counter("dcqcn.cnps_received", labels, &stats_.cnps_received,
-                          "cnps");
-    registry.bind_counter("dcqcn.rate_cuts", labels, &stats_.rate_cuts, "cuts");
-    registry.bind_counter("dcqcn.increase_rounds", labels, &stats_.increase_rounds,
-                          "rounds");
-    registry.gauge_fn("dcqcn.rate_bps", labels, [this] { return rc_; }, "bps");
-    registry.gauge_fn("dcqcn.target_rate_bps", labels, [this] { return rt_; }, "bps");
-    registry.gauge_fn("dcqcn.alpha", labels, [this] { return alpha_; }, "fraction");
-  }
-
- private:
   void send_next();
   void schedule_alpha_timer();
   void schedule_increase_timer();
@@ -127,7 +106,6 @@ class DcqcnReceiver {
   void set_completion_callback(CompletionCallback cb) { on_complete_ = std::move(cb); }
 
   [[nodiscard]] std::uint64_t bytes_received() const { return bytes_received_; }
-  [[nodiscard]] std::uint64_t marked_packets() const { return marked_packets_; }
   [[nodiscard]] std::uint64_t cnps_sent() const { return cnps_sent_; }
   [[nodiscard]] bool complete() const { return completed_; }
 
@@ -140,34 +118,62 @@ class DcqcnReceiver {
   std::uint64_t message_bytes_;
   DcqcnConfig cfg_;
   std::uint64_t bytes_received_ = 0;
-  std::uint64_t marked_packets_ = 0;
   std::uint64_t cnps_sent_ = 0;
   sim::TimeNs last_cnp_ = -1;
   bool completed_ = false;
   CompletionCallback on_complete_;
 };
 
-/// A unidirectional DCQCN flow wiring both endpoints to their hosts.
+/// The two endpoints of a unidirectional DCQCN flow, sender at `src` and
+/// receiver at `dst`. Their owner, a DcqcnFlowTable, hands them the flow's
+/// arriving packets through deliver().
 class DcqcnFlow {
  public:
   DcqcnFlow(sim::Simulator& simulator, net::Host& src, net::Host& dst,
             net::FlowId flow, net::ServiceId service, std::uint64_t message_bytes,
             DcqcnConfig config);
-  ~DcqcnFlow();
   DcqcnFlow(const DcqcnFlow&) = delete;
   DcqcnFlow& operator=(const DcqcnFlow&) = delete;
 
-  void start(sim::TimeNs at) { sender_->start(at); }
+  void start(sim::TimeNs at) { sender_.start(at); }
 
-  [[nodiscard]] DcqcnSender& sender() { return *sender_; }
-  [[nodiscard]] DcqcnReceiver& receiver() { return *receiver_; }
+  /// A CNP goes to the sender, a data packet to the receiver.
+  void deliver(const net::Packet& pkt) {
+    if (pkt.type == net::PacketType::kCnp) {
+      sender_.on_cnp();
+    } else if (pkt.is_data()) {
+      receiver_.on_data(pkt);
+    }
+  }
+
+  [[nodiscard]] DcqcnSender& sender() { return sender_; }
+  [[nodiscard]] DcqcnReceiver& receiver() { return receiver_; }
 
  private:
-  net::Host& src_;
-  net::Host& dst_;
-  net::FlowId flow_;
-  std::unique_ptr<DcqcnSender> sender_;
-  std::unique_ptr<DcqcnReceiver> receiver_;
+  DcqcnSender sender_;
+  DcqcnReceiver receiver_;
+};
+
+/// Owns DCQCN flows and is the flow demux of their hosts, in place of the
+/// demux they had (on a dumbbell, the fabric's flow table): a host running
+/// DCQCN runs no fabric flow. The table must outlive its hosts' last
+/// delivery.
+class DcqcnFlowTable final : public net::FlowDemux {
+ public:
+  DcqcnFlowTable() = default;
+  DcqcnFlowTable(const DcqcnFlowTable&) = delete;
+  DcqcnFlowTable& operator=(const DcqcnFlowTable&) = delete;
+
+  /// Builds flow `flow` from `src` to `dst` and makes this table the demux
+  /// of both hosts. Throws std::invalid_argument if the table holds `flow`.
+  DcqcnFlow& add(sim::Simulator& simulator, net::Host& src, net::Host& dst,
+                 net::FlowId flow, net::ServiceId service, std::uint64_t message_bytes,
+                 DcqcnConfig config);
+
+  bool deliver(net::Host& host, const net::Packet& pkt) override;
+
+ private:
+  std::map<net::FlowId, DcqcnFlow> flows_;
 };
 
 }  // namespace pmsb::transport

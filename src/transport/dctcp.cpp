@@ -328,7 +328,7 @@ void DctcpReceiver::on_data(const Packet& pkt) {
 }
 
 // ---------------------------------------------------------------------------
-// FlowEndpoints, Flow
+// FlowEndpoints
 // ---------------------------------------------------------------------------
 
 FlowEndpoints::FlowEndpoints(sim::Simulator& simulator, Host& src, Host& dst,
@@ -336,25 +336,5 @@ FlowEndpoints::FlowEndpoints(sim::Simulator& simulator, Host& src, Host& dst,
                              DctcpConfig config)
     : sender_(simulator, src, dst.id(), flow, service, flow_bytes, config),
       receiver_(simulator, dst, src.id(), flow, service) {}
-
-Flow::Flow(sim::Simulator& simulator, Host& src, Host& dst, FlowId flow,
-           ServiceId service, std::uint64_t flow_bytes, DctcpConfig config)
-    : sim_(simulator),
-      src_(src),
-      dst_(dst),
-      flow_(flow),
-      endpoints_(simulator, src, dst, flow, service, flow_bytes, config) {
-  src_.register_flow(flow_, [s = &endpoints_.sender()](const Packet& pkt) {
-    if (pkt.is_ack()) s->on_ack(pkt);
-  });
-  dst_.register_flow(flow_, [r = &endpoints_.receiver()](const Packet& pkt) {
-    if (pkt.is_data()) r->on_data(pkt);
-  });
-}
-
-Flow::~Flow() {
-  src_.unregister_flow(flow_);
-  dst_.unregister_flow(flow_);
-}
 
 }  // namespace pmsb::transport

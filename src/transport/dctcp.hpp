@@ -82,8 +82,7 @@ struct SenderStats {
 
 class DctcpReceiver;
 
-/// One direction of a DCTCP connection. Create via FlowEndpoints or Flow
-/// (below).
+/// One direction of a DCTCP connection. Create via FlowEndpoints (below).
 class DctcpSender {
  public:
   using CompletionCallback = std::function<void(TimeNs fct)>;
@@ -95,7 +94,7 @@ class DctcpSender {
   DctcpSender& operator=(const DctcpSender&) = delete;
 
   /// Begins transmission now. The owner queues the event that calls it
-  /// (experiments::Fabric's start list, Flow::start).
+  /// (experiments::Fabric's start list).
   void start_now();
 
   /// Sets an absolute completion deadline (D2TCP). Only meaningful with
@@ -154,7 +153,7 @@ class DctcpSender {
   [[nodiscard]] std::uint64_t flow_bytes() const { return flow_bytes_; }
   [[nodiscard]] ServiceId service() const { return service_; }
 
-  /// Processes an arriving ACK. Public so a Host handler can drive it.
+  /// Processes an arriving ACK. Public so a flow demux can drive it.
   void on_ack(const Packet& ack);
 
  private:
@@ -264,9 +263,9 @@ class DctcpReceiver {
 };
 
 /// The two endpoints of a unidirectional DCTCP flow, sender at `src` and
-/// receiver at `dst`, registered on no host: their owner hands them the
-/// flow's arriving packets through deliver(). experiments::Fabric owns its
-/// flows' endpoints this way; Flow registers them on the hosts.
+/// receiver at `dst`. Their owner, a net::FlowDemux on both hosts (as
+/// experiments::Fabric's flow table is), hands them the flow's arriving
+/// packets through deliver().
 class FlowEndpoints {
  public:
   FlowEndpoints(sim::Simulator& simulator, Host& src, Host& dst, FlowId flow,
@@ -290,34 +289,6 @@ class FlowEndpoints {
  private:
   DctcpSender sender_;
   DctcpReceiver receiver_;
-};
-
-/// A unidirectional DCTCP flow with its packet handlers registered on both
-/// hosts. Keep it alive for the flow's lifetime.
-class Flow {
- public:
-  Flow(sim::Simulator& simulator, Host& src, Host& dst, FlowId flow, ServiceId service,
-       std::uint64_t flow_bytes, DctcpConfig config);
-  ~Flow();
-  Flow(const Flow&) = delete;
-  Flow& operator=(const Flow&) = delete;
-
-  /// Begins transmission at simulation time `at` (>= now).
-  void start(TimeNs at) {
-    sim_.schedule_at(at, [s = &endpoints_.sender()] { s->start_now(); });
-  }
-
-  [[nodiscard]] DctcpSender& sender() { return endpoints_.sender(); }
-  [[nodiscard]] const DctcpSender& sender() const { return endpoints_.sender(); }
-  [[nodiscard]] DctcpReceiver& receiver() { return endpoints_.receiver(); }
-  [[nodiscard]] FlowId id() const { return flow_; }
-
- private:
-  sim::Simulator& sim_;
-  Host& src_;
-  Host& dst_;
-  FlowId flow_;
-  FlowEndpoints endpoints_;
 };
 
 }  // namespace pmsb::transport

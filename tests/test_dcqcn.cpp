@@ -2,20 +2,20 @@
 // per-port vs PMSB marking (the paper's victim story for RDMA traffic).
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "experiments/dumbbell.hpp"
+#include "faults/invariants.hpp"
 #include "transport/dcqcn.hpp"
 
 using namespace pmsb;
 using namespace pmsb::experiments;
 using transport::DcqcnConfig;
 using transport::DcqcnFlow;
+using transport::DcqcnFlowTable;
 
 namespace {
 
-// DumbbellScenario owns DCTCP flows; for DCQCN we use its topology but
-// create the flows ourselves.
+// DumbbellScenario owns DCTCP flows; for DCQCN we use its topology and put
+// the flows in a DcqcnFlowTable, which becomes the hosts' flow demux.
 DumbbellConfig fabric(std::size_t senders, ecn::MarkingKind kind,
                       std::uint64_t threshold_pkts, std::size_t queues = 1) {
   DumbbellConfig cfg;
@@ -34,7 +34,9 @@ DumbbellConfig fabric(std::size_t senders, ecn::MarkingKind kind,
 TEST(Dcqcn, StartsAtLineRateAndDeliversMessage) {
   DumbbellScenario sc(fabric(1, ecn::MarkingKind::kNone, 0));
   DcqcnConfig cfg;
-  DcqcnFlow flow(sc.simulator(), sc.sender(0), sc.receiver(), 500, 0, 1'000'000, cfg);
+  DcqcnFlowTable flows;
+  DcqcnFlow& flow =
+      flows.add(sc.simulator(), sc.sender(0), sc.receiver(), 500, 0, 1'000'000, cfg);
   sim::TimeNs done_at = 0;
   flow.receiver().set_completion_callback([&](sim::TimeNs t) { done_at = t; });
   flow.start(0);
@@ -79,8 +81,9 @@ TEST(Dcqcn, MarkingThrottlesSendersToLinkShare) {
   // near 5G each and the buffer stays bounded.
   DumbbellScenario sc(fabric(2, ecn::MarkingKind::kPerPort, 16));
   DcqcnConfig cfg;
-  DcqcnFlow f0(sc.simulator(), sc.sender(0), sc.receiver(), 510, 0, 0, cfg);
-  DcqcnFlow f1(sc.simulator(), sc.sender(1), sc.receiver(), 511, 0, 0, cfg);
+  DcqcnFlowTable flows;
+  DcqcnFlow& f0 = flows.add(sc.simulator(), sc.sender(0), sc.receiver(), 510, 0, 0, cfg);
+  DcqcnFlow& f1 = flows.add(sc.simulator(), sc.sender(1), sc.receiver(), 511, 0, 0, cfg);
   f0.start(0);
   f1.start(0);
   sc.run(sim::milliseconds(30));
@@ -99,15 +102,13 @@ TEST(Dcqcn, PmsbProtectsVictimRdmaFlow) {
   auto run_share = [&](ecn::MarkingKind kind, std::uint64_t threshold_pkts) {
     DumbbellScenario sc(fabric(7, kind, threshold_pkts, 2));
     DcqcnConfig cfg;
-    std::vector<std::unique_ptr<DcqcnFlow>> flows;
-    flows.push_back(std::make_unique<DcqcnFlow>(sc.simulator(), sc.sender(0),
-                                                sc.receiver(), 600, 0, 0, cfg));
-    for (std::size_t i = 1; i < 7; ++i) {
-      flows.push_back(std::make_unique<DcqcnFlow>(
-          sc.simulator(), sc.sender(i), sc.receiver(),
-          static_cast<net::FlowId>(600 + i), 1, 0, cfg));
+    DcqcnFlowTable flows;
+    for (std::size_t i = 0; i < 7; ++i) {
+      const net::ServiceId service = i == 0 ? 0 : 1;
+      flows.add(sc.simulator(), sc.sender(i), sc.receiver(),
+                static_cast<net::FlowId>(600 + i), service, 0, cfg)
+          .start(0);
     }
-    for (auto& f : flows) f->start(0);
     sc.run(sim::milliseconds(15));
     const auto q0 = sc.served_bytes(0);
     const auto q1 = sc.served_bytes(1);
@@ -120,4 +121,29 @@ TEST(Dcqcn, PmsbProtectsVictimRdmaFlow) {
   const double pmsb_share = run_share(ecn::MarkingKind::kPmsb, 12);
   EXPECT_LT(perport_share, 0.45);         // victimised
   EXPECT_NEAR(pmsb_share, 0.5, 0.07);     // protected
+}
+
+TEST(Dcqcn, ConservationBalancesWithTheFlowTableAsDemux) {
+  // The table replaces the fabric as both hosts' demux: every packet a host
+  // receives is delivered to a DCQCN endpoint, and the fabric's invariants
+  // (packet conservation among them) hold throughout the run.
+  DumbbellScenario sc(fabric(2, ecn::MarkingKind::kPerPort, 16));
+  faults::InvariantChecker checker(sc.simulator());
+  sc.install_invariants(checker);
+  checker.start_periodic(sim::microseconds(100));
+  DcqcnConfig cfg;
+  DcqcnFlowTable flows;
+  DcqcnFlow& f0 = flows.add(sc.simulator(), sc.sender(0), sc.receiver(), 520, 0, 0, cfg);
+  DcqcnFlow& f1 = flows.add(sc.simulator(), sc.sender(1), sc.receiver(), 521, 0, 0, cfg);
+  f0.start(0);
+  f1.start(0);
+  sc.run(sim::milliseconds(20));
+  checker.check_now();
+  EXPECT_GT(checker.evaluations(), 100u);
+  EXPECT_TRUE(checker.clean()) << checker.summary();
+  EXPECT_GT(f0.receiver().cnps_sent() + f1.receiver().cnps_sent(), 0u);
+  for (net::Host* host : {&sc.sender(0), &sc.sender(1), &sc.receiver()}) {
+    EXPECT_GT(host->delivered_packets(), 0u) << host->name();
+    EXPECT_EQ(host->dropped_no_handler(), 0u) << host->name();
+  }
 }

@@ -9,6 +9,7 @@
 #include "net/host.hpp"
 #include "net/link.hpp"
 #include "sim/simulator.hpp"
+#include "test_demux.hpp"
 #include "transport/dctcp.hpp"
 
 using namespace pmsb;
@@ -24,6 +25,7 @@ struct LossyPair {
   FaultInjector to_b{sim, &b};
   Link ab{sim, sim::gbps(10), sim::microseconds(2), &to_b};
   Link ba{sim, sim::gbps(10), sim::microseconds(2), &a};
+  test::TestDemux demux{&a, &b};
 
   LossyPair() {
     a.attach_uplink(&ab);
@@ -35,8 +37,7 @@ struct LossyPair {
 
 TEST(FaultInjector, ForwardsByDefault) {
   LossyPair net;
-  int got = 0;
-  net.b.register_flow(1, [&](Packet) { ++got; });
+  net.demux.take(1);
   net.sim.schedule_at(0, [&] {
     Packet p;
     p.flow_id = 1;
@@ -44,14 +45,13 @@ TEST(FaultInjector, ForwardsByDefault) {
     net.a.send(std::move(p));
   });
   net.sim.run();
-  EXPECT_EQ(got, 1);
+  EXPECT_EQ(net.demux.taken(net.b, 1).size(), 1u);
   EXPECT_EQ(net.to_b.forwarded(), 1u);
 }
 
 TEST(FaultInjector, CountedDropsDropExactly) {
   LossyPair net;
-  int got = 0;
-  net.b.register_flow(1, [&](Packet) { ++got; });
+  net.demux.take(1);
   net.to_b.drop_next(2);
   net.sim.schedule_at(0, [&] {
     for (int i = 0; i < 5; ++i) {
@@ -62,14 +62,13 @@ TEST(FaultInjector, CountedDropsDropExactly) {
     }
   });
   net.sim.run();
-  EXPECT_EQ(got, 3);
+  EXPECT_EQ(net.demux.taken(net.b, 1).size(), 3u);
   EXPECT_EQ(net.to_b.dropped(), 2u);
 }
 
 TEST(FaultInjector, JitterReordersButDelivers) {
   LossyPair net;
-  std::vector<std::uint64_t> order;
-  net.b.register_flow(1, [&](Packet p) { order.push_back(p.seq); });
+  net.demux.take(1);
   net.to_b.set_extra_delay(sim::microseconds(1), sim::microseconds(50));
   net.sim.schedule_at(0, [&] {
     for (std::uint64_t i = 0; i < 50; ++i) {
@@ -82,6 +81,8 @@ TEST(FaultInjector, JitterReordersButDelivers) {
     }
   });
   net.sim.run();
+  std::vector<std::uint64_t> order;
+  for (const Packet& p : net.demux.taken(net.b, 1)) order.push_back(p.seq);
   ASSERT_EQ(order.size(), 50u);
   EXPECT_FALSE(std::is_sorted(order.begin(), order.end()));  // reordered
 }
@@ -90,10 +91,9 @@ TEST(FaultInjection, DctcpCompletesThroughOnePercentLoss) {
   LossyPair net;
   net.to_b.set_drop_rate(0.01);
   transport::DctcpConfig cfg;
-  transport::Flow flow(net.sim, net.a, net.b, 1, 0, 2'000'000, cfg);
+  auto& flow = net.demux.add_dctcp(net.sim, net.a, net.b, 1, 2'000'000, cfg, /*start=*/0);
   bool done = false;
   flow.sender().set_completion_callback([&](sim::TimeNs) { done = true; });
-  flow.start(0);
   net.sim.run(sim::seconds(10));
   ASSERT_TRUE(done);
   EXPECT_EQ(flow.receiver().rcv_nxt(), 2'000'000u);
@@ -103,8 +103,7 @@ TEST(FaultInjection, DctcpCompletesThroughOnePercentLoss) {
 TEST(FaultInjection, DctcpSurvivesLossBurst) {
   LossyPair net;
   transport::DctcpConfig cfg;
-  transport::Flow flow(net.sim, net.a, net.b, 1, 0, 500'000, cfg);
-  flow.start(0);
+  auto& flow = net.demux.add_dctcp(net.sim, net.a, net.b, 1, 500'000, cfg, /*start=*/0);
   // Kill a burst of 12 packets mid-flow.
   net.sim.schedule_at(sim::microseconds(100), [&] { net.to_b.drop_next(12); });
   net.sim.run(sim::seconds(10));
@@ -116,8 +115,7 @@ TEST(FaultInjection, ReorderingTriggersFastRetransmitNotCollapse) {
   LossyPair net;
   net.to_b.set_extra_delay(0, sim::microseconds(30));
   transport::DctcpConfig cfg;
-  transport::Flow flow(net.sim, net.a, net.b, 1, 0, 1'000'000, cfg);
-  flow.start(0);
+  auto& flow = net.demux.add_dctcp(net.sim, net.a, net.b, 1, 1'000'000, cfg, /*start=*/0);
   net.sim.run(sim::seconds(10));
   ASSERT_TRUE(flow.sender().complete());
   EXPECT_EQ(flow.receiver().rcv_nxt(), 1'000'000u);
@@ -137,6 +135,7 @@ struct LossyDuplex {
   FaultInjector to_a{sim, &a};
   Link ab{sim, sim::gbps(10), sim::microseconds(2), &to_b};
   Link ba{sim, sim::gbps(10), sim::microseconds(2), &to_a};
+  test::TestDemux demux{&a, &b};
 
   LossyDuplex() {
     a.attach_uplink(&ab);
@@ -149,8 +148,7 @@ struct LossyDuplex {
 TEST(FaultInjection, SingleCountedDataDropRecoversByFastRetransmit) {
   LossyPair net;
   transport::DctcpConfig cfg;
-  transport::Flow flow(net.sim, net.a, net.b, 1, 0, 1'000'000, cfg);
-  flow.start(0);
+  auto& flow = net.demux.add_dctcp(net.sim, net.a, net.b, 1, 1'000'000, cfg, /*start=*/0);
   // One counted drop mid-stream: the packets behind it generate dupacks, so
   // recovery must come from fast retransmit, never a timeout.
   net.sim.schedule_at(sim::microseconds(200), [&] { net.to_b.drop_next(1); });
@@ -167,14 +165,13 @@ TEST(FaultInjection, AckPastTheGoBackNResendMovesSendingOn) {
   transport::DctcpConfig cfg;
   cfg.init_cwnd_segments = 3;
   constexpr std::uint64_t kBytes = 100'000;
-  transport::Flow flow(net.sim, net.a, net.b, 1, 0, kBytes, cfg);
+  auto& flow = net.demux.add_dctcp(net.sim, net.a, net.b, 1, kBytes, cfg, /*start=*/0);
   // The head of the first window is lost. Two dupacks are too few for fast
   // retransmit, so the timeout fires and go-back-N resends from snd_una; the
   // receiver holds the other two segments, so the ACK for that resend
   // covers all three, beyond the sender's resend point. Sending must go on
   // from there instead of waiting for a second timeout.
   net.to_b.drop_next(1);
-  flow.start(0);
   std::uint64_t max_inflight = 0;
   std::function<void()> probe = [&] {
     max_inflight = std::max(max_inflight, flow.sender().bytes_inflight());
@@ -192,8 +189,7 @@ TEST(FaultInjection, AckPastTheGoBackNResendMovesSendingOn) {
 TEST(FaultInjection, AckBlackoutForcesRtoThenGoBackNRecovery) {
   LossyDuplex net;
   transport::DctcpConfig cfg;
-  transport::Flow flow(net.sim, net.a, net.b, 1, 0, 1'000'000, cfg);
-  flow.start(0);
+  auto& flow = net.demux.add_dctcp(net.sim, net.a, net.b, 1, 1'000'000, cfg, /*start=*/0);
   // Blackhole every pure ACK for 5 ms: no dupacks can arrive, so the only
   // way out is the retransmission timer firing and go-back-N resending from
   // snd_una until the ACK path heals.
@@ -211,8 +207,7 @@ TEST(FaultInjection, HeavyLossStillMakesProgress) {
   LossyPair net;
   net.to_b.set_drop_rate(0.05);
   transport::DctcpConfig cfg;
-  transport::Flow flow(net.sim, net.a, net.b, 1, 0, 300'000, cfg);
-  flow.start(0);
+  auto& flow = net.demux.add_dctcp(net.sim, net.a, net.b, 1, 300'000, cfg, /*start=*/0);
   net.sim.run(sim::seconds(30));
   EXPECT_TRUE(flow.sender().complete());
 }

@@ -32,6 +32,7 @@
 #include "sweep/sweep.hpp"
 #include "telemetry/json_reader.hpp"
 #include "telemetry/metrics.hpp"
+#include "test_demux.hpp"
 #include "workload/coflow.hpp"
 #include "workload/size_dist.hpp"
 
@@ -57,6 +58,7 @@ struct PlanPair {
   Link ab{sim, sim::gbps(10), sim::microseconds(2), &b};
   Link ba{sim, sim::gbps(10), sim::microseconds(2), &a};
   std::vector<LinkRef> refs{{"a", "b", &ab}, {"b", "a", &ba}};
+  test::TestDemux demux{&a, &b};
 
   PlanPair() {
     a.attach_uplink(&ab);
@@ -135,8 +137,7 @@ TEST(FaultPlan, LinkFlapDropsInFlightAndDeliversAfterRecovery) {
   plan.install(net.sim, net.refs);
   ASSERT_EQ(plan.num_points(), 2u);  // both directions interposed
 
-  int got = 0;
-  net.b.register_flow(1, [&](Packet) { ++got; });
+  net.demux.take(1);
   // Sent before the flap but still in flight (serialization + 2us
   // propagation) when the link goes down at 10us: dropped and counted.
   net.sim.schedule_at(sim::microseconds(9), [&] { net.a.send(make_packet(1, 1)); });
@@ -146,7 +147,7 @@ TEST(FaultPlan, LinkFlapDropsInFlightAndDeliversAfterRecovery) {
   net.sim.schedule_at(sim::microseconds(150), [&] { net.a.send(make_packet(1, 1)); });
   net.sim.run();
 
-  EXPECT_EQ(got, 1);
+  EXPECT_EQ(net.demux.taken(net.b, 1).size(), 1u);
   EXPECT_EQ(plan.dropped(), 2u);
   auto* point = plan.point_between("a", "b");
   ASSERT_NE(point, nullptr);
@@ -161,18 +162,16 @@ TEST(FaultPlan, LossIsDirectional) {
   plan.install(net.sim, net.refs);
   ASSERT_EQ(plan.num_points(), 1u);  // only a's egress matched
 
-  int got_b = 0;
-  int got_a = 0;
-  net.b.register_flow(1, [&](Packet) { ++got_b; });
-  net.a.register_flow(2, [&](Packet) { ++got_a; });
+  net.demux.take(1);
+  net.demux.take(2);
   net.sim.schedule_at(0, [&] {
     for (int i = 0; i < 5; ++i) net.a.send(make_packet(1, 1));
     for (int i = 0; i < 5; ++i) net.b.send(make_packet(2, 0));
   });
   net.sim.run();
 
-  EXPECT_EQ(got_b, 0);  // a -> b all lost
-  EXPECT_EQ(got_a, 5);  // b -> a untouched
+  EXPECT_EQ(net.demux.taken(net.b, 1).size(), 0u);  // a -> b all lost
+  EXPECT_EQ(net.demux.taken(net.a, 2).size(), 5u);  // b -> a untouched
   EXPECT_EQ(plan.dropped(), 5u);
 }
 
@@ -182,19 +181,15 @@ TEST(FaultPlan, BleachClearsCeMarksButDeliversPackets) {
   plan.add_spec_string("bleach:a:1.0");
   plan.install(net.sim, net.refs);
 
-  int got = 0;
-  int ce_seen = 0;
-  net.b.register_flow(1, [&](Packet p) {
-    ++got;
-    if (p.ce) ++ce_seen;
-  });
+  net.demux.take(1);
   net.sim.schedule_at(0, [&] {
     for (int i = 0; i < 10; ++i) net.a.send(make_packet(1, 1, /*ce=*/true));
   });
   net.sim.run();
 
-  EXPECT_EQ(got, 10);      // bleaching never drops
-  EXPECT_EQ(ce_seen, 0);   // every CE mark cleared
+  const std::vector<Packet> got = net.demux.taken(net.b, 1);
+  EXPECT_EQ(got.size(), 10u);  // bleaching never drops
+  for (const Packet& p : got) EXPECT_FALSE(p.ce);  // every CE mark cleared
   EXPECT_EQ(plan.bleached(), 10u);
   EXPECT_EQ(plan.forwarded(), 10u);
 }
@@ -781,8 +776,8 @@ TEST(ScenarioRobustness, InvariantsAreResultNeutral) {
 TEST(FaultInjectorLifetime, DelayedDeliveryAfterDestructionIsSafe) {
   sim::Simulator sim;
   Host b{sim, 1, "b"};
-  int got = 0;
-  b.register_flow(1, [&](Packet) { ++got; });
+  test::TestDemux demux{&b};
+  demux.take(1);
 
   auto injector = std::make_unique<FaultInjector>(sim, &b);
   injector->set_extra_delay(sim::milliseconds(1));
@@ -794,7 +789,7 @@ TEST(FaultInjectorLifetime, DelayedDeliveryAfterDestructionIsSafe) {
   // orphaned event must become a no-op instead of dereferencing dead state.
   injector.reset();
   sim.run();
-  EXPECT_EQ(got, 0);
+  EXPECT_EQ(demux.taken(b, 1).size(), 0u);
 }
 
 TEST(FaultInjectorLifetime, DetachBlackholesInsteadOfDereferencingDeadInner) {
@@ -820,18 +815,16 @@ TEST(LinkDestination, SetDestinationReroutesInFlightPackets) {
   Host c{sim, 2, "c"};
   Link ab{sim, sim::gbps(10), sim::microseconds(2), &b};
   a.attach_uplink(&ab);
-  int got_b = 0;
-  int got_c = 0;
-  b.register_flow(1, [&](Packet) { ++got_b; });
-  c.register_flow(1, [&](Packet) { ++got_c; });
+  test::TestDemux demux{&b, &c};
+  demux.take(1);
 
   sim.schedule_at(0, [&] { a.send(make_packet(1, 1)); });
   // Re-point the link while the packet is still in flight: delivery resolves
   // the destination at arrival time, so the interposer sees it.
   sim.schedule_at(sim::microseconds(1), [&] { ab.set_destination(&c); });
   sim.run();
-  EXPECT_EQ(got_b, 0);
-  EXPECT_EQ(got_c, 1);
+  EXPECT_EQ(demux.taken(b, 1).size(), 0u);
+  EXPECT_EQ(demux.taken(c, 1).size(), 1u);
   EXPECT_EQ(ab.packets_delivered(), 1u);
   EXPECT_EQ(ab.packets_in_flight(), 0u);
 }

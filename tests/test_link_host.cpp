@@ -11,6 +11,7 @@
 #include "net/node.hpp"
 #include "net/packet_store.hpp"
 #include "sim/simulator.hpp"
+#include "test_demux.hpp"
 
 using namespace pmsb;
 using namespace pmsb::net;
@@ -127,9 +128,9 @@ TEST(Host, SendWithoutUplinkThrows) {
 TEST(Host, DemuxesToRegisteredHandler) {
   sim::Simulator sim;
   Host host(sim, 0, "h0");
-  int got_a = 0, got_b = 0;
-  host.register_flow(1, [&](Packet) { ++got_a; });
-  host.register_flow(2, [&](Packet) { ++got_b; });
+  test::TestDemux demux{&host};
+  demux.take(1);
+  demux.take(2);
   Packet p1 = make_packet();
   p1.flow_id = 1;
   Packet p2 = make_packet();
@@ -137,8 +138,8 @@ TEST(Host, DemuxesToRegisteredHandler) {
   host.receive(p1);
   host.receive(p2);
   host.receive(p1);
-  EXPECT_EQ(got_a, 2);
-  EXPECT_EQ(got_b, 1);
+  EXPECT_EQ(demux.taken(host, 1).size(), 2u);
+  EXPECT_EQ(demux.taken(host, 2).size(), 1u);
   EXPECT_EQ(host.delivered_packets(), 3u);
 }
 
@@ -147,23 +148,28 @@ TEST(Host, UnregisteredFlowCounted) {
   Host host(sim, 0, "h0");
   Packet p = make_packet();
   p.flow_id = 99;
-  host.receive(p);
+  host.receive(p);  // no demux
   EXPECT_EQ(host.dropped_no_handler(), 1u);
+  test::TestDemux demux{&host};
+  demux.take(1);
+  host.receive(p);  // the demux declines flow 99
+  EXPECT_EQ(host.dropped_no_handler(), 2u);
+  EXPECT_EQ(host.delivered_packets(), 0u);
 }
 
+// A demux may stop taking a flow inside its own deliver(): the packet it is
+// delivering still counts as delivered, and the next one is declined.
 TEST(Host, HandlerMayUnregisterItself) {
   sim::Simulator sim;
   Host host(sim, 0, "h0");
-  int calls = 0;
-  host.register_flow(5, [&](Packet) {
-    ++calls;
-    host.unregister_flow(5);
-  });
+  test::TestDemux demux{&host};
+  demux.take(5, /*limit=*/1);
   Packet p = make_packet();
   p.flow_id = 5;
   host.receive(p);
   host.receive(p);
-  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(demux.taken(host, 5).size(), 1u);
+  EXPECT_EQ(host.delivered_packets(), 1u);
   EXPECT_EQ(host.dropped_no_handler(), 1u);
 }
 

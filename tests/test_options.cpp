@@ -1,12 +1,17 @@
-// Tests for the key=value Options parser used by the pmsbsim tool.
+// Tests for the key=value Options parser used by the pmsbsim tool, and for
+// the checked reads of its unsigned keys.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 
 #include "experiments/options.hpp"
+#include "sweep/scenario_run.hpp"
+#include "sweep/sweep.hpp"
 
+using namespace pmsb;
 using namespace pmsb::experiments;
 
 namespace {
@@ -14,6 +19,17 @@ Options parse(std::initializer_list<const char*> args) {
   std::vector<const char*> argv = {"prog"};
   argv.insert(argv.end(), args.begin(), args.end());
   return Options::from_args(static_cast<int>(argv.size()), argv.data());
+}
+
+/// The message of the std::invalid_argument that `read` throws, or "" when
+/// it throws none.
+std::string rejection(const std::function<void()>& read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
 }
 
 std::string write_temp_config(const std::string& body) {
@@ -162,4 +178,66 @@ TEST(Options, ClosestKeyRanksByEditDistance) {
   EXPECT_EQ(Options::closest_key("scheme", {"scheme", "schema"}), "scheme");
   EXPECT_EQ(Options::closest_key("sceme", {"scheme", "load"}), "scheme");
   EXPECT_EQ(Options::closest_key("xyzzy", {"scheme", "load"}), "");
+}
+
+TEST(Options, UnsignedGetterRejectsValuesBelowItsMinimum) {
+  const auto o = parse({"flows=0", "top=7", "queues=-1", "link_gbps=0", "jobs=-1",
+                        "cell_retries=-1", "seed=abc"});
+  EXPECT_EQ(o.get_uint("absent", 9, 10), 9u);  // a fallback is not checked
+  EXPECT_EQ(o.get_uint("flows", 5), 0u);
+  EXPECT_EQ(o.get_uint("top", 10, 7), 7u);     // the minimum itself is accepted
+  // Below the minimum (0 unless given): rejected, naming the key and value.
+  // jobs= and cell_retries= are tested only here: a run with jobs=-1 would
+  // start one worker thread per cell.
+  EXPECT_EQ(rejection([&] { (void)o.get_uint("queues", 1, 1); }),
+            "Options: queues=-1 is below its minimum, 1");
+  EXPECT_EQ(rejection([&] { (void)o.get_uint("link_gbps", 10, 1); }),
+            "Options: link_gbps=0 is below its minimum, 1");
+  EXPECT_EQ(rejection([&] { (void)o.get_uint("jobs", 1); }),
+            "Options: jobs=-1 is below its minimum, 0");
+  EXPECT_EQ(rejection([&] { (void)o.get_uint("cell_retries", 0); }),
+            "Options: cell_retries=-1 is below its minimum, 0");
+  // A value that is no integer fails as get_int fails.
+  const std::string not_integer = rejection([&] { (void)o.get_uint("seed", 1); });
+  EXPECT_NE(not_integer.find("'seed' is not an integer"), std::string::npos) << not_integer;
+}
+
+TEST(Options, NegativeCountKeysAreRejectedNamingTheKey) {
+  // Every unsigned key a run reads, below its minimum (the last token) on a
+  // base that reads it: the run throws before it starts, so pmsbsim exits 2,
+  // and the message names the key and its value.
+  for (const char* line : {
+           "topology=dumbbell queues=-1",
+           "topology=dumbbell queues=0",
+           "topology=dumbbell buffer_bytes=-1",
+           "topology=dumbbell link_gbps=-10",
+           "topology=dumbbell link_gbps=0",
+           "topology=dumbbell max_cwnd_bytes=-1",
+           "topology=dumbbell watchdog_events=-1",
+           "topology=dumbbell stability=1 stability_window=-3",
+           "topology=dumbbell seed=-1",
+           "topology=leafspine seed=-1",
+           "topology=leafspine flows=-1",
+           "topology=leafspine pattern=coflow coflows=-1",
+           "topology=leafspine pattern=coflow mappers=-1",
+           "topology=leafspine pattern=coflow reducers=-1",
+           "topology=leafspine pattern=coflow stages=-1",
+           "topology=leafspine pattern=rpc rpcs=-1",
+           "topology=leafspine pattern=rpc fanout=-1",
+           "topology=leafspine pattern=rpc rpc_bytes=-5",
+           "topology=leafspine pattern=rpc rpc_bytes=0",
+       }) {
+    sweep::SweepPoint pt;
+    std::istringstream tokens(line);
+    std::string token;
+    std::string rejected;
+    while (tokens >> token) {
+      const auto eq = token.find('=');
+      pt.opts.set(token.substr(0, eq), token.substr(eq + 1));
+      rejected = token;
+    }
+    const std::string what = rejection([&] { (void)sweep::run_scenario(pt, true); });
+    EXPECT_NE(what.find(rejected + " is below its minimum"), std::string::npos)
+        << line << ": " << what;
+  }
 }

@@ -201,6 +201,24 @@ TEST(ResumeSweep, FailedCellStubNamesTheSeedTheCellRanWith) {
   EXPECT_EQ(stub.seed, 1u);
 }
 
+TEST(ResumeSweep, RejectedSeedFailsItsCellAlone) {
+  // The stub manifest names the seed, so a seed the run rejects cannot go
+  // in it: that cell writes no stub (a resume re-runs it) and the rest of
+  // the sweep runs on.
+  Options base;
+  base.set("topology", "dumbbell");
+  base.set("duration_ms", "5");
+  const auto pts = sweep::expand_grid(base, "seed:-1,2");
+  sweep::SweepConfig cfg;
+  cfg.manifest_dir = fresh_dir("rejected_seed");
+  const auto recs = sweep::run_sweep(pts, cfg);
+  ASSERT_EQ(recs.size(), 2u);
+  ASSERT_FALSE(recs[0].ok);
+  EXPECT_NE(recs[0].error.find("seed=-1"), std::string::npos) << recs[0].error;
+  EXPECT_FALSE(fs::exists(recs[0].manifest_path));
+  EXPECT_TRUE(recs[1].ok) << recs[1].error;
+}
+
 // --- try_salvage_cell validation ---------------------------------------
 
 namespace {

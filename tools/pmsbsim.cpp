@@ -17,6 +17,9 @@
 //
 // - A key only the other topology reads exits 2 with "X= requires
 //   topology=Y" (load= on the dumbbell, flows_per_queue= on the leaf-spine).
+// - A count, size, rate or seed key below its minimum exits 2 naming the key
+//   and value: any negative value, and 0 for queues=, link_gbps= and
+//   rpc_bytes= (an rpc_bytes=0 response would be a long-lived flow).
 // - digest=1 digests are what tools/pmsbregress compares against baselines.
 // - Sweeps fan the grid across a worker pool; each run is an isolated
 //   single-threaded simulator, so per-run results are bit-identical to a
@@ -186,13 +189,13 @@ std::vector<std::string> allowed_keys() {
 int run_sweep_cli(const Options& opts) {
   const std::string spec = opts.get("sweep");
   sweep::SweepConfig cfg;
-  cfg.jobs = static_cast<std::size_t>(opts.get_int("jobs", 1));
+  cfg.jobs = opts.get_uint("jobs", 1);
   cfg.manifest_dir = opts.get("sweep_manifest_dir");
   cfg.resume = opts.get_bool("sweep_resume", false);
   cfg.cell_timeout_s = opts.get_double("cell_timeout_s", 0.0);
   cfg.isolate = opts.get_bool("isolate", false);
-  cfg.cell_mem_mb = static_cast<std::size_t>(opts.get_int("cell_mem_mb", 0));
-  cfg.cell_retries = static_cast<std::size_t>(opts.get_int("cell_retries", 0));
+  cfg.cell_mem_mb = opts.get_uint("cell_mem_mb", 0);
+  cfg.cell_retries = opts.get_uint("cell_retries", 0);
   cfg.progress = true;
   if (cfg.resume && cfg.manifest_dir.empty()) {
     throw std::invalid_argument(
@@ -299,7 +302,7 @@ int run_repro_cli(const Options& opts) {
 
   sweep::CellLimits limits;
   limits.wall_s = point.opts.get_double("cell_timeout_s", 0.0);
-  limits.mem_mb = static_cast<std::size_t>(point.opts.get_int("cell_mem_mb", 0));
+  limits.mem_mb = point.opts.get_uint("cell_mem_mb", 0);
   const sweep::CellOutcome outcome = sweep::run_cell_in_child(point, limits, 1);
   if (outcome.exit_class == sweep::ExitClass::kOk) {
     std::printf("repro: cell completed ok (%.0f ms, peak rss %.0f MiB)\n",

@@ -95,10 +95,10 @@ int cmd_flow(const std::string& path, const Options& opts) {
     std::printf("rerun with flow=N for a breakdown\n");
     return 0;
   }
-  const auto flow = static_cast<net::FlowId>(opts.get_int("flow", 0));
+  const auto flow = static_cast<net::FlowId>(opts.get_uint("flow", 0));
   const auto b = trace::analyze_flow(spans, flow);
   print_breakdown(b);
-  const auto limit = static_cast<std::size_t>(opts.get_int("timeline", 0));
+  const std::size_t limit = opts.get_uint("timeline", 0);
   if (limit > 0) {
     stats::Table table({"t(us)", "phase", "node", "packet", "seq", "flags"});
     std::size_t shown = 0;
@@ -166,7 +166,7 @@ int cmd_port(const std::string& path, const Options& opts) {
 int cmd_profile(const std::string& path, const Options& opts) {
   opts.validate_keys({"top", "diff"});
   const trace::ProfileDoc doc = trace::read_profile(path);
-  const auto top = static_cast<std::size_t>(opts.get_int("top", 10));
+  const std::size_t top = opts.get_uint("top", 10);
   if (opts.has("diff")) {
     const trace::ProfileDoc after = trace::read_profile(opts.get("diff"));
     std::printf("dispatches: %llu -> %llu; dispatch wall: %s -> %s ms\n",
