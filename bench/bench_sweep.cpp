@@ -5,7 +5,7 @@
 // per-run deterministic_signature() is bit-identical between the two. On an
 // 8-core host the parallel pass should land near-linear (>= 3x); on small
 // hosts the determinism check is the point and the speedup line is
-// informational. A third pass writes per-run manifests and a fourth resumes
+// informational. A third pass writes per-cell records and a fourth resumes
 // from them: the resume must salvage every cell (zero re-runs), reproduce
 // every signature bit-for-bit, and cost a small fraction of a real sweep.
 #include <atomic>
@@ -63,7 +63,7 @@ int main() {
     }
   }
 
-  // Salvage pass: write manifests, then resume from them. Every cell must
+  // Salvage pass: write cell records, then resume from them. Every cell must
   // rehydrate (no re-runs), and every signature must match the live run.
   namespace fs = std::filesystem;
   const fs::path manifest_dir =
@@ -100,7 +100,7 @@ int main() {
   std::printf("serial   : %.2f s\n", t_serial);
   std::printf("parallel : %.2f s  (speedup %.2fx)\n", t_parallel,
               t_parallel > 0 ? t_serial / t_parallel : 0.0);
-  std::printf("manifests: %.2f s to write, %.2f s to salvage all %zu\n", t_write,
+  std::printf("records  : %.2f s to write, %.2f s to salvage all %zu\n", t_write,
               t_resume, points.size());
   std::printf("signatures: %s (%zu mismatches, %zu failed runs)\n",
               mismatches == 0 && failures == 0 ? "IDENTICAL" : "DIFFER",

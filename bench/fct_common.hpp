@@ -15,7 +15,8 @@
 //     threshold T_k = 78 us. PMSB and PMSB(e) keep the measured ~85.2 us.
 // Each figure cell averages its seeds; tail percentiles over a few hundred
 // flows are noisy otherwise. PMSB_BENCH_CHECKPOINT_DIR (made if missing)
-// keeps every run's manifest there and salvages matching ones on a re-run;
+// keeps every run's sweep cell record there (its config, info and results,
+// about 1.4 KB) and salvages matching ones on a re-run;
 // PMSB_BENCH_CELL_TIMEOUT_S gives each run a wall-clock budget. A run that
 // fails, for any reason, fails alone and counts as zeros; the bench prints
 // its table and exits 1.

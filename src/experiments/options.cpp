@@ -45,6 +45,22 @@ double parse_double(const std::string& key, const std::string& text) {
                       [](const std::string& t, std::size_t* pos) { return std::stod(t, pos); });
 }
 
+/// parse_int for an unsigned value in [min, max]; out of range throws
+/// std::invalid_argument naming the key and value.
+std::uint64_t parse_uint(const std::string& key, const std::string& text,
+                         std::uint64_t min, std::uint64_t max) {
+  const std::int64_t v = parse_int(key, text);
+  if (v < 0 || static_cast<std::uint64_t>(v) < min) {
+    throw std::invalid_argument("Options: " + key + "=" + text + " is below its minimum, " +
+                                std::to_string(min));
+  }
+  if (static_cast<std::uint64_t>(v) > max) {
+    throw std::invalid_argument("Options: " + key + "=" + text + " is above its maximum, " +
+                                std::to_string(max));
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 void parse_line(Options& opts, const std::string& raw, const std::string& where) {
   std::string line = raw;
   if (const auto hash = line.find('#'); hash != std::string::npos) {
@@ -100,15 +116,9 @@ std::int64_t Options::get_int(const std::string& key, std::int64_t fallback) con
 }
 
 std::uint64_t Options::get_uint(const std::string& key, std::uint64_t fallback,
-                                std::uint64_t min) const {
+                                std::uint64_t min, std::uint64_t max) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::int64_t v = parse_int(key, it->second);
-  if (v < 0 || static_cast<std::uint64_t>(v) < min) {
-    throw std::invalid_argument("Options: " + key + "=" + it->second +
-                                " is below its minimum, " + std::to_string(min));
-  }
-  return static_cast<std::uint64_t>(v);
+  return it == values_.end() ? fallback : parse_uint(key, it->second, min, max);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
@@ -174,16 +184,34 @@ void Options::validate_keys(const std::vector<std::string>& allowed) const {
   }
 }
 
-std::vector<double> Options::get_double_list(const std::string& key) const {
-  std::vector<double> out;
-  const auto it = values_.find(key);
-  if (it == values_.end()) return out;
+namespace {
+/// Parses each non-empty entry of the comma list under `key` with `parse`.
+template <typename T, typename Parse>
+std::vector<T> parse_list(const std::map<std::string, std::string>& values,
+                          const std::string& key, Parse parse) {
+  std::vector<T> out;
+  const auto it = values.find(key);
+  if (it == values.end()) return out;
   std::stringstream ss(it->second);
   std::string cell;
   while (std::getline(ss, cell, ',')) {
-    if (!trim(cell).empty()) out.push_back(parse_double(key, trim(cell)));
+    if (!trim(cell).empty()) out.push_back(parse(trim(cell)));
   }
   return out;
+}
+}  // namespace
+
+std::vector<double> Options::get_double_list(const std::string& key) const {
+  return parse_list<double>(values_, key,
+                            [&](const std::string& cell) { return parse_double(key, cell); });
+}
+
+std::vector<std::uint64_t> Options::get_uint_list(const std::string& key,
+                                                  std::uint64_t min,
+                                                  std::uint64_t max) const {
+  return parse_list<std::uint64_t>(values_, key, [&](const std::string& cell) {
+    return parse_uint(key, cell, min, max);
+  });
 }
 
 }  // namespace pmsb::experiments

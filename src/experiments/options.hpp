@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -36,16 +37,23 @@ class Options {
   /// the value is not a number, has trailing junk, or is out of range.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
-  /// get_int for a value that cannot be negative (a count, size, rate, id
-  /// or seed): also throws std::invalid_argument naming the key when the
-  /// value is below `min`.
-  [[nodiscard]] std::uint64_t get_uint(const std::string& key, std::uint64_t fallback,
-                                       std::uint64_t min = 0) const;
+  /// get_int for a value that cannot be negative (a count, size, rate, id,
+  /// seed or duration): also throws std::invalid_argument naming the key
+  /// when the value is below `min` or above `max`, the most its destination
+  /// holds.
+  [[nodiscard]] std::uint64_t get_uint(
+      const std::string& key, std::uint64_t fallback, std::uint64_t min = 0,
+      std::uint64_t max = std::numeric_limits<std::int64_t>::max()) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
   /// Comma-separated list of doubles ("1,2.5,4"); every non-empty entry
   /// must parse as get_double would.
   [[nodiscard]] std::vector<double> get_double_list(const std::string& key) const;
+  /// Comma-separated list of unsigned integers; every non-empty entry is
+  /// checked as get_uint checks a value.
+  [[nodiscard]] std::vector<std::uint64_t> get_uint_list(const std::string& key,
+                                                         std::uint64_t min,
+                                                         std::uint64_t max) const;
 
   [[nodiscard]] const std::map<std::string, std::string>& values() const {
     return values_;

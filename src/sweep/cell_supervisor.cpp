@@ -9,7 +9,6 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <new>
 #include <sstream>
 #include <stdexcept>
@@ -17,8 +16,6 @@
 
 #include "faults/watchdog.hpp"
 #include "sweep/scenario_run.hpp"
-#include "telemetry/json_reader.hpp"
-#include "telemetry/run_report.hpp"
 
 namespace pmsb::sweep {
 
@@ -69,14 +66,15 @@ std::string read_pipe(int fd) {
 /// stdio buffers are never double-flushed and no destructors of the
 /// parent's state run here.
 [[noreturn]] void child_main(const SweepPoint& point, const CellLimits& limits,
-                             int attempt, int error_fd) {
+                             int attempt, const std::string& record_path,
+                             int error_fd) {
   if (limits.mem_mb > 0) {
     rlimit as{};
     as.rlim_cur = as.rlim_max =
         static_cast<rlim_t>(limits.mem_mb) * 1024ull * 1024ull;
     (void)::setrlimit(RLIMIT_AS, &as);
   }
-  rlimit core{};  // a crashing cell is diagnosed via its repro bundle,
+  rlimit core{};  // a crashing cell is diagnosed via its record,
   core.rlim_cur = core.rlim_max = 0;  // not via core dumps littering CI
   (void)::setrlimit(RLIMIT_CORE, &core);
 
@@ -86,8 +84,17 @@ std::string read_pipe(int fd) {
 
   int code = kChildOk;
   std::string error;
+  const auto t0 = std::chrono::steady_clock::now();
   try {
-    (void)run_scenario(point, /*quiet=*/true);
+    RunRecord rec = run_scenario(point, /*quiet=*/true);
+    if (!record_path.empty()) {
+      rec.attempts = static_cast<std::size_t>(attempt);
+      rec.wall_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+      rec.manifest_path = record_path;
+      write_cell_record(record_path, point, rec);
+    }
   } catch (const faults::WallBudgetExceeded& e) {
     code = kChildTimeout;
     error = e.what();
@@ -145,7 +152,7 @@ std::string signal_name(int sig) {
 }
 
 CellOutcome run_cell_in_child(const SweepPoint& point, const CellLimits& limits,
-                              int attempt) {
+                              int attempt, const std::string& record_path) {
   CellOutcome out;
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -165,7 +172,7 @@ CellOutcome run_cell_in_child(const SweepPoint& point, const CellLimits& limits,
   }
   if (pid == 0) {
     ::close(fds[0]);
-    child_main(point, limits, attempt, fds[1]);  // never returns
+    child_main(point, limits, attempt, record_path, fds[1]);  // never returns
   }
   ::close(fds[1]);
 
@@ -258,81 +265,6 @@ CellOutcome run_cell_in_child(const SweepPoint& point, const CellLimits& limits,
       out.error = "child exited with unexpected code " + std::to_string(code) +
                   (out.error.empty() ? "" : ": " + out.error);
       break;
-  }
-  return out;
-}
-
-std::string repro_file_name(std::size_t index, std::size_t grid_size) {
-  const std::string run = manifest_file_name(index, grid_size);
-  // "run_<idx>.json" -> "repro_<idx>.json": same pad width, same ordering.
-  return "repro_" + run.substr(4);
-}
-
-std::string repro_bundle_json(const SweepPoint& point, const RunRecord& rec) {
-  telemetry::JsonWriter w;
-  w.begin_object();
-  w.key("schema").value("pmsb.repro/1");
-  w.key("git").value(telemetry::build_git_describe());
-  w.key("cell_index").value(static_cast<std::uint64_t>(point.index));
-  w.key("label").value(point.label);
-  w.key("exit_class").value(rec.exit_class);
-  w.key("exit_signal").value(static_cast<std::int64_t>(rec.exit_signal));
-  w.key("exit_code").value(static_cast<std::int64_t>(rec.exit_code));
-  w.key("attempts").value(static_cast<std::uint64_t>(rec.attempts));
-  w.key("error").value(rec.error);
-  w.key("seed").value(run_seed(point.opts));
-  // The exact Options echo — the faults timeline, the seed, the per-cell
-  // caps — everything needed to re-run this cell byte-for-byte.
-  w.key("config").begin_object();
-  for (const auto& [k, v] : point.opts.values()) w.key(k).value(v);
-  w.end_object();
-  w.end_object();
-  return w.str() + "\n";
-}
-
-ReproBundle load_repro_bundle(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("repro bundle " + path + ": cannot open");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  telemetry::json::Value root;
-  try {
-    root = telemetry::json::parse(buf.str());
-  } catch (const telemetry::json::ParseError& e) {
-    throw std::runtime_error("repro bundle " + path + ": " + e.what());
-  }
-  if (!root.is_object()) {
-    throw std::runtime_error("repro bundle " + path + ": not a JSON object");
-  }
-  const telemetry::json::Value* schema = root.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->string != "pmsb.repro/1") {
-    throw std::runtime_error("repro bundle " + path +
-                             ": schema is not pmsb.repro/1");
-  }
-  ReproBundle out;
-  if (const auto* v = root.find("cell_index"); v != nullptr && v->is_number()) {
-    out.cell_index = static_cast<std::size_t>(v->number);
-  }
-  if (const auto* v = root.find("label"); v != nullptr && v->is_string()) {
-    out.label = v->string;
-  }
-  if (const auto* v = root.find("exit_class"); v != nullptr && v->is_string()) {
-    out.exit_class = v->string;
-  }
-  if (const auto* v = root.find("error"); v != nullptr && v->is_string()) {
-    out.error = v->string;
-  }
-  const telemetry::json::Value* config = root.find("config");
-  if (config == nullptr || !config->is_object()) {
-    throw std::runtime_error("repro bundle " + path + ": no config object");
-  }
-  for (const auto& [k, v] : config->object) {
-    if (!v.is_string()) {
-      throw std::runtime_error("repro bundle " + path + ": config." + k +
-                               " is not a string");
-    }
-    out.opts.set(k, v.string);
   }
   return out;
 }

@@ -7,12 +7,12 @@
 // cell runs in a forked child under resource caps (RLIMIT_AS from
 // `cell_mem_mb=`, a hard wall-clock kill from `cell_timeout_s=` enforced by
 // the PARENT, so it fires even when the child never dispatches another
-// event), results come back through the cell's manifest file, and any
+// event), results come back through the cell's record file, and any
 // abnormal exit is classified into a structured diagnostic instead of a
 // dead sweep.
 //
 // Exit classes:
-//   ok       the child completed and wrote a valid manifest
+//   ok       the child completed and wrote its record
 //   throw    a C++ exception — deterministic, never retried
 //   signal   the child died on a signal (SIGSEGV, SIGABRT, ...)
 //   timeout  the in-child watchdog's wall budget ran out (exit code 4) or
@@ -28,6 +28,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "sweep/sweep.hpp"
@@ -37,7 +39,7 @@ namespace pmsb::sweep {
 enum class ExitClass { kOk, kThrow, kSignal, kTimeout, kOom };
 
 /// Stable lowercase name ("ok", "throw", "signal", "timeout", "oom") used in
-/// reports, manifests, and repro bundles.
+/// reports and cell records.
 [[nodiscard]] const char* exit_class_name(ExitClass c);
 
 /// True for the crash classes the retry policy may re-attempt (signal,
@@ -51,6 +53,10 @@ struct CellLimits {
   std::size_t mem_mb = 0;   ///< RLIMIT_AS in MiB (cell_mem_mb)
 };
 
+/// The largest `cell_mem_mb=` whose byte count fits RLIMIT_AS: one more
+/// MiB would wrap the cap to nearly nothing.
+inline constexpr std::uint64_t kMaxCellMemMb = std::numeric_limits<std::uint64_t>::max() >> 20;
+
 /// What happened to one child attempt.
 struct CellOutcome {
   ExitClass exit_class = ExitClass::kOk;
@@ -63,10 +69,10 @@ struct CellOutcome {
 };
 
 /// Forks and runs run_scenario(point, quiet=true) in the child under
-/// `limits`, then waits, classifies, and returns. The child's results come
-/// back through the manifest at point.opts["metrics_json"] (the caller
-/// salvages it on kOk); on a thrown exception the child ships e.what() back
-/// over a pipe so the parent's diagnostic carries the exact message.
+/// `limits`, then waits, classifies, and returns. On success the child
+/// writes the cell's record at `record_path` (none when empty), which the
+/// caller reads back on kOk; on a thrown exception the child ships e.what()
+/// back over a pipe so the parent's diagnostic carries the exact message.
 /// `attempt` (1-based) is exported to the child as PMSB_CRASH_ATTEMPT so the
 /// crash-injection hook can build transient faults.
 ///
@@ -74,35 +80,11 @@ struct CellOutcome {
 /// gets first shot at a deterministic [cell_timeout] diagnostic, the parent
 /// only steps in when the child is too wedged to run its own tick.
 [[nodiscard]] CellOutcome run_cell_in_child(const SweepPoint& point,
-                                            const CellLimits& limits,
-                                            int attempt);
+                                            const CellLimits& limits, int attempt,
+                                            const std::string& record_path);
 
 /// "SIGSEGV" / "SIGKILL" / ... for the common fatal signals, "signal <n>"
 /// otherwise.
 [[nodiscard]] std::string signal_name(int sig);
-
-/// Per-cell repro bundle file name, padded like manifest_file_name:
-/// "repro_<index>.json".
-[[nodiscard]] std::string repro_file_name(std::size_t index,
-                                          std::size_t grid_size);
-
-/// Serializes a crash-repro bundle (`pmsb.repro/1`) for a quarantined cell:
-/// the exact Options echo (seed and faults timeline included), the label,
-/// and the failure diagnostic. `pmsbsim repro=<file>` re-runs it solo.
-[[nodiscard]] std::string repro_bundle_json(const SweepPoint& point,
-                                            const RunRecord& rec);
-
-/// A parsed pmsb.repro/1 bundle.
-struct ReproBundle {
-  std::size_t cell_index = 0;
-  std::string label;
-  std::string exit_class;  ///< class recorded at quarantine time
-  std::string error;       ///< original diagnostic
-  experiments::Options opts;  ///< exact config echo of the failed cell
-};
-
-/// Parses the bundle at `path`; throws std::runtime_error when the file is
-/// unreadable, not JSON, or not a pmsb.repro/1 document.
-[[nodiscard]] ReproBundle load_repro_bundle(const std::string& path);
 
 }  // namespace pmsb::sweep

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -80,8 +81,10 @@ struct RunTelemetry {
       if (watch == "all") {
         spans->watch_all();
       } else {
-        for (const std::string& tok : split_csv(watch)) {
-          spans->watch_flow(static_cast<net::FlowId>(std::stoull(tok)));
+        // Transport flow ids are 1-based.
+        for (const std::uint64_t flow : opts.get_uint_list(
+                 "trace_flows", 1, std::numeric_limits<net::FlowId>::max())) {
+          spans->watch_flow(static_cast<net::FlowId>(flow));
         }
       }
     } else if (!spans_path.empty()) {
@@ -124,17 +127,18 @@ struct RunTelemetry {
   /// Folds profiler / span / trace output into the record and manifest.
   /// Call after the run, before the record results are mirrored into the
   /// manifest. Only deterministic scalars go into rec.results — wall-clock
-  /// times would make sweep reports run-to-run unstable.
+  /// times would make sweep reports run-to-run unstable; the profile's
+  /// timings ride in rec.profile, outside the signature.
   void finalize_observability(RunRecord& rec) {
     if (profiler) {
-      const std::string json = profiler->to_json();
-      manifest.set_profile_json(json);
+      rec.profile = profiler->to_json();
+      manifest.set_profile_json(rec.profile);
       if (!profile_path.empty()) {
         std::ofstream out(profile_path);
         if (!out) {
           throw std::runtime_error("cannot open profile_json path " + profile_path);
         }
-        out << json << '\n';
+        out << rec.profile << '\n';
         if (!quiet) std::printf("wrote %s\n", profile_path.c_str());
       }
       rec.results["profile.dispatches"] = static_cast<double>(profiler->dispatches());
@@ -166,9 +170,6 @@ struct RunTelemetry {
     }
     if (!metrics_path.empty()) {
       manifest.set_sim_time_us(sim_time_us);
-      // Only completed runs reach finish(); the marker is what lets a
-      // resumed sweep tell a salvageable manifest from a failed cell's stub.
-      manifest.set_info("status", "ok");
       manifest.write(metrics_path, &registry);
       if (!quiet) {
         std::printf("wrote %s (%zu instruments)\n", metrics_path.c_str(),
@@ -195,6 +196,16 @@ struct RunTelemetry {
 /// Sim-time cadences of the invariant checker and the watchdog.
 constexpr sim::TimeNs kInvariantPeriod = sim::microseconds(100);
 constexpr sim::TimeNs kWatchdogPeriod = sim::microseconds(100);
+
+/// A duration key counted in `unit`s. Negative values, and values whose time
+/// plus `headroom` would not fit in sim::TimeNs, throw naming the key.
+sim::TimeNs get_duration(const Options& opts, const std::string& key,
+                         std::uint64_t fallback, sim::TimeNs unit,
+                         sim::TimeNs headroom = 0) {
+  const auto max = static_cast<std::uint64_t>(
+      (std::numeric_limits<sim::TimeNs>::max() - headroom) / unit);
+  return static_cast<sim::TimeNs>(opts.get_uint(key, fallback, 0, max)) * unit;
+}
 
 /// Robustness wiring shared by both topologies: a FaultPlan built from the
 /// `faults=` grammar plus the sweep-friendly `bleach=` sugar (grid values
@@ -245,7 +256,8 @@ struct Robustness {
     }
 
     const faults::WatchdogConfig wcfg{
-        .stall_horizon = sim::milliseconds(opts.get_int("watchdog_horizon_ms", 0)),
+        .stall_horizon =
+            get_duration(opts, "watchdog_horizon_ms", 0, sim::milliseconds(1)),
         .max_events = opts.get_uint("watchdog_events", 0),
         .wall_budget_s = opts.get_double("cell_timeout_s", 0.0),
         .period = kWatchdogPeriod};
@@ -372,7 +384,10 @@ void parse_shared_keys(const Options& opts, const Topology& topo,
                        sim::TimeNs (*base_rtt)(const FabricConfig&), FabricConfig& cfg,
                        RunRecord& rec) {
   cfg.queue = sim::parse_queue_backend(opts.get("sched_queue", "calendar"));
-  const std::size_t queues = opts.get_uint("queues", topo.queues, 1);
+  // Queue indices travel as a ServiceId, and the leaf-spine's generators
+  // count services in one.
+  const std::size_t queues =
+      opts.get_uint("queues", topo.queues, 1, std::numeric_limits<net::ServiceId>::max());
   cfg.scheduler.kind = sched::parse_scheduler_kind(opts.get("scheduler", "dwrr"));
   cfg.scheduler.num_queues = queues;
   cfg.scheduler.weights = opts.get_double_list("weights");
@@ -414,7 +429,8 @@ class DumbbellRun final : public TopologyRun {
   static std::unique_ptr<TopologyRun> build(const Options& opts, const Topology& topo,
                                             RunRecord& rec) {
     DumbbellConfig cfg;
-    cfg.link_rate = sim::gbps(opts.get_uint("link_gbps", 10, 1));
+    cfg.link_rate = sim::gbps(opts.get_uint(
+        "link_gbps", 10, 1, std::numeric_limits<sim::RateBps>::max() / sim::gbps(1)));
     parse_shared_keys(opts, topo, &DumbbellScenario::base_rtt, cfg, rec);
     std::vector<double> flows_per_queue = opts.get_double_list("flows_per_queue");
     if (flows_per_queue.empty()) flows_per_queue.assign(cfg.scheduler.num_queues, 1.0);
@@ -442,11 +458,12 @@ class DumbbellRun final : public TopologyRun {
 
   void run(const Options& opts, bool quiet, RunRecord& rec) override {
     const std::size_t queues = flows_per_queue_.size();
-    const auto duration = sim::milliseconds(opts.get_int("duration_ms", 50));
-    sc_.run(sim::milliseconds(10));
+    const auto duration =
+        get_duration(opts, "duration_ms", 50, sim::milliseconds(1), kWarmup);
+    sc_.run(kWarmup);
     std::vector<std::uint64_t> start(queues);
     for (std::size_t q = 0; q < queues; ++q) start[q] = sc_.served_bytes(q);
-    sc_.run(sim::milliseconds(10) + duration);
+    sc_.run(kWarmup + duration);
 
     if (!quiet) {
       std::printf("dumbbell: %s + %s, %zu queues, %zu flows\n",
@@ -478,6 +495,8 @@ class DumbbellRun final : public TopologyRun {
   }
 
  private:
+  static constexpr sim::TimeNs kWarmup = sim::milliseconds(10);
+
   DumbbellScenario sc_;
   std::vector<double> flows_per_queue_;
   stats::RttRecorder rtt_{sim::milliseconds(5)};
@@ -524,7 +543,8 @@ class LeafSpineRun final : public TopologyRun {
       cc.num_coflows = opts.get_uint("coflows", 20);
       cc.num_mappers = opts.get_uint("mappers", 4);
       cc.num_reducers = opts.get_uint("reducers", 4);
-      cc.num_stages = static_cast<std::uint16_t>(opts.get_uint("stages", 1));
+      cc.num_stages = static_cast<std::uint16_t>(
+          opts.get_uint("stages", 1, 0, std::numeric_limits<std::uint16_t>::max()));
       cc.mean_interarrival_us = opts.get_double("coflow_gap_us", 1000.0);
       cc.num_services = services;
       wl = workload::generate_coflows(cc, dist, rng);
@@ -547,7 +567,8 @@ class LeafSpineRun final : public TopologyRun {
   Fabric& fabric() override { return sc_; }
 
   void run(const Options& opts, bool quiet, RunRecord& rec) override {
-    const bool done = sc_.run_until_complete(sim::seconds(opts.get_int("max_sim_s", 60)));
+    const bool done =
+        sc_.run_until_complete(get_duration(opts, "max_sim_s", 60, sim::seconds(1)));
     const stats::FctCollector& fct = sc_.fct();
     if (!quiet) {
       std::printf("leafspine: %s + %s, load %.2f, %zu/%zu flows done%s\n",
@@ -723,8 +744,8 @@ RunRecord run_scenario(const SweepPoint& point, bool quiet,
   }
   telemetry.finalize_observability(rec);
   rec.sim_time_us = sim::to_microseconds(fab.simulator().now());
-  // Mirror the record into the manifest so a resumed sweep can rehydrate a
-  // bit-identical RunRecord from the file alone.
+  // The manifest carries the record's info and results next to its
+  // instruments.
   for (const auto& [k, v] : rec.info) telemetry.manifest.set_info(k, v);
   for (const auto& [k, v] : rec.results) telemetry.manifest.set_result(k, v);
   telemetry.finish(rec.sim_time_us);

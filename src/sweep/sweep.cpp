@@ -8,6 +8,7 @@
 #include <fstream>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -18,7 +19,7 @@
 #include "faults/watchdog.hpp"
 #include "sweep/cell_supervisor.hpp"
 #include "sweep/scenario_run.hpp"
-#include "telemetry/manifest_reader.hpp"
+#include "telemetry/json_reader.hpp"
 #include "telemetry/run_report.hpp"
 
 namespace pmsb::sweep {
@@ -144,104 +145,158 @@ std::string manifest_file_name(std::size_t index, std::size_t grid_size) {
 
 namespace {
 
+constexpr const char* kCellSchema = "pmsb.sweep_cell/1";
+
 /// Applies the per-cell option transforms run_sweep makes before a cell
-/// executes. Salvage validates manifests against the transformed options,
+/// executes. Salvage validates records against the transformed options,
 /// so the interrupted run and the resume must go through the same code.
-void prepare_point(SweepPoint& point, const SweepConfig& config,
-                   const std::string& manifest_path) {
-  if (!manifest_path.empty()) point.opts.set("metrics_json", manifest_path);
+void prepare_point(SweepPoint& point, const SweepConfig& config) {
   if (config.cell_timeout_s > 0.0) {
     point.opts.set("cell_timeout_s", format_double(config.cell_timeout_s));
   }
   if (config.cell_mem_mb > 0) {
     point.opts.set("cell_mem_mb", std::to_string(config.cell_mem_mb));
   }
-  // Per-point file outputs other than the manifest would collide across
-  // points (every point would write the same path); drop them.
-  point.opts.erase("timeseries_csv");
-  point.opts.erase("fct_csv");
-  point.opts.erase("profile_json");
-  point.opts.erase("spans_ndjson");
-  point.opts.erase("trace_ndjson");
-  point.opts.erase("trace_export");
-}
-
-/// Best-effort stub manifest for a failed cell: enough for a later resume
-/// to see info.status=failed and re-run the cell rather than salvage it.
-/// The record's supervisor diagnostics (attempts, exit class, child rusage)
-/// ride along as info entries so a post-mortem of the directory alone tells
-/// the whole story.
-void write_failure_manifest(const std::string& path, const SweepPoint& point,
-                            const RunRecord& rec) {
-  telemetry::RunManifest manifest("pmsbsim-sweep");
-  manifest.set_config(point.opts.values());
-  manifest.set_info("status", "failed");
-  manifest.set_info("error", rec.error);
-  manifest.set_info("attempts", std::to_string(rec.attempts));
-  manifest.set_info("exit_class", rec.exit_class);
-  if (rec.exit_signal != 0) {
-    manifest.set_info("exit_signal", std::to_string(rec.exit_signal));
-  }
-  if (rec.exit_code != 0) {
-    manifest.set_info("exit_code", std::to_string(rec.exit_code));
-  }
-  if (rec.peak_rss_bytes > 0.0) {
-    manifest.set_info("peak_rss_bytes", format_double(rec.peak_rss_bytes));
-  }
-  try {
-    // Throws when the seed is what the cell failed on.
-    manifest.set_seed(run_seed(point.opts));
-    manifest.write(path, nullptr);
-  } catch (...) {
-    // The failed record already carries the error; a missing stub only
-    // means a resume re-runs the cell, which is the safe direction.
+  // Per-run file outputs would collide across points (every point would
+  // write the same path); drop them. A cell's results land in its record.
+  for (const char* key : {"metrics_json", "timeseries_csv", "fct_csv", "profile_json",
+                          "spans_ndjson", "trace_ndjson", "trace_export"}) {
+    point.opts.erase(key);
   }
 }
 
-/// Supervisor bookkeeping keys a manifest's info section may carry. They
-/// describe how a past execution went, not what the cell computed, so
-/// salvage strips them — a rehydrated record must stay bit-identical to a
-/// freshly-run one.
-constexpr const char* kSupervisorInfoKeys[] = {
-    "status", "attempts", "exit_class", "exit_signal", "exit_code",
-    "peak_rss_bytes"};
+/// The fields of one run's pmsb.sweep_report/1 row, written into an open
+/// object. A cell's record holds the same fields, so the two cannot drift.
+void write_row_fields(telemetry::JsonWriter& w, const RunRecord& r) {
+  w.key("index").value(static_cast<std::uint64_t>(r.index));
+  w.key("label").value(r.label);
+  w.key("ok").value(r.ok);
+  if (!r.ok) w.key("error").value(r.error);
+  w.key("attempts").value(static_cast<std::uint64_t>(r.attempts));
+  w.key("exit_class").value(r.exit_class);
+  if (r.exit_signal != 0) {
+    w.key("exit_signal").value(static_cast<std::int64_t>(r.exit_signal));
+  }
+  if (r.exit_code != 0) {
+    w.key("exit_code").value(static_cast<std::int64_t>(r.exit_code));
+  }
+  if (r.peak_rss_bytes > 0.0) w.key("peak_rss_bytes").value(r.peak_rss_bytes);
+  if (r.quarantined) w.key("quarantined").value(true);
+  w.key("config").begin_object();
+  for (const auto& [k, v] : r.config) w.key(k).value(v);
+  w.end_object();
+  w.key("info").begin_object();
+  for (const auto& [k, v] : r.info) w.key(k).value(v);
+  w.end_object();
+  w.key("results").begin_object();
+  for (const auto& [k, v] : r.results) w.key(k).value(v);
+  w.end_object();
+  w.key("sim_time_us").value(r.sim_time_us);
+  w.key("wall_ms").value(r.wall_ms);
+  if (!r.manifest_path.empty()) w.key("manifest").value(r.manifest_path);
+}
 
 }  // namespace
 
-SalvageOutcome try_salvage_cell(const std::string& manifest_path,
-                                const SweepPoint& point) {
-  SalvageOutcome out;
-  telemetry::ManifestData manifest;
+void write_cell_record(const std::string& path, const SweepPoint& point,
+                       const RunRecord& rec) {
+  std::optional<std::uint64_t> seed;
   try {
-    manifest = telemetry::read_run_manifest(manifest_path);
+    seed = run_seed(point.opts);
+  } catch (const std::invalid_argument&) {
+    // The seed is what the cell failed on; the config echo still holds it.
+  }
+  telemetry::JsonWriter w;
+  w.begin_object();
+  w.key("schema").value(kCellSchema);
+  w.key("git").value(telemetry::build_git_describe());
+  if (seed.has_value()) w.key("seed").value(*seed);
+  if (!rec.profile.empty()) w.key("profile").raw_value(rec.profile);
+  write_row_fields(w, rec);
+  w.end_object();
+  write_text_file(path, w.str() + "\n");
+}
+
+RunRecord read_cell_record(const std::string& path) {
+  using telemetry::json::ParseError;
+  using telemetry::json::Value;
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cell record " + path + ": cannot open");
+  std::ostringstream text;
+  text << in.rdbuf();
+  try {
+    const Value doc = telemetry::json::parse(text.str());
+    const Value* schema = doc.find("schema");
+    if (schema == nullptr || !schema->is_string() || schema->string != kCellSchema) {
+      throw ParseError("schema is '" + (schema != nullptr ? schema->string : "") +
+                       "', not " + kCellSchema);
+    }
+    using Kind = Value::Kind;
+    // Member `key` of the record: nullptr when absent, a ParseError naming
+    // it when of the wrong kind.
+    const auto find = [&doc](const std::string& key, Kind kind) {
+      const Value* v = doc.find(key);
+      if (v != nullptr && v->kind != kind) throw ParseError(key + " has the wrong type");
+      return v;
+    };
+    const auto at = [&find](const std::string& key, Kind kind) -> const Value& {
+      const Value* v = find(key, kind);
+      if (v == nullptr) throw ParseError("no " + key);
+      return *v;
+    };
+    const auto strings = [&at](const std::string& key) {
+      std::map<std::string, std::string> out;
+      for (const auto& [k, v] : at(key, Kind::kObject).object) {
+        if (!v.is_string()) throw ParseError(key + "." + k + " is not a string");
+        out[k] = v.string;
+      }
+      return out;
+    };
+    RunRecord rec;
+    rec.index = static_cast<std::size_t>(at("index", Kind::kNumber).number);
+    rec.label = at("label", Kind::kString).string;
+    rec.ok = at("ok", Kind::kBool).boolean;
+    if (const Value* v = find("error", Kind::kString)) rec.error = v->string;
+    rec.exit_class = at("exit_class", Kind::kString).string;
+    rec.config = strings("config");
+    rec.info = strings("info");
+    for (const auto& [k, v] : at("results", Kind::kObject).object) {
+      if (!v.is_number()) throw ParseError("results." + k + " is not a number");
+      rec.results[k] = v.number;
+    }
+    rec.sim_time_us = at("sim_time_us", Kind::kNumber).number;
+    rec.manifest_path = path;
+    return rec;
+  } catch (const ParseError& e) {
+    throw std::runtime_error("cell record " + path + ": " + e.what());
+  }
+}
+
+SalvageOutcome try_salvage_cell(const std::string& path, const SweepPoint& point) {
+  SalvageOutcome out;
+  RunRecord rec;
+  try {
+    rec = read_cell_record(path);
   } catch (const std::exception& e) {
     out.reason = e.what();
     return out;
   }
-  if (manifest.schema != "pmsb.run_manifest/1") {
-    out.reason = "schema is '" + manifest.schema + "', not pmsb.run_manifest/1";
+  if (!rec.ok) {
+    out.reason = "the cell failed [" + rec.exit_class + "]: " + rec.error;
     return out;
   }
-  const auto status = manifest.info.find("status");
-  if (status == manifest.info.end() || status->second != "ok") {
-    out.reason = "not a completed run (status=" +
-                 (status == manifest.info.end() ? std::string("<missing>")
-                                                : status->second) +
-                 ")";
-    return out;
-  }
-  if (manifest.results.empty()) {
-    out.reason = "manifest carries no results";
+  if (rec.results.empty()) {
+    out.reason = "record carries no results";
     return out;
   }
   const auto& expected = point.opts.values();
-  if (manifest.config != expected) {
+  if (rec.config != expected) {
     // Name one drifted key so the operator can see what changed.
     std::string detail = "config drift vs grid point";
     for (const auto& [k, v] : expected) {
-      const auto it = manifest.config.find(k);
-      if (it == manifest.config.end()) {
-        detail += ": '" + k + "' missing from manifest";
+      const auto it = rec.config.find(k);
+      if (it == rec.config.end()) {
+        detail += ": '" + k + "' missing from record";
         break;
       }
       if (it->second != v) {
@@ -249,7 +304,7 @@ SalvageOutcome try_salvage_cell(const std::string& manifest_path,
         break;
       }
     }
-    for (const auto& [k, v] : manifest.config) {
+    for (const auto& [k, v] : rec.config) {
       (void)v;
       if (expected.count(k) == 0) {
         detail += ": '" + k + "' not in grid point";
@@ -260,17 +315,8 @@ SalvageOutcome try_salvage_cell(const std::string& manifest_path,
     return out;
   }
 
-  RunRecord rec;
   rec.index = point.index;
   rec.label = point.label;
-  rec.ok = true;
-  rec.config = manifest.config;
-  rec.info = manifest.info;
-  // Manifest-only execution markers, not part of the record.
-  for (const char* key : kSupervisorInfoKeys) rec.info.erase(key);
-  rec.results = manifest.results;
-  rec.sim_time_us = manifest.sim_time_us;
-  rec.manifest_path = manifest_path;
   rec.salvaged = true;
   out.record = std::move(rec);
   return out;
@@ -278,46 +324,73 @@ SalvageOutcome try_salvage_cell(const std::string& manifest_path,
 
 namespace {
 
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// The record of a cell that failed with `error` in class `exit_class`.
+RunRecord failed_record(const SweepPoint& point, std::string error,
+                        std::string exit_class) {
+  RunRecord rec;
+  rec.index = point.index;
+  rec.label = point.label;
+  rec.ok = false;
+  rec.error = std::move(error);
+  rec.config = point.opts.values();
+  rec.exit_class = std::move(exit_class);
+  if (rec.exit_class == "timeout") rec.info["failed_phase"] = "run";
+  return rec;
+}
+
+/// Writes a failed cell's record at `path` (none when empty), so a resume
+/// re-runs the cell and `pmsbsim repro=` can re-run it solo. Best effort:
+/// without the file a resume re-runs the cell anyway, and the report row
+/// carries the diagnostic.
+void keep_failed_record(const std::string& path, const SweepPoint& point,
+                        RunRecord& rec) {
+  if (path.empty()) return;
+  rec.manifest_path = path;
+  try {
+    write_cell_record(path, point, rec);
+  } catch (const std::exception&) {
+    // Best effort, as above.
+  }
+}
+
 /// In-process execution of one prepared cell: the original path. Crash
 /// containment is limited to C++ exceptions — anything harder takes the
-/// whole process down (that is what isolate=true is for).
-RunRecord run_cell_in_process(const SweepPoint& point,
-                              const std::string& manifest_path) {
-  RunRecord rec;
+/// whole process down (that is what isolate=true is for). A completed cell
+/// that cannot write its record fails.
+RunRecord run_cell_in_process(const SweepPoint& point, const std::string& record_path) {
+  const auto t0 = std::chrono::steady_clock::now();
   try {
-    rec = run_scenario(point, /*quiet=*/true);
+    RunRecord rec = run_scenario(point, /*quiet=*/true);
+    rec.wall_ms = ms_since(t0);
+    if (!record_path.empty()) {
+      rec.manifest_path = record_path;
+      write_cell_record(record_path, point, rec);
+    }
+    return rec;
   } catch (const std::exception& e) {
-    rec.index = point.index;
-    rec.label = point.label;
-    rec.ok = false;
-    rec.error = e.what();
-    rec.config = point.opts.values();
-    rec.exit_class = "throw";
-    if (dynamic_cast<const faults::WallBudgetExceeded*>(&e) != nullptr) {
-      rec.info["failed_phase"] = "run";
-      rec.exit_class = "timeout";
-    }
-    if (!manifest_path.empty()) {
-      write_failure_manifest(manifest_path, point, rec);
-      rec.manifest_path = manifest_path;
-    }
+    const bool timeout = dynamic_cast<const faults::WallBudgetExceeded*>(&e) != nullptr;
+    RunRecord rec = failed_record(point, e.what(), timeout ? "timeout" : "throw");
+    rec.wall_ms = ms_since(t0);
+    keep_failed_record(record_path, point, rec);
+    return rec;
   }
-  return rec;
 }
 
 /// Supervised execution of one prepared cell: fork, cap, classify, retry
 /// crash classes with exponential backoff, quarantine what keeps failing.
+/// A completed child writes the cell's record itself; this reads it back.
 RunRecord run_cell_supervised(const SweepPoint& point, const SweepConfig& config,
-                              const std::string& manifest_path,
-                              std::size_t grid_size) {
+                              const std::string& record_path) {
+  const auto t0 = std::chrono::steady_clock::now();
   CellLimits limits;
   limits.wall_s = config.cell_timeout_s;
   limits.mem_mb = config.cell_mem_mb;
   const std::size_t max_attempts = 1 + config.cell_retries;
-  const auto repro_path =
-      (std::filesystem::path(manifest_path).parent_path() /
-       repro_file_name(point.index, grid_size))
-          .string();
 
   CellOutcome outcome;
   std::size_t attempts = 0;
@@ -326,14 +399,14 @@ RunRecord run_cell_supervised(const SweepPoint& point, const SweepConfig& config
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
           config.retry_backoff_ms *
           static_cast<double>(1ull << (attempt - 2))));
-      // A crashed child may have left a half-written manifest behind; the
+      // A crashed child may have left a half-written record behind; the
       // retry must start from a clean slate so a success writes the one and
-      // only manifest for this cell.
+      // only record for this cell.
       std::error_code ec;
-      std::filesystem::remove(manifest_path, ec);
+      std::filesystem::remove(record_path, ec);
     }
     attempts = attempt;
-    outcome = run_cell_in_child(point, limits, static_cast<int>(attempt));
+    outcome = run_cell_in_child(point, limits, static_cast<int>(attempt), record_path);
     if (outcome.exit_class == ExitClass::kOk ||
         !exit_class_retryable(outcome.exit_class)) {
       break;
@@ -342,50 +415,27 @@ RunRecord run_cell_supervised(const SweepPoint& point, const SweepConfig& config
 
   RunRecord rec;
   if (outcome.exit_class == ExitClass::kOk) {
-    SalvageOutcome salvage = try_salvage_cell(manifest_path, point);
-    if (salvage.record.has_value()) {
-      rec = std::move(*salvage.record);
+    SalvageOutcome back = try_salvage_cell(record_path, point);
+    if (back.record.has_value()) {
+      rec = std::move(*back.record);
       rec.salvaged = false;  // the cell really executed — in a child
-      // A bundle from an earlier, crashier pass over this cell is obsolete.
-      std::error_code ec;
-      std::filesystem::remove(repro_path, ec);
     } else {
-      rec.index = point.index;
-      rec.label = point.label;
-      rec.ok = false;
-      rec.config = point.opts.values();
-      rec.exit_class = "throw";
-      rec.error =
-          "child exited cleanly but its manifest is unusable: " + salvage.reason;
+      rec = failed_record(point,
+                          "child exited cleanly but its record is unusable: " + back.reason,
+                          "throw");
     }
   } else {
-    rec.index = point.index;
-    rec.label = point.label;
-    rec.ok = false;
-    rec.config = point.opts.values();
-    rec.error = outcome.error;
-    rec.exit_class = exit_class_name(outcome.exit_class);
+    rec = failed_record(point, outcome.error, exit_class_name(outcome.exit_class));
     rec.exit_signal = outcome.exit_signal;
     rec.exit_code = outcome.exit_code;
-    if (outcome.exit_class == ExitClass::kTimeout) {
-      rec.info["failed_phase"] = "run";
-    }
   }
   rec.attempts = attempts;
   rec.peak_rss_bytes = outcome.peak_rss_bytes;
+  rec.wall_ms = ms_since(t0);
   if (!rec.ok) {
     // Graceful degradation: the cell is quarantined, the sweep completes.
-    // The stub manifest makes a resume re-run it; the repro bundle makes
-    // the failure reproducible solo (`pmsbsim repro=<file>`).
     rec.quarantined = true;
-    write_failure_manifest(manifest_path, point, rec);
-    rec.manifest_path = manifest_path;
-    try {
-      write_text_file(repro_path, repro_bundle_json(point, rec));
-      rec.repro_path = repro_path;
-    } catch (...) {
-      // Quarantine holds without the bundle; the record has the diagnostic.
-    }
+    keep_failed_record(record_path, point, rec);
   }
   return rec;
 }
@@ -396,15 +446,15 @@ std::vector<RunRecord> run_sweep(const std::vector<SweepPoint>& points,
                                  const SweepConfig& config) {
   SweepConfig cfg = config;
   if (cfg.isolate && cfg.manifest_dir.empty()) {
-    // Isolated results travel through manifest files, so conjure a private
+    // Isolated results travel through record files, so conjure a private
     // directory when the caller did not name one. Kept after the sweep:
-    // quarantined cells' stubs and repro bundles live there.
+    // quarantined cells' records live there.
     const std::string pattern =
         (std::filesystem::temp_directory_path() / "pmsb_sweep_XXXXXX").string();
     std::vector<char> tmpl(pattern.begin(), pattern.end());
     tmpl.push_back('\0');
     if (::mkdtemp(tmpl.data()) == nullptr) {
-      throw std::runtime_error("run_sweep: cannot create a temp manifest dir");
+      throw std::runtime_error("run_sweep: cannot create a temp record dir");
     }
     cfg.manifest_dir.assign(tmpl.data());
   }
@@ -414,36 +464,27 @@ std::vector<RunRecord> run_sweep(const std::vector<SweepPoint>& points,
   std::mutex print_mutex;
   parallel_for(points.size(), cfg.jobs, [&](std::size_t i) {
     SweepPoint point = points[i];
-    std::string manifest_path;
+    prepare_point(point, cfg);
+    std::string record_path;
     if (!cfg.manifest_dir.empty()) {
-      manifest_path =
+      record_path =
           cfg.manifest_dir + "/" + manifest_file_name(point.index, points.size());
     }
-    prepare_point(point, cfg, manifest_path);
 
-    bool salvaged = false;
     std::string rerun_reason;
-    if (cfg.resume && !manifest_path.empty()) {
-      SalvageOutcome salvage = try_salvage_cell(manifest_path, point);
+    if (cfg.resume && !record_path.empty()) {
+      SalvageOutcome salvage = try_salvage_cell(record_path, point);
       if (salvage.record.has_value()) {
         records[i] = std::move(*salvage.record);
-        salvaged = true;
       } else {
         rerun_reason = std::move(salvage.reason);
       }
     }
 
-    if (!salvaged) {
+    if (!records[i].salvaged) {
       if (cfg.on_cell_run) cfg.on_cell_run(point.index);
-      const auto t0 = std::chrono::steady_clock::now();
-      RunRecord rec = cfg.isolate
-                          ? run_cell_supervised(point, cfg, manifest_path,
-                                                points.size())
-                          : run_cell_in_process(point, manifest_path);
-      rec.wall_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-      records[i] = std::move(rec);
+      records[i] = cfg.isolate ? run_cell_supervised(point, cfg, record_path)
+                               : run_cell_in_process(point, record_path);
     }
 
     const std::size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -499,33 +540,7 @@ std::string sweep_report_json(const std::vector<RunRecord>& records,
   w.key("runs").begin_array();
   for (const auto& r : records) {
     w.begin_object();
-    w.key("index").value(static_cast<std::uint64_t>(r.index));
-    w.key("label").value(r.label);
-    w.key("ok").value(r.ok);
-    if (!r.ok) w.key("error").value(r.error);
-    w.key("attempts").value(static_cast<std::uint64_t>(r.attempts));
-    w.key("exit_class").value(r.exit_class);
-    if (r.exit_signal != 0) {
-      w.key("exit_signal").value(static_cast<std::int64_t>(r.exit_signal));
-    }
-    if (r.exit_code != 0) {
-      w.key("exit_code").value(static_cast<std::int64_t>(r.exit_code));
-    }
-    if (r.peak_rss_bytes > 0.0) w.key("peak_rss_bytes").value(r.peak_rss_bytes);
-    if (r.quarantined) w.key("quarantined").value(true);
-    w.key("config").begin_object();
-    for (const auto& [k, v] : r.config) w.key(k).value(v);
-    w.end_object();
-    w.key("info").begin_object();
-    for (const auto& [k, v] : r.info) w.key(k).value(v);
-    w.end_object();
-    w.key("results").begin_object();
-    for (const auto& [k, v] : r.results) w.key(k).value(v);
-    w.end_object();
-    w.key("sim_time_us").value(r.sim_time_us);
-    w.key("wall_ms").value(r.wall_ms);
-    if (!r.manifest_path.empty()) w.key("manifest").value(r.manifest_path);
-    if (!r.repro_path.empty()) w.key("repro").value(r.repro_path);
+    write_row_fields(w, r);
     w.end_object();
   }
   w.end_array();

@@ -34,8 +34,8 @@ struct SweepPoint {
 };
 
 /// The seed a run with these options uses: `seed=`, default 1. Every
-/// reader of the seed goes through here, so the stub manifest and repro
-/// bundle of a failed cell name the seed it actually ran with.
+/// reader of the seed goes through here, so a cell's record names the seed
+/// the cell actually ran with.
 [[nodiscard]] inline std::uint64_t run_seed(const experiments::Options& opts) {
   return opts.get_uint("seed", 1);
 }
@@ -60,8 +60,9 @@ struct SweepPoint {
 void parallel_for(std::size_t n, std::size_t jobs,
                   const std::function<void(std::size_t)>& fn);
 
-/// Outcome of one sweep point. Everything except `wall_ms` and `salvaged`
-/// is a pure function of the point's options.
+/// Outcome of one sweep point. Everything except `wall_ms`, `salvaged`,
+/// `profile` and the supervisor diagnostics is a pure function of the
+/// point's options.
 struct RunRecord {
   std::size_t index = 0;
   std::string label;
@@ -72,11 +73,16 @@ struct RunRecord {
   std::map<std::string, double> results;       ///< scalar results
   double sim_time_us = 0.0;
   double wall_ms = 0.0;                        ///< nondeterministic; not in signatures
-  std::string manifest_path;                   ///< "" when no manifest was written
-  /// True when the record was rehydrated from an existing manifest instead
-  /// of re-running the cell. Process-local bookkeeping: excluded from both
-  /// deterministic_signature() and the report JSON, so a resumed sweep's
-  /// report is byte-identical to an uninterrupted run's.
+  /// The cell's record file (see write_cell_record), or the run manifest of
+  /// a run_scenario() call given `metrics_json=`; "" when neither was written.
+  std::string manifest_path;
+  /// The run's pmsb.profile/1 JSON under `profile=1`, else "". Wall-clock
+  /// timings: not in signatures, and only the cell record carries it.
+  std::string profile;
+  /// True when the record was rehydrated from an existing cell record
+  /// instead of re-running the cell. Process-local bookkeeping: excluded
+  /// from both deterministic_signature() and the report JSON, so a resumed
+  /// sweep's report is byte-identical to an uninterrupted run's.
   bool salvaged = false;
 
   // --- supervisor diagnostics (see cell_supervisor.hpp) ------------------
@@ -89,20 +95,20 @@ struct RunRecord {
   int exit_code = 0;           ///< child exit code when it exited abnormally
   double peak_rss_bytes = 0.0;  ///< child ru_maxrss (isolated cells only)
   /// Failed terminally under isolation (retries exhausted or deterministic
-  /// failure); the sweep completed around it and wrote a repro bundle.
+  /// failure); the sweep completed around it, and its record re-runs it
+  /// solo (`pmsbsim repro=`).
   bool quarantined = false;
-  std::string repro_path;      ///< crash-repro bundle ("" unless quarantined)
 };
 
 struct SweepConfig {
   std::size_t jobs = 1;
-  /// When non-empty, each run writes a pmsb.run_manifest/1 JSON at
+  /// When non-empty, each cell writes its record (write_cell_record) at
   /// <manifest_dir>/<manifest_file_name(index, grid)> (the directory must
-  /// exist). Cells that fail write a stub manifest with info.status=failed
-  /// so a later resume re-runs them instead of salvaging garbage.
+  /// exist), failed cells included, so a later resume re-runs those
+  /// instead of salvaging them.
   std::string manifest_dir;
   /// With manifest_dir set: before running a cell, try to rehydrate it from
-  /// an existing manifest (see try_salvage_cell). Valid manifests are
+  /// its existing record (see try_salvage_cell). Valid records are
   /// salvaged; missing, corrupt, config-drifted, or failed ones are re-run.
   bool resume = false;
   /// > 0: per-cell wall-clock budget in host seconds, enforced from inside
@@ -116,17 +122,17 @@ struct SweepConfig {
   /// Run each cell in a forked child under the CellSupervisor: crashes
   /// (SIGSEGV, OOM kills, wedged callbacks) fail the cell — with a named
   /// exit class in the report — instead of the whole sweep. Results come
-  /// back through the per-cell manifests; with an empty manifest_dir a
+  /// back through the per-cell records; with an empty manifest_dir a
   /// private temp directory is created (and reported via manifest_path).
   bool isolate = false;
   /// With isolate: RLIMIT_AS cap per child, in MiB (0 = unlimited).
-  /// Echoed into each cell's config as cell_mem_mb= so repro bundles and
-  /// salvage validation carry it; inert in-process.
+  /// Echoed into each cell's config as cell_mem_mb= so `pmsbsim repro=`
+  /// and salvage validation carry it; inert in-process.
   std::size_t cell_mem_mb = 0;
   /// With isolate: extra attempts for cells that fail in a crash class
   /// (signal / timeout / oom). Deterministic failures (class throw) are
   /// never retried. A cell that exhausts its attempts is quarantined: the
-  /// sweep completes, the record carries the diagnostic and a repro bundle.
+  /// sweep completes, and the cell's record carries the diagnostic.
   std::size_t cell_retries = 0;
   /// With isolate: backoff before retry k is retry_backoff_ms * 2^(k-1)
   /// milliseconds. Tests shrink it; the default absorbs transient host
@@ -147,29 +153,47 @@ struct SweepConfig {
 [[nodiscard]] std::vector<RunRecord> run_sweep(const std::vector<SweepPoint>& points,
                                                const SweepConfig& config);
 
-/// Per-cell manifest file name: "run_<index>.json", zero-padded to the
+/// Per-cell record file name: "run_<index>.json", zero-padded to the
 /// grid's width (min 3 digits, wider for grids >= 1000 cells) so every cell
 /// gets a distinct, equal-length name and lexicographic order equals index
 /// order.
 [[nodiscard]] std::string manifest_file_name(std::size_t index,
                                              std::size_t grid_size);
 
-/// Result of attempting to salvage one cell from its on-disk manifest.
+/// Writes the cell record of `point`, schema `pmsb.sweep_cell/1`: the
+/// cell's pmsb.sweep_report/1 row (same writer, same keys) after `schema`,
+/// `git`, `seed` (omitted when the seed does not parse) and, under
+/// `profile=1`, the embedded pmsb.profile/1 `profile`. It is the cell's
+/// checkpoint, failure record and `pmsbsim repro=` input in one. Throws
+/// std::runtime_error on I/O failure.
+void write_cell_record(const std::string& path, const SweepPoint& point,
+                       const RunRecord& rec);
+
+/// Reads a record write_cell_record wrote back into a RunRecord whose
+/// manifest_path is `path`: what the cell computed and how it ended (index,
+/// label, ok, error, exit_class, config, info, results, sim_time_us). The
+/// live measurements of the execution that wrote it (wall_ms, attempts,
+/// exit signal and code, peak RSS, quarantine) and the profile keep their
+/// defaults. Throws std::runtime_error naming the path when the file is
+/// unreadable, not JSON, not a pmsb.sweep_cell/1 document, or malformed.
+[[nodiscard]] RunRecord read_cell_record(const std::string& path);
+
+/// Result of attempting to salvage one cell from its on-disk record.
 struct SalvageOutcome {
-  std::optional<RunRecord> record;  ///< set iff the manifest was valid
+  std::optional<RunRecord> record;  ///< set iff the record was valid
   std::string reason;               ///< why salvage was refused (diagnostic)
 };
 
-/// Validates the manifest at `manifest_path` against the grid point `point`
-/// (whose options must already carry the transforms run_sweep applies:
-/// metrics_json set to the manifest path, colliding per-run outputs erased)
-/// and, when it checks out, rehydrates it into a RunRecord whose
+/// Validates the record at `path` against the grid point `point` (whose
+/// options must already carry the transforms run_sweep applies: per-cell
+/// caps set, per-run file outputs erased) and, when it checks out, returns
+/// it as read_cell_record reads it, marked salvaged: its
 /// deterministic_signature() matches what re-running the cell would have
 /// produced. Salvage is refused — with the reason — when the file is
-/// missing or unparseable, the schema string is wrong, the manifest is not
-/// from a completed run (info.status != "ok"), it carries no results, or
-/// its config echo drifted from the grid point.
-[[nodiscard]] SalvageOutcome try_salvage_cell(const std::string& manifest_path,
+/// missing or unreadable (see read_cell_record), the cell did not complete
+/// (`ok` false), it carries no results, or its config echo drifted from
+/// the grid point.
+[[nodiscard]] SalvageOutcome try_salvage_cell(const std::string& path,
                                               const SweepPoint& point);
 
 /// Canonical serialization of the reproducible part of a record (label,
@@ -183,10 +207,10 @@ struct SalvageOutcome {
 ///     "runs": [ {"index", "label", "ok", "error"?, "attempts",
 ///                "exit_class", "exit_signal"?, "exit_code"?,
 ///                "peak_rss_bytes"?, "quarantined"?, "config", "info",
-///                "results", "sim_time_us", "wall_ms", "manifest"?,
-///                "repro"?}, ...] }
+///                "results", "sim_time_us", "wall_ms", "manifest"?}, ...] }
 /// exit_signal / exit_code appear when non-zero, peak_rss_bytes when the
-/// cell ran isolated, quarantined / repro only on quarantined cells.
+/// cell ran isolated, quarantined only on quarantined cells, manifest when
+/// the cell wrote a record.
 [[nodiscard]] std::string sweep_report_json(const std::vector<RunRecord>& records,
                                             std::size_t jobs, double wall_s);
 

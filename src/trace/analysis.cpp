@@ -296,14 +296,10 @@ ProfileDoc parse_profile(const std::string& text, const std::string& origin) {
     fail(origin, e.what());
   }
   if (!root.is_object()) fail(origin, "document is not an object");
-  const json::Value* doc = &root;
-  const json::Value* schema = root.find("schema");
-  if (schema != nullptr && schema->is_string() &&
-      schema->string == "pmsb.run_manifest/1") {
-    doc = root.find("profile");
-    if (doc == nullptr) fail(origin, "run manifest has no profile section");
-    schema = doc->find("schema");
-  }
+  // A run manifest or sweep cell record embeds its profile.
+  const json::Value* doc = root.find("profile");
+  if (doc == nullptr) doc = &root;
+  const json::Value* schema = doc->find("schema");
   if (schema == nullptr || !schema->is_string() ||
       schema->string != "pmsb.profile/1") {
     fail(origin, "not a pmsb.profile/1 document");

@@ -131,7 +131,8 @@ struct ProfileDoc {
 };
 
 /// Parses a pmsb.profile/1 document. Accepts either a standalone profile
-/// or a pmsb.run_manifest/1 with an embedded "profile" section.
+/// or any document with an embedded "profile" section (a
+/// pmsb.run_manifest/1, or a pmsb.sweep_cell/1 cell record).
 [[nodiscard]] ProfileDoc read_profile(const std::string& path);
 [[nodiscard]] ProfileDoc parse_profile(const std::string& text,
                                        const std::string& origin);

@@ -1,8 +1,8 @@
 // Tests for the CellSupervisor: process-isolated sweep cells, exit-class
 // classification (segv / oom / hang / throw via the PMSB_CRASH_AT injection
-// hook), the retry/quarantine policy, crash-repro bundles, and the
-// acceptance property that healthy cells report bit-identically whether
-// they ran isolated or in-process.
+// hook), the retry/quarantine policy, the quarantined cell's record as its
+// repro input, and the acceptance property that healthy cells report
+// bit-identically whether they ran isolated or in-process.
 //
 // Crash-class tests are skipped under ASan/TSan: ASan turns SIGSEGV into a
 // plain exit(1) and its shadow allocator cannot live under RLIMIT_AS, so
@@ -22,7 +22,6 @@
 #include "sweep/cell_supervisor.hpp"
 #include "sweep/sweep.hpp"
 #include "telemetry/json_reader.hpp"
-#include "telemetry/manifest_reader.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define PMSB_SANITIZED 1
@@ -70,6 +69,13 @@ std::string fresh_dir(const std::string& name) {
   return dir.string();
 }
 
+/// The JSON document at `path`.
+telemetry::json::Value read_json(const std::string& path) {
+  std::ifstream in(path);
+  return telemetry::json::parse(
+      std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()));
+}
+
 sweep::SweepPoint bare_point(std::size_t index = 0) {
   sweep::SweepPoint point;
   point.index = index;
@@ -99,14 +105,15 @@ TEST(ExitClass, OnlyCrashClassesAreRetryable) {
 }
 
 TEST(ReproBundle, FileNamePadsLikeManifests) {
-  EXPECT_EQ(sweep::repro_file_name(7, 10), "repro_007.json");
-  EXPECT_EQ(sweep::repro_file_name(7, 2000), "repro_0007.json");
+  // A cell's repro input is its record, padded to the grid's width.
+  EXPECT_EQ(sweep::manifest_file_name(7, 10), "run_007.json");
+  EXPECT_EQ(sweep::manifest_file_name(7, 2000), "run_0007.json");
 }
 
 // --- one child, each failure shape -------------------------------------
 
 TEST(RunCellInChild, HealthyCellCompletesOk) {
-  const auto outcome = sweep::run_cell_in_child(bare_point(), {}, 1);
+  const auto outcome = sweep::run_cell_in_child(bare_point(), {}, 1, "");
   EXPECT_EQ(outcome.exit_class, sweep::ExitClass::kOk) << outcome.error;
   EXPECT_TRUE(outcome.error.empty());
   EXPECT_GT(outcome.peak_rss_bytes, 0.0);
@@ -115,7 +122,7 @@ TEST(RunCellInChild, HealthyCellCompletesOk) {
 
 TEST(RunCellInChild, ThrowShipsTheExactMessageOverThePipe) {
   const ScopedEnv inject("PMSB_CRASH_AT", "0:throw");
-  const auto outcome = sweep::run_cell_in_child(bare_point(), {}, 1);
+  const auto outcome = sweep::run_cell_in_child(bare_point(), {}, 1, "");
   EXPECT_EQ(outcome.exit_class, sweep::ExitClass::kThrow);
   EXPECT_EQ(outcome.exit_code, 2);
   EXPECT_EQ(outcome.error, "[crash_at] injected throw (cell 0, attempt 1)");
@@ -124,7 +131,7 @@ TEST(RunCellInChild, ThrowShipsTheExactMessageOverThePipe) {
 TEST(RunCellInChild, SegvClassifiedAsSignalWithName) {
   if (PMSB_SANITIZED) GTEST_SKIP() << "ASan converts SIGSEGV to exit(1)";
   const ScopedEnv inject("PMSB_CRASH_AT", "0:segv");
-  const auto outcome = sweep::run_cell_in_child(bare_point(), {}, 1);
+  const auto outcome = sweep::run_cell_in_child(bare_point(), {}, 1, "");
   EXPECT_EQ(outcome.exit_class, sweep::ExitClass::kSignal);
   EXPECT_EQ(outcome.exit_signal, SIGSEGV);
   EXPECT_NE(outcome.error.find("SIGSEGV"), std::string::npos) << outcome.error;
@@ -135,7 +142,7 @@ TEST(RunCellInChild, OomUnderAddressSpaceCapClassified) {
   const ScopedEnv inject("PMSB_CRASH_AT", "0:oom");
   sweep::CellLimits limits;
   limits.mem_mb = 512;
-  const auto outcome = sweep::run_cell_in_child(bare_point(), limits, 1);
+  const auto outcome = sweep::run_cell_in_child(bare_point(), limits, 1, "");
   EXPECT_EQ(outcome.exit_class, sweep::ExitClass::kOom);
   EXPECT_NE(outcome.error.find("[oom]"), std::string::npos) << outcome.error;
   EXPECT_NE(outcome.error.find("cell_mem_mb=512"), std::string::npos)
@@ -146,7 +153,7 @@ TEST(RunCellInChild, HangIsHardKilledPastTheWallBudget) {
   const ScopedEnv inject("PMSB_CRASH_AT", "0:hang");
   sweep::CellLimits limits;
   limits.wall_s = 0.2;  // hard kill at 0.2 * 1.25 + 0.5 = 0.75 s
-  const auto outcome = sweep::run_cell_in_child(bare_point(), limits, 1);
+  const auto outcome = sweep::run_cell_in_child(bare_point(), limits, 1, "");
   EXPECT_EQ(outcome.exit_class, sweep::ExitClass::kTimeout);
   EXPECT_TRUE(outcome.hard_killed);
   EXPECT_EQ(outcome.exit_signal, SIGKILL);
@@ -170,9 +177,8 @@ sweep::SweepConfig isolated_config(const std::string& dir) {
 }  // namespace
 
 TEST(IsolatedSweep, HealthyCellsBitIdenticalToInProcessRun) {
-  // The acceptance property: same grid, same manifest dir (the manifest
-  // path is part of the config echo), once in-process then once isolated —
-  // every deterministic_signature must match exactly.
+  // The acceptance property: same grid, once in-process then once
+  // isolated — every deterministic_signature must match exactly.
   const auto pts =
       sweep::expand_grid(dumbbell_base(), "scheme:pmsb,tcn;queues:2,4");
   ASSERT_EQ(pts.size(), 4u);
@@ -223,27 +229,31 @@ TEST(IsolatedSweep, InjectedCrashQuarantinesOnlyThatCell) {
   EXPECT_EQ(recs[1].exit_class, "signal");
   EXPECT_EQ(recs[1].exit_signal, SIGSEGV);
   EXPECT_EQ(recs[1].attempts, 1u);
-  // The quarantined cell leaves a failed-status stub carrying the
-  // supervisor diagnostics, plus a loadable repro bundle.
-  const auto stub = telemetry::read_run_manifest(recs[1].manifest_path);
-  EXPECT_EQ(stub.info.at("status"), "failed");
-  EXPECT_EQ(stub.info.at("exit_class"), "signal");
-  EXPECT_EQ(stub.info_number("exit_signal", 0.0),
-            static_cast<double>(SIGSEGV));
-  EXPECT_GE(stub.info_number("attempts", 0.0), 1.0);
-  ASSERT_FALSE(recs[1].repro_path.empty());
-  const auto bundle = sweep::load_repro_bundle(recs[1].repro_path);
-  EXPECT_EQ(bundle.cell_index, 1u);
-  EXPECT_EQ(bundle.label, pts[1].label);
-  EXPECT_EQ(bundle.exit_class, "signal");
-  EXPECT_EQ(bundle.opts.get("scheme"), "tcn");
+  // The quarantined cell leaves one failed record carrying the supervisor
+  // diagnostics and the exact config: its repro input.
+  const auto record = read_json(recs[1].manifest_path);
+  EXPECT_EQ(record.at("schema").string, "pmsb.sweep_cell/1");
+  EXPECT_FALSE(record.at("ok").boolean);
+  EXPECT_TRUE(record.at("quarantined").boolean);
+  EXPECT_EQ(record.at("exit_class").string, "signal");
+  EXPECT_EQ(record.at("exit_signal").number, static_cast<double>(SIGSEGV));
+  EXPECT_GE(record.at("attempts").number, 1.0);
+  EXPECT_EQ(record.at("index").number, 1.0);
+  EXPECT_EQ(record.at("label").string, pts[1].label);
+  EXPECT_EQ(record.at("config").at("scheme").string, "tcn");
+  std::set<std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(files,
+            (std::set<std::string>{"run_000.json", "run_001.json", "run_002.json"}));
 }
 
 TEST(IsolatedSweep, TransientCrashRetriesAndConvergesWithoutDuplicates) {
   if (PMSB_SANITIZED) GTEST_SKIP() << "ASan converts SIGSEGV to exit(1)";
   // Crash only the first attempt of cell 0: the retry must succeed, and the
-  // manifest dir must end up exactly as if nothing had ever crashed — one
-  // valid manifest per cell, no stale stub, no repro bundle.
+  // record dir must end up exactly as if nothing had ever crashed — one
+  // completed record per cell, no stale failed one.
   const ScopedEnv inject("PMSB_CRASH_AT", "0:segv@1");
   const auto pts = sweep::expand_grid(dumbbell_base(), "scheme:pmsb,none");
   const std::string dir = fresh_dir("iso_retry");
@@ -254,7 +264,6 @@ TEST(IsolatedSweep, TransientCrashRetriesAndConvergesWithoutDuplicates) {
   ASSERT_TRUE(recs[0].ok) << recs[0].error;
   EXPECT_EQ(recs[0].attempts, 2u);
   EXPECT_FALSE(recs[0].quarantined);
-  EXPECT_TRUE(recs[0].repro_path.empty());
   ASSERT_TRUE(recs[1].ok) << recs[1].error;
   EXPECT_EQ(recs[1].attempts, 1u);
 
@@ -263,10 +272,7 @@ TEST(IsolatedSweep, TransientCrashRetriesAndConvergesWithoutDuplicates) {
     files.insert(entry.path().filename().string());
   }
   EXPECT_EQ(files, (std::set<std::string>{"run_000.json", "run_001.json"}));
-  for (const auto& r : recs) {
-    EXPECT_EQ(telemetry::read_run_manifest(r.manifest_path).info.at("status"),
-              "ok");
-  }
+  for (const auto& r : recs) EXPECT_TRUE(sweep::read_cell_record(r.manifest_path).ok);
 }
 
 TEST(IsolatedSweep, DeterministicThrowQuarantinesWithoutRetry) {
@@ -287,11 +293,12 @@ TEST(IsolatedSweep, DeterministicThrowQuarantinesWithoutRetry) {
   EXPECT_TRUE(recs[1].ok) << recs[1].error;
 
   // Report plumbing: the quarantine count and per-run fields land in the
-  // pmsb.sweep_report/1 JSON.
+  // pmsb.sweep_report/1 JSON, and the quarantined row names its record.
   const std::string json = sweep::sweep_report_json(recs, 1, 0.0);
   EXPECT_NE(json.find("\"quarantined\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"exit_class\":\"throw\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"repro\":"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"manifest\":\"" + recs[0].manifest_path + "\""), std::string::npos)
+      << json;
   const std::string csv = sweep::sweep_report_csv(recs);
   EXPECT_NE(csv.find("index,label,ok,attempts,exit_class,error"),
             std::string::npos);
@@ -303,24 +310,27 @@ TEST(IsolatedSweep, ReproBundleReRunsTheExactCell) {
   const std::string dir = fresh_dir("iso_repro_rerun");
   const auto recs = sweep::run_sweep(pts, isolated_config(dir));
   ASSERT_FALSE(recs[1].ok);
-  ASSERT_FALSE(recs[1].repro_path.empty());
+  ASSERT_FALSE(recs[1].manifest_path.empty());
 
-  // Loading the bundle recovers a runnable point; with the injection gone
-  // (the bundle captures config, not environment) the cell completes.
-  auto bundle = sweep::load_repro_bundle(recs[1].repro_path);
-  ::unsetenv("PMSB_CRASH_AT");
+  // Loading the record recovers a runnable point: with the injection still
+  // set the cell fails again, and with it gone (the record captures config,
+  // not environment) the cell completes.
+  const auto record = sweep::read_cell_record(recs[1].manifest_path);
   sweep::SweepPoint point;
-  point.index = bundle.cell_index;
-  point.label = bundle.label;
-  point.opts = bundle.opts;
-  point.opts.erase("metrics_json");
-  const auto outcome = sweep::run_cell_in_child(point, {}, 1);
+  point.index = record.index;
+  point.label = record.label;
+  for (const auto& [k, v] : record.config) point.opts.set(k, v);
+  EXPECT_EQ(point.opts.values(), pts[1].opts.values());
+  EXPECT_EQ(sweep::run_cell_in_child(point, {}, 1, "").exit_class,
+            sweep::ExitClass::kThrow);
+  ::unsetenv("PMSB_CRASH_AT");
+  const auto outcome = sweep::run_cell_in_child(point, {}, 1, "");
   EXPECT_EQ(outcome.exit_class, sweep::ExitClass::kOk) << outcome.error;
 }
 
 TEST(IsolatedSweep, ReproBundleNamesTheSeedTheCellRanWith) {
   // No seed= anywhere: the quarantined cell ran with the default seed, and
-  // its pmsb.repro/1 bundle must say so.
+  // its record must say so.
   Options base;
   base.set("topology", "dumbbell");
   base.set("duration_ms", "5");
@@ -330,14 +340,11 @@ TEST(IsolatedSweep, ReproBundleNamesTheSeedTheCellRanWith) {
   const auto recs = sweep::run_sweep(pts, isolated_config(dir));
   ASSERT_FALSE(recs[0].ok);
   EXPECT_TRUE(recs[0].quarantined);
-  ASSERT_FALSE(recs[0].repro_path.empty());
-  std::ifstream in(recs[0].repro_path);
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  const auto bundle = telemetry::json::parse(text);
-  ASSERT_NE(bundle.find("seed"), nullptr) << text;
-  EXPECT_EQ(bundle.at("seed").raw_number, "1") << text;
-  EXPECT_EQ(telemetry::read_run_manifest(recs[0].manifest_path).seed, 1u);
+  ASSERT_FALSE(recs[0].manifest_path.empty());
+  const auto record = read_json(recs[0].manifest_path);
+  EXPECT_EQ(record.at("schema").string, "pmsb.sweep_cell/1");
+  ASSERT_NE(record.find("seed"), nullptr);
+  EXPECT_EQ(record.at("seed").raw_number, "1");
 }
 
 TEST(IsolatedSweep, WedgedCallbackIsTheDeadlineBlindSpotAndGetsHardKilled) {
@@ -349,7 +356,7 @@ TEST(IsolatedSweep, WedgedCallbackIsTheDeadlineBlindSpotAndGetsHardKilled) {
   point.opts.set("cell_timeout_s", "0.2");
   sweep::CellLimits limits;
   limits.wall_s = 0.2;
-  const auto outcome = sweep::run_cell_in_child(point, limits, 1);
+  const auto outcome = sweep::run_cell_in_child(point, limits, 1, "");
   EXPECT_EQ(outcome.exit_class, sweep::ExitClass::kTimeout);
   EXPECT_TRUE(outcome.hard_killed) << "the watchdog cannot trip in a wedged cell";
   EXPECT_NE(outcome.error.find("never ran its deadline tick"), std::string::npos)

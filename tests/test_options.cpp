@@ -6,8 +6,10 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "experiments/options.hpp"
+#include "sweep/cell_supervisor.hpp"
 #include "sweep/scenario_run.hpp"
 #include "sweep/sweep.hpp"
 
@@ -182,10 +184,32 @@ TEST(Options, ClosestKeyRanksByEditDistance) {
 
 TEST(Options, UnsignedGetterRejectsValuesBelowItsMinimum) {
   const auto o = parse({"flows=0", "top=7", "queues=-1", "link_gbps=0", "jobs=-1",
-                        "cell_retries=-1", "seed=abc"});
+                        "cell_retries=-1", "seed=abc", "stages=65537",
+                        "flow=4294967297", "trace_flows=1, 2,,3",
+                        "cell_mem_mb=17592186044416", "buffer_bytes=9223372036854775808"});
   EXPECT_EQ(o.get_uint("absent", 9, 10), 9u);  // a fallback is not checked
   EXPECT_EQ(o.get_uint("flows", 5), 0u);
   EXPECT_EQ(o.get_uint("top", 10, 7), 7u);     // the minimum itself is accepted
+  EXPECT_EQ(o.get_uint("top", 10, 0, 7), 7u);  // and so is the maximum
+  EXPECT_EQ(o.get_uint_list("trace_flows", 1, 3), (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_TRUE(o.get_uint_list("absent", 1, 3).empty());
+  // Above the maximum (what the value's destination holds): rejected, naming
+  // the key and value, before a narrowing cast could wrap it.
+  EXPECT_EQ(rejection([&] { (void)o.get_uint("stages", 1, 0, 65535); }),
+            "Options: stages=65537 is above its maximum, 65535");
+  EXPECT_EQ(rejection([&] { (void)o.get_uint("flow", 0, 0, 4294967295u); }),
+            "Options: flow=4294967297 is above its maximum, 4294967295");
+  // cell_mem_mb= as a byte count would wrap RLIMIT_AS; like jobs=, it is
+  // tested only here, never by starting an isolated sweep.
+  EXPECT_EQ(rejection([&] { (void)o.get_uint("cell_mem_mb", 0, 0, sweep::kMaxCellMemMb); }),
+            "Options: cell_mem_mb=17592186044416 is above its maximum, 17592186044415");
+  EXPECT_EQ(rejection([&] { (void)o.get_uint_list("trace_flows", 1, 2); }),
+            "Options: trace_flows=3 is above its maximum, 2");
+  EXPECT_EQ(rejection([&] { (void)o.get_uint_list("trace_flows", 2, 3); }),
+            "Options: trace_flows=1 is below its minimum, 2");
+  // Past int64 the value is out of range for every unsigned key.
+  const std::string huge = rejection([&] { (void)o.get_uint("buffer_bytes", 0); });
+  EXPECT_NE(huge.find("'buffer_bytes' is out of range"), std::string::npos) << huge;
   // Below the minimum (0 unless given): rejected, naming the key and value.
   // jobs= and cell_retries= are tested only here: a run with jobs=-1 would
   // start one worker thread per cell.
@@ -203,9 +227,10 @@ TEST(Options, UnsignedGetterRejectsValuesBelowItsMinimum) {
 }
 
 TEST(Options, NegativeCountKeysAreRejectedNamingTheKey) {
-  // Every unsigned key a run reads, below its minimum (the last token) on a
-  // base that reads it: the run throws before it starts, so pmsbsim exits 2,
-  // and the message names the key and its value.
+  // Every unsigned key a run reads, below its minimum or above what its
+  // destination holds (the last token), on a base that reads it: the run
+  // throws before it simulates, so pmsbsim exits 2, and the message names
+  // the key and its value.
   for (const char* line : {
            "topology=dumbbell queues=-1",
            "topology=dumbbell queues=0",
@@ -226,6 +251,23 @@ TEST(Options, NegativeCountKeysAreRejectedNamingTheKey) {
            "topology=leafspine pattern=rpc fanout=-1",
            "topology=leafspine pattern=rpc rpc_bytes=-5",
            "topology=leafspine pattern=rpc rpc_bytes=0",
+           // Durations: 0 stays valid, negatives and what sim::TimeNs
+           // cannot hold once converted do not.
+           "topology=dumbbell duration_ms=-5",
+           "topology=dumbbell duration_ms=9223372036845",
+           "topology=leafspine flows=20 max_sim_s=-1",
+           "topology=leafspine flows=20 max_sim_s=9223372037",
+           "topology=dumbbell duration_ms=20 watchdog_horizon_ms=-1",
+           "topology=dumbbell watchdog_horizon_ms=9223372036855",
+           // Past the destination type, where a cast would wrap.
+           "topology=leafspine pattern=coflow stages=65537",
+           "topology=leafspine flows=10 queues=256",
+           "topology=leafspine flows=10 queues=257",
+           "topology=dumbbell link_gbps=18446744074",
+           "topology=dumbbell trace_flows=4294967297",
+           "topology=dumbbell trace_flows=-1",
+           "topology=dumbbell trace_flows=0",
+           "topology=dumbbell trace_flows=abc",
        }) {
     sweep::SweepPoint pt;
     std::istringstream tokens(line);
@@ -237,7 +279,12 @@ TEST(Options, NegativeCountKeysAreRejectedNamingTheKey) {
       rejected = token;
     }
     const std::string what = rejection([&] { (void)sweep::run_scenario(pt, true); });
-    EXPECT_NE(what.find(rejected + " is below its minimum"), std::string::npos)
-        << line << ": " << what;
+    const auto eq = rejected.find('=');
+    const bool named =
+        what.find(rejected + " is below its minimum") != std::string::npos ||
+        what.find(rejected + " is above its maximum") != std::string::npos ||
+        what.find("'" + rejected.substr(0, eq) + "' is not an integer: '" +
+                  rejected.substr(eq + 1) + "'") != std::string::npos;
+    EXPECT_TRUE(named) << line << ": " << what;
   }
 }

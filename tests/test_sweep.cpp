@@ -360,6 +360,27 @@ TEST(Sweep, ManifestsWrittenPerRun) {
   EXPECT_EQ(paths.size(), recs.size());  // distinct file per run
 }
 
+TEST(Sweep, MetricsJsonIsDroppedLikeOtherPerRunFiles) {
+  // Every cell would write the same metrics_json= path at once; a sweep
+  // drops the key with the other per-run file outputs.
+  Options base = leafspine_base();
+  const std::string path = ::testing::TempDir() + "/sweep_metrics_json.json";
+  std::remove(path.c_str());
+  base.set("metrics_json", path);
+  const auto pts = sweep::expand_grid(base, "load:0.3,0.5,0.7,0.9");
+  sweep::SweepConfig cfg;
+  cfg.jobs = 4;
+  const auto recs = sweep::run_sweep(pts, cfg);
+  for (const auto& r : recs) {
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.config.count("metrics_json"), 0u);
+    EXPECT_TRUE(r.manifest_path.empty());
+  }
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_EQ(f, nullptr) << path;
+  if (f != nullptr) std::fclose(f);
+}
+
 // --- the max_cwnd_bytes= key -------------------------------------------
 
 namespace {

@@ -1,6 +1,6 @@
-// Tests for resumable sweeps: per-cell manifest salvage (kill a sweep,
-// re-run it, keep the finished cells), the validation that refuses stale or
-// corrupt manifests, the per-cell wall-clock deadline, and the
+// Tests for resumable sweeps: per-cell record salvage (kill a sweep, re-run
+// it, keep the finished cells), the validation that refuses stale or
+// corrupt records, the per-cell wall-clock deadline, and the
 // pmsb.sweep_report/1 golden round-trip through the real JSON reader.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "sweep/scenario_run.hpp"
 #include "sweep/sweep.hpp"
 #include "telemetry/json_reader.hpp"
-#include "telemetry/manifest_reader.hpp"
 
 using namespace pmsb;
 using pmsb::experiments::Options;
@@ -111,9 +110,8 @@ TEST(ResumeSweep, ResumeAfterPartialLossMatchesUninterruptedRun) {
   ASSERT_EQ(pts.size(), 4u);
 
   // Reference: one uninterrupted sweep (its records double as the baseline
-  // the resumed sweep must reproduce — including the manifest paths in each
-  // cell's config echo, which is why the resume must use the same dir).
-  // Then simulate a kill mid-grid: lose two manifests, truncate a third.
+  // the resumed sweep must reproduce). Then simulate a kill mid-grid: lose
+  // two records, truncate a third.
   sweep::SweepConfig cfg;
   cfg.jobs = 2;
   cfg.manifest_dir = fresh_dir("resume_victim");
@@ -145,13 +143,12 @@ TEST(ResumeSweep, ResumeAfterPartialLossMatchesUninterruptedRun) {
         << pts[i].label;
   }
 
-  // And so does the aggregated report (the manifest paths differ between
-  // the two directories, so compare within the victim dir: resumed vs the
-  // victim's own pre-kill run, after zeroing the nondeterministic wall_ms).
+  // And so does the aggregated report, after zeroing the nondeterministic
+  // wall_ms.
   EXPECT_EQ(sweep::sweep_report_json(zero_wall(first), cfg.jobs, 0.0),
             sweep::sweep_report_json(zero_wall(resumed), cfg.jobs, 0.0));
 
-  // A second resume finds every manifest intact and re-runs nothing.
+  // A second resume finds every record intact and re-runs nothing.
   CountingConfig again(resume.cfg);
   const auto salvage_all = sweep::run_sweep(pts, again.cfg);
   EXPECT_TRUE(again.sorted_runs().empty());
@@ -167,11 +164,12 @@ TEST(ResumeSweep, FailedCellStubIsRerunNotSalvaged) {
   const auto first = sweep::run_sweep(pts, cfg);
   ASSERT_TRUE(first[0].ok) << first[0].error;
   ASSERT_FALSE(first[1].ok);
-  // The failed cell still wrote a manifest — a stub marked status=failed.
+  // The failed cell still wrote its record, marked ok=false.
   ASSERT_FALSE(first[1].manifest_path.empty());
-  const auto stub = telemetry::read_run_manifest(first[1].manifest_path);
-  EXPECT_EQ(stub.info.at("status"), "failed");
-  EXPECT_FALSE(stub.info.at("error").empty());
+  const auto stub = sweep::read_cell_record(first[1].manifest_path);
+  EXPECT_FALSE(stub.ok);
+  EXPECT_EQ(stub.error, first[1].error);
+  EXPECT_FALSE(stub.error.empty());
 
   CountingConfig resume(cfg);
   resume.cfg.resume = true;
@@ -184,8 +182,8 @@ TEST(ResumeSweep, FailedCellStubIsRerunNotSalvaged) {
 }
 
 TEST(ResumeSweep, FailedCellStubNamesTheSeedTheCellRanWith) {
-  // No seed= anywhere: the cell runs with the default seed, and its stub
-  // manifest must say so.
+  // No seed= anywhere: the cell runs with the default seed, and its failed
+  // record must say so.
   Options base;
   base.set("topology", "dumbbell");
   base.set("duration_ms", "5");
@@ -196,15 +194,15 @@ TEST(ResumeSweep, FailedCellStubNamesTheSeedTheCellRanWith) {
   const auto recs = sweep::run_sweep(pts, cfg);
   ASSERT_FALSE(recs[0].ok);
   EXPECT_NE(recs[0].error.find("packet_conservation"), std::string::npos) << recs[0].error;
-  const auto stub = telemetry::read_run_manifest(recs[0].manifest_path);
-  EXPECT_EQ(stub.info.at("status"), "failed");
-  EXPECT_EQ(stub.seed, 1u);
+  const auto stub = telemetry::json::parse(read_file(recs[0].manifest_path));
+  EXPECT_FALSE(stub.at("ok").boolean);
+  EXPECT_EQ(stub.at("seed").raw_number, "1");
 }
 
 TEST(ResumeSweep, RejectedSeedFailsItsCellAlone) {
-  // The stub manifest names the seed, so a seed the run rejects cannot go
-  // in it: that cell writes no stub (a resume re-runs it) and the rest of
-  // the sweep runs on.
+  // A seed the run rejects fails that cell alone: its record leaves out the
+  // seed (the config echo still holds what was given), a resume re-runs
+  // it, and the rest of the sweep runs on.
   Options base;
   base.set("topology", "dumbbell");
   base.set("duration_ms", "5");
@@ -215,15 +213,61 @@ TEST(ResumeSweep, RejectedSeedFailsItsCellAlone) {
   ASSERT_EQ(recs.size(), 2u);
   ASSERT_FALSE(recs[0].ok);
   EXPECT_NE(recs[0].error.find("seed=-1"), std::string::npos) << recs[0].error;
-  EXPECT_FALSE(fs::exists(recs[0].manifest_path));
+  const auto record = telemetry::json::parse(read_file(recs[0].manifest_path));
+  EXPECT_FALSE(record.at("ok").boolean);
+  EXPECT_EQ(record.find("seed"), nullptr);
+  EXPECT_EQ(record.at("config").at("seed").string, "-1");
   EXPECT_TRUE(recs[1].ok) << recs[1].error;
+}
+
+TEST(ResumeSweep, RenamedRecordDirectorySalvagesEveryCell) {
+  // A record names no path in its config echo, so a checkpoint directory
+  // that moved since it was written still salvages cell for cell.
+  const auto pts = sweep::expand_grid(leafspine_base(), "load:0.3,0.7");
+  sweep::SweepConfig cfg;
+  cfg.jobs = 2;
+  cfg.manifest_dir = fresh_dir("renamed_before");
+  const auto first = sweep::run_sweep(pts, cfg);
+  for (const auto& r : first) ASSERT_TRUE(r.ok) << r.error;
+  const std::string moved = cfg.manifest_dir + "-moved";
+  fs::remove_all(moved);
+  fs::rename(cfg.manifest_dir, moved);
+
+  sweep::SweepConfig again = cfg;
+  again.manifest_dir = moved;
+  again.resume = true;
+  CountingConfig resume(again);
+  const auto resumed = sweep::run_sweep(pts, resume.cfg);
+  EXPECT_TRUE(resume.sorted_runs().empty());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    EXPECT_TRUE(resumed[i].salvaged) << pts[i].label;
+    EXPECT_EQ(resumed[i].manifest_path, moved + "/" + sweep::manifest_file_name(i, pts.size()));
+    EXPECT_EQ(sweep::deterministic_signature(first[i]),
+              sweep::deterministic_signature(resumed[i]));
+  }
+}
+
+TEST(ResumeSweep, LeafSpineRecordIsSmallAndHoldsNoInstruments) {
+  // A record holds the cell's report row, not the run's instrument dump:
+  // a leaf-spine cell's checkpoint stays under 16 KB.
+  const auto pts = sweep::expand_grid(leafspine_base(), "load:0.5");
+  sweep::SweepConfig cfg;
+  cfg.manifest_dir = fresh_dir("record_size");
+  const auto recs = sweep::run_sweep(pts, cfg);
+  ASSERT_TRUE(recs[0].ok) << recs[0].error;
+  const std::string text = read_file(recs[0].manifest_path);
+  EXPECT_LT(text.size(), 16u * 1024u);
+  const auto record = telemetry::json::parse(text);
+  EXPECT_EQ(record.at("schema").string, "pmsb.sweep_cell/1");
+  EXPECT_EQ(record.find("metrics"), nullptr);
+  EXPECT_EQ(record.at("results").object.size(), recs[0].results.size());
 }
 
 // --- try_salvage_cell validation ---------------------------------------
 
 namespace {
 
-/// A grid point plus the manifest a completed run of it wrote: the fixture
+/// A grid point plus the record a completed run of it wrote: the fixture
 /// every salvage-refusal case starts from.
 struct SalvagedCell {
   sweep::SweepPoint point;
@@ -239,8 +283,6 @@ SalvagedCell run_one_cell(const std::string& dir_name) {
   const auto recs = sweep::run_sweep(pts, cfg);
   EXPECT_TRUE(recs[0].ok) << recs[0].error;
   out.point = pts[0];
-  // run_sweep validates against the transformed point; mirror it.
-  out.point.opts.set("metrics_json", recs[0].manifest_path);
   out.manifest_path = recs[0].manifest_path;
   out.live = recs[0];
   return out;
@@ -254,8 +296,10 @@ TEST(TrySalvage, ValidManifestRehydratesBitIdentically) {
   ASSERT_TRUE(outcome.record.has_value()) << outcome.reason;
   EXPECT_TRUE(outcome.record->salvaged);
   EXPECT_EQ(outcome.record->manifest_path, cell.manifest_path);
-  // The manifest-only status marker must not leak into the record.
-  EXPECT_EQ(outcome.record->info.count("status"), 0u);
+  // The live measurements of the run that wrote the record do not carry over.
+  EXPECT_GT(cell.live.wall_ms, 0.0);
+  EXPECT_EQ(outcome.record->wall_ms, 0.0);
+  EXPECT_EQ(outcome.record->attempts, 1u);
   EXPECT_EQ(sweep::deterministic_signature(*outcome.record),
             sweep::deterministic_signature(cell.live));
 }
@@ -280,7 +324,7 @@ TEST(TrySalvage, RefusesTruncatedJson) {
 TEST(TrySalvage, RefusesWrongSchema) {
   const auto cell = run_one_cell("salvage_schema");
   std::string text = read_file(cell.manifest_path);
-  const std::string from = "pmsb.run_manifest/1";
+  const std::string from = "pmsb.sweep_cell/1";
   text.replace(text.find(from), from.size(), "pmsb.other_thing/9");
   sweep::write_text_file(cell.manifest_path, text);
   const auto outcome = sweep::try_salvage_cell(cell.manifest_path, cell.point);
@@ -299,27 +343,21 @@ TEST(TrySalvage, RefusesConfigDriftAndNamesTheKey) {
 
 TEST(TrySalvage, RefusesFailedStatusAndEmptyResults) {
   const auto cell = run_one_cell("salvage_status");
-  // Hand-crafted manifests give exact control over status / results.
-  std::string config_json;
-  for (const auto& [k, v] : cell.point.opts.values()) {
-    config_json += (config_json.empty() ? "" : ",");
-    config_json += "\"" + k + "\":\"" + v + "\"";
-  }
-  const std::string failed =
-      "{\"schema\":\"pmsb.run_manifest/1\",\"tool\":\"t\",\"seed\":11,"
-      "\"config\":{" + config_json + "},\"info\":{\"status\":\"failed\"},"
-      "\"results\":{\"x\":1}}";
-  sweep::write_text_file(cell.manifest_path, failed);
+  // Records rewritten from the live one give exact control over ok /
+  // results; the config echo stays the grid point's.
+  sweep::RunRecord failed = cell.live;
+  failed.ok = false;
+  failed.error = "boom";
+  failed.exit_class = "throw";
+  sweep::write_cell_record(cell.manifest_path, cell.point, failed);
   auto outcome = sweep::try_salvage_cell(cell.manifest_path, cell.point);
   EXPECT_FALSE(outcome.record.has_value());
-  EXPECT_NE(outcome.reason.find("status=failed"), std::string::npos)
+  EXPECT_NE(outcome.reason.find("failed [throw]: boom"), std::string::npos)
       << outcome.reason;
 
-  const std::string empty_results =
-      "{\"schema\":\"pmsb.run_manifest/1\",\"tool\":\"t\",\"seed\":11,"
-      "\"config\":{" + config_json + "},\"info\":{\"status\":\"ok\"},"
-      "\"results\":{}}";
-  sweep::write_text_file(cell.manifest_path, empty_results);
+  sweep::RunRecord empty_results = cell.live;
+  empty_results.results.clear();
+  sweep::write_cell_record(cell.manifest_path, cell.point, empty_results);
   outcome = sweep::try_salvage_cell(cell.manifest_path, cell.point);
   EXPECT_FALSE(outcome.record.has_value());
   EXPECT_NE(outcome.reason.find("no results"), std::string::npos)
@@ -383,8 +421,8 @@ TEST(CellTimeout, ResumeWithBiggerBudgetRerunsTimedOutCells) {
   ASSERT_FALSE(first[0].ok);
   EXPECT_NE(first[0].error.find("[cell_timeout]"), std::string::npos);
 
-  // The stub is marked status=failed, so the resume re-runs the cell —
-  // and with the bigger budget it completes.
+  // The record is marked ok=false, so the resume re-runs the cell — and
+  // with the bigger budget it completes.
   sweep::SweepConfig retry = cfg;
   retry.cell_timeout_s = 3600.0;
   retry.resume = true;
@@ -400,7 +438,7 @@ TEST(CellTimeout, ResumeWithBiggerBudgetRerunsTimedOutCells) {
 
 TEST(ResumeCrashedSweep, QuarantinedCellsAreRerunNeverSalvaged) {
   // Pass 1: cell 1 quarantines on an injected deterministic throw (no
-  // sanitizer caveats — nothing actually crashes). Its stub must be marked
+  // sanitizer caveats — nothing actually crashes). Its record must be marked
   // failed, and a resume must re-run exactly that cell — with the injection
   // gone the grid heals.
   const auto pts = sweep::expand_grid(leafspine_base(), "load:0.3,0.5,0.7");
@@ -431,8 +469,7 @@ TEST(ResumeCrashedSweep, QuarantinedCellsAreRerunNeverSalvaged) {
   EXPECT_TRUE(resumed[2].salvaged);
 
   // The healed grid's report is bit-identical to an uninterrupted isolated
-  // run of the same grid (same manifest dir, so identical config echos),
-  // modulo the live wall/attempt/rss measurements.
+  // run of the same grid, modulo the live wall/attempt/rss measurements.
   const auto uninterrupted = sweep::run_sweep(pts, cfg);
   for (const auto& r : uninterrupted) ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(sweep::sweep_report_json(zero_live(resumed), cfg.jobs, 0.0),
@@ -440,7 +477,7 @@ TEST(ResumeCrashedSweep, QuarantinedCellsAreRerunNeverSalvaged) {
 }
 
 TEST(ResumeCrashedSweep, ResumeAcrossModesSalvagesIsolatedManifests) {
-  // Manifests written by isolated children are indistinguishable from
+  // Records written by isolated children are indistinguishable from
   // in-process ones: an in-process resume salvages them all (and the other
   // direction holds too — the echo carries the same keys either way).
   const auto pts = sweep::expand_grid(leafspine_base(), "load:0.4,0.6");
@@ -519,7 +556,7 @@ TEST(SweepReport, ByteStableAcrossSameSeedRuns) {
       sweep::expand_grid(leafspine_base(), "load:0.3,0.7;scheme:pmsb,tcn");
   sweep::SweepConfig cfg;
   cfg.jobs = 4;
-  cfg.manifest_dir = fresh_dir("report_stable");  // same dir: same paths
+  cfg.manifest_dir = fresh_dir("report_stable");  // same dir: same record paths
   const auto a = sweep::run_sweep(pts, cfg);
   const auto b = sweep::run_sweep(pts, cfg);
   EXPECT_EQ(sweep::sweep_report_json(zero_wall(a), cfg.jobs, 0.0),

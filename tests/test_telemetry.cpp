@@ -25,7 +25,6 @@
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 #include "telemetry/json_reader.hpp"
-#include "telemetry/manifest_reader.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/process_stats.hpp"
 #include "telemetry/run_report.hpp"
@@ -798,64 +797,62 @@ TEST(RunManifest, CarriesPeakRssAndReaderParsesIt) {
   const std::string json = m.to_json(nullptr);
   const JsonValue root = JsonParser(json).parse();
   ASSERT_TRUE(root.has("peak_rss_bytes"));
-  const auto data = pmsb::telemetry::parse_run_manifest(json, "<test>");
+  const json::Value data = json::parse(json);
+  ASSERT_TRUE(data.at("peak_rss_bytes").is_number());
 #ifdef __linux__
-  EXPECT_GT(data.peak_rss_bytes, 0.0);
+  EXPECT_GT(data.at("peak_rss_bytes").number, 0.0);
 #endif
-  EXPECT_EQ(data.peak_rss_bytes, root.at("peak_rss_bytes").number);
-  // Writers that predate the field parse with the 0 sentinel.
-  const auto old = pmsb::telemetry::parse_run_manifest(
-      "{\"schema\":\"pmsb.run_manifest/1\"}", "<test>");
-  EXPECT_EQ(old.peak_rss_bytes, 0.0);
+  EXPECT_EQ(data.at("peak_rss_bytes").number, root.at("peak_rss_bytes").number);
 }
 
 // ---------------------------------------------------------------------------
-// Manifest reader: RunManifest::write -> read_run_manifest round trip.
+// Reading manifests back: RunManifest::write -> telemetry::json round trip.
 
 TEST(ManifestReader, RoundTripsWhatRunManifestWrites) {
   RunManifest m("roundtrip-test");
   m.set_seed(9223372036854775809ull);  // > 2^53: exercises the raw path
   m.set_config({{"topology", "leafspine"}, {"load", "0.5"}});
-  m.set_info("status", "ok");
+  m.set_info("scheme", "pmsb");
   m.set_result("fct_us.mean", 123.456789012345678);
   m.set_result("throughput", 9.87e9);
   m.set_sim_time_us(2500.25);
   const std::string path = std::string(::testing::TempDir()) + "/manifest_rt.json";
   m.write(path, nullptr);
 
-  const auto data = pmsb::telemetry::read_run_manifest(path);
-  EXPECT_EQ(data.schema, "pmsb.run_manifest/1");
-  EXPECT_EQ(data.tool, "roundtrip-test");
-  EXPECT_EQ(data.seed, 9223372036854775809ull);
-  EXPECT_EQ(data.config.at("topology"), "leafspine");
-  EXPECT_EQ(data.config.at("load"), "0.5");
-  EXPECT_EQ(data.info.at("status"), "ok");
+  const json::Value data = json::parse(read_file(path));
+  EXPECT_EQ(data.at("schema").string, "pmsb.run_manifest/1");
+  EXPECT_EQ(data.at("tool").string, "roundtrip-test");
+  EXPECT_EQ(data.at("seed").raw_number, "9223372036854775809");
+  EXPECT_EQ(data.at("config").at("topology").string, "leafspine");
+  EXPECT_EQ(data.at("config").at("load").string, "0.5");
+  EXPECT_EQ(data.at("info").at("scheme").string, "pmsb");
   // %.17g output parses back bit-exact.
-  EXPECT_EQ(data.results.at("fct_us.mean"), 123.456789012345678);
-  EXPECT_EQ(data.results.at("throughput"), 9.87e9);
-  EXPECT_EQ(data.sim_time_us, 2500.25);
-  EXPECT_GE(data.wall_clock_s, 0.0);
+  EXPECT_EQ(data.at("results").at("fct_us.mean").number, 123.456789012345678);
+  EXPECT_EQ(data.at("results").at("throughput").number, 9.87e9);
+  EXPECT_EQ(data.at("sim_time_us").number, 2500.25);
+  EXPECT_GE(data.at("wall_clock_s").number, 0.0);
 }
 
 TEST(ManifestReader, RejectsMissingFileAndBadShapes) {
-  using pmsb::telemetry::parse_run_manifest;
-  EXPECT_THROW(pmsb::telemetry::read_run_manifest("/nonexistent/manifest.json"),
-               std::runtime_error);
+  EXPECT_FALSE(std::ifstream("/nonexistent/manifest.json").is_open());
+  // A truncated manifest (a killed writer) does not parse.
+  RunManifest m("truncated");
+  const std::string whole = m.to_json(nullptr);
+  EXPECT_THROW((void)json::parse(whole.substr(0, whole.size() / 2)), json::ParseError);
   // Top level must be an object with a string schema.
-  EXPECT_THROW(parse_run_manifest("[1,2,3]", "t"), std::runtime_error);
-  EXPECT_THROW(parse_run_manifest("{\"schema\":42}", "t"), std::runtime_error);
-  EXPECT_THROW(parse_run_manifest("{}", "t"), std::runtime_error);
-  // Results must be numeric.
-  EXPECT_THROW(
-      parse_run_manifest(
-          "{\"schema\":\"pmsb.run_manifest/1\",\"results\":{\"x\":\"nope\"}}", "t"),
-      std::runtime_error);
-  // Missing sections are tolerated — a minimal manifest parses.
-  const auto minimal =
-      parse_run_manifest("{\"schema\":\"pmsb.run_manifest/1\"}", "t");
-  EXPECT_EQ(minimal.schema, "pmsb.run_manifest/1");
-  EXPECT_TRUE(minimal.config.empty());
-  EXPECT_TRUE(minimal.results.empty());
+  EXPECT_THROW((void)json::parse("[1,2,3]").at("schema"), json::ParseError);
+  EXPECT_FALSE(json::parse("{\"schema\":42}").at("schema").is_string());
+  EXPECT_THROW((void)json::parse("{}").at("schema"), json::ParseError);
+  // A non-numeric result reads as what it is.
+  EXPECT_FALSE(json::parse("{\"schema\":\"pmsb.run_manifest/1\",\"results\":{\"x\":\"nope\"}}")
+                   .at("results")
+                   .at("x")
+                   .is_number());
+  // Missing sections read as absent — a minimal manifest parses.
+  const json::Value minimal = json::parse("{\"schema\":\"pmsb.run_manifest/1\"}");
+  EXPECT_EQ(minimal.at("schema").string, "pmsb.run_manifest/1");
+  EXPECT_EQ(minimal.find("config"), nullptr);
+  EXPECT_EQ(minimal.find("results"), nullptr);
 }
 
 TEST(TimeSeriesSampler, StreamToWritesRowsIncrementally) {

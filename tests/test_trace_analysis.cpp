@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <sstream>
@@ -15,6 +16,8 @@
 #include <vector>
 
 #include "experiments/dumbbell.hpp"
+#include "experiments/options.hpp"
+#include "sweep/sweep.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/run_report.hpp"
 #include "trace/analysis.hpp"
@@ -322,6 +325,21 @@ TEST(Analysis, ParseProfileUnwrapsRunManifests) {
   ASSERT_EQ(doc.scopes.size(), 1u);
   EXPECT_EQ(doc.scopes[0].name, "x");
   EXPECT_EQ(doc.scopes[0].count, 1u);
+
+  // A profiled sweep cell's record embeds its profile the same way.
+  experiments::Options base;
+  base.set("topology", "dumbbell");
+  base.set("duration_ms", "2");
+  base.set("profile", "1");
+  sweep::SweepConfig cfg;
+  cfg.manifest_dir = ::testing::TempDir() + "/profiled_cell";
+  std::filesystem::create_directories(cfg.manifest_dir);
+  const auto recs = sweep::run_sweep(sweep::expand_grid(base, "scheme:pmsb"), cfg);
+  ASSERT_TRUE(recs[0].ok) << recs[0].error;
+  const auto cell = trace::read_profile(recs[0].manifest_path);
+  std::filesystem::remove_all(cfg.manifest_dir);
+  EXPECT_EQ(static_cast<double>(cell.dispatches), recs[0].results.at("profile.dispatches"));
+  EXPECT_FALSE(cell.scopes.empty());
 }
 
 TEST(Analysis, RejectsNonProfileDocuments) {

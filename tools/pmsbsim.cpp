@@ -23,12 +23,19 @@
 // - digest=1 digests are what tools/pmsbregress compares against baselines.
 // - Sweeps fan the grid across a worker pool; each run is an isolated
 //   single-threaded simulator, so per-run results are bit-identical to a
-//   serial jobs=1 sweep. Per-run file outputs (timeseries_csv, fct_csv,
-//   profile_json, spans_ndjson, trace_ndjson) are dropped inside sweeps —
-//   the paths would collide — but profile=1 still lands pmsb.profile/1 in
-//   each cell's manifest under sweep_manifest_dir.
-// - sweep_resume=1 salvages cells whose manifest already holds a completed,
-//   config-matching run; the final report matches an uninterrupted sweep.
+//   serial jobs=1 sweep. Per-run file outputs (metrics_json, timeseries_csv,
+//   fct_csv, profile_json, spans_ndjson, trace_ndjson, trace_export) are
+//   dropped inside sweeps — the paths would collide.
+// - sweep_manifest_dir= gives each cell one record, run_<i>.json (schema
+//   pmsb.sweep_cell/1): its pmsb.sweep_report/1 row plus git, seed and,
+//   under profile=1, the pmsb.profile/1 document. A failed cell writes one
+//   too. The record is the cell's checkpoint and its repro= input.
+// - sweep_resume=1 salvages cells whose record holds a completed,
+//   config-matching run, wherever the directory has moved since; the final
+//   report matches an uninterrupted sweep.
+// - repro=<dir>/run_<i>.json re-runs that one cell; other keys override the
+//   record's config, so `repro=... metrics_json=m.json isolate=0` writes
+//   the cell's full run manifest.
 // - A tripped watchdog (stall, event budget or cell_timeout_s) or a failed
 //   invariant makes a single run exit 2 with the diagnostic on stderr;
 //   inside a sweep only that cell fails.
@@ -112,7 +119,8 @@ constexpr KeyHelp kKeys[] = {
     {"d2tcp", "1: deadline-aware D2TCP window cuts on flows that carry "
               "deadlines (default 0)"},
     // Telemetry.
-    {"metrics_json", "path: write a pmsb.run_manifest/1 JSON"},
+    {"metrics_json", "path: write a pmsb.run_manifest/1 JSON (dropped "
+                     "inside sweeps)"},
     {"timeseries_csv", "path: stream per-port occupancy / mark-rate CSV"},
     {"sample_period_us", "timeseries sampling period (default 100)"},
     {"digest", "1: report the run's 128-bit event digest"},
@@ -150,18 +158,20 @@ constexpr KeyHelp kKeys[] = {
     {"jobs", "sweep worker threads (default 1)"},
     {"sweep_json", "path: aggregated pmsb.sweep_report/1 JSON"},
     {"sweep_csv", "path: one CSV row per run"},
-    {"sweep_manifest_dir", "existing dir: per-run manifest files"},
+    {"sweep_manifest_dir", "existing dir: one record per cell, run_<i>.json "
+                           "(pmsb.sweep_cell/1)"},
     {"sweep_resume", "1: salvage completed cells from sweep_manifest_dir; "
                      "crashed / quarantined cells are re-run"},
     // Crash-proofing (docs/ROBUSTNESS.md).
     {"isolate", "1: run each sweep cell in a forked child; crashes / OOM "
-                "kills / wedged cells quarantine with a repro bundle "
+                "kills / wedged cells quarantine with a failed record "
                 "instead of killing the sweep"},
     {"cell_mem_mb", "isolate: RLIMIT_AS per child, MiB (0 = unlimited)"},
     {"cell_retries", "isolate: extra attempts for signal/timeout/oom cells "
                      "(throws are deterministic, never retried)"},
-    {"repro", "path to a pmsb.repro/1 bundle: re-run that quarantined cell "
-              "solo (other keys override; isolate=0 to debug in-process)"},
+    {"repro", "path to a cell record (sweep_manifest_dir's run_<i>.json): "
+              "re-run that cell solo (other keys override; isolate=0 to "
+              "debug in-process)"},
 };
 
 void print_usage() {
@@ -194,7 +204,7 @@ int run_sweep_cli(const Options& opts) {
   cfg.resume = opts.get_bool("sweep_resume", false);
   cfg.cell_timeout_s = opts.get_double("cell_timeout_s", 0.0);
   cfg.isolate = opts.get_bool("isolate", false);
-  cfg.cell_mem_mb = opts.get_uint("cell_mem_mb", 0);
+  cfg.cell_mem_mb = opts.get_uint("cell_mem_mb", 0, 0, sweep::kMaxCellMemMb);
   cfg.cell_retries = opts.get_uint("cell_retries", 0);
   cfg.progress = true;
   if (cfg.resume && cfg.manifest_dir.empty()) {
@@ -239,11 +249,8 @@ int run_sweep_cli(const Options& opts) {
       std::fprintf(stderr, "FAILED [%zu] %s: %s\n", r.index, r.label.c_str(),
                    r.error.c_str());
       if (r.quarantined) {
-        std::fprintf(stderr,
-                     "    quarantined: class=%s attempts=%zu%s%s\n",
-                     r.exit_class.c_str(), r.attempts,
-                     r.repro_path.empty() ? "" : " repro=",
-                     r.repro_path.c_str());
+        std::fprintf(stderr, "    quarantined: class=%s attempts=%zu repro=%s\n",
+                     r.exit_class.c_str(), r.attempts, r.manifest_path.c_str());
       }
     }
   }
@@ -266,30 +273,26 @@ int run_sweep_cli(const Options& opts) {
   return failed == 0 ? 0 : 1;
 }
 
-/// Re-runs the quarantined cell captured in a pmsb.repro/1 bundle, solo.
-/// Exit 0 when the cell now completes, 2 when it fails again (so scripts
-/// can tell "fixed" from "still broken"). By default the cell runs under
-/// the supervisor — a reproduced hang or OOM stays bounded; `isolate=0`
-/// runs it in-process for a debugger.
+/// Re-runs the sweep cell a record describes, solo. Exit 0 when the cell
+/// completes, 2 when it fails (so scripts can tell "fixed" from "still
+/// broken"). By default the cell runs under the supervisor — a reproduced
+/// hang or OOM stays bounded; `isolate=0` runs it in-process for a
+/// debugger. The record itself is left as it is.
 int run_repro_cli(const Options& opts) {
-  const std::string path = opts.get("repro");
-  const sweep::ReproBundle bundle = sweep::load_repro_bundle(path);
-  std::printf("repro: cell %zu (%s), quarantined as '%s'\n  was: %s\n",
-              bundle.cell_index, bundle.label.c_str(), bundle.exit_class.c_str(),
-              bundle.error.c_str());
+  const sweep::RunRecord cell = sweep::read_cell_record(opts.get("repro"));
+  std::printf("repro: cell %zu (%s), recorded as '%s'\n", cell.index, cell.label.c_str(),
+              cell.exit_class.c_str());
+  if (!cell.ok) std::printf("  was: %s\n", cell.error.c_str());
 
   sweep::SweepPoint point;
-  point.index = bundle.cell_index;
-  point.label = bundle.label;
-  point.opts = bundle.opts;
-  // CLI keys override the bundle's echo (loosen cell_timeout_s=, drop the
-  // memory cap, isolate=0 for gdb, ...).
+  point.index = cell.index;
+  point.label = cell.label;
+  for (const auto& [k, v] : cell.config) point.opts.set(k, v);
+  // CLI keys override the record's echo (loosen cell_timeout_s=, drop the
+  // memory cap, isolate=0 for gdb, metrics_json= for a full manifest, ...).
   for (const auto& [k, v] : opts.values()) {
     if (k != "repro") point.opts.set(k, v);
   }
-  // The echo points metrics_json at the original sweep's manifest dir; a
-  // solo re-run must not clobber that cell's stub.
-  if (!opts.has("metrics_json")) point.opts.erase("metrics_json");
 
   const bool isolate = point.opts.get_bool("isolate", true);
   point.opts.erase("isolate");
@@ -302,8 +305,8 @@ int run_repro_cli(const Options& opts) {
 
   sweep::CellLimits limits;
   limits.wall_s = point.opts.get_double("cell_timeout_s", 0.0);
-  limits.mem_mb = point.opts.get_uint("cell_mem_mb", 0);
-  const sweep::CellOutcome outcome = sweep::run_cell_in_child(point, limits, 1);
+  limits.mem_mb = point.opts.get_uint("cell_mem_mb", 0, 0, sweep::kMaxCellMemMb);
+  const sweep::CellOutcome outcome = sweep::run_cell_in_child(point, limits, 1, "");
   if (outcome.exit_class == sweep::ExitClass::kOk) {
     std::printf("repro: cell completed ok (%.0f ms, peak rss %.0f MiB)\n",
                 outcome.wall_ms, outcome.peak_rss_bytes / (1024.0 * 1024.0));

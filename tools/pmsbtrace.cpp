@@ -14,11 +14,12 @@
 // percentiles, and an optional per-queue enqueue heatmap CSV.
 //
 // `profile` ranks a pmsb.profile/1 document's scopes by self wall time
-// (the input may also be a run manifest with an embedded profile); with
-// diff= it compares two documents side by side — the profile-first
-// optimisation workflow in docs/OBSERVABILITY.md.
+// (the input may also be a run manifest or sweep cell record with an
+// embedded profile); with diff= it compares two documents side by side —
+// the profile-first optimisation workflow in docs/OBSERVABILITY.md.
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -43,7 +44,8 @@ void print_usage() {
       "          enqueue heatmap CSV\n"
       "  profile profile.json   [top=10] [diff=B.json]\n"
       "          top-N hotspots by self wall time; diff= compares two\n"
-      "          pmsb.profile/1 documents (run manifests also accepted)\n");
+      "          pmsb.profile/1 documents (run manifests and sweep cell\n"
+      "          records also accepted)\n");
 }
 
 std::string fmt_ms(std::uint64_t ns) {
@@ -95,7 +97,8 @@ int cmd_flow(const std::string& path, const Options& opts) {
     std::printf("rerun with flow=N for a breakdown\n");
     return 0;
   }
-  const auto flow = static_cast<net::FlowId>(opts.get_uint("flow", 0));
+  const auto flow = static_cast<net::FlowId>(
+      opts.get_uint("flow", 0, 0, std::numeric_limits<net::FlowId>::max()));
   const auto b = trace::analyze_flow(spans, flow);
   print_breakdown(b);
   const std::size_t limit = opts.get_uint("timeline", 0);
