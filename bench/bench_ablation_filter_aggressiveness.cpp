@@ -39,7 +39,7 @@ int main() {
       const auto idx = sc.add_flow({.sender = i, .service = 1, .bytes = 0, .start = 0});
       sc.flow(idx).sender().add_observer(&rtt);
     }
-    const auto rates = bench::measure_queue_rates(sc, 2, sim::milliseconds(10), end);
+    const auto rates = bench::measure_queue_rates(sc, sim::milliseconds(10), end);
     table.add_row({stats::Table::num(scale, 2),
                    stats::Table::num(rates.gbps[0] / rates.total * 100.0, 1),
                    stats::Table::num(rtt.us().mean(), 1),

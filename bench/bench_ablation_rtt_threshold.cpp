@@ -46,7 +46,7 @@ int main() {
                                     .pmsbe = true, .pmsbe_rtt_threshold = thr});
       sc.flow(idx).sender().add_observer(&rtt);
     }
-    const auto rates = bench::measure_queue_rates(sc, 2, sim::milliseconds(10), end);
+    const auto rates = bench::measure_queue_rates(sc, sim::milliseconds(10), end);
     std::uint64_t ece = 0, ign = 0;
     for (std::size_t f = 0; f < sc.num_flows(); ++f) {
       ece += sc.flow(f).sender().stats().ece_acks;

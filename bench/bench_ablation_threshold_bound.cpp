@@ -49,7 +49,7 @@ int main() {
     for (std::size_t i = 0; i < flows; ++i) {
       sc.add_flow({.sender = i, .service = 0, .bytes = 0, .start = 0});
     }
-    const auto rates = bench::measure_queue_rates(sc, 1, sim::milliseconds(10), end);
+    const auto rates = bench::measure_queue_rates(sc, sim::milliseconds(10), end);
     table.add_row({stats::Table::num(factor, 2),
                    stats::Table::num(static_cast<double>(k_bytes) / 1500.0, 1),
                    std::to_string(flows), stats::Table::num(rates.total),

@@ -111,26 +111,17 @@ inline std::unique_ptr<telemetry::TimeSeriesSampler> sample_bottleneck(
   return sampler;
 }
 
-/// Measures per-queue service rates over [warmup, end] on a dumbbell.
+/// Per-queue service rates over [warmup, end] on a dumbbell, and their sum.
 struct QueueRates {
   std::vector<double> gbps;
   double total = 0.0;
 };
 
 inline QueueRates measure_queue_rates(experiments::DumbbellScenario& sc,
-                                      std::size_t num_queues, sim::TimeNs warmup,
-                                      sim::TimeNs end) {
-  sc.run(warmup);
-  std::vector<std::uint64_t> start(num_queues);
-  for (std::size_t q = 0; q < num_queues; ++q) start[q] = sc.served_bytes(q);
-  sc.run(end);
+                                      sim::TimeNs warmup, sim::TimeNs end) {
   QueueRates out;
-  const double dt = static_cast<double>(end - warmup);
-  for (std::size_t q = 0; q < num_queues; ++q) {
-    const double gbps = static_cast<double>(sc.served_bytes(q) - start[q]) * 8.0 / dt;
-    out.gbps.push_back(gbps);
-    out.total += gbps;
-  }
+  out.gbps = sc.queue_rates_gbps(warmup, end);
+  for (const double gbps : out.gbps) out.total += gbps;
   return out;
 }
 

@@ -39,7 +39,7 @@ int main() {
                                     .start = 0});
       sc.flow(idx).sender().add_observer(&rtt);
     }
-    const auto rates = bench::measure_queue_rates(sc, queues, sim::milliseconds(5), end);
+    const auto rates = bench::measure_queue_rates(sc, sim::milliseconds(5), end);
     table.add_row({std::to_string(queues), stats::Table::num(rtt.us().mean()),
                    stats::Table::num(rtt.us().percentile(50)),
                    stats::Table::num(rtt.us().percentile(95)),

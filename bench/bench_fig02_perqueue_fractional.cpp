@@ -27,9 +27,7 @@ double run_with_threshold(std::uint64_t k_packets, sim::TimeNs end) {
   cfg.marking.weights = cfg.scheduler.weights;
   DumbbellScenario sc(cfg);
   sc.add_flow({.sender = 0, .service = 0, .bytes = 0, .start = 0});
-  const auto rates =
-      bench::measure_queue_rates(sc, 8, sim::milliseconds(5), end);
-  return rates.total;
+  return bench::measure_queue_rates(sc, sim::milliseconds(5), end).total;
 }
 }  // namespace
 

@@ -30,7 +30,7 @@ int main() {
   }
 
   const sim::TimeNs end = sim::milliseconds(bench::scaled(60, 300));
-  const auto rates = bench::measure_queue_rates(sc, 2, sim::milliseconds(10), end);
+  const auto rates = bench::measure_queue_rates(sc, sim::milliseconds(10), end);
 
   stats::Table table({"queue", "flows", "tput(Gbps)", "fair_share(Gbps)"});
   table.add_row({"1", "1", stats::Table::num(rates.gbps[0]), "5.00"});

@@ -23,7 +23,7 @@ bench::QueueRates run_one_vs_n(std::size_t n, sim::TimeNs end) {
   for (std::size_t i = 1; i <= n; ++i) {
     sc.add_flow({.sender = i, .service = 1, .bytes = 0, .start = 0});
   }
-  return bench::measure_queue_rates(sc, 2, sim::milliseconds(10), end);
+  return bench::measure_queue_rates(sc, sim::milliseconds(10), end);
 }
 }  // namespace
 

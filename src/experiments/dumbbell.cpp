@@ -74,6 +74,22 @@ std::size_t DumbbellScenario::add_flow(const DumbbellFlowSpec& spec) {
   return idx;
 }
 
+std::vector<double> DumbbellScenario::queue_rates_gbps(sim::TimeNs from,
+                                                      sim::TimeNs until) {
+  const std::size_t queues = cfg_.scheduler.num_queues;
+  run(from);
+  std::vector<std::uint64_t> start(queues);
+  for (std::size_t q = 0; q < queues; ++q) start[q] = served_bytes(q);
+  run(until);
+  std::vector<double> gbps(queues, 0.0);
+  if (until <= from) return gbps;
+  const auto window = static_cast<double>(until - from);
+  for (std::size_t q = 0; q < queues; ++q) {
+    gbps[q] = static_cast<double>(served_bytes(q) - start[q]) * 8.0 / window;
+  }
+  return gbps;
+}
+
 void DumbbellScenario::bind_metrics(telemetry::MetricsRegistry& registry) {
   bottleneck().bind_metrics(registry, {{"port", "bottleneck"}});
   if (pool() != nullptr) pool()->bind_metrics(registry, {});
@@ -106,7 +122,8 @@ void DumbbellScenario::add_sampler_columns(telemetry::TimeSeriesSampler& sampler
 }
 
 void DumbbellScenario::install_span_tracer(trace::SpanTracer& spans) {
-  bottleneck().add_observer(&spans, spans.intern_node(switches_.front()->name()));
+  const TracePort port = trace_port();
+  port.port.add_observer(&spans, spans.intern_node(port.node));
   trace_flow_senders(spans);
   // The bottleneck link's deliveries yield kLinkTx and kRx.
   bottleneck().link()->add_observer(&spans, spans.intern_node("switch->receiver"));

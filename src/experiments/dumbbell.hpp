@@ -66,19 +66,25 @@ class DumbbellScenario final : public Fabric {
   void add_sampler_columns(telemetry::TimeSeriesSampler& sampler) override;
 
   /// Monotone count of bytes the bottleneck has served from queue q.
-  /// `run(until)` can be called repeatedly, so a rate over [t1, t2] is
-  /// measured as: run(t1); s1 = served_bytes(q); run(t2); rate = delta/dt.
   [[nodiscard]] std::uint64_t served_bytes(std::size_t q) const {
     return studied_.front().port->scheduler().served_bytes(q);
   }
+  /// The bottleneck's per-queue service rates in Gbps over the window
+  /// [from, until]: runs to `from`, then to `until`, and divides each
+  /// queue's served bytes in between by the window. An empty window reads
+  /// 0 Gbps.
+  [[nodiscard]] std::vector<double> queue_rates_gbps(sim::TimeNs from, sim::TimeNs until);
 
   /// Wires span capture for watched flows: kSend/kAck at the senders,
   /// kEnqueue/kDequeue/kMark/kDrop at the bottleneck port, kLinkTx/kRx on
   /// the bottleneck link. Call after add_flow(); `spans` must outlive the
   /// scenario.
   void install_span_tracer(trace::SpanTracer& spans) override;
-  /// The port whose Tracer capture `trace_ndjson=` exports.
-  [[nodiscard]] switchlib::Port& trace_port() override { return bottleneck(); }
+  /// The port whose capture `trace_ndjson=` exports: the bottleneck, span
+  /// node "switch".
+  [[nodiscard]] TracePort trace_port() override {
+    return {bottleneck(), switches_.front()->name()};
+  }
 
   /// The un-loaded round-trip time sender -> receiver -> sender.
   [[nodiscard]] static sim::TimeNs base_rtt(const FabricConfig& cfg) {

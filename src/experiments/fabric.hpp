@@ -72,6 +72,14 @@ struct StudiedPort {
   std::string name;
 };
 
+/// The port a `trace_ndjson=` capture watches, with the span node name the
+/// scenario's span wiring gives it, so the capture's spans and that port's
+/// spans in a `trace_flows=all` capture are the same lines.
+struct TracePort {
+  switchlib::Port& port;
+  std::string node;
+};
+
 /// One flow of a fabric's flow table: what it was added with, its
 /// endpoints while they live, and its outcome once it is done. Slots are
 /// indexed by the dense flow index (transport flow id - 1) and never move
@@ -210,8 +218,8 @@ class Fabric : private net::FlowDemux {
   /// Wires span capture for watched flows. Call after the flows are added;
   /// `spans` must outlive the fabric.
   virtual void install_span_tracer(trace::SpanTracer& spans) = 0;
-  /// The port whose Tracer capture `trace_ndjson=` exports.
-  [[nodiscard]] virtual switchlib::Port& trace_port() = 0;
+  /// The port whose capture `trace_ndjson=` exports, and its span node.
+  [[nodiscard]] virtual TracePort trace_port() = 0;
 
  protected:
   explicit Fabric(sim::QueueBackend queue);

@@ -208,8 +208,7 @@ void LeafSpineScenario::add_sampler_columns(telemetry::TimeSeriesSampler& sample
 void LeafSpineScenario::install_span_tracer(trace::SpanTracer& spans) {
   for (auto& sw : switches_) {
     for (std::size_t p = 0; p < sw->num_ports(); ++p) {
-      sw->port(p).add_observer(
-          &spans, spans.intern_node(sw->name() + "/p" + std::to_string(p)));
+      sw->port(p).add_observer(&spans, spans.intern_node(port_node(*sw, p)));
     }
   }
   trace_flow_senders(spans);

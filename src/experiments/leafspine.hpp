@@ -90,9 +90,12 @@ class LeafSpineScenario final : public Fabric {
   /// "<switch>/p<idx>") and kLinkTx/kRx on each leaf->host link. Call
   /// after add_workload(); `spans` must outlive the scenario.
   void install_span_tracer(trace::SpanTracer& spans) override;
-  /// The port whose Tracer capture `trace_ndjson=` exports: the first
-  /// spine's first downlink — a core port every leaf's traffic crosses.
-  [[nodiscard]] switchlib::Port& trace_port() override { return spine(0).port(0); }
+  /// The port whose capture `trace_ndjson=` exports: the first spine's
+  /// first downlink — a core port every leaf's traffic crosses — span node
+  /// "spine0/p0".
+  [[nodiscard]] TracePort trace_port() override {
+    return {spine(0).port(0), port_node(spine(0), 0)};
+  }
 
   /// The un-loaded RTT between two hosts under different leaves.
   [[nodiscard]] static sim::TimeNs base_rtt_interrack(const FabricConfig& cfg) {
@@ -103,6 +106,10 @@ class LeafSpineScenario final : public Fabric {
   }
 
  private:
+  /// Port `p` of `sw`'s span node name, "<switch>/p<idx>".
+  [[nodiscard]] static std::string port_node(const switchlib::Switch& sw, std::size_t p) {
+    return sw.name() + "/p" + std::to_string(p);
+  }
   [[nodiscard]] std::size_t leaf_of(std::size_t host) const {
     return host / cfg_.hosts_per_leaf;
   }

@@ -55,11 +55,13 @@ class MultiPortScenario final : public Fabric {
   }
 
   // No metrics, sampler columns or spans of its own; the trace port is
-  // receiver 0's.
+  // receiver 0's, under its studied name.
   void bind_metrics(telemetry::MetricsRegistry&) override {}
   void add_sampler_columns(telemetry::TimeSeriesSampler&) override {}
   void install_span_tracer(trace::SpanTracer&) override {}
-  [[nodiscard]] switchlib::Port& trace_port() override { return receiver_port(0); }
+  [[nodiscard]] TracePort trace_port() override {
+    return {receiver_port(0), studied_.front().name};
+  }
 
  private:
   MultiPortConfig cfg_;

@@ -29,7 +29,6 @@
 #include "telemetry/run_report.hpp"
 #include "telemetry/sampler.hpp"
 #include "trace/spans.hpp"
-#include "trace/tracer.hpp"
 #include "analysis/oscillation.hpp"
 #include "workload/coflow.hpp"
 #include "workload/flow_trace.hpp"
@@ -60,8 +59,10 @@ std::vector<std::string> split_csv(const std::string& text) {
 /// Optional telemetry wiring shared by both topologies: a metrics registry +
 /// run manifest when `metrics_json=` is given, a time-series sampler when
 /// `timeseries_csv=` is given, a kernel/component profiler when `profile=1`
-/// or `profile_json=` is given, and packet-lifecycle span capture when
-/// `trace_flows=` is given. Constructing it starts the wall clock.
+/// or `profile_json=` is given, packet-lifecycle span capture when
+/// `trace_flows=` and `spans_ndjson=` are given, and a capture of every
+/// flow's spans at the trace port when `trace_ndjson=` is given.
+/// Constructing it starts the wall clock.
 struct RunTelemetry {
   explicit RunTelemetry(const Options& opts, bool quiet_run)
       : metrics_path(opts.get("metrics_json")),
@@ -87,7 +88,12 @@ struct RunTelemetry {
           spans->watch_flow(static_cast<net::FlowId>(flow));
         }
       }
-    } else if (!spans_path.empty()) {
+    }
+    if (spans && spans_path.empty()) {
+      throw std::invalid_argument(
+          "trace_flows= needs spans_ndjson= (the spans would never be written)");
+    }
+    if (!spans && !spans_path.empty()) {
       throw std::invalid_argument(
           "spans_ndjson= needs trace_flows= (nothing would be captured)");
     }
@@ -106,10 +112,12 @@ struct RunTelemetry {
     if (profiler) fab.install_profiler(*profiler);
     if (spans) fab.install_span_tracer(*spans);
     if (!trace_path.empty()) {
-      // Post-mortems want the tail of the event stream, so ring mode.
-      tracer = std::make_unique<trace::Tracer>(1'000'000,
-                                               trace::OverflowPolicy::kRingBuffer);
-      fab.trace_port().add_observer(tracer.get());
+      // Post-mortems want the tail of the port's event stream, so ring mode.
+      port_capture = std::make_unique<trace::SpanTracer>(
+          1'000'000, trace::OverflowPolicy::kRingBuffer);
+      port_capture->watch_all();
+      const TracePort port = fab.trace_port();
+      port.port.add_observer(port_capture.get(), port_capture->intern_node(port.node));
     }
     if (!ts_path.empty()) {
       sampler = std::make_unique<telemetry::TimeSeriesSampler>(fab.simulator(), period);
@@ -145,18 +153,17 @@ struct RunTelemetry {
       rec.results["profile.events_scheduled"] =
           static_cast<double>(profiler->events_scheduled());
     }
-    if (spans && !spans_path.empty()) {
+    if (spans) {
       spans->write_ndjson(spans_path);
       if (!quiet) {
         std::printf("wrote %s (%zu spans, %llu overflow)\n", spans_path.c_str(),
                     spans->size(), static_cast<unsigned long long>(spans->overflow()));
       }
     }
-    if (tracer) {
-      tracer->write_ndjson(trace_path);
+    if (port_capture) {
+      port_capture->write_ndjson(trace_path);
       if (!quiet) {
-        std::printf("wrote %s (%zu events)\n", trace_path.c_str(),
-                    tracer->records().size());
+        std::printf("wrote %s (%zu events)\n", trace_path.c_str(), port_capture->size());
       }
     }
   }
@@ -190,7 +197,7 @@ struct RunTelemetry {
   std::unique_ptr<telemetry::TimeSeriesSampler> sampler;
   std::unique_ptr<telemetry::Profiler> profiler;
   std::unique_ptr<trace::SpanTracer> spans;
-  std::unique_ptr<trace::Tracer> tracer;
+  std::unique_ptr<trace::SpanTracer> port_capture;
 };
 
 /// Sim-time cadences of the invariant checker and the watchdog.
@@ -460,10 +467,7 @@ class DumbbellRun final : public TopologyRun {
     const std::size_t queues = flows_per_queue_.size();
     const auto duration =
         get_duration(opts, "duration_ms", 50, sim::milliseconds(1), kWarmup);
-    sc_.run(kWarmup);
-    std::vector<std::uint64_t> start(queues);
-    for (std::size_t q = 0; q < queues; ++q) start[q] = sc_.served_bytes(q);
-    sc_.run(kWarmup + duration);
+    const std::vector<double> gbps = sc_.queue_rates_gbps(kWarmup, kWarmup + duration);
 
     if (!quiet) {
       std::printf("dumbbell: %s + %s, %zu queues, %zu flows\n",
@@ -472,11 +476,9 @@ class DumbbellRun final : public TopologyRun {
     }
     stats::Table table({"queue", "flows", "tput(Gbps)"});
     for (std::size_t q = 0; q < queues; ++q) {
-      const double gbps = static_cast<double>(sc_.served_bytes(q) - start[q]) * 8.0 /
-                          static_cast<double>(duration);
       table.add_row({std::to_string(q), stats::Table::num(flows_per_queue_[q], 0),
-                     stats::Table::num(gbps)});
-      rec.results["throughput_gbps.q" + std::to_string(q)] = gbps;
+                     stats::Table::num(gbps[q])});
+      rec.results["throughput_gbps.q" + std::to_string(q)] = gbps[q];
     }
     if (!quiet) {
       table.print();

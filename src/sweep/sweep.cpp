@@ -158,9 +158,11 @@ void prepare_point(SweepPoint& point, const SweepConfig& config) {
     point.opts.set("cell_mem_mb", std::to_string(config.cell_mem_mb));
   }
   // Per-run file outputs would collide across points (every point would
-  // write the same path); drop them. A cell's results land in its record.
+  // write the same path); drop them, and trace_flows= with spans_ndjson=,
+  // since spans nobody writes are only resident memory. A cell's results
+  // land in its record.
   for (const char* key : {"metrics_json", "timeseries_csv", "fct_csv", "profile_json",
-                          "spans_ndjson", "trace_ndjson", "trace_export"}) {
+                          "trace_flows", "spans_ndjson", "trace_ndjson", "trace_export"}) {
     point.opts.erase(key);
   }
 }

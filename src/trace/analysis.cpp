@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -75,6 +76,33 @@ namespace {
   return values[idx];
 }
 
+/// The port spans of `spans` in file order. Throws std::invalid_argument
+/// from `who` when they come from more than one node.
+std::vector<const Span*> one_port(const std::vector<Span>& spans, const char* who) {
+  std::vector<const Span*> out;
+  std::set<std::string> nodes;
+  for (const Span& s : spans) {
+    if (!is_port_phase(s.phase)) continue;
+    out.push_back(&s);
+    if (out.size() == 1 || s.node != out.front()->node) nodes.insert(s.node);
+  }
+  if (nodes.size() > 1) {
+    std::string names;
+    std::size_t shown = 0;
+    for (const std::string& node : nodes) {
+      if (shown++ == 3) {
+        names += ", and " + std::to_string(nodes.size() - 3) + " more";
+        break;
+      }
+      names += (shown > 1 ? ", '" : "'") + node + "'";
+    }
+    throw std::invalid_argument(std::string(who) + ": port spans from " +
+                                std::to_string(nodes.size()) + " nodes (" + names +
+                                "); analyze one port's capture");
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<Span> parse_spans_ndjson(const std::string& text,
@@ -105,6 +133,7 @@ std::vector<Span> parse_spans_ndjson(const std::string& text,
       s.node = node->string;
     }
     s.queue = static_cast<std::size_t>(u64_field(v, "queue", where));
+    if (v.find("port_bytes") != nullptr) s.port_bytes = u64_field(v, "port_bytes", where);
     s.seq = u64_field(v, "seq", where);
     s.size_bytes = static_cast<std::uint32_t>(u64_field(v, "size_bytes", where));
     if (const json::Value* m = v.find("marked"); m != nullptr && m->is_bool()) {
@@ -178,67 +207,34 @@ std::vector<net::FlowId> flows_in(const std::vector<Span>& spans) {
   return out;
 }
 
-std::vector<PortEvent> parse_trace_ndjson(const std::string& text,
-                                          const std::string& origin) {
-  std::vector<PortEvent> out;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    const std::string where = origin + ":" + std::to_string(lineno);
-    json::Value v;
-    try {
-      v = json::parse(line);
-    } catch (const json::ParseError& e) {
-      fail(where, e.what());
-    }
-    if (!v.is_object()) fail(where, "trace line is not an object");
-    PortEvent e;
-    const json::Value* t = v.find("t_us");
-    if (t == nullptr || !t->is_number()) fail(where, "missing t_us");
-    e.t_us = t->number;
-    const json::Value* ev = v.find("event");
-    if (ev == nullptr || !ev->is_string()) fail(where, "missing event");
-    e.event = ev->string;
-    e.packet = u64_field(v, "packet", where);
-    e.flow = u64_field(v, "flow", where);
-    e.queue = static_cast<std::size_t>(u64_field(v, "queue", where));
-    e.port_bytes = u64_field(v, "port_bytes", where);
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
-std::vector<PortEvent> read_trace_ndjson(const std::string& path) {
-  return parse_trace_ndjson(slurp(path), path);
-}
-
-PortReport analyze_port(const std::vector<PortEvent>& events) {
+PortReport analyze_port(const std::vector<Span>& spans) {
+  const std::vector<const Span*> events = one_port(spans, "analyze_port");
   PortReport out;
+  out.events = events.size();
   if (events.empty()) return out;
-  out.duration_us = events.back().t_us - events.front().t_us;
+  const auto t_us = [&events](std::size_t i) {
+    return sim::to_microseconds(events[i]->time);
+  };
+  out.duration_us = t_us(events.size() - 1) - t_us(0);
   std::vector<std::pair<double, double>> occupancy;  // (bytes, held-for us)
   std::map<std::uint64_t, double> enqueue_at;        // packet -> enqueue t_us
   std::vector<double> mark_latencies;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const PortEvent& e = events[i];
-    ++out.event_counts[e.event];
+    const Span& e = *events[i];
+    ++out.event_counts[span_phase_name(e.phase)];
     out.occupancy_max = std::max(out.occupancy_max, e.port_bytes);
     if (i + 1 < events.size()) {
-      occupancy.emplace_back(static_cast<double>(e.port_bytes),
-                             events[i + 1].t_us - e.t_us);
+      occupancy.emplace_back(static_cast<double>(e.port_bytes), t_us(i + 1) - t_us(i));
     }
-    if (e.event == "enqueue") {
-      enqueue_at[e.packet] = e.t_us;
-    } else if (e.event == "mark") {
+    if (e.phase == SpanPhase::kEnqueue) {
+      enqueue_at[e.packet] = t_us(i);
+    } else if (e.phase == SpanPhase::kMark) {
       // Enqueue-marked packets trace the mark before (or at the same tick
-      // as) their enqueue: no earlier enqueue record means latency 0.
+      // as) their enqueue: no earlier enqueue span means latency 0.
       const auto it = enqueue_at.find(e.packet);
-      mark_latencies.push_back(it == enqueue_at.end() ? 0.0 : e.t_us - it->second);
-    } else if (e.event == "dequeue" || e.event == "drop") {
-      enqueue_at.erase(e.packet);
+      mark_latencies.push_back(it == enqueue_at.end() ? 0.0 : t_us(i) - it->second);
+    } else {
+      enqueue_at.erase(e.packet);  // dequeued or dropped
     }
   }
   out.occupancy_p50 = weighted_percentile(occupancy, 0.50);
@@ -254,25 +250,26 @@ PortReport analyze_port(const std::vector<PortEvent>& events) {
   return out;
 }
 
-std::string port_heatmap_csv(const std::vector<PortEvent>& events,
-                             double bucket_us) {
+std::string port_heatmap_csv(const std::vector<Span>& spans, double bucket_us) {
   if (bucket_us <= 0.0) {
     throw std::invalid_argument("port_heatmap_csv: bucket_us must be positive");
   }
+  const std::vector<const Span*> events = one_port(spans, "port_heatmap_csv");
   std::size_t num_queues = 0;
-  double t0 = events.empty() ? 0.0 : events.front().t_us;
-  for (const PortEvent& e : events) {
-    num_queues = std::max(num_queues, e.queue + 1);
-    t0 = std::min(t0, e.t_us);
+  double t0 = events.empty() ? 0.0 : sim::to_microseconds(events.front()->time);
+  for (const Span* e : events) {
+    num_queues = std::max(num_queues, e->queue + 1);
+    t0 = std::min(t0, sim::to_microseconds(e->time));
   }
   // bucket -> per-queue enqueue counts
   std::map<std::size_t, std::vector<std::uint64_t>> grid;
-  for (const PortEvent& e : events) {
-    if (e.event != "enqueue") continue;
-    const auto bucket = static_cast<std::size_t>((e.t_us - t0) / bucket_us);
+  for (const Span* e : events) {
+    if (e->phase != SpanPhase::kEnqueue) continue;
+    const auto bucket =
+        static_cast<std::size_t>((sim::to_microseconds(e->time) - t0) / bucket_us);
     auto& row = grid[bucket];
     row.resize(num_queues, 0);
-    ++row[e.queue];
+    ++row[e->queue];
   }
   std::ostringstream out;
   out << "time_us";

@@ -1,5 +1,5 @@
 // Offline analysis over the trace plane's artifacts: span NDJSON
-// (SpanTracer::write_ndjson), port-event NDJSON (Tracer::write_ndjson) and
+// (SpanTracer::write_ndjson, both a flow capture and a port capture) and
 // pmsb.profile/1 JSON (telemetry::Profiler::to_json). tools/pmsbtrace is a
 // thin CLI over these functions; tests drive them directly.
 #pragma once
@@ -22,6 +22,7 @@ struct Span {
   net::FlowId flow = 0;
   std::string node;
   std::size_t queue = 0;
+  std::uint64_t port_bytes = 0;  ///< 0 when the line carries none
   std::uint64_t seq = 0;
   std::uint32_t size_bytes = 0;
   bool marked = false;
@@ -66,27 +67,15 @@ struct FlowBreakdown {
 /// Flow ids present in `spans`, ascending.
 [[nodiscard]] std::vector<net::FlowId> flows_in(const std::vector<Span>& spans);
 
-/// A port event read back from Tracer NDJSON (t_us, event, packet, flow,
-/// queue, port_bytes).
-struct PortEvent {
-  double t_us = 0.0;
-  std::string event;  ///< enqueue | dequeue | mark | drop
-  std::uint64_t packet = 0;
-  net::FlowId flow = 0;
-  std::size_t queue = 0;
-  std::uint64_t port_bytes = 0;
-};
-
-[[nodiscard]] std::vector<PortEvent> read_trace_ndjson(const std::string& path);
-[[nodiscard]] std::vector<PortEvent> parse_trace_ndjson(const std::string& text,
-                                                        const std::string& origin);
-
-/// Port-level aggregates over a Tracer capture.
+/// Port-level aggregates over one port's spans: the enqueue / dequeue /
+/// mark / drop spans of a capture, in file order; spans of other phases
+/// are skipped.
 struct PortReport {
-  double duration_us = 0.0;  ///< first event to last event
-  std::map<std::string, std::size_t> event_counts;
-  /// Time-weighted port occupancy (bytes): each event's port_bytes held
-  /// until the next event.
+  std::size_t events = 0;    ///< port spans analysed
+  double duration_us = 0.0;  ///< first port span to last
+  std::map<std::string, std::size_t> event_counts;  ///< by phase name
+  /// Time-weighted port occupancy (bytes): each span's port_bytes held
+  /// until the next span.
   double occupancy_p50 = 0.0;
   double occupancy_p90 = 0.0;
   double occupancy_p99 = 0.0;
@@ -99,13 +88,16 @@ struct PortReport {
   double mark_latency_max_us = 0.0;
 };
 
-[[nodiscard]] PortReport analyze_port(const std::vector<PortEvent>& events);
+/// Throws std::invalid_argument naming the nodes when the port spans come
+/// from more than one node: one port's occupancy is not a sum of ports'.
+[[nodiscard]] PortReport analyze_port(const std::vector<Span>& spans);
 
-/// Occupancy heatmap: one row per time bucket of `bucket_us`, one column
-/// per queue, cell = enqueued bytes-events count in that bucket (enqueue
-/// events charged to their queue). CSV header: time_us,q0,q1,...; the
-/// bucket start times are written with telemetry::format_double.
-[[nodiscard]] std::string port_heatmap_csv(const std::vector<PortEvent>& events,
+/// Occupancy heatmap over one port's spans: one row per time bucket of
+/// `bucket_us`, one column per queue, cell = enqueue spans charged to that
+/// queue in that bucket. CSV header: time_us,q0,q1,...; the bucket start
+/// times are written with telemetry::format_double. Throws like
+/// analyze_port.
+[[nodiscard]] std::string port_heatmap_csv(const std::vector<Span>& spans,
                                            double bucket_us);
 
 /// One scope row of a pmsb.profile/1 document.

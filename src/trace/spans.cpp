@@ -15,22 +15,37 @@ NodeId SpanTracer::intern_node(const std::string& name) {
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
+void SpanTracer::store(const SpanRecord& span) {
+  if (records_.size() < capacity_) {
+    records_.push_back(span);
+    return;
+  }
+  ++overflow_;
+  if (policy_ == OverflowPolicy::kDropNewest || capacity_ == 0) return;
+  // Ring mode: evict the oldest span in place.
+  records_[write_] = span;
+  write_ = (write_ + 1) % capacity_;
+}
+
 namespace {
 
 /// The span of `pkt` itself (CE bit as `marked`) at `node`.
 SpanRecord packet_span(SpanPhase phase, NodeId node, sim::TimeNs time,
                        const net::Packet& pkt) {
-  return {.time = time, .phase = phase, .packet = pkt.id, .flow = pkt.flow_id,
-          .node = node, .seq = pkt.seq, .size_bytes = pkt.size_bytes, .marked = pkt.ce};
+  return {.time = time, .packet = pkt.id, .seq = pkt.seq, .flow = pkt.flow_id,
+          .node = node, .size_bytes = pkt.size_bytes, .phase = phase, .marked = pkt.ce};
 }
 
 }  // namespace
 
 void SpanTracer::port_span(SpanPhase phase, net::SiteId node, sim::TimeNs now,
-                           const net::Packet& pkt, std::size_t queue) {
+                           const net::Packet& pkt, std::size_t queue,
+                           std::uint64_t port_bytes) {
   if (!wants(pkt.flow_id)) return;
   SpanRecord span = packet_span(phase, node, now, pkt);
-  span.queue = queue;
+  // A port classifies by service % num_queues, so the index fits a ServiceId.
+  span.queue = static_cast<net::ServiceId>(queue);
+  span.port_bytes = port_bytes;
   store(span);
 }
 
@@ -53,8 +68,8 @@ void SpanTracer::on_ack(net::SiteId site, sim::TimeNs now, const net::Packet& ac
                         bool /*mark_accepted*/, sim::TimeNs /*rtt_sample*/) {
   if (!wants(ack.flow_id)) return;
   // An ack's span carries its cumulative ack number and its ECE bit.
-  store({.time = now, .phase = SpanPhase::kAck, .packet = ack.id, .flow = ack.flow_id,
-         .node = site, .seq = ack.ack, .size_bytes = ack.size_bytes, .marked = ack.ece});
+  store({.time = now, .packet = ack.id, .seq = ack.ack, .flow = ack.flow_id, .node = site,
+         .size_bytes = ack.size_bytes, .phase = SpanPhase::kAck, .marked = ack.ece});
 }
 
 void SpanTracer::write_ndjson(const std::string& path) const {
@@ -69,6 +84,7 @@ void SpanTracer::write_ndjson(const std::string& path) const {
     w.key("flow").value(static_cast<std::uint64_t>(s.flow));
     w.key("node").value(s.node == kNoNode ? std::string() : nodes_.at(s.node));
     w.key("queue").value(static_cast<std::uint64_t>(s.queue));
+    w.key("port_bytes").value(s.port_bytes);
     w.key("seq").value(s.seq);
     w.key("size_bytes").value(static_cast<std::uint64_t>(s.size_bytes));
     w.key("marked").value(s.marked);

@@ -6,6 +6,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments/options.hpp"
@@ -286,5 +287,22 @@ TEST(Options, NegativeCountKeysAreRejectedNamingTheKey) {
         what.find("'" + rejected.substr(0, eq) + "' is not an integer: '" +
                   rejected.substr(eq + 1) + "'") != std::string::npos;
     EXPECT_TRUE(named) << line << ": " << what;
+  }
+}
+
+TEST(Options, SpanKeysAreRejectedWithoutTheirPartner) {
+  // trace_flows= captures what spans_ndjson= writes: either alone would
+  // capture nothing or hold spans nobody writes, so the run throws before
+  // it simulates (pmsbsim exits 2), naming both keys.
+  for (const auto& [key, value] : {std::pair<const char*, const char*>{"trace_flows", "1"},
+                                   {"trace_flows", "all"},
+                                   {"spans_ndjson", "unwritten.ndjson"}}) {
+    sweep::SweepPoint pt;
+    pt.opts.set("topology", "dumbbell");
+    pt.opts.set("duration_ms", "1");
+    pt.opts.set(key, value);
+    const std::string what = rejection([&] { (void)sweep::run_scenario(pt, true); });
+    EXPECT_NE(what.find("trace_flows="), std::string::npos) << key << ": " << what;
+    EXPECT_NE(what.find("spans_ndjson="), std::string::npos) << key << ": " << what;
   }
 }

@@ -21,7 +21,6 @@
 #include "telemetry/profiler.hpp"
 #include "telemetry/run_report.hpp"
 #include "trace/spans.hpp"
-#include "trace/tracer.hpp"
 
 using namespace pmsb;
 using telemetry::ProfileScope;
@@ -45,8 +44,9 @@ experiments::DumbbellConfig small_config() {
 }
 
 /// The small dumbbell's digest, optionally with the profiler and with the
-/// span + port tracers of `trace_flows=all trace_ndjson=`, which share the
-/// digest's tap lists on the bottleneck port, its link and the senders.
+/// span capture and port capture of `trace_flows=all trace_ndjson=`, which
+/// share the digest's tap lists on the bottleneck port, its link and the
+/// senders.
 std::string run_digest_hex(bool with_profiler, bool with_tracers = false) {
   experiments::DumbbellScenario sc(small_config());
   sc.add_flow({.sender = 0, .service = 0, .bytes = 200'000});
@@ -56,16 +56,18 @@ std::string run_digest_hex(bool with_profiler, bool with_tracers = false) {
   Profiler profiler;
   if (with_profiler) sc.install_profiler(profiler);
   trace::SpanTracer spans;
-  trace::Tracer tracer;
+  trace::SpanTracer port_capture(1'000'000, trace::OverflowPolicy::kRingBuffer);
   if (with_tracers) {
     spans.watch_all();
     sc.install_span_tracer(spans);
-    sc.trace_port().add_observer(&tracer);
+    port_capture.watch_all();
+    const experiments::TracePort port = sc.trace_port();
+    port.port.add_observer(&port_capture, port_capture.intern_node(port.node));
   }
   sc.run(sim::milliseconds(50));
   if (with_tracers) {
     EXPECT_GT(spans.size(), 0u);
-    EXPECT_GT(tracer.records().size(), 0u);
+    EXPECT_GT(port_capture.size(), 0u);
   }
   sc.finalize_digest();
   return digest.total().hex();

@@ -21,7 +21,7 @@
 #include "sim/rng.hpp"
 #include "sweep/scenario_run.hpp"
 #include "sweep/sweep.hpp"
-#include "trace/tracer.hpp"
+#include "trace/spans.hpp"
 #include "workload/size_dist.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -262,8 +262,9 @@ TEST(Sweep, BackToBackIdenticalRunsProduceIdenticalTraces) {
     cfg.scheduler.num_queues = 2;
     cfg.scheduler.weights = {1.0, 1.0};
     experiments::DumbbellScenario sc(cfg);
-    trace::Tracer tracer;
-    sc.bottleneck().add_observer(&tracer);
+    trace::SpanTracer tracer;
+    tracer.watch_all();
+    sc.bottleneck().add_observer(&tracer, tracer.intern_node("switch"));
     for (std::size_t s = 0; s < 2; ++s) {
       experiments::DumbbellFlowSpec spec;
       spec.sender = s;
@@ -271,7 +272,9 @@ TEST(Sweep, BackToBackIdenticalRunsProduceIdenticalTraces) {
       sc.add_flow(spec);
     }
     sc.run(sim::milliseconds(5));
-    return tracer.records();
+    std::vector<trace::SpanRecord> spans;
+    tracer.for_each_chronological([&spans](const trace::SpanRecord& s) { spans.push_back(s); });
+    return spans;
   };
   const auto first = capture();
   const auto second = capture();
@@ -279,10 +282,11 @@ TEST(Sweep, BackToBackIdenticalRunsProduceIdenticalTraces) {
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].time, second[i].time) << "record " << i;
-    EXPECT_EQ(first[i].kind, second[i].kind) << "record " << i;
+    EXPECT_EQ(first[i].phase, second[i].phase) << "record " << i;
     EXPECT_EQ(first[i].packet, second[i].packet) << "record " << i;
     EXPECT_EQ(first[i].flow, second[i].flow) << "record " << i;
     EXPECT_EQ(first[i].queue, second[i].queue) << "record " << i;
+    EXPECT_EQ(first[i].port_bytes, second[i].port_bytes) << "record " << i;
   }
 }
 
@@ -362,11 +366,16 @@ TEST(Sweep, ManifestsWrittenPerRun) {
 
 TEST(Sweep, MetricsJsonIsDroppedLikeOtherPerRunFiles) {
   // Every cell would write the same metrics_json= path at once; a sweep
-  // drops the key with the other per-run file outputs.
+  // drops the key with the other per-run file outputs. spans_ndjson= goes
+  // too, and trace_flows= with it: spans no cell writes are only memory.
   Options base = leafspine_base();
   const std::string path = ::testing::TempDir() + "/sweep_metrics_json.json";
+  const std::string spans = ::testing::TempDir() + "/sweep_spans.ndjson";
   std::remove(path.c_str());
+  std::remove(spans.c_str());
   base.set("metrics_json", path);
+  base.set("trace_flows", "all");
+  base.set("spans_ndjson", spans);
   const auto pts = sweep::expand_grid(base, "load:0.3,0.5,0.7,0.9");
   sweep::SweepConfig cfg;
   cfg.jobs = 4;
@@ -374,11 +383,15 @@ TEST(Sweep, MetricsJsonIsDroppedLikeOtherPerRunFiles) {
   for (const auto& r : recs) {
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.config.count("metrics_json"), 0u);
+    EXPECT_EQ(r.config.count("trace_flows"), 0u);
+    EXPECT_EQ(r.config.count("spans_ndjson"), 0u);
     EXPECT_TRUE(r.manifest_path.empty());
   }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_EQ(f, nullptr) << path;
-  if (f != nullptr) std::fclose(f);
+  for (const std::string& written : {path, spans}) {
+    std::FILE* f = std::fopen(written.c_str(), "rb");
+    EXPECT_EQ(f, nullptr) << written;
+    if (f != nullptr) std::fclose(f);
+  }
 }
 
 // --- the max_cwnd_bytes= key -------------------------------------------

@@ -501,6 +501,35 @@ TEST(ResumeCrashedSweep, ResumeAcrossModesSalvagesIsolatedManifests) {
   }
 }
 
+TEST(ResumeCrashedSweep, ZeroLengthDumbbellWindowIsOkAndSalvages) {
+  // duration_ms=0 measures an empty window. Its rates read 0 Gbps, not the
+  // NaN of a division by zero, which a record writes as null and salvage
+  // refuses: the isolated cells finish ok, and a resume salvages them all.
+  Options base;
+  base.set("topology", "dumbbell");
+  base.set("duration_ms", "0");
+  const auto pts = sweep::expand_grid(base, "scheme:pmsb,tcn");
+  sweep::SweepConfig iso;
+  iso.isolate = true;
+  iso.manifest_dir = fresh_dir("zero_window");
+  const auto first = sweep::run_sweep(pts, iso);
+  for (const auto& r : first) {
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.results.at("throughput_gbps.q0"), 0.0);
+    EXPECT_EQ(r.results.at("throughput_gbps.q1"), 0.0);
+  }
+
+  CountingConfig resume(iso);
+  resume.cfg.resume = true;
+  const auto resumed = sweep::run_sweep(pts, resume.cfg);
+  EXPECT_TRUE(resume.sorted_runs().empty());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    EXPECT_TRUE(resumed[i].salvaged) << resumed[i].error;
+    EXPECT_EQ(sweep::deterministic_signature(first[i]),
+              sweep::deterministic_signature(resumed[i]));
+  }
+}
+
 // --- golden sweep report -----------------------------------------------
 
 TEST(SweepReport, GoldenRoundTripThroughJsonReader) {

@@ -1,8 +1,9 @@
 // Span capture + offline analysis tests: watch filtering, ring-buffer wrap,
 // NDJSON escaping round-trips, the FCT-decomposition identity on a real
 // dumbbell run (the acceptance property: a sampled flow's completion time
-// equals the sum of its span segments), port aggregates, the heatmap CSV,
-// and pmsb.profile/1 hotspot ranking / diffing.
+// equals the sum of its span segments), the port capture as the trace
+// port's spans, port aggregates, the heatmap CSV, and pmsb.profile/1
+// hotspot ranking / diffing.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -17,12 +19,12 @@
 
 #include "experiments/dumbbell.hpp"
 #include "experiments/options.hpp"
+#include "sweep/scenario_run.hpp"
 #include "sweep/sweep.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/run_report.hpp"
 #include "trace/analysis.hpp"
 #include "trace/spans.hpp"
-#include "trace/tracer.hpp"
 
 using namespace pmsb;
 using trace::Span;
@@ -94,8 +96,10 @@ TEST(SpanTracer, DropNewestKeepsTheHead) {
   }
   EXPECT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans.overflow(), 2u);
-  EXPECT_EQ(spans.records().front().time, 1);
-  EXPECT_EQ(spans.records().back().time, 2);
+  std::vector<sim::TimeNs> times;
+  spans.for_each_chronological(
+      [&times](const SpanRecord& s) { times.push_back(s.time); });
+  EXPECT_EQ(times, (std::vector<sim::TimeNs>{1, 2}));
 }
 
 TEST(SpanTracer, NdjsonEscapesHostileNodeNamesAndRoundTrips) {
@@ -209,26 +213,81 @@ TEST(Analysis, DumbbellFlowFctEqualsSumOfSpanSegments) {
   EXPECT_GT(b.packets, 0u);
 }
 
+namespace {
+
+/// One port span line of span NDJSON, at node "switch".
+std::string port_line(sim::TimeNs t_ns, const char* phase, std::uint64_t packet,
+                      net::FlowId flow, std::size_t queue, std::uint64_t port_bytes,
+                      const char* node = "switch") {
+  return "{\"t_ns\": " + std::to_string(t_ns) + ", \"phase\": \"" + phase +
+         "\", \"packet\": " + std::to_string(packet) + ", \"flow\": " +
+         std::to_string(flow) + ", \"node\": \"" + node + "\", \"queue\": " +
+         std::to_string(queue) + ", \"port_bytes\": " + std::to_string(port_bytes) +
+         ", \"seq\": 0, \"size_bytes\": 1500, \"marked\": false, "
+         "\"retransmit\": false}\n";
+}
+
+}  // namespace
+
+TEST(Analysis, PortCaptureEqualsTheTracePortsSpans) {
+  // trace_ndjson= and trace_flows=all watch the same port hooks under the
+  // same node name, so the port capture is exactly the trace port's spans.
+  const std::string dir = ::testing::TempDir();
+  sweep::SweepPoint pt;
+  pt.opts.set("topology", "dumbbell");
+  pt.opts.set("duration_ms", "5");
+  pt.opts.set("trace_ndjson", dir + "/capture.ndjson");
+  pt.opts.set("trace_flows", "all");
+  pt.opts.set("spans_ndjson", dir + "/all_spans.ndjson");
+  const sweep::RunRecord rec = sweep::run_scenario(pt, /*quiet=*/true);
+  ASSERT_TRUE(rec.ok) << rec.error;
+  const auto capture = trace::read_spans_ndjson(dir + "/capture.ndjson");
+  const auto all = trace::read_spans_ndjson(dir + "/all_spans.ndjson");
+  std::remove((dir + "/capture.ndjson").c_str());
+  std::remove((dir + "/all_spans.ndjson").c_str());
+  std::vector<Span> at_port;
+  for (const Span& s : all) {
+    if (trace::is_port_phase(s.phase) && s.node == "switch") at_port.push_back(s);
+  }
+  ASSERT_GT(capture.size(), 1000u);
+  ASSERT_EQ(capture.size(), at_port.size());
+  bool marked = false;
+  bool occupied = false;
+  for (std::size_t i = 0; i < capture.size(); ++i) {
+    const Span& a = capture[i];
+    const Span& b = at_port[i];
+    ASSERT_TRUE(a.time == b.time && a.phase == b.phase && a.packet == b.packet &&
+                a.flow == b.flow && a.node == b.node && a.queue == b.queue &&
+                a.port_bytes == b.port_bytes && a.seq == b.seq &&
+                a.size_bytes == b.size_bytes && a.marked == b.marked &&
+                a.retransmit == b.retransmit)
+        << "span " << i;
+    marked = marked || a.phase == SpanPhase::kMark;
+    occupied = occupied || a.port_bytes > 0;
+  }
+  EXPECT_TRUE(marked);
+  EXPECT_TRUE(occupied);
+}
+
 TEST(Analysis, PortReportAggregatesOccupancyAndMarkLatency) {
   // enqueue@0 (6000 B) -> mark@10 -> dequeue@10; enqueue@10 holds 3000 B for
-  // 90 us of the 100 us window.
+  // 90 us of the 100 us window. A sender's span is not a port span.
   const std::string text =
-      "{\"t_us\": 0.0, \"event\": \"enqueue\", \"packet\": 1, \"flow\": 1, "
-      "\"queue\": 0, \"port_bytes\": 6000}\n"
-      "{\"t_us\": 10.0, \"event\": \"mark\", \"packet\": 1, \"flow\": 1, "
-      "\"queue\": 0, \"port_bytes\": 6000}\n"
-      "{\"t_us\": 10.0, \"event\": \"dequeue\", \"packet\": 1, \"flow\": 1, "
-      "\"queue\": 0, \"port_bytes\": 3000}\n"
-      "{\"t_us\": 10.0, \"event\": \"enqueue\", \"packet\": 2, \"flow\": 2, "
-      "\"queue\": 1, \"port_bytes\": 3000}\n"
-      "{\"t_us\": 100.0, \"event\": \"dequeue\", \"packet\": 2, \"flow\": 2, "
-      "\"queue\": 1, \"port_bytes\": 0}\n";
-  const auto events = trace::parse_trace_ndjson(text, "port-test");
-  ASSERT_EQ(events.size(), 5u);
-  const auto r = trace::analyze_port(events);
+      port_line(0, "enqueue", 1, 1, 0, 6000) + port_line(10'000, "mark", 1, 1, 0, 6000) +
+      port_line(10'000, "dequeue", 1, 1, 0, 3000) +
+      "{\"t_ns\": 10000, \"phase\": \"send\", \"packet\": 3, \"flow\": 2, "
+      "\"node\": \"sender1\", \"queue\": 0, \"seq\": 0, \"size_bytes\": 1500}\n" +
+      port_line(10'000, "enqueue", 2, 2, 1, 3000) +
+      port_line(100'000, "dequeue", 2, 2, 1, 0);
+  const auto spans = trace::parse_spans_ndjson(text, "port-test");
+  ASSERT_EQ(spans.size(), 6u);
+  EXPECT_EQ(spans[3].port_bytes, 0u);  // absent reads as 0
+  const auto r = trace::analyze_port(spans);
+  EXPECT_EQ(r.events, 5u);
   EXPECT_DOUBLE_EQ(r.duration_us, 100.0);
   EXPECT_EQ(r.event_counts.at("enqueue"), 2u);
   EXPECT_EQ(r.event_counts.at("mark"), 1u);
+  EXPECT_EQ(r.event_counts.count("send"), 0u);
   EXPECT_EQ(r.occupancy_max, 6000u);
   // 3000 B held for 90 of 100 us -> the median occupancy.
   EXPECT_DOUBLE_EQ(r.occupancy_p50, 3000.0);
@@ -236,16 +295,34 @@ TEST(Analysis, PortReportAggregatesOccupancyAndMarkLatency) {
   EXPECT_DOUBLE_EQ(r.mark_latency_max_us, 10.0);
 }
 
+TEST(Analysis, PortReportRejectsSpansFromTwoPorts) {
+  // Two ports' occupancies do not add up to one port's: name both, refuse.
+  const auto spans = trace::parse_spans_ndjson(
+      port_line(0, "enqueue", 1, 1, 0, 1500, "leaf0/p4") +
+          port_line(5, "enqueue", 2, 1, 0, 1500, "spine0/p0") +
+          port_line(9, "dequeue", 1, 1, 0, 0, "leaf0/p4"),
+      "two-ports");
+  const auto rejection = [](const std::function<void()>& analyse) -> std::string {
+    try {
+      analyse();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  for (const std::string& what :
+       {rejection([&] { (void)trace::analyze_port(spans); }),
+        rejection([&] { (void)trace::port_heatmap_csv(spans, 10.0); })}) {
+    EXPECT_NE(what.find("2 nodes ('leaf0/p4', 'spine0/p0')"), std::string::npos) << what;
+  }
+}
+
 TEST(Analysis, HeatmapBucketsEnqueuesPerQueue) {
-  const std::string text =
-      "{\"t_us\": 1.0, \"event\": \"enqueue\", \"packet\": 1, \"flow\": 1, "
-      "\"queue\": 0, \"port_bytes\": 0}\n"
-      "{\"t_us\": 2.0, \"event\": \"enqueue\", \"packet\": 2, \"flow\": 1, "
-      "\"queue\": 1, \"port_bytes\": 0}\n"
-      "{\"t_us\": 12.0, \"event\": \"enqueue\", \"packet\": 3, \"flow\": 1, "
-      "\"queue\": 1, \"port_bytes\": 0}\n";
-  const auto events = trace::parse_trace_ndjson(text, "heatmap-test");
-  const std::string csv = trace::port_heatmap_csv(events, 10.0);
+  const std::string text = port_line(1'000, "enqueue", 1, 1, 0, 0) +
+                           port_line(2'000, "enqueue", 2, 1, 1, 0) +
+                           port_line(12'000, "enqueue", 3, 1, 1, 0);
+  const auto spans = trace::parse_spans_ndjson(text, "heatmap-test");
+  const std::string csv = trace::port_heatmap_csv(spans, 10.0);
   std::stringstream ss(csv);
   std::string line;
   std::getline(ss, line);
@@ -257,14 +334,11 @@ TEST(Analysis, HeatmapBucketsEnqueuesPerQueue) {
 }
 
 TEST(Analysis, HeatmapTimeColumnRoundTripsToTheNanosecond) {
-  // Events from 1000.003 us on: bucket starts need seven or more digits.
+  // Spans from 1000.003 us on: bucket starts need seven or more digits.
   const std::string text =
-      "{\"t_us\": 1000.003, \"event\": \"enqueue\", \"packet\": 1, \"flow\": 1, "
-      "\"queue\": 0, \"port_bytes\": 0}\n"
-      "{\"t_us\": 1250.5, \"event\": \"enqueue\", \"packet\": 2, \"flow\": 1, "
-      "\"queue\": 0, \"port_bytes\": 0}\n";
-  const auto events = trace::parse_trace_ndjson(text, "heatmap-exact");
-  std::stringstream ss(trace::port_heatmap_csv(events, 100.0));
+      port_line(1'000'003, "enqueue", 1, 1, 0, 0) + port_line(1'250'500, "enqueue", 2, 1, 0, 0);
+  const auto spans = trace::parse_spans_ndjson(text, "heatmap-exact");
+  std::stringstream ss(trace::port_heatmap_csv(spans, 100.0));
   std::string line;
   std::getline(ss, line);
   EXPECT_EQ(line, "time_us,q0");

@@ -25,7 +25,8 @@
 //   single-threaded simulator, so per-run results are bit-identical to a
 //   serial jobs=1 sweep. Per-run file outputs (metrics_json, timeseries_csv,
 //   fct_csv, profile_json, spans_ndjson, trace_ndjson, trace_export) are
-//   dropped inside sweeps — the paths would collide.
+//   dropped inside sweeps — the paths would collide — and trace_flows= with
+//   them, since no cell would write its spans.
 // - sweep_manifest_dir= gives each cell one record, run_<i>.json (schema
 //   pmsb.sweep_cell/1): its pmsb.sweep_report/1 row plus git, seed and,
 //   under profile=1, the pmsb.profile/1 document. A failed cell writes one
@@ -39,6 +40,12 @@
 // - A tripped watchdog (stall, event budget or cell_timeout_s) or a failed
 //   invariant makes a single run exit 2 with the diagnostic on stderr;
 //   inside a sweep only that cell fails.
+// - trace_flows= and spans_ndjson= come as a pair: either without the other
+//   exits 2 naming both.
+// - trace_ndjson= captures every flow's spans at the scenario's trace port
+//   (the dumbbell's bottleneck, node "switch"; the leaf-spine's spine0/p0),
+//   keeping the last 1M. The file is span NDJSON: the same lines as that
+//   port's spans in a trace_flows=all capture.
 // - Observability outputs (profile_json / spans_ndjson / trace_ndjson) are
 //   consumed offline by tools/pmsbtrace; see docs/OBSERVABILITY.md.
 #include <chrono>
@@ -136,12 +143,13 @@ constexpr KeyHelp kKeys[] = {
     {"profile_json", "path: also write the pmsb.profile/1 JSON standalone "
                      "(implies profile=1)"},
     {"trace_flows", "comma list of transport flow ids as in fct_csv, "
-                    "1-based (or 'all'): capture packet "
-                    "lifecycle spans for these flows"},
+                    "1-based (or 'all'): capture packet lifecycle spans "
+                    "for these flows (needs spans_ndjson=; dropped inside "
+                    "sweeps)"},
     {"spans_ndjson", "path: write captured spans as NDJSON (needs "
                      "trace_flows=); feed to pmsbtrace flow"},
-    {"trace_ndjson", "path: write the trace port's event stream as NDJSON; "
-                     "feed to pmsbtrace port"},
+    {"trace_ndjson", "path: write the trace port's spans (every flow, last "
+                     "1M) as span NDJSON; feed to pmsbtrace port"},
     // Robustness (docs/ROBUSTNESS.md).
     {"faults", "fault timeline: link:A-B:down@T1..T2 | loss:A->B:P | "
                "delay:A->B:D[+J] | bleach:A:P, joined by ';'"},

@@ -9,9 +9,11 @@
 // segments from its packet-lifecycle spans (pmsbsim trace_flows= +
 // spans_ndjson=). Without flow= it summarizes every flow in the file.
 //
-// `port` aggregates a Tracer capture (pmsbsim trace_ndjson=): event
-// counts, time-weighted occupancy percentiles, enqueue->mark latency
-// percentiles, and an optional per-queue enqueue heatmap CSV.
+// `port` aggregates one port's spans — a port capture (pmsbsim
+// trace_ndjson=), or a span file whose port spans all come from one node:
+// event counts, time-weighted occupancy percentiles, enqueue->mark latency
+// percentiles, and an optional per-queue enqueue heatmap CSV. Port spans
+// from several nodes exit 2 rather than mix ports.
 //
 // `profile` ranks a pmsb.profile/1 document's scopes by self wall time
 // (the input may also be a run manifest or sweep cell record with an
@@ -40,8 +42,9 @@ void print_usage() {
       "          per-flow FCT delay breakdown; timeline=K prints the\n"
       "          first K spans of the flow's timeline\n"
       "  port    trace.ndjson   [bucket_us=100] [heatmap_csv=PATH]\n"
-      "          occupancy + mark-latency percentiles; optional per-queue\n"
-      "          enqueue heatmap CSV\n"
+      "          one port's spans (pmsbsim trace_ndjson=): occupancy +\n"
+      "          mark-latency percentiles; optional per-queue enqueue\n"
+      "          heatmap CSV\n"
       "  profile profile.json   [top=10] [diff=B.json]\n"
       "          top-N hotspots by self wall time; diff= compares two\n"
       "          pmsb.profile/1 documents (run manifests and sweep cell\n"
@@ -124,13 +127,13 @@ int cmd_flow(const std::string& path, const Options& opts) {
 
 int cmd_port(const std::string& path, const Options& opts) {
   opts.validate_keys({"bucket_us", "heatmap_csv"});
-  const auto events = trace::read_trace_ndjson(path);
-  if (events.empty()) {
-    std::fprintf(stderr, "pmsbtrace: %s holds no events\n", path.c_str());
+  const auto spans = trace::read_spans_ndjson(path);
+  const trace::PortReport r = trace::analyze_port(spans);
+  if (r.events == 0) {
+    std::fprintf(stderr, "pmsbtrace: %s holds no port spans\n", path.c_str());
     return 1;
   }
-  const trace::PortReport r = trace::analyze_port(events);
-  std::printf("%zu events over %s us\n", events.size(),
+  std::printf("%zu events over %s us\n", r.events,
               stats::Table::num(r.duration_us, 1).c_str());
   stats::Table counts({"event", "count"});
   for (const auto& [event, n] : r.event_counts) {
@@ -154,7 +157,7 @@ int cmd_port(const std::string& path, const Options& opts) {
   }
   if (opts.has("heatmap_csv")) {
     const double bucket_us = opts.get_double("bucket_us", 100.0);
-    const std::string csv = trace::port_heatmap_csv(events, bucket_us);
+    const std::string csv = trace::port_heatmap_csv(spans, bucket_us);
     std::ofstream out(opts.get("heatmap_csv"));
     if (!out) {
       throw std::runtime_error("cannot open " + opts.get("heatmap_csv"));
