@@ -8,15 +8,20 @@
 // The fault plane (src/faults/) owns one injector per interposed link and
 // drives these knobs from a scripted timeline; tests also use them directly.
 //
+// Packets pass through in their store nodes: bleaching clears the CE bit in
+// the node, a drop gives the node back to the store, and the delay stage
+// moves the node into its event's closure.
+//
 // Lifetime: delayed deliveries are scheduled on the simulator and route back
 // through the injector, guarded by a shared liveness token. Destroying the
 // injector (or detach()ing the inner node) while deliveries are pending is
 // safe — the orphaned events become no-ops instead of dereferencing a dead
-// node.
+// node, and their packets' nodes go back to the store with the closures.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -76,7 +81,7 @@ class FaultInjector : public Node {
   /// before the injector's.
   void detach() { inner_ = nullptr; }
 
-  void receive(const Packet& arriving) override {
+  void receive(PacketNodePtr node) override {
     if (down_ || inner_ == nullptr) {
       ++counters_.dropped_down;
       return;
@@ -90,15 +95,12 @@ class FaultInjector : public Node {
       ++counters_.dropped_loss;
       return;
     }
-    // A copy: bleaching clears its CE bit, and the delay stage keeps it past
-    // this call.
-    Packet pkt = arriving;
-    if (pkt.ce && bleach_rate_ > 0.0 && rng_.uniform() < bleach_rate_) {
-      pkt.ce = false;
+    if (node->pkt.ce && bleach_rate_ > 0.0 && rng_.uniform() < bleach_rate_) {
+      node->pkt.ce = false;
       ++counters_.bleached;
     }
     if (delay_fixed_ == 0 && delay_jitter_ == 0) {
-      deliver(pkt);
+      deliver(std::move(node));
       return;
     }
     sim::TimeNs delay = delay_fixed_;
@@ -107,15 +109,16 @@ class FaultInjector : public Node {
     // The callback routes back through this injector, guarded by the
     // liveness token: if the injector is destroyed before the delay stage
     // drains, the event fires as a no-op instead of dereferencing inner_.
+    // The closure (32 bytes) owns the node, so it stays inline in the event.
     sim_.schedule_in(delay, [w = std::weak_ptr<char>(alive_), this,
-                             p = pkt] {
+                             held = std::move(node)]() mutable {
       if (w.expired()) return;
       --counters_.delayed_in_flight;
       if (down_ || inner_ == nullptr) {
         ++counters_.dropped_down;
         return;
       }
-      deliver(p);
+      deliver(std::move(held));
     });
   }
 
@@ -159,9 +162,9 @@ class FaultInjector : public Node {
   }
 
  private:
-  void deliver(const Packet& pkt) {
+  void deliver(PacketNodePtr node) {
     ++counters_.forwarded;
-    inner_->receive(pkt);
+    inner_->receive(std::move(node));
   }
 
   sim::Simulator& sim_;

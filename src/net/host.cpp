@@ -1,28 +1,30 @@
 #include "net/host.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace pmsb::net {
 
-void Host::send(Packet pkt) {
+void Host::send(const Packet& pkt) {
   if (uplink_ == nullptr) {
     throw std::logic_error("Host::send: no uplink attached to " + name());
   }
-  pkt.sent_time = sim_.now();
+  PacketNodePtr node = PacketStore::local().acquire(pkt);
+  node->pkt.sent_time = sim_.now();
   ++sent_;
   nic_bytes_ += pkt.size_bytes;
-  nic_queue_.push(pkt);
+  nic_queue_.push(std::move(node));
   uplink_->kick();
 }
 
-Packet Host::pull() {
-  Packet pkt = nic_queue_.pop();
-  nic_bytes_ -= pkt.size_bytes;
-  return pkt;
+PacketNodePtr Host::pull() {
+  PacketNodePtr node = nic_queue_.take_front();
+  nic_bytes_ -= node->pkt.size_bytes;
+  return node;
 }
 
-void Host::receive(const Packet& pkt) {
-  if (demux_ != nullptr && demux_->deliver(*this, pkt)) {
+void Host::receive(PacketNodePtr node) {
+  if (demux_ != nullptr && demux_->deliver(*this, node->pkt)) {
     ++delivered_;
   } else {
     ++no_handler_;

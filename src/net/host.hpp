@@ -7,6 +7,9 @@
 // bottleneck the paper studies — but its backlog is observable for tests.
 // It is a PacketFifo in the thread's PacketStore. The uplink runs the
 // transmit loop, pulling from the queue as the host's PacketSource.
+//
+// send() is where a packet takes its store node, and receive() is where a
+// delivered packet gives it back, once the demux has returned.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +51,8 @@ class Host : public Node, private PacketSource {
   [[nodiscard]] Link* uplink() const { return uplink_; }
 
   /// Queues a packet on the NIC for transmission, stamping `sent_time`, and
-  /// kicks the uplink.
-  void send(Packet pkt);
+  /// kicks the uplink. The packet takes its store node here.
+  void send(const Packet& pkt);
 
   /// Where arriving packets go (nullptr: they are counted in
   /// dropped_no_handler()). `demux` must outlive the host's last delivery.
@@ -57,7 +60,8 @@ class Host : public Node, private PacketSource {
 
   /// Called by the attached link when a packet arrives from the network:
   /// delivered if the demux takes it, else counted in dropped_no_handler().
-  void receive(const Packet& pkt) override;
+  /// The node goes back to the store when the demux returns.
+  void receive(PacketNodePtr node) override;
 
   [[nodiscard]] std::size_t nic_backlog_packets() const { return nic_queue_.size(); }
   [[nodiscard]] std::uint64_t nic_backlog_bytes() const { return nic_bytes_; }
@@ -68,7 +72,7 @@ class Host : public Node, private PacketSource {
   [[nodiscard]] std::uint64_t dropped_no_handler() const { return no_handler_; }
 
  private:
-  Packet pull() override;
+  PacketNodePtr pull() override;
   [[nodiscard]] bool has_packet() const override { return !nic_queue_.empty(); }
 
   sim::Simulator& sim_;

@@ -1,6 +1,7 @@
 #include "net/link.hpp"
 
 #include <cassert>
+#include <utility>
 
 namespace pmsb::net {
 
@@ -31,20 +32,21 @@ void Link::queue_wake() {
   });
 }
 
-TimeNs Link::transmit(const Packet& pkt) {
+TimeNs Link::transmit(PacketNodePtr node) {
   assert(!busy() && "Link::transmit called while a packet is serializing");
+  const Packet& pkt = node->pkt;
   const TimeNs now = sim_.now();
   const TimeNs tx_done = now + sim::serialization_delay(pkt.size_bytes, rate_);
   busy_until_ = tx_done;
   bytes_sent_ += pkt.size_bytes;
   ++packets_sent_;
   taps_.notify(&PacketObserver::on_link_tx, now, pkt, tx_done);
-  const bool was_idle = in_flight_.empty();
-  PacketNode& node = in_flight_.push(pkt);
-  node.arrival = tx_done + delay_;
+  node->arrival = tx_done + delay_;
   // The delivery's seq is reserved before the wake-up's, the order in which
   // an eager loop would have scheduled the two.
-  node.seq = sim_.reserve_seq();
+  node->seq = sim_.reserve_seq();
+  const bool was_idle = in_flight_.empty();
+  in_flight_.push(std::move(node));
   if (was_idle) queue_head_delivery();
   return tx_done;
 }
@@ -56,15 +58,15 @@ void Link::queue_head_delivery() {
 
 void Link::deliver_head() {
   // Unlink the head and queue the next delivery before handing this packet
-  // over, so a receiver that throws leaves the link consistent. The node
-  // goes back to the store when this returns, or when receive() throws.
-  const PacketNodePtr node = in_flight_.take_front();
+  // over, so a receiver that throws leaves the link consistent; the node
+  // goes back to the store on that throw.
+  PacketNodePtr node = in_flight_.take_front();
   if (!in_flight_.empty()) queue_head_delivery();
   ++packets_delivered_;
   // now == tx_done + delay_, so the serialization-complete instant is
   // recoverable without storing it alongside the packet.
   taps_.notify(&PacketObserver::on_link_rx, sim_.now(), node->pkt, sim_.now() - delay_);
-  dst_->receive(node->pkt);
+  dst_->receive(std::move(node));
 }
 
 }  // namespace pmsb::net

@@ -21,10 +21,10 @@
 //  - A link is FIFO (tx_done only grows, the delay is fixed), so in-flight
 //    packets wait in the link's own PacketFifo, each node holding its
 //    reserved (arrival, seq), and only the head delivery sits in the event
-//    queue. The nodes come from the thread's PacketStore, so a hop allocates
-//    nothing once the run has reached its peak of stored packets.
-//  - Delivery is in place: the receiver gets a reference to the packet in
-//    its node, and the node goes back to the store when receive() returns.
+//    queue.
+//  - The packet's node travels: the source's pull() hands it over, the wire
+//    splices it into its FIFO, and delivery hands it to the receiver. A hop
+//    copies no packet and takes no node (net/packet_store.hpp).
 #pragma once
 
 #include <cstdint>
@@ -41,9 +41,9 @@ namespace pmsb::net {
 /// The device whose egress queue feeds a link's transmit loop.
 class PacketSource {
  public:
-  /// Removes and returns the next packet to send. Called only when
-  /// has_packet() is true.
-  virtual Packet pull() = 0;
+  /// Removes the next packet to send and hands over its node. Called only
+  /// when has_packet() is true.
+  virtual PacketNodePtr pull() = 0;
   [[nodiscard]] virtual bool has_packet() const = 0;
 
  protected:
@@ -67,10 +67,11 @@ class Link {
   /// Devices call this after every enqueue.
   void kick();
 
-  /// Starts serializing `pkt` now. Precondition: !busy(). Returns the time at
-  /// which serialization completes. The transmit loop calls this; so can a
-  /// test driving a link that has no source.
-  TimeNs transmit(const Packet& pkt);
+  /// Starts serializing the packet in `node` now, taking the node over.
+  /// Precondition: !busy(). Returns the time at which serialization
+  /// completes. The transmit loop calls this; so can a test driving a link
+  /// that has no source.
+  TimeNs transmit(PacketNodePtr node);
 
   /// Re-points the link at a different receiving node. The fault plane uses
   /// this to interpose an owned FaultInjector between the wire and the real

@@ -1,12 +1,14 @@
 // Abstract network device. Hosts and switches implement `receive`, which a
-// Link invokes when a packet finishes propagation. The link passes the
-// packet where it lies in its store node and reclaims the node once
-// `receive` returns, so a device copies whatever it keeps.
+// Link invokes when a packet finishes propagation. The link hands over the
+// packet's store node: a device keeps it (a switch port queues it), passes
+// it on (a fault's delay stage), or lets it go back to the store (a host
+// after its demux, a drop).
 #pragma once
 
 #include <string>
 
 #include "net/packet.hpp"
+#include "net/packet_store.hpp"
 
 namespace pmsb::net {
 
@@ -17,9 +19,8 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  /// Delivers a packet that has fully arrived at this device. `pkt` is valid
-  /// only until this returns.
-  virtual void receive(const Packet& pkt) = 0;
+  /// Delivers a packet that has fully arrived at this device, in its node.
+  virtual void receive(PacketNodePtr node) = 0;
 
   [[nodiscard]] const std::string& name() const { return name_; }
 

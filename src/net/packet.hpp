@@ -1,9 +1,9 @@
 // Packet model.
 //
 // One struct covers data segments and ACKs. Packets are small and trivially
-// copyable: devices copy them, and every queue and wire stores them in
-// pooled nodes (net/packet_store.hpp), so the hot path allocates nothing
-// per packet.
+// copyable. A packet is copied once, into a pooled node, when its host sends
+// it; every queue and wire then hands that node on (net/packet_store.hpp),
+// so the hot path neither copies nor allocates per hop.
 #pragma once
 
 #include <cstdint>

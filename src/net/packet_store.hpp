@@ -8,6 +8,13 @@
 // net::Link's in-flight list are PacketFifos, and an empty one holds no
 // memory.
 //
+// A packet takes its node once, when Host::send stores it in the NIC queue,
+// and keeps it until it leaves the fabric. The node travels as a
+// PacketNodePtr: the NIC queue hands it to the wire, the wire to the next
+// device, a switch port's scheduler to the next wire, and the receiving
+// host, a drop or a fault's delay stage gives it back. No hop copies the
+// packet or takes a second node.
+//
 // One store per thread (PacketStore::local()); containers carry no store
 // pointer. Invariant: a container is destroyed on the thread that filled it.
 // Every multi-cell path builds, runs and destroys a cell's fabric on one
@@ -33,7 +40,8 @@
 namespace pmsb::net {
 
 /// One stored packet. `arrival` and `seq` are the wire's: a link stores the
-/// delivery's time and reserved insertion sequence there; queues leave them.
+/// delivery's time and reserved insertion sequence there; queues and devices
+/// leave them.
 struct PacketNode {
   Packet pkt;
   TimeNs arrival = 0;
@@ -57,9 +65,15 @@ class PacketStore {
   PacketStore(const PacketStore&) = delete;
   PacketStore& operator=(const PacketStore&) = delete;
 
+  /// Gives a node back to the calling thread's store; the deleter of
+  /// PacketNodePtr.
+  struct Release {
+    void operator()(PacketNode* node) const { local().release(node); }
+  };
+
   /// Hands out a node holding a copy of `pkt`, reusing the most recently
   /// released node first. Its `next` is null.
-  [[nodiscard]] PacketNode* acquire(const Packet& pkt) {
+  [[nodiscard]] std::unique_ptr<PacketNode, Release> acquire(const Packet& pkt) {
     if (free_ == nullptr) grow();
     PacketNode* node = free_;
     unpoison(node);
@@ -67,7 +81,7 @@ class PacketStore {
     node->pkt = pkt;
     node->next = nullptr;
     ++live_;
-    return node;
+    return std::unique_ptr<PacketNode, Release>(node);
   }
 
   /// Takes back a node acquire() handed out.
@@ -77,12 +91,6 @@ class PacketStore {
     poison(node);
     --live_;
   }
-
-  /// Gives a node back to the calling thread's store; the deleter of
-  /// PacketNodePtr.
-  struct Release {
-    void operator()(PacketNode* node) const { local().release(node); }
-  };
 
   /// Nodes handed out and not yet released.
   [[nodiscard]] std::size_t live() const { return live_; }
@@ -109,8 +117,8 @@ class PacketStore {
   std::size_t live_ = 0;
 };
 
-/// One node taken off a PacketFifo; it goes back to the store when the
-/// pointer goes out of scope, on a throw too.
+/// A stored packet on its way between containers; the node goes back to the
+/// store when the pointer goes out of scope, on a throw too.
 using PacketNodePtr = std::unique_ptr<PacketNode, PacketStore::Release>;
 
 /// FIFO of packets in the calling thread's PacketStore.
@@ -127,9 +135,10 @@ class PacketFifo {
   [[nodiscard]] const Packet& front() const { return head_->pkt; }
   [[nodiscard]] const PacketNode& front_node() const { return *head_; }
 
-  /// Appends a copy of `pkt` and returns its node.
-  PacketNode& push(const Packet& pkt) {
-    PacketNode* node = PacketStore::local().acquire(pkt);
+  /// Appends `owned`, taking the node over.
+  void push(PacketNodePtr owned) {
+    PacketNode* node = owned.release();
+    node->next = nullptr;
     if (tail_ == nullptr) {
       head_ = node;
     } else {
@@ -137,10 +146,10 @@ class PacketFifo {
     }
     tail_ = node;
     ++size_;
-    return *node;
   }
 
-  /// Unlinks the oldest node and hands it over. Precondition: !empty().
+  /// Unlinks the oldest node and hands it over; its `next` is stale until a
+  /// push. Precondition: !empty().
   [[nodiscard]] PacketNodePtr take_front() {
     PacketNode* node = head_;
     head_ = node->next;
@@ -148,9 +157,6 @@ class PacketFifo {
     --size_;
     return PacketNodePtr(node);
   }
-
-  /// Removes and returns the oldest packet. Precondition: !empty().
-  Packet pop() { return take_front()->pkt; }
 
   /// Returns every node to the store.
   void clear() {

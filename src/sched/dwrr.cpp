@@ -19,10 +19,12 @@ DwrrScheduler::DwrrScheduler(std::size_t num_queues, std::vector<double> weights
 
 std::size_t DwrrScheduler::select_queue(TimeNs now) {
   // With fractional weights a queue may need several rounds to accumulate a
-  // packet's worth of deficit; bound the spin generously.
+  // packet's worth of deficit; bound the spin generously. Every queue
+  // position the cursor passes counts as a visit, skipped ones included.
   const std::size_t max_visits = 64 * num_queues() + 64;
   bool round_reported = false;
-  for (std::size_t visits = 0; visits < max_visits; ++visits) {
+  std::size_t visits = 0;
+  while (true) {
     const std::size_t q = cursor_;
     if (backlogged(q)) {
       if (!quantum_added_this_visit_) {
@@ -38,19 +40,27 @@ std::size_t DwrrScheduler::select_queue(TimeNs now) {
       deficit_[q] = 0;  // forfeit on going idle
     }
     quantum_added_this_visit_ = false;
-    if (++cursor_ == num_queues()) cursor_ = 0;
+    // Jump to the next backlogged queue. The idle queues in between already
+    // hold a zero deficit: the cursor left each of them either idle, after
+    // zeroing it, or backlogged, and only service at the cursor drains one.
+    const std::size_t next = next_backlogged(q);
+    cursor_ = next;
     // A round in MQ-ECN's sense (Eq. 3) is the interval between consecutive
     // scheduling opportunities of a queue — it is observable only through
     // packet service. Extra cursor wraps inside one selection are deficit
     // accumulation for the SAME opportunity at the same instant; reporting
     // each wrap would feed zero-length T_round samples to the observer and
     // inflate every MQ-ECN threshold to the standard (non-adaptive) value.
-    if (cursor_ == 0 && !round_reported) {
+    // The jump passes queue 0 when it wraps.
+    if (next <= q && !round_reported) {
       notify_round_complete(now);
       round_reported = true;
     }
+    visits += next > q ? next - q : next + num_queues() - q;
+    if (visits >= max_visits) {
+      throw std::logic_error("DwrrScheduler: no eligible queue after bounded spin");
+    }
   }
-  throw std::logic_error("DwrrScheduler: no eligible queue after bounded spin");
 }
 
 }  // namespace pmsb::sched

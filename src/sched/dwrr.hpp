@@ -5,6 +5,13 @@
 // served while its head fits in the deficit. A queue that empties forfeits
 // its deficit. One full pass over the queues is a "round"; completion is
 // reported to the round observer so MQ-ECN can estimate T_round.
+//
+// The cursor jumps from queue to backlogged queue through the base class's
+// backlog bitmap rather than stepping over idle ones. The jump serves the
+// same queues, leaves the same deficits and reports the same rounds as the
+// step-by-step walk: an idle queue it skips already holds a zero deficit, a
+// jump that passes queue 0 reports the round, and the positions it skips
+// count toward the spin bound.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,16 @@
 // Packet scheduler interface for multi-queue switch ports.
 //
 // A Scheduler owns the per-queue packet storage of one output port and
-// decides dequeue order. The owning Port drives it: `enqueue(q, pkt)` on
+// decides dequeue order. The owning Port drives it: `enqueue(q, node)` on
 // classification, `dequeue(now)` whenever the link goes idle. Each queue is
-// a net::PacketFifo in the thread's PacketStore: an enqueue takes a pooled
-// node, a dequeue gives it back, and an empty queue holds no memory.
+// a net::PacketFifo in the thread's PacketStore: an enqueue splices in the
+// node the wire delivered, a dequeue hands it on to the next wire, and an
+// empty queue holds no memory.
+//
+// A bitmap of backlogged queues, one bit per queue in ceil(n/64) words, is
+// set on enqueue and cleared when a dequeue empties its queue, so a
+// discipline can jump to the next backlogged queue (next_backlogged())
+// instead of walking idle ones.
 //
 // Round-based schedulers (WRR, DWRR) additionally report when a full
 // scheduling round — one pass over all backlogged queues — completes; the
@@ -13,6 +19,8 @@
 // which is exactly why MQ-ECN cannot run on them (paper Table I).
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -29,9 +37,9 @@ namespace pmsb::sched {
 using net::Packet;
 using sim::TimeNs;
 
-/// Result of a dequeue: the packet and the queue it came from.
+/// Result of a dequeue: the packet's node and the queue it came from.
 struct Dequeued {
-  Packet pkt;
+  net::PacketNodePtr pkt;
   std::size_t queue = 0;
 };
 
@@ -45,10 +53,15 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Stores a copy of `pkt` in queue `q`.
-  void enqueue(std::size_t q, const Packet& pkt);
+  /// Appends the packet in `node` to queue `q`, taking the node over.
+  void enqueue(std::size_t q, net::PacketNodePtr node);
+  /// Stores a copy of `pkt` in queue `q`, in a node of its own.
+  void enqueue(std::size_t q, const Packet& pkt) {
+    enqueue(q, net::PacketStore::local().acquire(pkt));
+  }
 
-  /// Removes and returns the next packet to transmit, or nullopt if idle.
+  /// Removes the next packet to transmit and hands over its node, or
+  /// returns nullopt if idle.
   [[nodiscard]] std::optional<Dequeued> dequeue(TimeNs now);
 
   /// Human-readable scheduler name ("DWRR", "WFQ", ...).
@@ -99,12 +112,28 @@ class Scheduler {
   [[nodiscard]] bool backlogged(std::size_t q) const { return !queues_[q].empty(); }
   [[nodiscard]] const Packet& head(std::size_t q) const { return queues_[q].front(); }
 
+  /// The first backlogged queue after `q` in cyclic order: `q` itself only
+  /// when no other queue is backlogged. Precondition: !empty().
+  [[nodiscard]] std::size_t next_backlogged(std::size_t q) const {
+    assert(!empty());
+    std::size_t from = q + 1;
+    if (from == queues_.size()) from = 0;
+    std::size_t w = from / 64;
+    std::uint64_t bits = backlog_bits_[w] & (~std::uint64_t{0} << (from % 64));
+    while (bits == 0) {
+      if (++w == backlog_bits_.size()) w = 0;
+      bits = backlog_bits_[w];
+    }
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+  }
+
   void notify_round_complete(TimeNs now) {
     if (round_observer_) round_observer_(now);
   }
 
  private:
   std::vector<net::PacketFifo> queues_;
+  std::vector<std::uint64_t> backlog_bits_;  ///< bit q: queue q is backlogged
   std::vector<std::uint64_t> qbytes_;
   std::vector<std::uint64_t> served_;
   std::vector<std::uint64_t> served_packets_;

@@ -1,28 +1,29 @@
 // Calendar backend for the event kernel: a fixed ring of near-future time
 // buckets in front of the 4-ary HeapEventQueue.
 //
-// The ring is 64 buckets of 256 ns each, stored in one flat entry array
-// (16 entries per bucket) with a one-word bitmap of occupied buckets. An
+// The ring is 128 buckets of 128 ns each, stored in one flat entry array
+// (16 entries per bucket) with a two-word bitmap of occupied buckets. An
 // entry's bucket number is `time >> kShift`; bucket number b lives at ring
-// index b % 64. Each bucket holds a short run sorted by (time, seq). An
+// index b % 128. Each bucket holds a short run sorted by (time, seq). An
 // entry goes to the heap instead when its bucket lies outside the ring's
 // window or is full. The front of the queue is whichever comes first by
 // (time, seq): the first entry of the first occupied bucket, or the heap's
 // top.
 //
 // Why that front is the exact (time, seq) minimum. The window is the bucket
-// numbers [start, start + 64), where `start` is the bucket of the latest
+// numbers [start, start + 128), where `start` is the bucket of the latest
 // popped entry. Peeking never moves it, and it never moves back: a pop from
-// below it leaves it where it is.
+// below it leaves it where it is. Nothing below depends on the bucket count.
 //  - Every pushed time is >= the simulator's now(), and now() is >= the last
 //    popped entry's time, so a pushed entry's bucket is >= start. (The one
 //    exception: run(until) discards a cancelled entry past the horizon and
 //    then settles now() at `until`. A later push below start fails the
 //    window test and goes to the heap.)
 //  - `start` only advances to the bucket of a popped entry, which was the
-//    global minimum, so no ring entry is left below it; and start + 64 only
-//    grows. So every ring entry's bucket lies in [start, start + 64).
-//  - A circular bitmap scan from index start % 64 (a rotate and a count of
+//    global minimum, so no ring entry is left below it; and start + 128 only
+//    grows. So every ring entry's bucket lies in [start, start + 128).
+//  - A circular bitmap scan from index start % 128 (the start word masked
+//    below the start, then the words in cyclic order, each with a count of
 //    trailing zeros) therefore visits the ring's buckets in time order, and
 //    inside a bucket the run is sorted, so the first entry found is the
 //    ring's minimum. Comparing it with the heap's top gives the global
@@ -35,12 +36,14 @@
 // hop's delivery or wake-up is at most ~3.2 us ahead on the dumbbell (2 us
 // links) and ~10.2 us on the leaf-spine (9 us links). A 16.4 us window
 // holds all of them; flow starts, retransmission timers (1 ms and up) and
-// the 100 us invariant tick go to the heap. 16 entries per 256 ns bucket
-// keep 85-99% of the benchmark workloads' pushes in the ring. In a denser
-// or faster fabric buckets fill and entries fall to the heap: slower than
-// the ring, never misordered.
+// the 100 us invariant tick go to the heap. With 16 entries per 128 ns
+// bucket the ring keeps 98% of fabric-poisson's pushes, 94% of a 400-flow
+// load-0.6 leaf-spine run's and 73% of a 2,000-flow load-0.9 run's (256 ns
+// buckets of 16 kept 85%, 69% and 47%: a loaded fabric filled them). In a
+// denser or faster fabric buckets still fill and entries fall to the heap:
+// slower than the ring, never misordered.
 //
-// The entry array (24 KiB) is allocated on the first ring push, so a
+// The entry array (48 KiB) is allocated on the first ring push, so a
 // Simulator on the heap backend, which never pushes to the ring, allocates
 // nothing here.
 #pragma once
@@ -78,7 +81,7 @@ class CalendarQueue {
     std::size_t i = tail_[b]++;
     for (; i > head_[b] && earlier(e, run[i - 1]); --i) run[i] = run[i - 1];
     run[i] = e;
-    occupied_ |= std::uint64_t{1} << b;
+    occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
     ++ring_size_;
   }
 
@@ -111,7 +114,7 @@ class CalendarQueue {
     const QueueEntry e = ring_[b * kSlots + head_[b]];
     if (++head_[b] == tail_[b]) {
       head_[b] = tail_[b] = 0;
-      occupied_ &= ~(std::uint64_t{1} << b);
+      occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
     }
     --ring_size_;
     start_ = bucket_of(e.time);
@@ -135,16 +138,17 @@ class CalendarQueue {
       ring_size_ -= tail_[b] - head_[b] - n;
       head_[b] = 0;
       tail_[b] = n;
-      if (n == 0) occupied_ &= ~(std::uint64_t{1} << b);
+      if (n == 0) occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
     }
     heap_.compact(keep);
   }
 
  private:
-  static constexpr int kShift = 8;             // 256 ns per bucket
-  static constexpr std::size_t kBuckets = 64;  // one bitmap word; 16.4 us
-  static constexpr std::size_t kSlots = 16;    // entries per bucket
+  static constexpr int kShift = 7;              // 128 ns per bucket
+  static constexpr std::size_t kBuckets = 128;  // two bitmap words; 16.4 us
+  static constexpr std::size_t kSlots = 16;     // entries per bucket
   static constexpr std::size_t kMask = kBuckets - 1;
+  static constexpr std::size_t kWords = kBuckets / 64;
   static constexpr std::size_t kHeapFront = kBuckets;
 
   static std::uint64_t bucket_of(TimeNs t) {
@@ -154,14 +158,22 @@ class CalendarQueue {
   /// The first occupied ring index at or after the window start, wrapping.
   /// Precondition: ring_size_ != 0.
   [[nodiscard]] std::size_t first_occupied() const {
-    assert(occupied_ != 0);
-    const int s = static_cast<int>(start_ & kMask);
-    const int skip = std::countr_zero(std::rotr(occupied_, s));
-    return static_cast<std::size_t>(s + skip) & kMask;
+    assert(std::any_of(occupied_.begin(), occupied_.end(),
+                       [](std::uint64_t word) { return word != 0; }));
+    const std::size_t s = start_ & kMask;
+    std::size_t w = s / 64;
+    std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (s % 64));
+    // Back at the start word, the bits below the start are the wrapped tail.
+    while (bits == 0) {
+      w = (w + 1) % kWords;
+      bits = occupied_[w];
+    }
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
   }
 
   std::unique_ptr<QueueEntry[]> ring_;  ///< kBuckets x kSlots, on first ring push
-  std::uint64_t occupied_ = 0;  ///< bit b: ring index b holds entries
+  /// Bit b % 64 of word b / 64: ring index b holds entries.
+  std::array<std::uint64_t, kWords> occupied_{};
   std::array<std::uint8_t, kBuckets> head_{};  ///< first live slot of each run
   std::array<std::uint8_t, kBuckets> tail_{};  ///< one past the last
   std::size_t ring_size_ = 0;

@@ -40,7 +40,7 @@ struct EventSlot {
 class EventPool {
  public:
   // 128 slots (10 KiB) per chunk: a small run's ~100 live events touch one
-  // chunk, which leaves room in its peak RSS for the calendar's 24 KiB ring.
+  // chunk, which leaves room in its peak RSS for the calendar's 48 KiB ring.
   static constexpr std::size_t kChunkShift = 7;
   static constexpr std::size_t kChunkSlots = std::size_t{1} << kChunkShift;
 

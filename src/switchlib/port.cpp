@@ -102,8 +102,9 @@ void Port::drop(const Packet& pkt, std::size_t queue, DropReason reason) {
   notify(&net::PacketObserver::on_drop, pkt, queue);
 }
 
-void Port::handle(Packet pkt) {
+void Port::handle(net::PacketNodePtr node) {
   telemetry::ProfileScope profile(profiler_, kind_handle_);
+  Packet& pkt = node->pkt;
   const std::size_t q = static_cast<std::size_t>(pkt.service) % num_queues_;
   if (const auto refusal = policy_->admit(admission_request(pkt.size_bytes))) {
     drop(pkt, q, *refusal);
@@ -132,13 +133,13 @@ void Port::handle(Packet pkt) {
   notify(&net::PacketObserver::on_enqueue, pkt, q);
   {
     telemetry::ProfileScope sched_scope(profiler_, kind_sched_enqueue_);
-    sched_->enqueue(q, pkt);
+    sched_->enqueue(q, std::move(node));
   }
   ++stats_.enqueued_packets;
   link_->kick();
 }
 
-Packet Port::pull() {
+net::PacketNodePtr Port::pull() {
   telemetry::ProfileScope profile(profiler_, kind_transmit_);
   std::optional<sched::Dequeued> out;
   {
@@ -146,7 +147,7 @@ Packet Port::pull() {
     out = sched_->dequeue(sim_.now());
   }
   ++stats_.dequeued_packets;
-  Packet pkt = std::move(out->pkt);
+  Packet& pkt = out->pkt->pkt;
   if (mark_point_ == ecn::MarkPoint::kDequeue && pkt.ect && !pkt.ce) {
     // Snapshot includes the departing packet (state before removal).
     bool mark;
@@ -164,7 +165,7 @@ Packet Port::pull() {
   }
   notify(&net::PacketObserver::on_dequeue, pkt, out->queue);
   if (pool_ != nullptr) pool_->release(pool_slot_, pkt.size_bytes);
-  return pkt;
+  return std::move(out->pkt);
 }
 
 }  // namespace pmsb::switchlib

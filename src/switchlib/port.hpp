@@ -1,7 +1,9 @@
 // Output port of a switch: classification, shared buffer admission, ECN
 // marking (enqueue and/or dequeue side) and a packet scheduler. The attached
 // link runs the transmit loop and pulls from the port as its PacketSource;
-// the pull is where dequeue-side marking happens.
+// the pull is where dequeue-side marking happens. The port stores the node
+// the wire delivered and hands the scheduler's node to the next wire; a
+// drop gives the node back to the store.
 #pragma once
 
 #include <array>
@@ -58,9 +60,9 @@ class Port : private net::PacketSource {
  public:
   Port(sim::Simulator& simulator, net::Link* link, const PortConfig& config);
 
-  /// Admits a packet: classify (queue = service % num_queues) -> admission
-  /// check -> (enqueue marking) -> store -> kick the link.
-  void handle(Packet pkt);
+  /// Admits the packet in `node`: classify (queue = service % num_queues) ->
+  /// admission check -> (enqueue marking) -> store -> kick the link.
+  void handle(net::PacketNodePtr node);
 
   /// Joins a shared buffer pool: the port takes a ledger slot, admission
   /// charges it, and marking schemes see the pool occupancy in their
@@ -112,7 +114,7 @@ class Port : private net::PacketSource {
  private:
   /// Dequeue for the link: scheduler selection, dequeue-side marking, the
   /// observer taps and the pool release.
-  Packet pull() override;
+  net::PacketNodePtr pull() override;
   [[nodiscard]] bool has_packet() const override { return !sched_->empty(); }
   void drop(const Packet& pkt, std::size_t queue, DropReason reason);
   [[nodiscard]] AdmissionRequest admission_request(std::uint64_t packet_bytes) const {

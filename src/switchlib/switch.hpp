@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/node.hpp"
@@ -31,9 +32,9 @@ class Switch : public net::Node {
   [[nodiscard]] const Port& port(std::size_t idx) const { return *ports_.at(idx); }
   [[nodiscard]] std::size_t num_ports() const { return ports_.size(); }
 
-  void receive(const net::Packet& pkt) override {
-    const std::size_t egress = routing_.select_port(pkt, ecmp_salt_);
-    ports_[egress]->handle(pkt);
+  void receive(net::PacketNodePtr node) override {
+    const std::size_t egress = routing_.select_port(node->pkt, ecmp_salt_);
+    ports_[egress]->handle(std::move(node));
   }
 
  private:

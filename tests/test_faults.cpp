@@ -25,6 +25,7 @@
 #include "net/fault_injector.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
+#include "net/packet_store.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
@@ -35,6 +36,7 @@
 #include "test_demux.hpp"
 #include "workload/coflow.hpp"
 #include "workload/size_dist.hpp"
+#include "workload/traffic_gen.hpp"
 
 using namespace pmsb;
 using namespace pmsb::net;
@@ -48,6 +50,11 @@ Packet make_packet(FlowId flow, HostId dst, bool ce = false) {
   p.dst = dst;
   p.ce = ce;
   return p;
+}
+
+/// A packet in its own store node, as a wire hands it to an injector.
+PacketNodePtr make_node(FlowId flow, HostId dst) {
+  return PacketStore::local().acquire(make_packet(flow, dst));
 }
 
 /// Two hosts, one bidirectional link pair, named refs for the fault plane.
@@ -730,6 +737,55 @@ TEST(ScenarioRobustness, ActiveFlowsCoverEveryFlowInFlight) {
   }
 }
 
+// Every packet the fabric holds lives in one node of the thread's store, and
+// nothing else does: at every invariant tick of a leaf-spine run with loss,
+// a jittered delay stage and a link flap, the store's live nodes equal the
+// packets in NIC queues, port buffers, links and delay stages, and none is
+// left once the fabric is gone.
+TEST(ScenarioRobustness, StoreNodesMatchThePacketsTheFabricHolds) {
+  PacketStore& store = PacketStore::local();
+  const std::size_t before = store.live();
+  std::uint64_t ticks = 0;
+  std::uint64_t peak_held = 0;
+  std::uint64_t peak_delayed = 0;
+  {
+    experiments::LeafSpineScenario sc(audit_fabric());
+    FaultPlan plan;
+    plan.add_spec_string(
+        "loss:*->*:0.005;delay:spine0->*:30us+200us;link:leaf0-spine1:down@2ms..4ms");
+    sc.install_faults(plan, 1);
+    InvariantChecker checker(sc.simulator());
+    sc.install_invariants(checker);
+    checker.add_check("store_nodes", [&](InvariantChecker::Context& ctx) {
+      ++ticks;
+      const std::uint64_t held = sc.ledger().in_flight();
+      peak_held = std::max(peak_held, held);
+      peak_delayed = std::max(peak_delayed, plan.delayed_in_flight());
+      if (store.live() - before != held) {
+        ctx.violate("store", "live nodes " + std::to_string(store.live() - before) +
+                                 " != held packets " + std::to_string(held));
+      }
+    });
+    checker.start_periodic(sim::microseconds(100));
+    workload::TrafficConfig tc;
+    tc.num_hosts = sc.num_hosts();
+    tc.load = 0.6;
+    tc.num_flows = 150;
+    tc.num_services = 8;
+    sim::Rng rng(11);
+    sc.add_workload(workload::generate_poisson_traffic(
+        tc, workload::FlowSizeDistribution::web_search(), rng));
+    ASSERT_TRUE(sc.run_until_complete(sim::seconds(2)));
+    EXPECT_TRUE(checker.clean()) << checker.summary();
+    EXPECT_GT(plan.dropped(), 0u);
+    EXPECT_GT(plan.point_between("leaf0", "spine1")->counters().dropped_down, 0u);
+  }
+  EXPECT_GT(ticks, 20u);
+  EXPECT_GT(peak_held, 100u);
+  EXPECT_GT(peak_delayed, 0u);
+  EXPECT_EQ(store.live(), before);
+}
+
 TEST(ScenarioRobustness, InvariantsAreResultNeutral) {
   // The checker only reads: turning it off leaves the digest and every
   // result unchanged except its own counters and the executed-event count
@@ -781,7 +837,7 @@ TEST(FaultInjectorLifetime, DelayedDeliveryAfterDestructionIsSafe) {
 
   auto injector = std::make_unique<FaultInjector>(sim, &b);
   injector->set_extra_delay(sim::milliseconds(1));
-  sim.schedule_at(0, [&] { injector->receive(make_packet(1, 1)); });
+  sim.schedule_at(0, [&] { injector->receive(make_node(1, 1)); });
   sim.run(sim::microseconds(10));  // receive ran; delayed delivery pending
   ASSERT_EQ(injector->delayed_in_flight(), 1u);
 
@@ -792,12 +848,51 @@ TEST(FaultInjectorLifetime, DelayedDeliveryAfterDestructionIsSafe) {
   EXPECT_EQ(demux.taken(b, 1).size(), 0u);
 }
 
+// The delay stage holds each packet's node in its event. Destroying the
+// injector leaves the events to fire as no-ops that give the nodes back;
+// destroying the simulator with them pending gives them back too.
+TEST(FaultInjectorLifetime, DestroyedWithDelayedDeliveriesReturnsTheirNodes) {
+  PacketStore& store = PacketStore::local();
+  const std::size_t before = store.live();
+  {
+    sim::Simulator sim;
+    Host b{sim, 1, "b"};
+    test::TestDemux demux{&b};
+    demux.take(1);
+    auto injector = std::make_unique<FaultInjector>(sim, &b);
+    injector->set_extra_delay(sim::milliseconds(1));
+    sim.schedule_at(0, [&] {
+      for (int i = 0; i < 3; ++i) injector->receive(make_node(1, 1));
+    });
+    sim.run(sim::microseconds(10));
+    ASSERT_EQ(injector->delayed_in_flight(), 3u);
+    EXPECT_EQ(store.live(), before + 3);
+    injector.reset();
+    EXPECT_EQ(store.live(), before + 3);  // the pending events hold them
+    sim.run();
+    EXPECT_EQ(store.live(), before);
+    EXPECT_EQ(demux.taken(b, 1).size(), 0u);
+  }
+  {
+    sim::Simulator sim;
+    Host b{sim, 1, "b"};
+    FaultInjector injector(sim, &b);
+    injector.set_extra_delay(sim::milliseconds(1), sim::microseconds(50));
+    sim.schedule_at(0, [&] {
+      for (int i = 0; i < 4; ++i) injector.receive(make_node(1, 1));
+    });
+    sim.run(sim::microseconds(10));
+    EXPECT_EQ(store.live(), before + 4);
+  }
+  EXPECT_EQ(store.live(), before);
+}
+
 TEST(FaultInjectorLifetime, DetachBlackholesInsteadOfDereferencingDeadInner) {
   sim::Simulator sim;
   auto b = std::make_unique<Host>(sim, 1, "b");
   FaultInjector injector(sim, b.get());
   injector.set_extra_delay(sim::milliseconds(1));
-  sim.schedule_at(0, [&] { injector.receive(make_packet(1, 1)); });
+  sim.schedule_at(0, [&] { injector.receive(make_node(1, 1)); });
   sim.run(sim::microseconds(10));
 
   // Inner node dies first; detach() makes pending deliveries counted drops.

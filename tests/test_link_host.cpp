@@ -1,5 +1,5 @@
-// Tests for Link (serialization + propagation, in-place delivery) and Host
-// (NIC FIFO, demux).
+// Tests for Link (serialization + propagation, node handover) and Host
+// (NIC FIFO, demux, where a packet takes and gives back its store node).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -21,7 +21,7 @@ namespace {
 class SinkNode : public Node {
  public:
   explicit SinkNode(std::string name) : Node(std::move(name)) {}
-  void receive(const Packet& pkt) override { arrivals.push_back(pkt); }
+  void receive(PacketNodePtr node) override { arrivals.push_back(node->pkt); }
   std::vector<Packet> arrivals;
 };
 
@@ -29,7 +29,9 @@ class SinkNode : public Node {
 class ClockedSink : public Node {
  public:
   explicit ClockedSink(const sim::Simulator& sim) : Node("clocked"), sim_(sim) {}
-  void receive(const Packet& pkt) override { arrivals.emplace_back(sim_.now(), pkt.id); }
+  void receive(PacketNodePtr node) override {
+    arrivals.emplace_back(sim_.now(), node->pkt.id);
+  }
   std::vector<std::pair<sim::TimeNs, std::uint64_t>> arrivals;
 
  private:
@@ -43,6 +45,13 @@ Packet make_packet(std::uint32_t size = 1500, std::uint64_t id = 0) {
   return p;
 }
 
+/// A packet in a node of its own, as a device hands it to a link or a link
+/// to a device.
+PacketNodePtr make_node(const Packet& p) { return PacketStore::local().acquire(p); }
+PacketNodePtr make_node(std::uint32_t size = 1500, std::uint64_t id = 0) {
+  return make_node(make_packet(size, id));
+}
+
 }  // namespace
 
 TEST(Link, DeliversAfterSerializationPlusPropagation) {
@@ -51,7 +60,7 @@ TEST(Link, DeliversAfterSerializationPlusPropagation) {
   Link link(sim, sim::gbps(10), sim::microseconds(5), &sink);
   sim::TimeNs arrival = -1;
   sim.schedule_at(0, [&] {
-    const sim::TimeNs tx_done = link.transmit(make_packet(1500));
+    const sim::TimeNs tx_done = link.transmit(make_node(1500));
     EXPECT_EQ(tx_done, 1200);  // 1500B @ 10G
   });
   sim.run();
@@ -65,7 +74,7 @@ TEST(Link, BusyDuringSerialization) {
   SinkNode sink("sink");
   Link link(sim, sim::gbps(10), 0, &sink);
   sim.schedule_at(0, [&] {
-    link.transmit(make_packet(1500));
+    link.transmit(make_node(1500));
     EXPECT_TRUE(link.busy());
   });
   sim.schedule_at(1200, [&] { EXPECT_FALSE(link.busy()); });
@@ -76,8 +85,8 @@ TEST(Link, CountsBytesAndPackets) {
   sim::Simulator sim;
   SinkNode sink("sink");
   Link link(sim, sim::gbps(10), 0, &sink);
-  sim.schedule_at(0, [&] { link.transmit(make_packet(1000)); });
-  sim.schedule_at(10000, [&] { link.transmit(make_packet(500)); });
+  sim.schedule_at(0, [&] { link.transmit(make_node(1000)); });
+  sim.schedule_at(10000, [&] { link.transmit(make_node(500)); });
   sim.run();
   EXPECT_EQ(link.bytes_sent(), 1500u);
   EXPECT_EQ(link.packets_sent(), 2u);
@@ -135,12 +144,43 @@ TEST(Host, DemuxesToRegisteredHandler) {
   p1.flow_id = 1;
   Packet p2 = make_packet();
   p2.flow_id = 2;
-  host.receive(p1);
-  host.receive(p2);
-  host.receive(p1);
+  host.receive(make_node(p1));
+  host.receive(make_node(p2));
+  host.receive(make_node(p1));
   EXPECT_EQ(demux.taken(host, 1).size(), 2u);
   EXPECT_EQ(demux.taken(host, 2).size(), 1u);
   EXPECT_EQ(host.delivered_packets(), 3u);
+}
+
+// send() takes the packet's one node; the wire hands that node to the
+// receiving host, which gives it back once its demux has returned.
+TEST(Host, SendTakesTheNodeAndReceiveGivesItBack) {
+  PacketStore& store = PacketStore::local();
+  const std::size_t before = store.live();
+  sim::Simulator sim;
+  Host a(sim, 0, "a");
+  Host b(sim, 1, "b");
+  Link ab(sim, sim::gbps(10), sim::microseconds(2), &b);
+  a.attach_uplink(&ab);
+  test::TestDemux demux{&b};
+  demux.take(7);
+  Packet p = make_packet(1500, 42);
+  p.flow_id = 7;
+  sim.schedule_at(0, [&] {
+    a.send(p);
+    EXPECT_EQ(store.live(), before + 1);
+  });
+  sim.schedule_at(1000, [&] {
+    EXPECT_EQ(ab.packets_in_flight(), 1u);
+    EXPECT_EQ(store.live(), before + 1);
+  });
+  sim.run();
+  ASSERT_EQ(demux.taken(b, 7).size(), 1u);
+  EXPECT_EQ(demux.taken(b, 7)[0].id, 42u);
+  EXPECT_EQ(store.live(), before);
+  b.receive(make_node(make_packet()));  // flow 0: declined, still released
+  EXPECT_EQ(b.dropped_no_handler(), 1u);
+  EXPECT_EQ(store.live(), before);
 }
 
 TEST(Host, UnregisteredFlowCounted) {
@@ -148,11 +188,11 @@ TEST(Host, UnregisteredFlowCounted) {
   Host host(sim, 0, "h0");
   Packet p = make_packet();
   p.flow_id = 99;
-  host.receive(p);  // no demux
+  host.receive(make_node(p));  // no demux
   EXPECT_EQ(host.dropped_no_handler(), 1u);
   test::TestDemux demux{&host};
   demux.take(1);
-  host.receive(p);  // the demux declines flow 99
+  host.receive(make_node(p));  // the demux declines flow 99
   EXPECT_EQ(host.dropped_no_handler(), 2u);
   EXPECT_EQ(host.delivered_packets(), 0u);
 }
@@ -166,8 +206,8 @@ TEST(Host, HandlerMayUnregisterItself) {
   demux.take(5, /*limit=*/1);
   Packet p = make_packet();
   p.flow_id = 5;
-  host.receive(p);
-  host.receive(p);
+  host.receive(make_node(p));
+  host.receive(make_node(p));
   EXPECT_EQ(demux.taken(host, 5).size(), 1u);
   EXPECT_EQ(host.delivered_packets(), 1u);
   EXPECT_EQ(host.dropped_no_handler(), 1u);
@@ -257,12 +297,12 @@ TEST(Link, DestroyedWithPacketsInFlightReturnsTheirNodes) {
 class ThrowOnceNode : public Node {
  public:
   ThrowOnceNode() : Node("throw-once") {}
-  void receive(const Packet& pkt) override {
+  void receive(PacketNodePtr node) override {
     if (!thrown_) {
       thrown_ = true;
       throw std::runtime_error("receiver failed");
     }
-    arrivals.push_back(pkt.id);
+    arrivals.push_back(node->pkt.id);
   }
   std::vector<std::uint64_t> arrivals;
 
@@ -279,8 +319,8 @@ TEST(Link, ReceiverThatThrowsLeavesTheLinkDeliveringTheRest) {
   sim::Simulator sim;
   ThrowOnceNode node;
   Link link(sim, sim::gbps(10), sim::microseconds(5), &node);
-  sim.schedule_at(0, [&] { link.transmit(make_packet(1500, 1)); });
-  sim.schedule_at(1200, [&] { link.transmit(make_packet(1500, 2)); });
+  sim.schedule_at(0, [&] { link.transmit(make_node(1500, 1)); });
+  sim.schedule_at(1200, [&] { link.transmit(make_node(1500, 2)); });
   sim.run(1200);
   EXPECT_EQ(store.live(), before + 2);
   EXPECT_THROW(sim.run(), std::runtime_error);

@@ -1,12 +1,14 @@
 // Tests for net::PacketStore and net::PacketFifo: FIFO order over pooled
-// nodes, node accounting when a container dies full, chunk reuse across
-// fill-and-drain cycles, and one store per thread.
+// nodes, nodes handed from one FIFO to another, node accounting when a
+// container dies full, chunk reuse across fill-and-drain cycles, and one
+// store per thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <barrier>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/packet_store.hpp"
@@ -24,6 +26,9 @@ Packet make_packet(std::uint64_t id, std::uint32_t size = 1500) {
   return p;
 }
 
+/// A packet in a node of its own, as Host::send stores it.
+PacketNodePtr make_node(std::uint64_t id) { return PacketStore::local().acquire(make_packet(id)); }
+
 /// Nodes in whole chunks needed to hold `live` packets at once.
 std::size_t chunks_for(std::size_t live) {
   const std::size_t n = PacketStore::kChunkNodes;
@@ -35,11 +40,11 @@ std::size_t chunks_for(std::size_t live) {
 TEST(PacketFifo, KeepsOrderAcrossChunkBoundaries) {
   PacketFifo fifo;
   const std::uint64_t n = 3 * PacketStore::kChunkNodes + 5;
-  for (std::uint64_t i = 0; i < n; ++i) fifo.push(make_packet(i));
+  for (std::uint64_t i = 0; i < n; ++i) fifo.push(make_node(i));
   ASSERT_EQ(fifo.size(), n);
   for (std::uint64_t i = 0; i < n; ++i) {
     ASSERT_EQ(fifo.front().id, i);
-    EXPECT_EQ(fifo.pop().id, i);
+    EXPECT_EQ(fifo.take_front()->pkt.id, i);
   }
   EXPECT_TRUE(fifo.empty());
   EXPECT_EQ(fifo.size(), 0u);
@@ -54,15 +59,15 @@ TEST(PacketFifo, InterleavedFifosSharingTheStoreKeepTheirOwnOrder) {
   for (std::uint64_t step = 0; step < 2000; ++step) {
     const std::size_t f = (step * 7) % 3;
     if (step % 5 == 4 && !fifos[f].empty()) {
-      EXPECT_EQ(fifos[f].pop().id, f * 1'000'000 + next_out[f]++);
+      EXPECT_EQ(fifos[f].take_front()->pkt.id, f * 1'000'000 + next_out[f]++);
     } else {
-      fifos[f].push(make_packet(f * 1'000'000 + next_in[f]++));
+      fifos[f].push(make_node(f * 1'000'000 + next_in[f]++));
     }
   }
   for (std::size_t f = 0; f < fifos.size(); ++f) {
     EXPECT_EQ(fifos[f].size(), next_in[f] - next_out[f]);
     while (!fifos[f].empty()) {
-      EXPECT_EQ(fifos[f].pop().id, f * 1'000'000 + next_out[f]++);
+      EXPECT_EQ(fifos[f].take_front()->pkt.id, f * 1'000'000 + next_out[f]++);
     }
     EXPECT_EQ(next_out[f], next_in[f]);
   }
@@ -72,10 +77,11 @@ TEST(PacketFifo, TakeFrontHandsOverTheNodeUntilItsScopeEnds) {
   PacketStore& store = PacketStore::local();
   const std::size_t before = store.live();
   PacketFifo fifo;
-  PacketNode& pushed = fifo.push(make_packet(7));
-  pushed.arrival = 1234;
-  pushed.seq = 99;
-  fifo.push(make_packet(8));
+  PacketNodePtr pushed = make_node(7);
+  pushed->arrival = 1234;
+  pushed->seq = 99;
+  fifo.push(std::move(pushed));
+  fifo.push(make_node(8));
   {
     const PacketNodePtr node = fifo.take_front();
     EXPECT_EQ(node->pkt.id, 7u);
@@ -88,12 +94,36 @@ TEST(PacketFifo, TakeFrontHandsOverTheNodeUntilItsScopeEnds) {
   EXPECT_EQ(store.live(), before + 1);
 }
 
+// A node taken off one FIFO and pushed onto another keeps its address and
+// packet, and its stale successor link never leaks into the new FIFO.
+TEST(PacketFifo, NodesMoveBetweenFifosWithoutNewNodes) {
+  PacketStore& store = PacketStore::local();
+  const std::size_t before = store.live();
+  PacketFifo a;
+  PacketFifo b;
+  for (std::uint64_t i = 0; i < 6; ++i) a.push(make_node(i));
+  std::vector<const PacketNode*> moved;
+  for (int i = 0; i < 3; ++i) {
+    moved.push_back(&a.front_node());
+    b.push(a.take_front());
+  }
+  EXPECT_EQ(store.live(), before + 6);
+  ASSERT_EQ(b.size(), 3u);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(&b.front_node(), moved[i]);
+    EXPECT_EQ(b.take_front()->pkt.id, i);
+  }
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(a.front().id, 3u);
+  EXPECT_EQ(store.live(), before + 3);
+}
+
 TEST(PacketStore, ContainersDestroyedFullReturnEveryNode) {
   PacketStore& store = PacketStore::local();
   const std::size_t before = store.live();
   {
     PacketFifo fifo;
-    for (std::uint64_t i = 0; i < 300; ++i) fifo.push(make_packet(i));
+    for (std::uint64_t i = 0; i < 300; ++i) fifo.push(make_node(i));
     EXPECT_EQ(store.live(), before + 300);
   }
   EXPECT_EQ(store.live(), before);
@@ -122,11 +152,11 @@ TEST(PacketStore, FillAndDrainCyclesReuseTheSameChunks) {
   std::size_t capacity_after_first = 0;
   for (int cycle = 0; cycle < 500; ++cycle) {
     for (std::size_t i = 0; i < peak; ++i) {
-      (i % 2 == 0 ? a : b).push(make_packet(i));
+      (i % 2 == 0 ? a : b).push(make_node(i));
     }
     EXPECT_EQ(store.live(), live_before + peak);
-    while (!a.empty()) (void)a.pop();
-    while (!b.empty()) (void)b.pop();
+    while (!a.empty()) (void)a.take_front();
+    while (!b.empty()) (void)b.take_front();
     if (cycle == 0) capacity_after_first = store.capacity();
     ASSERT_EQ(store.capacity(), capacity_after_first) << "cycle " << cycle;
   }
@@ -149,13 +179,13 @@ TEST(PacketStore, EachThreadFillsOnlyItsOwnStore) {
     stores[t] = &store;
     {
       PacketFifo fifo;
-      for (std::size_t i = 0; i < kPackets; ++i) fifo.push(make_packet(t * kPackets + i));
+      for (std::size_t i = 0; i < kPackets; ++i) fifo.push(make_node(t * kPackets + i));
       // Both threads hold their packets here at the same time.
       all_full.arrive_and_wait();
       live_when_full[t] = store.live();
       all_full.arrive_and_wait();
       for (std::size_t i = 0; i < kPackets; ++i) {
-        if (fifo.pop().id != t * kPackets + i) ++order_errors[t];
+        if (fifo.take_front()->pkt.id != t * kPackets + i) ++order_errors[t];
       }
     }
     live_after[t] = store.live();
@@ -176,14 +206,14 @@ TEST(PacketStore, EachThreadFillsOnlyItsOwnStore) {
 
 #if defined(__SANITIZE_ADDRESS__)
 TEST(PacketStoreDeathTest, ReadingADequeuedPacketIsReported) {
-  auto read_after_pop = [] {
+  auto read_after_take = [] {
     PacketFifo fifo;
-    fifo.push(make_packet(1));
+    fifo.push(make_node(1));
     const Packet* stale = &fifo.front();
-    (void)fifo.pop();
+    (void)fifo.take_front();  // the node goes back to the store here
     volatile std::uint64_t id = stale->id;
     (void)id;
   };
-  EXPECT_DEATH(read_after_pop(), "use-after-poison");
+  EXPECT_DEATH(read_after_take(), "use-after-poison");
 }
 #endif

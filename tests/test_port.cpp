@@ -1,5 +1,6 @@
 // Tests for the switch output port: classification, drop-tail, marking at
-// enqueue vs dequeue, transmit loop pacing.
+// enqueue vs dequeue, transmit loop pacing, and the nodes it stores, drops
+// and hands on.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -16,9 +17,12 @@ namespace {
 class SinkNode : public net::Node {
  public:
   explicit SinkNode() : Node("sink") {}
-  void receive(const net::Packet& pkt) override { arrivals.push_back(pkt); }
+  void receive(net::PacketNodePtr node) override { arrivals.push_back(node->pkt); }
   std::vector<net::Packet> arrivals;
 };
+
+/// A packet in its own store node, as a wire delivers it to the port.
+net::PacketNodePtr node(const net::Packet& p) { return net::PacketStore::local().acquire(p); }
 
 net::Packet data_pkt(net::ServiceId service, std::uint32_t size = 1500) {
   net::Packet p;
@@ -46,9 +50,9 @@ TEST(Port, ClassifiesByServiceModQueues) {
   net::Link link(sim, sim::gbps(10), 0, &sink);
   Port port(sim, &link, two_queue_config());
   sim.schedule_at(0, [&] {
-    port.handle(data_pkt(0));
-    port.handle(data_pkt(1));
-    port.handle(data_pkt(3));  // 3 % 2 -> queue 1
+    port.handle(node(data_pkt(0)));
+    port.handle(node(data_pkt(1)));
+    port.handle(node(data_pkt(3)));  // 3 % 2 -> queue 1
     // First packet is already in flight; the other two are queued.
     EXPECT_EQ(port.queue_bytes(1), 2u * 1500u);
   });
@@ -62,7 +66,7 @@ TEST(Port, TransmitsBackToBackAtLineRate) {
   net::Link link(sim, sim::gbps(10), 0, &sink);
   Port port(sim, &link, two_queue_config());
   sim.schedule_at(0, [&] {
-    for (int i = 0; i < 5; ++i) port.handle(data_pkt(0));
+    for (int i = 0; i < 5; ++i) port.handle(node(data_pkt(0)));
   });
   sim.run();
   EXPECT_EQ(sink.arrivals.size(), 5u);
@@ -80,11 +84,33 @@ TEST(Port, DropTailBeyondBufferLimit) {
   sim.schedule_at(0, [&] {
     // First goes straight to the wire (leaves the buffer), then 3 fit, the
     // rest drop.
-    for (int i = 0; i < 8; ++i) port.handle(data_pkt(0));
+    for (int i = 0; i < 8; ++i) port.handle(node(data_pkt(0)));
   });
   sim.run();
   EXPECT_EQ(port.stats().dropped_packets, 4u);
   EXPECT_EQ(sink.arrivals.size(), 4u);
+}
+
+// A dropped packet's node goes back to the store at once; a served one
+// stays held until the sink lets it go.
+TEST(Port, DropsGiveTheirNodesBack) {
+  net::PacketStore& store = net::PacketStore::local();
+  const std::size_t before = store.live();
+  sim::Simulator sim;
+  SinkNode sink;
+  net::Link link(sim, sim::gbps(10), sim::microseconds(5), &sink);
+  auto cfg = two_queue_config();
+  cfg.buffer_bytes = 3 * 1500;
+  Port port(sim, &link, cfg);
+  sim.schedule_at(0, [&] {
+    for (int i = 0; i < 8; ++i) port.handle(node(data_pkt(0)));
+    // One on the wire, three queued; four dropped and released.
+    EXPECT_EQ(store.live(), before + 4);
+  });
+  sim.run();
+  EXPECT_EQ(port.stats().dropped_packets, 4u);
+  EXPECT_EQ(sink.arrivals.size(), 4u);
+  EXPECT_EQ(store.live(), before);
 }
 
 TEST(Port, EnqueueMarkingSetsCe) {
@@ -97,7 +123,7 @@ TEST(Port, EnqueueMarkingSetsCe) {
   cfg.marking.point = ecn::MarkPoint::kEnqueue;
   Port port(sim, &link, cfg);
   sim.schedule_at(0, [&] {
-    for (int i = 0; i < 5; ++i) port.handle(data_pkt(0));
+    for (int i = 0; i < 5; ++i) port.handle(node(data_pkt(0)));
   });
   sim.run();
   ASSERT_EQ(sink.arrivals.size(), 5u);
@@ -120,7 +146,7 @@ TEST(Port, DequeueMarkingUsesStateBeforeRemoval) {
   cfg.marking.point = ecn::MarkPoint::kDequeue;
   Port port(sim, &link, cfg);
   sim.schedule_at(0, [&] {
-    for (int i = 0; i < 3; ++i) port.handle(data_pkt(0));
+    for (int i = 0; i < 3; ++i) port.handle(node(data_pkt(0)));
   });
   sim.run();
   ASSERT_EQ(sink.arrivals.size(), 3u);
@@ -145,7 +171,7 @@ TEST(Port, NonEctPacketsNeverMarked) {
   sim.schedule_at(0, [&] {
     auto p = data_pkt(0);
     p.ect = false;
-    port.handle(p);
+    port.handle(node(p));
   });
   sim.run();
   ASSERT_EQ(sink.arrivals.size(), 1u);
@@ -164,7 +190,7 @@ TEST(Port, AlreadyMarkedPacketNotDoubleCounted) {
   sim.schedule_at(0, [&] {
     auto p = data_pkt(0);
     p.ce = true;  // marked upstream
-    port.handle(p);
+    port.handle(node(p));
   });
   sim.run();
   ASSERT_EQ(sink.arrivals.size(), 1u);
@@ -177,7 +203,7 @@ TEST(Port, EnqueueTimestampStamped) {
   SinkNode sink;
   net::Link link(sim, sim::gbps(10), 0, &sink);
   Port port(sim, &link, two_queue_config());
-  sim.schedule_at(4242, [&] { port.handle(data_pkt(0)); });
+  sim.schedule_at(4242, [&] { port.handle(node(data_pkt(0))); });
   sim.run();
   ASSERT_EQ(sink.arrivals.size(), 1u);
   EXPECT_EQ(sink.arrivals[0].enqueue_time, 4242);
@@ -192,7 +218,7 @@ TEST(Port, MarkedPerQueueCountsByQueue) {
   cfg.marking.threshold_bytes = 1500;
   Port port(sim, &link, cfg);
   sim.schedule_at(0, [&] {
-    for (int i = 0; i < 6; ++i) port.handle(data_pkt(i % 2));
+    for (int i = 0; i < 6; ++i) port.handle(node(data_pkt(i % 2)));
   });
   sim.run();
   const auto& st = port.stats();
@@ -228,12 +254,12 @@ std::vector<std::pair<sim::TimeNs, std::uint64_t>> dequeues_with_arrivals_at_tx_
     return p;
   };
   const auto arrivals = [&] {
-    port.handle(packet(1, 3));  // C
-    port.handle(packet(0, 2));  // B
+    port.handle(node(packet(1, 3)));  // C
+    port.handle(node(packet(0, 2)));  // B
   };
   if (before_wakeup) sim.schedule_at(1200, arrivals);
   sim.schedule_at(0, [&] {
-    port.handle(packet(1, 1));  // A
+    port.handle(node(packet(1, 1)));  // A
     if (!before_wakeup) sim.schedule_at(1200, arrivals);
   });
   sim.run();

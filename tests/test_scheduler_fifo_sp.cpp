@@ -27,9 +27,9 @@ TEST(Fifo, GlobalArrivalOrderAcrossQueues) {
   s.enqueue(2, pkt(1));
   s.enqueue(0, pkt(2));
   s.enqueue(1, pkt(3));
-  EXPECT_EQ(s.dequeue(0)->pkt.id, 1u);
-  EXPECT_EQ(s.dequeue(0)->pkt.id, 2u);
-  EXPECT_EQ(s.dequeue(0)->pkt.id, 3u);
+  EXPECT_EQ(s.dequeue(0)->pkt->pkt.id, 1u);
+  EXPECT_EQ(s.dequeue(0)->pkt->pkt.id, 2u);
+  EXPECT_EQ(s.dequeue(0)->pkt->pkt.id, 3u);
 }
 
 TEST(Fifo, ByteAndPacketAccounting) {
@@ -81,8 +81,8 @@ TEST(Sp, FifoWithinQueue) {
   SpScheduler s(2);
   s.enqueue(0, pkt(1));
   s.enqueue(0, pkt(2));
-  EXPECT_EQ(s.dequeue(0)->pkt.id, 1u);
-  EXPECT_EQ(s.dequeue(0)->pkt.id, 2u);
+  EXPECT_EQ(s.dequeue(0)->pkt->pkt.id, 1u);
+  EXPECT_EQ(s.dequeue(0)->pkt->pkt.id, 2u);
 }
 
 TEST(Sp, NotRoundBased) {

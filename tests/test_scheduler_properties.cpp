@@ -76,10 +76,10 @@ TEST_P(SchedulerProperty, ConservationAndOrder) {
     } else {
       auto out = s->dequeue(step);
       ASSERT_TRUE(out.has_value());  // work conservation
-      got[out->queue].push_back(out->pkt.id);
+      got[out->queue].push_back(out->pkt->pkt.id);
     }
   }
-  while (auto out = s->dequeue(10000)) got[out->queue].push_back(out->pkt.id);
+  while (auto out = s->dequeue(10000)) got[out->queue].push_back(out->pkt->pkt.id);
   // Conservation + FIFO within queue.
   ASSERT_EQ(sent.size(), got.size());
   for (auto& [q, ids] : sent) EXPECT_EQ(got[q], ids) << "queue " << q;

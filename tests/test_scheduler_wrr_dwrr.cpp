@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -168,9 +169,9 @@ TEST(Dwrr, QuantumAccessor) {
 
 namespace {
 
-/// The DWRR selection DwrrScheduler used before it cached the rounded quanta
-/// and stopped wrapping the cursor with a modulo: the reference the current
-/// loop must match decision for decision.
+/// The DWRR selection DwrrScheduler used before it cached the rounded quanta,
+/// stopped wrapping the cursor with a modulo and jumped over idle queues:
+/// the reference the current loop must match decision for decision.
 class ReferenceDwrr final : public Scheduler {
  public:
   explicit ReferenceDwrr(std::vector<double> weights)
@@ -254,7 +255,7 @@ int run_dwrr_differential(const std::vector<double>& weights, std::uint64_t seed
       const auto got = fast.dequeue(now);
       const auto want = ref.dequeue(now);
       EXPECT_EQ(got->queue, want->queue) << "dequeue " << dequeues;
-      EXPECT_EQ(got->pkt.id, want->pkt.id) << "dequeue " << dequeues;
+      EXPECT_EQ(got->pkt->pkt.id, want->pkt->pkt.id) << "dequeue " << dequeues;
       for (std::size_t q = 0; q < n; ++q) {
         EXPECT_EQ(fast.deficit(q), ref.deficit(q))
             << "queue " << q << " after dequeue " << dequeues;
@@ -271,14 +272,75 @@ int run_dwrr_differential(const std::vector<double>& weights, std::uint64_t seed
 
 }  // namespace
 
-// The cached quanta and increment-and-wrap must serve the same queue, leave
-// the same deficits and report the same rounds as the reference, with
-// fractional weights, idle gaps and mixed sizes, on 3, 8 and 65 queues.
+// The cached quanta and the jump to the next backlogged queue must serve the
+// same queue, leave the same deficits and report the same rounds as the
+// reference, with fractional weights, idle gaps and mixed sizes, on 3 and 8
+// queues and on 65, 128 and 255, where the backlog bitmap spans two to four
+// words and a jump crosses word boundaries.
 TEST(Dwrr, MatchesStepByStepReference) {
   EXPECT_GT(run_dwrr_differential({0.3, 1.7, 2.5}, 1), 1000);
   EXPECT_GT(run_dwrr_differential({0.3, 1.7, 2.5}, 2), 1000);
   EXPECT_GT(run_dwrr_differential({1.0, 0.5, 0.25, 2.0, 1.0, 0.3, 4.0, 1.5}, 3), 1000);
-  std::vector<double> wide(65);
-  for (std::size_t q = 0; q < wide.size(); ++q) wide[q] = 0.3 + 0.2 * (q % 7);
-  EXPECT_GT(run_dwrr_differential(wide, 5), 1000);
+  std::uint64_t seed = 5;
+  for (const std::size_t n : {65, 128, 255}) {
+    SCOPED_TRACE(n);
+    std::vector<double> wide(n);
+    for (std::size_t q = 0; q < wide.size(); ++q) wide[q] = 0.3 + 0.2 * (q % 7);
+    EXPECT_GT(run_dwrr_differential(wide, seed++), 1000);
+  }
+}
+
+// A weight so small that a 1,500-byte head needs far more visits than the
+// spin bound allows: once the other queues drain, both schedulers give up
+// with the spin-bound logic_error at the same dequeue, having made the same
+// decisions and reported the same rounds up to it.
+TEST(Dwrr, SpinBoundThrowsAtTheSameDequeueAsTheReference) {
+  for (const std::size_t n : {3, 70}) {
+    SCOPED_TRACE(n);
+    std::vector<double> weights(n, 1.0);
+    weights[1] = 0.002;  // quantum 3 B: 500 visits per packet
+    DwrrScheduler fast(n, weights);
+    ReferenceDwrr ref(weights);
+    std::vector<sim::TimeNs> fast_rounds;
+    std::vector<sim::TimeNs> ref_rounds;
+    fast.set_round_observer([&](sim::TimeNs t) { fast_rounds.push_back(t); });
+    ref.set_round_observer([&](sim::TimeNs t) { ref_rounds.push_back(t); });
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      Packet p = pkt(1500);
+      p.id = i;
+      fast.enqueue(1, p);
+      ref.enqueue(1, p);
+    }
+    for (std::uint64_t i = 0; i < 40; ++i) {
+      Packet p = pkt(200 + 100 * (i % 5));
+      p.id = 100 + i;
+      fast.enqueue(i % 2 == 0 ? 0 : n - 1, p);
+      ref.enqueue(i % 2 == 0 ? 0 : n - 1, p);
+    }
+    int fast_throw = -1;
+    int ref_throw = -1;
+    for (int d = 0; d < 60 && fast_throw < 0 && ref_throw < 0; ++d) {
+      const sim::TimeNs now = 100 * (d + 1);
+      std::optional<Dequeued> got;
+      std::optional<Dequeued> want;
+      try {
+        got = fast.dequeue(now);
+      } catch (const std::logic_error&) {
+        fast_throw = d;
+      }
+      try {
+        want = ref.dequeue(now);
+      } catch (const std::logic_error&) {
+        ref_throw = d;
+      }
+      if (got && want) {
+        EXPECT_EQ(got->queue, want->queue) << "dequeue " << d;
+        EXPECT_EQ(got->pkt->pkt.id, want->pkt->pkt.id) << "dequeue " << d;
+        EXPECT_EQ(fast.deficit(1), ref.deficit(1)) << "dequeue " << d;
+      }
+      EXPECT_EQ(fast_rounds, ref_rounds) << "dequeue " << d;
+    }
+    EXPECT_EQ(fast_throw, ref_throw);
+    EXPECT_GE(fast_throw, 40);  // the other queues' 40 packets went first
+  }
 }

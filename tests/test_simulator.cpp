@@ -856,8 +856,9 @@ TEST(QueueBackendEquivalence, ParseAndNameRoundTrip) {
 
 // Calendar cold paths. Each script runs on both backends and must dispatch
 // the same (time, tag) sequence with the same kernel counters; the heap is
-// the oracle. The ring holds 256 ns buckets of 16 entries over a 16.4 us
-// window (calendar_queue.hpp); the scripts reach past each of those edges.
+// the oracle. The ring holds 128 buckets of 128 ns, 16 entries each, over a
+// 16.4 us window, with a two-word bitmap of occupied buckets
+// (calendar_queue.hpp); the scripts reach past each of those edges.
 namespace {
 
 /// Runs `script(sim, fire)` on `backend`, where fire(tag) is a callback that
@@ -954,6 +955,39 @@ TEST(CalendarQueueColdPaths, TieStormLargerThanABucket) {
   ASSERT_EQ(tr.dispatched.size(), 131u);
   EXPECT_EQ(tr.dispatched[50], (std::pair<TimeNs, int>{2000, 1000}));
   EXPECT_EQ(tr.dispatched[51], (std::pair<TimeNs, int>{2000, 50}));
+}
+
+// Bursts of 20 entries into each of three neighbouring buckets, inserted
+// out of order: each bucket's 16 slots fill and the rest of the burst falls
+// to the heap, where it must interleave with the runs by (time, seq).
+TEST(CalendarQueueColdPaths, BurstLargerThanABucket) {
+  const KernelTrace tr = expect_backends_agree([](Simulator& sim, auto fire) {
+    for (int i = 0; i < 60; ++i) sim.schedule_at(4096 + (i * 53) % 384, fire(i));
+    sim.schedule_at(4096 + 128, fire(100));  // the middle bucket's first ns
+  });
+  ASSERT_EQ(tr.dispatched.size(), 61u);
+  for (std::size_t i = 1; i < tr.dispatched.size(); ++i) {
+    EXPECT_LE(tr.dispatched[i - 1].first, tr.dispatched[i].first);
+  }
+}
+
+// The window starts in the bitmap's second word (ring index 100), and the
+// next occupied bucket wraps into the first word (index 12), while a later
+// bucket lies in the second word below the start (index 72): the scan must
+// take the start word's upper bits, then the first word, and the start
+// word's lower bits last.
+TEST(CalendarQueueColdPaths, ScanWrapsFromTheSecondBitmapWordIntoTheFirst) {
+  const KernelTrace tr = expect_backends_agree([](Simulator& sim, auto fire) {
+    sim.schedule_at(100 * 128, [&sim, fire] {  // bucket 100, index 100
+      fire(0)();
+      sim.schedule_at(200 * 128 + 3, fire(4));  // bucket 200, index 72
+      sim.schedule_at(140 * 128 + 5, fire(3));  // bucket 140, index 12
+      sim.schedule_at(110 * 128 + 1, fire(2));  // bucket 110, index 110
+      sim.schedule_at(100 * 128 + 50, fire(1));  // the start bucket
+      sim.schedule_at(228 * 128, fire(5));  // one past the window: heap
+    });
+  });
+  EXPECT_EQ(tags_of(tr), (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 // Every power of two from 1 ns to 2^40 ns: whatever the ring's geometry,
