@@ -113,13 +113,23 @@ void Fabric::release_flow(std::size_t idx) {
 
 void Fabric::queue_next_start() {
   if (starts_.empty() || starts_.front().queued) return;
-  // A start added ahead of an already queued head is queued as well; the
-  // heap keeps both, and each start event runs the heap's top, which is
-  // always its own entry because the queue dispatches in the same order.
+  // A start added ahead of an already queued head is queued as well, on an
+  // idle timer or a new one; the heap keeps both, and each start event runs
+  // the heap's top, which is always its own entry because the queue
+  // dispatches in the same order. A firing timer is idle, so the start it
+  // runs queues the next one on it.
   PendingStart& head = starts_.front();
   head.queued = true;
-  sim_.schedule_reserved(head.time, head.seq,
-                         [this, seq = head.seq] { run_next_start(seq); });
+  StartTimer* idle = nullptr;
+  for (StartTimer& t : start_timers_) {
+    if (!t.timer.armed()) {
+      idle = &t;
+      break;
+    }
+  }
+  if (idle == nullptr) idle = &start_timers_.emplace_back(*this);
+  idle->seq = head.seq;
+  idle->timer.arm(head.time, head.seq);
 }
 
 void Fabric::run_next_start(std::uint64_t seq) {

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -248,8 +249,9 @@ class Fabric : private net::FlowDemux {
   /// Starts held-back flow `idx` now, behind everything already scheduled
   /// for now. Call queue_next_start() after the last release.
   void release_flow(std::size_t idx);
-  /// Queues the earliest pending start if it is not queued yet. Only that
-  /// head waits in the event queue; each start queues the next.
+  /// Queues the earliest pending start on a start timer if it is not queued
+  /// yet. Only that head waits in the event queue (and any start added ahead
+  /// of it since); each start queues the next.
   void queue_next_start();
   /// Called after flow `idx` completes, once the fabric has recorded its
   /// outcome, from within the event that delivered its last ACK.
@@ -280,6 +282,19 @@ class Fabric : private net::FlowDemux {
     std::uint32_t idx;
     bool queued;
   };
+  /// One queued start event. It runs the start list's top, the start it was
+  /// armed for (`seq`). A second one is made only when a start is added
+  /// ahead of a queued one; idle ones are reused.
+  struct StartTimer {
+    explicit StartTimer(Fabric& f) : timer(f.sim_, &StartTimer::fire, this), fabric(f) {}
+    static void fire(void* self) {
+      auto* t = static_cast<StartTimer*>(self);
+      t->fabric.run_next_start(t->seq);
+    }
+    sim::Timer timer;
+    Fabric& fabric;
+    std::uint64_t seq = 0;
+  };
   /// A done, unpinned flow whose endpoints are not freed yet, and the
   /// instant its sender's last own timer runs.
   struct IdleFlow {
@@ -301,6 +316,7 @@ class Fabric : private net::FlowDemux {
   std::vector<FlowSlot> slots_;
   std::vector<transport::DctcpConfig> configs_;  ///< distinct per-flow configs
   std::vector<PendingStart> starts_;  ///< min-heap on (time, seq)
+  std::deque<StartTimer> start_timers_;  ///< stable addresses: each is its timer's ctx
   std::vector<std::uint32_t> live_;  ///< running flows, ascending
   std::vector<IdleFlow> idle_;       ///< min-heap on quiet_at
   std::vector<IdleFlow> not_yet_;    ///< free_idle_flows' scratch

@@ -9,22 +9,29 @@
 // and propagated.
 //
 // Kernel cost per packet hop is one delivery event, plus one transmit-done
-// wake-up only when a packet is waiting for it:
+// wake-up only when a packet is waiting for it. Both are sim::Timers the
+// link owns, not pool closures: arming one queues a 16-byte entry and
+// dispatch calls the link back directly.
 //  - At transmit the link reserves the wake-up's insertion sequence number
-//    (Simulator::reserve_seq) and queues the wake-up only if the source still
+//    (Simulator::reserve_seq) and arms the wake-up only if the source still
 //    has a packet. A kick that arrives while the reserved position is still
-//    ahead of dispatch (Simulator::current_before) queues it then; a later
+//    ahead of dispatch (Simulator::current_before) arms it then; a later
 //    kick finds the link idle and transmits at once — the state an eagerly
 //    queued wake-up that found nothing to send would have left. Dispatch
 //    order is therefore exactly that of a loop that always queued the
 //    wake-up.
 //  - A link is FIFO (tx_done only grows, the delay is fixed), so in-flight
-//    packets wait in the link's own PacketFifo, each node holding its
-//    reserved (arrival, seq), and only the head delivery sits in the event
-//    queue.
+//    packets wait in the link's own PacketFifo and only the head's delivery
+//    is armed. Each delivery's (arrival, seq) is reserved at transmit and
+//    written into the node ahead of it on the wire (the tail, whose line
+//    the FIFO link touches anyway), or armed at once when the wire was
+//    empty; delivering a packet arms the next delivery from the node just
+//    unlinked, so it never loads the next node.
 //  - The packet's node travels: the source's pull() hands it over, the wire
 //    splices it into its FIFO, and delivery hands it to the receiver. A hop
 //    copies no packet and takes no node (net/packet_store.hpp).
+//  - A link destroyed with packets in flight or a wake-up armed leaves only
+//    tombstones in the event queue, and its nodes go back to the store.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +61,12 @@ class Link {
  public:
   Link(sim::Simulator& simulator, sim::RateBps rate, TimeNs propagation_delay,
        Node* destination)
-      : sim_(simulator), rate_(rate), delay_(propagation_delay), dst_(destination) {}
+      : sim_(simulator),
+        rate_(rate),
+        delay_(propagation_delay),
+        dst_(destination),
+        wake_(simulator, &Link::on_wake, this),
+        delivery_(simulator, &Link::on_delivery, this) {}
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -99,9 +111,9 @@ class Link {
   }
 
  private:
+  static void on_wake(void* link) { static_cast<Link*>(link)->send_next(); }
+  static void on_delivery(void* link) { static_cast<Link*>(link)->deliver_head(); }
   void send_next();
-  void queue_wake();
-  void queue_head_delivery();
   void deliver_head();
 
   sim::Simulator& sim_;
@@ -114,9 +126,10 @@ class Link {
   /// Reserved seq of the last transmit's wake-up, due at busy_until_. The
   /// initial (0, 0) is never ahead of dispatch, so a new link is idle.
   std::uint64_t wake_seq_ = 0;
-  bool wake_queued_ = false;
-  /// Packets on the wire, each due at its node's (arrival, seq); the head's
-  /// delivery event is queued.
+  sim::Timer wake_;      ///< armed only while a packet waits for busy_until_
+  sim::Timer delivery_;  ///< armed at the head's (arrival, seq) while in flight
+  /// Packets on the wire; each node but the tail holds its successor's
+  /// (arrival, seq).
   PacketFifo in_flight_;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t packets_sent_ = 0;

@@ -6,7 +6,9 @@
 // packets a hop costs no heap allocation. PacketFifo is an intrusive FIFO
 // over those nodes: Host's NIC queue, every sched::Scheduler queue and
 // net::Link's in-flight list are PacketFifos, and an empty one holds no
-// memory.
+// memory. On a wire each node also carries the due (time, seq) of the node
+// behind it (PacketNode::next_arrival/next_seq), written into the tail when
+// the next packet is transmitted.
 //
 // A packet takes its node once, when Host::send stores it in the NIC queue,
 // and keeps it until it leaves the fabric. The node travels as a
@@ -39,13 +41,15 @@
 
 namespace pmsb::net {
 
-/// One stored packet. `arrival` and `seq` are the wire's: a link stores the
-/// delivery's time and reserved insertion sequence there; queues and devices
-/// leave them.
+/// One stored packet. `next_arrival` and `next_seq` are the wire's: on a
+/// link they hold the delivery time and reserved insertion sequence of the
+/// node behind this one, written when that node is transmitted, so the
+/// link arms the next delivery from the node it just delivered and never
+/// loads the next one. Queues and devices leave them.
 struct PacketNode {
   Packet pkt;
-  TimeNs arrival = 0;
-  std::uint64_t seq = 0;
+  TimeNs next_arrival = 0;
+  std::uint64_t next_seq = 0;
   PacketNode* next = nullptr;  ///< FIFO successor, or the free-list link
 };
 
@@ -134,6 +138,8 @@ class PacketFifo {
   /// The oldest packet. Precondition: !empty().
   [[nodiscard]] const Packet& front() const { return head_->pkt; }
   [[nodiscard]] const PacketNode& front_node() const { return *head_; }
+  /// The newest node. Precondition: !empty().
+  [[nodiscard]] PacketNode& back_node() { return *tail_; }
 
   /// Appends `owned`, taking the node over.
   void push(PacketNodePtr owned) {

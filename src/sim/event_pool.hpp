@@ -1,10 +1,15 @@
 // Per-Simulator slab allocator for event slots.
 //
-// Every scheduled event occupies one generation-tagged slot carved from
-// chunked storage owned by its Simulator: no per-event malloc, stable
-// addresses (chunks never move), and O(1) acquire/release through a LIFO
-// free list. The generation tag is what makes EventId handles safe without
-// the hash sets the old kernel consulted on every operation:
+// Every event scheduled with Simulator::schedule_at occupies one
+// generation-tagged slot carved from chunked storage owned by its
+// Simulator: no per-event malloc, stable addresses (chunks never move), and
+// O(1) acquire/release through a LIFO free list. The pool holds the one-off
+// closures: fault delays and plan toggles, DCQCN, the sampler, DCTCP's RTO
+// and pacing, and the invariant and watchdog ticks. Events a component
+// re-arms at reserved positions (link deliveries and wake-ups, flow starts)
+// are sim::Timers and take no slot. The generation tag is what makes EventId
+// handles safe without the hash sets the old kernel consulted on every
+// operation:
 //
 //  - acquire() stamps the slot with the event's insertion sequence number
 //    (`seq`, globally monotone, never 0 while live);
@@ -12,7 +17,7 @@
 //    (retire() then recycle(), which the kernel splits around an in-place
 //    dispatch).
 //
-// A handle packs (generation, slot); a queue entry packs (time, seq, slot).
+// A handle packs (generation, slot); a queue entry packs (time, seq << 24 | slot).
 // `cancel` validates its handle against the slot's current generation, and
 // the scheduler validates a popped queue entry against the slot's current
 // `seq` — both a single indexed load, no hashing, and both immune to slot
@@ -20,14 +25,18 @@
 //
 // The free list is LIFO and the pool is single-threaded (one per Simulator),
 // so slot assignment — and with it every EventId a run hands out — is fully
-// deterministic.
+// deterministic. A queue entry holds a slot index below 2^23 (event_queue.hpp);
+// acquire() refuses to carve slot 2^23 with std::length_error, in every
+// build.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_callback.hpp"
+#include "sim/event_queue.hpp"
 
 namespace pmsb::sim {
 
@@ -57,6 +66,9 @@ class EventPool {
       idx = free_.back();
       free_.pop_back();
     } else {
+      if (size_ == kTimerBit) {
+        throw std::length_error("sim::EventPool: more than 2^23 events pending");
+      }
       if ((size_ & (kChunkSlots - 1)) == 0) {
         chunks_.push_back(std::make_unique<EventSlot[]>(kChunkSlots));
       }

@@ -3,10 +3,17 @@
 // kernel's deterministic tie order, the 4-ary heap, and the runtime-selection
 // enum (`sched_queue=heap|calendar`).
 //
-// A QueueEntry is 24 bytes — timestamp, insertion sequence, and the index of
-// the event's pool slot — so heap sifts move three words instead of the old
-// 48+-byte Event carrying a std::function. The callback itself never moves
-// after scheduling; it lives in the slot until dispatch.
+// A QueueEntry is 16 bytes: the timestamp, and one key word packing the
+// insertion sequence above a 24-bit handle (`seq << 24 | handle`). The
+// handle names where the event's callback lives: a pool slot, or, with
+// kTimerBit set, a kernel timer (simulator.hpp). Heap sifts and bucket
+// inserts move two words, and a 4-ary heap node's four children are 64
+// bytes, one cache line's worth. The callback itself never moves.
+//
+// Comparing (time, key) is comparing (time, seq): every seq is handed out
+// once, so two entries never share one, and the handle bits below it never
+// decide. pack_key() refuses a seq or handle that would not fit, in every
+// build, so a run can never wrap into a misordered key.
 //
 // Both backends order entries identically (strict total order on (time, seq))
 // and both discard a cancelled entry at exactly the moment it would have
@@ -42,26 +49,55 @@ inline const char* queue_backend_name(QueueBackend backend) {
   return backend == QueueBackend::kHeap ? "heap" : "calendar";
 }
 
-/// One scheduled event as the queue sees it. The callback stays in the pool
-/// slot; only this 24-byte record moves through the queue.
+/// Bits of a queue key below the insertion sequence.
+inline constexpr int kHandleBits = 24;
+/// Largest insertion sequence a key holds: 2^40 - 1.
+inline constexpr std::uint64_t kMaxSeq = (std::uint64_t{1} << (64 - kHandleBits)) - 1;
+/// Largest handle a key holds: 2^24 - 1.
+inline constexpr std::uint32_t kMaxHandle = (std::uint32_t{1} << kHandleBits) - 1;
+/// The handle bit that marks a kernel timer; below it, the slot or timer
+/// index, so each kind has 2^23 of them.
+inline constexpr std::uint32_t kTimerBit = std::uint32_t{1} << (kHandleBits - 1);
+
+/// Packs (seq, handle) into a queue key. Throws std::length_error, in every
+/// build, when either is past what a key holds.
+inline std::uint64_t pack_key(std::uint64_t seq, std::uint32_t handle) {
+  if (seq > kMaxSeq) {
+    throw std::length_error("sim::QueueEntry: insertion sequence past 2^40 - 1");
+  }
+  if (handle > kMaxHandle) {
+    throw std::length_error("sim::QueueEntry: event handle past 2^24 - 1");
+  }
+  return seq << kHandleBits | handle;
+}
+
+/// One scheduled event as the queue sees it. The callback stays in its pool
+/// slot or timer; only this 16-byte record moves through the queue.
 struct QueueEntry {
   TimeNs time = 0;
-  std::uint64_t seq = 0;   ///< insertion sequence — the deterministic tie-break
-  std::uint32_t slot = 0;  ///< pool slot holding the callback
+  std::uint64_t key = 0;  ///< pack_key(seq, handle)
+
+  /// Insertion sequence: the deterministic tie-break.
+  [[nodiscard]] std::uint64_t seq() const { return key >> kHandleBits; }
+  /// Pool slot index, or kTimerBit | timer index.
+  [[nodiscard]] std::uint32_t handle() const {
+    return static_cast<std::uint32_t>(key) & kMaxHandle;
+  }
 };
+static_assert(sizeof(QueueEntry) == 16, "four heap children per cache line's worth");
 
 /// The dispatch order on (time, seq): earliest first, FIFO among equal
 /// timestamps.
 inline bool earlier(const QueueEntry& a, const QueueEntry& b) {
   if (a.time != b.time) return a.time < b.time;
-  return a.seq < b.seq;
+  return a.key < b.key;
 }
 
 /// The heap backend, and the calendar's store for everything its ring does
 /// not hold: a flat 4-ary min-heap. 4-ary over binary because sifts on a
 /// deep queue are cache-miss bound: half the levels, and a node's four
-/// children sit in ~one cache line (4 x 24 bytes), so a sift-down touches
-/// roughly half the lines a binary heap does. Pop order is identical to any
+/// children are one cache line's worth (4 x 16 bytes), so a sift-down
+/// touches roughly half the lines a binary heap does. Pop order is identical to any
 /// correct priority queue — (time, seq) is a total order, so the structure
 /// of the heap can't show through.
 class HeapEventQueue {

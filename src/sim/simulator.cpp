@@ -43,9 +43,9 @@ bool Simulator::step(TimeNs until) {
       settle_at(now_);
       return false;
     }
-    if (pool_.slot(top->slot).seq != top->seq) {
-      // Tombstone: the event was cancelled (or its slot reused after a
-      // purge race — impossible here, but the check subsumes it). Discard.
+    if (!is_live(*top)) {
+      // Tombstone: the event was cancelled, or its timer destroyed (and its
+      // table slot perhaps taken by a new one since). Discard.
       queue_.pop();
       assert(stale_entries_ > 0);
       --stale_entries_;
@@ -56,20 +56,37 @@ bool Simulator::step(TimeNs until) {
       return false;
     }
     const QueueEntry e = queue_.pop();
+    const std::uint32_t handle = e.handle();
+    assert(live_events_ > 0);
+    --live_events_;
+    const TimeNs delta = e.time - now_;
+    now_ = e.time;
+    dispatch_seq_ = e.seq();
+    ++executed_events_;
+    if ((handle & kTimerBit) != 0) {
+      // Idle before the call, so the callback may arm it again. Copied out:
+      // the callback may add timers and move the table.
+      TimerRecord& rec = timers_[handle & ~kTimerBit];
+      rec.seq = 0;
+      const auto fn = rec.fn;
+      void* const ctx = rec.ctx;
+      if (hook_ != nullptr) {
+        hook_->begin_dispatch(now_, delta);
+        EndDispatchGuard guard{hook_};
+        fn(ctx);
+        return true;
+      }
+      fn(ctx);
+      return true;
+    }
     // Run the callback where it lies. Retiring the slot first makes a cancel
     // of this event's own handle a no-op, and the slot stays off the free
     // list until the guard recycles it, so a re-entrant schedule can never
     // be handed it. Chunks never move, so `fn` stays valid while the
     // callback schedules.
-    pool_.retire(e.slot);
-    const RecycleGuard recycle{pool_, e.slot};
-    EventCallback& fn = pool_.slot(e.slot).fn;
-    assert(live_events_ > 0);
-    --live_events_;
-    const TimeNs delta = e.time - now_;
-    now_ = e.time;
-    dispatch_seq_ = e.seq;
-    ++executed_events_;
+    pool_.retire(handle);
+    const RecycleGuard recycle{pool_, handle};
+    EventCallback& fn = pool_.slot(handle).fn;
     if (hook_ != nullptr) {
       hook_->begin_dispatch(now_, delta);
       EndDispatchGuard guard{hook_};
@@ -98,12 +115,36 @@ void Simulator::run(TimeNs until) {
 void Simulator::maybe_compact() {
   const std::size_t depth = queue_depth();
   if (depth < kCompactMinDepth || stale_entries_ * 2 <= depth) return;
-  const auto keep = [this](const QueueEntry& e) {
-    return pool_.slot(e.slot).seq == e.seq;
-  };
-  queue_.compact(keep);
+  queue_.compact([this](const QueueEntry& e) { return is_live(e); });
   stale_entries_ = 0;
   ++queue_compactions_;
+}
+
+std::uint32_t Simulator::add_timer(void (*fn)(void*), void* ctx) {
+  std::uint32_t index;
+  if (!free_timers_.empty()) {
+    index = free_timers_.back();
+    free_timers_.pop_back();
+  } else {
+    if (timers_.size() == kTimerBit) {
+      throw std::length_error("sim::Timer: more than 2^23 timers in one Simulator");
+    }
+    index = static_cast<std::uint32_t>(timers_.size());
+    timers_.emplace_back();
+    // Room for every slot on the free list, so drop_timer(), called from a
+    // destructor, never allocates.
+    free_timers_.reserve(timers_.capacity());
+  }
+  timers_[index] = TimerRecord{0, fn, ctx};
+  return index;
+}
+
+void Simulator::drop_timer(std::uint32_t index) {
+  TimerRecord& rec = timers_[index];
+  const bool armed = rec.seq != 0;
+  rec = TimerRecord{};
+  free_timers_.push_back(index);
+  if (armed) entry_cancelled();
 }
 
 }  // namespace pmsb::sim

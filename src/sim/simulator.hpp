@@ -11,8 +11,9 @@
 //    Simulator EventPool (slab chunks, LIFO free list, no per-event malloc);
 //    the callback type is a 48-byte small-buffer EventCallback, not
 //    std::function (see event_callback.hpp);
-//  - the queue orders 24-byte QueueEntry{time, seq, slot} records, so sifts
-//    and bucket inserts move three words and never touch the closure;
+//  - the queue orders 16-byte QueueEntry{time, seq << 24 | handle} records
+//    (event_queue.hpp), so sifts and bucket inserts move two words and never
+//    touch the closure; the handle is the pool slot or the timer;
 //  - schedule/cancel/fire are O(1) bookkeeping (plus the queue op): handle
 //    validation is a generation compare against the slot, entry validation a
 //    sequence compare;
@@ -21,11 +22,17 @@
 //    even when the callback throws;
 //  - an event that may never be needed can take its place in the order
 //    without being queued: `reserve_seq()` hands out the insertion sequence
-//    now, and `schedule_reserved(t, seq, fn)` queues it later, while
-//    `current_before(t, seq)` still holds (it throws otherwise). The entry
-//    then runs exactly where a `schedule_at` issued at reservation time
-//    would have run. net::Link uses this for its transmit wake-ups and its
-//    one queued delivery;
+//    now, and a sim::Timer armed later with `arm(t, seq)` runs exactly where
+//    a `schedule_at` issued at reservation time would have run, while
+//    `current_before(t, seq)` still holds (arm throws otherwise);
+//  - a Timer is a kernel-owned event for a component that schedules one
+//    thing over and over: a record {seq, fn, ctx} in the Simulator's timer
+//    table, armed by pushing an entry whose handle names it. Dispatch
+//    compares the entry's seq with the record and calls fn(ctx): no pool
+//    slot, no closure to build or destroy, no free list. net::Link's
+//    delivery and transmit wake-up and the fabric's flow starts are timers;
+//    one-off closures (faults, samplers, transport timers, ticks) stay on
+//    schedule_at;
 //  - two queue backends are selectable at construction (`sched_queue=` at
 //    the CLI): the default calendar, a ring of near-future time buckets in
 //    front of a 4-ary heap (calendar_queue.hpp), and the heap alone, kept
@@ -42,6 +49,7 @@
 #include <functional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "sim/calendar_queue.hpp"
 #include "sim/event_callback.hpp"
@@ -108,23 +116,10 @@ class Simulator {
     return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Takes the next insertion sequence number and queues nothing. An event
-  /// later queued with it by schedule_reserved() runs where a schedule_at()
-  /// issued now would have run among same-timestamp events.
+  /// Takes the next insertion sequence number and queues nothing. A Timer
+  /// later armed with it runs where a schedule_at() issued now would have
+  /// run among same-timestamp events.
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
-
-  /// Queues `fn` at time `t` under a sequence number from reserve_seq().
-  /// Throws std::logic_error unless current_before(t, seq): the reserved
-  /// position must not have been passed yet. Each reserved number may be
-  /// used at most once.
-  template <typename F>
-  EventId schedule_reserved(TimeNs t, std::uint64_t seq, F&& fn) {
-    if (!current_before(t, seq)) {
-      throw std::logic_error(
-          "Simulator::schedule_reserved: reserved position already passed");
-    }
-    return enqueue(t, seq, std::forward<F>(fn));
-  }
 
   /// True while (t, seq) is still ahead of the dispatch position. Inside a
   /// callback the position is the running event's (time, seq). Outside a
@@ -156,11 +151,7 @@ class Simulator {
       return;
     }
     pool_.release(idx);
-    --live_events_;
-    ++cancelled_events_;
-    ++stale_entries_;
-    if (hook_ != nullptr) hook_->on_cancel();
-    maybe_compact();
+    entry_cancelled();
   }
 
   /// Runs until the event queue is empty or `until` is reached. Events with
@@ -211,19 +202,61 @@ class Simulator {
   [[nodiscard]] std::uint64_t packet_ids_allocated() const { return last_packet_id_; }
 
  private:
+  friend class Timer;
+
   /// Don't bother purging tombstones out of a tiny queue.
   static constexpr std::size_t kCompactMinDepth = 64;
+
+  /// One kernel timer: the seq of its queued entry (0 while idle, or while
+  /// the table slot is free) and what dispatch calls.
+  struct TimerRecord {
+    std::uint64_t seq = 0;
+    void (*fn)(void*) = nullptr;
+    void* ctx = nullptr;
+  };
 
   template <typename F>
   EventId enqueue(TimeNs t, std::uint64_t seq, F&& fn) {
     const std::uint32_t idx = pool_.acquire(seq, std::forward<F>(fn));
-    queue_.push(QueueEntry{t, seq, idx});
-    ++live_events_;
-    max_heap_depth_ = std::max(max_heap_depth_, queue_depth());
-    if (hook_ != nullptr) hook_->on_schedule();
+    push_entry(t, seq, idx);
     return (static_cast<EventId>(pool_.generation(idx)) << 32) |
            (static_cast<EventId>(idx) + 1);
   }
+
+  /// Queues a live entry for `handle` and does the bookkeeping every
+  /// schedule shares.
+  void push_entry(TimeNs t, std::uint64_t seq, std::uint32_t handle) {
+    queue_.push(QueueEntry{t, pack_key(seq, handle)});
+    ++live_events_;
+    max_heap_depth_ = std::max(max_heap_depth_, queue_depth());
+    if (hook_ != nullptr) hook_->on_schedule();
+  }
+
+  /// True while the entry's pool slot or timer still holds its seq; false
+  /// for a tombstone.
+  [[nodiscard]] bool is_live(const QueueEntry& e) const {
+    const std::uint32_t handle = e.handle();
+    const std::uint64_t holder = (handle & kTimerBit) != 0
+                                     ? timers_[handle & ~kTimerBit].seq
+                                     : pool_.slot(handle).seq;
+    return holder == e.seq();
+  }
+
+  /// Accounts for a live entry turned into a tombstone (cancel, or a Timer
+  /// destroyed while armed).
+  void entry_cancelled() {
+    --live_events_;
+    ++cancelled_events_;
+    ++stale_entries_;
+    if (hook_ != nullptr) hook_->on_cancel();
+    maybe_compact();
+  }
+
+  /// Takes a timer table slot for (fn, ctx); Timer's constructor.
+  std::uint32_t add_timer(void (*fn)(void*), void* ctx);
+  /// Frees a timer table slot, turning its armed entry into a tombstone;
+  /// Timer's destructor.
+  void drop_timer(std::uint32_t index);
 
   /// Moves the dispatch position to (t, +inf): everything up to `t` has run.
   void settle_at(TimeNs t) {
@@ -237,10 +270,12 @@ class Simulator {
   void maybe_compact();
 
   EventPool pool_;
+  std::vector<TimerRecord> timers_;  ///< indexed by timer; see Timer
+  std::vector<std::uint32_t> free_timers_;  ///< free timers_ slots, LIFO
   CalendarQueue queue_;  ///< with its ring off on the heap backend
   const QueueBackend backend_;
   TimeNs now_ = 0;
-  std::uint64_t next_seq_ = 1;  // 0 is the pool's "slot free" sentinel
+  std::uint64_t next_seq_ = 1;  // 0 is the pool's and timers' "idle" sentinel
   /// Sequence half of the dispatch position (its time half is now_); see
   /// current_before().
   std::uint64_t dispatch_seq_ = 0;
@@ -253,6 +288,42 @@ class Simulator {
   std::uint64_t queue_compactions_ = 0;
   DispatchHook* hook_ = nullptr;
   bool stop_requested_ = false;
+};
+
+/// A kernel-owned event that a component arms again and again, each time at
+/// a position reserved with Simulator::reserve_seq(). It holds a slot in the
+/// Simulator's timer table for its lifetime; `fn(ctx)` runs at each
+/// dispatch, with the timer already idle, so the callback may arm it again.
+/// The Simulator must outlive it.
+class Timer {
+ public:
+  Timer(Simulator& sim, void (*fn)(void*), void* ctx)
+      : sim_(sim), index_(sim.add_timer(fn, ctx)) {}
+  /// An armed timer's entry becomes a tombstone, exactly as cancel() would
+  /// leave it.
+  ~Timer() { sim_.drop_timer(index_); }
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// Queues the timer at (t, seq), seq from reserve_seq(), so it runs where
+  /// a schedule_at(t) issued at reservation time would have. Throws
+  /// std::logic_error if the timer is armed, or unless
+  /// sim.current_before(t, seq): the position must not have been passed.
+  void arm(TimeNs t, std::uint64_t seq) {
+    if (armed()) throw std::logic_error("sim::Timer::arm: timer already armed");
+    if (!sim_.current_before(t, seq)) {
+      throw std::logic_error("sim::Timer::arm: reserved position already passed");
+    }
+    sim_.push_entry(t, seq, kTimerBit | index_);
+    sim_.timers_[index_].seq = seq;
+  }
+
+  /// True from arm() until the timer's dispatch begins.
+  [[nodiscard]] bool armed() const { return sim_.timers_[index_].seq != 0; }
+
+ private:
+  Simulator& sim_;
+  std::uint32_t index_;
 };
 
 }  // namespace pmsb::sim

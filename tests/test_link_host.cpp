@@ -2,7 +2,10 @@
 // (NIC FIFO, demux, where a packet takes and gives back its store node).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -291,6 +294,75 @@ TEST(Link, DestroyedWithPacketsInFlightReturnsTheirNodes) {
     EXPECT_EQ(store.live(), before + 8);
   }
   EXPECT_EQ(store.live(), before);
+}
+
+// Each delivery's (arrival, seq) is reserved at transmit and rides on the
+// node ahead of it on the wire. Mixed sizes in flight must still deliver
+// exactly where an event scheduled at transmit would run: after a marker
+// scheduled for the same instant just before the transmit, and before one
+// scheduled just after it.
+TEST(Link, MixedSizesInFlightDeliverAtTheirReservedPositions) {
+  sim::Simulator sim;
+  std::vector<std::pair<sim::TimeNs, std::string>> trace;
+  struct Recorder : Node {
+    Recorder(sim::Simulator& s, std::vector<std::pair<sim::TimeNs, std::string>>& t)
+        : Node("recorder"), sim(s), trace(t) {}
+    void receive(PacketNodePtr node) override {
+      trace.emplace_back(sim.now(), "rx" + std::to_string(node->pkt.id));
+    }
+    sim::Simulator& sim;
+    std::vector<std::pair<sim::TimeNs, std::string>>& trace;
+  } sink(sim, trace);
+  const sim::TimeNs delay = sim::microseconds(2);
+  Link link(sim, sim::gbps(10), delay, &sink);
+  const std::vector<std::uint32_t> sizes = {1500, 40, 9000, 64, 1500, 40};
+  std::vector<std::pair<sim::TimeNs, std::string>> want;
+  std::uint64_t most_in_flight = 0;
+  // Back to back: each transmit at the previous one's tx_done.
+  std::function<void(std::size_t)> send = [&](std::size_t i) {
+    const sim::TimeNs arrival =
+        sim.now() + sim::serialization_delay(sizes[i], link.rate()) + delay;
+    const std::string id = std::to_string(i + 1);
+    sim.schedule_at(arrival, [&, id] { trace.emplace_back(sim.now(), "before" + id); });
+    const sim::TimeNs done = link.transmit(make_node(sizes[i], i + 1));
+    most_in_flight = std::max(most_in_flight, link.packets_in_flight());
+    sim.schedule_at(arrival, [&, id] { trace.emplace_back(sim.now(), "after" + id); });
+    want.insert(want.end(), {{arrival, "before" + id}, {arrival, "rx" + id},
+                             {arrival, "after" + id}});
+    if (i + 1 < sizes.size()) sim.schedule_at(done, [&, i] { send(i + 1); });
+  };
+  sim.schedule_at(0, [&] { send(0); });
+  sim.run();
+  std::stable_sort(want.begin(), want.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  EXPECT_EQ(trace, want);
+  EXPECT_GE(most_in_flight, 3u) << "deliveries armed from the node ahead";
+  EXPECT_EQ(link.packets_delivered(), sizes.size());
+  EXPECT_TRUE(sim.empty());
+}
+
+// A link destroyed with packets on the wire and a wake-up armed leaves only
+// tombstones: nothing pending, and a later run() dispatches none of them.
+TEST(Link, DestroyedWithPacketsInFlightLeavesOnlyTombstones) {
+  sim::Simulator sim;
+  SinkNode sink("sink");
+  {
+    Link up(sim, sim::gbps(10), sim::microseconds(5), &sink);
+    Host host(sim, 0, "h0");
+    host.attach_uplink(&up);
+    for (std::uint64_t id = 1; id <= 6; ++id) host.send(make_packet(1500, id));
+    sim.run(3000);  // two on the wire, one serializing, three in the NIC
+    ASSERT_EQ(up.packets_in_flight(), 3u);
+    EXPECT_EQ(sim.pending_events(), 2u) << "the head's delivery and the wake-up";
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.cancelled_events(), 2u);
+  EXPECT_EQ(sim.queue_depth(), 2u) << "two tombstones, skipped when reached";
+  const std::uint64_t executed = sim.executed_events();
+  sim.run();
+  EXPECT_EQ(sim.executed_events(), executed);
+  EXPECT_EQ(sim.queue_depth(), 0u);
+  EXPECT_TRUE(sink.arrivals.empty());
 }
 
 /// Throws on the first delivery it sees, then records like SinkNode.

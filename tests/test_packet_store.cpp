@@ -78,15 +78,15 @@ TEST(PacketFifo, TakeFrontHandsOverTheNodeUntilItsScopeEnds) {
   const std::size_t before = store.live();
   PacketFifo fifo;
   PacketNodePtr pushed = make_node(7);
-  pushed->arrival = 1234;
-  pushed->seq = 99;
+  pushed->next_arrival = 1234;
+  pushed->next_seq = 99;
   fifo.push(std::move(pushed));
   fifo.push(make_node(8));
   {
     const PacketNodePtr node = fifo.take_front();
     EXPECT_EQ(node->pkt.id, 7u);
-    EXPECT_EQ(node->arrival, 1234);
-    EXPECT_EQ(node->seq, 99u);
+    EXPECT_EQ(node->next_arrival, 1234) << "the wire's fields travel with the node";
+    EXPECT_EQ(node->next_seq, 99u);
     EXPECT_EQ(fifo.size(), 1u);
     EXPECT_EQ(fifo.front().id, 8u);
     EXPECT_EQ(store.live(), before + 2);  // still held by `node`

@@ -83,3 +83,23 @@ TEST(Routing, CandidatesAccessor) {
   rt.add_route(2, 1);
   EXPECT_EQ(rt.candidates(2).size(), 2u);
 }
+
+// The port choice is candidates[flow_hash(src, dst, flow, salt) % n]; a
+// power-of-two count takes it with a mask, every other count with the
+// divide, and both must pick that same port for every flow.
+TEST(Routing, EcmpPicksTheHashModuloTheCandidateCount) {
+  for (const std::size_t n : {2u, 3u, 4u, 5u, 8u}) {
+    RoutingTable rt;
+    // Ports numbered apart from their position, so an index slip shows.
+    for (std::size_t i = 0; i < n; ++i) rt.add_route(6, 100 + 7 * i);
+    const std::vector<std::size_t>& candidates = rt.candidates(6);
+    for (const std::uint64_t salt : {0ull, 0x5eedull, ~0ull}) {
+      for (FlowId flow = 1; flow <= 2000; ++flow) {
+        const HostId src = static_cast<HostId>(flow % 37);
+        const std::size_t want = candidates[flow_hash(src, 6, flow, salt) % n];
+        ASSERT_EQ(rt.select_port(packet_for(src, 6, flow), salt), want)
+            << "n=" << n << " salt=" << salt << " flow=" << flow;
+      }
+    }
+  }
+}

@@ -7,8 +7,10 @@
 #include <array>
 #include <cstdlib>
 #include <deque>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -422,12 +424,24 @@ TEST_P(BackendConformance, OversizedCapturesTakeTheBoxedPath) {
 
 namespace {
 
+/// Timer callbacks for the cases below.
+void set_flag(void* flag) { *static_cast<bool*>(flag) = true; }
+
+struct Recorder {
+  std::vector<int>* out;
+  int value;
+  static void fire(void* self) {
+    const auto* r = static_cast<const Recorder*>(self);
+    r->out->push_back(r->value);
+  }
+};
+
 /// A toy transmit loop over `kDevices` devices in a ring, driven one of two
 /// ways. Eager: every transmit schedules its tx-done wake-up, which may find
 /// nothing to send. Reserved: the wake-up's seq is reserved at transmit and
-/// the wake-up is queued only once a packet waits for it — net::Link's loop.
-/// Everything that does work is recorded; no-op wake-ups record nothing, so
-/// the two traces must be identical.
+/// the device's Timer is armed only once a packet waits for it — net::Link's
+/// loop. Everything that does work is recorded; no-op wake-ups record
+/// nothing, so the two traces must be identical.
 class ToyRing {
  public:
   struct Record {
@@ -438,7 +452,12 @@ class ToyRing {
     bool operator==(const Record&) const = default;
   };
 
-  ToyRing(QueueBackend backend, bool reserved) : sim_(backend), reserved_(reserved) {}
+  ToyRing(QueueBackend backend, bool reserved) : sim_(backend), reserved_(reserved) {
+    for (int d = 0; d < kDevices; ++d) {
+      wake_ctx_[d] = {this, d};
+      wakes_.emplace_back(sim_, &ToyRing::on_wake, &wake_ctx_[d]);
+    }
+  }
 
   std::vector<Record> run(std::uint64_t seed) {
     std::uint64_t rng = seed;
@@ -472,10 +491,18 @@ class ToyRing {
   struct Device {
     std::deque<int> queue;
     bool transmitting = false;  // eager loop
-    bool wake_queued = false;   // reserved loop
     TimeNs busy_until = 0;
     std::uint64_t wake_seq = 0;
   };
+  struct WakeCtx {
+    ToyRing* ring;
+    int device;
+  };
+
+  static void on_wake(void* ctx) {
+    const auto* w = static_cast<const WakeCtx*>(ctx);
+    w->ring->transmit(w->device);
+  }
 
   void arrive(int d, int packet) {
     trace_.push_back({sim_.now(), 'a', d, packet});
@@ -489,9 +516,9 @@ class ToyRing {
       if (!dev.transmitting) transmit(d);
       return;
     }
-    if (dev.wake_queued) return;
+    if (wakes_[d].armed()) return;
     if (sim_.current_before(dev.busy_until, dev.wake_seq)) {
-      queue_wake(d);
+      wakes_[d].arm(dev.busy_until, dev.wake_seq);
       return;
     }
     transmit(d);
@@ -529,21 +556,14 @@ class ToyRing {
       return;
     }
     dev.wake_seq = sim_.reserve_seq();
-    if (!dev.queue.empty()) queue_wake(d);
-  }
-
-  void queue_wake(int d) {
-    Device& dev = devices_[d];
-    dev.wake_queued = true;
-    sim_.schedule_reserved(dev.busy_until, dev.wake_seq, [this, d] {
-      devices_[d].wake_queued = false;
-      transmit(d);
-    });
+    if (!dev.queue.empty()) wakes_[d].arm(dev.busy_until, dev.wake_seq);
   }
 
   Simulator sim_;
   bool reserved_;
   std::array<Device, kDevices> devices_{};
+  std::array<WakeCtx, kDevices> wake_ctx_{};
+  std::deque<Timer> wakes_;  ///< the reserved loop's wake-ups
   std::vector<Record> trace_;
   int noop_wakeups_ = 0;
 };
@@ -576,9 +596,12 @@ TEST_P(BackendConformance, CurrentBeforeAtSetUpIsTheOrigin) {
   EXPECT_TRUE(sim.current_before(0, s));
   EXPECT_EQ(sim.pending_events(), 0u) << "reserving queues nothing";
   bool ran = false;
-  sim.schedule_reserved(0, s, [&] { ran = true; });
+  Timer timer(sim, &set_flag, &ran);
+  timer.arm(0, s);
+  EXPECT_TRUE(timer.armed());
   sim.run();
   EXPECT_TRUE(ran);
+  EXPECT_FALSE(timer.armed());
 }
 
 TEST_P(BackendConformance, CurrentBeforeInsideDispatchIsTheRunningEvent) {
@@ -610,8 +633,12 @@ TEST_P(BackendConformance, CurrentBeforeAfterRunUntilWithEventsPastHorizon) {
   const std::uint64_t fresh = sim.reserve_seq();
   EXPECT_TRUE(sim.current_before(60, fresh));
   std::vector<int> order;
-  sim.schedule_reserved(60, fresh, [&] { order.push_back(60); });
-  sim.schedule_reserved(61, early, [&] { order.push_back(61); });
+  Recorder at60{&order, 60};
+  Recorder at61{&order, 61};
+  Timer t60(sim, &Recorder::fire, &at60);
+  Timer t61(sim, &Recorder::fire, &at61);
+  t60.arm(60, fresh);
+  t61.arm(61, early);
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{60, 61}));
 }
@@ -646,42 +673,131 @@ TEST_P(BackendConformance, CurrentBeforeAfterStopIsTheLastDispatchedEvent) {
   sim.run(100);
   ASSERT_EQ(sim.now(), 10);
   // The stop left the position at 'a', so the slot reserved between 'a'
-  // and 'b' is still ahead and, queued now, runs before 'b'.
+  // and 'b' is still ahead and, armed now, runs before 'b'.
   EXPECT_TRUE(sim.current_before(10, reserved));
-  sim.schedule_reserved(10, reserved, [&] { order.push_back('r'); });
+  Timer timer(sim, [](void* o) { static_cast<std::vector<char>*>(o)->push_back('r'); },
+              &order);
+  timer.arm(10, reserved);
   sim.run();
   EXPECT_EQ(order, (std::vector<char>{'a', 'r', 'b'}));
 }
 
-// schedule_reserved checks its precondition in every build. A passed
-// position queued anyway would run out of (time, seq) order on either
-// backend, and with a past time it would move now() backwards.
+// Timer::arm checks its precondition in every build. A passed position
+// queued anyway would run out of (time, seq) order on either backend, and
+// with a past time it would move now() backwards. An armed timer cannot be
+// armed again: it has one entry.
 TEST_P(BackendConformance, ScheduleReservedRejectsAPassedPosition) {
   Simulator sim(GetParam());
   const std::uint64_t before = sim.reserve_seq();
   std::uint64_t after = 0;
   bool fired = false;
+  Timer timer(sim, &set_flag, &fired);
   sim.schedule_at(10, [&] {
     // Seqs are handed out one by one, so the running event holds before + 1.
     const std::uint64_t running = before + 1;
-    EXPECT_THROW(sim.schedule_reserved(5, after, [] {}), std::logic_error)
-        << "a time in the past";
-    EXPECT_THROW(sim.schedule_reserved(10, before, [] {}), std::logic_error)
+    EXPECT_THROW(timer.arm(5, after), std::logic_error) << "a time in the past";
+    EXPECT_THROW(timer.arm(10, before), std::logic_error)
         << "now() with a seq below the running event's";
-    EXPECT_THROW(sim.schedule_reserved(10, running, [] {}), std::logic_error)
+    EXPECT_THROW(timer.arm(10, running), std::logic_error)
         << "now() with the running event's own seq";
-    EXPECT_EQ(sim.pending_events(), 0u) << "a rejected schedule queues nothing";
-    sim.schedule_reserved(10, after, [&] { fired = true; });
+    EXPECT_EQ(sim.pending_events(), 0u) << "a rejected arm queues nothing";
+    EXPECT_FALSE(timer.armed());
+    timer.arm(10, after);
+    EXPECT_THROW(timer.arm(10, after), std::logic_error) << "armed twice";
+    EXPECT_THROW(timer.arm(20, sim.reserve_seq()), std::logic_error)
+        << "armed twice, at a fresh position";
+    EXPECT_EQ(sim.pending_events(), 1u);
   });
   after = sim.reserve_seq();
   ASSERT_EQ(after, before + 2);
   sim.run(100);
   EXPECT_TRUE(fired);
   // Settled at the horizon, every seq handed out so far has been passed.
-  EXPECT_THROW(sim.schedule_reserved(100, after, [] {}), std::logic_error);
-  EXPECT_THROW(sim.schedule_reserved(99, sim.reserve_seq(), [] {}), std::logic_error);
+  EXPECT_THROW(timer.arm(100, after), std::logic_error);
+  EXPECT_THROW(timer.arm(99, sim.reserve_seq()), std::logic_error);
   EXPECT_TRUE(sim.empty());
   EXPECT_EQ(sim.executed_events(), 2u);
+}
+
+// A timer destroyed while armed leaves its entry behind as a tombstone,
+// exactly as cancel() leaves a closure's: the same pending, cancelled and
+// depth counts, the same compaction point, and run() skips it.
+TEST_P(BackendConformance, ArmedTimerDestroyedLeavesATombstoneLikeCancel) {
+  constexpr int kEvents = 100;
+  // `timers` true: kEvents timers, all destroyed while armed; false: kEvents
+  // closures, all cancelled. They interleave with kEvents / 2 live closures,
+  // so the tombstones come to outnumber the rest and force a purge.
+  const auto run = [&](bool timers) {
+    Simulator sim(GetParam());
+    std::vector<int> order;
+    std::vector<std::unique_ptr<Timer>> doomed;
+    std::vector<EventId> ids;
+    for (int i = 0; i < kEvents; ++i) {
+      if (i % 2 == 0) sim.schedule_at(10 * i, [&order, i] { order.push_back(i); });
+      const TimeNs at = i % 2 == 0 ? 10 * i + 5 : 1'000'000 + i;  // ring and heap
+      if (timers) {
+        doomed.push_back(std::make_unique<Timer>(sim, [](void*) { FAIL(); }, nullptr));
+        doomed.back()->arm(at, sim.reserve_seq());
+      } else {
+        ids.push_back(sim.schedule_at(at, [] { FAIL(); }));
+      }
+    }
+    std::vector<std::size_t> pending;
+    std::vector<std::uint64_t> compactions;
+    for (int i = 0; i < kEvents; ++i) {
+      if (timers) {
+        doomed[i].reset();
+      } else {
+        sim.cancel(ids[i]);
+      }
+      pending.push_back(sim.pending_events());
+      compactions.push_back(sim.queue_compactions());
+    }
+    const std::size_t depth = sim.queue_depth();
+    const std::uint64_t cancelled = sim.cancelled_events();
+    sim.run();
+    return std::make_tuple(order, pending, compactions, depth, cancelled,
+                           sim.executed_events(), sim.max_heap_depth(), sim.empty());
+  };
+  const auto destroyed = run(true);
+  const auto cancelled = run(false);
+  EXPECT_EQ(destroyed, cancelled);
+  EXPECT_EQ(std::get<0>(destroyed).size(), static_cast<std::size_t>(kEvents / 2));
+  EXPECT_EQ(std::get<4>(destroyed), static_cast<std::uint64_t>(kEvents));
+  EXPECT_GT(std::get<2>(destroyed).back(), 0u) << "the destructions reach a compaction";
+  EXPECT_TRUE(std::get<7>(destroyed));
+}
+
+// Arming counts as a schedule and a dispatch is bracketed like a closure's,
+// also when the timer's callback throws; destroying an armed timer counts as
+// a cancel, an idle one as nothing.
+TEST_P(BackendConformance, TimerHookCountsBalance) {
+  Simulator sim(GetParam());
+  CountingHook hook;
+  sim.set_dispatch_hook(&hook);
+  int runs = 0;
+  Timer timer(sim, [](void* n) { ++*static_cast<int*>(n); }, &runs);
+  Timer thrower(sim, [](void*) { throw std::runtime_error("boom"); }, nullptr);
+  timer.arm(10, sim.reserve_seq());
+  thrower.arm(20, sim.reserve_seq());
+  sim.schedule_at(30, [&] { timer.arm(40, sim.reserve_seq()); });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  sim.run();
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(hook.schedules, 4);
+  EXPECT_EQ(hook.begins, 4);
+  EXPECT_EQ(hook.ends, 4) << "end_dispatch must run on the unwind path";
+  {
+    Timer armed(sim, [](void*) {}, nullptr);
+    armed.arm(50, sim.reserve_seq());
+    Timer idle(sim, [](void*) {}, nullptr);
+  }
+  EXPECT_EQ(hook.schedules, 5);
+  EXPECT_EQ(hook.cancels, 1);
+  sim.run();
+  EXPECT_EQ(hook.begins, 4);
+  EXPECT_EQ(sim.executed_events(), 4u);
+  EXPECT_TRUE(sim.empty());
 }
 
 // ===================== in-place dispatch =====================
@@ -757,8 +873,28 @@ struct KernelTrace {
   std::uint64_t compactions = 0;
   std::size_t max_depth = 0;
   TimeNs end_time = 0;
+  int timer_dispatches = 0;
+  int timers_destroyed_armed = 0;
 
   bool operator==(const KernelTrace&) const = default;
+};
+
+/// A Timer whose every dispatch records (now, tag), the tag set at arm().
+struct TaggedTimer {
+  TaggedTimer(Simulator& s, KernelTrace& t) : sim(s), tr(t), timer(s, &fire, this) {}
+  static void fire(void* self) {
+    auto* t = static_cast<TaggedTimer*>(self);
+    t->tr.dispatched.emplace_back(t->sim.now(), t->tag);
+    ++t->tr.timer_dispatches;
+  }
+  void arm(TimeNs at, std::uint64_t seq, int new_tag) {
+    tag = new_tag;
+    timer.arm(at, seq);
+  }
+  Simulator& sim;
+  KernelTrace& tr;
+  int tag = 0;
+  Timer timer;
 };
 
 KernelTrace run_workload(QueueBackend backend) {
@@ -776,6 +912,19 @@ KernelTrace run_workload(QueueBackend backend) {
       tr.dispatched.emplace_back(sim.now(), leaf_tag);
     };
   };
+  // Timers interleaved with the closures: re-armed once idle, some
+  // destroyed while armed (their entries turn to tombstones) and their
+  // table slots reused by new ones.
+  std::vector<std::unique_ptr<TaggedTimer>> timers;
+  const auto idle_timer = [&]() -> TaggedTimer& {
+    for (auto& t : timers) {
+      if (t != nullptr && !t->timer.armed()) return *t;
+    }
+    for (auto& t : timers) {
+      if (t == nullptr) return *(t = std::make_unique<TaggedTimer>(sim, tr));
+    }
+    return *timers.emplace_back(std::make_unique<TaggedTimer>(sim, tr));
+  };
   // Schedule-phase churn: random times (with ties; one in eight far beyond
   // the calendar's ring window), random cancels.
   for (int i = 0; i < 2000; ++i) {
@@ -790,11 +939,20 @@ KernelTrace run_workload(QueueBackend backend) {
         open.push_back(sim.schedule_in(20'000 + next() % 2'000'000, leaf()));
       }
       if (next() % 16 == 0) {
-        // A seq reserved now and queued late at now(): it must run ahead of
+        // A seq reserved now and armed late at now(): it must run ahead of
         // the same-time event scheduled in between.
         const std::uint64_t reserved = sim.reserve_seq();
         open.push_back(sim.schedule_in(0, leaf()));
-        open.push_back(sim.schedule_reserved(sim.now(), reserved, leaf()));
+        idle_timer().arm(sim.now(), reserved, tag++);
+      }
+      if (next() % 8 == 0) {  // a timer a little ahead, sometimes past the ring
+        const TimeNs ahead = next() % 4 == 0 ? 20'000 + next() % 100'000 : next() % 3000;
+        idle_timer().arm(sim.now() + ahead, sim.reserve_seq(), tag++);
+      }
+      if (next() % 32 == 0 && !timers.empty()) {  // destroyed, maybe armed
+        std::unique_ptr<TaggedTimer>& doomed = timers[next() % timers.size()];
+        if (doomed != nullptr && doomed->timer.armed()) ++tr.timers_destroyed_armed;
+        doomed.reset();
       }
       if (next() % 32 == 0) {
         // A burst inside one 64 ns span: more events than a bucket holds.
@@ -812,6 +970,10 @@ KernelTrace run_workload(QueueBackend backend) {
     if (next() % 3 == 0) {
       sim.cancel(open[next() % open.size()]);
     }
+    if (next() % 64 == 0) {  // armed at set-up, far and near
+      idle_timer().arm(next() % 8 == 0 ? 5000 + next() % 50'000'000 : next() % 5000,
+                       sim.reserve_seq(), tag++);
+    }
   }
   sim.run();
   tr.executed = sim.executed_events();
@@ -826,15 +988,17 @@ KernelTrace run_workload(QueueBackend backend) {
 
 // The conformance suite's capstone: a randomized workload of schedules,
 // cancels (live, stale, from inside callbacks), ties, re-entrant and
-// far-future scheduling, late-queued reserved seqs and same-bucket bursts
-// must produce the SAME dispatch sequence, the SAME EventIds, and the SAME
-// kernel counters — including max_heap_depth and compaction count — on both
-// backends. This is the unit-scale version of the pmsbregress
+// far-future scheduling, timers armed late at reserved seqs, re-armed and
+// destroyed while armed, and same-bucket bursts must produce the SAME
+// dispatch sequence, the SAME EventIds, and the SAME kernel counters —
+// including max_heap_depth and compaction count — on both backends. This is the unit-scale version of the pmsbregress
 // digest-equivalence guarantee.
 TEST(QueueBackendEquivalence, RandomizedWorkloadTracesAreBitIdentical) {
   const KernelTrace heap = run_workload(QueueBackend::kHeap);
   const KernelTrace calendar = run_workload(QueueBackend::kCalendar);
   ASSERT_GT(heap.dispatched.size(), 1000u);
+  ASSERT_GT(heap.timer_dispatches, 100);
+  ASSERT_GT(heap.timers_destroyed_armed, 5);
   EXPECT_TRUE(heap == calendar);
   // On mismatch the == line is useless for debugging; spell out the fields.
   EXPECT_EQ(heap.dispatched, calendar.dispatched);
@@ -856,9 +1020,10 @@ TEST(QueueBackendEquivalence, ParseAndNameRoundTrip) {
 
 // Calendar cold paths. Each script runs on both backends and must dispatch
 // the same (time, tag) sequence with the same kernel counters; the heap is
-// the oracle. The ring holds 128 buckets of 128 ns, 16 entries each, over a
-// 16.4 us window, with a two-word bitmap of occupied buckets
-// (calendar_queue.hpp); the scripts reach past each of those edges.
+// the oracle. The ring holds 256 buckets of 64 ns, 12 entries each, over a
+// 16.4 us window, with a four-word bitmap of occupied buckets and another
+// of open (sorted) ones (calendar_queue.hpp); the scripts reach past each of
+// those edges.
 namespace {
 
 /// Runs `script(sim, fire)` on `backend`, where fire(tag) is a callback that
@@ -940,8 +1105,8 @@ TEST(CalendarQueueColdPaths, InsertAfterRunUntilSettlesPastTheLastPop) {
 
 // 100 events at one instant, and 30 more spread over one bucket: far more
 // than a bucket holds, so the runs overflow to the heap, and FIFO order by
-// seq must hold across both parts. A seq reserved in the middle of the
-// storm and queued after it lands in its place.
+// seq must hold across both parts. A timer armed after the storm at a seq
+// reserved in its middle lands in its place.
 TEST(CalendarQueueColdPaths, TieStormLargerThanABucket) {
   const KernelTrace tr = expect_backends_agree([](Simulator& sim, auto fire) {
     std::uint64_t reserved = 0;
@@ -949,21 +1114,25 @@ TEST(CalendarQueueColdPaths, TieStormLargerThanABucket) {
       if (i == 50) reserved = sim.reserve_seq();
       sim.schedule_at(2000, fire(i));
     }
-    sim.schedule_reserved(2000, reserved, fire(1000));
+    auto late = fire(1000);
+    Timer timer(sim, [](void* f) { (*static_cast<decltype(late)*>(f))(); }, &late);
+    timer.arm(2000, reserved);
     for (int i = 0; i < 30; ++i) sim.schedule_at(2048 + (i * 37) % 64, fire(200 + i));
+    sim.run();  // while the timer lives
   });
   ASSERT_EQ(tr.dispatched.size(), 131u);
   EXPECT_EQ(tr.dispatched[50], (std::pair<TimeNs, int>{2000, 1000}));
   EXPECT_EQ(tr.dispatched[51], (std::pair<TimeNs, int>{2000, 50}));
 }
 
-// Bursts of 20 entries into each of three neighbouring buckets, inserted
-// out of order: each bucket's 16 slots fill and the rest of the burst falls
-// to the heap, where it must interleave with the runs by (time, seq).
+// Bursts of 20 entries into each of three neighbouring buckets, appended
+// out of order to closed buckets: each bucket's 12 slots fill and the rest
+// of the burst falls to the heap, where it must interleave with the runs,
+// sorted when each bucket opens, by (time, seq).
 TEST(CalendarQueueColdPaths, BurstLargerThanABucket) {
   const KernelTrace tr = expect_backends_agree([](Simulator& sim, auto fire) {
-    for (int i = 0; i < 60; ++i) sim.schedule_at(4096 + (i * 53) % 384, fire(i));
-    sim.schedule_at(4096 + 128, fire(100));  // the middle bucket's first ns
+    for (int i = 0; i < 60; ++i) sim.schedule_at(4096 + (i * 53) % 192, fire(i));
+    sim.schedule_at(4096 + 64, fire(100));  // the middle bucket's first ns
   });
   ASSERT_EQ(tr.dispatched.size(), 61u);
   for (std::size_t i = 1; i < tr.dispatched.size(); ++i) {
@@ -971,23 +1140,26 @@ TEST(CalendarQueueColdPaths, BurstLargerThanABucket) {
   }
 }
 
-// The window starts in the bitmap's second word (ring index 100), and the
-// next occupied bucket wraps into the first word (index 12), while a later
-// bucket lies in the second word below the start (index 72): the scan must
-// take the start word's upper bits, then the first word, and the start
-// word's lower bits last.
+// The window starts in the bitmap's second word (ring index 100). The
+// occupied buckets after it lie further up that word (110), in the third
+// and fourth words (150, 220), wrapped into the first word (index 14) and
+// in the second word below the start (index 74): the scan must take the
+// start word's upper bits, the words after it, wrap to the first, and take
+// the start word's lower bits last.
 TEST(CalendarQueueColdPaths, ScanWrapsFromTheSecondBitmapWordIntoTheFirst) {
   const KernelTrace tr = expect_backends_agree([](Simulator& sim, auto fire) {
-    sim.schedule_at(100 * 128, [&sim, fire] {  // bucket 100, index 100
+    sim.schedule_at(100 * 64, [&sim, fire] {  // bucket 100, index 100
       fire(0)();
-      sim.schedule_at(200 * 128 + 3, fire(4));  // bucket 200, index 72
-      sim.schedule_at(140 * 128 + 5, fire(3));  // bucket 140, index 12
-      sim.schedule_at(110 * 128 + 1, fire(2));  // bucket 110, index 110
-      sim.schedule_at(100 * 128 + 50, fire(1));  // the start bucket
-      sim.schedule_at(228 * 128, fire(5));  // one past the window: heap
+      sim.schedule_at(330 * 64 + 3, fire(6));  // bucket 330, index 74
+      sim.schedule_at(270 * 64 + 5, fire(5));  // bucket 270, index 14
+      sim.schedule_at(150 * 64 + 2, fire(3));  // bucket 150, index 150
+      sim.schedule_at(110 * 64 + 1, fire(2));  // bucket 110, index 110
+      sim.schedule_at(220 * 64 + 7, fire(4));  // bucket 220, index 220
+      sim.schedule_at(100 * 64 + 50, fire(1));  // the start bucket
+      sim.schedule_at(356 * 64, fire(7));  // one past the window: heap
     });
   });
-  EXPECT_EQ(tags_of(tr), (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(tags_of(tr), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 // Every power of two from 1 ns to 2^40 ns: whatever the ring's geometry,
@@ -1039,4 +1211,144 @@ TEST(CalendarQueueColdPaths, CompactionWithTombstonesInBothParts) {
   });
   EXPECT_EQ(tr.compactions, 1u);
   EXPECT_GT(tr.dispatched.size(), 30u);
+}
+
+// ===================== queue entries =====================
+
+// A key packs seq << 24 | handle. At the largest seq and handle a key holds,
+// (time, key) still orders by (time, seq), the fields read back, and one
+// past either limit is refused by name rather than wrapped.
+TEST(QueueEntryPacking, LimitsKeepTheOrderAndOnePastIsRefused) {
+  const QueueEntry top_seq{7, pack_key(kMaxSeq, 0)};
+  const QueueEntry below{7, pack_key(kMaxSeq - 1, kMaxHandle)};
+  const QueueEntry timer{7, pack_key(1, kTimerBit | (kTimerBit - 1))};
+  EXPECT_EQ(kMaxSeq, (std::uint64_t{1} << 40) - 1);
+  EXPECT_EQ(kMaxHandle, (std::uint32_t{1} << 24) - 1);
+  EXPECT_EQ(top_seq.seq(), kMaxSeq);
+  EXPECT_EQ(top_seq.handle(), 0u);
+  EXPECT_EQ(below.seq(), kMaxSeq - 1);
+  EXPECT_EQ(below.handle(), kMaxHandle);
+  EXPECT_EQ(timer.seq(), 1u);
+  EXPECT_EQ(timer.handle(), kMaxHandle);
+  EXPECT_TRUE(earlier(below, top_seq)) << "a full handle never lifts a seq";
+  EXPECT_TRUE(earlier(timer, below));
+  EXPECT_TRUE(earlier(QueueEntry{6, pack_key(kMaxSeq, kMaxHandle)}, timer))
+      << "time decides first";
+  try {
+    (void)pack_key(kMaxSeq + 1, 0);
+    ADD_FAILURE() << "seq 2^40 packed";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("insertion sequence"), std::string::npos);
+  }
+  try {
+    (void)pack_key(1, kMaxHandle + 1);
+    ADD_FAILURE() << "handle 2^24 packed";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("handle"), std::string::npos);
+  }
+}
+
+// ===================== open and closed buckets =====================
+// CalendarQueue driven directly, against the heap alone (a CalendarQueue
+// with its ring off) as the oracle.
+
+namespace {
+
+QueueEntry entry(TimeNs time, std::uint64_t seq) { return {time, pack_key(seq, 0)}; }
+
+/// Pushes `entries` into both queues.
+void push_both(CalendarQueue& ring, CalendarQueue& heap,
+               const std::vector<QueueEntry>& entries) {
+  for (const QueueEntry& e : entries) {
+    ring.push(e);
+    heap.push(e);
+  }
+}
+
+/// Pops `n` entries from both (every one if n is 0) and expects the same
+/// sequence, sorted by (time, seq); returns it as (time, seq) pairs.
+std::vector<std::pair<TimeNs, std::uint64_t>> pop_both(CalendarQueue& ring,
+                                                       CalendarQueue& heap,
+                                                       std::size_t n = 0) {
+  std::vector<std::pair<TimeNs, std::uint64_t>> out;
+  while ((n == 0 || out.size() < n) && ring.peek() != nullptr) {
+    EXPECT_NE(heap.peek(), nullptr);
+    const QueueEntry a = ring.pop();
+    const QueueEntry b = heap.pop();
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(a.key, b.key);
+    if (!out.empty()) {
+      EXPECT_LT(out.back(), std::make_pair(a.time, a.seq()));
+    }
+    out.emplace_back(a.time, a.seq());
+  }
+  if (n == 0) {
+    EXPECT_EQ(heap.peek(), nullptr);
+  }
+  EXPECT_EQ(ring.size(), heap.size());
+  return out;
+}
+
+}  // namespace
+
+// Pushes into a bucket no peek has reached append in arrival order; the
+// first peek that finds the bucket in front sorts it.
+TEST(CalendarBuckets, OutOfOrderAppendsIntoAClosedBucketComeOutSorted) {
+  CalendarQueue ring(true), heap(false);
+  // One 64 ns bucket, times and seqs scrambled, two entries tied in time.
+  push_both(ring, heap, {entry(140, 5), entry(129, 9), entry(190, 1), entry(140, 2),
+                         entry(128, 7), entry(170, 3)});
+  EXPECT_EQ(pop_both(ring, heap),
+            (std::vector<std::pair<TimeNs, std::uint64_t>>{
+                {128, 7}, {129, 9}, {140, 2}, {140, 5}, {170, 3}, {190, 1}}));
+}
+
+// Once the front bucket is open, a push keeps it sorted, including one that
+// lands ahead of entries already there (a reserved seq armed late).
+TEST(CalendarBuckets, OutOfOrderPushIntoTheOpenFrontBucketStaysSorted) {
+  CalendarQueue ring(true), heap(false);
+  push_both(ring, heap, {entry(300, 10), entry(260, 11), entry(300, 12)});
+  const auto first = pop_both(ring, heap, 1);  // opens the bucket, pops 260
+  EXPECT_EQ(first.front(), std::make_pair(TimeNs{260}, std::uint64_t{11}));
+  push_both(ring, heap, {entry(300, 4), entry(280, 13), entry(310, 14), entry(300, 8)});
+  EXPECT_EQ(pop_both(ring, heap),
+            (std::vector<std::pair<TimeNs, std::uint64_t>>{
+                {280, 13}, {300, 4}, {300, 8}, {300, 10}, {300, 12}, {310, 14}}));
+}
+
+// A bucket ahead of an open one stays closed while it is filled, and the
+// next peek opens it first: its entries come out before the open bucket's.
+TEST(CalendarBuckets, EntryLandsInAnEarlierBucketAfterALaterOneOpened) {
+  CalendarQueue ring(true), heap(false);
+  push_both(ring, heap, {entry(1000, 1), entry(1010, 2)});
+  ASSERT_EQ(ring.peek()->time, 1000);  // opens bucket 15
+  push_both(ring, heap, {entry(700, 5), entry(650, 4), entry(1001, 6), entry(690, 3)});
+  EXPECT_EQ(pop_both(ring, heap),
+            (std::vector<std::pair<TimeNs, std::uint64_t>>{
+                {650, 4}, {690, 3}, {700, 5}, {1000, 1}, {1001, 6}, {1010, 2}}));
+}
+
+// A purge keeps each run's order: a closed bucket still sorts on opening,
+// and an open one, half drained, stays sorted for the pushes after it.
+TEST(CalendarBuckets, CompactionKeepsEachRunsOrder) {
+  CalendarQueue ring(true), heap(false);
+  // Bucket 4 (256-319 ns) open and half drained; bucket 10 (640-703) closed.
+  push_both(ring, heap, {entry(300, 1), entry(260, 2), entry(280, 3), entry(270, 4)});
+  push_both(ring, heap, {entry(690, 5), entry(650, 6), entry(700, 7), entry(640, 8),
+                         entry(660, 9)});
+  pop_both(ring, heap, 2);  // 260 and 270
+  const auto keep = [](const QueueEntry& e) { return e.seq() % 2 == 1 || e.seq() == 8; };
+  ring.compact(keep);
+  heap.compact(keep);
+  EXPECT_EQ(ring.size(), 6u);
+  push_both(ring, heap, {entry(290, 10), entry(680, 11)});
+  EXPECT_EQ(pop_both(ring, heap),
+            (std::vector<std::pair<TimeNs, std::uint64_t>>{{280, 3},
+                                                           {290, 10},
+                                                           {300, 1},
+                                                           {640, 8},
+                                                           {660, 9},
+                                                           {680, 11},
+                                                           {690, 5},
+                                                           {700, 7}}));
 }
