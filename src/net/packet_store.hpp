@@ -137,7 +137,6 @@ class PacketFifo {
   [[nodiscard]] std::size_t size() const { return size_; }
   /// The oldest packet. Precondition: !empty().
   [[nodiscard]] const Packet& front() const { return head_->pkt; }
-  [[nodiscard]] const PacketNode& front_node() const { return *head_; }
   /// The newest node. Precondition: !empty().
   [[nodiscard]] PacketNode& back_node() { return *tail_; }
 

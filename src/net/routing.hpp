@@ -44,12 +44,8 @@ class RoutingTable {
                               std::to_string(pkt.dst));
     }
     const auto& candidates = routes_[pkt.dst];
-    const std::size_t n = candidates.size();
-    if (n == 1) return candidates[0];
-    const std::uint64_t h = flow_hash(pkt.src, pkt.dst, pkt.flow_id, salt);
-    // For a power of two, h & (n - 1) is h % n without a 64-bit divide; a
-    // leaf-spine leaf picks among its 4 uplinks for every packet.
-    return candidates[(n & (n - 1)) == 0 ? h & (n - 1) : h % n];
+    if (candidates.size() == 1) return candidates[0];
+    return candidates[flow_hash(pkt.src, pkt.dst, pkt.flow_id, salt) % candidates.size()];
   }
 
   [[nodiscard]] bool has_route(HostId dst) const {

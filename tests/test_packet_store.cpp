@@ -102,15 +102,15 @@ TEST(PacketFifo, NodesMoveBetweenFifosWithoutNewNodes) {
   PacketFifo a;
   PacketFifo b;
   for (std::uint64_t i = 0; i < 6; ++i) a.push(make_node(i));
-  std::vector<const PacketNode*> moved;
+  std::vector<const Packet*> moved;
   for (int i = 0; i < 3; ++i) {
-    moved.push_back(&a.front_node());
+    moved.push_back(&a.front());
     b.push(a.take_front());
   }
   EXPECT_EQ(store.live(), before + 6);
   ASSERT_EQ(b.size(), 3u);
   for (std::uint64_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(&b.front_node(), moved[i]);
+    EXPECT_EQ(&b.front(), moved[i]);
     EXPECT_EQ(b.take_front()->pkt.id, i);
   }
   EXPECT_TRUE(b.empty());

@@ -84,9 +84,9 @@ TEST(Routing, CandidatesAccessor) {
   EXPECT_EQ(rt.candidates(2).size(), 2u);
 }
 
-// The port choice is candidates[flow_hash(src, dst, flow, salt) % n]; a
-// power-of-two count takes it with a mask, every other count with the
-// divide, and both must pick that same port for every flow.
+// The port choice is exactly candidates[flow_hash(src, dst, flow, salt) % n]
+// for every flow, whether or not n is a power of two; the spread tests above
+// would pass for any balanced choice.
 TEST(Routing, EcmpPicksTheHashModuloTheCandidateCount) {
   for (const std::size_t n : {2u, 3u, 4u, 5u, 8u}) {
     RoutingTable rt;
