@@ -1,5 +1,5 @@
 // Microbenchmarks for the two substrate paths perf/probe.cpp does not cover:
-// timer churn (schedule, then cancel most timers before they fire) on both
+// timer churn (arm, then destroy most timers before they fire) on both
 // event-queue backends, and the per-packet buffer-admission decision of each
 // shared-buffer policy. The kernel hold model, scheduler and per-scheme
 // marking costs are pmsb_probe's `sim.*`, `sched` and `ecn.<scheme>` rows
@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,18 +45,22 @@ void time_bench(stats::Table& table, const std::string& name, std::uint64_t ops,
 }
 
 void timer_churn(sim::QueueBackend backend, std::int64_t batch) {
-  // The retransmission-timer pattern: most timers are cancelled before they
-  // fire. Exercises the O(1) generation-validated cancel and the tombstone
-  // compactor (g_sink folds in queue_compactions so it can't be elided).
+  // The retransmission-timer pattern: most timers are called off before they
+  // fire. Arms `batch` sim::Timers, destroys 3 of every 4 while armed, and
+  // runs the rest: exercises the timer table, the tombstones destruction
+  // leaves and their compactor (g_sink folds in queue_compactions so it
+  // can't be elided).
   sim::Simulator sim(backend);
-  std::vector<sim::EventId> ids;
-  ids.reserve(static_cast<std::size_t>(batch));
   std::int64_t fired = 0;
+  std::vector<std::unique_ptr<sim::Timer>> timers;
+  timers.reserve(static_cast<std::size_t>(batch));
   for (std::int64_t i = 0; i < batch; ++i) {
-    ids.push_back(sim.schedule_at((i * 7919) % 100000, [&fired] { ++fired; }));
+    timers.push_back(std::make_unique<sim::Timer>(
+        sim, [](void* n) { ++*static_cast<std::int64_t*>(n); }, &fired));
+    timers.back()->arm((i * 7919) % 100000, sim.reserve_seq());
   }
   for (std::int64_t i = 0; i < batch; ++i) {
-    if (i % 4 != 0) sim.cancel(ids[static_cast<std::size_t>(i)]);
+    if (i % 4 != 0) timers[static_cast<std::size_t>(i)].reset();
   }
   sim.run();
   g_sink = static_cast<std::uint64_t>(fired) + sim.queue_compactions();

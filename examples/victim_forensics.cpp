@@ -55,7 +55,6 @@ void run_case(ecn::MarkingKind kind, std::uint64_t threshold_pkts,
   sampler.start();
 
   sc.run(sim::milliseconds(20));
-  sampler.stop();
 
   const telemetry::Labels port{{"port", "bottleneck"}};
   auto per_queue = [&port](std::size_t q) {

@@ -58,11 +58,6 @@ constexpr auto kLater = [](const auto& a, const auto& b) {
   return a.time != b.time ? a.time > b.time : a.seq > b.seq;
 };
 
-/// Heap order for the idle flows: the earliest to fall quiet on top.
-constexpr auto kQuietLater = [](const auto& a, const auto& b) {
-  return a.quiet_at > b.quiet_at;
-};
-
 }  // namespace
 
 std::size_t Fabric::add_dctcp_flow(std::size_t src, std::size_t dst,
@@ -137,7 +132,6 @@ void Fabric::run_next_start(std::uint64_t seq) {
   const PendingStart start = starts_.back();
   starts_.pop_back();
   if (start.seq != seq) throw std::logic_error("Fabric: start list out of order");
-  free_idle_flows();
   FlowSlot& slot = slots_[start.idx];
   transport::FlowEndpoints& endpoints =
       slot.endpoints != nullptr ? *slot.endpoints : build(start.idx);
@@ -169,11 +163,7 @@ transport::FlowEndpoints& Fabric::flow(std::size_t idx) {
     }
     build(static_cast<std::uint32_t>(idx));
   }
-  if (!slot.pinned) {
-    slot.pinned = true;
-    std::erase_if(idle_, [idx](const IdleFlow& f) { return f.idx == idx; });
-    std::make_heap(idle_.begin(), idle_.end(), kQuietLater);
-  }
+  slot.pinned = true;
   return *slot.endpoints;
 }
 
@@ -200,7 +190,6 @@ bool Fabric::deliver(net::Host& host, const net::Packet& pkt) {
 }
 
 void Fabric::complete(std::uint32_t idx) {
-  free_idle_flows();
   FlowSlot& slot = slots_[idx];
   const transport::DctcpSender& sender = slot.endpoints->sender();
   slot.state = FlowSlot::State::kDone;
@@ -209,33 +198,9 @@ void Fabric::complete(std::uint32_t idx) {
   ++flows_done_;
   done_bytes_acked_ += slot.bytes;
   live_.erase(std::lower_bound(live_.begin(), live_.end(), idx));
-  // Its retransmission timer is still queued: freed at a later start or
-  // completion, once that has run.
-  if (!slot.pinned) {
-    idle_.push_back({sender.timers_end(), idx});
-    std::push_heap(idle_.begin(), idle_.end(), kQuietLater);
-  }
+  // Its armed retransmission timer goes with it, as a tombstone.
+  if (!slot.pinned) slot.endpoints.reset();
   on_flow_complete(idx);
-}
-
-void Fabric::free_idle_flows() {
-  // Every event before now has run; one at now may still be queued.
-  while (!idle_.empty() && idle_.front().quiet_at <= sim_.now()) {
-    std::pop_heap(idle_.begin(), idle_.end(), kQuietLater);
-    const IdleFlow flow = idle_.back();
-    idle_.pop_back();
-    FlowSlot& slot = slots_[flow.idx];
-    if (slot.endpoints->sender().timer_pending()) {
-      not_yet_.push_back(flow);
-      continue;
-    }
-    slot.endpoints.reset();
-  }
-  for (const IdleFlow& flow : not_yet_) {
-    idle_.push_back(flow);
-    std::push_heap(idle_.begin(), idle_.end(), kQuietLater);
-  }
-  not_yet_.clear();
 }
 
 void Fabric::trace_flow_senders(trace::SpanTracer& spans) {

@@ -9,6 +9,13 @@
 // A scenario derives from it and keeps its wiring, its flow creation and
 // its output formats (metric labels, sampler columns, span node names,
 // trace port).
+//
+// The flow table builds a flow's endpoints at its start and frees them at
+// its completion, unless the flow is pinned. The sender's timers are
+// sim::Timers, so freeing it turns its armed retransmission timer into a
+// tombstone, and the endpoints alive at any instant are the flows in
+// flight plus the pinned ones. The fabric answers a late segment for a
+// freed flow as its receiver would have.
 #pragma once
 
 #include <array>
@@ -92,8 +99,8 @@ struct FlowSlot {
     kDone,     ///< complete; its outcome below is final
   };
 
-  /// The endpoints: built at the flow's start (or when pinned) and freed
-  /// once it is done and no timer of its sender is pending, unless pinned.
+  /// The endpoints: built at the flow's start (or when pinned) and freed at
+  /// its completion, unless pinned.
   std::unique_ptr<transport::FlowEndpoints> endpoints;
   transport::SenderStats stats;    ///< outcome: recorded at completion
   std::uint64_t bytes = 0;         ///< flow size; 0 = long-lived
@@ -147,11 +154,6 @@ class Fabric : private net::FlowDemux {
   [[nodiscard]] const std::vector<std::uint32_t>& live_flows() const { return live_; }
   /// Flows completed so far.
   [[nodiscard]] std::size_t flows_done() const { return flows_done_; }
-  /// Frees the endpoints of every completed, unpinned flow whose sender has
-  /// no timer pending. The fabric runs this at each flow start and
-  /// completion; once the simulator has drained, one call frees the
-  /// endpoints of the flows that completed last.
-  void free_idle_flows();
 
   /// CE marks applied at the studied ports (both marking points).
   [[nodiscard]] std::uint64_t total_marks() const;
@@ -295,13 +297,6 @@ class Fabric : private net::FlowDemux {
     Fabric& fabric;
     std::uint64_t seq = 0;
   };
-  /// A done, unpinned flow whose endpoints are not freed yet, and the
-  /// instant its sender's last own timer runs.
-  struct IdleFlow {
-    sim::TimeNs quiet_at;
-    std::uint32_t idx;
-  };
-
   bool deliver(net::Host& host, const net::Packet& pkt) override;
   /// Adds flow `idx`'s start at `time` under a sequence number reserved now.
   void push_start(sim::TimeNs time, std::uint32_t idx);
@@ -310,7 +305,8 @@ class Fabric : private net::FlowDemux {
   void run_next_start(std::uint64_t seq);
   /// Builds flow `idx`'s endpoints and applies every plane installed so far.
   transport::FlowEndpoints& build(std::uint32_t idx);
-  /// Records flow `idx`'s outcome and retires it from the live flows.
+  /// Records flow `idx`'s outcome, retires it from the live flows and,
+  /// unless it is pinned, frees its endpoints.
   void complete(std::uint32_t idx);
 
   std::vector<FlowSlot> slots_;
@@ -318,8 +314,6 @@ class Fabric : private net::FlowDemux {
   std::vector<PendingStart> starts_;  ///< min-heap on (time, seq)
   std::deque<StartTimer> start_timers_;  ///< stable addresses: each is its timer's ctx
   std::vector<std::uint32_t> live_;  ///< running flows, ascending
-  std::vector<IdleFlow> idle_;       ///< min-heap on quiet_at
-  std::vector<IdleFlow> not_yet_;    ///< free_idle_flows' scratch
   std::size_t flows_done_ = 0;
   std::uint64_t done_bytes_acked_ = 0;
 

@@ -25,7 +25,7 @@
 // below it leaves it where it is. Nothing below depends on the bucket count.
 //  - Every pushed time is >= the simulator's now(), and now() is >= the last
 //    popped entry's time, so a pushed entry's bucket is >= start. (The one
-//    exception: run(until) discards a cancelled entry past the horizon and
+//    exception: run(until) discards a tombstone past the horizon and
 //    then settles now() at `until`. A later push below start fails the
 //    window test and goes to the heap.)
 //  - `start` only advances to the bucket of a popped entry, which was the

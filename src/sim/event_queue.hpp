@@ -16,7 +16,7 @@
 // build, so a run can never wrap into a misordered key.
 //
 // Both backends order entries identically (strict total order on (time, seq))
-// and both discard a cancelled entry at exactly the moment it would have
+// and both discard a tombstone at exactly the moment it would have
 // been popped, so the dispatch sequence — and every digest derived from it —
 // is bit-identical whichever backend runs a scenario.
 #pragma once

@@ -20,8 +20,8 @@ class EndDispatchGuard {
   DispatchHook* hook_;
 };
 
-// Destroys the dispatched callback and frees its retired slot once the
-// callback returns or throws.
+// Destroys the dispatched callback and frees its slot once the callback
+// returns or throws.
 class RecycleGuard {
  public:
   RecycleGuard(EventPool& pool, std::uint32_t idx) : pool_(pool), idx_(idx) {}
@@ -44,8 +44,8 @@ bool Simulator::step(TimeNs until) {
       return false;
     }
     if (!is_live(*top)) {
-      // Tombstone: the event was cancelled, or its timer destroyed (and its
-      // table slot perhaps taken by a new one since). Discard.
+      // Tombstone: its timer was destroyed while armed (and its table slot
+      // perhaps taken by a new one since). Discard.
       queue_.pop();
       assert(stale_entries_ > 0);
       --stale_entries_;
@@ -79,14 +79,12 @@ bool Simulator::step(TimeNs until) {
       fn(ctx);
       return true;
     }
-    // Run the callback where it lies. Retiring the slot first makes a cancel
-    // of this event's own handle a no-op, and the slot stays off the free
-    // list until the guard recycles it, so a re-entrant schedule can never
-    // be handed it. Chunks never move, so `fn` stays valid while the
-    // callback schedules.
-    pool_.retire(handle);
+    // Run the callback where it lies. The slot stays off the free list until
+    // the guard recycles it, so a re-entrant schedule can never be handed
+    // it. Chunks never move, so `fn` stays valid while the callback
+    // schedules.
     const RecycleGuard recycle{pool_, handle};
-    EventCallback& fn = pool_.slot(handle).fn;
+    EventCallback& fn = pool_.slot(handle);
     if (hook_ != nullptr) {
       hook_->begin_dispatch(now_, delta);
       EndDispatchGuard guard{hook_};

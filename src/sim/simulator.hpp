@@ -7,37 +7,36 @@
 // were scheduled, which makes runs bit-for-bit reproducible.
 //
 // Hot-path design:
-//  - a scheduled callback lives in a generation-tagged slot of a per-
-//    Simulator EventPool (slab chunks, LIFO free list, no per-event malloc);
-//    the callback type is a 48-byte small-buffer EventCallback, not
-//    std::function (see event_callback.hpp);
+//  - a scheduled callback lives in a slot of a per-Simulator EventPool (slab
+//    chunks, LIFO free list, no per-event malloc); the callback type is a
+//    48-byte small-buffer EventCallback, not std::function (see
+//    event_callback.hpp);
 //  - the queue orders 16-byte QueueEntry{time, seq << 24 | handle} records
 //    (event_queue.hpp), so sifts and bucket inserts move two words and never
 //    touch the closure; the handle is the pool slot or the timer;
-//  - schedule/cancel/fire are O(1) bookkeeping (plus the queue op): handle
-//    validation is a generation compare against the slot, entry validation a
-//    sequence compare;
-//  - dispatch runs the callback in its pool slot: the slot is retired (its
-//    handle and entry stop matching) before the call and recycled after it,
-//    even when the callback throws;
+//  - a closure is never called off: once scheduled it runs. Dispatch runs it
+//    in its pool slot and recycles the slot after the call, even when the
+//    callback throws;
 //  - an event that may never be needed can take its place in the order
 //    without being queued: `reserve_seq()` hands out the insertion sequence
 //    now, and a sim::Timer armed later with `arm(t, seq)` runs exactly where
 //    a `schedule_at` issued at reservation time would have run, while
 //    `current_before(t, seq)` still holds (arm throws otherwise);
-//  - a Timer is a kernel-owned event for a component that schedules one
-//    thing over and over: a record {seq, fn, ctx} in the Simulator's timer
+//  - a Timer is a kernel-owned event for a component that re-arms one thing
+//    or may call it off: a record {seq, fn, ctx} in the Simulator's timer
 //    table, armed by pushing an entry whose handle names it. Dispatch
 //    compares the entry's seq with the record and calls fn(ctx): no pool
-//    slot, no closure to build or destroy, no free list. net::Link's
-//    delivery and transmit wake-up and the fabric's flow starts are timers;
-//    one-off closures (faults, samplers, transport timers, ticks) stay on
-//    schedule_at;
+//    slot, no closure to build or destroy, no free list. Destroying an armed
+//    Timer is the one way to call an event off: its entry stays queued as a
+//    tombstone. net::Link's delivery and transmit wake-up, the fabric's flow
+//    starts, DCTCP's retransmission and pacing timers and the sampler's tick
+//    are timers; one-off closures that nothing calls off (faults, DCQCN,
+//    the invariant and watchdog ticks) stay on schedule_at;
 //  - two queue backends are selectable at construction (`sched_queue=` at
 //    the CLI): the default calendar, a ring of near-future time buckets in
 //    front of a 4-ary heap (calendar_queue.hpp), and the heap alone, kept
-//    as the oracle. Both order entries identically and discard a cancelled
-//    entry exactly when it would have been popped, so runs are bit-identical
+//    as the oracle. Both order entries identically and discard a tombstone
+//    exactly when it would have been popped, so runs are bit-identical
 //    across backends (pmsbregress digests verify this).
 //
 // The kernel is deliberately single-threaded: datacenter-scale packet
@@ -59,20 +58,14 @@
 
 namespace pmsb::sim {
 
-/// Opaque handle identifying a scheduled event, usable for cancellation.
-/// Packs (slot generation << 32 | slot index + 1); never 0 for a real event.
-using EventId = std::uint64_t;
-
-/// Invalid/empty event handle.
-inline constexpr EventId kInvalidEventId = 0;
-
 /// Kernel observation interface for profilers. The simulator calls
-/// begin_dispatch()/end_dispatch() around every event callback and
-/// on_schedule()/on_cancel() per queue operation — but ONLY while a hook is
-/// attached, so the un-instrumented cost is one null check per call site
-/// (as with the packet path's empty observer tap lists). Declared here (not in
-/// telemetry/) so the kernel stays free of upward dependencies; the concrete
-/// implementation lives in telemetry::Profiler.
+/// begin_dispatch()/end_dispatch() around every event callback, on_schedule()
+/// per queued event and on_cancel() per tombstone (an armed Timer destroyed)
+/// — but ONLY while a hook is attached, so the un-instrumented cost is one
+/// null check per call site (as with the packet path's empty observer tap
+/// lists). Declared here (not in telemetry/) so the kernel stays free of
+/// upward dependencies; the concrete implementation lives in
+/// telemetry::Profiler.
 class DispatchHook {
  public:
   virtual ~DispatchHook() = default;
@@ -98,22 +91,24 @@ class Simulator {
   /// Current simulation time. Valid inside and outside event callbacks.
   [[nodiscard]] TimeNs now() const { return now_; }
 
-  /// Schedules `fn` to run at absolute time `t` (must be >= now()).
-  /// Returns a handle that can be passed to `cancel`. Accepts any callable
-  /// `void()`; captures up to EventCallback::kInlineBytes stay inline.
+  /// Schedules `fn` to run at absolute time `t` (must be >= now()). It
+  /// will run: an event that may be called off belongs on a Timer. Accepts
+  /// any callable `void()`; captures up to EventCallback::kInlineBytes stay
+  /// inline.
   template <typename F>
-  EventId schedule_at(TimeNs t, F&& fn) {
+  void schedule_at(TimeNs t, F&& fn) {
     if (t < now_) {
       throw std::invalid_argument(
           "Simulator::schedule_at: time is in the past");
     }
-    return enqueue(t, next_seq_++, std::forward<F>(fn));
+    const std::uint64_t seq = next_seq_++;
+    push_entry(t, seq, pool_.acquire(std::forward<F>(fn)));
   }
 
   /// Schedules `fn` to run `delay` nanoseconds from now.
   template <typename F>
-  EventId schedule_in(TimeNs delay, F&& fn) {
-    return schedule_at(now_ + delay, std::forward<F>(fn));
+  void schedule_in(TimeNs delay, F&& fn) {
+    schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Takes the next insertion sequence number and queues nothing. A Timer
@@ -134,26 +129,6 @@ class Simulator {
     return t > now_ || (t == now_ && seq > dispatch_seq_);
   }
 
-  /// Cancels a pending event. Cancelling an already-fired, already-cancelled,
-  /// or invalid handle is a true no-op: the handle's generation can only
-  /// match a slot whose occupancy it was issued for, so stale handles cannot
-  /// corrupt the live-event count or release someone else's event. The
-  /// closure is destroyed immediately (captures released now, not at pop);
-  /// the queue entry becomes a tombstone that is skipped when popped, and
-  /// bulk-purged when tombstones exceed half the queue (see queue_compactions).
-  void cancel(EventId id) {
-    const auto low = static_cast<std::uint32_t>(id);
-    if (low == 0) return;
-    const std::uint32_t idx = low - 1;
-    if (idx >= pool_.size()) return;
-    if (pool_.generation(idx) != static_cast<std::uint32_t>(id >> 32) ||
-        pool_.slot(idx).seq == 0) {
-      return;
-    }
-    pool_.release(idx);
-    entry_cancelled();
-  }
-
   /// Runs until the event queue is empty or `until` is reached. Events with
   /// timestamp strictly greater than `until` are left unfired. On return,
   /// when `until` is finite, `now()` equals `until` whether the queue
@@ -172,8 +147,9 @@ class Simulator {
   [[nodiscard]] bool empty() const { return live_events_ == 0; }
   [[nodiscard]] std::size_t pending_events() const { return live_events_; }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_events_; }
+  /// Armed Timers destroyed before they ran: the tombstones ever made.
   [[nodiscard]] std::uint64_t cancelled_events() const { return cancelled_events_; }
-  /// High-water mark of the event queue (including not-yet-purged cancelled
+  /// High-water mark of the event queue (including not-yet-purged
   /// tombstones) — the kernel's memory pressure signal.
   [[nodiscard]] std::size_t max_heap_depth() const { return max_heap_depth_; }
   /// Current queue depth, live events plus pending tombstones.
@@ -181,8 +157,8 @@ class Simulator {
 
   /// Which queue backend this simulator was constructed with.
   [[nodiscard]] QueueBackend queue_backend() const { return backend_; }
-  /// Times the tombstone purge ran (cancelled entries exceeded half the
-  /// queue). Identical across backends for the same schedule/cancel trace.
+  /// Times the tombstone purge ran (tombstones exceeded half the queue).
+  /// Identical across backends for the same schedule/arm/destroy trace.
   [[nodiscard]] std::uint64_t queue_compactions() const {
     return queue_compactions_;
   }
@@ -215,14 +191,6 @@ class Simulator {
     void* ctx = nullptr;
   };
 
-  template <typename F>
-  EventId enqueue(TimeNs t, std::uint64_t seq, F&& fn) {
-    const std::uint32_t idx = pool_.acquire(seq, std::forward<F>(fn));
-    push_entry(t, seq, idx);
-    return (static_cast<EventId>(pool_.generation(idx)) << 32) |
-           (static_cast<EventId>(idx) + 1);
-  }
-
   /// Queues a live entry for `handle` and does the bookkeeping every
   /// schedule shares.
   void push_entry(TimeNs t, std::uint64_t seq, std::uint32_t handle) {
@@ -232,18 +200,15 @@ class Simulator {
     if (hook_ != nullptr) hook_->on_schedule();
   }
 
-  /// True while the entry's pool slot or timer still holds its seq; false
-  /// for a tombstone.
+  /// True for a closure's entry, which always runs, and for a timer's while
+  /// the timer still holds its seq; false for a tombstone.
   [[nodiscard]] bool is_live(const QueueEntry& e) const {
     const std::uint32_t handle = e.handle();
-    const std::uint64_t holder = (handle & kTimerBit) != 0
-                                     ? timers_[handle & ~kTimerBit].seq
-                                     : pool_.slot(handle).seq;
-    return holder == e.seq();
+    return (handle & kTimerBit) == 0 || timers_[handle & ~kTimerBit].seq == e.seq();
   }
 
-  /// Accounts for a live entry turned into a tombstone (cancel, or a Timer
-  /// destroyed while armed).
+  /// Accounts for a live entry turned into a tombstone: a Timer destroyed
+  /// while armed.
   void entry_cancelled() {
     --live_events_;
     ++cancelled_events_;
@@ -264,8 +229,8 @@ class Simulator {
     dispatch_seq_ = next_seq_ - 1;
   }
 
-  /// Purges cancelled tombstones when they exceed half the queue. Cold path;
-  /// the trigger depends only on the schedule/cancel trace, so both backends
+  /// Purges tombstones when they exceed half the queue. Cold path; the
+  /// trigger depends only on the schedule/arm/destroy trace, so both backends
   /// compact at identical points and depth metrics stay comparable.
   void maybe_compact();
 
@@ -275,13 +240,13 @@ class Simulator {
   CalendarQueue queue_;  ///< with its ring off on the heap backend
   const QueueBackend backend_;
   TimeNs now_ = 0;
-  std::uint64_t next_seq_ = 1;  // 0 is the pool's and timers' "idle" sentinel
+  std::uint64_t next_seq_ = 1;  // 0 is the timers' "idle" sentinel
   /// Sequence half of the dispatch position (its time half is now_); see
   /// current_before().
   std::uint64_t dispatch_seq_ = 0;
   std::uint64_t last_packet_id_ = 0;
   std::size_t live_events_ = 0;
-  std::size_t stale_entries_ = 0;  ///< cancelled entries still in the queue
+  std::size_t stale_entries_ = 0;  ///< tombstones still in the queue
   std::size_t max_heap_depth_ = 0;
   std::uint64_t executed_events_ = 0;
   std::uint64_t cancelled_events_ = 0;
@@ -291,16 +256,16 @@ class Simulator {
 };
 
 /// A kernel-owned event that a component arms again and again, each time at
-/// a position reserved with Simulator::reserve_seq(). It holds a slot in the
-/// Simulator's timer table for its lifetime; `fn(ctx)` runs at each
-/// dispatch, with the timer already idle, so the callback may arm it again.
-/// The Simulator must outlive it.
+/// a position reserved with Simulator::reserve_seq(), or may call off. It
+/// holds a slot in the Simulator's timer table for its lifetime; `fn(ctx)`
+/// runs at each dispatch, with the timer already idle, so the callback may
+/// arm it again. The Simulator must outlive it.
 class Timer {
  public:
   Timer(Simulator& sim, void (*fn)(void*), void* ctx)
       : sim_(sim), index_(sim.add_timer(fn, ctx)) {}
-  /// An armed timer's entry becomes a tombstone, exactly as cancel() would
-  /// leave it.
+  /// Calls the event off: an armed timer's entry becomes a tombstone, skipped
+  /// when popped and counted in cancelled_events().
   ~Timer() { sim_.drop_timer(index_); }
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;

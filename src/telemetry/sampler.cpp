@@ -10,7 +10,10 @@
 namespace pmsb::telemetry {
 
 TimeSeriesSampler::TimeSeriesSampler(sim::Simulator& simulator, sim::TimeNs period)
-    : sim_(simulator), period_(period) {
+    : sim_(simulator),
+      period_(period),
+      tick_(simulator, [](void* self) { static_cast<TimeSeriesSampler*>(self)->sample(); },
+            this) {
   if (period <= 0) {
     throw std::invalid_argument("TimeSeriesSampler: period must be positive");
   }
@@ -19,7 +22,7 @@ TimeSeriesSampler::TimeSeriesSampler(sim::Simulator& simulator, sim::TimeNs peri
 TimeSeriesSampler::~TimeSeriesSampler() = default;
 
 void TimeSeriesSampler::add_probe(std::string name, std::function<double()> fn) {
-  if (running_) throw std::logic_error("TimeSeriesSampler: add column after start()");
+  if (started_) throw std::logic_error("TimeSeriesSampler: add column after start()");
   Column c;
   c.name = std::move(name);
   c.probe = std::move(fn);
@@ -27,7 +30,7 @@ void TimeSeriesSampler::add_probe(std::string name, std::function<double()> fn) 
 }
 
 void TimeSeriesSampler::add_rate(std::string name, std::function<std::uint64_t()> fn) {
-  if (running_) throw std::logic_error("TimeSeriesSampler: add column after start()");
+  if (started_) throw std::logic_error("TimeSeriesSampler: add column after start()");
   Column c;
   c.name = std::move(name);
   c.rate_source = std::move(fn);
@@ -35,25 +38,19 @@ void TimeSeriesSampler::add_rate(std::string name, std::function<std::uint64_t()
 }
 
 void TimeSeriesSampler::start() {
-  if (running_) return;
-  running_ = true;
+  if (started_) return;
+  started_ = true;
   for (Column& c : cols_) {
     if (c.rate_source) c.prev = c.rate_source();
   }
-  // First row fires at the current time; scheduling (rather than sampling
-  // inline) keeps every row inside an event so now() is always consistent.
-  pending_ = sim_.schedule_in(0, [this] { sample(); });
-}
-
-void TimeSeriesSampler::stop() {
-  if (!running_) return;
-  running_ = false;
-  if (pending_ != sim::kInvalidEventId) sim_.cancel(pending_);
-  pending_ = sim::kInvalidEventId;
+  // First row fires at the current time; arming the tick (rather than
+  // sampling inline) keeps every row inside an event so now() is always
+  // consistent.
+  tick_.arm(sim_.now(), sim_.reserve_seq());
 }
 
 void TimeSeriesSampler::stream_to(const std::string& path) {
-  if (running_) throw std::logic_error("TimeSeriesSampler: stream_to after start()");
+  if (started_) throw std::logic_error("TimeSeriesSampler: stream_to after start()");
   auto out = std::make_unique<std::ofstream>(path);
   if (!*out) {
     throw std::runtime_error("TimeSeriesSampler::stream_to: cannot open " + path);
@@ -68,7 +65,6 @@ void TimeSeriesSampler::keep_rows() {
 }
 
 void TimeSeriesSampler::sample() {
-  if (!running_) return;
   const double time_us = sim::to_microseconds(sim_.now());
   const double period_s = static_cast<double>(period_) * 1e-9;
   row_.clear();
@@ -97,7 +93,7 @@ void TimeSeriesSampler::sample() {
     stream_->flush();
   }
   ++rows_;
-  pending_ = sim_.schedule_in(period_, [this] { sample(); });
+  tick_.arm(sim_.now() + period_, sim_.reserve_seq());
 }
 
 void TimeSeriesSampler::write_header(std::ostream& out) const {

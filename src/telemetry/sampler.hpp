@@ -1,7 +1,7 @@
 // Periodic time-series snapshots of live simulation state.
 //
-// A TimeSeriesSampler registers a self-rescheduling simulator event and, at
-// every period, evaluates its probe columns into columnar storage. This is
+// A TimeSeriesSampler owns a self-re-arming sim::Timer and, at every
+// period, evaluates its probe columns into columnar storage. This is
 // what reproduces the paper's occupancy/marking-over-time figures (Figs.
 // 4-12) natively: attach a probe per port occupancy and a rate column per
 // mark counter, run, then read the columns or the streamed CSV.
@@ -13,8 +13,10 @@
 //
 // Sampling happens inside simulator events, so rows align exactly with
 // t_start + k * period and cost nothing between ticks. The sampler keeps
-// rescheduling until stop(); a scenario that ends via Simulator::stop() or a
-// run(until) cap simply leaves the next tick unfired.
+// re-arming its tick for as long as it lives; a scenario that ends via
+// Simulator::stop() or a run(until) cap simply leaves the next tick unfired,
+// and destroying the sampler turns that tick into a tombstone. The
+// Simulator must outlive the sampler.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +45,9 @@ class TimeSeriesSampler {
   void add_rate(std::string name, std::function<std::uint64_t()> fn);
 
   /// Takes the first sample at the current simulation time, then one every
-  /// period until stop(). Columns must all be added before start().
+  /// period while the sampler lives. Columns must all be added before
+  /// start().
   void start();
-  void stop();
-  [[nodiscard]] bool running() const { return running_; }
 
   [[nodiscard]] sim::TimeNs period() const { return period_; }
   /// Rows sampled so far, kept in memory or not.
@@ -90,8 +91,8 @@ class TimeSeriesSampler {
 
   sim::Simulator& sim_;
   sim::TimeNs period_;
-  bool running_ = false;
-  sim::EventId pending_ = sim::kInvalidEventId;
+  sim::Timer tick_;  ///< runs sample()
+  bool started_ = false;
   std::size_t rows_ = 0;
   bool keep_rows_ = true;  // false once streaming, until keep_rows()
   std::vector<double> times_us_;

@@ -33,16 +33,14 @@ DctcpSender::DctcpSender(sim::Simulator& simulator, Host& local, HostId remote,
       service_(service),
       flow_bytes_(flow_bytes),
       cfg_(config),
-      rtt_(kMinRto, kInitialRto) {
+      pacing_timer_(simulator,
+                    [](void* self) { static_cast<DctcpSender*>(self)->send_available(); },
+                    this),
+      rtt_(kMinRto, kInitialRto),
+      rto_timer_(simulator, [](void* self) { static_cast<DctcpSender*>(self)->on_rto(); },
+                 this) {
   cwnd_ = static_cast<double>(cfg_.init_cwnd_segments) * kMss;
   alpha_ = kInitialAlpha;
-}
-
-DctcpSender::~DctcpSender() {
-  // A sender's own timers capture it, so an owner frees it only once
-  // timer_pending() is false (experiments::Fabric) or after the simulator
-  // stops dispatching. Marking it complete keeps a stray late call a no-op.
-  completed_ = true;
 }
 
 void DctcpSender::bind_metrics(telemetry::MetricsRegistry& registry,
@@ -118,11 +116,8 @@ void DctcpSender::send_available() {
     if (cfg_.max_rate > 0) {
       const TimeNs now = sim_.now();
       if (now < next_send_allowed_) {
-        if (pacing_event_ == sim::kInvalidEventId) {
-          pacing_event_ = sim_.schedule_at(next_send_allowed_, [this] {
-            pacing_event_ = sim::kInvalidEventId;
-            send_available();
-          });
+        if (!pacing_timer_.armed()) {
+          pacing_timer_.arm(next_send_allowed_, sim_.reserve_seq());
         }
         break;
       }
@@ -240,14 +235,12 @@ void DctcpSender::on_ack(const Packet& ack) {
 }
 
 void DctcpSender::arm_rto() {
-  if (rto_armed_ || completed_) return;
-  rto_armed_ = true;
-  rto_at_ = std::max(last_progress_ + rtt_.rto() * rto_backoff_, sim_.now());
-  sim_.schedule_at(rto_at_, [this] { on_rto(); });
+  if (rto_timer_.armed() || completed_) return;
+  rto_timer_.arm(std::max(last_progress_ + rtt_.rto() * rto_backoff_, sim_.now()),
+                 sim_.reserve_seq());
 }
 
 void DctcpSender::on_rto() {
-  rto_armed_ = false;
   if (completed_ || inflight() == 0) return;
   const TimeNs deadline = last_progress_ + rtt_.rto() * rto_backoff_;
   if (sim_.now() < deadline) {

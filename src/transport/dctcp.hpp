@@ -11,9 +11,16 @@
 // PMSB(e): when enabled, an ECE-carrying ACK is IGNORED (treated as
 // unmarked) if the flow's latest RTT sample is below `pmsbe_rtt_threshold` —
 // core::pmsbe_ignore_mark, Algorithm 2 verbatim.
+//
+// The sender's retransmission and pacing timers are sim::Timers it owns,
+// each armed at a sequence number reserved when it is set, so it runs where
+// a closure scheduled then would have. Destroying a sender calls them off
+// (an armed one leaves a tombstone in the queue), so its owner may free it
+// whenever none of its own code is running: experiments::Fabric frees a
+// finished flow's endpoints at its completion. The Simulator must outlive
+// the sender.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -89,7 +96,6 @@ class DctcpSender {
 
   DctcpSender(sim::Simulator& simulator, Host& local, HostId remote, FlowId flow,
               ServiceId service, std::uint64_t flow_bytes, DctcpConfig config);
-  ~DctcpSender();
   DctcpSender(const DctcpSender&) = delete;
   DctcpSender& operator=(const DctcpSender&) = delete;
 
@@ -132,19 +138,7 @@ class DctcpSender {
   [[nodiscard]] std::uint64_t bytes_inflight() const { return inflight(); }
   /// Whether the retransmission timer is armed. A started, incomplete flow
   /// with bytes in flight must have it armed — the flow-liveness invariant.
-  [[nodiscard]] bool rto_armed() const { return rto_armed_; }
-  /// Whether an event of this sender's own (retransmission or pacing timer)
-  /// is still queued: until it has run, the sender must stay alive.
-  [[nodiscard]] bool timer_pending() const {
-    return rto_armed_ || pacing_event_ != sim::kInvalidEventId;
-  }
-  /// When the last of those events runs, while timer_pending(). A completed
-  /// sender arms no timer again, so once the simulation is past this
-  /// instant it holds no queued event.
-  [[nodiscard]] TimeNs timers_end() const {
-    const TimeNs rto = rto_armed_ ? rto_at_ : 0;
-    return pacing_event_ != sim::kInvalidEventId ? std::max(rto, next_send_allowed_) : rto;
-  }
+  [[nodiscard]] bool rto_armed() const { return rto_timer_.armed(); }
   [[nodiscard]] TimeNs start_time() const { return start_time_; }
   [[nodiscard]] TimeNs completion_time() const { return completion_time_; }
   [[nodiscard]] const SenderStats& stats() const { return stats_; }
@@ -200,12 +194,13 @@ class DctcpSender {
 
   // --- Pacing (token bucket for rate-capped flows) ---
   TimeNs next_send_allowed_ = 0;
-  sim::EventId pacing_event_ = sim::kInvalidEventId;
+  sim::Timer pacing_timer_;  ///< runs send_available() at next_send_allowed_
 
   // --- Timers ---
   RttEstimator rtt_;
-  bool rto_armed_ = false;
-  TimeNs rto_at_ = 0;  ///< when the armed retransmission timer runs
+  /// Runs on_rto(). Lazy: armed once for a deadline that progress may push
+  /// back, and re-armed for the rest when it fires early.
+  sim::Timer rto_timer_;
   std::int64_t rto_backoff_ = 1;
   TimeNs last_progress_ = 0;
 

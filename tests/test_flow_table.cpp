@@ -1,6 +1,6 @@
 // Tests for the fabric's flow table: starts kept as a (time, seq) list with
-// only its head queued, endpoints built at start and freed once done, and
-// freed flows answering late packets as their endpoints would have.
+// only its head queued, endpoints built at start and freed at completion,
+// and freed flows answering late packets as their endpoints would have.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -236,25 +236,17 @@ TEST(FlowTable, LiveEndpointsStayBounded) {
     sc.add_workload(std::move(wl));
     ASSERT_GE(sc.num_flows(), 1000u);
 
-    // Each check runs right after the starts at its instant, a fabric event
-    // that freed every idle flow: what is left is in flight or waiting on a
-    // timer of its own.
+    // Each check runs right after the starts at its instant. A flow's
+    // endpoints are freed at its completion, so what is left is in flight.
     std::size_t checks = 0;
     std::size_t peak = 0;
     for (const sim::TimeNs t : start_times) {
       sc.simulator().schedule_at(t, [&sc, &checks, &peak] {
         std::size_t in_flight = 0;
-        std::size_t waiting = 0;
         for (std::size_t i = 0; i < sc.num_flows(); ++i) {
-          const FlowSlot& slot = sc.slot(i);
-          if (slot.state == FlowSlot::State::kRunning) ++in_flight;
-          if (slot.state == FlowSlot::State::kDone && slot.endpoints != nullptr &&
-              slot.endpoints->sender().timer_pending()) {
-            ++waiting;
-          }
+          in_flight += sc.slot(i).state == FlowSlot::State::kRunning;
         }
-        EXPECT_EQ(endpoints_built(sc), in_flight + waiting)
-            << "t=" << sc.simulator().now();
+        EXPECT_EQ(endpoints_built(sc), in_flight) << "t=" << sc.simulator().now();
         EXPECT_EQ(sc.live_flows().size(), in_flight);
         peak = std::max(peak, endpoints_built(sc));
         ++checks;
@@ -264,8 +256,6 @@ TEST(FlowTable, LiveEndpointsStayBounded) {
     EXPECT_EQ(checks, start_times.size());
     EXPECT_GT(peak, 0u);
     EXPECT_LT(peak, sc.num_flows() / 4);
-    sc.simulator().run();  // the last flows' retransmission timers
-    sc.free_idle_flows();
     EXPECT_EQ(endpoints_built(sc), 0u);
     EXPECT_EQ(sc.flows_done(), sc.num_flows());
   }
@@ -274,7 +264,6 @@ TEST(FlowTable, LiveEndpointsStayBounded) {
 
 TEST(FlowTable, PinnedEndpointsOutliveTheRun) {
   LeafSpineScenario sc(small_fabric());
-  // Flow 2 starts after flow 0's first retransmission timer (10 ms) ran.
   sc.add_workload({spec(0, 5, 40'000, 0), spec(1, 6, 40'000, sim::microseconds(10)),
                    spec(2, 7, 40'000, sim::milliseconds(20))});
   transport::FlowEndpoints& pinned = sc.flow(1);  // before its start
@@ -285,7 +274,7 @@ TEST(FlowTable, PinnedEndpointsOutliveTheRun) {
   EXPECT_EQ(pinned.sender().bytes_acked(), 40'000u);
   EXPECT_EQ(pinned.receiver().rcv_nxt(), 40'000u);
   EXPECT_EQ(&sc.flow(1), &pinned);
-  // Flow 2's start freed flow 0.
+  // Flow 0's completion freed it.
   EXPECT_EQ(sc.slot(0).endpoints, nullptr);
   EXPECT_THROW((void)sc.flow(0), std::logic_error);
   EXPECT_EQ(sc.slot(0).acked(), 40'000u);
@@ -302,6 +291,7 @@ struct LateRun {
   std::vector<sim::TimeNs> completions;
   std::uint64_t bytes_acked = 0;
   std::uint64_t events = 0;
+  std::uint64_t cancelled = 0;
 };
 
 constexpr std::size_t kCrossing = 20;  ///< one-segment flows leaf0 -> leaf1
@@ -309,11 +299,11 @@ constexpr std::size_t kCrossing = 20;  ///< one-segment flows leaf0 -> leaf1
 /// Flows 0..kCrossing-1 send one segment each from leaf0's hosts to leaf1's
 /// across leaf0's uplinks, which delay every packet by up to 60 ms. A
 /// segment still out at the initial 10 ms timeout is sent again, and the
-/// flow completes on whichever copy lands first; the other copy lands
-/// later, often after the sender's backed-off timer (30 ms) has run and a
-/// fabric event has freed the flow. Short flows inside leaf0 start every
-/// 100 us to make those fabric events. With `pin`, the crossing flows keep
-/// their endpoints, so live receivers answer the late copies instead.
+/// flow completes on whichever copy lands first, which frees its endpoints;
+/// the other copy lands later. Short flows inside leaf0 start every 100 us
+/// alongside. With `pin`, the crossing flows keep their endpoints, so live
+/// receivers answer the late copies instead, and each one's armed
+/// retransmission timer later runs as a no-op rather than being called off.
 LateRun run_late_duplicates(bool pin) {
   LeafSpineScenario sc(small_fabric());
   std::vector<workload::FlowSpec> specs;
@@ -359,6 +349,7 @@ LateRun run_late_duplicates(bool pin) {
     out.bytes_acked += sc.slot(i).acked();
   }
   out.events = sc.simulator().executed_events();
+  out.cancelled = sc.simulator().cancelled_events();
   return out;
 }
 
@@ -377,9 +368,12 @@ TEST(FlowTable, FreedFlowAnswersLateSegmentsAsItsReceiverWould) {
   for (std::size_t i = 0; i < live.acks.size(); ++i) {
     EXPECT_EQ(freed.acks[i], live.acks[i]) << "ack " << i;
   }
-  // The ACKs that come back change nothing at the freed senders.
+  // The ACKs that come back change nothing at the freed senders. Each
+  // crossing flow's retransmission timer, armed at completion, runs as a
+  // no-op when pinned and is a tombstone when freed.
   EXPECT_EQ(freed.digest, live.digest);
-  EXPECT_EQ(freed.events, live.events);
+  EXPECT_EQ(freed.events + kCrossing, live.events);
+  EXPECT_EQ(freed.cancelled - live.cancelled, kCrossing);
   EXPECT_EQ(live.bytes_acked, kCrossing * 1'000u);
   EXPECT_EQ(freed.bytes_acked, live.bytes_acked);
   EXPECT_EQ(freed.completions, live.completions);

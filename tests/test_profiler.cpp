@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -121,8 +122,10 @@ TEST(Profiler, KernelHookCountsDispatchesAndChurn) {
   p.attach(sim);
   int fired = 0;
   for (int i = 0; i < 10; ++i) sim.schedule_at(i * 100, [&fired] { ++fired; });
-  const auto doomed = sim.schedule_at(5'000, [] {});
-  sim.cancel(doomed);
+  {
+    sim::Timer doomed(sim, [](void*) {}, nullptr);
+    doomed.arm(5'000, sim.reserve_seq());
+  }  // destroyed while armed: one cancel
   sim.run();
   EXPECT_EQ(fired, 10);
   EXPECT_EQ(p.dispatches(), sim.executed_events());
@@ -195,11 +198,12 @@ TEST(Profiler, ReportsQueueBackendAndCompactions) {
   sim::Simulator sim(sim::QueueBackend::kCalendar);
   Profiler p;
   p.attach(sim);
-  // Cancel-heavy churn deep enough to trip the tombstone compactor.
-  sim::EventId timer = sim.schedule_at(1'000'000, [] {});
+  // Destroy-and-re-arm churn deep enough to trip the tombstone compactor.
+  auto timer = std::make_unique<sim::Timer>(sim, [](void*) {}, nullptr);
+  timer->arm(1'000'000, sim.reserve_seq());
   for (int i = 1; i <= 500; ++i) {
-    sim.cancel(timer);
-    timer = sim.schedule_at(1'000'000 + i, [] {});
+    timer = std::make_unique<sim::Timer>(sim, [](void*) {}, nullptr);
+    timer->arm(1'000'000 + i, sim.reserve_seq());
   }
   sim.run();
   const auto v = telemetry::json::parse(p.to_json());

@@ -1,12 +1,13 @@
-// Unit tests for the discrete-event kernel: ordering, ties, cancellation,
-// re-entrancy, run-until semantics, reserved sequence numbers, in-place
-// dispatch, and the queue-backend conformance suite (heap and calendar must
-// be observably indistinguishable).
+// Unit tests for the discrete-event kernel: ordering, ties, events called
+// off by destroying their timers, re-entrancy, run-until semantics, reserved
+// sequence numbers, in-place dispatch, and the queue-backend conformance
+// suite (heap and calendar must be observably indistinguishable).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,35 @@
 #include "sim/simulator.hpp"
 
 using namespace pmsb::sim;
+
+namespace {
+
+/// A Timer that runs a closure: an event its owner may call off, which it
+/// does by destroying the timer.
+class ClosureTimer {
+ public:
+  ClosureTimer(Simulator& sim, std::function<void()> fn)
+      : sim_(sim), fn_(std::move(fn)), timer_(sim, &ClosureTimer::fire, this) {}
+
+  /// Arms the timer where a schedule_at(t) issued now would run.
+  void arm(TimeNs t) { timer_.arm(t, sim_.reserve_seq()); }
+
+ private:
+  static void fire(void* self) { static_cast<ClosureTimer*>(self)->fn_(); }
+
+  Simulator& sim_;
+  std::function<void()> fn_;
+  Timer timer_;
+};
+
+/// A timer running `fn` at `t`, queued where schedule_at(t, fn) would be.
+std::unique_ptr<ClosureTimer> arm_at(Simulator& sim, TimeNs t, std::function<void()> fn) {
+  auto timer = std::make_unique<ClosureTimer>(sim, std::move(fn));
+  timer->arm(t);
+  return timer;
+}
+
+}  // namespace
 
 TEST(Simulator, StartsAtTimeZero) {
   Simulator sim;
@@ -69,34 +99,18 @@ TEST(Simulator, SchedulingInThePastThrows) {
   sim.run();
 }
 
+// Destroying an armed timer calls its event off.
 TEST(Simulator, CancelPreventsExecution) {
   Simulator sim;
   bool fired = false;
-  const EventId id = sim.schedule_at(10, [&] { fired = true; });
-  sim.cancel(id);
+  auto timer = arm_at(sim, 10, [&] { fired = true; });
+  timer.reset();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.cancelled_events(), 1u);
   sim.run();
   EXPECT_FALSE(fired);
   EXPECT_TRUE(sim.empty());
-}
-
-TEST(Simulator, CancelInvalidIdIsNoop) {
-  Simulator sim;
-  sim.cancel(kInvalidEventId);
-  sim.cancel(9999);
-  bool fired = false;
-  sim.schedule_at(1, [&] { fired = true; });
-  sim.run();
-  EXPECT_TRUE(fired);
-}
-
-TEST(Simulator, DoubleCancelCountsOnce) {
-  Simulator sim;
-  const EventId id = sim.schedule_at(10, [] {});
-  sim.schedule_at(20, [] {});
-  sim.cancel(id);
-  sim.cancel(id);
-  EXPECT_EQ(sim.pending_events(), 1u);
-  sim.run();
+  EXPECT_EQ(sim.executed_events(), 0u);
 }
 
 TEST(Simulator, RunUntilStopsBeforeLaterEvents) {
@@ -177,15 +191,15 @@ TEST(Simulator, ZeroDelayEventRunsAtCurrentTime) {
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
 }
 
-// Regression: cancelling an id that already fired used to decrement the live
-// count (underflowing it against later events) and leak a tombstone in the
-// cancelled set. It must be a true no-op.
+// Regression: cancelling an event that already fired used to decrement the
+// live count (underflowing it against later events) and leak a tombstone.
+// Destroying a timer that has run must be a true no-op.
 TEST(Simulator, CancelAfterFireIsNoop) {
   Simulator sim;
-  const EventId id = sim.schedule_at(10, [] {});
+  auto timer = arm_at(sim, 10, [] {});
   sim.schedule_at(20, [] {});
-  EXPECT_TRUE(sim.step());  // fires `id`
-  sim.cancel(id);
+  EXPECT_TRUE(sim.step());  // fires the timer
+  timer.reset();
   EXPECT_EQ(sim.pending_events(), 1u);
   EXPECT_EQ(sim.cancelled_events(), 0u);
   bool fired = false;
@@ -195,26 +209,17 @@ TEST(Simulator, CancelAfterFireIsNoop) {
   EXPECT_EQ(sim.executed_events(), 3u);
 }
 
-TEST(Simulator, DoubleCancelLeavesCountersConsistent) {
-  Simulator sim;
-  const EventId id = sim.schedule_at(10, [] {});
-  sim.cancel(id);
-  sim.cancel(id);
-  EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_EQ(sim.cancelled_events(), 1u);
-  sim.run();
-  EXPECT_EQ(sim.executed_events(), 0u);
-}
-
-// The retransmission-timer pattern: cancel a pending timer, schedule a new
-// one, repeatedly. Counts must stay exact and only the last timer fires.
+// The retransmission-timer pattern: call a pending timer off, arm a new one,
+// repeatedly. The new timer takes the old one's table slot while the old
+// entry is still queued as a tombstone. Counts must stay exact and only the
+// last timer fires.
 TEST(Simulator, CancelThenRescheduleKeepsCountsExact) {
   Simulator sim;
   int fired = 0;
-  EventId timer = sim.schedule_at(100, [&] { ++fired; });
+  auto timer = arm_at(sim, 100, [&] { ++fired; });
   for (int i = 1; i <= 50; ++i) {
-    sim.cancel(timer);
-    timer = sim.schedule_at(100 + i, [&] { ++fired; });
+    timer.reset();
+    timer = arm_at(sim, 100 + i, [&] { ++fired; });
     EXPECT_EQ(sim.pending_events(), 1u);
   }
   sim.run();
@@ -224,14 +229,14 @@ TEST(Simulator, CancelThenRescheduleKeepsCountsExact) {
   EXPECT_EQ(sim.now(), 150);
 }
 
-// Cancel from inside a callback at the same timestamp: the victim is still
-// pending (tie-break says it runs later), so the cancel must take effect.
+// Call off from inside a callback at the same timestamp: the victim is still
+// pending (tie-break says it runs later), so destroying it must take effect.
 TEST(Simulator, CancelFromCallbackAtSameTime) {
   Simulator sim;
   bool victim_fired = false;
-  EventId victim = kInvalidEventId;
-  sim.schedule_at(10, [&] { sim.cancel(victim); });
-  victim = sim.schedule_at(10, [&] { victim_fired = true; });
+  std::unique_ptr<ClosureTimer> victim;
+  sim.schedule_at(10, [&] { victim.reset(); });
+  victim = arm_at(sim, 10, [&] { victim_fired = true; });
   sim.run();
   EXPECT_FALSE(victim_fired);
   EXPECT_EQ(sim.executed_events(), 1u);
@@ -300,16 +305,16 @@ TEST_P(BackendConformance, OrderAndTieBreakMatchScheduleOrder) {
 
 // Satellite regression: cancelled entries used to sit in the queue for the
 // run's lifetime, inflating max_heap_depth() (the documented memory-pressure
-// signal) and pinning their captured closures. The retransmission pattern —
-// cancel, reschedule, thousands of times with one live timer — must now keep
-// the queue depth bounded by the tombstone compactor.
+// signal). The retransmission pattern — destroy the armed timer, arm a new
+// one, thousands of times with one live timer — must keep the queue depth
+// bounded by the tombstone compactor.
 TEST_P(BackendConformance, CancelChurnKeepsQueueDepthBounded) {
   Simulator sim(GetParam());
   int fired = 0;
-  EventId timer = sim.schedule_at(1'000'000, [&] { ++fired; });
+  auto timer = arm_at(sim, 1'000'000, [&] { ++fired; });
   for (int i = 1; i <= 5000; ++i) {
-    sim.cancel(timer);
-    timer = sim.schedule_at(1'000'000 + i, [&] { ++fired; });
+    timer.reset();
+    timer = arm_at(sim, 1'000'000 + i, [&] { ++fired; });
     EXPECT_EQ(sim.pending_events(), 1u);
   }
   EXPECT_LT(sim.max_heap_depth(), 256u)
@@ -319,24 +324,6 @@ TEST_P(BackendConformance, CancelChurnKeepsQueueDepthBounded) {
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.cancelled_events(), 5000u);
   EXPECT_EQ(sim.executed_events(), 1u);
-}
-
-// A handle must stay dead across slot reuse: cancelling an already-cancelled
-// id whose pool slot now hosts a different event is a no-op, not a cancel of
-// the new occupant.
-TEST_P(BackendConformance, StaleHandleCannotCancelSlotReuser) {
-  Simulator sim(GetParam());
-  bool b_fired = false;
-  const EventId a = sim.schedule_at(10, [] {});
-  sim.cancel(a);
-  const EventId b = sim.schedule_at(20, [&] { b_fired = true; });
-  sim.cancel(a);  // stale: generation no longer matches
-  sim.cancel(a);
-  EXPECT_EQ(sim.pending_events(), 1u);
-  sim.run();
-  EXPECT_TRUE(b_fired);
-  EXPECT_EQ(sim.cancelled_events(), 1u);
-  EXPECT_NE(a, b);
 }
 
 // Satellite regression: run(until) used to clamp now() to the horizon only
@@ -406,17 +393,23 @@ TEST_P(BackendConformance, DispatchHookBalancesAcrossThrowingCallback) {
 }
 
 // Captures beyond EventCallback's inline buffer take the heap-boxed path;
-// they must still run and destroy cleanly (ASan leg would catch a leak).
+// they must still run and destroy cleanly, also when the event is still
+// queued as its simulator dies (ASan leg would catch a leak).
 TEST_P(BackendConformance, OversizedCapturesTakeTheBoxedPath) {
-  Simulator sim(GetParam());
   std::array<char, 256> blob{};
   blob[0] = 42;
   blob[255] = 7;
   int sum = 0;
-  sim.schedule_at(5, [blob, &sum] { sum = blob[0] + blob[255]; });
-  const EventId doomed = sim.schedule_at(6, [blob, &sum] { sum += 1000; });
-  sim.cancel(doomed);  // boxed captures must also free on cancel
-  sim.run();
+  const auto token = std::make_shared<int>(0);
+  {
+    Simulator sim(GetParam());
+    sim.schedule_at(5, [blob, &sum] { sum = blob[0] + blob[255]; });
+    sim.schedule_at(6, [blob, token, &sum] { sum += 1000; });  // past the horizon
+    sim.run(5);
+    EXPECT_EQ(sim.pending_events(), 1u);
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1) << "a queued boxed closure dies with its simulator";
   EXPECT_EQ(sum, 49);
 }
 
@@ -719,53 +712,46 @@ TEST_P(BackendConformance, ScheduleReservedRejectsAPassedPosition) {
   EXPECT_EQ(sim.executed_events(), 2u);
 }
 
-// A timer destroyed while armed leaves its entry behind as a tombstone,
-// exactly as cancel() leaves a closure's: the same pending, cancelled and
-// depth counts, the same compaction point, and run() skips it.
+// A timer destroyed while armed leaves its entry behind as a tombstone: no
+// longer pending, counted as cancelled, still in the queue depth until a
+// purge, and skipped by run().
 TEST_P(BackendConformance, ArmedTimerDestroyedLeavesATombstoneLikeCancel) {
-  constexpr int kEvents = 100;
-  // `timers` true: kEvents timers, all destroyed while armed; false: kEvents
-  // closures, all cancelled. They interleave with kEvents / 2 live closures,
-  // so the tombstones come to outnumber the rest and force a purge.
-  const auto run = [&](bool timers) {
-    Simulator sim(GetParam());
-    std::vector<int> order;
-    std::vector<std::unique_ptr<Timer>> doomed;
-    std::vector<EventId> ids;
-    for (int i = 0; i < kEvents; ++i) {
-      if (i % 2 == 0) sim.schedule_at(10 * i, [&order, i] { order.push_back(i); });
-      const TimeNs at = i % 2 == 0 ? 10 * i + 5 : 1'000'000 + i;  // ring and heap
-      if (timers) {
-        doomed.push_back(std::make_unique<Timer>(sim, [](void*) { FAIL(); }, nullptr));
-        doomed.back()->arm(at, sim.reserve_seq());
-      } else {
-        ids.push_back(sim.schedule_at(at, [] { FAIL(); }));
-      }
-    }
-    std::vector<std::size_t> pending;
-    std::vector<std::uint64_t> compactions;
-    for (int i = 0; i < kEvents; ++i) {
-      if (timers) {
-        doomed[i].reset();
-      } else {
-        sim.cancel(ids[i]);
-      }
-      pending.push_back(sim.pending_events());
-      compactions.push_back(sim.queue_compactions());
-    }
-    const std::size_t depth = sim.queue_depth();
-    const std::uint64_t cancelled = sim.cancelled_events();
-    sim.run();
-    return std::make_tuple(order, pending, compactions, depth, cancelled,
-                           sim.executed_events(), sim.max_heap_depth(), sim.empty());
-  };
-  const auto destroyed = run(true);
-  const auto cancelled = run(false);
-  EXPECT_EQ(destroyed, cancelled);
-  EXPECT_EQ(std::get<0>(destroyed).size(), static_cast<std::size_t>(kEvents / 2));
-  EXPECT_EQ(std::get<4>(destroyed), static_cast<std::uint64_t>(kEvents));
-  EXPECT_GT(std::get<2>(destroyed).back(), 0u) << "the destructions reach a compaction";
-  EXPECT_TRUE(std::get<7>(destroyed));
+  // 100 timers, all destroyed while armed, interleaved with 50 live
+  // closures, so the tombstones come to outnumber the rest and force a purge.
+  constexpr int kTimers = 100;
+  constexpr std::size_t kLive = kTimers / 2;
+  constexpr std::size_t kQueued = kTimers + kLive;
+  Simulator sim(GetParam());
+  std::vector<int> order;
+  std::vector<std::unique_ptr<Timer>> doomed;
+  for (int i = 0; i < kTimers; ++i) {
+    if (i % 2 == 0) sim.schedule_at(10 * i, [&order, i] { order.push_back(i); });
+    const TimeNs at = i % 2 == 0 ? 10 * i + 5 : 1'000'000 + i;  // ring and heap
+    doomed.push_back(std::make_unique<Timer>(sim, [](void*) { FAIL(); }, nullptr));
+    doomed.back()->arm(at, sim.reserve_seq());
+  }
+  ASSERT_EQ(sim.queue_depth(), kQueued);
+  std::size_t purged_at = 0;  ///< the destruction that first purged
+  for (std::size_t n = 1; n <= doomed.size(); ++n) {
+    doomed[n - 1].reset();
+    EXPECT_EQ(sim.pending_events(), kQueued - n);
+    EXPECT_EQ(sim.cancelled_events(), n);
+    if (purged_at == 0 && sim.queue_compactions() > 0) purged_at = n;
+  }
+  // The purge runs once tombstones pass half the queue: at the 76th of 150
+  // entries. The 24 made after it stay queued among the 50 live closures.
+  EXPECT_EQ(purged_at, 76u);
+  EXPECT_EQ(sim.queue_compactions(), 1u);
+  EXPECT_EQ(sim.queue_depth(), kLive + 24);
+  EXPECT_EQ(sim.max_heap_depth(), kQueued);
+  sim.run();
+  std::vector<int> want;
+  for (int i = 0; i < kTimers; i += 2) want.push_back(i);
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(sim.executed_events(), kLive);
+  EXPECT_EQ(sim.cancelled_events(), doomed.size());
+  EXPECT_EQ(sim.queue_depth(), 0u);
+  EXPECT_TRUE(sim.empty());
 }
 
 // Arming counts as a schedule and a dispatch is bracketed like a closure's,
@@ -802,13 +788,20 @@ TEST_P(BackendConformance, TimerHookCountsBalance) {
 
 // ===================== in-place dispatch =====================
 
+// A timer is idle once its dispatch begins, so destroying it from its own
+// callback calls nothing off.
 TEST_P(BackendConformance, CancellingTheRunningEventIsANoop) {
   Simulator sim(GetParam());
-  EventId self = kInvalidEventId;
+  struct Owner {
+    std::unique_ptr<Timer> timer;
+  } owner;
+  owner.timer = std::make_unique<Timer>(
+      sim, [](void* o) { static_cast<Owner*>(o)->timer.reset(); }, &owner);
+  owner.timer->arm(10, sim.reserve_seq());
   bool other_fired = false;
-  self = sim.schedule_at(10, [&] { sim.cancel(self); });
   sim.schedule_at(20, [&] { other_fired = true; });
   sim.run();
+  EXPECT_EQ(owner.timer, nullptr);
   EXPECT_TRUE(other_fired);
   EXPECT_EQ(sim.cancelled_events(), 0u);
   EXPECT_EQ(sim.executed_events(), 2u);
@@ -817,21 +810,16 @@ TEST_P(BackendConformance, CancellingTheRunningEventIsANoop) {
 
 TEST_P(BackendConformance, ReentrantScheduleNeverGetsTheRunningSlot) {
   Simulator sim(GetParam());
-  const auto slot_of = [](EventId id) { return static_cast<std::uint32_t>(id); };
-  // Free a few slots first so the free list is not empty at dispatch.
-  std::vector<EventId> spare;
-  for (int i = 0; i < 4; ++i) spare.push_back(sim.schedule_at(5, [] {}));
-  for (const EventId id : spare) sim.cancel(id);
-  EventId running = kInvalidEventId;
+  // Run a few events first so the free list is not empty at dispatch.
+  for (int i = 0; i < 4; ++i) sim.schedule_at(5, [] {});
   int seen = 0;
   int fired = 0;
   const int token = 12345;  // lives in the running slot's inline buffer
-  running = sim.schedule_at(10, [&sim, &running, &seen, &fired, slot_of, token] {
-    // Enough schedules to carve new pool chunks under the running closure.
-    for (int i = 0; i < 2000; ++i) {
-      const EventId id = sim.schedule_in(1, [&fired] { ++fired; });
-      EXPECT_NE(slot_of(id), slot_of(running));
-    }
+  sim.schedule_at(10, [&sim, &seen, &fired, token] {
+    // Enough schedules to take every free slot and carve new pool chunks
+    // under the running closure. Had one been handed the running slot, the
+    // new closure would have overwritten `token` before it is read.
+    for (int i = 0; i < 2000; ++i) sim.schedule_in(1, [&fired] { ++fired; });
     seen = token;
   });
   sim.run();
@@ -841,18 +829,16 @@ TEST_P(BackendConformance, ReentrantScheduleNeverGetsTheRunningSlot) {
 
 TEST_P(BackendConformance, ThrowingCallbackStillFreesItsSlot) {
   Simulator sim(GetParam());
-  const auto slot_of = [](EventId id) { return static_cast<std::uint32_t>(id); };
-  const EventId thrower = sim.schedule_at(10, [] { throw std::runtime_error("x"); });
+  const auto token = std::make_shared<int>(0);
+  sim.schedule_at(10, [token] { throw std::runtime_error("x"); });
   sim.schedule_at(20, [] {});
+  EXPECT_EQ(token.use_count(), 2);
   EXPECT_THROW(sim.run(), std::runtime_error);
+  // Recycling destroys the closure and frees the slot in one step.
+  EXPECT_EQ(token.use_count(), 1) << "the thrower is destroyed on the unwind path";
   EXPECT_EQ(sim.pending_events(), 1u);
   EXPECT_EQ(sim.executed_events(), 1u);
-  // LIFO free list: the next schedule reuses the thrower's slot, under a
-  // new generation.
-  const EventId reuse = sim.schedule_at(30, [] {});
-  EXPECT_EQ(slot_of(reuse), slot_of(thrower));
-  EXPECT_NE(reuse, thrower);
-  sim.cancel(thrower);  // stale handle: no-op
+  sim.schedule_at(30, [] {});
   EXPECT_EQ(sim.pending_events(), 2u);
   sim.run();
   EXPECT_TRUE(sim.empty());
@@ -861,13 +847,12 @@ TEST_P(BackendConformance, ThrowingCallbackStillFreesItsSlot) {
 
 namespace {
 
-/// One deterministic schedule/cancel/re-entrancy workload; every observable
-/// the kernel exposes is captured so two backends can be compared field by
-/// field. Uses a hand-rolled LCG so the trace is identical across runs,
-/// platforms, and backends.
+/// One deterministic schedule/arm/destroy/re-entrancy workload; every
+/// observable the kernel exposes is captured so two backends can be compared
+/// field by field. Uses a hand-rolled LCG so the trace is identical across
+/// runs, platforms, and backends.
 struct KernelTrace {
   std::vector<std::pair<TimeNs, int>> dispatched;  ///< (now, tag) sequence
-  std::vector<EventId> ids;
   std::uint64_t executed = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t compactions = 0;
@@ -897,6 +882,13 @@ struct TaggedTimer {
   Timer timer;
 };
 
+/// One in this many set-up iterations, and one in this many closure
+/// dispatches, destroys a random timer. With most set-up timers armed far
+/// ahead, the tombstones come to outnumber the live entries once the near
+/// events have run, and the trace purges them.
+constexpr std::uint32_t kDestroyAtSetUp = 3;
+constexpr std::uint32_t kDestroyFromDispatch = 4;
+
 KernelTrace run_workload(QueueBackend backend) {
   Simulator sim(backend);
   KernelTrace tr;
@@ -906,15 +898,14 @@ KernelTrace run_workload(QueueBackend backend) {
     return static_cast<std::uint32_t>(rng >> 33);
   };
   int tag = 0;
-  std::vector<EventId> open;
   const auto leaf = [&] {
     return [&tr, &sim, leaf_tag = tag++] {
       tr.dispatched.emplace_back(sim.now(), leaf_tag);
     };
   };
-  // Timers interleaved with the closures: re-armed once idle, some
-  // destroyed while armed (their entries turn to tombstones) and their
-  // table slots reused by new ones.
+  // Timers interleaved with the closures: re-armed once idle, destroyed
+  // while armed (their entries turn to tombstones) or idle (the no-op path),
+  // and their table slots reused by new ones.
   std::vector<std::unique_ptr<TaggedTimer>> timers;
   const auto idle_timer = [&]() -> TaggedTimer& {
     for (auto& t : timers) {
@@ -925,55 +916,51 @@ KernelTrace run_workload(QueueBackend backend) {
     }
     return *timers.emplace_back(std::make_unique<TaggedTimer>(sim, tr));
   };
-  // Schedule-phase churn: random times (with ties; one in eight far beyond
-  // the calendar's ring window), random cancels.
+  const auto destroy_one = [&] {
+    if (timers.empty()) return;
+    std::unique_ptr<TaggedTimer>& doomed = timers[next() % timers.size()];
+    if (doomed != nullptr && doomed->timer.armed()) ++tr.timers_destroyed_armed;
+    doomed.reset();
+  };
+  // A random time: ties, and one in eight far beyond the calendar's window.
+  const auto random_time = [&] {
+    return next() % 8 == 0 ? 5000 + next() % 50'000'000 : next() % 5000;
+  };
+  // Schedule-phase churn: closures and timers at random times, random
+  // destructions.
   for (int i = 0; i < 2000; ++i) {
-    const TimeNs t = next() % 8 == 0 ? 5000 + next() % 50'000'000 : next() % 5000;
     const int my_tag = tag++;
-    const EventId id = sim.schedule_at(t, [&, my_tag] {
+    sim.schedule_at(random_time(), [&, my_tag] {
       tr.dispatched.emplace_back(sim.now(), my_tag);
       if (next() % 4 == 0) {  // re-entrant schedule from dispatch
-        open.push_back(sim.schedule_in(1 + next() % 64, leaf()));
+        sim.schedule_in(1 + next() % 64, leaf());
       }
       if (next() % 16 == 0) {  // ... and one far beyond the window
-        open.push_back(sim.schedule_in(20'000 + next() % 2'000'000, leaf()));
+        sim.schedule_in(20'000 + next() % 2'000'000, leaf());
       }
       if (next() % 16 == 0) {
         // A seq reserved now and armed late at now(): it must run ahead of
         // the same-time event scheduled in between.
         const std::uint64_t reserved = sim.reserve_seq();
-        open.push_back(sim.schedule_in(0, leaf()));
+        sim.schedule_in(0, leaf());
         idle_timer().arm(sim.now(), reserved, tag++);
       }
       if (next() % 8 == 0) {  // a timer a little ahead, sometimes past the ring
         const TimeNs ahead = next() % 4 == 0 ? 20'000 + next() % 100'000 : next() % 3000;
         idle_timer().arm(sim.now() + ahead, sim.reserve_seq(), tag++);
       }
-      if (next() % 32 == 0 && !timers.empty()) {  // destroyed, maybe armed
-        std::unique_ptr<TaggedTimer>& doomed = timers[next() % timers.size()];
-        if (doomed != nullptr && doomed->timer.armed()) ++tr.timers_destroyed_armed;
-        doomed.reset();
-      }
       if (next() % 32 == 0) {
         // A burst inside one 64 ns span: more events than a bucket holds.
         const TimeNs base = sim.now() + 200 + next() % 1000;
-        for (int k = 0; k < 24; ++k) {
-          open.push_back(sim.schedule_at(base + next() % 64, leaf()));
-        }
+        for (int k = 0; k < 24; ++k) sim.schedule_at(base + next() % 64, leaf());
       }
-      if (next() % 8 == 0 && !open.empty()) {  // cancel from dispatch —
-        sim.cancel(open[next() % open.size()]);  // may be stale: no-op path
-      }
+      if (next() % kDestroyFromDispatch == 0) destroy_one();
     });
-    tr.ids.push_back(id);
-    open.push_back(id);
-    if (next() % 3 == 0) {
-      sim.cancel(open[next() % open.size()]);
+    if (next() % 2 == 0) {  // mostly far ahead, as a retransmission timer is
+      const TimeNs at = next() % 4 == 0 ? random_time() : 5000 + next() % 50'000'000;
+      idle_timer().arm(at, sim.reserve_seq(), tag++);
     }
-    if (next() % 64 == 0) {  // armed at set-up, far and near
-      idle_timer().arm(next() % 8 == 0 ? 5000 + next() % 50'000'000 : next() % 5000,
-                       sim.reserve_seq(), tag++);
-    }
+    if (next() % kDestroyAtSetUp == 0) destroy_one();
   }
   sim.run();
   tr.executed = sim.executed_events();
@@ -987,12 +974,12 @@ KernelTrace run_workload(QueueBackend backend) {
 }  // namespace
 
 // The conformance suite's capstone: a randomized workload of schedules,
-// cancels (live, stale, from inside callbacks), ties, re-entrant and
-// far-future scheduling, timers armed late at reserved seqs, re-armed and
-// destroyed while armed, and same-bucket bursts must produce the SAME
-// dispatch sequence, the SAME EventIds, and the SAME kernel counters —
-// including max_heap_depth and compaction count — on both backends. This is the unit-scale version of the pmsbregress
-// digest-equivalence guarantee.
+// ties, re-entrant and far-future scheduling, timers armed late at reserved
+// seqs, re-armed, destroyed while armed (at set-up and from inside
+// callbacks) or idle, tombstone purges, and same-bucket bursts must produce
+// the SAME dispatch sequence and the SAME kernel counters — including
+// max_heap_depth and compaction count — on both backends. This is the
+// unit-scale version of the pmsbregress digest-equivalence guarantee.
 TEST(QueueBackendEquivalence, RandomizedWorkloadTracesAreBitIdentical) {
   const KernelTrace heap = run_workload(QueueBackend::kHeap);
   const KernelTrace calendar = run_workload(QueueBackend::kCalendar);
@@ -1000,9 +987,9 @@ TEST(QueueBackendEquivalence, RandomizedWorkloadTracesAreBitIdentical) {
   ASSERT_GT(heap.timer_dispatches, 100);
   ASSERT_GT(heap.timers_destroyed_armed, 5);
   EXPECT_TRUE(heap == calendar);
+  EXPECT_GT(heap.compactions, 0u) << "the trace must reach a tombstone purge";
   // On mismatch the == line is useless for debugging; spell out the fields.
   EXPECT_EQ(heap.dispatched, calendar.dispatched);
-  EXPECT_EQ(heap.ids, calendar.ids);
   EXPECT_EQ(heap.executed, calendar.executed);
   EXPECT_EQ(heap.cancelled, calendar.cancelled);
   EXPECT_EQ(heap.compactions, calendar.compactions);
@@ -1080,14 +1067,14 @@ TEST(CalendarQueueColdPaths, WindowJumpsWhenTheHeapSuppliesTheNextEvent) {
   EXPECT_EQ(tr.end_time, 70'000'000);
 }
 
-// run(until) discards a cancelled entry past the horizon, so the window
-// start runs ahead of now(). An insert below the start must still come
-// first, and popping it must not pull the start back under ring entries
-// near the far end of the window.
+// run(until) discards a tombstone past the horizon, so the window start
+// runs ahead of now(). An insert below the start must still come first, and
+// popping it must not pull the start back under ring entries near the far
+// end of the window.
 TEST(CalendarQueueColdPaths, InsertAfterRunUntilSettlesPastTheLastPop) {
   const KernelTrace tr = expect_backends_agree([](Simulator& sim, auto fire) {
     sim.schedule_at(10, fire(0));
-    sim.cancel(sim.schedule_at(10'000, fire(-1)));
+    arm_at(sim, 10'000, fire(-1)).reset();  // a tombstone at 10'000
     sim.schedule_at(10'050, fire(3));
     sim.run(500);
     EXPECT_EQ(sim.now(), 500);
@@ -1195,19 +1182,24 @@ TEST(CalendarQueueColdPaths, TimesNearTimeNever) {
 // compaction point, depth high-water mark and survivors' order must match.
 TEST(CalendarQueueColdPaths, CompactionWithTombstonesInBothParts) {
   const KernelTrace tr = expect_backends_agree([](Simulator& sim, auto fire) {
-    std::vector<EventId> ring, heap;
-    for (int i = 0; i < 8; ++i) ring.push_back(sim.schedule_at(1000 + i, fire(i)));
-    for (int i = 0; i < 40; ++i) ring.push_back(sim.schedule_at(2000 + 150 * i, fire(100 + i)));
-    for (int i = 0; i < 60; ++i) heap.push_back(sim.schedule_at(1'000'000 + 1000 * i, fire(200 + i)));
+    std::vector<std::unique_ptr<ClosureTimer>> ring, heap;
+    for (int i = 0; i < 8; ++i) ring.push_back(arm_at(sim, 1000 + i, fire(i)));
+    for (int i = 0; i < 40; ++i) {
+      ring.push_back(arm_at(sim, 2000 + 150 * i, fire(100 + i)));
+    }
+    for (int i = 0; i < 60; ++i) {
+      heap.push_back(arm_at(sim, 1'000'000 + 1000 * i, fire(200 + i)));
+    }
     sim.run(1003);  // drains half of the first bucket
     EXPECT_EQ(sim.queue_compactions(), 0u);
-    for (std::size_t i = 5; i < ring.size(); i += 2) sim.cancel(ring[i]);
-    for (std::size_t i = 0; i < heap.size(); i += 2) sim.cancel(heap[i]);
-    for (std::size_t i = 1; sim.queue_compactions() == 0; i += 2) sim.cancel(heap[i]);
+    for (std::size_t i = 5; i < ring.size(); i += 2) ring[i].reset();
+    for (std::size_t i = 0; i < heap.size(); i += 2) heap[i].reset();
+    for (std::size_t i = 1; sim.queue_compactions() == 0; i += 2) heap[i].reset();
     EXPECT_EQ(sim.queue_depth(), sim.pending_events()) << "no tombstone survives";
     // Refill the compacted buckets, including the half-drained one.
     sim.schedule_at(1005, fire(50));
     sim.schedule_at(2000, fire(51));
+    sim.run();  // while the timers live
   });
   EXPECT_EQ(tr.compactions, 1u);
   EXPECT_GT(tr.dispatched.size(), 30u);

@@ -394,7 +394,6 @@ TEST(TimeSeriesSampler, RowsAlignWithSchedulePeriod) {
   }
   sampler.start();
   simulator.run(sim::microseconds(1000));
-  sampler.stop();
 
   // Samples at t = 0, 100, ..., 1000 us.
   ASSERT_EQ(sampler.rows(), 11u);
@@ -416,7 +415,6 @@ TEST(TimeSeriesSampler, RateColumnIsDeltaPerSecond) {
   }
   sampler.start();
   simulator.run(sim::microseconds(500));
-  sampler.stop();
 
   ASSERT_EQ(sampler.rows(), 6u);
   EXPECT_DOUBLE_EQ(sampler.column(0)[0], 0.0);  // nothing before the first tick
@@ -426,17 +424,23 @@ TEST(TimeSeriesSampler, RateColumnIsDeltaPerSecond) {
   }
 }
 
-TEST(TimeSeriesSampler, StopCancelsFutureSamples) {
+TEST(TimeSeriesSampler, DestroyedSamplerTakesNoFurtherSamples) {
   sim::Simulator simulator;
-  TimeSeriesSampler sampler(simulator, sim::microseconds(100));
-  sampler.add_probe("zero", [] { return 0.0; });
-  sampler.start();
-  simulator.run(sim::microseconds(250));
-  sampler.stop();
-  const std::size_t rows_at_stop = sampler.rows();
+  int probes = 0;
+  {
+    TimeSeriesSampler sampler(simulator, sim::microseconds(100));
+    sampler.add_probe("count", [&probes] { return ++probes; });
+    sampler.start();
+    simulator.run(sim::microseconds(250));
+    EXPECT_EQ(sampler.rows(), 3u);
+    EXPECT_EQ(simulator.pending_events(), 1u);  // the tick at 300 us
+  }
+  EXPECT_EQ(probes, 3);
+  EXPECT_EQ(simulator.cancelled_events(), 1u) << "its pending tick became a tombstone";
   simulator.run(sim::microseconds(1000));
-  EXPECT_EQ(sampler.rows(), rows_at_stop);
-  EXPECT_TRUE(simulator.empty());  // no orphaned self-rescheduling event
+  EXPECT_EQ(probes, 3) << "the probe is not called again";
+  EXPECT_TRUE(simulator.empty());  // no orphaned self-re-arming event
+  EXPECT_EQ(simulator.queue_depth(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -627,9 +631,11 @@ TEST(BindSimulatorMetrics, ExposesKernelCounters) {
   sim::Simulator simulator;
   MetricsRegistry reg;
   bind_simulator_metrics(reg, simulator);
-  const auto id = simulator.schedule_in(10, [] {});
-  simulator.schedule_in(20, [] {});
-  simulator.cancel(id);
+  {
+    sim::Timer doomed(simulator, [](void*) {}, nullptr);
+    doomed.arm(10, simulator.reserve_seq());
+    simulator.schedule_in(20, [] {});
+  }  // destroyed while armed: a cancelled event
   simulator.run();
   EXPECT_DOUBLE_EQ(reg.value("sim.events_executed"), 1.0);
   EXPECT_DOUBLE_EQ(reg.value("sim.events_cancelled"), 1.0);
