@@ -21,29 +21,24 @@ using namespace pmsb::sim;
 
 namespace {
 
-/// A Timer that runs a closure: an event its owner may call off, which it
-/// does by destroying the timer.
+/// A Timer that runs a closure, armed at construction where a schedule_at(t)
+/// issued then would run: an event its owner calls off by destroying it.
 class ClosureTimer {
  public:
-  ClosureTimer(Simulator& sim, std::function<void()> fn)
-      : sim_(sim), fn_(std::move(fn)), timer_(sim, &ClosureTimer::fire, this) {}
-
-  /// Arms the timer where a schedule_at(t) issued now would run.
-  void arm(TimeNs t) { timer_.arm(t, sim_.reserve_seq()); }
+  ClosureTimer(Simulator& sim, TimeNs t, std::function<void()> fn)
+      : fn_(std::move(fn)), timer_(sim, &ClosureTimer::fire, this) {
+    timer_.arm(t, sim.reserve_seq());
+  }
 
  private:
   static void fire(void* self) { static_cast<ClosureTimer*>(self)->fn_(); }
 
-  Simulator& sim_;
   std::function<void()> fn_;
   Timer timer_;
 };
 
-/// A timer running `fn` at `t`, queued where schedule_at(t, fn) would be.
 std::unique_ptr<ClosureTimer> arm_at(Simulator& sim, TimeNs t, std::function<void()> fn) {
-  auto timer = std::make_unique<ClosureTimer>(sim, std::move(fn));
-  timer->arm(t);
-  return timer;
+  return std::make_unique<ClosureTimer>(sim, t, std::move(fn));
 }
 
 }  // namespace
