@@ -10,7 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,12 +52,12 @@ void timer_churn(sim::QueueBackend backend, std::int64_t batch) {
   // can't be elided).
   sim::Simulator sim(backend);
   std::int64_t fired = 0;
-  std::vector<std::unique_ptr<sim::Timer>> timers;
-  timers.reserve(static_cast<std::size_t>(batch));
+  // Timers built in place, so a rep measures the kernel, not the allocator.
+  std::vector<std::optional<sim::Timer>> timers(static_cast<std::size_t>(batch));
   for (std::int64_t i = 0; i < batch; ++i) {
-    timers.push_back(std::make_unique<sim::Timer>(
-        sim, [](void* n) { ++*static_cast<std::int64_t*>(n); }, &fired));
-    timers.back()->arm((i * 7919) % 100000, sim.reserve_seq());
+    sim::Timer& timer = timers[static_cast<std::size_t>(i)].emplace(
+        sim, [](void* n) { ++*static_cast<std::int64_t*>(n); }, &fired);
+    timer.arm((i * 7919) % 100000, sim.reserve_seq());
   }
   for (std::int64_t i = 0; i < batch; ++i) {
     if (i % 4 != 0) timers[static_cast<std::size_t>(i)].reset();
