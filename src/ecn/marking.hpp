@@ -73,7 +73,7 @@ class MarkingScheme {
   /// blindness suppressions, sojourn histograms, ...) under `labels`.
   /// Default: the scheme has nothing beyond what the Port already counts.
   virtual void bind_metrics(telemetry::MetricsRegistry& registry,
-                            const telemetry::Labels& labels) {
+                            telemetry::LabelSetId labels) {
     (void)registry;
     (void)labels;
   }

@@ -27,7 +27,7 @@ class PerPortMarking final : public MarkingScheme {
   [[nodiscard]] bool requires_switch_modification() const override { return false; }
 
   void bind_metrics(telemetry::MetricsRegistry& registry,
-                    const telemetry::Labels& labels) override {
+                    telemetry::LabelSetId labels) override {
     registry.bind_counter("ecn.threshold_evals", labels, &evals_, "evals");
   }
 

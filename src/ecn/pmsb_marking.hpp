@@ -35,7 +35,7 @@ class PmsbMarking final : public MarkingScheme {
   [[nodiscard]] std::string name() const override { return "PMSB"; }
 
   void bind_metrics(telemetry::MetricsRegistry& registry,
-                    const telemetry::Labels& labels) override {
+                    telemetry::LabelSetId labels) override {
     registry.bind_counter("ecn.threshold_evals", labels, &evals_, "evals");
     registry.bind_counter("ecn.port_over_threshold", labels, &port_over_threshold_,
                           "evals");

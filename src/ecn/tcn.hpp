@@ -31,7 +31,7 @@ class TcnMarking final : public MarkingScheme {
   [[nodiscard]] bool early_notification() const override { return false; }
 
   void bind_metrics(telemetry::MetricsRegistry& registry,
-                    const telemetry::Labels& labels) override {
+                    telemetry::LabelSetId labels) override {
     registry.bind_counter("ecn.threshold_evals", labels, &evals_, "evals");
     sojourn_hist_ =
         &registry.histogram("ecn.sojourn_us", sojourn_bucket_bounds_us(), labels, "us");

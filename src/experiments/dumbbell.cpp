@@ -91,10 +91,12 @@ std::vector<double> DumbbellScenario::queue_rates_gbps(sim::TimeNs from,
 }
 
 void DumbbellScenario::bind_metrics(telemetry::MetricsRegistry& registry) {
-  bottleneck().bind_metrics(registry, {{"port", "bottleneck"}});
-  if (pool() != nullptr) pool()->bind_metrics(registry, {});
+  bottleneck().bind_metrics(registry, registry.label_set({{"port", "bottleneck"}}));
+  const telemetry::LabelSetId none = registry.label_set({});
+  if (pool() != nullptr) pool()->bind_metrics(registry, none);
   for (std::size_t i = 0; i < num_flows(); ++i) {
-    flow(i).sender().bind_metrics(registry, {{"flow", std::to_string(i)}});
+    flow(i).sender().bind_metrics(registry,
+                                  registry.label_set(none, "flow", std::to_string(i)));
   }
 }
 

@@ -144,15 +144,15 @@ bool LeafSpineScenario::run_until_complete(sim::TimeNs max_time) {
 }
 
 void LeafSpineScenario::bind_metrics(telemetry::MetricsRegistry& registry) {
-  for (auto& sw : switches_) {
-    for (std::size_t p = 0; p < sw->num_ports(); ++p) {
-      sw->port(p).bind_metrics(
-          registry, {{"switch", sw->name()}, {"port", std::to_string(p)}});
-    }
-  }
   // When pooled, every switch has one pool, in switches_ order.
-  for (std::size_t i = 0; i < pools_.size(); ++i) {
-    pools_[i]->bind_metrics(registry, {{"switch", switches_[i]->name()}});
+  for (std::size_t i = 0; i < switches_.size(); ++i) {
+    switchlib::Switch& sw = *switches_[i];
+    const telemetry::LabelSetId at_switch = registry.label_set({{"switch", sw.name()}});
+    for (std::size_t p = 0; p < sw.num_ports(); ++p) {
+      sw.port(p).bind_metrics(registry,
+                              registry.label_set(at_switch, "port", std::to_string(p)));
+    }
+    if (i < pools_.size()) pools_[i]->bind_metrics(registry, at_switch);
   }
 
   // Fabric-wide transport aggregates, summed over flows at collect time so
@@ -164,23 +164,24 @@ void LeafSpineScenario::bind_metrics(telemetry::MetricsRegistry& registry) {
       return total;
     };
   };
-  registry.counter_fn("transport.segments_sent", {},
+  const telemetry::LabelSetId none = registry.label_set({});
+  registry.counter_fn("transport.segments_sent", none,
                       sum(&transport::SenderStats::segments_sent), "segments");
-  registry.counter_fn("transport.retransmits", {},
+  registry.counter_fn("transport.retransmits", none,
                       sum(&transport::SenderStats::retransmits), "segments");
-  registry.counter_fn("transport.timeouts", {},
+  registry.counter_fn("transport.timeouts", none,
                       sum(&transport::SenderStats::timeouts), "events");
-  registry.counter_fn("transport.ece_acks", {},
+  registry.counter_fn("transport.ece_acks", none,
                       sum(&transport::SenderStats::ece_acks), "acks");
-  registry.counter_fn("transport.ece_ignored", {},
+  registry.counter_fn("transport.ece_ignored", none,
                       sum(&transport::SenderStats::ece_ignored), "acks");
-  registry.counter_fn("transport.window_cuts", {},
+  registry.counter_fn("transport.window_cuts", none,
                       sum(&transport::SenderStats::window_cuts), "cuts");
   registry.counter_fn(
-      "flows.completed", {},
+      "flows.completed", none,
       [this]() -> std::uint64_t { return flows_done(); }, "flows");
   registry.counter_fn(
-      "flows.total", {},
+      "flows.total", none,
       [this]() -> std::uint64_t { return num_flows(); }, "flows");
 }
 

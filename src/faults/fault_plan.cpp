@@ -240,7 +240,8 @@ std::uint64_t FaultPlan::delayed_in_flight() const {
 
 void FaultPlan::bind_metrics(telemetry::MetricsRegistry& registry) const {
   for (const auto& point : points_) {
-    point->node->bind_metrics(registry, {{"link", point->src + "->" + point->dst}});
+    const std::string link = point->src + "->" + point->dst;
+    point->node->bind_metrics(registry, registry.label_set({{"link", link}}));
   }
 }
 

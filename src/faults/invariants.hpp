@@ -66,7 +66,10 @@ class InvariantChecker {
 
   /// Schedules periodic evaluation every `period`. The tick does not
   /// reschedule once the event queue is otherwise empty, so a run still
-  /// terminates when traffic drains.
+  /// terminates when traffic drains. A tick counts an evaluation without
+  /// running the checks when no other event has run and no packet id was
+  /// handed out since the last evaluation, and the last run of the checks
+  /// found nothing: the state they read has not changed.
   void start_periodic(sim::TimeNs period);
 
   [[nodiscard]] const std::vector<Violation>& violations() const { return violations_; }
@@ -91,6 +94,8 @@ class InvariantChecker {
   };
 
   void record(Violation v);
+  /// Runs every check and notes the kernel position it saw.
+  void walk();
   void tick(sim::TimeNs period);
 
   friend class Context;
@@ -102,6 +107,12 @@ class InvariantChecker {
   std::uint64_t total_violations_ = 0;
   std::uint64_t evaluations_ = 0;
   bool periodic_started_ = false;
+  // The kernel's event count and last packet id at the last evaluation, and
+  // whether the next tick may skip its walk: the last walk found nothing
+  // and no check_now() came since.
+  std::uint64_t events_at_eval_ = 0;
+  std::uint64_t packet_ids_at_eval_ = 0;
+  bool may_skip_ = false;
 };
 
 }  // namespace pmsb::faults

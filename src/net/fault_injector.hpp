@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "net/node.hpp"
@@ -139,12 +140,9 @@ class FaultInjector : public Node {
   /// Registers every counter cell under `labels`; drops carry an extra
   /// `reason` label (counted | loss | link_down) so faulted runs are
   /// attributable in metrics_json output.
-  void bind_metrics(telemetry::MetricsRegistry& registry,
-                    const telemetry::Labels& labels) {
-    auto with_reason = [&labels](const char* reason) {
-      telemetry::Labels l = labels;
-      l.emplace_back("reason", reason);
-      return l;
+  void bind_metrics(telemetry::MetricsRegistry& registry, telemetry::LabelSetId labels) {
+    const auto with_reason = [&registry, labels](std::string_view reason) {
+      return registry.label_set(labels, "reason", reason);
     };
     registry.bind_counter("faults.dropped", with_reason("counted"),
                           &counters_.dropped_counted, "packets");

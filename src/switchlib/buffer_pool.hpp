@@ -72,8 +72,7 @@ class BufferPool {
   /// Registers the pool's gauges under `labels`: `buffer.free_pool_bytes`
   /// (the DT control variable), `buffer.pool_occupancy_bytes`, and
   /// `buffer.pool_limit_bytes`. Pure registration — no packet-path cost.
-  void bind_metrics(telemetry::MetricsRegistry& registry,
-                    const telemetry::Labels& labels) {
+  void bind_metrics(telemetry::MetricsRegistry& registry, telemetry::LabelSetId labels) {
     registry.gauge_fn(
         "buffer.free_pool_bytes", labels,
         [this] { return static_cast<double>(free_bytes()); }, "bytes");

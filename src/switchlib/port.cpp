@@ -41,7 +41,7 @@ ecn::PortSnapshot Port::snapshot(std::size_t queue, std::uint64_t packet_bytes) 
 }
 
 void Port::bind_metrics(telemetry::MetricsRegistry& registry,
-                        const telemetry::Labels& labels) {
+                        telemetry::LabelSetId labels) {
   registry.bind_counter("port.enqueued_packets", labels, &stats_.enqueued_packets,
                         "packets");
   registry.bind_counter("port.dequeued_packets", labels, &stats_.dequeued_packets,
@@ -54,9 +54,10 @@ void Port::bind_metrics(telemetry::MetricsRegistry& registry,
   registry.bind_counter("port.marked_dequeue", labels, &stats_.marked_dequeue,
                         "packets");
   for (std::size_t r = 0; r < kNumDropReasons; ++r) {
-    telemetry::Labels l = labels;
-    l.emplace_back("reason", drop_reason_name(static_cast<DropReason>(r)));
-    registry.bind_counter("port.drops", l, &stats_.dropped_by_reason[r], "packets");
+    registry.bind_counter(
+        "port.drops",
+        registry.label_set(labels, "reason", drop_reason_name(static_cast<DropReason>(r))),
+        &stats_.dropped_by_reason[r], "packets");
   }
   registry.gauge_fn(
       "port.occupancy_bytes", labels,
@@ -69,8 +70,7 @@ void Port::bind_metrics(telemetry::MetricsRegistry& registry,
       "port.occupancy_packets", labels,
       [this] { return static_cast<double>(sched_->total_packets()); }, "packets");
   for (std::size_t q = 0; q < sched_->num_queues(); ++q) {
-    telemetry::Labels l = labels;
-    l.emplace_back("queue", std::to_string(q));
+    const telemetry::LabelSetId l = registry.label_set(labels, "queue", std::to_string(q));
     registry.bind_counter("port.marks", l, &stats_.marked_per_queue[q], "packets");
     registry.gauge_fn(
         "queue.backlog_bytes", l,

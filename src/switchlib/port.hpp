@@ -91,14 +91,14 @@ class Port : private net::PacketSource {
   /// interned here; the packet path stays string-free.
   void set_profiler(telemetry::Profiler* profiler);
 
-  /// Registers this port's instruments in `registry` under `labels`
-  /// (e.g. {{"switch","leaf0"},{"port","2"}}): every PortStats cell as a
-  /// bound counter (drop reasons and per-queue marks included), live
+  /// Registers this port's instruments in `registry` under `labels`, a set
+  /// interned there (e.g. {{"switch","leaf0"},{"port","2"}}): every
+  /// PortStats cell as a bound counter (drop reasons and per-queue marks
+  /// included, each under the set plus a `reason` or `queue` label), live
   /// occupancy / per-queue backlog probe gauges, per-queue service counters
   /// from the scheduler, and whatever the marking scheme itself exposes.
   /// Pure registration — the packet path does not get any new work.
-  void bind_metrics(telemetry::MetricsRegistry& registry,
-                    const telemetry::Labels& labels);
+  void bind_metrics(telemetry::MetricsRegistry& registry, telemetry::LabelSetId labels);
 
   [[nodiscard]] const sched::Scheduler& scheduler() const { return *sched_; }
   [[nodiscard]] ecn::MarkingScheme& marking() { return *marking_; }

@@ -1,6 +1,7 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -12,29 +13,33 @@ namespace pmsb::telemetry {
 
 namespace {
 
-using LabelPair = Labels::value_type;
+using LabelView = std::pair<std::string_view, std::string_view>;
 
 /// The pairs of `labels` in (key, value) order.
-std::vector<const LabelPair*> sorted_labels(const Labels& labels) {
-  std::vector<const LabelPair*> sorted;
-  sorted.reserve(labels.size());
-  for (const LabelPair& l : labels) sorted.push_back(&l);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const LabelPair* a, const LabelPair* b) { return *a < *b; });
+std::vector<LabelView> sorted_labels(const Labels& labels) {
+  std::vector<LabelView> sorted(labels.begin(), labels.end());
+  std::sort(sorted.begin(), sorted.end());
   return sorted;
 }
 
-/// The label part of a canonical key: `{k1=v1,k2=v2}`, or "" without labels.
-std::string label_text(const std::vector<const LabelPair*>& sorted) {
-  if (sorted.empty()) return {};
-  std::string text = "{";
-  for (const LabelPair* l : sorted) {
+/// Sets `text` to the label part of a canonical key: `{k1=v1,k2=v2}`, or ""
+/// without labels.
+void label_text(const std::vector<LabelView>& sorted, std::string& text) {
+  text.clear();
+  if (sorted.empty()) return;
+  text += '{';
+  for (const auto& [key, value] : sorted) {
     if (text.size() > 1) text += ',';
-    text += l->first;
+    text += key;
     text += '=';
-    text += l->second;
+    text += value;
   }
   text += '}';
+}
+
+std::string label_text(const Labels& labels) {
+  std::string text;
+  label_text(sorted_labels(labels), text);
   return text;
 }
 
@@ -62,8 +67,8 @@ int compare_joined(std::string_view a1, std::string_view a2, std::string_view b1
 
 }  // namespace
 
-std::string instrument_key(const std::string& name, const Labels& labels) {
-  return name + label_text(sorted_labels(labels));
+std::string instrument_key(std::string_view name, const Labels& labels) {
+  return std::string(name) + label_text(labels);
 }
 
 const char* instrument_kind_name(InstrumentKind kind) {
@@ -93,22 +98,28 @@ double Histogram::upper_bound(std::size_t i) const {
 // --- Interner ---------------------------------------------------------------
 
 std::uint32_t MetricsRegistry::Interner::intern(std::string_view s) {
-  const std::size_t hash = std::hash<std::string_view>{}(s);
-  const auto holds = [&](std::uint32_t id) { return views_[id] == s; };
-  if (const std::uint32_t id = ids_.find(hash, holds); id != kAbsent) return id;
+  Recent& recent =
+      recent_[reinterpret_cast<std::uintptr_t>(s.data()) / alignof(std::max_align_t) %
+              recent_.size()];
+  if (recent.data == s.data() && recent.id != kAbsent && views_[recent.id] == s) {
+    return recent.id;
+  }
+  const auto next = static_cast<std::uint32_t>(views_.size());
+  const std::uint32_t id = ids_.find_or_insert(
+      std::hash<std::string_view>{}(s), next,
+      [&](std::uint32_t o) { return views_[o] == s; },
+      [this](std::uint32_t o) { return std::hash<std::string_view>{}(views_[o]); });
+  recent = {s.data(), id};
+  if (id != next) return id;
   if (s.size() > free_) {
     free_ = std::max(kChunkBytes, s.size());
     chunks_.push_back(std::make_unique<char[]>(free_));
     next_ = chunks_.back().get();
   }
-  const auto id = static_cast<std::uint32_t>(views_.size());
   views_.emplace_back(next_, s.size());
   if (!s.empty()) std::memcpy(next_, s.data(), s.size());
   next_ += s.size();
   free_ -= s.size();
-  ids_.insert(hash, id, [this](std::uint32_t o) {
-    return std::hash<std::string_view>{}(views_[o]);
-  });
   return id;
 }
 
@@ -117,45 +128,43 @@ std::uint32_t MetricsRegistry::Interner::find(std::string_view s) const {
                    [&](std::uint32_t id) { return views_[id] == s; });
 }
 
+std::vector<std::uint32_t> MetricsRegistry::Interner::sorted_ids() const {
+  std::vector<std::uint32_t> ids(views_.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  std::sort(ids.begin(), ids.end(),
+            [this](std::uint32_t a, std::uint32_t b) { return views_[a] < views_[b]; });
+  return ids;
+}
+
 // --- Instrument view ----------------------------------------------------------
 
 std::string_view MetricsRegistry::Instrument::name() const {
-  return registry_->names_[registry_->entries_[entry_].name];
+  return registry_->names_[entry_->name];
 }
 
 std::string_view MetricsRegistry::Instrument::unit() const {
-  return registry_->names_[registry_->entries_[entry_].unit];
+  return registry_->names_[entry_->unit];
+}
+
+std::string_view MetricsRegistry::Instrument::label_text() const {
+  return registry_->label_texts_[entry_->labels];
 }
 
 InstrumentKind MetricsRegistry::Instrument::kind() const {
-  return kind_of(registry_->entries_[entry_]);
-}
-
-void MetricsRegistry::Instrument::for_each_label(
-    const std::function<void(std::string_view, std::string_view)>& fn) const {
-  const std::uint32_t id = registry_->entries_[entry_].labels;
-  const std::string_view text = registry_->label_texts_[id];
-  const LabelSet set = registry_->label_sets_[id];
-  std::size_t pos = 1;  // past '{'
-  for (std::uint32_t i = set.first; i < set.first + set.count; ++i) {
-    const auto [key_size, value_size] = registry_->label_sizes_[i];
-    fn(text.substr(pos, key_size), text.substr(pos + key_size + 1, value_size));
-    pos += key_size + value_size + 2;  // past '=' and ',' (or '}')
-  }
+  return kind_of(*entry_);
 }
 
 double MetricsRegistry::Instrument::value() const {
-  return registry_->value_of(registry_->entries_[entry_]);
+  return registry_->value_of(*entry_);
 }
 
 const Histogram* MetricsRegistry::Instrument::histogram() const {
-  const Entry& e = registry_->entries_[entry_];
-  return e.source == Source::kHistogram ? &registry_->histograms_[e.slot] : nullptr;
+  return entry_->source == Source::kHistogram ? &registry_->histograms_[entry_->slot]
+                                              : nullptr;
 }
 
 std::string MetricsRegistry::Instrument::key() const {
-  return std::string(name()).append(
-      registry_->label_texts_[registry_->entries_[entry_].labels]);
+  return registry_->key_of(*entry_);
 }
 
 // --- Registry -------------------------------------------------------------------
@@ -185,9 +194,10 @@ double MetricsRegistry::value_of(const Entry& e) const {
   return 0.0;
 }
 
-std::uint32_t MetricsRegistry::intern_labels(const Labels& labels) {
-  const std::vector<const LabelPair*> sorted = sorted_labels(labels);
-  const std::uint32_t id = label_texts_.intern(label_text(sorted));
+std::uint32_t MetricsRegistry::intern_labels() {
+  const LabelViews& sorted = scratch_labels_;
+  label_text(sorted, scratch_text_);
+  const std::uint32_t id = label_texts_.intern(scratch_text_);
   if (id < label_sets_.size()) {
     // Equal texts hold equal labels unless a key or value holds '=' or ','
     // and the sizes split the text differently: then two label sets would
@@ -196,8 +206,8 @@ std::uint32_t MetricsRegistry::intern_labels(const Labels& labels) {
     bool same = set.count == sorted.size();
     for (std::size_t i = 0; same && i < set.count; ++i) {
       same = label_sizes_[set.first + i] ==
-             std::pair<std::uint32_t, std::uint32_t>(sorted[i]->first.size(),
-                                                     sorted[i]->second.size());
+             std::pair<std::uint32_t, std::uint32_t>(sorted[i].first.size(),
+                                                     sorted[i].second.size());
     }
     if (!same) {
       throw std::invalid_argument("MetricsRegistry: label sets collide on " +
@@ -207,10 +217,36 @@ std::uint32_t MetricsRegistry::intern_labels(const Labels& labels) {
   }
   label_sets_.push_back({static_cast<std::uint32_t>(label_sizes_.size()),
                          static_cast<std::uint32_t>(sorted.size())});
-  for (const LabelPair* l : sorted) {
-    label_sizes_.emplace_back(l->first.size(), l->second.size());
+  for (const auto& [key, value] : sorted) {
+    label_sizes_.emplace_back(key.size(), value.size());
   }
   return id;
+}
+
+std::uint32_t MetricsRegistry::checked(LabelSetId labels) const {
+  if (labels.id_ >= label_sets_.size()) {
+    throw std::invalid_argument("MetricsRegistry: label set from another registry");
+  }
+  return labels.id_;
+}
+
+LabelSetId MetricsRegistry::label_set(const Labels& labels) {
+  scratch_labels_.assign(labels.begin(), labels.end());
+  std::sort(scratch_labels_.begin(), scratch_labels_.end());
+  return LabelSetId(intern_labels());
+}
+
+LabelSetId MetricsRegistry::label_set(LabelSetId base, std::string_view key,
+                                      std::string_view value) {
+  // The base's pairs view label_texts_, whose chunks never move.
+  scratch_labels_.clear();
+  for_each_label_in(checked(base), [this](std::string_view k, std::string_view v) {
+    scratch_labels_.emplace_back(k, v);
+  });
+  const LabelView added(key, value);
+  scratch_labels_.insert(
+      std::upper_bound(scratch_labels_.begin(), scratch_labels_.end(), added), added);
+  return LabelSetId(intern_labels());
 }
 
 std::uint32_t MetricsRegistry::entry_index(std::uint32_t name, std::uint32_t labels) const {
@@ -219,91 +255,176 @@ std::uint32_t MetricsRegistry::entry_index(std::uint32_t name, std::uint32_t lab
   });
 }
 
-void MetricsRegistry::emplace(const std::string& name, const Labels& labels,
-                              const std::string& unit, Source source, std::size_t slot) {
+void MetricsRegistry::emplace(std::string_view name, std::uint32_t labels,
+                              std::string_view unit, Source source, std::size_t slot) {
   const std::uint32_t name_id = names_.intern(name);
-  const std::uint32_t labels_id = intern_labels(labels);
-  if (entry_index(name_id, labels_id) != kAbsent) {
+  const std::uint32_t unit_id = names_.intern(unit);
+  const auto next = static_cast<std::uint32_t>(entries_.size());
+  const auto holds = [&](std::uint32_t o) {
+    return entries_[o].name == name_id && entries_[o].labels == labels;
+  };
+  const auto hash_of = [this](std::uint32_t o) {
+    return entry_hash(entries_[o].name, entries_[o].labels);
+  };
+  const std::uint32_t i =
+      index_.find_or_insert(entry_hash(name_id, labels), next, holds, hash_of);
+  if (i != next) {
     throw std::invalid_argument("MetricsRegistry: duplicate instrument " +
-                                instrument_key(name, labels));
+                                key_of(entries_[i]));
   }
-  entries_.push_back(
-      {name_id, labels_id, names_.intern(unit), source, static_cast<std::uint32_t>(slot)});
-  index_.insert(entry_hash(name_id, labels_id),
-                static_cast<std::uint32_t>(entries_.size() - 1), [this](std::uint32_t i) {
-                  return entry_hash(entries_[i].name, entries_[i].labels);
-                });
+  entries_.push_back({name_id, labels, unit_id, source, static_cast<std::uint32_t>(slot)});
 }
 
-const MetricsRegistry::Entry* MetricsRegistry::find(const std::string& name,
+const MetricsRegistry::Entry* MetricsRegistry::find(std::string_view name,
                                                     const Labels& labels) const {
   const std::uint32_t name_id = names_.find(name);
   if (name_id == kAbsent) return nullptr;
-  const std::uint32_t labels_id = label_texts_.find(label_text(sorted_labels(labels)));
+  const std::uint32_t labels_id = label_texts_.find(label_text(labels));
   if (labels_id == kAbsent) return nullptr;
   const std::uint32_t i = entry_index(name_id, labels_id);
   return i == kAbsent ? nullptr : &entries_[i];
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
+std::string MetricsRegistry::key_of(const Entry& e) const {
+  return std::string(names_[e.name]).append(label_texts_[e.labels]);
+}
+
+Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> upper_bounds,
-                                      const Labels& labels, const std::string& unit) {
-  if (const Entry* e = find(name, labels)) {
-    if (e->source != Source::kHistogram) {
-      throw std::invalid_argument("MetricsRegistry: " + instrument_key(name, labels) +
-                                  " exists with a different kind");
+                                      const Labels& labels, std::string_view unit) {
+  return histogram(name, std::move(upper_bounds), label_set(labels), unit);
+}
+
+Histogram& MetricsRegistry::histogram(std::string_view name,
+                                      std::vector<double> upper_bounds, LabelSetId labels,
+                                      std::string_view unit) {
+  const std::uint32_t labels_id = checked(labels);
+  if (const std::uint32_t name_id = names_.find(name); name_id != kAbsent) {
+    if (const std::uint32_t i = entry_index(name_id, labels_id); i != kAbsent) {
+      const Entry& e = entries_[i];
+      if (e.source != Source::kHistogram) {
+        throw std::invalid_argument("MetricsRegistry: " + key_of(e) +
+                                    " exists with a different kind");
+      }
+      return histograms_[e.slot];
     }
-    return histograms_[e->slot];
   }
   Histogram hist(std::move(upper_bounds));  // validates before registering
-  emplace(name, labels, unit, Source::kHistogram, histograms_.size());
+  emplace(name, labels_id, unit, Source::kHistogram, histograms_.size());
   return histograms_.emplace_back(std::move(hist));
 }
 
-void MetricsRegistry::bind_counter(const std::string& name, const Labels& labels,
-                                   const std::uint64_t* cell, const std::string& unit) {
+void MetricsRegistry::bind_counter(std::string_view name, const Labels& labels,
+                                   const std::uint64_t* cell, std::string_view unit) {
+  bind_counter(name, label_set(labels), cell, unit);
+}
+
+void MetricsRegistry::bind_counter(std::string_view name, LabelSetId labels,
+                                   const std::uint64_t* cell, std::string_view unit) {
   if (cell == nullptr) {
     throw std::invalid_argument("MetricsRegistry::bind_counter: null cell");
   }
-  emplace(name, labels, unit, Source::kCell, cells_.size());
+  emplace(name, checked(labels), unit, Source::kCell, cells_.size());
   cells_.push_back(cell);
 }
 
-void MetricsRegistry::counter_fn(const std::string& name, const Labels& labels,
-                                 std::function<std::uint64_t()> fn,
-                                 const std::string& unit) {
-  emplace(name, labels, unit, Source::kCounterFn, counter_fns_.size());
+void MetricsRegistry::counter_fn(std::string_view name, const Labels& labels,
+                                 std::function<std::uint64_t()> fn, std::string_view unit) {
+  counter_fn(name, label_set(labels), std::move(fn), unit);
+}
+
+void MetricsRegistry::counter_fn(std::string_view name, LabelSetId labels,
+                                 std::function<std::uint64_t()> fn, std::string_view unit) {
+  emplace(name, checked(labels), unit, Source::kCounterFn, counter_fns_.size());
   counter_fns_.push_back(std::move(fn));
 }
 
-void MetricsRegistry::gauge_fn(const std::string& name, const Labels& labels,
-                               std::function<double()> fn, const std::string& unit) {
-  emplace(name, labels, unit, Source::kGaugeFn, gauge_fns_.size());
+void MetricsRegistry::gauge_fn(std::string_view name, const Labels& labels,
+                               std::function<double()> fn, std::string_view unit) {
+  gauge_fn(name, label_set(labels), std::move(fn), unit);
+}
+
+void MetricsRegistry::gauge_fn(std::string_view name, LabelSetId labels,
+                               std::function<double()> fn, std::string_view unit) {
+  emplace(name, checked(labels), unit, Source::kGaugeFn, gauge_fns_.size());
   gauge_fns_.push_back(std::move(fn));
 }
 
 std::vector<std::uint32_t> MetricsRegistry::export_order() const {
+  // Rank each distinct name and label text once. While no instrument name
+  // is a proper prefix of another, two instruments order by (name rank,
+  // label rank), the byte order of their joined keys. (A name that is a
+  // prefix of others sorts right before them, so comparing each name with
+  // the previous one finds it. Units share the name ids and are skipped.)
+  std::vector<bool> is_name(names_.size(), false);
+  for (const Entry& e : entries_) is_name[e.name] = true;
+  const std::vector<std::uint32_t> by_name = names_.sorted_ids();
+  std::vector<std::uint32_t> name_rank(by_name.size());
+  bool prefix_free = true;
+  std::uint32_t previous = kAbsent;  // the last instrument name
+  for (std::uint32_t r = 0; r < by_name.size(); ++r) {
+    const std::uint32_t id = by_name[r];
+    name_rank[id] = r;
+    if (!is_name[id]) continue;
+    if (previous != kAbsent && names_[id].starts_with(names_[previous])) {
+      prefix_free = false;
+    }
+    previous = id;
+  }
+  std::vector<std::uint32_t> label_rank(label_texts_.size());
+  {
+    const std::vector<std::uint32_t> by_labels = label_texts_.sorted_ids();
+    for (std::uint32_t r = 0; r < by_labels.size(); ++r) label_rank[by_labels[r]] = r;
+  }
+
   std::vector<std::uint32_t> order(entries_.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [this](std::uint32_t a, std::uint32_t b) {
-    const Entry& x = entries_[a];
-    const Entry& y = entries_[b];
-    if (x.name == y.name) return label_texts_[x.labels] < label_texts_[y.labels];
-    return compare_joined(names_[x.name], label_texts_[x.labels], names_[y.name],
-                          label_texts_[y.labels]) < 0;
-  });
+  if (!prefix_free) {
+    // The byte after a prefix name meets the shorter key's '{': compare the
+    // joined keys of instruments with different names.
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+      const Entry& x = entries_[a];
+      const Entry& y = entries_[b];
+      if (x.name == y.name) return label_rank[x.labels] < label_rank[y.labels];
+      return compare_joined(names_[x.name], label_texts_[x.labels], names_[y.name],
+                            label_texts_[y.labels]) < 0;
+    });
+    return order;
+  }
+  // Bucket the entries by name rank in one counting pass, then sort each
+  // name's entries by label rank.
+  std::vector<std::uint32_t> start(name_rank.size() + 1, 0);
+  for (const Entry& e : entries_) ++start[name_rank[e.name] + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  {
+    std::vector<std::uint32_t> next(start.begin(), start.end() - 1);
+    std::uint32_t i = 0;
+    for (const Entry& e : entries_) order[next[name_rank[e.name]]++] = i++;
+  }
+  std::vector<std::uint64_t> keys;  // one name's (label rank, entry) pairs
+  for (std::size_t r = 0; r + 1 < start.size(); ++r) {
+    const auto first = order.begin() + start[r];
+    const auto last = order.begin() + start[r + 1];
+    keys.clear();
+    for (auto it = first; it != last; ++it) {
+      keys.push_back(std::uint64_t{label_rank[entries_[*it].labels]} << 32 | *it);
+    }
+    std::sort(keys.begin(), keys.end());
+    std::transform(keys.begin(), keys.end(), first,
+                   [](std::uint64_t key) { return static_cast<std::uint32_t>(key); });
+  }
   return order;
 }
 
 void MetricsRegistry::visit(const std::function<void(const Instrument&)>& fn) const {
-  for (const std::uint32_t i : export_order()) fn(Instrument(*this, i));
+  for (const std::uint32_t i : export_order()) fn(Instrument(*this, entries_[i]));
 }
 
-bool MetricsRegistry::has(const std::string& name, const Labels& labels) const {
+bool MetricsRegistry::has(std::string_view name, const Labels& labels) const {
   return find(name, labels) != nullptr;
 }
 
-double MetricsRegistry::value(const std::string& name, const Labels& labels) const {
+double MetricsRegistry::value(std::string_view name, const Labels& labels) const {
   const Entry* e = find(name, labels);
   if (e == nullptr) {
     throw std::out_of_range("MetricsRegistry: no instrument " +
@@ -316,7 +437,7 @@ double MetricsRegistry::value(const std::string& name, const Labels& labels) con
   return value_of(*e);
 }
 
-const Histogram& MetricsRegistry::histogram_at(const std::string& name,
+const Histogram& MetricsRegistry::histogram_at(std::string_view name,
                                                const Labels& labels) const {
   const Entry* e = find(name, labels);
   if (e == nullptr || e->source != Source::kHistogram) {

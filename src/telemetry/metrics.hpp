@@ -13,12 +13,16 @@
 //    registry owns; the holder observes through a stable reference;
 //  - all naming/label work happens once at registration time, and each
 //    distinct name, unit and label set is stored once per registry: an
-//    instrument is three ids plus the slot of its one value source;
-//  - export visits the instruments in canonical-key order through views
-//    into that storage; nothing is copied per instrument.
+//    instrument is three ids plus the slot of its one value source. A
+//    component interns its label set once (label_set()) and registers all
+//    its instruments under the returned id;
+//  - export visits the instruments in canonical-key order, sorted by the
+//    integer ranks of their names and label sets, through views into that
+//    storage; nothing is copied per instrument.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -41,7 +45,17 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Canonical identity string: `name{k1=v1,k2=v2}` with keys sorted, or just
 /// `name` without labels. Exports are ordered by the bytes of this string.
-[[nodiscard]] std::string instrument_key(const std::string& name, const Labels& labels);
+[[nodiscard]] std::string instrument_key(std::string_view name, const Labels& labels);
+
+/// A label set interned in a MetricsRegistry (MetricsRegistry::label_set).
+/// Registering several instruments under one id sorts and joins their
+/// labels once. Valid only in the registry that returned it.
+class LabelSetId {
+ private:
+  friend class MetricsRegistry;
+  explicit LabelSetId(std::uint32_t id) : id_(id) {}
+  std::uint32_t id_;
+};
 
 /// Fixed-bucket histogram. `upper_bounds` must be strictly increasing; an
 /// implicit +inf bucket is appended. A value lands in the FIRST bucket whose
@@ -79,29 +93,48 @@ enum class InstrumentKind : std::uint8_t { kCounter, kGauge, kHistogram };
 [[nodiscard]] const char* instrument_kind_name(InstrumentKind kind);
 
 class MetricsRegistry {
+  struct Entry;  // one registered instrument; defined below
+
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
+  // --- Label sets ---
+  /// Interns `labels` (in any order) for registering instruments under.
+  LabelSetId label_set(const Labels& labels);
+  /// The set `base` plus the label `key=value`.
+  LabelSetId label_set(LabelSetId base, std::string_view key, std::string_view value);
+
+  // Every registration below takes its labels as a Labels list or as an
+  // interned LabelSetId; the two forms register the same instrument.
+
   // --- Owned histogram (registry holds the cell) ---
   /// Registers (or looks up) a histogram. Re-registering the same
   /// (name, labels) returns the SAME histogram; a kind clash throws.
-  Histogram& histogram(const std::string& name, std::vector<double> upper_bounds,
-                       const Labels& labels = {}, const std::string& unit = "");
+  Histogram& histogram(std::string_view name, std::vector<double> upper_bounds,
+                       const Labels& labels = {}, std::string_view unit = "");
+  Histogram& histogram(std::string_view name, std::vector<double> upper_bounds,
+                       LabelSetId labels, std::string_view unit = "");
 
   // --- Bound / probe instruments (value read at collection time) ---
   /// Exposes an externally owned cell as a counter (e.g. a PortStats field).
   /// The cell must outlive the registry. Duplicate registration throws: two
   /// sources for one instrument would be a bug.
-  void bind_counter(const std::string& name, const Labels& labels,
-                    const std::uint64_t* cell, const std::string& unit = "");
+  void bind_counter(std::string_view name, const Labels& labels, const std::uint64_t* cell,
+                    std::string_view unit = "");
+  void bind_counter(std::string_view name, LabelSetId labels, const std::uint64_t* cell,
+                    std::string_view unit = "");
   /// Counter whose value is computed on demand (e.g. a sum over flows).
-  void counter_fn(const std::string& name, const Labels& labels,
-                  std::function<std::uint64_t()> fn, const std::string& unit = "");
+  void counter_fn(std::string_view name, const Labels& labels,
+                  std::function<std::uint64_t()> fn, std::string_view unit = "");
+  void counter_fn(std::string_view name, LabelSetId labels,
+                  std::function<std::uint64_t()> fn, std::string_view unit = "");
   /// Gauge whose value is computed on demand (e.g. live queue backlog).
-  void gauge_fn(const std::string& name, const Labels& labels,
-                std::function<double()> fn, const std::string& unit = "");
+  void gauge_fn(std::string_view name, const Labels& labels, std::function<double()> fn,
+                std::string_view unit = "");
+  void gauge_fn(std::string_view name, LabelSetId labels, std::function<double()> fn,
+                std::string_view unit = "");
 
   // --- Export ---
   /// What export sees of one instrument: views into the registry, valid
@@ -112,9 +145,14 @@ class MetricsRegistry {
     /// Empty when the instrument was registered without a unit.
     [[nodiscard]] std::string_view unit() const;
     [[nodiscard]] InstrumentKind kind() const;
+    /// The label part of its canonical key, `{k1=v1,k2=v2}`; empty without
+    /// labels.
+    [[nodiscard]] std::string_view label_text() const;
     /// Calls fn(key, value) for each label, in (key, value) order.
-    void for_each_label(
-        const std::function<void(std::string_view, std::string_view)>& fn) const;
+    template <class Fn>
+    void for_each_label(Fn&& fn) const {
+      registry_->for_each_label_in(entry_->labels, fn);
+    }
     /// Counter or gauge value, read now; 0 for a histogram.
     [[nodiscard]] double value() const;
     /// The histogram; null unless kind() is kHistogram.
@@ -124,10 +162,10 @@ class MetricsRegistry {
 
    private:
     friend class MetricsRegistry;
-    Instrument(const MetricsRegistry& registry, std::uint32_t entry)
-        : registry_(&registry), entry_(entry) {}
+    Instrument(const MetricsRegistry& registry, const Entry& entry)
+        : registry_(&registry), entry_(&entry) {}
     const MetricsRegistry* registry_;
-    std::uint32_t entry_;
+    const Entry* entry_;
   };
 
   /// Calls `fn` on every instrument in canonical-key byte order, evaluating
@@ -137,12 +175,12 @@ class MetricsRegistry {
   void visit(const std::function<void(const Instrument&)>& fn) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] bool has(const std::string& name, const Labels& labels = {}) const;
+  [[nodiscard]] bool has(std::string_view name, const Labels& labels = {}) const;
   /// Current value of a counter/gauge instrument; throws if absent or a
   /// histogram. Intended for tests and report glue, not hot paths.
-  [[nodiscard]] double value(const std::string& name, const Labels& labels = {}) const;
+  [[nodiscard]] double value(std::string_view name, const Labels& labels = {}) const;
   /// Histogram lookup; throws if absent or not a histogram.
-  [[nodiscard]] const Histogram& histogram_at(const std::string& name,
+  [[nodiscard]] const Histogram& histogram_at(std::string_view name,
                                               const Labels& labels = {}) const;
 
  private:
@@ -161,27 +199,35 @@ class MetricsRegistry {
         if (slots_[i] == kAbsent || holds(slots_[i])) return slots_[i];
       }
     }
-    /// Adds `id`, which find() must not hold yet.
-    template <class HashOf>
-    void insert(std::size_t hash, std::uint32_t id, HashOf&& hash_of) {
+    /// The id find() would return if it holds one; otherwise adds `id`
+    /// (which `hash_of` need not know yet) and returns it.
+    template <class Holds, class HashOf>
+    std::uint32_t find_or_insert(std::size_t hash, std::uint32_t id, Holds&& holds,
+                                 HashOf&& hash_of) {
       if (2 * (count_ + 1) > slots_.size()) {
         std::vector<std::uint32_t> old(std::max<std::size_t>(16, 2 * slots_.size()),
                                        kAbsent);
         old.swap(slots_);
         for (const std::uint32_t o : old) {
-          if (o != kAbsent) place(hash_of(o), o);
+          if (o != kAbsent) slots_[free_slot(hash_of(o))] = o;
         }
       }
-      place(hash, id);
+      const std::size_t mask = slots_.size() - 1;
+      std::size_t i = hash & mask;
+      for (; slots_[i] != kAbsent; i = (i + 1) & mask) {
+        if (holds(slots_[i])) return slots_[i];
+      }
+      slots_[i] = id;
       ++count_;
+      return id;
     }
 
    private:
-    void place(std::size_t hash, std::uint32_t id) {
+    [[nodiscard]] std::size_t free_slot(std::size_t hash) const {
       const std::size_t mask = slots_.size() - 1;
       std::size_t i = hash & mask;
       while (slots_[i] != kAbsent) i = (i + 1) & mask;
-      slots_[i] = id;
+      return i;
     }
     std::vector<std::uint32_t> slots_;
     std::size_t count_ = 0;
@@ -199,14 +245,26 @@ class MetricsRegistry {
     [[nodiscard]] std::string_view operator[](std::uint32_t id) const {
       return views_[id];
     }
+    [[nodiscard]] std::size_t size() const { return views_.size(); }
+    /// Every id, in the byte order of its string.
+    [[nodiscard]] std::vector<std::uint32_t> sorted_ids() const;
 
    private:
+    /// A string recently interned from this address. Callers pass the same
+    /// literal names and units again and again: a hit that holds the same
+    /// bytes skips the hash.
+    struct Recent {
+      const char* data = nullptr;
+      std::uint32_t id = kAbsent;
+    };
+
     static constexpr std::size_t kChunkBytes = 4096;
     std::vector<std::unique_ptr<char[]>> chunks_;
     char* next_ = nullptr;  // free space in the last chunk
     std::size_t free_ = 0;
     std::vector<std::string_view> views_;  // by id, into chunks_
     IdTable ids_;
+    std::array<Recent, 64> recent_{};  // by address
   };
 
   /// A label set's labels: the (key size, value size) of each label, in
@@ -226,23 +284,47 @@ class MetricsRegistry {
     std::uint32_t slot;
   };
 
+  /// A label set's (key, value) pairs, sorted.
+  using LabelViews = std::vector<std::pair<std::string_view, std::string_view>>;
+
+  /// Calls fn(key, value) for each label of label set `id`, in order.
+  template <class Fn>
+  void for_each_label_in(std::uint32_t id, Fn&& fn) const {
+    const std::string_view text = label_texts_[id];
+    const LabelSet set = label_sets_[id];
+    std::size_t pos = 1;  // past '{'
+    for (std::uint32_t i = set.first; i < set.first + set.count; ++i) {
+      const auto [key_size, value_size] = label_sizes_[i];
+      fn(text.substr(pos, key_size), text.substr(pos + key_size + 1, value_size));
+      pos += key_size + value_size + 2;  // past '=' and ',' (or '}')
+    }
+  }
+
   [[nodiscard]] static std::size_t entry_hash(std::uint32_t name, std::uint32_t labels);
   [[nodiscard]] static InstrumentKind kind_of(const Entry& e);
   [[nodiscard]] double value_of(const Entry& e) const;
-  std::uint32_t intern_labels(const Labels& labels);
+  /// Interns the set of scratch_labels_'s pairs, sorted; throws if its text
+  /// collides with a different set's.
+  std::uint32_t intern_labels();
+  /// The label-set id `labels` holds; throws unless this registry made it.
+  [[nodiscard]] std::uint32_t checked(LabelSetId labels) const;
   /// Adds the entry, whose value source the caller then appends to its store
   /// at index `slot`; throws on a duplicate.
-  void emplace(const std::string& name, const Labels& labels, const std::string& unit,
+  void emplace(std::string_view name, std::uint32_t labels, std::string_view unit,
                Source source, std::size_t slot);
   /// The index in entries_ of (name id, label-set id), or kAbsent.
   [[nodiscard]] std::uint32_t entry_index(std::uint32_t name, std::uint32_t labels) const;
   /// The entry registered as (name, labels), or null.
-  [[nodiscard]] const Entry* find(const std::string& name, const Labels& labels) const;
+  [[nodiscard]] const Entry* find(std::string_view name, const Labels& labels) const;
+  /// The canonical key of an entry (builds a string).
+  [[nodiscard]] std::string key_of(const Entry& e) const;
   /// Entry indices sorted by canonical key.
   [[nodiscard]] std::vector<std::uint32_t> export_order() const;
 
   Interner names_;        // instrument names and units
   Interner label_texts_;  // canonical `{k=v,...}` texts; id == label-set id
+  LabelViews scratch_labels_;  // label_set()'s pairs, reused
+  std::string scratch_text_;   // label_set()'s text, reused
   std::vector<LabelSet> label_sets_;  // by label-set id
   std::vector<std::pair<std::uint32_t, std::uint32_t>> label_sizes_;
   std::deque<Entry> entries_;  // deque: no copy of every entry on growth

@@ -1,11 +1,17 @@
 #include "telemetry/run_report.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "telemetry/process_stats.hpp"
 
@@ -19,12 +25,177 @@ std::int64_t wall_now_ns() {
       .count();
 }
 
+/// Room for any "%.17g" text or 64-bit integer.
+constexpr std::size_t kNumberChars = 32;
+
+/// Writes `v` as "%.17g" would into `buf`; returns the length. A double
+/// that holds an integer of magnitude below 2^53 takes the integer path:
+/// "%.17g" writes such a value as its plain digits (16 at most, so never an
+/// exponent). -0.0, fractions, larger values and non-finite ones take
+/// "%.17g" itself.
+std::size_t write_double(char (&buf)[kNumberChars], double v) {
+  constexpr double kExactIntegers = 9007199254740992.0;  // 2^53
+  if (v > -kExactIntegers && v < kExactIntegers) {
+    const auto i = static_cast<std::int64_t>(v);
+    if (static_cast<double>(i) == v && (i != 0 || !std::signbit(v))) {
+      return static_cast<std::size_t>(std::to_chars(buf, buf + kNumberChars, i).ptr - buf);
+    }
+  }
+  return static_cast<std::size_t>(std::snprintf(buf, kNumberChars, "%.17g", v));
+}
+
+/// A JSON number: "%.17g" text, or null for a non-finite value.
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[kNumberChars];
+  out.append(buf, write_double(buf, v));
+}
+
+template <class Int>
+void append_integer(std::string& out, Int v) {
+  char buf[kNumberChars];
+  out.append(buf, std::to_chars(buf, buf + kNumberChars, v).ptr);
+}
+
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+/// Appends `s` as a quoted JSON string: the repo's one string escaper. The
+/// run before the first byte that needs escaping goes in one append.
+void append_string(std::string& out, std::string_view s) {
+  out += '"';
+  const auto plain = std::find_if(s.begin(), s.end(), needs_escape);
+  out.append(s.begin(), plain);
+  for (auto it = plain; it != s.end(); ++it) {
+    const char c = *it;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+/// Builds instruments' manifest objects: the bytes JsonWriter calls would
+/// write, without their per-call bookkeeping. Export order groups an
+/// instrument name's instruments, so the escaped text up to the labels is
+/// built once per group.
+class InstrumentText {
+ public:
+  /// The object for `m`, valid until the next call.
+  std::string_view operator()(const MetricsRegistry::Instrument& m) {
+    if (head_.empty() || m.name() != name_ || m.unit() != unit_ || m.kind() != kind_) {
+      start_head(m);
+    }
+    text_.assign(head_);
+    append_labels(m);
+    if (const Histogram* h = m.histogram()) {
+      text_ += R"(,"count":)";
+      append_integer(text_, h->count());
+      text_ += R"(,"sum":)";
+      append_number(text_, h->sum());
+      text_ += R"(,"buckets":[)";
+      for (std::size_t i = 0; i < h->num_buckets(); ++i) {
+        text_ += i == 0 ? R"({"le":)" : R"(,{"le":)";
+        if (i + 1 == h->num_buckets()) {
+          text_ += R"("inf")";
+        } else {
+          append_number(text_, h->upper_bound(i));
+        }
+        text_ += R"(,"count":)";
+        append_integer(text_, h->bucket_count(i));
+        text_ += '}';
+      }
+      text_ += "]}";
+    } else {
+      text_ += R"(,"value":)";
+      append_number(text_, m.value());
+      text_ += '}';
+    }
+    return text_;
+  }
+
+ private:
+  /// `{"name":..,"kind":..,"unit":..,"labels":` for m's name, kind and unit.
+  void start_head(const MetricsRegistry::Instrument& m) {
+    name_ = m.name();
+    unit_ = m.unit();
+    kind_ = m.kind();
+    head_.assign(R"({"name":)");
+    append_string(head_, name_);
+    head_ += R"(,"kind":")";
+    head_ += instrument_kind_name(kind_);
+    head_ += '"';
+    if (!unit_.empty()) {
+      head_ += R"(,"unit":)";
+      append_string(head_, unit_);
+    }
+    head_ += R"(,"labels":)";
+  }
+
+  /// The labels object. One scan of the canonical label text tells whether
+  /// any key or value needs escaping. If none does, each `k=v` of that text
+  /// becomes `"k":"v"`, written in place: under three times its size.
+  void append_labels(const MetricsRegistry::Instrument& m) {
+    const std::string_view text = m.label_text();
+    if (text.empty()) {
+      text_ += "{}";
+      return;
+    }
+    if (std::any_of(text.begin(), text.end(), needs_escape)) {
+      char open = '{';
+      m.for_each_label([this, &open](std::string_view k, std::string_view v) {
+        text_ += std::exchange(open, ',');
+        append_string(text_, k);
+        text_ += ':';
+        append_string(text_, v);
+      });
+      text_ += '}';
+      return;
+    }
+    const std::size_t at = text_.size();
+    text_.resize(at + 3 * text.size());
+    char* p = text_.data() + at;
+    char open = '{';
+    m.for_each_label([&p, &open](std::string_view k, std::string_view v) {
+      *p++ = std::exchange(open, ',');
+      *p++ = '"';
+      p = std::copy(k.begin(), k.end(), p);
+      p = std::copy_n(R"(":")", 3, p);
+      p = std::copy(v.begin(), v.end(), p);
+      *p++ = '"';
+    });
+    *p++ = '}';
+    text_.resize(static_cast<std::size_t>(p - text_.data()));
+  }
+
+  std::string text_;
+  std::string head_;
+  std::string_view name_;
+  std::string_view unit_;
+  InstrumentKind kind_ = InstrumentKind::kCounter;
+};
+
 }  // namespace
 
 std::string format_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  char buf[kNumberChars];
+  return std::string(buf, write_double(buf, v));
 }
 
 const char* build_git_describe() {
@@ -44,28 +215,6 @@ void JsonWriter::before_value() {
     if (items_.back() > 0) out_ += ',';
     ++items_.back();
   }
-}
-
-void JsonWriter::raw_string(std::string_view s) {
-  out_ += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out_ += "\\\""; break;
-      case '\\': out_ += "\\\\"; break;
-      case '\n': out_ += "\\n"; break;
-      case '\r': out_ += "\\r"; break;
-      case '\t': out_ += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out_ += buf;
-        } else {
-          out_ += c;
-        }
-    }
-  }
-  out_ += '"';
 }
 
 void JsonWriter::flush() {
@@ -107,7 +256,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
     if (items_.back() > 0) out_ += ',';
     ++items_.back();
   }
-  raw_string(k);
+  append_string(out_, k);
   out_ += ':';
   pending_key_ = true;
   return *this;
@@ -115,28 +264,28 @@ JsonWriter& JsonWriter::key(std::string_view k) {
 
 JsonWriter& JsonWriter::value(std::string_view v) {
   before_value();
-  raw_string(v);
+  append_string(out_, v);
   spill();
   return *this;
 }
 
 JsonWriter& JsonWriter::value(double v) {
   before_value();
-  out_ += std::isfinite(v) ? format_double(v) : "null";
+  append_number(out_, v);
   spill();
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   before_value();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   spill();
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   before_value();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   spill();
   return *this;
 }
@@ -192,35 +341,9 @@ void RunManifest::write_json(JsonWriter& w, const MetricsRegistry* registry) con
 
   w.key("metrics").begin_array();
   if (registry != nullptr) {
-    registry->visit([&w](const MetricsRegistry::Instrument& m) {
-      w.begin_object();
-      w.key("name").value(m.name());
-      w.key("kind").value(instrument_kind_name(m.kind()));
-      if (!m.unit().empty()) w.key("unit").value(m.unit());
-      w.key("labels").begin_object();
-      m.for_each_label([&w](std::string_view k, std::string_view v) { w.key(k).value(v); });
-      w.end_object();
-      if (const Histogram* h = m.histogram()) {
-        w.key("count").value(h->count());
-        w.key("sum").value(h->sum());
-        w.key("buckets").begin_array();
-        for (std::size_t i = 0; i < h->num_buckets(); ++i) {
-          w.begin_object();
-          w.key("le");
-          if (i + 1 == h->num_buckets()) {
-            w.value("inf");
-          } else {
-            w.value(h->upper_bound(i));
-          }
-          w.key("count").value(h->bucket_count(i));
-          w.end_object();
-        }
-        w.end_array();
-      } else {
-        w.key("value").value(m.value());
-      }
-      w.end_object();
-    });
+    InstrumentText text;
+    registry->visit(
+        [&w, &text](const MetricsRegistry::Instrument& m) { w.raw_value(text(m)); });
   }
   w.end_array();
 
@@ -234,7 +357,10 @@ std::string RunManifest::to_json(const MetricsRegistry* registry) const {
 }
 
 void RunManifest::write(const std::string& path, const MetricsRegistry* registry) const {
-  std::ofstream out(path);
+  // Unbuffered: the writer's chunks are the only copy, each one write.
+  std::ofstream out;
+  out.rdbuf()->pubsetbuf(nullptr, 0);
+  out.open(path);
   if (!out) throw std::runtime_error("RunManifest::write: cannot open " + path);
   {
     JsonWriter w(out);

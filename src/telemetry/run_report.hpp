@@ -39,21 +39,25 @@
 namespace pmsb::telemetry {
 
 /// The one text form of a double in the repo's exports: "%.17g", which
-/// parses back to the identical double. JsonWriter numbers, the CSV time
-/// columns and sweep signatures all use it.
+/// parses back to the identical double. JsonWriter numbers, the CSV
+/// columns and sweep signatures all use it. An integral value below 2^53
+/// in magnitude (except -0.0) is printed through an integer path, with
+/// the same text.
 [[nodiscard]] std::string format_double(double v);
 
 /// Minimal streaming JSON writer (objects, arrays, strings, numbers) with
 /// correct escaping: the repo's one JSON string escaper. Non-finite numbers
 /// are emitted as null. A default-constructed writer builds the document in
-/// str(); one constructed on a stream writes it there in small chunks, so
+/// str(); one constructed on a stream writes it there in 16 KiB chunks, so
 /// a large document is never held whole. Both produce the same bytes.
 class JsonWriter {
  public:
   JsonWriter() = default;
   /// Streams to `sink`; call flush() (or destroy the writer) to push the
   /// last chunk. str() is not available in this mode.
-  explicit JsonWriter(std::ostream& sink) : sink_(&sink) {}
+  explicit JsonWriter(std::ostream& sink) : sink_(&sink) {
+    out_.reserve(kChunkBytes + kChunkSlack);
+  }
   ~JsonWriter() { flush(); }
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
@@ -81,13 +85,17 @@ class JsonWriter {
 
  private:
   void before_value();
-  void raw_string(std::string_view s);
   /// Hands a full chunk to the sink.
   void spill() {
     if (sink_ != nullptr && out_.size() >= kChunkBytes) flush();
   }
 
-  static constexpr std::size_t kChunkBytes = 4096;
+  // Each write to the file costs a few microseconds on top of its bytes:
+  // 4 KiB chunks spent 0.6 ms of a 470 KB leaf-spine manifest in writes,
+  // 16 KiB chunks about 0.4 ms. The slack holds the item that crosses the
+  // chunk size.
+  static constexpr std::size_t kChunkBytes = 16384;
+  static constexpr std::size_t kChunkSlack = 4096;
   std::ostream* sink_ = nullptr;
   std::string out_;
   // One frame per open container: counts emitted items for comma placement.

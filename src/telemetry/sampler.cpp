@@ -3,6 +3,7 @@
 #include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "telemetry/run_report.hpp"
@@ -66,7 +67,6 @@ void TimeSeriesSampler::keep_rows() {
 
 void TimeSeriesSampler::sample() {
   const double time_us = sim::to_microseconds(sim_.now());
-  const double period_s = static_cast<double>(period_) * 1e-9;
   row_.clear();
   for (Column& c : cols_) {
     double v = 0.0;
@@ -74,7 +74,10 @@ void TimeSeriesSampler::sample() {
       v = c.probe();
     } else if (c.rate_source) {
       const std::uint64_t cur = c.rate_source();
-      v = static_cast<double>(cur - c.prev) / period_s;
+      // Events times 1e9 over nanoseconds: a whole rate stays whole at any
+      // period (over `period * 1e-9` seconds, 9 events per 10 us would read
+      // 899999.99999999988).
+      v = static_cast<double>(cur - c.prev) * 1e9 / static_cast<double>(period_);
       c.prev = cur;
     }
     row_.push_back(v);
@@ -85,9 +88,10 @@ void TimeSeriesSampler::sample() {
   }
   if (stream_) {
     if (rows_ == 0) write_header(*stream_);
-    *stream_ << format_double(time_us);
-    for (double v : row_) *stream_ << ',' << v;
-    *stream_ << '\n';
+    std::string line = format_double(time_us);
+    for (const double v : row_) line.append(",").append(format_double(v));
+    line += '\n';
+    *stream_ << line;
     // Flush each row: a watchdog abort unwinds through the event loop and
     // must not take the tail of the series with it.
     stream_->flush();

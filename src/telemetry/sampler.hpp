@@ -9,7 +9,8 @@
 // Column kinds:
 //  - probe:   any `double()` callback, sampled verbatim (gauges);
 //  - rate:    a monotone `uint64()` callback, exported as the per-second
-//             rate over the elapsed sampling interval (counters).
+//             rate over the elapsed sampling interval (counters), computed
+//             as delta * 1e9 / period_ns so a whole rate stays whole.
 //
 // Sampling happens inside simulator events, so rows align exactly with
 // t_start + k * period and cost nothing between ticks. The sampler keeps
@@ -64,8 +65,9 @@ class TimeSeriesSampler {
   }
 
   /// Streams rows to `path` as they are sampled, as a columnar CSV
-  /// (`time_us,<col0>,<col1>,...`, the time written with format_double so
-  /// it round-trips to the nanosecond): the header goes out with the first
+  /// (`time_us,<col0>,<col1>,...`, every value written with format_double so
+  /// it round-trips: the time to the nanosecond, a byte count or a rate to
+  /// its last digit): the header goes out with the first
   /// row and every row is flushed immediately, so the CSV holds all
   /// completed samples even when the run is killed mid-flight by a
   /// watchdog trip. Call before start(). From then on the rows go to the

@@ -44,7 +44,7 @@ DctcpSender::DctcpSender(sim::Simulator& simulator, Host& local, HostId remote,
 }
 
 void DctcpSender::bind_metrics(telemetry::MetricsRegistry& registry,
-                               const telemetry::Labels& labels) {
+                               telemetry::LabelSetId labels) {
   registry.bind_counter("transport.segments_sent", labels, &stats_.segments_sent,
                         "segments");
   registry.bind_counter("transport.retransmits", labels, &stats_.retransmits,

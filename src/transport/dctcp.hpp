@@ -121,8 +121,7 @@ class DctcpSender {
 
   /// Registers this sender's instruments under `labels`: every SenderStats
   /// cell as a bound counter plus live cwnd / alpha probe gauges.
-  void bind_metrics(telemetry::MetricsRegistry& registry,
-                    const telemetry::Labels& labels);
+  void bind_metrics(telemetry::MetricsRegistry& registry, telemetry::LabelSetId labels);
 
   /// Attaches a profiler (nullptr to detach): segment transmission and ACK
   /// processing become "transport.send" / "transport.ack" scopes.

@@ -293,6 +293,64 @@ TEST(InvariantChecker, RecordingCapsButKeepsCounting) {
   EXPECT_NE(checker.summary().find("and 7 more"), std::string::npos);
 }
 
+TEST(InvariantChecker, IdleTicksCountWithoutWalking) {
+  // Ticks every 100 us to 1 ms; other events only at 250 us and 1 ms. A tick
+  // after which nothing else ran counts its evaluation without running the
+  // checks; the final check_now() always runs them.
+  sim::Simulator sim;
+  InvariantChecker checker(sim);
+  int walks = 0;
+  checker.add_check("counted", [&walks](InvariantChecker::Context&) { ++walks; });
+  sim.schedule_at(sim::microseconds(250), [] {});
+  sim.schedule_at(sim::milliseconds(1), [] {});
+  checker.start_periodic(sim::microseconds(100));
+  sim.run();
+  EXPECT_EQ(checker.evaluations(), 10u);
+  EXPECT_EQ(walks, 3);  // the first tick, and the ticks after 250 us and 1 ms
+  checker.check_now();
+  EXPECT_EQ(checker.evaluations(), 11u);
+  EXPECT_EQ(walks, 4);
+}
+
+TEST(InvariantChecker, ViolationIntroducedBetweenTicksIsReportedAtTheNextTick) {
+  sim::Simulator sim;
+  InvariantChecker checker(sim);
+  bool broken = false;
+  int walks = 0;
+  checker.add_check("flag", [&broken, &walks](InvariantChecker::Context& ctx) {
+    ++walks;
+    if (broken) ctx.violate("flag", "set");
+  });
+  sim.schedule_at(sim::microseconds(250), [&broken] { broken = true; });
+  sim.schedule_at(sim::milliseconds(1), [] {});
+  checker.start_periodic(sim::microseconds(100));
+  sim.run();
+  ASSERT_FALSE(checker.violations().empty());
+  EXPECT_EQ(checker.violations()[0].time, sim::microseconds(300));
+  // A walk that found a violation is never skipped: every tick from 300 us
+  // on reports it again.
+  EXPECT_EQ(checker.total_violations(), 8u);
+  EXPECT_EQ(checker.evaluations(), 10u);
+  EXPECT_EQ(walks, 9);  // all but the idle tick at 200 us
+}
+
+TEST(InvariantChecker, HandedOutPacketIdWakesTheNextTick) {
+  // A packet id handed out between two ticks, even outside any event, is a
+  // change the next tick must look at.
+  sim::Simulator sim;
+  InvariantChecker checker(sim);
+  int walks = 0;
+  checker.add_check("counted", [&walks](InvariantChecker::Context&) { ++walks; });
+  sim.schedule_at(sim::milliseconds(1), [] {});
+  checker.start_periodic(sim::microseconds(100));
+  sim.run(sim::microseconds(250));
+  EXPECT_EQ(walks, 1);  // 100 us walks, 200 us is idle
+  (void)sim.allocate_packet_id();
+  sim.run(sim::microseconds(450));
+  EXPECT_EQ(walks, 2);  // 300 us walks, 400 us is idle
+  EXPECT_EQ(checker.evaluations(), 4u);
+}
+
 // --------------------------------------------------------------- watchdog
 
 namespace {

@@ -9,11 +9,13 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -290,34 +292,39 @@ TEST(MetricsRegistry, CollectSortedOrdersByInstrumentKey) {
 }
 
 TEST(MetricsRegistry, ExportOrderIsTheSortedInstrumentKeys) {
-  // Names that are prefixes of each other, label values that are prefixes
-  // of each other, and bytes on both sides of '.', ',', '=' and '{' / '}'.
-  const std::vector<std::string> names = {"a",  "a.b", "a.b.c", "a_b", "ab",
-                                          "a{", "b",   "A",     "a~",  "a|"};
+  // Label values that are prefixes of each other, and bytes on both sides of
+  // '.', ',', '=' and '{' / '}', under names that are prefixes of each other
+  // and under prefix-free names (ordered by name and label-set ranks alone);
+  // every other instrument has a unit, which never takes part in the order.
+  const std::vector<std::vector<std::string>> name_sets = {
+      {"a", "a.b", "a.b.c", "a_b", "ab", "a{", "b", "A", "a~", "a|"},
+      {"port.marks", "port.drops", "queue.backlog", "a_b", "ab", "sim.events"}};
   const std::vector<std::string> keys = {"port", "queue", "p", "reason"};
   const std::vector<std::string> values = {"0", "1", "10", "a", "a.b", "ab", "~", "-"};
-  sim::Rng rng(7);
-  auto pick = [&rng](const std::vector<std::string>& from) -> const std::string& {
-    return from[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
-  };
-  MetricsRegistry reg;
-  std::vector<std::string> expected;
-  for (int i = 0; i < 400; ++i) {
-    const std::string& name = pick(names);
-    Labels labels;
-    for (std::int64_t n = rng.uniform_int(0, 2); n > 0; --n) {
-      labels.emplace_back(pick(keys), pick(values));
+  for (const std::vector<std::string>& names : name_sets) {
+    sim::Rng rng(7);
+    auto pick = [&rng](const std::vector<std::string>& from) -> const std::string& {
+      return from[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+    };
+    MetricsRegistry reg;
+    std::vector<std::string> expected;
+    for (int i = 0; i < 400; ++i) {
+      const std::string& name = pick(names);
+      Labels labels;
+      for (std::int64_t n = rng.uniform_int(0, 2); n > 0; --n) {
+        labels.emplace_back(pick(keys), pick(values));
+      }
+      if (reg.has(name, labels)) continue;
+      reg.gauge_fn(name, labels, [] { return 0.0; }, i % 2 == 0 ? "bytes" : "");
+      expected.push_back(instrument_key(name, labels));
     }
-    if (reg.has(name, labels)) continue;
-    reg.gauge_fn(name, labels, [] { return 0.0; });
-    expected.push_back(instrument_key(name, labels));
+    std::sort(expected.begin(), expected.end());
+    std::vector<std::string> got;
+    reg.visit([&got](const MetricsRegistry::Instrument& m) { got.push_back(m.key()); });
+    EXPECT_EQ(got, expected) << names.front();
+    EXPECT_GT(got.size(), 100u);
   }
-  std::sort(expected.begin(), expected.end());
-  std::vector<std::string> got;
-  reg.visit([&got](const MetricsRegistry::Instrument& m) { got.push_back(m.key()); });
-  EXPECT_EQ(got, expected);
-  EXPECT_GT(got.size(), 100u);
 }
 
 TEST(MetricsRegistry, CollidingLabelTextsThrow) {
@@ -329,6 +336,32 @@ TEST(MetricsRegistry, CollidingLabelTextsThrow) {
   // The same pairs under another name share the stored set.
   reg.gauge_fn("y", {{"a=b", "c"}}, [] { return 1.0; });
   EXPECT_DOUBLE_EQ(reg.value("y", {{"a=b", "c"}}), 1.0);
+}
+
+TEST(MetricsRegistry, InternedLabelSetsRegisterTheSameInstruments) {
+  MetricsRegistry reg;
+  std::uint64_t cell = 3;
+  const LabelSetId port = reg.label_set({{"switch", "leaf0"}, {"port", "2"}});
+  const LabelSetId queue = reg.label_set(port, "queue", "5");
+  reg.bind_counter("port.marks", queue, &cell, "packets");
+  reg.gauge_fn("port.occupancy_bytes", port, [] { return 1.0; }, "bytes");
+  // The derived set is the base plus the label, in key order.
+  EXPECT_DOUBLE_EQ(
+      reg.value("port.marks", {{"queue", "5"}, {"port", "2"}, {"switch", "leaf0"}}), 3.0);
+  EXPECT_TRUE(reg.has("port.occupancy_bytes", {{"port", "2"}, {"switch", "leaf0"}}));
+  // The same set through either form is one instrument.
+  const Labels same = {{"port", "2"}, {"queue", "5"}, {"switch", "leaf0"}};
+  EXPECT_THROW(reg.bind_counter("port.marks", same, &cell), std::invalid_argument);
+  std::vector<std::string> keys;
+  reg.visit([&keys](const MetricsRegistry::Instrument& m) {
+    keys.push_back(m.key());
+    EXPECT_EQ(m.key(), std::string(m.name()) + std::string(m.label_text()));
+  });
+  EXPECT_EQ(keys, (std::vector<std::string>{"port.marks{port=2,queue=5,switch=leaf0}",
+                                            "port.occupancy_bytes{port=2,switch=leaf0}"}));
+  // A set interned in another registry is not this one's.
+  MetricsRegistry other;
+  EXPECT_THROW((void)other.label_set(port, "x", "y"), std::invalid_argument);
 }
 
 TEST(RunManifest, MetricsSectionIsSortedByInstrumentKey) {
@@ -422,6 +455,48 @@ TEST(TimeSeriesSampler, RateColumnIsDeltaPerSecond) {
     // 3 events per 100 us = 30000 events/s.
     EXPECT_DOUBLE_EQ(sampler.column(0)[k], 30000.0);
   }
+}
+
+TEST(TimeSeriesSampler, CsvValuesKeepEveryDigit) {
+  // A full leaf-spine port (3,072,000 B) less a byte and a peak RSS both
+  // read back exactly, and 9 events per 10 us is a whole rate.
+  sim::Simulator simulator;
+  TimeSeriesSampler sampler(simulator, sim::microseconds(10));
+  std::uint64_t count = 0;
+  sampler.add_probe("port_bytes", [] { return 3071999.0; });
+  sampler.add_probe("peak_rss_bytes", [] { return 4653056.0; });
+  sampler.add_rate("rate", [&count] { return count; });
+  for (int k = 0; k < 3; ++k) {
+    simulator.schedule_at(sim::microseconds(10 * k + 5), [&count] { count += 9; });
+  }
+  const std::string path = std::string(::testing::TempDir()) + "/digits.csv";
+  sampler.stream_to(path);
+  sampler.keep_rows();
+  sampler.start();
+  simulator.run(sim::microseconds(30));
+
+  std::ifstream in(path);
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(in, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 5u);  // header + samples at 0, 10, 20, 30 us
+  EXPECT_EQ(lines[0], "time_us,port_bytes,peak_rss_bytes,rate");
+  EXPECT_EQ(lines[1], "0,3071999,4653056,0");
+  for (std::size_t row = 2; row < lines.size(); ++row) {
+    std::vector<std::string> cells;
+    std::size_t from = 0;
+    for (std::size_t comma; (comma = lines[row].find(',', from)) != std::string::npos;
+         from = comma + 1) {
+      cells.push_back(lines[row].substr(from, comma - from));
+    }
+    cells.push_back(lines[row].substr(from));
+    ASSERT_EQ(cells.size(), 4u);
+    EXPECT_EQ(std::stod(cells[1]), 3071999.0);
+    EXPECT_EQ(std::stod(cells[2]), 4653056.0);
+    EXPECT_EQ(cells[3], "900000") << lines[row];
+    EXPECT_EQ(sampler.column(2)[row - 1], 900000.0);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(TimeSeriesSampler, DestroyedSamplerTakesNoFurtherSamples) {
@@ -949,4 +1024,72 @@ TEST(JsonReader, ToJsonRoundTripsSortedDocumentsByteStably) {
       "\"z\":null},\"s\":\"line\\nbreak \\\"q\\\" \\u0001\"}";
   const auto v = pmsb::telemetry::json::parse(doc);
   EXPECT_EQ(pmsb::telemetry::json::to_json(v), doc);
+}
+
+// ---------------------------------------------------------------------------
+// format_double against "%.17g": the one number format of the manifests, the
+// sweep signatures, the sweep CSV and the sampler CSV.
+
+namespace {
+
+std::string printf_17g(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+}  // namespace
+
+TEST(FormatDouble, EdgeCasesMatchPrintf) {
+  const double two53 = 9007199254740992.0;
+  const std::vector<double> values = {
+      0.0,          -0.0,
+      1.0,          -1.0,
+      two53 - 1,    -(two53 - 1),
+      two53,        -two53,
+      two53 + 2,    -(two53 + 2),
+      1e15,         1e16,
+      1e17,         1e18,
+      1e19,         1e20,
+      1e21,         1e22,
+      0.1,          1.0 / 3.0,
+      0.5,          -2.5,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  for (const double v : values) EXPECT_EQ(format_double(v), printf_17g(v)) << printf_17g(v);
+  EXPECT_EQ(format_double(-0.0), "-0");
+  EXPECT_EQ(format_double(two53 - 1), "9007199254740991");
+}
+
+TEST(FormatDouble, RandomDoublesMatchPrintf) {
+  std::mt19937_64 bits(20260);
+  std::size_t mismatches = 0;
+  const auto check = [&mismatches](double v) {
+    if (format_double(v) != printf_17g(v) && ++mismatches <= 10) {
+      ADD_FAILURE() << printf_17g(v) << " printed as " << format_double(v);
+    }
+  };
+  for (int i = 0; i < 100'000; ++i) {
+    // Integral values of every magnitude up to 2^62, both signs.
+    const int width = static_cast<int>(bits() % 63);
+    const auto magnitude = static_cast<std::int64_t>(bits() >> (64 - width - 1) >> 1);
+    check(static_cast<double>(i % 2 == 0 ? magnitude : -magnitude));
+    // Integers plus a fraction, and counts over a period (a sampler rate).
+    check(static_cast<double>(magnitude % 100'000'000) +
+          static_cast<double>(bits() % 1000) / 1000.0);
+    check(static_cast<double>(bits() % 1'000'000) * 1e9 /
+          static_cast<double>(1 + bits() % 100'000));
+    // Any bit pattern: subnormals, huge values, infinities and NaNs included.
+    const std::uint64_t pattern = bits();
+    double any;
+    std::memcpy(&any, &pattern, sizeof(any));
+    check(any);
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
