@@ -22,7 +22,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -49,11 +48,13 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// A label set interned in a MetricsRegistry (MetricsRegistry::label_set).
 /// Registering several instruments under one id sorts and joins their
-/// labels once. Valid only in the registry that returned it.
+/// labels once. Valid only in the registry that returned it, which it
+/// names by that registry's serial number.
 class LabelSetId {
  private:
   friend class MetricsRegistry;
-  explicit LabelSetId(std::uint32_t id) : id_(id) {}
+  LabelSetId(std::uint32_t registry, std::uint32_t id) : registry_(registry), id_(id) {}
+  std::uint32_t registry_;
   std::uint32_t id_;
 };
 
@@ -96,7 +97,7 @@ class MetricsRegistry {
   struct Entry;  // one registered instrument; defined below
 
  public:
-  MetricsRegistry() = default;
+  MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -250,21 +251,12 @@ class MetricsRegistry {
     [[nodiscard]] std::vector<std::uint32_t> sorted_ids() const;
 
    private:
-    /// A string recently interned from this address. Callers pass the same
-    /// literal names and units again and again: a hit that holds the same
-    /// bytes skips the hash.
-    struct Recent {
-      const char* data = nullptr;
-      std::uint32_t id = kAbsent;
-    };
-
     static constexpr std::size_t kChunkBytes = 4096;
     std::vector<std::unique_ptr<char[]>> chunks_;
     char* next_ = nullptr;  // free space in the last chunk
     std::size_t free_ = 0;
     std::vector<std::string_view> views_;  // by id, into chunks_
     IdTable ids_;
-    std::array<Recent, 64> recent_{};  // by address
   };
 
   /// A label set's labels: the (key size, value size) of each label, in
@@ -308,6 +300,8 @@ class MetricsRegistry {
   std::uint32_t intern_labels();
   /// The label-set id `labels` holds; throws unless this registry made it.
   [[nodiscard]] std::uint32_t checked(LabelSetId labels) const;
+  /// The LabelSetId of label set `id` of this registry.
+  [[nodiscard]] LabelSetId label_set_id(std::uint32_t id) const { return {serial_, id}; }
   /// Adds the entry, whose value source the caller then appends to its store
   /// at index `slot`; throws on a duplicate.
   void emplace(std::string_view name, std::uint32_t labels, std::string_view unit,
@@ -321,7 +315,8 @@ class MetricsRegistry {
   /// Entry indices sorted by canonical key.
   [[nodiscard]] std::vector<std::uint32_t> export_order() const;
 
-  Interner names_;        // instrument names and units
+  const std::uint32_t serial_;  // names this registry in its LabelSetIds
+  Interner names_;              // instrument names and units
   Interner label_texts_;  // canonical `{k=v,...}` texts; id == label-set id
   LabelViews scratch_labels_;  // label_set()'s pairs, reused
   std::string scratch_text_;   // label_set()'s text, reused

@@ -148,40 +148,20 @@ class InstrumentText {
     head_ += R"(,"labels":)";
   }
 
-  /// The labels object. One scan of the canonical label text tells whether
-  /// any key or value needs escaping. If none does, each `k=v` of that text
-  /// becomes `"k":"v"`, written in place: under three times its size.
+  /// The labels object, `{"k":"v",...}` in key order.
   void append_labels(const MetricsRegistry::Instrument& m) {
-    const std::string_view text = m.label_text();
-    if (text.empty()) {
+    if (m.label_text().empty()) {
       text_ += "{}";
       return;
     }
-    if (std::any_of(text.begin(), text.end(), needs_escape)) {
-      char open = '{';
-      m.for_each_label([this, &open](std::string_view k, std::string_view v) {
-        text_ += std::exchange(open, ',');
-        append_string(text_, k);
-        text_ += ':';
-        append_string(text_, v);
-      });
-      text_ += '}';
-      return;
-    }
-    const std::size_t at = text_.size();
-    text_.resize(at + 3 * text.size());
-    char* p = text_.data() + at;
     char open = '{';
-    m.for_each_label([&p, &open](std::string_view k, std::string_view v) {
-      *p++ = std::exchange(open, ',');
-      *p++ = '"';
-      p = std::copy(k.begin(), k.end(), p);
-      p = std::copy_n(R"(":")", 3, p);
-      p = std::copy(v.begin(), v.end(), p);
-      *p++ = '"';
+    m.for_each_label([this, &open](std::string_view k, std::string_view v) {
+      text_ += std::exchange(open, ',');
+      append_string(text_, k);
+      text_ += ':';
+      append_string(text_, v);
     });
-    *p++ = '}';
-    text_.resize(static_cast<std::size_t>(p - text_.data()));
+    text_ += '}';
   }
 
   std::string text_;

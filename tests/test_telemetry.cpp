@@ -359,9 +359,18 @@ TEST(MetricsRegistry, InternedLabelSetsRegisterTheSameInstruments) {
   });
   EXPECT_EQ(keys, (std::vector<std::string>{"port.marks{port=2,queue=5,switch=leaf0}",
                                             "port.occupancy_bytes{port=2,switch=leaf0}"}));
-  // A set interned in another registry is not this one's.
+  // A set interned in another registry is not this one's, even where that
+  // registry holds as many sets.
   MetricsRegistry other;
+  const LabelSetId others = other.label_set({{"switch", "spine0"}, {"port", "1"}});
+  (void)other.label_set(others, "queue", "0");
+  other.bind_counter("port.marks", others, &cell, "packets");
   EXPECT_THROW((void)other.label_set(port, "x", "y"), std::invalid_argument);
+  EXPECT_THROW(other.bind_counter("port.drops", queue, &cell), std::invalid_argument);
+  EXPECT_THROW(reg.gauge_fn("port.occupancy_bytes", others, [] { return 1.0; }),
+               std::invalid_argument);
+  EXPECT_EQ(other.size(), 1u);
+  EXPECT_EQ(reg.size(), 2u);
 }
 
 TEST(RunManifest, MetricsSectionIsSortedByInstrumentKey) {
