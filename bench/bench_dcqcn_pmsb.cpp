@@ -30,14 +30,13 @@ Shares run(ecn::MarkingKind kind, std::uint64_t threshold_pkts, sim::TimeNs end)
   cfg.marking.threshold_bytes = threshold_pkts * 1500;
   cfg.marking.weights = cfg.scheduler.weights;
   DumbbellScenario sc(cfg);
-  transport::DcqcnConfig dc;
   transport::DcqcnFlowTable table;
   std::vector<transport::DcqcnFlow*> flows;
   for (std::size_t i = 0; i <= 8; ++i) {
     // Flow 700 is alone in service 0; flows 701-708 share service 1.
     const net::ServiceId service = i == 0 ? 0 : 1;
     flows.push_back(&table.add(sc.simulator(), sc.sender(i), sc.receiver(),
-                               static_cast<net::FlowId>(700 + i), service, 0, dc));
+                               static_cast<net::FlowId>(700 + i), service, 0));
     flows.back()->start(0);
   }
   sc.run(sim::milliseconds(15));

@@ -7,16 +7,17 @@
 // period with substantial peak-to-trough amplitude, sustained across
 // consecutive analysis windows.
 //
-// Method (deliberately FFT-free): over sliding windows, compute the
-// mean-centered autocorrelation r(L) for candidate lags and take the
-// strongest peak as the dominant period. A genuine cycle of period P also
-// shows the anti-phase dip r(P/2) < 0; a monotone ramp or a one-off burst
-// does not, which is what rejects transients and trends. A window counts as
-// oscillating only when the peak is strong, the dip is present, and the
-// peak-to-trough amplitude clears both an absolute floor and a fraction of
-// the window mean; a series counts only when enough consecutive windows
-// agree — DCTCP's benign sawtooth dies at the amplitude gates, a marking
-// limit cycle does not.
+// Method (deliberately FFT-free): over windows that overlap by half, compute
+// the mean-centered autocorrelation r(L) for lags from 4 samples to half a
+// window and take the strongest peak as the dominant period. A genuine
+// cycle of period P also shows the anti-phase dip r(P/2) < 0; a monotone
+// ramp or a one-off burst does not, which is what rejects transients and
+// trends. A window counts as oscillating only when the peak reaches 0.5, the
+// dip is present, and the peak-to-trough amplitude clears both 18,000 bytes
+// (12 MTU) and the window mean; a series counts only when 3 consecutive
+// windows agree — DCTCP's benign sawtooth, a few packets around a full
+// threshold, dies at the amplitude gates; a limit cycle swings the queue
+// through most of its operating point and does not.
 #pragma once
 
 #include <cstddef>
@@ -26,20 +27,6 @@
 #include "telemetry/sampler.hpp"
 
 namespace pmsb::analysis {
-
-struct OscillationConfig {
-  std::size_t window = 64;             ///< samples per analysis window
-  std::size_t hop = 32;                ///< window stride
-  std::size_t min_period_samples = 4;  ///< shortest lag considered
-  std::size_t max_period_samples = 0;  ///< 0 = window / 2
-  double min_autocorr = 0.5;           ///< required ACF peak strength
-  /// Peak-to-trough must exceed this multiple of the window mean: a real
-  /// limit cycle swings the queue through most of its operating point; the
-  /// benign DCTCP sawtooth rides a few packets around a full threshold.
-  double min_relative_amplitude = 1.0;
-  double min_amplitude = 18000.0;      ///< absolute floor (12 MTU in bytes)
-  std::size_t min_windows = 3;         ///< consecutive oscillating windows
-};
 
 /// Verdict for one sampled series (one port column).
 struct SeriesVerdict {
@@ -52,11 +39,12 @@ struct SeriesVerdict {
   std::size_t oscillating_windows = 0;  ///< longest consecutive run
 };
 
-/// Analyzes one series sampled at `sample_period_us` per point.
+/// Analyzes one series sampled at `sample_period_us` per point, in windows
+/// of `window` samples.
 [[nodiscard]] SeriesVerdict analyze_series(const std::string& name,
                                            const std::vector<double>& values,
                                            double sample_period_us,
-                                           const OscillationConfig& cfg = {});
+                                           std::size_t window = 64);
 
 /// Aggregate view over every queue column of a run, as reported in
 /// `stability.*` result columns.
@@ -74,6 +62,6 @@ struct StabilityReport {
 /// Runs analyze_series() over every `*.occupancy_bytes` / `*.backlog_bytes`
 /// column of a finished sampler.
 [[nodiscard]] StabilityReport analyze_sampler(const telemetry::TimeSeriesSampler& sampler,
-                                              const OscillationConfig& cfg = {});
+                                              std::size_t window = 64);
 
 }  // namespace pmsb::analysis

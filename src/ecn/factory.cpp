@@ -52,8 +52,6 @@ std::unique_ptr<MarkingScheme> make_marking(const MarkingConfig& config) {
       }
       mc.capacity = config.capacity;
       mc.rtt = config.rtt;
-      mc.lambda = config.lambda;
-      mc.beta = config.beta;
       mc.t_idle = sim::serialization_delay(sim::kDefaultMtuBytes, config.capacity);
       return std::make_unique<MqEcnMarking>(std::move(mc));
     }
@@ -65,10 +63,8 @@ std::unique_ptr<MarkingScheme> make_marking(const MarkingConfig& config) {
       return std::make_unique<PerPoolMarking>(config.threshold_bytes);
     case MarkingKind::kCodel: {
       CodelConfig cc;
-      cc.target = config.codel_target != 0 ? config.codel_target
-                                           : config.sojourn_threshold / 4;
-      cc.interval = config.codel_interval != 0 ? config.codel_interval
-                                               : 10 * cc.target;
+      cc.target = config.sojourn_threshold / 4;
+      cc.interval = 10 * cc.target;
       cc.num_queues = std::max<std::size_t>(1, config.weights.size());
       return std::make_unique<CodelMarking>(cc);
     }

@@ -33,18 +33,12 @@ struct MarkingConfig {
   // MQ-ECN specific
   sim::RateBps capacity = sim::gbps(10);
   sim::TimeNs rtt = sim::microseconds(100);
-  double lambda = 1.0;
-  double beta = 0.75;
 
-  // TCN specific
+  /// TCN's T_k; CoDel's target is a quarter of it, its interval 10 targets.
   sim::TimeNs sojourn_threshold = 0;
 
   // PMSB specific
   double filter_scale = 1.0;
-
-  // CoDel specific
-  sim::TimeNs codel_target = 0;    ///< 0 = sojourn_threshold / 4
-  sim::TimeNs codel_interval = 0;  ///< 0 = 10x target
 };
 
 std::unique_ptr<MarkingScheme> make_marking(const MarkingConfig& config);

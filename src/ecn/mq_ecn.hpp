@@ -1,9 +1,10 @@
 // MQ-ECN marking (Bai et al., NSDI 2016; paper §II.C Eq. 3).
 //
 // Each queue's threshold adapts to its current drain rate:
-//     K_i = min(quantum_i / T_round, C) * RTT * lambda
-// where T_round, the time one scheduling round takes, is estimated as an
-// EWMA of round-completion samples reported by the (round-based) scheduler.
+//     K_i = min(quantum_i / T_round, C) * RTT
+// (lambda = 1), where T_round, the time one scheduling round takes, is
+// estimated as an EWMA (beta = 0.75, paper §VI) of round-completion samples
+// reported by the (round-based) scheduler.
 // After the port has been idle longer than T_idle the estimate resets, which
 // restores the standard threshold so a fresh flow ramps at full speed.
 //
@@ -23,8 +24,6 @@ struct MqEcnConfig {
   std::vector<double> quantum_bytes;  ///< per-queue quantum (w_i * quantum base)
   sim::RateBps capacity = sim::gbps(10);
   TimeNs rtt = sim::microseconds(100);
-  double lambda = 1.0;
-  double beta = 0.75;                        ///< EWMA smoothing (paper §VI)
   TimeNs t_idle = sim::microseconds_f(1.2);  ///< idle reset; paper: one MTU time
 };
 
@@ -49,7 +48,7 @@ class MqEcnMarking final : public MarkingScheme {
   void on_round_complete(TimeNs now) override {
     if (round_start_valid_) {
       const TimeNs sample = now - round_start_;
-      t_round_ = cfg_.beta * t_round_ + (1.0 - cfg_.beta) * static_cast<double>(sample);
+      t_round_ = kBeta * t_round_ + (1.0 - kBeta) * static_cast<double>(sample);
     }
     round_start_ = now;
     round_start_valid_ = true;
@@ -68,17 +67,18 @@ class MqEcnMarking final : public MarkingScheme {
   /// Eq. 3, in bytes. With no round estimate the standard threshold applies.
   [[nodiscard]] double threshold_bytes(std::size_t queue) const {
     const double c_bytes_per_ns = static_cast<double>(cfg_.capacity) / 8.0 * 1e-9;
-    const double k_standard =
-        c_bytes_per_ns * static_cast<double>(cfg_.rtt) * cfg_.lambda;
+    const double k_standard = c_bytes_per_ns * static_cast<double>(cfg_.rtt);
     if (t_round_ <= 0.0) return k_standard;
     const double drain_bytes_per_ns =
         std::min(cfg_.quantum_bytes.at(queue) / t_round_, c_bytes_per_ns);
-    return drain_bytes_per_ns * static_cast<double>(cfg_.rtt) * cfg_.lambda;
+    return drain_bytes_per_ns * static_cast<double>(cfg_.rtt);
   }
 
   [[nodiscard]] double t_round_estimate() const { return t_round_; }
 
  private:
+  static constexpr double kBeta = 0.75;  ///< EWMA smoothing of T_round
+
   MqEcnConfig cfg_;
   double t_round_ = 0.0;  // EWMA of round duration, in ns
   TimeNs round_start_ = 0;

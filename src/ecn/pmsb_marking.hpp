@@ -43,8 +43,6 @@ class PmsbMarking final : public MarkingScheme {
                           &suppressed_by_blindness_, "packets");
   }
 
-  [[nodiscard]] std::uint64_t port_threshold() const { return port_threshold_; }
-  [[nodiscard]] double filter_scale() const { return filter_scale_; }
   /// Evaluations where the port was over threshold but the queue filter
   /// spared the packet — the direct count of the paper's blindness.
   [[nodiscard]] std::uint64_t suppressed_by_blindness() const {

@@ -37,17 +37,16 @@ LeafSpineScenario::LeafSpineScenario(const LeafSpineConfig& config)
     lf.routing().add_route(static_cast<net::HostId>(h), port);
   }
 
-  // Leaf <-> spine wiring and routing.
-  const sim::RateBps core_rate = cfg_.core_rate != 0 ? cfg_.core_rate : cfg_.link_rate;
+  // Leaf <-> spine wiring and routing, at the host links' rate (non-blocking).
   for (std::size_t l = 0; l < cfg_.num_leaves; ++l) {
     for (std::size_t s = 0; s < cfg_.num_spines; ++s) {
       switchlib::Switch& lf = leaf(l);
       switchlib::Switch& sp = spine(s);
       // Uplink leaf -> spine, downlink spine -> leaf.
       const std::size_t up =
-          lf.add_port(&add_link(lf, sp, core_rate, cfg_.link_delay), port_cfg);
+          lf.add_port(&add_link(lf, sp, cfg_.link_rate, cfg_.link_delay), port_cfg);
       const std::size_t down =
-          sp.add_port(&add_link(sp, lf, core_rate, cfg_.link_delay), port_cfg);
+          sp.add_port(&add_link(sp, lf, cfg_.link_rate, cfg_.link_delay), port_cfg);
 
       for (std::size_t h = 0; h < n_hosts; ++h) {
         if (leaf_of(h) != l) {

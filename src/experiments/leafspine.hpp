@@ -24,9 +24,6 @@ struct LeafSpineConfig : FabricConfig {
   std::size_t num_leaves = 4;
   std::size_t num_spines = 4;
   std::size_t hosts_per_leaf = 12;
-  /// Leaf<->spine link rate; 0 = same as link_rate (non-blocking, the
-  /// paper's fabric). Lower it for an oversubscribed core.
-  sim::RateBps core_rate = 0;
 };
 
 class LeafSpineScenario final : public Fabric {

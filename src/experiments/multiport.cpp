@@ -58,14 +58,9 @@ std::size_t MultiPortScenario::add_flow(const MultiPortFlowSpec& spec) {
   if (spec.receiver >= cfg_.num_receivers) {
     throw std::out_of_range("multiport: bad receiver");
   }
-  transport::DctcpConfig tc = cfg_.transport;
-  tc.max_rate = spec.max_rate;
-  if (spec.pmsbe) {
-    tc.pmsbe_enabled = true;
-    tc.pmsbe_rtt_threshold = spec.pmsbe_rtt_threshold;
-  }
   const std::size_t idx = add_dctcp_flow(spec.sender, cfg_.num_senders + spec.receiver,
-                                         spec.service, spec.bytes, tc, spec.start);
+                                         spec.service, spec.bytes, cfg_.transport,
+                                         spec.start);
   (void)flow(idx);  // pinned: callers read the senders after the run
   queue_next_start();
   return idx;

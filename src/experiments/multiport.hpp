@@ -25,9 +25,6 @@ struct MultiPortFlowSpec {
   net::ServiceId service = 0;
   std::uint64_t bytes = 0;  ///< 0 = long-lived
   sim::TimeNs start = 0;
-  sim::RateBps max_rate = 0;
-  bool pmsbe = false;
-  sim::TimeNs pmsbe_rtt_threshold = 0;
 };
 
 class MultiPortScenario final : public Fabric {
@@ -35,8 +32,8 @@ class MultiPortScenario final : public Fabric {
   explicit MultiPortScenario(const MultiPortConfig& config);
   ~MultiPortScenario() override;
 
-  /// Creates a DCTCP flow per the spec and pins its endpoints (see
-  /// Fabric::flow); returns its index.
+  /// Creates a DCTCP flow per the spec, with the config's transport, and
+  /// pins its endpoints (see Fabric::flow); returns its index.
   std::size_t add_flow(const MultiPortFlowSpec& spec);
 
   void run(sim::TimeNs until) { sim_.run(until); }

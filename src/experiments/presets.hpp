@@ -1,8 +1,9 @@
-// Scheme presets: one place that turns "(scheme, capacity, RTT, lambda)"
-// into concrete marking + transport parameters, following §VI of the paper:
+// Scheme presets: one place that turns "(scheme, capacity, RTT)" into
+// concrete marking + transport parameters, following §VI of the paper, with
+// lambda = 1 throughout:
 //
-//  - per-queue standard / per-port / MQ-ECN:  K = C * RTT * lambda   (Eq. 1)
-//  - TCN:                      T_k = RTT * lambda = K / C            (Eq. 4)
+//  - per-queue standard / per-port / MQ-ECN:  K = C * RTT            (Eq. 1)
+//  - TCN:                      T_k = RTT = K / C                     (Eq. 4)
 //  - PMSB / PMSB(e): port threshold from Theorem IV.1 — the sum of the
 //    per-queue lower bounds, C * RTT / 7, rounded up to whole packets plus
 //    one (reproduces the paper's "12 packets" for their C*RTT of ~71 pkts)
@@ -63,16 +64,13 @@ enum class Scheme {
 struct SchemeParams {
   sim::RateBps capacity = sim::gbps(10);
   sim::TimeNs rtt = sim::microseconds(80);  ///< RTT used in threshold formulas
-  double lambda = 1.0;
   std::vector<double> weights = {1.0};      ///< bottleneck queue weights
   ecn::MarkPoint point = ecn::MarkPoint::kEnqueue;
-  double pmsb_filter_scale = 1.0;
 };
 
-/// K = C * RTT * lambda in bytes.
+/// K = C * RTT in bytes.
 [[nodiscard]] inline std::uint64_t standard_k_bytes(const SchemeParams& p) {
-  return static_cast<std::uint64_t>(std::llround(
-      static_cast<double>(sim::bdp_bytes(p.capacity, p.rtt)) * p.lambda));
+  return sim::bdp_bytes(p.capacity, p.rtt);
 }
 
 /// PMSB port threshold: ceil(C*RTT/7 in packets) + 1, in bytes.
@@ -95,7 +93,6 @@ struct SchemeParams {
   m.weights = p.weights;
   m.capacity = p.capacity;
   m.rtt = p.rtt;
-  m.lambda = p.lambda;
   switch (s) {
     case Scheme::kNone:
       m.kind = ecn::MarkingKind::kNone;
@@ -118,13 +115,11 @@ struct SchemeParams {
       break;
     case Scheme::kTcn:
       m.kind = ecn::MarkingKind::kTcn;
-      m.sojourn_threshold = static_cast<sim::TimeNs>(
-          std::llround(static_cast<double>(p.rtt) * p.lambda));
+      m.sojourn_threshold = p.rtt;
       break;
     case Scheme::kPmsb:
       m.kind = ecn::MarkingKind::kPmsb;
       m.threshold_bytes = pmsb_port_threshold_bytes(p);
-      m.filter_scale = p.pmsb_filter_scale;
       break;
     case Scheme::kPmsbE:
       // Switch side of PMSB(e) is plain per-port marking with the same

@@ -73,7 +73,6 @@ class FaultPlan {
   /// Parses `spec` and adds every clause.
   void add_spec_string(const std::string& spec);
 
-  [[nodiscard]] const std::vector<FaultSpec>& specs() const { return specs_; }
   [[nodiscard]] bool empty() const { return specs_.empty(); }
 
   /// Interposes injectors on every link a spec matches and schedules the
@@ -84,7 +83,6 @@ class FaultPlan {
   void install(sim::Simulator& simulator, const std::vector<LinkRef>& links,
                std::uint64_t seed = 0xfa17);
 
-  [[nodiscard]] bool installed() const { return installed_; }
   [[nodiscard]] std::size_t num_points() const { return points_.size(); }
 
   /// The injector interposed on src->dst, or nullptr (for tests).

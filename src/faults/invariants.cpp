@@ -25,7 +25,7 @@ void InvariantChecker::Context::violate(const std::string& entity,
 
 void InvariantChecker::record(Violation v) {
   ++total_violations_;
-  if (violations_.size() < max_recorded_) violations_.push_back(std::move(v));
+  if (violations_.size() < kMaxRecorded) violations_.push_back(std::move(v));
 }
 
 void InvariantChecker::check_now() {
@@ -47,18 +47,15 @@ void InvariantChecker::walk() {
   may_skip_ = total_violations_ == violations_before;
 }
 
-void InvariantChecker::start_periodic(sim::TimeNs period) {
-  if (period <= 0) {
-    throw std::invalid_argument("InvariantChecker: period must be positive");
-  }
+void InvariantChecker::start_periodic() {
   if (periodic_started_) {
     throw std::logic_error("InvariantChecker: periodic evaluation already started");
   }
   periodic_started_ = true;
-  sim_.schedule_in(period, [this, period] { tick(period); });
+  sim_.schedule_in(kTickPeriod, [this] { tick(); });
 }
 
-void InvariantChecker::tick(sim::TimeNs period) {
+void InvariantChecker::tick() {
   // Checks read only state that events change. If no event but this tick
   // has run and no packet id was handed out since a walk that found
   // nothing, a walk now would find nothing too: count it without walking.
@@ -72,7 +69,7 @@ void InvariantChecker::tick(sim::TimeNs period) {
   // Checks are read-only, so if nothing else is pending the run is done:
   // stop ticking rather than keep the sim alive forever.
   if (sim_.pending_events() == 0) return;
-  sim_.schedule_in(period, [this, period] { tick(period); });
+  sim_.schedule_in(kTickPeriod, [this] { tick(); });
 }
 
 std::string InvariantChecker::summary(std::size_t max_lines) const {

@@ -1,9 +1,9 @@
 // Runtime invariant checking for simulation runs.
 //
 // An InvariantChecker holds named predicate checks over live simulation
-// state and evaluates them at a configurable cadence (plus once on demand
-// via check_now). Checks are read-only observers: they may inspect any
-// entity but must not mutate it, so enabling the checker never changes a
+// state and evaluates them once per kTickPeriod of simulated time (plus once
+// on demand via check_now). Checks are read-only observers: they may inspect
+// any entity but must not mutate it, so enabling the checker never changes a
 // run's packet-level behaviour — only its event count.
 //
 // A failing check reports a structured Violation (check name, entity,
@@ -24,6 +24,10 @@
 #include "telemetry/metrics.hpp"
 
 namespace pmsb::faults {
+
+/// The sim-time cadence of both run guards: the invariant checker's
+/// periodic evaluation and the watchdog's tick.
+inline constexpr sim::TimeNs kTickPeriod = sim::microseconds(100);
 
 /// One invariant failure, with enough context to debug it post-mortem.
 struct Violation {
@@ -64,21 +68,19 @@ class InvariantChecker {
   /// Runs every check once at the current simulation time.
   void check_now();
 
-  /// Schedules periodic evaluation every `period`. The tick does not
+  /// Schedules periodic evaluation every kTickPeriod. The tick does not
   /// reschedule once the event queue is otherwise empty, so a run still
   /// terminates when traffic drains. A tick counts an evaluation without
   /// running the checks when no other event has run and no packet id was
   /// handed out since the last evaluation, and the last run of the checks
   /// found nothing: the state they read has not changed.
-  void start_periodic(sim::TimeNs period);
+  void start_periodic();
 
   [[nodiscard]] const std::vector<Violation>& violations() const { return violations_; }
   [[nodiscard]] std::uint64_t evaluations() const { return evaluations_; }
   [[nodiscard]] bool clean() const { return violations_.empty(); }
 
-  /// Caps stored violations (default 64) — a systemically broken invariant
-  /// would otherwise flood memory; the count keeps incrementing regardless.
-  void set_max_recorded(std::size_t n) { max_recorded_ = n; }
+  /// Every violation, including those past the kMaxRecorded stored ones.
   [[nodiscard]] std::uint64_t total_violations() const { return total_violations_; }
 
   /// First-N violations joined for exception messages / forensic dumps.
@@ -88,6 +90,10 @@ class InvariantChecker {
   void bind_metrics(telemetry::MetricsRegistry& registry);
 
  private:
+  /// Stored violations are capped: a systemically broken invariant would
+  /// otherwise flood memory. total_violations() keeps counting.
+  static constexpr std::size_t kMaxRecorded = 64;
+
   struct NamedCheck {
     std::string name;
     Check fn;
@@ -96,14 +102,13 @@ class InvariantChecker {
   void record(Violation v);
   /// Runs every check and notes the kernel position it saw.
   void walk();
-  void tick(sim::TimeNs period);
+  void tick();
 
   friend class Context;
 
   sim::Simulator& sim_;
   std::vector<NamedCheck> checks_;
   std::vector<Violation> violations_;
-  std::size_t max_recorded_ = 64;
   std::uint64_t total_violations_ = 0;
   std::uint64_t evaluations_ = 0;
   bool periodic_started_ = false;

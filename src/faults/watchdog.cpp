@@ -3,6 +3,8 @@
 #include <sstream>
 #include <utility>
 
+#include "faults/invariants.hpp"
+
 namespace pmsb::faults {
 
 Watchdog::Watchdog(sim::Simulator& simulator, WatchdogConfig config,
@@ -14,9 +16,6 @@ Watchdog::Watchdog(sim::Simulator& simulator, WatchdogConfig config,
   if (!progress_ || !done_) {
     throw std::invalid_argument("Watchdog: progress and done probes are required");
   }
-  if (config_.period <= 0) {
-    throw std::invalid_argument("Watchdog: period must be positive");
-  }
 }
 
 void Watchdog::start() {
@@ -25,7 +24,7 @@ void Watchdog::start() {
   last_progress_ = progress_();
   last_advance_ = sim_.now();
   start_wall_ = std::chrono::steady_clock::now();
-  sim_.schedule_in(config_.period, [this] { tick(); });
+  sim_.schedule_in(kTickPeriod, [this] { tick(); });
 }
 
 void Watchdog::tick() {
@@ -70,7 +69,7 @@ void Watchdog::tick() {
   }
 
   if (sim_.pending_events() == 0) return;
-  sim_.schedule_in(config_.period, [this] { tick(); });
+  sim_.schedule_in(kTickPeriod, [this] { tick(); });
 }
 
 void Watchdog::trip(const std::string& reason) const {

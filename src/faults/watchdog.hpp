@@ -1,6 +1,7 @@
 // The run guard: stall, runaway and wall-clock detection for simulation runs.
 //
-// A Watchdog ticks periodically in simulated time. Each tick trips when
+// A Watchdog ticks once per kTickPeriod (faults/invariants.hpp) of
+// simulated time. Each tick trips when
 //   - the executed-event count exceeds `max_events` (an event explosion:
 //     e.g. a retransmit storm or a scheduling loop),
 //   - a progress counter (typically total bytes acked across all flows) has
@@ -57,9 +58,6 @@ struct WatchdogConfig {
   /// Trip once this many host seconds have passed since start().
   /// <= 0 disables the budget.
   double wall_budget_s = 0.0;
-  /// Sampling cadence; must be positive and should be well below
-  /// stall_horizon for timely detection.
-  sim::TimeNs period = sim::milliseconds(1);
 };
 
 class Watchdog {

@@ -11,6 +11,19 @@
 
 namespace pmsb::stats {
 
+/// `cell` as one CSV field: quoted, with quotes doubled, when it holds a
+/// comma, a quote or a newline; unchanged otherwise.
+inline std::string csv_escape(const std::string& cell) {
+  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
+  std::string quoted = "\"";
+  for (char c : cell) {
+    if (c == '"') quoted += '"';
+    quoted += c;
+  }
+  quoted += '"';
+  return quoted;
+}
+
 class CsvWriter {
  public:
   explicit CsvWriter(const std::string& path) : out_(path) {
@@ -19,24 +32,13 @@ class CsvWriter {
 
   void row(const std::vector<std::string>& cells) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      out_ << escape(cells[i]);
+      out_ << csv_escape(cells[i]);
       if (i + 1 < cells.size()) out_ << ',';
     }
     out_ << '\n';
   }
 
  private:
-  static std::string escape(const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string quoted = "\"";
-    for (char c : cell) {
-      if (c == '"') quoted += '"';
-      quoted += c;
-    }
-    quoted += '"';
-    return quoted;
-  }
-
   std::ofstream out_;
 };
 

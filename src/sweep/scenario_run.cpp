@@ -200,10 +200,6 @@ struct RunTelemetry {
   std::unique_ptr<trace::SpanTracer> port_capture;
 };
 
-/// Sim-time cadences of the invariant checker and the watchdog.
-constexpr sim::TimeNs kInvariantPeriod = sim::microseconds(100);
-constexpr sim::TimeNs kWatchdogPeriod = sim::microseconds(100);
-
 /// A duration key counted in `unit`s. Negative values, and values whose time
 /// plus `headroom` would not fit in sim::TimeNs, throw naming the key.
 sim::TimeNs get_duration(const Options& opts, const std::string& key,
@@ -259,15 +255,14 @@ struct Robustness {
         // a violation is caught and reported, not silently absorbed.
         fab.ledger().skew_injected_for_test(1);
       }
-      checker->start_periodic(kInvariantPeriod);
+      checker->start_periodic();
     }
 
     const faults::WatchdogConfig wcfg{
         .stall_horizon =
             get_duration(opts, "watchdog_horizon_ms", 0, sim::milliseconds(1)),
         .max_events = opts.get_uint("watchdog_events", 0),
-        .wall_budget_s = opts.get_double("cell_timeout_s", 0.0),
-        .period = kWatchdogPeriod};
+        .wall_budget_s = opts.get_double("cell_timeout_s", 0.0)};
     watchdog_metrics = wcfg.stall_horizon > 0 || wcfg.max_events > 0;
     if (watchdog_metrics || wcfg.wall_budget_s > 0.0) {
       watchdog = std::make_unique<faults::Watchdog>(
@@ -326,7 +321,9 @@ struct StabilityPlane {
   void attach(Fabric& fab, RunTelemetry& telemetry, const Options& opts) {
     enabled = opts.get_bool("stability", false);
     if (!enabled) return;
-    window = opts.get_uint("stability_window", 64);
+    // Half of 8 samples is the detector's shortest lag, 4: a shorter
+    // window examines no lag at all.
+    window = opts.get_uint("stability_window", 64, 8);
     if (telemetry.sampler != nullptr) {
       sampler = telemetry.sampler.get();
       sampler->keep_rows();  // finalize() reads them after the run
@@ -341,10 +338,7 @@ struct StabilityPlane {
 
   void finalize(RunRecord& rec) const {
     if (!enabled) return;
-    analysis::OscillationConfig cfg;
-    cfg.window = window;
-    cfg.hop = std::max<std::size_t>(cfg.window / 2, 1);
-    const analysis::StabilityReport report = analysis::analyze_sampler(*sampler, cfg);
+    const analysis::StabilityReport report = analysis::analyze_sampler(*sampler, window);
     rec.results["stability.ports_analyzed"] =
         static_cast<double>(report.ports_analyzed);
     rec.results["stability.oscillating_ports"] =

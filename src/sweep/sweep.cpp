@@ -17,6 +17,7 @@
 #include <filesystem>
 
 #include "faults/watchdog.hpp"
+#include "stats/csv.hpp"
 #include "sweep/cell_supervisor.hpp"
 #include "sweep/scenario_run.hpp"
 #include "telemetry/json_reader.hpp"
@@ -558,23 +559,13 @@ std::string sweep_report_csv(const std::vector<RunRecord>& records) {
       result_keys.insert(k);
     }
   }
-  const auto escape = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string quoted = "\"";
-    for (char c : cell) {
-      if (c == '"') quoted += '"';
-      quoted += c;
-    }
-    quoted += '"';
-    return quoted;
-  };
   std::string out = "index,label,ok,attempts,exit_class,error,sim_time_us,wall_ms";
-  for (const auto& k : result_keys) out += "," + escape(k);
+  for (const auto& k : result_keys) out += "," + stats::csv_escape(k);
   out += "\n";
   for (const auto& r : records) {
-    out += std::to_string(r.index) + "," + escape(r.label) + "," +
+    out += std::to_string(r.index) + "," + stats::csv_escape(r.label) + "," +
            (r.ok ? "1" : "0") + "," + std::to_string(r.attempts) + "," +
-           r.exit_class + "," + escape(r.error) + "," +
+           r.exit_class + "," + stats::csv_escape(r.error) + "," +
            format_double(r.sim_time_us) + "," + format_double(r.wall_ms);
     for (const auto& k : result_keys) {
       out += ",";

@@ -12,16 +12,13 @@ namespace pmsb::transport {
 
 DcqcnSender::DcqcnSender(sim::Simulator& simulator, net::Host& local,
                          net::HostId remote, net::FlowId flow, net::ServiceId service,
-                         std::uint64_t message_bytes, DcqcnConfig config)
+                         std::uint64_t message_bytes)
     : sim_(simulator),
       local_(local),
       remote_(remote),
       flow_(flow),
       service_(service),
-      message_bytes_(message_bytes),
-      cfg_(config),
-      rc_(static_cast<double>(config.line_rate)),
-      rt_(static_cast<double>(config.line_rate)) {}
+      message_bytes_(message_bytes) {}
 
 void DcqcnSender::start(sim::TimeNs at) {
   if (started_) return;
@@ -42,9 +39,9 @@ void DcqcnSender::send_next() {
     return;
   }
   const std::uint64_t remaining =
-      message_bytes_ == 0 ? cfg_.mtu_payload : message_bytes_ - bytes_sent_;
+      message_bytes_ == 0 ? dcqcn::kMtuPayload : message_bytes_ - bytes_sent_;
   const auto payload =
-      static_cast<std::uint32_t>(std::min<std::uint64_t>(cfg_.mtu_payload, remaining));
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(dcqcn::kMtuPayload, remaining));
   net::Packet pkt;
   pkt.id = sim_.allocate_packet_id();
   pkt.flow_id = flow_;
@@ -62,7 +59,7 @@ void DcqcnSender::send_next() {
   const std::uint32_t wire = pkt.size_bytes;
   local_.send(std::move(pkt));
   // Pace the next packet at the current rate.
-  const double rate = std::max(rc_, static_cast<double>(cfg_.min_rate));
+  const double rate = std::max(rc_, static_cast<double>(dcqcn::kMinRate));
   const auto gap = static_cast<sim::TimeNs>(static_cast<double>(wire) * 8.0 / rate * 1e9);
   sim_.schedule_in(std::max<sim::TimeNs>(gap, 1), [this] { send_next(); });
 }
@@ -71,22 +68,22 @@ void DcqcnSender::on_cnp() {
   ++stats_.cnps_received;
   ++stats_.rate_cuts;
   rt_ = rc_;
-  rc_ = std::max(rc_ * (1.0 - alpha_ / 2.0), static_cast<double>(cfg_.min_rate));
-  alpha_ = (1.0 - cfg_.g) * alpha_ + cfg_.g;
+  rc_ = std::max(rc_ * (1.0 - alpha_ / 2.0), static_cast<double>(dcqcn::kMinRate));
+  alpha_ = (1.0 - dcqcn::kG) * alpha_ + dcqcn::kG;
   cnp_since_alpha_timer_ = true;
   rounds_since_cut_ = 0;
 }
 
 void DcqcnSender::schedule_alpha_timer() {
-  sim_.schedule_in(cfg_.alpha_timer, [this] {
-    if (!cnp_since_alpha_timer_) alpha_ = (1.0 - cfg_.g) * alpha_;
+  sim_.schedule_in(dcqcn::kAlphaTimer, [this] {
+    if (!cnp_since_alpha_timer_) alpha_ = (1.0 - dcqcn::kG) * alpha_;
     cnp_since_alpha_timer_ = false;
     if (!done_sending()) schedule_alpha_timer();
   });
 }
 
 void DcqcnSender::schedule_increase_timer() {
-  sim_.schedule_in(cfg_.increase_timer, [this] {
+  sim_.schedule_in(dcqcn::kIncreaseTimer, [this] {
     increase_round();
     if (!done_sending()) schedule_increase_timer();
   });
@@ -95,15 +92,15 @@ void DcqcnSender::schedule_increase_timer() {
 void DcqcnSender::increase_round() {
   ++stats_.increase_rounds;
   ++rounds_since_cut_;
-  if (rounds_since_cut_ > cfg_.fast_recovery_rounds) {
+  if (rounds_since_cut_ > dcqcn::kFastRecoveryRounds) {
     // Additive (then hyper) increase raises the target.
-    const double bump = rounds_since_cut_ > 3 * cfg_.fast_recovery_rounds
-                            ? static_cast<double>(cfg_.hyper_increase)
-                            : static_cast<double>(cfg_.additive_increase);
-    rt_ = std::min(rt_ + bump, static_cast<double>(cfg_.line_rate));
+    const double bump = rounds_since_cut_ > 3 * dcqcn::kFastRecoveryRounds
+                            ? static_cast<double>(dcqcn::kHyperIncrease)
+                            : static_cast<double>(dcqcn::kAdditiveIncrease);
+    rt_ = std::min(rt_ + bump, static_cast<double>(dcqcn::kLineRate));
   }
   // Fast recovery: close half the gap to the target each round.
-  rc_ = std::min((rt_ + rc_) / 2.0, static_cast<double>(cfg_.line_rate));
+  rc_ = std::min((rt_ + rc_) / 2.0, static_cast<double>(dcqcn::kLineRate));
 }
 
 // ---------------------------------------------------------------------------
@@ -112,21 +109,19 @@ void DcqcnSender::increase_round() {
 
 DcqcnReceiver::DcqcnReceiver(sim::Simulator& simulator, net::Host& local,
                              net::HostId remote, net::FlowId flow,
-                             net::ServiceId service, std::uint64_t message_bytes,
-                             DcqcnConfig config)
+                             net::ServiceId service, std::uint64_t message_bytes)
     : sim_(simulator),
       local_(local),
       remote_(remote),
       flow_(flow),
       service_(service),
-      message_bytes_(message_bytes),
-      cfg_(config) {}
+      message_bytes_(message_bytes) {}
 
 void DcqcnReceiver::on_data(const net::Packet& pkt) {
   bytes_received_ += pkt.payload_bytes();
   if (pkt.ce) {
     // Notification point: at most one CNP per interval.
-    if (last_cnp_ < 0 || sim_.now() - last_cnp_ >= cfg_.cnp_interval) {
+    if (last_cnp_ < 0 || sim_.now() - last_cnp_ >= dcqcn::kCnpInterval) {
       last_cnp_ = sim_.now();
       net::Packet cnp;
       cnp.id = sim_.allocate_packet_id();
@@ -153,15 +148,15 @@ void DcqcnReceiver::on_data(const net::Packet& pkt) {
 
 DcqcnFlow::DcqcnFlow(sim::Simulator& simulator, net::Host& src, net::Host& dst,
                      net::FlowId flow, net::ServiceId service,
-                     std::uint64_t message_bytes, DcqcnConfig config)
-    : sender_(simulator, src, dst.id(), flow, service, message_bytes, config),
-      receiver_(simulator, dst, src.id(), flow, service, message_bytes, config) {}
+                     std::uint64_t message_bytes)
+    : sender_(simulator, src, dst.id(), flow, service, message_bytes),
+      receiver_(simulator, dst, src.id(), flow, service, message_bytes) {}
 
 DcqcnFlow& DcqcnFlowTable::add(sim::Simulator& simulator, net::Host& src,
                                net::Host& dst, net::FlowId flow, net::ServiceId service,
-                               std::uint64_t message_bytes, DcqcnConfig config) {
+                               std::uint64_t message_bytes) {
   const auto [it, added] = flows_.try_emplace(flow, simulator, src, dst, flow, service,
-                                              message_bytes, config);
+                                              message_bytes);
   if (!added) {
     throw std::invalid_argument("DcqcnFlowTable: flow " + std::to_string(flow) +
                                 " is already in the table");

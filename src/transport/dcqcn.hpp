@@ -5,12 +5,12 @@
 // Simplified but structurally faithful model:
 //  - the sender paces packets at a current rate Rc (no window, no ACK clock)
 //  - the receiver (notification point) sends at most one CNP per
-//    `cnp_interval` while marked packets keep arriving
+//    `kCnpInterval` while marked packets keep arriving
 //  - on CNP (reaction point): Rt <- Rc, Rc <- Rc*(1 - alpha/2),
 //    alpha <- (1-g)*alpha + g
-//  - alpha decays by (1-g) every `alpha_timer` without CNPs
-//  - rate increase every `increase_timer`: fast recovery (Rc toward Rt) for
-//    the first `fast_recovery_rounds`, then additive (Rt += Rai), then
+//  - alpha decays by (1-g) every `kAlphaTimer` without CNPs
+//  - rate increase every `kIncreaseTimer`: fast recovery (Rc toward Rt) for
+//    the first `kFastRecoveryRounds`, then additive (Rt += Rai), then
 //    hyper-additive (Rt += Rhai)
 //
 // Delivery is RDMA-like: no retransmission. Run it on marking-enabled
@@ -29,18 +29,19 @@
 
 namespace pmsb::transport {
 
-struct DcqcnConfig {
-  std::uint32_t mtu_payload = sim::kDefaultMssBytes;
-  sim::RateBps line_rate = sim::gbps(10);   ///< initial and maximum rate
-  sim::RateBps min_rate = sim::mbps(10);
-  double g = 1.0 / 256.0;                   ///< alpha gain
-  sim::TimeNs cnp_interval = sim::microseconds(50);
-  sim::TimeNs alpha_timer = sim::microseconds(55);
-  sim::TimeNs increase_timer = sim::microseconds(55);
-  std::uint32_t fast_recovery_rounds = 5;
-  sim::RateBps additive_increase = sim::mbps(40);
-  sim::RateBps hyper_increase = sim::mbps(400);
-};
+/// DCQCN's parameters, fixed at the values every run uses.
+namespace dcqcn {
+inline constexpr std::uint32_t kMtuPayload = sim::kDefaultMssBytes;
+inline constexpr sim::RateBps kLineRate = sim::gbps(10);  ///< initial and maximum rate
+inline constexpr sim::RateBps kMinRate = sim::mbps(10);
+inline constexpr double kG = 1.0 / 256.0;  ///< alpha gain
+inline constexpr sim::TimeNs kCnpInterval = sim::microseconds(50);
+inline constexpr sim::TimeNs kAlphaTimer = sim::microseconds(55);
+inline constexpr sim::TimeNs kIncreaseTimer = sim::microseconds(55);
+inline constexpr std::uint32_t kFastRecoveryRounds = 5;
+inline constexpr sim::RateBps kAdditiveIncrease = sim::mbps(40);
+inline constexpr sim::RateBps kHyperIncrease = sim::mbps(400);
+}  // namespace dcqcn
 
 struct DcqcnSenderStats {
   std::uint64_t packets_sent = 0;
@@ -52,8 +53,7 @@ struct DcqcnSenderStats {
 class DcqcnSender {
  public:
   DcqcnSender(sim::Simulator& simulator, net::Host& local, net::HostId remote,
-              net::FlowId flow, net::ServiceId service, std::uint64_t message_bytes,
-              DcqcnConfig config);
+              net::FlowId flow, net::ServiceId service, std::uint64_t message_bytes);
 
   /// Starts pacing packets at `at`; a message of 0 bytes runs forever.
   void start(sim::TimeNs at);
@@ -80,10 +80,9 @@ class DcqcnSender {
   net::FlowId flow_;
   net::ServiceId service_;
   std::uint64_t message_bytes_;
-  DcqcnConfig cfg_;
 
-  double rc_;       ///< current rate (bps)
-  double rt_;       ///< target rate (bps)
+  double rc_ = static_cast<double>(dcqcn::kLineRate);  ///< current rate (bps)
+  double rt_ = static_cast<double>(dcqcn::kLineRate);  ///< target rate (bps)
   double alpha_ = 1.0;
   bool cnp_since_alpha_timer_ = false;
   std::uint32_t rounds_since_cut_ = 0;
@@ -99,8 +98,7 @@ class DcqcnReceiver {
   using CompletionCallback = std::function<void(sim::TimeNs now)>;
 
   DcqcnReceiver(sim::Simulator& simulator, net::Host& local, net::HostId remote,
-                net::FlowId flow, net::ServiceId service, std::uint64_t message_bytes,
-                DcqcnConfig config);
+                net::FlowId flow, net::ServiceId service, std::uint64_t message_bytes);
 
   void on_data(const net::Packet& pkt);
   void set_completion_callback(CompletionCallback cb) { on_complete_ = std::move(cb); }
@@ -116,7 +114,6 @@ class DcqcnReceiver {
   net::FlowId flow_;
   net::ServiceId service_;
   std::uint64_t message_bytes_;
-  DcqcnConfig cfg_;
   std::uint64_t bytes_received_ = 0;
   std::uint64_t cnps_sent_ = 0;
   sim::TimeNs last_cnp_ = -1;
@@ -130,8 +127,7 @@ class DcqcnReceiver {
 class DcqcnFlow {
  public:
   DcqcnFlow(sim::Simulator& simulator, net::Host& src, net::Host& dst,
-            net::FlowId flow, net::ServiceId service, std::uint64_t message_bytes,
-            DcqcnConfig config);
+            net::FlowId flow, net::ServiceId service, std::uint64_t message_bytes);
   DcqcnFlow(const DcqcnFlow&) = delete;
   DcqcnFlow& operator=(const DcqcnFlow&) = delete;
 
@@ -167,8 +163,8 @@ class DcqcnFlowTable final : public net::FlowDemux {
   /// Builds flow `flow` from `src` to `dst` and makes this table the demux
   /// of both hosts. Throws std::invalid_argument if the table holds `flow`.
   DcqcnFlow& add(sim::Simulator& simulator, net::Host& src, net::Host& dst,
-                 net::FlowId flow, net::ServiceId service, std::uint64_t message_bytes,
-                 DcqcnConfig config);
+                 net::FlowId flow, net::ServiceId service,
+                 std::uint64_t message_bytes);
 
   bool deliver(net::Host& host, const net::Packet& pkt) override;
 

@@ -93,7 +93,7 @@ void DctcpSender::send_segment(std::uint64_t seq, bool is_retransmit) {
   pkt.size_bytes = payload + sim::kHeaderBytes;
   pkt.seq = seq;
   pkt.fin = !infinite() && seq + payload >= flow_bytes_;
-  pkt.ect = cfg_.ecn_enabled;
+  pkt.ect = true;
   // Go-back-N resends after an RTO arrive here through the normal send path
   // with is_retransmit=false; anything starting below snd_max_ has been on
   // the wire before, so count it too.
@@ -160,12 +160,9 @@ double DctcpSender::cut_exponent() const {
 
 void DctcpSender::maybe_cut_on_mark() {
   if (snd_una_ < cut_end_seq_) return;  // already cut in this window
-  double penalty = 1.0;  // classic ECN: full halving
-  if (cfg_.reaction == EcnReaction::kDctcp) {
-    const double d = cut_exponent();
-    last_cut_exponent_ = d;
-    penalty = d == 1.0 ? alpha_ : std::pow(alpha_, d);
-  }
+  const double d = cut_exponent();
+  last_cut_exponent_ = d;
+  const double penalty = d == 1.0 ? alpha_ : std::pow(alpha_, d);
   cwnd_ = std::max(cwnd_ * (1.0 - penalty / 2.0), static_cast<double>(kMss));
   ssthresh_ = std::max(cwnd_, 2.0 * kMss);  // marks end slow start
   cut_end_seq_ = snd_nxt_;

@@ -46,22 +46,14 @@ using net::Packet;
 using net::ServiceId;
 using sim::TimeNs;
 
-/// How the sender reacts to an accepted ECN mark.
-enum class EcnReaction : std::uint8_t {
-  kDctcp,       ///< proportional cut by alpha/2 (DCTCP)
-  kClassicEcn,  ///< RFC 3168: halve the window once per RTT
-};
-
 struct DctcpConfig {
-  EcnReaction reaction = EcnReaction::kDctcp;
   /// Send-buffer / receive-window cap on cwnd. Without it a flow on an
   /// un-congested path (no marks, no drops) would grow its window without
   /// bound and then dump megabytes into the first congestion event.
   /// Default: 256 segments (~374 kB), several times a 10G*100us BDP.
   std::uint64_t max_cwnd_bytes = 256ull * sim::kDefaultMssBytes;
   std::uint32_t init_cwnd_segments = 10;
-  bool ecn_enabled = true;                    ///< ECT on data packets
-  sim::RateBps max_rate = 0;                  ///< 0 = unlimited (no pacing cap)
+  sim::RateBps max_rate = 0;  ///< 0 = unlimited (no pacing cap)
 
   // --- PMSB(e), Algorithm 2 ---
   bool pmsbe_enabled = false;
@@ -106,7 +98,6 @@ class DctcpSender {
   /// Sets an absolute completion deadline (D2TCP). Only meaningful with
   /// cfg.d2tcp_enabled on a finite flow.
   void set_deadline(TimeNs deadline) { deadline_ = deadline; }
-  [[nodiscard]] TimeNs deadline() const { return deadline_; }
   /// The deadline-aware cut exponent d used at the most recent cut (1.0
   /// when D2TCP is off) — exposed for tests.
   [[nodiscard]] double last_cut_exponent() const { return last_cut_exponent_; }

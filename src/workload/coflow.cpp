@@ -44,7 +44,7 @@ Workload generate_coflows(const CoflowConfig& cfg, const FlowSizeDistribution& d
   Workload wl;
   wl.flows.reserve(cfg.num_coflows * cfg.num_stages * cfg.num_mappers *
                    cfg.num_reducers);
-  double t = static_cast<double>(cfg.start_after);
+  double t = 0.0;
   std::size_t flow_counter = 0;
   for (std::size_t c = 0; c < cfg.num_coflows; ++c) {
     t += arrival.exponential(cfg.mean_interarrival_us * 1000.0);
@@ -94,7 +94,7 @@ Workload generate_rpc_fanout(const RpcConfig& cfg, sim::Rng& rng) {
 
   Workload wl;
   wl.flows.reserve(cfg.num_rpcs * cfg.fanout);
-  double t = static_cast<double>(cfg.start_after);
+  double t = 0.0;
   std::size_t flow_counter = 0;
   for (std::size_t i = 0; i < cfg.num_rpcs; ++i) {
     t += arrival.exponential(cfg.mean_interarrival_us * 1000.0);

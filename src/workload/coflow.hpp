@@ -49,10 +49,9 @@ struct CoflowConfig {
   std::size_t num_mappers = 4;
   std::size_t num_reducers = 4;
   std::uint16_t num_stages = 1;
-  /// Coflow arrivals are Poisson with this mean gap.
+  /// Coflow arrivals are Poisson with this mean gap, from time 0.
   double mean_interarrival_us = 1000.0;
   std::uint8_t num_services = 8;
-  sim::TimeNs start_after = 0;
 };
 
 /// Generates `cfg.num_coflows` shuffle coflows; each stage is a full M×R
@@ -69,10 +68,9 @@ struct RpcConfig {
   std::uint64_t response_bytes = 20'000;  ///< per responder shard
   /// Completion deadline relative to RPC start; 0 disables deadlines.
   sim::TimeNs deadline = sim::microseconds(2000);
-  /// RPC arrivals are Poisson with this mean gap.
+  /// RPC arrivals are Poisson with this mean gap, from time 0.
   double mean_interarrival_us = 500.0;
   std::uint8_t num_services = 8;
-  sim::TimeNs start_after = 0;
 };
 
 /// Generates `cfg.num_rpcs` fan-out RPCs: a uniformly chosen initiator and

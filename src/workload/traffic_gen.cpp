@@ -4,9 +4,13 @@
 
 namespace pmsb::workload {
 
+namespace {
+constexpr sim::RateBps kEdgeRate = sim::gbps(10);  ///< every host's link rate
+}  // namespace
+
 double poisson_arrival_rate(const TrafficConfig& cfg, const FlowSizeDistribution& dist) {
   const double aggregate_bps =
-      cfg.load * static_cast<double>(cfg.num_hosts) * static_cast<double>(cfg.edge_rate);
+      cfg.load * static_cast<double>(cfg.num_hosts) * static_cast<double>(kEdgeRate);
   return aggregate_bps / (8.0 * dist.mean_bytes());
 }
 
@@ -29,7 +33,7 @@ std::vector<FlowSpec> generate_poisson_traffic(const TrafficConfig& cfg,
 
   std::vector<FlowSpec> flows;
   flows.reserve(cfg.num_flows);
-  double t = static_cast<double>(cfg.start_after);
+  double t = 0.0;
   for (std::size_t i = 0; i < cfg.num_flows; ++i) {
     t += arrival.exponential(mean_interarrival_ns);
     FlowSpec spec;

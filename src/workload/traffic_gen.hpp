@@ -1,8 +1,8 @@
 // Poisson traffic generation (§VI.B).
 //
 // Flow arrivals form a Poisson process whose rate is chosen so that the
-// offered load equals `load` × the aggregate edge capacity:
-//     lambda = load * num_hosts * edge_rate / (8 * mean_flow_size)
+// offered load equals `load` × the aggregate edge capacity, 10 Gbps per host:
+//     lambda = load * num_hosts * 10 Gbps / (8 * mean_flow_size)
 // Source and destination hosts are drawn uniformly (src != dst), and flows
 // are classified round-robin into `num_services` services — the paper's
 // "48x47 communications classified into 8 services evenly".
@@ -40,20 +40,18 @@ struct FlowSpec {
 struct TrafficConfig {
   std::size_t num_hosts = 48;
   double load = 0.5;                      ///< fraction of aggregate edge capacity
-  sim::RateBps edge_rate = sim::gbps(10);
   std::size_t num_flows = 1000;
   std::uint8_t num_services = 8;
-  sim::TimeNs start_after = 0;            ///< arrivals begin after this time
   bool rack_local_allowed = true;         ///< if false, src and dst differ by rack
   std::size_t hosts_per_rack = 12;        ///< used when rack_local_allowed == false
 };
 
-/// Generates `cfg.num_flows` flow specs. Deterministic given `rng`'s seed.
-/// Arrival times, flow sizes, and endpoint choices draw from independent
-/// named sub-streams forked off `rng` ("poisson.arrival" / "poisson.size" /
-/// "poisson.endpoints"), so adding a draw to one dimension — or adding a new
-/// workload family sharing the seed — cannot perturb the others. `rng`
-/// itself is not advanced.
+/// Generates `cfg.num_flows` flow specs, arriving from time 0. Deterministic
+/// given `rng`'s seed. Arrival times, flow sizes, and endpoint choices draw
+/// from independent named sub-streams forked off `rng` ("poisson.arrival" /
+/// "poisson.size" / "poisson.endpoints"), so adding a draw to one dimension
+/// — or adding a new workload family sharing the seed — cannot perturb the
+/// others. `rng` itself is not advanced.
 std::vector<FlowSpec> generate_poisson_traffic(const TrafficConfig& cfg,
                                                const FlowSizeDistribution& dist,
                                                sim::Rng& rng);

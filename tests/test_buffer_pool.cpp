@@ -288,9 +288,9 @@ TEST(PoolIsolation, PmsbPerPortKeepsPortsIndependent) {
 TEST(PoolAdmission, PoolExhaustionDropsAcrossPorts) {
   // A pool smaller than one port's appetite forces drops even though the
   // per-port budgets are large.
-  auto cfg = pool_config(1'000'000);  // marking effectively off
+  auto cfg = pool_config(1'000'000);
+  cfg.marking.kind = ecn::MarkingKind::kNone;
   cfg.shared_pool_bytes = 8 * 1500;
-  cfg.transport.ecn_enabled = false;
   experiments::MultiPortScenario sc(cfg);
   for (std::size_t i = 0; i < 8; ++i) {
     sc.add_flow({.sender = i, .receiver = 0, .service = 0,

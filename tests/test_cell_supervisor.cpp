@@ -302,6 +302,10 @@ TEST(IsolatedSweep, DeterministicThrowQuarantinesWithoutRetry) {
   const std::string csv = sweep::sweep_report_csv(recs);
   EXPECT_NE(csv.find("index,label,ok,attempts,exit_class,error"),
             std::string::npos);
+  // The error holds a comma, so its CSV field is quoted.
+  EXPECT_NE(csv.find(",throw,\"[crash_at] injected throw (cell 0, attempt 1)\","),
+            std::string::npos)
+      << csv;
 }
 
 TEST(IsolatedSweep, ReproBundleReRunsTheExactCell) {

@@ -109,8 +109,8 @@ TEST(Codel, KeepsLinkSaturatedEndToEnd) {
   cfg.scheduler.kind = sched::SchedulerKind::kFifo;
   cfg.scheduler.num_queues = 1;
   cfg.marking.kind = MarkingKind::kCodel;
-  cfg.marking.codel_target = sim::microseconds(15);
-  cfg.marking.codel_interval = sim::microseconds(150);
+  // Target T/4 = 15 us, interval 10 targets = 150 us.
+  cfg.marking.sojourn_threshold = sim::microseconds(60);
   cfg.marking.weights = {1.0};
   experiments::DumbbellScenario sc(cfg);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -139,7 +139,6 @@ TEST(DynamicThreshold, CapsHeavyPortWhenPoolFills) {
   cfg.shared_pool_bytes = 64ull * 1500ull;
   cfg.buffer_policy = {.kind = switchlib::BufferPolicyKind::kDynamicThresholds,
                        .dt_alpha = 1.0};
-  cfg.transport.ecn_enabled = false;
   experiments::MultiPortScenario sc(cfg);
   for (std::size_t i = 0; i < 8; ++i) {
     sc.add_flow({.sender = i, .receiver = 0, .service = 0, .bytes = 0, .start = 0});
@@ -166,7 +165,6 @@ TEST(DynamicThreshold, DisabledMeansStaticBudgets) {
   cfg.marking.kind = MarkingKind::kNone;  // force buffer pressure
   cfg.buffer_bytes = 4096ull * 1500ull;
   cfg.shared_pool_bytes = 64ull * 1500ull;
-  cfg.transport.ecn_enabled = false;
   experiments::MultiPortScenario sc(cfg);
   telemetry::TimeSeriesSampler occupancy(sc.simulator(), sim::microseconds(10));
   occupancy.add_probe("bytes", [&sc] {

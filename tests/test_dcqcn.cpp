@@ -8,7 +8,6 @@
 
 using namespace pmsb;
 using namespace pmsb::experiments;
-using transport::DcqcnConfig;
 using transport::DcqcnFlow;
 using transport::DcqcnFlowTable;
 
@@ -33,10 +32,9 @@ DumbbellConfig fabric(std::size_t senders, ecn::MarkingKind kind,
 
 TEST(Dcqcn, StartsAtLineRateAndDeliversMessage) {
   DumbbellScenario sc(fabric(1, ecn::MarkingKind::kNone, 0));
-  DcqcnConfig cfg;
   DcqcnFlowTable flows;
   DcqcnFlow& flow =
-      flows.add(sc.simulator(), sc.sender(0), sc.receiver(), 500, 0, 1'000'000, cfg);
+      flows.add(sc.simulator(), sc.sender(0), sc.receiver(), 500, 0, 1'000'000);
   sim::TimeNs done_at = 0;
   flow.receiver().set_completion_callback([&](sim::TimeNs t) { done_at = t; });
   flow.start(0);
@@ -49,41 +47,39 @@ TEST(Dcqcn, StartsAtLineRateAndDeliversMessage) {
 
 TEST(Dcqcn, CnpCutsRateAndRaisesAlpha) {
   DumbbellScenario sc(fabric(1, ecn::MarkingKind::kNone, 0));
-  DcqcnConfig cfg;
   transport::DcqcnSender sender(sc.simulator(), sc.sender(0), sc.receiver().id(), 501,
-                                0, 0, cfg);
+                                0, 0);
   sender.start(0);
   sc.run(sim::milliseconds(1));
   const double before = sender.current_rate_bps();
   const double alpha_before = sender.alpha();
   sender.on_cnp();
   EXPECT_LT(sender.current_rate_bps(), before);
-  EXPECT_GE(sender.alpha(), alpha_before * (1.0 - cfg.g));
+  EXPECT_GE(sender.alpha(), alpha_before * (1.0 - transport::dcqcn::kG));
   EXPECT_EQ(sender.stats().rate_cuts, 1u);
 }
 
 TEST(Dcqcn, RateRecoversAfterCongestionClears) {
   DumbbellScenario sc(fabric(1, ecn::MarkingKind::kNone, 0));
-  DcqcnConfig cfg;
   transport::DcqcnSender sender(sc.simulator(), sc.sender(0), sc.receiver().id(), 502,
-                                0, 0, cfg);
+                                0, 0);
   sender.start(0);
   sc.run(sim::milliseconds(1));
   for (int i = 0; i < 10; ++i) sender.on_cnp();
   const double cut_rate = sender.current_rate_bps();
-  ASSERT_LT(cut_rate, static_cast<double>(cfg.line_rate) / 2);
+  const auto line_rate = static_cast<double>(transport::dcqcn::kLineRate);
+  ASSERT_LT(cut_rate, line_rate / 2);
   sc.run(sim::milliseconds(30));  // no further CNPs
-  EXPECT_GT(sender.current_rate_bps(), static_cast<double>(cfg.line_rate) * 0.9);
+  EXPECT_GT(sender.current_rate_bps(), line_rate * 0.9);
 }
 
 TEST(Dcqcn, MarkingThrottlesSendersToLinkShare) {
   // Two DCQCN flows into one 10G port with per-port marking: rates converge
   // near 5G each and the buffer stays bounded.
   DumbbellScenario sc(fabric(2, ecn::MarkingKind::kPerPort, 16));
-  DcqcnConfig cfg;
   DcqcnFlowTable flows;
-  DcqcnFlow& f0 = flows.add(sc.simulator(), sc.sender(0), sc.receiver(), 510, 0, 0, cfg);
-  DcqcnFlow& f1 = flows.add(sc.simulator(), sc.sender(1), sc.receiver(), 511, 0, 0, cfg);
+  DcqcnFlow& f0 = flows.add(sc.simulator(), sc.sender(0), sc.receiver(), 510, 0, 0);
+  DcqcnFlow& f1 = flows.add(sc.simulator(), sc.sender(1), sc.receiver(), 511, 0, 0);
   f0.start(0);
   f1.start(0);
   sc.run(sim::milliseconds(30));
@@ -101,12 +97,11 @@ TEST(Dcqcn, PmsbProtectsVictimRdmaFlow) {
   // restores the weighted share.
   auto run_share = [&](ecn::MarkingKind kind, std::uint64_t threshold_pkts) {
     DumbbellScenario sc(fabric(7, kind, threshold_pkts, 2));
-    DcqcnConfig cfg;
     DcqcnFlowTable flows;
     for (std::size_t i = 0; i < 7; ++i) {
       const net::ServiceId service = i == 0 ? 0 : 1;
       flows.add(sc.simulator(), sc.sender(i), sc.receiver(),
-                static_cast<net::FlowId>(600 + i), service, 0, cfg)
+                static_cast<net::FlowId>(600 + i), service, 0)
           .start(0);
     }
     sc.run(sim::milliseconds(15));
@@ -130,11 +125,10 @@ TEST(Dcqcn, ConservationBalancesWithTheFlowTableAsDemux) {
   DumbbellScenario sc(fabric(2, ecn::MarkingKind::kPerPort, 16));
   faults::InvariantChecker checker(sc.simulator());
   sc.install_invariants(checker);
-  checker.start_periodic(sim::microseconds(100));
-  DcqcnConfig cfg;
+  checker.start_periodic();
   DcqcnFlowTable flows;
-  DcqcnFlow& f0 = flows.add(sc.simulator(), sc.sender(0), sc.receiver(), 520, 0, 0, cfg);
-  DcqcnFlow& f1 = flows.add(sc.simulator(), sc.sender(1), sc.receiver(), 521, 0, 0, cfg);
+  DcqcnFlow& f0 = flows.add(sc.simulator(), sc.sender(0), sc.receiver(), 520, 0, 0);
+  DcqcnFlow& f1 = flows.add(sc.simulator(), sc.sender(1), sc.receiver(), 521, 0, 0);
   f0.start(0);
   f1.start(0);
   sc.run(sim::milliseconds(20));

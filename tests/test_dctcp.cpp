@@ -108,7 +108,7 @@ TEST(Dctcp, MarksTriggerWindowCuts) {
 TEST(Dctcp, RecoversFromDropsInTinyBuffer) {
   auto cfg = base_config(4);
   cfg.buffer_bytes = 8 * 1500;  // tiny: slow-start overshoot must drop
-  cfg.transport.ecn_enabled = false;  // force loss-based behaviour
+  cfg.marking.kind = ecn::MarkingKind::kNone;  // force loss-based behaviour
   DumbbellScenario sc(cfg);
   std::vector<std::size_t> flows;
   for (std::size_t i = 0; i < 4; ++i) {

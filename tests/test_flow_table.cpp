@@ -320,7 +320,7 @@ LateRun run_late_duplicates(bool pin) {
   sc.install_faults(plan, 7);
   faults::InvariantChecker checker(sc.simulator());
   sc.install_invariants(checker);
-  checker.start_periodic(sim::microseconds(100));
+  checker.start_periodic();
   if (pin) {
     for (std::size_t i = 0; i < kCrossing; ++i) (void)sc.flow(i);
   }

@@ -151,29 +151,6 @@ TEST(LeafSpine, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(run_once(), run_once());
 }
 
-TEST(LeafSpine, OversubscribedCoreStillDeliversButSlower) {
-  auto run_mean_fct = [](sim::RateBps core_rate) {
-    auto cfg = small_fabric(Scheme::kPmsb);
-    cfg.core_rate = core_rate;
-    LeafSpineScenario sc(cfg);
-    // Inter-rack shuffle saturating the core.
-    std::vector<workload::FlowSpec> specs;
-    for (int i = 0; i < 8; ++i) {
-      specs.push_back({.src = static_cast<net::HostId>(i % 4),
-                       .dst = static_cast<net::HostId>(4 + (i + 1) % 4),
-                       .service = static_cast<net::ServiceId>(i % 4),
-                       .bytes = 1'000'000,
-                       .start = 0});
-    }
-    sc.add_workload(specs);
-    EXPECT_TRUE(sc.run_until_complete(sim::seconds(10)));
-    return sc.fct().overall_fct_us().mean();
-  };
-  const double nonblocking = run_mean_fct(0);          // = link rate
-  const double oversubscribed = run_mean_fct(sim::gbps(3));
-  EXPECT_GT(oversubscribed, nonblocking * 1.5);
-}
-
 TEST(LeafSpine, SlowdownMetricSensible) {
   auto cfg = small_fabric(Scheme::kPmsb);
   LeafSpineScenario sc(cfg);

@@ -66,9 +66,8 @@ TEST(Differential, MqEcnWithoutRoundsEqualsPerQueueStandard) {
   mc.quantum_bytes = {1500.0, 1500.0};
   mc.capacity = sim::gbps(10);
   mc.rtt = sim::microseconds(80);
-  mc.lambda = 1.0;
   MqEcnMarking mqecn(std::move(mc));  // never fed a round sample
-  const std::uint64_t k = 100'000;    // C * RTT * lambda
+  const std::uint64_t k = 100'000;    // C * RTT
   PerQueueMarking perqueue(PerQueueMarking::standard_thresholds(2, k));
   for (int i = 0; i < 20'000; ++i) {
     const auto snap = random_snapshot(rng, 2);

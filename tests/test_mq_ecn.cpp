@@ -12,8 +12,6 @@ MqEcnConfig base_config() {
   cfg.quantum_bytes = {1500.0, 1500.0};
   cfg.capacity = sim::gbps(10);
   cfg.rtt = sim::microseconds(80);
-  cfg.lambda = 1.0;
-  cfg.beta = 0.75;
   cfg.t_idle = sim::microseconds_f(1.2);
   return cfg;
 }

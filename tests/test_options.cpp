@@ -241,6 +241,7 @@ TEST(Options, NegativeCountKeysAreRejectedNamingTheKey) {
            "topology=dumbbell max_cwnd_bytes=-1",
            "topology=dumbbell watchdog_events=-1",
            "topology=dumbbell stability=1 stability_window=-3",
+           "topology=dumbbell stability=1 stability_window=7",
            "topology=dumbbell seed=-1",
            "topology=leafspine seed=-1",
            "topology=leafspine flows=-1",

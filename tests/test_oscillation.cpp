@@ -79,16 +79,14 @@ TEST(Oscillation, ShortSeriesAnalyzesNoWindows) {
 }
 
 TEST(Oscillation, MustPersistAcrossConsecutiveWindows) {
-  // One oscillating stretch shorter than min_windows * hop: not sustained.
+  // One oscillating stretch shorter than three hops: not sustained.
   // Two periods of swing (samples 128..160) touch only two 64-sample
   // windows, below the three-consecutive-window requirement.
   std::vector<double> v(512, 25'000.0);
   for (std::size_t i = 128; i < 160; ++i) {
     v[i] = (i / 8) % 2 == 0 ? 50'000.0 : 0.0;
   }
-  OscillationConfig cfg;
-  cfg.min_windows = 3;
-  EXPECT_FALSE(analyze_series("blip", v, 100.0, cfg).oscillating);
+  EXPECT_FALSE(analyze_series("blip", v, 100.0).oscillating);
 }
 
 TEST(Oscillation, AnalyzesOnlyQueueColumnsOfSampler) {
@@ -131,7 +129,7 @@ TEST(Oscillation, SteadyDumbbellReportsZeroOscillatingPorts) {
 TEST(Oscillation, ThresholdKnobsFlowThroughOptions) {
   // A stability_window larger than the whole sampled series leaves no
   // windows to analyze, so max_autocorr collapses to 0 — proof the
-  // stability_window key actually reaches the detector config.
+  // stability_window key actually reaches the detector.
   sweep::SweepPoint base;
   base.opts.set("seed", "1");
   base.opts.set("stability", "1");

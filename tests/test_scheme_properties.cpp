@@ -101,7 +101,6 @@ TEST(SchemePresets, StandardKMatchesEq1) {
 TEST(SchemePresets, TcnThresholdIsRttLambda) {
   SchemeParams p;
   p.rtt = sim::microseconds(78);
-  p.lambda = 1.0;
   const auto m = make_scheme_marking(Scheme::kTcn, p);
   EXPECT_EQ(m.sojourn_threshold, sim::microseconds(78));
   EXPECT_EQ(m.kind, ecn::MarkingKind::kTcn);
