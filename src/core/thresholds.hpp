@@ -1,7 +1,9 @@
-// ECN threshold math from the paper (§II Eq. 1-2, §IV Eq. 5-12, Thm. IV.1).
+// ECN threshold math from the paper (§IV Eq. 7-11, Thm. IV.1).
 //
 // All functions work in bytes and nanoseconds; helpers convert from the
-// paper's packet-count units at the call site.
+// paper's packet-count units at the call site. Runs take the standard K
+// (Eq. 1) and the PMSB port threshold from experiments/presets.hpp, and
+// Eq. 2's split from ecn::PerQueueMarking::fractional_thresholds.
 #pragma once
 
 #include <cmath>
@@ -11,27 +13,6 @@
 #include "sim/units.hpp"
 
 namespace pmsb::core {
-
-/// Eq. 1 / Eq. 5: the standard (per-port) ECN marking threshold
-/// K = C * RTT * lambda, in bytes.
-[[nodiscard]] inline std::uint64_t standard_threshold_bytes(sim::RateBps capacity,
-                                                            sim::TimeNs rtt,
-                                                            double lambda) {
-  const double bytes =
-      static_cast<double>(capacity) / 8.0 * sim::to_seconds(rtt) * lambda;
-  return static_cast<std::uint64_t>(std::llround(bytes));
-}
-
-/// Eq. 2: fractional per-queue threshold K_i = w_i / sum(w) * C * RTT * lambda.
-[[nodiscard]] inline std::uint64_t fractional_threshold_bytes(sim::RateBps capacity,
-                                                              sim::TimeNs rtt,
-                                                              double lambda,
-                                                              double weight,
-                                                              double weight_sum) {
-  return static_cast<std::uint64_t>(std::llround(
-      weight / weight_sum *
-      static_cast<double>(standard_threshold_bytes(capacity, rtt, lambda))));
-}
 
 /// gamma_i = w_i / sum_j w_j (the queue's guaranteed bandwidth share).
 [[nodiscard]] constexpr double bandwidth_share(double weight, double weight_sum) {
@@ -47,13 +28,6 @@ namespace pmsb::core {
                                                                 double weight_sum) {
   const double cxrtt = static_cast<double>(sim::bdp_bytes(capacity, rtt));
   return bandwidth_share(weight, weight_sum) * cxrtt / 7.0;
-}
-
-/// Port threshold recommended by §VI: the sum of all queues' Theorem IV.1
-/// lower bounds, i.e. C * RTT / 7 (in bytes), independent of the weights.
-[[nodiscard]] inline double recommended_port_threshold_bytes(sim::RateBps capacity,
-                                                             sim::TimeNs rtt) {
-  return static_cast<double>(sim::bdp_bytes(capacity, rtt)) / 7.0;
 }
 
 // --- Steady-state analysis helpers (Eq. 7-11), used by unit tests and the

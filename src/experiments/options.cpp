@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "telemetry/run_report.hpp"
 
 namespace pmsb::experiments {
 
@@ -40,9 +43,12 @@ std::int64_t parse_int(const std::string& key, const std::string& text) {
                       [](const std::string& t, std::size_t* pos) { return std::stoll(t, pos); });
 }
 
-double parse_double(const std::string& key, const std::string& text) {
-  return parse_number(key, text, "a number",
-                      [](const std::string& t, std::size_t* pos) { return std::stod(t, pos); });
+/// The error for `key`=`text` past a bound: `where` is "below its minimum"
+/// or "above its maximum".
+std::invalid_argument out_of_bounds(const std::string& key, const std::string& text,
+                                    const char* where, const std::string& bound) {
+  return std::invalid_argument("Options: " + key + "=" + text + " is " + where + ", " +
+                               bound);
 }
 
 /// parse_int for an unsigned value in [min, max]; out of range throws
@@ -51,14 +57,27 @@ std::uint64_t parse_uint(const std::string& key, const std::string& text,
                          std::uint64_t min, std::uint64_t max) {
   const std::int64_t v = parse_int(key, text);
   if (v < 0 || static_cast<std::uint64_t>(v) < min) {
-    throw std::invalid_argument("Options: " + key + "=" + text + " is below its minimum, " +
-                                std::to_string(min));
+    throw out_of_bounds(key, text, "below its minimum", std::to_string(min));
   }
   if (static_cast<std::uint64_t>(v) > max) {
-    throw std::invalid_argument("Options: " + key + "=" + text + " is above its maximum, " +
-                                std::to_string(max));
+    throw out_of_bounds(key, text, "above its maximum", std::to_string(max));
   }
   return static_cast<std::uint64_t>(v);
+}
+
+/// A finite double in [min, max]; NaN, infinities and values out of range
+/// throw std::invalid_argument naming the key and value.
+double parse_double(const std::string& key, const std::string& text, double min,
+                    double max) {
+  const auto stod = [](const std::string& t, std::size_t* pos) { return std::stod(t, pos); };
+  const double v = parse_number(key, text, "a number", stod);
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument("Options: '" + key + "' is not a finite number: '" + text +
+                                "'");
+  }
+  if (v < min) throw out_of_bounds(key, text, "below its minimum", telemetry::format_double(min));
+  if (v > max) throw out_of_bounds(key, text, "above its maximum", telemetry::format_double(max));
+  return v;
 }
 
 void parse_line(Options& opts, const std::string& raw, const std::string& where) {
@@ -121,9 +140,10 @@ std::uint64_t Options::get_uint(const std::string& key, std::uint64_t fallback,
   return it == values_.end() ? fallback : parse_uint(key, it->second, min, max);
 }
 
-double Options::get_double(const std::string& key, double fallback) const {
+double Options::get_double(const std::string& key, double fallback, double min,
+                           double max) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : parse_double(key, it->second);
+  return it == values_.end() ? fallback : parse_double(key, it->second, min, max);
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {
@@ -201,9 +221,11 @@ std::vector<T> parse_list(const std::map<std::string, std::string>& values,
 }
 }  // namespace
 
-std::vector<double> Options::get_double_list(const std::string& key) const {
-  return parse_list<double>(values_, key,
-                            [&](const std::string& cell) { return parse_double(key, cell); });
+std::vector<double> Options::get_double_list(const std::string& key, double min,
+                                             double max) const {
+  return parse_list<double>(values_, key, [&](const std::string& cell) {
+    return parse_double(key, cell, min, max);
+  });
 }
 
 std::vector<std::uint64_t> Options::get_uint_list(const std::string& key,

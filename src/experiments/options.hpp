@@ -44,11 +44,18 @@ class Options {
   [[nodiscard]] std::uint64_t get_uint(
       const std::string& key, std::uint64_t fallback, std::uint64_t min = 0,
       std::uint64_t max = std::numeric_limits<std::int64_t>::max()) const;
-  [[nodiscard]] double get_double(const std::string& key, double fallback) const;
+  /// A finite real number in [min, max]: also throws std::invalid_argument
+  /// naming the key when the value is NaN or infinite, below `min` or above
+  /// `max`. No key takes a negative value, so `min` defaults to 0.
+  [[nodiscard]] double get_double(
+      const std::string& key, double fallback, double min = 0.0,
+      double max = std::numeric_limits<double>::max()) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
-  /// Comma-separated list of doubles ("1,2.5,4"); every non-empty entry
-  /// must parse as get_double would.
-  [[nodiscard]] std::vector<double> get_double_list(const std::string& key) const;
+  /// Comma-separated list of doubles ("1,2.5,4"); every non-empty entry is
+  /// checked as get_double checks a value.
+  [[nodiscard]] std::vector<double> get_double_list(
+      const std::string& key, double min = 0.0,
+      double max = std::numeric_limits<double>::max()) const;
   /// Comma-separated list of unsigned integers; every non-empty entry is
   /// checked as get_uint checks a value.
   [[nodiscard]] std::vector<std::uint64_t> get_uint_list(const std::string& key,

@@ -1,7 +1,6 @@
 #include "faults/invariants.hpp"
 
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 namespace pmsb::faults {
@@ -47,14 +46,6 @@ void InvariantChecker::walk() {
   may_skip_ = total_violations_ == violations_before;
 }
 
-void InvariantChecker::start_periodic() {
-  if (periodic_started_) {
-    throw std::logic_error("InvariantChecker: periodic evaluation already started");
-  }
-  periodic_started_ = true;
-  sim_.schedule_in(kTickPeriod, [this] { tick(); });
-}
-
 void InvariantChecker::tick() {
   // Checks read only state that events change. If no event but this tick
   // has run and no packet id was handed out since a walk that found
@@ -66,10 +57,6 @@ void InvariantChecker::tick() {
   } else {
     walk();
   }
-  // Checks are read-only, so if nothing else is pending the run is done:
-  // stop ticking rather than keep the sim alive forever.
-  if (sim_.pending_events() == 0) return;
-  sim_.schedule_in(kTickPeriod, [this] { tick(); });
 }
 
 std::string InvariantChecker::summary(std::size_t max_lines) const {

@@ -1,10 +1,11 @@
 // Runtime invariant checking for simulation runs.
 //
 // An InvariantChecker holds named predicate checks over live simulation
-// state and evaluates them once per kTickPeriod of simulated time (plus once
-// on demand via check_now). Checks are read-only observers: they may inspect
-// any entity but must not mutate it, so enabling the checker never changes a
-// run's packet-level behaviour — only its event count.
+// state and evaluates them at every tick of the run guard (faults::Watchdog,
+// once per kTickPeriod of simulated time), plus once on demand via
+// check_now. Checks are read-only observers: they may inspect any entity but
+// must not mutate it, so enabling the checker never changes a run's
+// packet-level behaviour.
 //
 // A failing check reports a structured Violation (check name, entity,
 // simulation time, human-readable counter detail) instead of asserting, so
@@ -24,10 +25,6 @@
 #include "telemetry/metrics.hpp"
 
 namespace pmsb::faults {
-
-/// The sim-time cadence of both run guards: the invariant checker's
-/// periodic evaluation and the watchdog's tick.
-inline constexpr sim::TimeNs kTickPeriod = sim::microseconds(100);
 
 /// One invariant failure, with enough context to debug it post-mortem.
 struct Violation {
@@ -68,13 +65,11 @@ class InvariantChecker {
   /// Runs every check once at the current simulation time.
   void check_now();
 
-  /// Schedules periodic evaluation every kTickPeriod. The tick does not
-  /// reschedule once the event queue is otherwise empty, so a run still
-  /// terminates when traffic drains. A tick counts an evaluation without
-  /// running the checks when no other event has run and no packet id was
-  /// handed out since the last evaluation, and the last run of the checks
-  /// found nothing: the state they read has not changed.
-  void start_periodic();
+  /// One periodic evaluation, run by the guard's tick event. It counts an
+  /// evaluation without running the checks when no other event has run and
+  /// no packet id was handed out since the last evaluation, and the last
+  /// run of the checks found nothing: the state they read has not changed.
+  void tick();
 
   [[nodiscard]] const std::vector<Violation>& violations() const { return violations_; }
   [[nodiscard]] std::uint64_t evaluations() const { return evaluations_; }
@@ -102,7 +97,6 @@ class InvariantChecker {
   void record(Violation v);
   /// Runs every check and notes the kernel position it saw.
   void walk();
-  void tick();
 
   friend class Context;
 
@@ -111,7 +105,6 @@ class InvariantChecker {
   std::vector<Violation> violations_;
   std::uint64_t total_violations_ = 0;
   std::uint64_t evaluations_ = 0;
-  bool periodic_started_ = false;
   // The kernel's event count and last packet id at the last evaluation, and
   // whether the next tick may skip its walk: the last walk found nothing
   // and no check_now() came since.

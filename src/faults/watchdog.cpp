@@ -7,27 +7,26 @@
 
 namespace pmsb::faults {
 
-Watchdog::Watchdog(sim::Simulator& simulator, WatchdogConfig config,
-                   std::function<std::uint64_t()> progress,
+Watchdog::Watchdog(sim::Simulator& simulator, InvariantChecker* checker,
+                   WatchdogConfig config, std::function<std::uint64_t()> progress,
                    std::function<bool()> done,
                    std::function<std::string()> forensics)
-    : sim_(simulator), config_(config), progress_(std::move(progress)),
-      done_(std::move(done)), forensics_(std::move(forensics)) {
-  if (!progress_ || !done_) {
-    throw std::invalid_argument("Watchdog: progress and done probes are required");
+    : sim_(simulator), checker_(checker), config_(config),
+      progress_(std::move(progress)), done_(std::move(done)),
+      forensics_(std::move(forensics)), last_advance_(simulator.now()),
+      start_wall_(std::chrono::steady_clock::now()),
+      tick_(simulator, [](void* self) { static_cast<Watchdog*>(self)->tick(); }, this) {
+  if (config_.stall_horizon > 0) {
+    if (!progress_ || !done_) {
+      throw std::invalid_argument("Watchdog: a stall horizon needs progress and done probes");
+    }
+    last_progress_ = progress_();
   }
-}
-
-void Watchdog::start() {
-  if (started_) throw std::logic_error("Watchdog::start called twice");
-  started_ = true;
-  last_progress_ = progress_();
-  last_advance_ = sim_.now();
-  start_wall_ = std::chrono::steady_clock::now();
-  sim_.schedule_in(kTickPeriod, [this] { tick(); });
+  tick_.arm(sim_.now() + kTickPeriod, sim_.reserve_seq());
 }
 
 void Watchdog::tick() {
+  if (checker_ != nullptr) checker_->tick();
   ++samples_;
 
   if (config_.max_events > 0 && sim_.executed_events() > config_.max_events) {
@@ -68,8 +67,11 @@ void Watchdog::tick() {
     }
   }
 
-  if (sim_.pending_events() == 0) return;
-  sim_.schedule_in(kTickPeriod, [this] { tick(); });
+  // The guard only reads state, so once nothing else is pending the run is
+  // done: stop ticking rather than keep the sim alive forever.
+  if (sim_.pending_events() > 0) {
+    tick_.arm(sim_.now() + kTickPeriod, sim_.reserve_seq());
+  }
 }
 
 void Watchdog::trip(const std::string& reason) const {

@@ -1,16 +1,17 @@
-// The run guard: stall, runaway and wall-clock detection for simulation runs.
+// The run guard: the one periodic tick of a simulation run.
 //
-// A Watchdog ticks once per kTickPeriod (faults/invariants.hpp) of
-// simulated time. Each tick trips when
+// A Watchdog owns one sim::Timer that fires once per kTickPeriod of
+// simulated time. Each tick first runs the invariant checker's tick, when
+// the run has a checker (faults/invariants.hpp), and then trips when
 //   - the executed-event count exceeds `max_events` (an event explosion:
 //     e.g. a retransmit storm or a scheduling loop),
 //   - a progress counter (typically total bytes acked across all flows) has
 //     not advanced for `stall_horizon` of simulation time while work is
 //     still outstanding (a stalled run: e.g. a link that never came back up
 //     and a transport with no retransmission path), or
-//   - `wall_budget_s` host seconds have passed since start() (a cell that
-//     burns host time: an event storm that advances simulated time slowly,
-//     a scheme parameterization that makes every packet expensive).
+//   - `wall_budget_s` host seconds have passed since construction (a cell
+//     that burns host time: an event storm that advances simulated time
+//     slowly, a scheme parameterization that makes every packet expensive).
 // Every trip throws out of Simulator::run(), so no part of the run goes on
 // past it. A stall or event-budget trip throws std::runtime_error carrying
 // a forensic diagnostic (entity, time, counters, heap stats); a wall-budget
@@ -38,6 +39,11 @@
 
 namespace pmsb::faults {
 
+class InvariantChecker;
+
+/// The sim-time cadence of the run guard's tick.
+inline constexpr sim::TimeNs kTickPeriod = sim::microseconds(100);
+
 /// Thrown from the event loop when a Watchdog's wall budget runs out.
 /// what() carries the diagnostic (limit, phase, simulated time, executed
 /// events).
@@ -55,27 +61,26 @@ struct WatchdogConfig {
   /// Trip when the simulator has executed more events than this.
   /// 0 disables the budget.
   std::uint64_t max_events = 0;
-  /// Trip once this many host seconds have passed since start().
+  /// Trip once this many host seconds have passed since construction.
   /// <= 0 disables the budget.
   double wall_budget_s = 0.0;
 };
 
 class Watchdog {
  public:
-  /// `progress` returns a monotone measure of useful work (bytes acked);
-  /// `done` returns true when the run has legitimately finished (so an
-  /// idle tail after completion is not a stall). `forensics` (optional)
+  /// Starts the wall clock and arms the first tick at now() + kTickPeriod.
+  /// `checker` (may be null) is ticked first at every tick and must outlive
+  /// the guard. `progress` returns a monotone measure of useful work (bytes
+  /// acked) and `done` returns true when the run has legitimately finished
+  /// (so an idle tail after completion is not a stall); both are read only
+  /// under a stall horizon, which requires them. `forensics` (optional)
   /// contributes extra lines to the trip diagnostic.
-  Watchdog(sim::Simulator& simulator, WatchdogConfig config,
-           std::function<std::uint64_t()> progress, std::function<bool()> done,
+  Watchdog(sim::Simulator& simulator, InvariantChecker* checker,
+           WatchdogConfig config = {}, std::function<std::uint64_t()> progress = {},
+           std::function<bool()> done = {},
            std::function<std::string()> forensics = {});
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
-
-  /// Starts the wall clock and begins periodic sampling. Like the invariant
-  /// checker, the tick stops rescheduling when the event queue is otherwise
-  /// empty.
-  void start();
 
   void bind_metrics(telemetry::MetricsRegistry& registry);
 
@@ -85,6 +90,7 @@ class Watchdog {
   [[noreturn]] void trip(const std::string& reason) const;
 
   sim::Simulator& sim_;
+  InvariantChecker* checker_;
   WatchdogConfig config_;
   std::function<std::uint64_t()> progress_;
   std::function<bool()> done_;
@@ -94,7 +100,7 @@ class Watchdog {
   sim::TimeNs last_advance_ = 0;
   std::chrono::steady_clock::time_point start_wall_;
   std::uint64_t samples_ = 0;
-  bool started_ = false;
+  sim::Timer tick_;  ///< runs tick()
 };
 
 }  // namespace pmsb::faults

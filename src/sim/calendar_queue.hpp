@@ -48,7 +48,7 @@
 // hop's delivery or wake-up is at most ~3.2 us ahead on the dumbbell (2 us
 // links) and ~10.2 us on the leaf-spine (9 us links). A 16.4 us window
 // holds all of them; flow starts, retransmission timers (1 ms and up) and
-// the 100 us invariant tick go to the heap. With 12 entries per 64 ns
+// the 100 us guard tick go to the heap. With 12 entries per 64 ns
 // bucket the heap takes 0.3% of fabric-poisson's pushes, 1.3% of a 400-flow
 // load-0.6 leaf-spine run's and 11.6% of a 2,000-flow load-0.9 run's
 // (128 buckets of 128 ns with 16 entries: 1.5%, 5.7% and 26.8%; with 24

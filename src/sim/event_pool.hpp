@@ -5,11 +5,11 @@
 // addresses (chunks never move), and O(1) acquire/recycle through a LIFO free
 // list. A slot is just the event's 64-byte EventCallback. The pool holds the
 // one-off closures that nothing calls off and whose owners outlive their
-// dispatch: fault delays and plan toggles, DCQCN's timers, and the invariant
-// and watchdog ticks. An event that is called off, re-armed at a reserved
-// position, or owned by something that can die while it is queued (link
-// deliveries and wake-ups, flow starts, DCTCP's retransmission and pacing
-// timers, the sampler's tick) is a sim::Timer and takes no slot.
+// dispatch: fault delays and plan toggles, and DCQCN's timers. An event that
+// is called off, re-armed at a reserved position, or owned by something that
+// can die while it is queued (link deliveries and wake-ups, flow starts,
+// DCTCP's retransmission and pacing timers, the sampler's tick, the run
+// guard's tick) is a sim::Timer and takes no slot.
 //
 // Since nothing cancels a closure, its queue entry stays live from push to
 // pop and the slot needs no tag to validate it. The kernel runs the callback

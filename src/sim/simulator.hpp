@@ -29,9 +29,9 @@
 //    slot, no closure to build or destroy, no free list. Destroying an armed
 //    Timer is the one way to call an event off: its entry stays queued as a
 //    tombstone. net::Link's delivery and transmit wake-up, the fabric's flow
-//    starts, DCTCP's retransmission and pacing timers and the sampler's tick
-//    are timers; one-off closures that nothing calls off (faults, DCQCN,
-//    the invariant and watchdog ticks) stay on schedule_at;
+//    starts, DCTCP's retransmission and pacing timers, the sampler's tick
+//    and the run guard's tick are timers; one-off closures that nothing
+//    calls off (fault delays and flaps, DCQCN) stay on schedule_at;
 //  - two queue backends are selectable at construction (`sched_queue=` at
 //    the CLI): the default calendar, a ring of near-future time buckets in
 //    front of a 4-ary heap (calendar_queue.hpp), and the heap alone, kept

@@ -21,6 +21,11 @@ inline constexpr TimeNs microseconds(std::int64_t v) { return v * 1'000; }
 inline constexpr TimeNs milliseconds(std::int64_t v) { return v * 1'000'000; }
 inline constexpr TimeNs seconds(std::int64_t v) { return v * 1'000'000'000; }
 
+/// The largest microsecond value that microseconds_f converts to a TimeNs:
+/// times 1e3 it rounds to 2^63 - 2048 ns, and the next double up rounds past
+/// INT64_MAX.
+inline constexpr double kMaxMicrosecondsF = 9'223'372'036'854'774.0;
+
 /// Converts a (possibly fractional) microsecond value to TimeNs.
 inline constexpr TimeNs microseconds_f(double v) {
   return static_cast<TimeNs>(v * 1e3);

@@ -56,6 +56,29 @@ std::vector<std::string> split_csv(const std::string& text) {
   return out;
 }
 
+/// A duration key counted in `unit`s. Negative values, and values whose time
+/// plus `headroom` would not fit in sim::TimeNs, throw naming the key.
+sim::TimeNs get_duration(const Options& opts, const std::string& key,
+                         std::uint64_t fallback, sim::TimeNs unit,
+                         sim::TimeNs headroom = 0) {
+  const auto max = static_cast<std::uint64_t>(
+      (std::numeric_limits<sim::TimeNs>::max() - headroom) / unit);
+  return static_cast<sim::TimeNs>(opts.get_uint(key, fallback, 0, max)) * unit;
+}
+
+/// A microsecond key read as a real number (`rtt_us=85.2`). Values below
+/// `min`, and values whose nanoseconds would not fit sim::TimeNs, throw
+/// naming the key.
+double get_us(const Options& opts, const std::string& key, double fallback,
+              double min = 0.0) {
+  return opts.get_double(key, fallback, min, sim::kMaxMicrosecondsF);
+}
+
+/// The sampling period: at least 1 ns, the least a sampler can tick by.
+sim::TimeNs sample_period(const Options& opts) {
+  return sim::microseconds_f(get_us(opts, "sample_period_us", 100.0, 1e-3));
+}
+
 /// Optional telemetry wiring shared by both topologies: a metrics registry +
 /// run manifest when `metrics_json=` is given, a time-series sampler when
 /// `timeseries_csv=` is given, a kernel/component profiler when `profile=1`
@@ -67,7 +90,7 @@ struct RunTelemetry {
   explicit RunTelemetry(const Options& opts, bool quiet_run)
       : metrics_path(opts.get("metrics_json")),
         ts_path(opts.get("timeseries_csv")),
-        period(sim::microseconds_f(opts.get_double("sample_period_us", 100.0))),
+        period(sample_period(opts)),
         profile_path(opts.get("profile_json")),
         spans_path(opts.get("spans_ndjson")),
         trace_path(opts.get("trace_ndjson")),
@@ -200,30 +223,22 @@ struct RunTelemetry {
   std::unique_ptr<trace::SpanTracer> port_capture;
 };
 
-/// A duration key counted in `unit`s. Negative values, and values whose time
-/// plus `headroom` would not fit in sim::TimeNs, throw naming the key.
-sim::TimeNs get_duration(const Options& opts, const std::string& key,
-                         std::uint64_t fallback, sim::TimeNs unit,
-                         sim::TimeNs headroom = 0) {
-  const auto max = static_cast<std::uint64_t>(
-      (std::numeric_limits<sim::TimeNs>::max() - headroom) / unit);
-  return static_cast<sim::TimeNs>(opts.get_uint(key, fallback, 0, max)) * unit;
-}
-
 /// Robustness wiring shared by both topologies: a FaultPlan built from the
 /// `faults=` grammar plus the sweep-friendly `bleach=` sugar (grid values
 /// cannot contain ':' or ',', so the headline bleach sweep gets its own
 /// scalar key), an InvariantChecker (on by default; `invariants=0` opts
-/// out), and a Watchdog when a positive stall horizon, event budget or
-/// wall-clock budget (`cell_timeout_s=`) is configured. A watchdog trip
-/// throws out of the event loop and fails this cell alone.
+/// out), and the run guard, whose one tick runs the checker and trips on a
+/// positive stall horizon, event budget or wall-clock budget
+/// (`cell_timeout_s=`). A guard trip throws out of the event loop and fails
+/// this cell alone.
 ///
 /// Declare AFTER the scenario so it is destroyed first: the checker and
-/// watchdog hold the scenario's simulator by reference.
+/// guard hold the scenario's simulator by reference.
 struct Robustness {
   faults::FaultPlan plan;
   std::unique_ptr<faults::InvariantChecker> checker;
-  std::unique_ptr<faults::Watchdog> watchdog;
+  /// Built when the checker is on or a budget is positive.
+  std::unique_ptr<faults::Watchdog> guard;
   /// Set by a positive stall horizon or event budget. A run guarded by
   /// `cell_timeout_s=` alone binds no instrument, so its manifest lists the
   /// same ones as an unguarded run's; a zero budget arms nothing.
@@ -255,7 +270,6 @@ struct Robustness {
         // a violation is caught and reported, not silently absorbed.
         fab.ledger().skew_injected_for_test(1);
       }
-      checker->start_periodic();
     }
 
     const faults::WatchdogConfig wcfg{
@@ -264,16 +278,14 @@ struct Robustness {
         .max_events = opts.get_uint("watchdog_events", 0),
         .wall_budget_s = opts.get_double("cell_timeout_s", 0.0)};
     watchdog_metrics = wcfg.stall_horizon > 0 || wcfg.max_events > 0;
-    if (watchdog_metrics || wcfg.wall_budget_s > 0.0) {
-      watchdog = std::make_unique<faults::Watchdog>(
-          fab.simulator(), wcfg, [&fab] { return fab.total_bytes_acked(); },
-          [&fab] { return fab.all_complete(); },
-          [&fab] { return fab.progress_line(); });
-      watchdog->start();
+    if (checker || watchdog_metrics || wcfg.wall_budget_s > 0.0) {
+      guard = std::make_unique<faults::Watchdog>(
+          fab.simulator(), checker.get(), wcfg, [&fab] { return fab.total_bytes_acked(); },
+          [&fab] { return fab.all_complete(); }, [&fab] { return fab.progress_line(); });
     }
 
     if (opts.get("fault_test") == "wedge_callback") {
-      // The cell_timeout_s blind spot made reproducible: the watchdog tick
+      // The cell_timeout_s blind spot made reproducible: the guard's tick
       // is itself a sim event, so a callback that never returns starves the
       // event loop and the wall budget can never trip. Only the isolate=1
       // supervisor's parent-side hard kill recovers from this shape.
@@ -287,7 +299,7 @@ struct Robustness {
   void bind(telemetry::MetricsRegistry& registry) {
     plan.bind_metrics(registry);
     if (checker) checker->bind_metrics(registry);
-    if (watchdog_metrics) watchdog->bind_metrics(registry);
+    if (watchdog_metrics) guard->bind_metrics(registry);
   }
 
   /// Final validation after the run: one last invariant pass, per-cell
@@ -330,7 +342,7 @@ struct StabilityPlane {
       return;
     }
     own = std::make_unique<telemetry::TimeSeriesSampler>(
-        fab.simulator(), sim::microseconds_f(opts.get_double("sample_period_us", 100.0)));
+        fab.simulator(), sample_period(opts));
     fab.add_sampler_columns(*own);
     own->start();
     sampler = own.get();
@@ -403,7 +415,7 @@ void parse_shared_keys(const Options& opts, const Topology& topo,
   const Scheme scheme = parse_scheme(opts.get("scheme", "pmsb"));
   SchemeParams params;
   params.capacity = cfg.link_rate;
-  params.rtt = sim::microseconds_f(opts.get_double("rtt_us", topo.rtt_us));
+  params.rtt = sim::microseconds_f(get_us(opts, "rtt_us", topo.rtt_us));
   params.weights = cfg.scheduler.weights;
   params.point = opts.get("mark_point", "enqueue") == "dequeue"
                      ? ecn::MarkPoint::kDequeue
@@ -541,7 +553,7 @@ class LeafSpineRun final : public TopologyRun {
       cc.num_reducers = opts.get_uint("reducers", 4);
       cc.num_stages = static_cast<std::uint16_t>(
           opts.get_uint("stages", 1, 0, std::numeric_limits<std::uint16_t>::max()));
-      cc.mean_interarrival_us = opts.get_double("coflow_gap_us", 1000.0);
+      cc.mean_interarrival_us = get_us(opts, "coflow_gap_us", 1000.0);
       cc.num_services = services;
       wl = workload::generate_coflows(cc, dist, rng);
     } else if (pattern == "rpc") {
@@ -550,8 +562,8 @@ class LeafSpineRun final : public TopologyRun {
       rc.num_rpcs = opts.get_uint("rpcs", 50);
       rc.fanout = opts.get_uint("fanout", 8);
       rc.response_bytes = opts.get_uint("rpc_bytes", 20'000, 1);
-      rc.deadline = sim::microseconds_f(opts.get_double("rpc_deadline_us", 2000.0));
-      rc.mean_interarrival_us = opts.get_double("rpc_gap_us", 500.0);
+      rc.deadline = sim::microseconds_f(get_us(opts, "rpc_deadline_us", 2000.0));
+      rc.mean_interarrival_us = get_us(opts, "rpc_gap_us", 500.0);
       rc.num_services = services;
       wl = workload::generate_rpc_fanout(rc, rng);
     } else {

@@ -115,7 +115,7 @@ struct SweepConfig {
   /// each cell's event loop (the wall budget of faults::Watchdog). An
   /// over-budget cell fails alone with a [cell_timeout] diagnostic; the rest
   /// of the grid proceeds. In-process (isolate=false) this is BEST-EFFORT:
-  /// the watchdog tick is a sim event, so a callback that never returns is
+  /// the guard's tick is a sim event, so a callback that never returns is
   /// never interrupted. With isolate=true the supervisor additionally
   /// hard-kills the child past the budget.
   double cell_timeout_s = 0.0;

@@ -1,49 +1,32 @@
-// Tests for the threshold math of §II (Eq. 1-2) and the steady-state
-// analysis of §IV.D (Eq. 7-12, Theorem IV.1).
+// Tests for Eq. 2's fractional split and the steady-state analysis of
+// §IV.D (Eq. 7-12, Theorem IV.1).
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "core/thresholds.hpp"
+#include "ecn/per_queue.hpp"
+#include "experiments/presets.hpp"
 
 using namespace pmsb;
 using namespace pmsb::core;
 
-TEST(Thresholds, StandardEq1) {
-  // 10 Gbps * 78 us * 1.0 = 97.5 kB = 65 packets — the paper's standard K.
-  const auto k = standard_threshold_bytes(sim::gbps(10), sim::microseconds(78), 1.0);
-  EXPECT_EQ(k, 97'500u);
-  EXPECT_NEAR(static_cast<double>(k) / 1500.0, 65.0, 0.1);
-}
-
-TEST(Thresholds, StandardScalesWithLambda) {
-  const auto k1 = standard_threshold_bytes(sim::gbps(10), sim::microseconds(80), 1.0);
-  const auto k2 = standard_threshold_bytes(sim::gbps(10), sim::microseconds(80), 0.5);
-  EXPECT_EQ(k1, 2 * k2);
-}
-
 TEST(Thresholds, FractionalEq2SumsToStandard) {
-  const sim::RateBps c = sim::gbps(10);
-  const sim::TimeNs rtt = sim::microseconds(80);
-  const std::vector<double> w = {1.0, 2.0, 5.0};
-  const double wsum = 8.0;
-  std::uint64_t sum = 0;
-  for (double wi : w) sum += fractional_threshold_bytes(c, rtt, 1.0, wi, wsum);
-  EXPECT_NEAR(static_cast<double>(sum),
-              static_cast<double>(standard_threshold_bytes(c, rtt, 1.0)), 2.0);
+  // Eq. 2 splits the standard K (Eq. 1, C * RTT) by weight; the queues'
+  // thresholds sum back to K within rounding.
+  experiments::SchemeParams p;
+  p.capacity = sim::gbps(10);
+  p.rtt = sim::microseconds(80);
+  const std::uint64_t k = experiments::standard_k_bytes(p);
+  const auto thresholds = ecn::PerQueueMarking::fractional_thresholds({1.0, 2.0, 5.0}, k);
+  const std::uint64_t sum =
+      std::accumulate(thresholds.begin(), thresholds.end(), std::uint64_t{0});
+  EXPECT_NEAR(static_cast<double>(sum), static_cast<double>(k), 2.0);
 }
 
 TEST(Thresholds, BandwidthShare) {
   EXPECT_DOUBLE_EQ(bandwidth_share(1.0, 4.0), 0.25);
   EXPECT_DOUBLE_EQ(bandwidth_share(3.0, 3.0), 1.0);
-}
-
-TEST(Theorem41, ReproducesPaperTwelvePackets) {
-  // With the paper's large-scale parameters (10G, RTT such that C*RTT is
-  // ~71 packets) the summed lower bound lands near 10 packets, and the
-  // paper rounds its port threshold up to 12.
-  const sim::RateBps c = sim::gbps(10);
-  const sim::TimeNs rtt = sim::microseconds_f(85.2);
-  const double port_bound = recommended_port_threshold_bytes(c, rtt);
-  EXPECT_NEAR(port_bound / 1500.0, 10.1, 0.3);
 }
 
 TEST(Theorem41, BoundScalesWithWeightShare) {
@@ -61,7 +44,7 @@ TEST(Theorem41, QueueBoundsSumToPortBound) {
   const std::vector<double> w = {1.0, 2.0, 3.0, 4.0};
   double sum = 0;
   for (double wi : w) sum += theorem41_min_queue_threshold_bytes(c, rtt, wi, 10.0);
-  EXPECT_NEAR(sum, recommended_port_threshold_bytes(c, rtt), 1e-6);
+  EXPECT_NEAR(sum, static_cast<double>(sim::bdp_bytes(c, rtt)) / 7.0, 1e-6);
 }
 
 TEST(SteadyState, QMaxEq8) {

@@ -4,6 +4,7 @@
 
 #include "experiments/dumbbell.hpp"
 #include "faults/invariants.hpp"
+#include "faults/watchdog.hpp"
 #include "transport/dcqcn.hpp"
 
 using namespace pmsb;
@@ -125,7 +126,7 @@ TEST(Dcqcn, ConservationBalancesWithTheFlowTableAsDemux) {
   DumbbellScenario sc(fabric(2, ecn::MarkingKind::kPerPort, 16));
   faults::InvariantChecker checker(sc.simulator());
   sc.install_invariants(checker);
-  checker.start_periodic();
+  faults::Watchdog guard(sc.simulator(), &checker);
   DcqcnFlowTable flows;
   DcqcnFlow& f0 = flows.add(sc.simulator(), sc.sender(0), sc.receiver(), 520, 0, 0);
   DcqcnFlow& f1 = flows.add(sc.simulator(), sc.sender(1), sc.receiver(), 521, 0, 0);

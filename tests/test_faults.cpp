@@ -264,20 +264,34 @@ TEST(InvariantChecker, ViolationCarriesEntityAndTime) {
   EXPECT_NE(checker.summary().find("always_fails"), std::string::npos);
 }
 
+/// The run guard's budgets for the checker's tick tests: none (the checker
+/// alone arms the guard), and a wall budget that never trips, as
+/// `cell_timeout_s=600` arms. Each ticks the checker through the same one
+/// guard tick.
+const std::pair<const char*, WatchdogConfig> kGuards[] = {
+    {"checker alone", {}},
+    {"with a wall budget", {.wall_budget_s = 600.0}},
+};
+
 TEST(InvariantChecker, PeriodicTickStopsWhenQueueDrains) {
-  sim::Simulator sim;
-  InvariantChecker checker(sim);
-  checker.add_check("clean", [](InvariantChecker::Context&) {});
-  checker.start_periodic();
-  // Keep the sim busy for 1 ms, then nothing: the run must terminate even
-  // though the checker reschedules itself while other events are pending.
-  for (int i = 1; i <= 10; ++i) {
-    sim.schedule_at(sim::microseconds(100 * static_cast<std::int64_t>(i)), [] {});
+  for (const auto& [name, cfg] : kGuards) {
+    SCOPED_TRACE(name);
+    sim::Simulator sim;
+    InvariantChecker checker(sim);
+    checker.add_check("clean", [](InvariantChecker::Context&) {});
+    Watchdog guard(sim, &checker, cfg);
+    // Keep the sim busy for 1 ms, then nothing: the ticks must end at the
+    // drain even though the guard re-arms itself while other events are
+    // pending.
+    for (int i = 1; i <= 10; ++i) {
+      sim.schedule_at(sim::microseconds(100 * static_cast<std::int64_t>(i)), [] {});
+    }
+    sim.run(sim::seconds(1));
+    EXPECT_TRUE(checker.clean());
+    EXPECT_GE(checker.evaluations(), 10u);
+    // Ten events and ten ticks, the last at 1 ms: none after the drain.
+    EXPECT_EQ(sim.executed_events(), 20u);
   }
-  sim.run();  // unbounded: would hang if the tick self-perpetuated
-  EXPECT_TRUE(checker.clean());
-  EXPECT_GE(checker.evaluations(), 10u);
-  EXPECT_LE(sim.now(), sim::milliseconds(2));
 }
 
 TEST(InvariantChecker, RecordingCapsButKeepsCounting) {
@@ -296,20 +310,24 @@ TEST(InvariantChecker, RecordingCapsButKeepsCounting) {
 TEST(InvariantChecker, IdleTicksCountWithoutWalking) {
   // Ticks every 100 us to 1 ms; other events only at 250 us and 1 ms. A tick
   // after which nothing else ran counts its evaluation without running the
-  // checks; the final check_now() always runs them.
-  sim::Simulator sim;
-  InvariantChecker checker(sim);
-  int walks = 0;
-  checker.add_check("counted", [&walks](InvariantChecker::Context&) { ++walks; });
-  sim.schedule_at(sim::microseconds(250), [] {});
-  sim.schedule_at(sim::milliseconds(1), [] {});
-  checker.start_periodic();
-  sim.run();
-  EXPECT_EQ(checker.evaluations(), 10u);
-  EXPECT_EQ(walks, 3);  // the first tick, and the ticks after 250 us and 1 ms
-  checker.check_now();
-  EXPECT_EQ(checker.evaluations(), 11u);
-  EXPECT_EQ(walks, 4);
+  // checks; the final check_now() always runs them. A wall budget on the
+  // guard adds no event, so its ticks are idle as often.
+  for (const auto& [name, cfg] : kGuards) {
+    SCOPED_TRACE(name);
+    sim::Simulator sim;
+    InvariantChecker checker(sim);
+    int walks = 0;
+    checker.add_check("counted", [&walks](InvariantChecker::Context&) { ++walks; });
+    sim.schedule_at(sim::microseconds(250), [] {});
+    sim.schedule_at(sim::milliseconds(1), [] {});
+    Watchdog guard(sim, &checker, cfg);
+    sim.run(sim::seconds(1));
+    EXPECT_EQ(checker.evaluations(), 10u);
+    EXPECT_EQ(walks, 3);  // the first tick, and the ticks after 250 us and 1 ms
+    checker.check_now();
+    EXPECT_EQ(checker.evaluations(), 11u);
+    EXPECT_EQ(walks, 4);
+  }
 }
 
 TEST(InvariantChecker, ViolationIntroducedBetweenTicksIsReportedAtTheNextTick) {
@@ -323,7 +341,7 @@ TEST(InvariantChecker, ViolationIntroducedBetweenTicksIsReportedAtTheNextTick) {
   });
   sim.schedule_at(sim::microseconds(250), [&broken] { broken = true; });
   sim.schedule_at(sim::milliseconds(1), [] {});
-  checker.start_periodic();
+  Watchdog guard(sim, &checker);
   sim.run();
   ASSERT_FALSE(checker.violations().empty());
   EXPECT_EQ(checker.violations()[0].time, sim::microseconds(300));
@@ -342,7 +360,7 @@ TEST(InvariantChecker, HandedOutPacketIdWakesTheNextTick) {
   int walks = 0;
   checker.add_check("counted", [&walks](InvariantChecker::Context&) { ++walks; });
   sim.schedule_at(sim::milliseconds(1), [] {});
-  checker.start_periodic();
+  Watchdog guard(sim, &checker);
   sim.run(sim::microseconds(250));
   EXPECT_EQ(walks, 1);  // 100 us walks, 200 us is idle
   (void)sim.allocate_packet_id();
@@ -385,9 +403,8 @@ TEST(Watchdog, TripsOnStalledProgressAndStopsTheRun) {
   WatchdogConfig cfg;
   cfg.stall_horizon = sim::milliseconds(1);
   Watchdog dog(
-      sim, cfg, [] { return std::uint64_t{7}; },  // progress never advances
+      sim, nullptr, cfg, [] { return std::uint64_t{7}; },  // progress never advances
       [] { return false; }, [] { return std::string("flows=0/3"); });
-  dog.start();
   const std::string diagnostic = trip_diagnostic(sim, sim::seconds(1));
 
   EXPECT_LT(sim.now(), sim::milliseconds(3));  // thrown early, not run to 1s
@@ -403,8 +420,7 @@ TEST(Watchdog, DoesNotTripWhileProgressAdvances) {
   WatchdogConfig cfg;
   cfg.stall_horizon = sim::milliseconds(1);
   Watchdog dog(
-      sim, cfg, [&work] { return work; }, [] { return false; });
-  dog.start();
+      sim, nullptr, cfg, [&work] { return work; }, [] { return false; });
   EXPECT_EQ(trip_diagnostic(sim, sim::milliseconds(50)), "");
   EXPECT_EQ(sim.now(), sim::milliseconds(50));
 }
@@ -415,8 +431,7 @@ TEST(Watchdog, DoesNotTripWhenDone) {
   WatchdogConfig cfg;
   cfg.stall_horizon = sim::milliseconds(1);
   Watchdog dog(
-      sim, cfg, [] { return std::uint64_t{7}; }, [] { return true; });
-  dog.start();
+      sim, nullptr, cfg, [] { return std::uint64_t{7}; }, [] { return true; });
   // Flat progress after completion is fine.
   EXPECT_EQ(trip_diagnostic(sim, sim::milliseconds(20)), "");
   EXPECT_EQ(sim.now(), sim::milliseconds(20));
@@ -427,9 +442,7 @@ TEST(Watchdog, TripsOnEventExplosion) {
   keep_alive(sim, nullptr);
   WatchdogConfig cfg;
   cfg.max_events = 500;
-  Watchdog dog(
-      sim, cfg, [] { return std::uint64_t{0}; }, [] { return false; });
-  dog.start();
+  Watchdog dog(sim, nullptr, cfg);
   const std::string diagnostic = trip_diagnostic(sim, sim::seconds(1));
   EXPECT_LT(sim.now(), sim::milliseconds(30));
   EXPECT_NE(diagnostic.find("event budget exceeded: executed="), std::string::npos)
@@ -442,9 +455,7 @@ TEST(Watchdog, WallBudgetThrowsTheTimeoutWithItsDiagnostic) {
   keep_alive(sim, nullptr);
   WatchdogConfig cfg;
   cfg.wall_budget_s = 1e-9;  // spent before the first tick
-  Watchdog dog(
-      sim, cfg, [] { return std::uint64_t{0}; }, [] { return false; });
-  dog.start();
+  Watchdog dog(sim, nullptr, cfg);
   try {
     sim.run(sim::seconds(1));
     FAIL() << "the wall budget never tripped";
@@ -718,7 +729,7 @@ void audit_leafspine(const workload::Workload& wl) {
   experiments::LeafSpineScenario sc(audit_fabric());
   InvariantChecker checker(sc.simulator());
   sc.install_invariants(checker);
-  checker.start_periodic();
+  Watchdog guard(sc.simulator(), &checker);
   ActiveFlowAudit audit{sc};
   audit.start();
   sc.add_workload(wl);
@@ -774,7 +785,7 @@ TEST(ScenarioRobustness, ActiveFlowsCoverEveryFlowInFlight) {
     sc.add_flow({.sender = 3, .service = 0, .bytes = 30'000, .max_rate = sim::mbps(100)});
     InvariantChecker checker(sc.simulator());
     sc.install_invariants(checker);
-    checker.start_periodic();
+    Watchdog guard(sc.simulator(), &checker);
     ActiveFlowAudit audit{sc};
     // Added after install_invariants: the liveness check must still cover it.
     audit.late_flow = sc.add_flow(
@@ -819,7 +830,7 @@ TEST(ScenarioRobustness, StoreNodesMatchThePacketsTheFabricHolds) {
                                  " != held packets " + std::to_string(held));
       }
     });
-    checker.start_periodic();
+    Watchdog guard(sc.simulator(), &checker);
     workload::TrafficConfig tc;
     tc.num_hosts = sc.num_hosts();
     tc.load = 0.6;
@@ -841,8 +852,9 @@ TEST(ScenarioRobustness, StoreNodesMatchThePacketsTheFabricHolds) {
 
 TEST(ScenarioRobustness, InvariantsAreResultNeutral) {
   // The checker only reads: turning it off leaves the digest and every
-  // result unchanged except its own counters and the executed-event count
-  // (its ticks are events). A benchmark pass with invariants=0 relies on it.
+  // result unchanged except its own counters. It rides the watchdog's tick,
+  // which both sides arm, so the executed-event count is equal too. A
+  // benchmark pass with invariants=0 relies on it.
   std::vector<experiments::Options> cells(2);
   cells[0] = dumbbell_opts();
   cells[0].set("duration_ms", "10");
@@ -875,7 +887,7 @@ TEST(ScenarioRobustness, InvariantsAreResultNeutral) {
     EXPECT_FALSE(with.info.at("digest").empty());
     EXPECT_EQ(with.info, without.info);  // digest included
     EXPECT_EQ(neutral(with.results), neutral(without.results));
-    EXPECT_GT(with.results.at("sim.events_executed"),
+    EXPECT_EQ(with.results.at("sim.events_executed"),
               without.results.at("sim.events_executed"));
   }
 }

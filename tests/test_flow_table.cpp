@@ -14,6 +14,7 @@
 #include "experiments/presets.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/invariants.hpp"
+#include "faults/watchdog.hpp"
 #include "net/packet_observer.hpp"
 #include "net/packet_store.hpp"
 #include "regress/digest.hpp"
@@ -320,7 +321,7 @@ LateRun run_late_duplicates(bool pin) {
   sc.install_faults(plan, 7);
   faults::InvariantChecker checker(sc.simulator());
   sc.install_invariants(checker);
-  checker.start_periodic();
+  faults::Watchdog guard(sc.simulator(), &checker);
   if (pin) {
     for (std::size_t i = 0; i < kCrossing; ++i) (void)sc.flow(i);
   }

@@ -228,10 +228,10 @@ TEST(Options, UnsignedGetterRejectsValuesBelowItsMinimum) {
 }
 
 TEST(Options, NegativeCountKeysAreRejectedNamingTheKey) {
-  // Every unsigned key a run reads, below its minimum or above what its
-  // destination holds (the last token), on a base that reads it: the run
-  // throws before it simulates, so pmsbsim exits 2, and the message names
-  // the key and its value.
+  // Every numeric key a run reads, below its minimum, above what its
+  // destination holds, or (a real-valued key) NaN or infinite, as the last
+  // token on a base that reads it: the run throws before it simulates, so
+  // pmsbsim exits 2, and the message names the key and its value.
   for (const char* line : {
            "topology=dumbbell queues=-1",
            "topology=dumbbell queues=0",
@@ -270,6 +270,21 @@ TEST(Options, NegativeCountKeysAreRejectedNamingTheKey) {
            "topology=dumbbell trace_flows=-1",
            "topology=dumbbell trace_flows=0",
            "topology=dumbbell trace_flows=abc",
+           // Real-valued keys: none takes a negative value, NaN or an
+           // infinity, and a microsecond key must fit sim::TimeNs once
+           // converted.
+           "topology=dumbbell rtt_us=inf",
+           "topology=dumbbell rtt_us=1e300",
+           "topology=leafspine pattern=rpc rpc_deadline_us=inf",
+           "topology=dumbbell buffer_policy=dt dt_alpha=nan",
+           "topology=dumbbell cell_timeout_s=-1",
+           "topology=dumbbell cell_timeout_s=nan",
+           "topology=dumbbell cell_timeout_s=inf",
+           "topology=leafspine load=nan",
+           "topology=leafspine pattern=rpc rpc_gap_us=-5",
+           "topology=dumbbell weights=nan,1",
+           "topology=dumbbell sample_period_us=nan",
+           "topology=dumbbell sample_period_us=0",
        }) {
     sweep::SweepPoint pt;
     std::istringstream tokens(line);
@@ -282,11 +297,16 @@ TEST(Options, NegativeCountKeysAreRejectedNamingTheKey) {
     }
     const std::string what = rejection([&] { (void)sweep::run_scenario(pt, true); });
     const auto eq = rejected.find('=');
-    const bool named =
-        what.find(rejected + " is below its minimum") != std::string::npos ||
-        what.find(rejected + " is above its maximum") != std::string::npos ||
-        what.find("'" + rejected.substr(0, eq) + "' is not an integer: '" +
-                  rejected.substr(eq + 1) + "'") != std::string::npos;
+    const std::string key = rejected.substr(0, eq);
+    const auto says = [&what](const std::string& text) {
+      return what.find(text) != std::string::npos;
+    };
+    // A list's message quotes only its failing entry ('nan' of nan,1).
+    const bool named = says(rejected + " is below its minimum") ||
+                       says(rejected + " is above its maximum") ||
+                       says("'" + key + "' is not an integer: '" + rejected.substr(eq + 1) +
+                            "'") ||
+                       says("'" + key + "' is not a finite number: '");
     EXPECT_TRUE(named) << line << ": " << what;
   }
 }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "experiments/options.hpp"
+#include "sim/time.hpp"
 #include "stats/table.hpp"
 #include "trace/analysis.hpp"
 
@@ -156,7 +157,7 @@ int cmd_port(const std::string& path, const Options& opts) {
     std::printf("no marked packets in capture\n");
   }
   if (opts.has("heatmap_csv")) {
-    const double bucket_us = opts.get_double("bucket_us", 100.0);
+    const double bucket_us = opts.get_double("bucket_us", 100.0, 0.0, sim::kMaxMicrosecondsF);
     const std::string csv = trace::port_heatmap_csv(spans, bucket_us);
     std::ofstream out(opts.get("heatmap_csv"));
     if (!out) {
